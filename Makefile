@@ -1,10 +1,14 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-json fuzz serve-smoke
+.PHONY: check fmt-check build vet test test-procs race bench bench-json bench-module fuzz serve-smoke
 
-# check is the CI gate: vet, build everything, run the full suite with the
-# race detector, then smoke the online serving layer end-to-end.
-check: vet build race serve-smoke
+# check is the CI gate: formatting, vet, build everything, run the full suite
+# with the race detector and at several GOMAXPROCS, check the benchmark module
+# still builds, then smoke the online serving layer end-to-end.
+check: fmt-check vet build race test-procs bench-module serve-smoke
+
+fmt-check:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 build:
 	$(GO) build ./...
@@ -15,8 +19,20 @@ vet:
 test:
 	$(GO) test ./...
 
+# test-procs runs tier-1 at 1 core, 2 cores and the host's: results and
+# committed counters must not depend on the core count.
+test-procs:
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+	GOMAXPROCS=2 $(GO) test -count=1 ./...
+	$(GO) test -count=1 ./...
+
 race:
 	$(GO) test -race ./...
+
+# bench-module checks that bench/ (its own module, importing
+# adrdedup/internal/...) still builds and passes against the root module.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -49,6 +65,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzHashKey -fuzztime=10s ./internal/rdd
 	$(GO) test -run='^$$' -fuzz=FuzzIntern -fuzztime=10s ./internal/intern
 	$(GO) test -run='^$$' -fuzz=FuzzPrefixPlan -fuzztime=10s ./internal/candgen
+	$(GO) test -run='^$$' -fuzz=FuzzIndexAppend -fuzztime=10s ./internal/candgen
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=10s ./internal/rdd
 	$(GO) test -run='^$$' -fuzz=FuzzSpillCodec -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzIngestRequest -fuzztime=10s ./internal/serve

@@ -151,7 +151,7 @@ func runDetect(args []string) (retErr error) {
 	b := fs.Int("b", 32, "training cluster number")
 	top := fs.Int("top", 20, "matches to print")
 	executors := fs.Int("executors", 8, "simulated executors")
-	candidates := fs.String("candidates", "brute-force", "candidate strategy: brute-force, block, or prefix-index")
+	candidates := fs.String("candidates", "brute-force", "candidate strategy: brute-force or prefix-index")
 	candTheta := fs.Float64("cand-theta", 0, "signature Jaccard threshold for prefix-index candidates (0 = default)")
 	speculation := fs.Bool("speculation", false, "speculatively re-launch straggler tasks (first completion wins)")
 	stragglerRate := fs.Float64("straggler-rate", 0, "deterministic straggler injection rate per task attempt")
@@ -197,12 +197,10 @@ func runDetect(args []string) (retErr error) {
 	switch *candidates {
 	case "brute-force":
 		strategy = adrdedup.CandidateBruteForce
-	case "block":
-		strategy = adrdedup.CandidateBlock
 	case "prefix-index":
 		strategy = adrdedup.CandidatePrefixIndex
 	default:
-		return fmt.Errorf("unknown -candidates strategy %q (want brute-force, block, or prefix-index)", *candidates)
+		return fmt.Errorf("unknown -candidates strategy %q (want brute-force or prefix-index)", *candidates)
 	}
 	det, err := adrdedup.New(adrdedup.Options{
 		Cluster: cluster.Config{

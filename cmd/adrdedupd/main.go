@@ -64,7 +64,7 @@ func run(args []string) error {
 	seedDups := fs.Int("seed-dups", 80, "injected duplicate pairs in the seed database")
 	trainPairs := fs.Int("train-pairs", 1200, "labelled pairs sampled from the seed's ground truth for training")
 	seed := fs.Int64("seed", 1, "deterministic bootstrap seed")
-	candidates := fs.String("candidates", "prefix-index", "candidate strategy: brute-force, block, or prefix-index")
+	candidates := fs.String("candidates", "prefix-index", "candidate strategy: brute-force or prefix-index")
 	candTheta := fs.Float64("cand-theta", 0, "signature Jaccard threshold for prefix-index candidates (0 = default)")
 	k := fs.Int("k", 0, "kNN neighbor count (0 = default)")
 	b := fs.Int("b", 0, "kNN cluster count (0 = default)")
@@ -81,12 +81,10 @@ func run(args []string) error {
 	switch *candidates {
 	case "brute-force":
 		strategy = adrdedup.CandidateBruteForce
-	case "block":
-		strategy = adrdedup.CandidateBlock
 	case "prefix-index":
 		strategy = adrdedup.CandidatePrefixIndex
 	default:
-		return fmt.Errorf("unknown -candidates strategy %q (want brute-force, block, or prefix-index)", *candidates)
+		return fmt.Errorf("unknown -candidates strategy %q (want brute-force or prefix-index)", *candidates)
 	}
 
 	fmt.Fprintf(os.Stderr, "adrdedupd: bootstrapping (%d seed reports, %d dup pairs, %d training pairs, seed %d)\n",

@@ -51,19 +51,8 @@ type Options struct {
 	// ExtractPartitions sets the parallelism of report text processing
 	// (0 = the engine's default parallelism).
 	ExtractPartitions int
-	// CandidateBlocking restricts Eq. 3's candidate pairs to reports that
-	// share at least one drug or one reaction term — the classic
-	// record-linkage blocking step. It cuts candidate counts by orders of
-	// magnitude on large databases at the cost of missing duplicates
-	// whose drug *and* reaction lists were both recoded (rare: the
-	// paper's Table 1 duplicates always share the drug).
-	//
-	// Deprecated: equivalent to Candidates = CandidateBlock; ignored when
-	// Candidates is set explicitly.
-	CandidateBlocking bool
 	// Candidates selects how Eq. 3's candidate pairs are generated; see
-	// CandidateStrategy. The zero value is brute force (all pairs), unless
-	// the legacy CandidateBlocking flag is set.
+	// CandidateStrategy. The zero value is brute force (all pairs).
 	Candidates CandidateStrategy
 	// CandidateTheta is the signature Jaccard threshold used by
 	// CandidatePrefixIndex (0 = the 0.5 default). Pairs whose signature
@@ -78,25 +67,20 @@ type CandidateStrategy int
 const (
 	// CandidateBruteForce enumerates every Eq. 3 pair — exact, quadratic.
 	CandidateBruteForce CandidateStrategy = iota
-	// CandidateBlock keeps pairs sharing a drug or reaction term (the
-	// legacy CandidateBlocking behavior).
-	CandidateBlock
 	// CandidatePrefixIndex keeps pairs whose signature-set Jaccard
 	// similarity reaches Options.CandidateTheta, found with the
 	// prefix-filtered inverted index of internal/candgen — exact with
-	// respect to that threshold, far below quadratic work in practice.
+	// respect to that threshold, far below quadratic work in practice, and
+	// kept across Detect calls so a batch costs work proportional to the
+	// batch, not to the database.
 	CandidatePrefixIndex
 )
 
 func (s CandidateStrategy) String() string {
-	switch s {
-	case CandidateBlock:
-		return "block"
-	case CandidatePrefixIndex:
+	if s == CandidatePrefixIndex {
 		return "prefix-index"
-	default:
-		return "brute-force"
 	}
+	return "brute-force"
 }
 
 // DefaultCandidateTheta is the signature-similarity threshold
@@ -120,21 +104,19 @@ type Detector struct {
 	// extracts, across batches, so all features stay mutually comparable
 	// by the merge-scan Jaccard kernel.
 	interner *intern.Interner
-	// disableInterning forces the legacy string-set kernel (and string
-	// blocking); it exists so differential tests can run the whole
-	// pipeline against the pre-interning oracle.
+	// disableInterning forces the legacy string-set kernel; it exists so
+	// differential tests can run the whole pipeline against the
+	// pre-interning oracle.
 	disableInterning bool
 	// feats[i] is the preprocessed form of the report with ArrivalSeq i.
+	// Interned features drop their string token sets: every distance the
+	// detector computes is Jaccard over the ID sets.
 	feats []pairdist.Features
-
-	// termIndex is the incremental blocking index behind CandidateBlock:
-	// kind-tagged interned token ID -> arrival sequences of the reports
-	// carrying that term, ascending. It covers feats[:termIndexed] and is
-	// extended per arriving batch instead of being rebuilt per Detect, so
-	// online ingestion pays O(batch terms), not O(database terms), per
-	// call. A failed Detect truncates it together with the database.
-	termIndex   map[uint64][]int32
-	termIndexed int
+	// index is the persistent prefix-filtered candidate index behind
+	// CandidatePrefixIndex (nil under brute force). It covers exactly
+	// feats: extendFeatures appends to both, a failed Detect truncates
+	// both.
+	index *candgen.Index
 
 	clf      *core.Classifier
 	training []core.TrainingPair
@@ -164,6 +146,21 @@ func New(opts Options) (*Detector, error) {
 	if err := opts.Classifier.Validate(); err != nil {
 		return nil, err
 	}
+	var index *candgen.Index
+	switch opts.Candidates {
+	case CandidateBruteForce:
+	case CandidatePrefixIndex:
+		theta := opts.CandidateTheta
+		if theta == 0 {
+			theta = DefaultCandidateTheta
+		}
+		var err error
+		if index, err = candgen.NewIndex(theta); err != nil {
+			return nil, fmt.Errorf("adrdedup: %w", err)
+		}
+	default:
+		return nil, fmt.Errorf("adrdedup: unknown candidate strategy %d", opts.Candidates)
+	}
 	cl := cluster.New(opts.Cluster)
 	return &Detector{
 		opts:     opts,
@@ -171,6 +168,7 @@ func New(opts Options) (*Detector, error) {
 		ctx:      rdd.NewContext(cl),
 		db:       adr.NewDatabase(),
 		interner: intern.New(),
+		index:    index,
 	}, nil
 }
 
@@ -214,17 +212,18 @@ func (d *Detector) AddKnownReports(reports []adr.Report) error {
 	return d.extendFeatures()
 }
 
-// extendFeatures preprocesses any reports not yet featurized.
+// extendFeatures preprocesses the reports not yet featurized — the tail of
+// the database — and enters them into the candidate index.
 func (d *Detector) extendFeatures() error {
-	all := d.db.Reports()
-	if len(d.feats) == len(all) {
+	fresh := d.db.Tail(len(d.feats))
+	if len(fresh) == 0 {
 		return nil
 	}
-	fresh := all[len(d.feats):]
 	parts := d.opts.ExtractPartitions
 	if parts <= 0 {
 		parts = d.ctx.DefaultParallelism()
 	}
+	parts = min(parts, len(fresh)) // a single report is one task, not eight
 	var feats []pairdist.Features
 	var err error
 	if d.disableInterning {
@@ -234,6 +233,18 @@ func (d *Detector) extendFeatures() error {
 	}
 	if err != nil {
 		return fmt.Errorf("adrdedup: extracting features: %w", err)
+	}
+	for i := range feats {
+		if f := &feats[i]; f.Interned {
+			f.DrugSet, f.ADRSet, f.DescTokens = nil, nil, nil
+		}
+	}
+	if d.index != nil {
+		sigs, err := candgen.Signatures(feats)
+		if err != nil {
+			return fmt.Errorf("adrdedup: building candidate signatures: %w", err)
+		}
+		d.index.Append(sigs)
 	}
 	d.feats = append(d.feats, feats...)
 	return nil
@@ -365,17 +376,18 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 		if retErr != nil {
 			d.db.Truncate(existing)
 			d.feats = d.feats[:nFeats]
-			d.truncateTermIndex(nFeats)
+			if d.index != nil {
+				d.index.Truncate(nFeats)
+			}
 		}
 	}()
 	if err := d.extendFeatures(); err != nil {
 		return nil, err
 	}
-	total := d.db.Len()
 
 	// Candidate pairs of Eq. 3: new x earlier, including earlier batch
 	// members (r is checked against A ∪ R - r, deduplicated by ordering).
-	ids, err := d.candidates(existing, total)
+	ids, err := d.candidates(existing)
 	if err != nil {
 		return nil, err
 	}
@@ -395,16 +407,17 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 		return nil, fmt.Errorf("adrdedup: classifying candidate pairs: %w", err)
 	}
 
-	reports := d.db.Reports()
 	matches := make([]Match, 0, len(results))
 	for _, res := range results {
 		if res.Pruned && !includePruned {
 			continue
 		}
 		pair := ids[res.ID]
+		a, _ := d.db.At(pair.A)
+		b, _ := d.db.At(pair.B)
 		matches = append(matches, Match{
-			CaseA:     reports[pair.A].CaseNumber,
-			CaseB:     reports[pair.B].CaseNumber,
+			CaseA:     a.CaseNumber,
+			CaseB:     b.CaseNumber,
 			Score:     res.Score,
 			Duplicate: res.Label > 0,
 			Pruned:    res.Pruned,
@@ -425,131 +438,25 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 	return matches, nil
 }
 
-// candidates dispatches to the configured candidate-generation strategy.
-func (d *Detector) candidates(existing, total int) ([]pairdist.IDPair, error) {
-	strategy := d.opts.Candidates
-	if strategy == CandidateBruteForce && d.opts.CandidateBlocking {
-		strategy = CandidateBlock
-	}
-	switch strategy {
-	case CandidateBlock:
-		return d.blockedCandidates(existing, total), nil
-	case CandidatePrefixIndex:
-		return d.prefixCandidates(existing, total)
-	case CandidateBruteForce:
-		var ids []pairdist.IDPair
-		for b := existing; b < total; b++ {
-			for a := 0; a < b; a++ {
-				ids = append(ids, pairdist.IDPair{A: a, B: b})
-			}
+// candidates generates Eq. 3's pairs for the reports from arrival sequence
+// existing on. Under CandidatePrefixIndex that is one probe stage over the
+// batch against the persistent index — exactly the pairs whose signature
+// sets reach CandidateTheta; under brute force it is every pair.
+func (d *Detector) candidates(existing int) ([]pairdist.IDPair, error) {
+	if d.index != nil {
+		pairs, _, err := d.index.Probe(d.ctx, existing, d.classifierPartitions())
+		if err != nil {
+			return nil, fmt.Errorf("adrdedup: generating prefix-index candidates: %w", err)
 		}
-		return ids, nil
-	default:
-		return nil, fmt.Errorf("adrdedup: unknown candidate strategy %d", strategy)
+		return pairs, nil
 	}
-}
-
-// prefixCandidates generates Eq. 3's pairs through the prefix-filtered
-// inverted index (internal/candgen): exactly the pairs whose signature sets
-// reach CandidateTheta, restricted to those touching the new batch.
-func (d *Detector) prefixCandidates(existing, total int) ([]pairdist.IDPair, error) {
-	theta := d.opts.CandidateTheta
-	if theta == 0 {
-		theta = DefaultCandidateTheta
-	}
-	sigs, err := candgen.Signatures(d.feats[:total])
-	if err != nil {
-		return nil, fmt.Errorf("adrdedup: building candidate signatures: %w", err)
-	}
-	pairs, _, err := candgen.Pairs(d.ctx, sigs, candgen.Params{
-		Theta:      theta,
-		Partitions: d.classifierPartitions(),
-		MinArrival: existing,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("adrdedup: generating prefix-index candidates: %w", err)
-	}
-	return pairs, nil
-}
-
-// blockADRKind tags ADR-vocabulary token IDs apart from drug tokens in the
-// high bits of the term-index key, so the two interner namespaces never
-// collide in one map.
-const blockADRKind = uint64(1) << 32
-
-// extendTermIndex appends the terms of feats[termIndexed:total] to the
-// incremental blocking index. Posting lists stay sorted ascending because
-// reports are indexed in arrival order.
-func (d *Detector) extendTermIndex(total int) {
-	if d.termIndex == nil {
-		d.termIndex = make(map[uint64][]int32)
-	}
-	for i := d.termIndexed; i < total; i++ {
-		for _, t := range d.feats[i].DrugIDs {
-			d.termIndex[uint64(t)] = append(d.termIndex[uint64(t)], int32(i))
-		}
-		for _, t := range d.feats[i].ADRIDs {
-			d.termIndex[blockADRKind|uint64(t)] = append(d.termIndex[blockADRKind|uint64(t)], int32(i))
-		}
-	}
-	d.termIndexed = total
-}
-
-// truncateTermIndex rolls the blocking index back so it covers only
-// feats[:n], undoing extendTermIndex for a batch whose Detect failed.
-// Posting lists are ascending, so rollback pops entries >= n off each tail.
-func (d *Detector) truncateTermIndex(n int) {
-	if d.termIndexed <= n {
-		return
-	}
-	for k, list := range d.termIndex {
-		i := len(list)
-		for i > 0 && int(list[i-1]) >= n {
-			i--
-		}
-		switch {
-		case i == 0:
-			delete(d.termIndex, k)
-		case i < len(list):
-			d.termIndex[k] = list[:i]
-		}
-	}
-	d.termIndexed = n
-}
-
-// blockedCandidates generates the Eq. 3 candidate set under blocking: a new
-// report is paired only with earlier reports that share a drug or reaction
-// term. The inverted index is keyed by interned token IDs (drug and ADR
-// vocabularies tagged apart in the high bits), so building it does no
-// string hashing or key concatenation, and it persists across Detect calls:
-// each batch only appends its own postings, which is what keeps per-arrival
-// cost flat when the detector runs behind a long-lived ingest service
-// (internal/serve).
-func (d *Detector) blockedCandidates(existing, total int) []pairdist.IDPair {
-	d.extendTermIndex(total)
-	seen := make(map[[2]int]bool)
 	var ids []pairdist.IDPair
-	for b := existing; b < total; b++ {
-		consider := func(terms []uint32, kind uint64) {
-			for _, t := range terms {
-				for _, a := range d.termIndex[kind|uint64(t)] {
-					if int(a) >= b {
-						// Postings ascend; the rest are b or newer.
-						break
-					}
-					k := [2]int{int(a), b}
-					if seen[k] {
-						continue
-					}
-					seen[k] = true
-					ids = append(ids, pairdist.IDPair{A: int(a), B: b})
-				}
-			}
+	for b := existing; b < len(d.feats); b++ {
+		for a := 0; a < b; a++ {
+			ids = append(ids, pairdist.IDPair{A: a, B: b})
 		}
-		consider(d.feats[b].DrugIDs, 0)
-		consider(d.feats[b].ADRIDs, blockADRKind)
 	}
-	return ids
+	return ids, nil
 }
 
 // Duplicates filters matches to the positive decisions.

@@ -8,6 +8,7 @@ import (
 
 	"adrdedup/internal/adr"
 	"adrdedup/internal/adrgen"
+	"adrdedup/internal/candgen"
 	"adrdedup/internal/cluster"
 	"adrdedup/internal/core"
 	"adrdedup/internal/pairdist"
@@ -287,63 +288,6 @@ func TestTrainFromIDPairsMatchesLabeledCases(t *testing.T) {
 	}
 }
 
-func TestCandidateBlockingKeepsDuplicatesCutsPairs(t *testing.T) {
-	c := adrgen.Generate(adrgen.Config{
-		NumReports: 500, DuplicatePairs: 40, NumDrugs: 80, NumADRs: 120, Seed: 42,
-	})
-	build := func(blocking bool) (*Detector, []adr.Report) {
-		det, err := New(Options{
-			Cluster:           cluster.Config{Executors: 4},
-			Classifier:        core.Config{K: 7, B: 8, C: 4, Seed: 1},
-			CandidateBlocking: blocking,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cut := len(c.Reports) - 20
-		existing := make([]adr.Report, cut)
-		copy(existing, c.Reports[:cut])
-		batch := make([]adr.Report, 20)
-		copy(batch, c.Reports[cut:])
-		if err := det.AddKnownReports(existing); err != nil {
-			t.Fatal(err)
-		}
-		trainOnGroundTruth(t, c, det, 1000)
-		return det, batch
-	}
-
-	detFull, batch := build(false)
-	full, err := detFull.Detect(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	detBlocked, batch2 := build(true)
-	blocked, err := detBlocked.Detect(batch2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocked) >= len(full) {
-		t.Errorf("blocking scored %d pairs vs exhaustive %d; expected far fewer", len(blocked), len(full))
-	}
-	// Every ground-truth duplicate flagged by the exhaustive run must
-	// still be flagged under blocking (duplicates share their drug).
-	flaggedBlocked := make(map[[2]string]bool)
-	for _, m := range Duplicates(blocked) {
-		flaggedBlocked[[2]string{m.CaseA, m.CaseB}] = true
-		flaggedBlocked[[2]string{m.CaseB, m.CaseA}] = true
-	}
-	for _, m := range Duplicates(full) {
-		a, _ := detFull.Database().Get(m.CaseA)
-		b, _ := detFull.Database().Get(m.CaseB)
-		if !c.IsDuplicatePair(a.ArrivalSeq, b.ArrivalSeq) {
-			continue
-		}
-		if !flaggedBlocked[[2]string{m.CaseA, m.CaseB}] {
-			t.Errorf("blocking lost true duplicate %s/%s", m.CaseA, m.CaseB)
-		}
-	}
-}
-
 func TestSaveLoadModelOnDetector(t *testing.T) {
 	c, det, batch := testCorpus(t, 10)
 	trainOnGroundTruth(t, c, det, 800)
@@ -516,55 +460,64 @@ func TestDetectMatchesLegacyKernelBitExact(t *testing.T) {
 	}
 }
 
-// TestBlockedCandidatesMatchStringIndexReference pins the interned-ID
-// inverted index in blockedCandidates to a straightforward string-keyed
-// reference over the same features: identical candidate pair sets.
-func TestBlockedCandidatesMatchStringIndexReference(t *testing.T) {
-	c, det, batch := testCorpus(t, 20)
-	_ = c
+// TestPrefixCandidatesMatchStringSetReference pins the interned-ID prefix
+// index to a straightforward string-keyed reference: the candidate pairs of a
+// batch are exactly the pairs whose drug ∪ reaction ∪ description token sets,
+// re-tokenised from the reports (interned features no longer carry the
+// strings), reach the threshold under a hash-set Jaccard.
+func TestPrefixCandidatesMatchStringSetReference(t *testing.T) {
+	_, det, batch := prefixTestDetector(t, 20)
+	existing := det.db.Len()
 	if err := det.db.Add(batch...); err != nil {
 		t.Fatal(err)
 	}
 	if err := det.extendFeatures(); err != nil {
 		t.Fatal(err)
 	}
-	existing := det.db.Len() - len(batch)
-	total := det.db.Len()
-	got := det.blockedCandidates(existing, total)
+	got, err := det.candidates(existing)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	byTerm := make(map[string][]int)
-	for i := 0; i < total; i++ {
-		for _, s := range det.feats[i].DrugSet {
-			byTerm["drug\x00"+s] = append(byTerm["drug\x00"+s], i)
+	reports := det.db.Reports()
+	sets := make([]map[string]bool, len(reports))
+	for i, r := range reports {
+		if det.feats[i].DrugSet != nil || det.feats[i].DescTokens != nil {
+			t.Fatalf("interned feature %d still retains its string sets", i)
 		}
-		for _, s := range det.feats[i].ADRSet {
-			byTerm["adr\x00"+s] = append(byTerm["adr\x00"+s], i)
+		f := pairdist.Extract(r)
+		sets[i] = make(map[string]bool)
+		for _, toks := range [][]string{f.DrugSet, f.ADRSet, f.DescTokens} {
+			for _, s := range toks {
+				sets[i][s] = true
+			}
 		}
 	}
 	want := make(map[[2]int]bool)
-	for b := existing; b < total; b++ {
-		for kind, terms := range map[string][]string{
-			"drug\x00": det.feats[b].DrugSet, "adr\x00": det.feats[b].ADRSet,
-		} {
-			for _, s := range terms {
-				for _, a := range byTerm[kind+s] {
-					if a < b {
-						want[[2]int{a, b}] = true
-					}
+	for b := existing; b < len(sets); b++ {
+		for a := 0; a < b; a++ {
+			inter := 0
+			for s := range sets[a] {
+				if sets[b][s] {
+					inter++
 				}
+			}
+			union := len(sets[a]) + len(sets[b]) - inter
+			if union == 0 || float64(inter) >= prefixTestTheta*float64(union) {
+				want[[2]int{a, b}] = true
 			}
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("blocked candidates: %d pairs, reference %d", len(got), len(want))
+		t.Fatalf("prefix-index candidates: %d pairs, string-set reference %d", len(got), len(want))
 	}
 	for _, p := range got {
 		if !want[[2]int{p.A, p.B}] {
-			t.Errorf("pair (%d,%d) not in string-indexed reference", p.A, p.B)
+			t.Errorf("pair (%d,%d) not in the string-set reference", p.A, p.B)
 		}
 	}
 	if len(got) == 0 {
-		t.Fatal("no blocked candidates; test would be vacuous")
+		t.Fatal("no candidates; test would be vacuous")
 	}
 }
 
@@ -786,18 +739,24 @@ func TestCandidatePrefixIndexKeepsDuplicatesCutsPairs(t *testing.T) {
 	}
 }
 
-// blockTestDetector builds a CandidateBlock detector over the shared test
-// corpus, pre-loaded with all but the last `holdout` reports and trained on
-// ground truth — the fixture for the incremental-index tests below.
-func blockTestDetector(t *testing.T, holdout int) (*adrgen.Corpus, *Detector, []adr.Report) {
+// prefixTestTheta keeps candidate volume meaningful on the 500-report test
+// corpus: a few hundred scored pairs per 20-report batch, every injected
+// duplicate among them.
+const prefixTestTheta = 0.25
+
+// prefixTestDetector builds a CandidatePrefixIndex detector over the shared
+// test corpus, pre-loaded with all but the last `holdout` reports and trained
+// on ground truth — the fixture for the incremental-index tests below.
+func prefixTestDetector(t *testing.T, holdout int) (*adrgen.Corpus, *Detector, []adr.Report) {
 	t.Helper()
 	c := adrgen.Generate(adrgen.Config{
 		NumReports: 500, DuplicatePairs: 40, NumDrugs: 80, NumADRs: 120, Seed: 42,
 	})
 	det, err := New(Options{
-		Cluster:    cluster.Config{Executors: 4, CoresPerExecutor: 2},
-		Classifier: core.Config{K: 7, B: 8, C: 4, Theta: 0, Seed: 1},
-		Candidates: CandidateBlock,
+		Cluster:        cluster.Config{Executors: 4, CoresPerExecutor: 2},
+		Classifier:     core.Config{K: 7, B: 8, C: 4, Theta: 0, Seed: 1},
+		Candidates:     CandidatePrefixIndex,
+		CandidateTheta: prefixTestTheta,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -814,16 +773,33 @@ func blockTestDetector(t *testing.T, holdout int) (*adrgen.Corpus, *Detector, []
 	return c, det, batch
 }
 
-// rebuildTermIndex re-derives the blocking index from scratch over a
-// detector's current features — the reference the incrementally-maintained
-// index is compared against.
-func rebuildTermIndex(d *Detector) map[uint64][]int32 {
-	fresh := &Detector{feats: d.feats}
-	fresh.extendTermIndex(len(d.feats))
-	if fresh.termIndex == nil {
-		fresh.termIndex = map[uint64][]int32{}
+// checkIndexCoversFeats asserts the persistent index holds exactly the
+// detector's features and that probing it from `from` emits what the one-shot
+// generator emits over the same signatures — the incrementally maintained
+// index against a from-scratch rebuild.
+func checkIndexCoversFeats(t *testing.T, d *Detector, from int) {
+	t.Helper()
+	if got, want := d.index.Len(), len(d.feats); got != want {
+		t.Fatalf("index covers %d records, detector has %d features", got, want)
 	}
-	return fresh.termIndex
+	sigs, err := candgen.Signatures(d.feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := candgen.Pairs(d.ctx, sigs, candgen.Params{Theta: prefixTestTheta, MinArrival: from})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := d.index.Probe(d.ctx, from, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("persistent index emits %d pairs from %d, one-shot generator %d", len(got), from, len(want))
+	}
+	if len(got) == 0 {
+		t.Fatal("no candidate pairs; comparison would be vacuous")
+	}
 }
 
 func sortCasePairs(matches []Match) {
@@ -835,14 +811,18 @@ func sortCasePairs(matches []Match) {
 	})
 }
 
-// TestBlockedIndexIncrementalEqualsOneShot pins the incremental blocking
-// index across Detect calls: detecting a stream in several batches must
-// score the identical match set as one Detect over the whole stream, and the
-// incrementally-extended index must equal a from-scratch rebuild. This is
-// what lets a long-lived ingest service (internal/serve) append postings per
-// arrival instead of re-indexing the database every batch.
-func TestBlockedIndexIncrementalEqualsOneShot(t *testing.T) {
-	_, detInc, batch := blockTestDetector(t, 30)
+// TestPrefixIndexIncrementalEqualsOneShot pins the persistent candidate index
+// across Detect calls: detecting a stream in several batches must score the
+// identical match set as one Detect over the whole stream, and the
+// incrementally-extended index must emit what a from-scratch generator does.
+// This is what lets a long-lived ingest service (internal/serve) append
+// postings per arrival instead of re-indexing the database every batch.
+func TestPrefixIndexIncrementalEqualsOneShot(t *testing.T) {
+	_, detInc, batch := prefixTestDetector(t, 30)
+	seeded := detInc.index.Len()
+	if seeded != 470 {
+		t.Fatalf("AddKnownReports indexed %d of 470 seed reports", seeded)
+	}
 	var union []Match
 	for _, chunk := range [][]adr.Report{batch[:7], batch[7:8], batch[8:20], batch[20:]} {
 		m, err := detInc.DetectAll(chunk)
@@ -851,14 +831,9 @@ func TestBlockedIndexIncrementalEqualsOneShot(t *testing.T) {
 		}
 		union = append(union, m...)
 	}
-	if got, want := detInc.termIndexed, len(detInc.feats); got != want {
-		t.Fatalf("index covers %d features, want %d", got, want)
-	}
-	if !reflect.DeepEqual(detInc.termIndex, rebuildTermIndex(detInc)) {
-		t.Fatal("incrementally-extended term index differs from a from-scratch rebuild")
-	}
+	checkIndexCoversFeats(t, detInc, seeded)
 
-	_, detOne, batch2 := blockTestDetector(t, 30)
+	_, detOne, batch2 := prefixTestDetector(t, 30)
 	oneShot, err := detOne.DetectAll(batch2)
 	if err != nil {
 		t.Fatal(err)
@@ -875,54 +850,95 @@ func TestBlockedIndexIncrementalEqualsOneShot(t *testing.T) {
 	}
 }
 
-// TestBlockedIndexRollsBackOnFailedDetect: a failed Detect must pop the
-// failed batch's postings back off the index, or every later batch would be
-// paired against reports that are no longer in the database.
-func TestBlockedIndexRollsBackOnFailedDetect(t *testing.T) {
-	_, det, batch := blockTestDetector(t, 20)
-	// Warm the index past the seed database.
-	if _, err := det.Detect(batch[:5]); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same wrong-dimension classifier trick as the rollback tests above:
-	// Detect fails after features (and postings) were appended.
-	goodClf := det.clf
-	bogus := make([]core.TrainingPair, 8)
-	for i := range bogus {
-		v := make([]float64, 5)
-		v[i%5] = float64(i + 1)
-		label := -1
-		if i%2 == 0 {
-			label = 1
+// failDetect makes the next Detect fail at one of its two failure positions,
+// runs it, and restores the detector's parts. "extract" swaps in an engine
+// whose tasks always fail, so the batch has reached the database but neither
+// feats nor the index; "classify" swaps in a classifier trained on
+// 5-dimensional vectors, which rejects the 7-dimensional pair vectors after
+// features and postings were appended and the index probed.
+func failDetect(t *testing.T, det *Detector, position string, batch []adr.Report) {
+	t.Helper()
+	switch position {
+	case "extract":
+		goodCl, goodCtx := det.cl, det.ctx
+		badCl := cluster.New(cluster.Config{Executors: 2, FailureRate: 1, MaxTaskRetries: 1, Seed: 5})
+		det.cl, det.ctx = badCl, rdd.NewContext(badCl)
+		defer func() { det.cl, det.ctx = goodCl, goodCtx }()
+	case "classify":
+		bogus := make([]core.TrainingPair, 8)
+		for i := range bogus {
+			v := make([]float64, 5)
+			v[i%5] = float64(i + 1)
+			bogus[i] = core.TrainingPair{Vec: v, Label: 1 - 2*(i%2)}
 		}
-		bogus[i] = core.TrainingPair{Vec: v, Label: label}
-	}
-	badClf, err := core.Train(det.ctx, bogus, core.Config{K: 1, B: 2, C: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	det.clf = badClf
-	if _, err := det.Detect(batch[5:15]); err == nil {
-		t.Fatal("expected Detect to fail on the wrong-dimension classifier")
-	}
-	det.clf = goodClf
-
-	if got, want := det.termIndexed, len(det.feats); got != want {
-		t.Fatalf("after rollback the index covers %d features, want %d", got, want)
-	}
-	if !reflect.DeepEqual(det.termIndex, rebuildTermIndex(det)) {
-		t.Fatal("rolled-back term index differs from a from-scratch rebuild")
-	}
-
-	// The failed batch retried, then the rest: all postings land once.
-	for _, chunk := range [][]adr.Report{batch[5:15], batch[15:]} {
-		if _, err := det.Detect(chunk); err != nil {
+		badClf, err := core.Train(det.ctx, bogus, core.Config{K: 1, B: 2, C: 2, Seed: 3})
+		if err != nil {
 			t.Fatal(err)
 		}
+		goodClf := det.clf
+		det.clf = badClf
+		defer func() { det.clf = goodClf }()
+	default:
+		t.Fatalf("unknown failure position %q", position)
 	}
-	if !reflect.DeepEqual(det.termIndex, rebuildTermIndex(det)) {
-		t.Fatal("term index diverged from rebuild after retry")
+	if _, err := det.Detect(batch); err == nil {
+		t.Fatalf("expected Detect to fail at %s", position)
+	}
+}
+
+// TestPrefixIndexRollsBackOnFailedDetect: a Detect failing at either failure
+// position must leave the database, the features and the index exactly as
+// long as they were — a batch's postings left behind would pair every later
+// batch against reports that are no longer in the database — and the retried
+// batch, and the batches after it, must return what a detector that never
+// failed returns.
+func TestPrefixIndexRollsBackOnFailedDetect(t *testing.T) {
+	_, clean, batch := prefixTestDetector(t, 20)
+	chunks := [][]adr.Report{batch[:5], batch[5:15], batch[15:]}
+	var want [][]Match
+	for _, chunk := range chunks {
+		m, err := clean.Detect(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, m)
+	}
+	if len(want[1]) == 0 {
+		t.Fatal("clean run returned no matches for the batch under test; comparison would be vacuous")
+	}
+
+	for _, position := range []string{"extract", "classify"} {
+		_, det, batch := prefixTestDetector(t, 20)
+		chunks := [][]adr.Report{batch[:5], batch[5:15], batch[15:]}
+		// Warm the index past the seed database.
+		if _, err := det.Detect(chunks[0]); err != nil {
+			t.Fatal(err)
+		}
+		dbLen, nFeats, indexed := det.db.Len(), len(det.feats), det.index.Len()
+
+		failDetect(t, det, position, chunks[1])
+		if got := det.db.Len(); got != dbLen {
+			t.Fatalf("%s: failed Detect left the database at %d reports, want %d", position, got, dbLen)
+		}
+		if got := len(det.feats); got != nFeats {
+			t.Fatalf("%s: failed Detect left %d features, want %d", position, got, nFeats)
+		}
+		if got := det.index.Len(); got != indexed {
+			t.Fatalf("%s: failed Detect left %d indexed records, want %d", position, got, indexed)
+		}
+
+		// The failed batch retried, then the rest: all postings land once.
+		for i, chunk := range chunks[1:] {
+			got, err := det.Detect(chunk)
+			if err != nil {
+				t.Fatalf("%s: Detect after the failed one: %v", position, err)
+			}
+			if !reflect.DeepEqual(got, want[i+1]) {
+				t.Fatalf("%s: batch %d after rollback returned %d matches, the never-failed detector %d",
+					position, i+1, len(got), len(want[i+1]))
+			}
+		}
+		checkIndexCoversFeats(t, det, 480)
 	}
 }
 
@@ -932,7 +948,7 @@ func TestBlockedIndexRollsBackOnFailedDetect(t *testing.T) {
 // batches instead of retaining every batch's shuffles for the cluster's
 // lifetime. Training-era shuffles are left alone.
 func TestDetectReleasesShuffleState(t *testing.T) {
-	_, det, batch := blockTestDetector(t, 20)
+	_, det, batch := prefixTestDetector(t, 20)
 	shuffles := det.Engine().Cluster().Shuffles()
 	before := shuffles.Registered()
 	mark := shuffles.Mark()

@@ -113,6 +113,36 @@ func TestDatabaseBefore(t *testing.T) {
 	}
 }
 
+func TestDatabaseAtAndTail(t *testing.T) {
+	db := NewDatabase()
+	if err := db.Add(sample("A"), sample("B"), sample("C")); err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := db.At(1); !ok || r.CaseNumber != "B" || r.ArrivalSeq != 1 {
+		t.Errorf("At(1) = %+v, %v", r, ok)
+	}
+	for _, i := range []int{-1, 3} {
+		if _, ok := db.At(i); ok {
+			t.Errorf("At(%d) reported ok", i)
+		}
+	}
+	tail := db.Tail(1)
+	if len(tail) != 2 || tail[0].CaseNumber != "B" || tail[1].ArrivalSeq != 2 {
+		t.Errorf("Tail(1) = %v", tail)
+	}
+	// A snapshot, not a view: writing to it must not reach the database.
+	tail[0].CaseNumber = "X"
+	if r, _ := db.At(1); r.CaseNumber != "B" {
+		t.Error("Tail returned a view of the database's own slice")
+	}
+	if got := db.Tail(-5); len(got) != 3 {
+		t.Errorf("Tail(-5) len = %d", len(got))
+	}
+	if got := db.Tail(3); len(got) != 0 {
+		t.Errorf("Tail(3) len = %d", len(got))
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	db := NewDatabase()
 	a := sample("A")

@@ -91,6 +91,33 @@ func (d *Database) Reports() []Report {
 	return out
 }
 
+// At returns the report with arrival sequence i; ok is false when i is out
+// of range.
+func (d *Database) At(i int) (Report, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if i < 0 || i >= len(d.reports) {
+		return Report{}, false
+	}
+	return d.reports[i], true
+}
+
+// Tail returns a snapshot of the reports with arrival sequence >= from — the
+// batch just added, without copying the database it was added to.
+func (d *Database) Tail(from int) []Report {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if from < 0 {
+		from = 0
+	}
+	if from >= len(d.reports) {
+		return nil
+	}
+	out := make([]Report, len(d.reports)-from)
+	copy(out, d.reports[from:])
+	return out
+}
+
 // Get returns the report with the given case number.
 func (d *Database) Get(caseNumber string) (Report, bool) {
 	d.mu.RLock()

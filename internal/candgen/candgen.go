@@ -70,7 +70,8 @@ type Stats struct {
 	Records, EmptyRecords int
 	// IndexEntries counts prefix postings entered into inverted indexes
 	// (2-D counts per-task indexes, whose union covers each prefix once
-	// per off-diagonal block pairing).
+	// per off-diagonal block pairing; Index.Probe counts those entered
+	// since the previous probe, a rebuild's included).
 	IndexEntries int64
 	// Scanned counts posting-list entries surviving the length bound;
 	// Verified counts full merge-scan verifications (each candidate pair

@@ -41,9 +41,9 @@ func TestTotalPairs(t *testing.T) {
 		{1, 0, 0},
 		{2, 0, 1},
 		{5, 0, 10},
-		{5, 2, 9},  // all 10 minus the 1 old-old pair {0,1}
-		{5, 4, 4},  // only pairs touching record 4
-		{5, 5, 0},  // batch empty
+		{5, 2, 9}, // all 10 minus the 1 old-old pair {0,1}
+		{5, 4, 4}, // only pairs touching record 4
+		{5, 5, 0}, // batch empty
 		{5, 9, 0},
 		{400, 0, 79800},
 	}

@@ -1,6 +1,7 @@
 package candgen
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -126,6 +127,66 @@ func FuzzPrefixPlan(f *testing.F) {
 		}
 		for k := range got {
 			t.Fatalf("θ=%v: non-qualifying pair (%d,%d) emitted; sigs=%v", theta, k[0], k[1], sigs)
+		}
+	})
+}
+
+// FuzzIndexAppend fuzzes the persistent index's append history. data is a
+// corpus as decodeCorpus reads it; each byte of sched (cycled) drives one
+// step: the low three bits are the batch size minus one, the top bit makes a
+// failed batch — the upcoming records plus one of tokens seen nowhere else —
+// reach the index and be truncated away first. Two indexes see the same
+// batches, only one of them the failed ones. After every batch both must
+// emit exactly the from-scratch oracle's pairs for that batch: no history of
+// appends, rollbacks and doubling rebuilds may drop, add or duplicate a
+// pair, and Truncate must leave an index whose next probe equals that of an
+// index the dropped records never reached.
+func FuzzIndexAppend(f *testing.F) {
+	f.Add([]byte(""), []byte(""))
+	f.Add([]byte{128, 1, 2, 3, 0xFF, 1, 2, 3, 0xFF, 0xFF, 4, 0xFF, 1, 2, 0xFF, 0xFF, 3, 4}, []byte{0x80, 0x01})
+	f.Add([]byte{255, 7, 7, 7, 0xFF, 7, 9, 0xFF, 9, 0xFF, 7, 0xFF, 7, 9}, []byte{0x00})
+	f.Add([]byte{64, 47, 46, 45, 44, 0xFF, 44, 45, 46, 0xFF, 1, 44, 0xFF, 44, 45, 0xFF, 46}, []byte{0x92, 0x07, 0x80})
+	f.Fuzz(func(t *testing.T, data, sched []byte) {
+		if len(data) > 512 {
+			t.Skip("cap corpus size; the oracle is quadratic")
+		}
+		theta, sigs := decodeCorpus(data)
+		if len(sched) == 0 {
+			sched = []byte{2}
+		}
+		ix, err := NewIndex(theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean, _ := NewIndex(theta)
+		for from, step := 0, 0; from < len(sigs); step++ {
+			b := sched[step%len(sched)]
+			total := min(from+1+int(b&7), len(sigs))
+			if b&0x80 != 0 {
+				// Token 48+ never occurs in a decoded corpus.
+				doomed := append([][]uint32{{48 + uint32(b>>3&7), 60}}, sigs[from:total]...)
+				ix.Append(doomed)
+				ix.Truncate(from)
+				checkIndexInvariants(t, ix)
+			}
+			ix.Append(sigs[from:total])
+			clean.Append(sigs[from:total])
+			checkIndexInvariants(t, ix)
+
+			want := canonPairs(naivePairs(sigs[:total], theta, from))
+			got, _ := probeSeq(ix, from)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("θ=%v from %d: index with rollbacks emitted %v, oracle %v; sigs=%v sched=%v",
+					theta, from, got, want, sigs[:total], sched)
+			}
+			if got, _ := probeSeq(clean, from); !reflect.DeepEqual(got, want) {
+				t.Fatalf("θ=%v from %d: index emitted %v, oracle %v; sigs=%v sched=%v",
+					theta, from, got, want, sigs[:total], sched)
+			}
+			from = total
+		}
+		if ix.Len() != len(sigs) || clean.Len() != len(sigs) {
+			t.Fatalf("indexes hold %d and %d records, want %d", ix.Len(), clean.Len(), len(sigs))
 		}
 	})
 }

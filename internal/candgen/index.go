@@ -1,0 +1,340 @@
+package candgen
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+
+	"adrdedup/internal/cluster"
+	"adrdedup/internal/pairdist"
+	"adrdedup/internal/rdd"
+	"adrdedup/internal/strsim"
+)
+
+// Index is the persistent, append-only form of the prefix-filtered inverted
+// index: where Pairs ranks, orders and indexes a whole corpus per call, an
+// Index keeps every record's rank-space signature and prefix postings across
+// calls, so checking an arriving batch against the database (Eq. 3) costs
+// work proportional to the batch, not to the database.
+//
+// Exactness needs only that all signatures are sorted under one fixed total
+// token order; that the order is ascending frequency is what keeps posting
+// lists short, not what makes the filter correct. So the order is frozen
+// between rebuilds: a token keeps the rank it had at the last rebuild, and a
+// token first seen since then takes the next rank *below* every rank handed
+// out so far — rarer than every frozen token, which is the right guess for a
+// token absent from the whole database at the last rebuild. Append re-ranks
+// by current frequency and re-indexes everything only when the record count
+// has doubled since the last rebuild, so rebuild cost amortises to O(1) per
+// record.
+//
+// The pair set Probe emits is exactly the brute-force >= theta set whatever
+// the history of Append and Truncate calls. The work counters (Stats.Scanned,
+// Verified, IndexEntries) do depend on the history, because the ranks in
+// force depend on when rebuilds happened and on which tokens arrived first;
+// they are a pure function of that history (rebuild ties are broken on the
+// previous rank, never on map order).
+//
+// An Index is driven from one goroutine; Probe's tasks only read it.
+type Index struct {
+	theta float64
+
+	// ranks maps a token to its rank. Ranks at and above frozenBase were
+	// assigned by the last rebuild in ascending frequency order; ranks
+	// below it were assigned since, counting down from frozenBase-1 in
+	// order of first appearance.
+	ranks   map[uint32]uint32
+	frozen  uint32 // number of ranks the last rebuild assigned
+	nextNew uint32 // rank the next first-seen token takes
+
+	// toks holds the rank-space signatures back to back, each sorted
+	// ascending (rarest first); record id is toks[off[id]:off[id+1]].
+	toks []uint32
+	off  []int
+	// post maps a rank to the records whose prefix contains it, in arrival
+	// order (ascending id). empty lists the records with empty signatures.
+	post  map[uint32][]posting
+	empty []int32
+
+	rebuiltAt int   // Len() at the last rebuild
+	rebuilds  int   // rebuilds so far; tests assert schedules cross several
+	entered   int64 // postings entered since the last Probe
+}
+
+// posting is one inverted-index entry: a record whose prefix contains the
+// token, and the token's index within that record's signature (which feeds
+// the positional filter).
+type posting struct {
+	id, idx int32
+}
+
+// frozenBase is the lowest rank a rebuild assigns. Tokens first seen between
+// rebuilds count down from just below it, so both ranges have 2^31 ranks —
+// as many as there are record IDs.
+const frozenBase = uint32(1) << 31
+
+// NewIndex creates an empty index for signature similarity threshold theta,
+// which must be in (0, 1].
+func NewIndex(theta float64) (*Index, error) {
+	if err := (Params{Theta: theta}).validate(); err != nil {
+		return nil, err
+	}
+	return &Index{
+		theta:   theta,
+		ranks:   make(map[uint32]uint32),
+		nextNew: frozenBase - 1,
+		off:     []int{0},
+		post:    make(map[uint32][]posting),
+	}, nil
+}
+
+// Len returns the number of records indexed.
+func (ix *Index) Len() int { return len(ix.off) - 1 }
+
+func (ix *Index) sig(id int32) []uint32 { return ix.toks[ix.off[id]:ix.off[id+1]] }
+
+// prefix returns the indexed prefix of a rank-space signature.
+func (ix *Index) prefix(sig []uint32) []uint32 {
+	return sig[:len(sig)-minOverlap(ix.theta, len(sig))+1]
+}
+
+// Append indexes sigs (sorted, deduplicated token-ID sets, as Signatures
+// returns them) as records Len(), Len()+1, ... If the record count has then
+// at least doubled since the last rebuild, every token is re-ranked by its
+// current frequency and the whole index rebuilt.
+func (ix *Index) Append(sigs [][]uint32) {
+	if len(sigs) == 0 {
+		return
+	}
+	rebuild := ix.Len()+len(sigs) >= 2*ix.rebuiltAt
+	for _, sig := range sigs {
+		start := len(ix.toks)
+		for _, t := range sig {
+			r, ok := ix.ranks[t]
+			if !ok {
+				r = ix.nextNew
+				ix.nextNew--
+				ix.ranks[t] = r
+			}
+			ix.toks = append(ix.toks, r)
+		}
+		slices.Sort(ix.toks[start:])
+		ix.off = append(ix.off, len(ix.toks))
+		if !rebuild {
+			ix.enter(int32(ix.Len() - 1))
+		}
+	}
+	if rebuild {
+		ix.rebuild()
+	}
+}
+
+// enter adds record id's prefix postings (or lists it as empty).
+func (ix *Index) enter(id int32) {
+	sig := ix.sig(id)
+	if len(sig) == 0 {
+		ix.empty = append(ix.empty, id)
+		return
+	}
+	pre := ix.prefix(sig)
+	for k, r := range pre {
+		ix.post[r] = append(ix.post[r], posting{id: id, idx: int32(k)})
+	}
+	ix.entered += int64(len(pre))
+}
+
+// rebuild re-ranks every token by ascending current frequency — ties on the
+// previous rank, so the outcome is a function of the index contents alone —
+// then re-sorts every signature and re-enters every prefix. Tokens that no
+// longer occur (they arrived only in truncated records) lose their rank.
+func (ix *Index) rebuild() {
+	lo := ix.nextNew + 1
+	counts := make([]int64, frozenBase+ix.frozen-lo)
+	for _, r := range ix.toks {
+		counts[r-lo]++
+	}
+	order := make([]uint32, 0, len(counts))
+	for i, c := range counts {
+		if c > 0 {
+			order = append(order, uint32(i))
+		}
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if ci, cj := counts[order[i]], counts[order[j]]; ci != cj {
+			return ci < cj
+		}
+		return order[i] < order[j]
+	})
+	remap := make([]uint32, len(counts))
+	for i, old := range order {
+		remap[old] = frozenBase + uint32(i)
+	}
+	for t, r := range ix.ranks {
+		if counts[r-lo] == 0 {
+			delete(ix.ranks, t)
+		} else {
+			ix.ranks[t] = remap[r-lo]
+		}
+	}
+	for i, r := range ix.toks {
+		ix.toks[i] = remap[r-lo]
+	}
+	ix.frozen = uint32(len(order))
+	ix.nextNew = frozenBase - 1
+	ix.post = make(map[uint32][]posting, len(order))
+	ix.empty = ix.empty[:0]
+	for id := int32(0); int(id) < ix.Len(); id++ {
+		slices.Sort(ix.sig(id))
+		ix.enter(id)
+	}
+	ix.rebuiltAt = ix.Len()
+	ix.rebuilds++
+}
+
+// Truncate drops every record with id >= n together with its postings, in
+// time proportional to what is dropped — the rollback for a batch whose
+// Detect failed after Append. Ranks assigned or re-derived while the dropped
+// records were present stay in force: any fixed order is exact, so the next
+// probe emits the same pairs as an index those records never reached.
+// Truncating beyond Len() is a no-op.
+func (ix *Index) Truncate(n int) {
+	if n < 0 {
+		n = 0
+	}
+	if n >= ix.Len() {
+		return
+	}
+	// Postings ascend by id, so the dropped records sit at the list tails;
+	// popping newest-first keeps each pop at the very end.
+	for id := int32(ix.Len() - 1); int(id) >= n; id-- {
+		sig := ix.sig(id)
+		if len(sig) == 0 {
+			ix.empty = ix.empty[:len(ix.empty)-1]
+			continue
+		}
+		for _, r := range ix.prefix(sig) {
+			if list := ix.post[r]; len(list) > 1 {
+				ix.post[r] = list[:len(list)-1]
+			} else {
+				delete(ix.post, r)
+			}
+		}
+	}
+	ix.toks = ix.toks[:ix.off[n]]
+	ix.off = ix.off[:n+1]
+}
+
+// Probe checks records [from, Len()) against every earlier record, as one
+// engine stage of at most partitions tasks (0 = the engine's default
+// parallelism), and returns the pairs whose signature Jaccard similarity
+// reaches theta: exactly Pairs' output for MinArrival = from, sorted by
+// (A, B) with A < B. Stats.IndexEntries counts the postings entered since
+// the previous Probe.
+func (ix *Index) Probe(ctx *rdd.Context, from, partitions int) ([]pairdist.IDPair, Stats, error) {
+	n := ix.Len()
+	st := Stats{Records: n, EmptyRecords: len(ix.empty), IndexEntries: ix.entered}
+	if from < 0 || from > n {
+		return nil, st, fmt.Errorf("candgen: probe from %d outside [0, %d]", from, n)
+	}
+	ix.entered = 0
+	if from == n {
+		return nil, st, nil
+	}
+	probers := make([]int32, n-from)
+	for i := range probers {
+		probers[i] = int32(from + i)
+	}
+	if partitions <= 0 {
+		partitions = ctx.DefaultParallelism()
+	}
+	if partitions > len(probers) {
+		partitions = len(probers)
+	}
+
+	// What the probe tasks have not seen before: the new postings and the
+	// arriving records' signatures.
+	ctx.Cluster().Broadcast(st.IndexEntries*8 + int64(len(ix.toks)-ix.off[from])*4)
+	src := rdd.Parallelize(ctx, probers, partitions).SetName("probers").WithBytesPerRecord(4)
+	results, err := rdd.MapPartitionsTC(src, func(tc *cluster.TaskContext, _ int, in []int32) ([]taskResult, error) {
+		var res taskResult
+		if len(in) == 0 {
+			return []taskResult{res}, nil
+		}
+		// A record pairs only with earlier ones, so the last prober's id
+		// bounds every candidate id of the partition.
+		sc := probeScratch{count: tc.Scratch().Int32s(int(in[len(in)-1]))}
+		clear(sc.count)
+		for _, rid := range in {
+			ix.probeRecord(rid, &sc, &res)
+		}
+		return []taskResult{res}, nil
+	}).SetName("candgen.probeIndex").Collect()
+	if err != nil {
+		return nil, st, fmt.Errorf("candgen: probing prefix index: %w", err)
+	}
+	pairs := mergeResults(results, &st)
+	sort.Slice(pairs, func(i, j int) bool { return pairLess(pairs[i], pairs[j]) })
+	st.Emitted = int64(len(pairs))
+	return pairs, st, nil
+}
+
+// probeRecord pairs record rid with every earlier record, the way
+// plan.probeRecord does for the one-shot index: candidates accumulate in the
+// scratch table at their first shared prefix token, where the positional
+// filter (PPJoin) prunes those whose remaining suffixes cannot reach the
+// required overlap, and each survivor is verified exactly once after the
+// scan. Postings are in arrival order, not size order, so the length bound
+// is checked per entry instead of by binary search; in exchange "earlier"
+// is a prefix of each list and every pair has exactly one prober, its newer
+// record.
+func (ix *Index) probeRecord(rid int32, sc *probeScratch, res *taskResult) {
+	sig := ix.sig(rid)
+	if len(sig) == 0 {
+		// Empty signatures are mutually similar at 1 and match nothing else.
+		for _, a := range ix.empty {
+			if a >= rid {
+				break
+			}
+			res.pairs = append(res.pairs, pairdist.IDPair{A: int(a), B: int(rid)})
+		}
+		return
+	}
+	lr := len(sig)
+	minLen := minOverlap(ix.theta, lr)
+	for i, t := range ix.prefix(sig) {
+		for _, e := range ix.post[t] {
+			if e.id >= rid {
+				break
+			}
+			la := ix.off[e.id+1] - ix.off[e.id]
+			if la < minLen || float64(lr) < ix.theta*float64(la) {
+				continue
+			}
+			res.st.Scanned++
+			switch c := sc.count[e.id]; c {
+			case -1:
+				// Already pruned at its first common token.
+			case 0:
+				suffix := min(lr-i-1, la-int(e.idx)-1)
+				if 1+suffix < pairNeed(ix.theta, la, lr) {
+					sc.count[e.id] = -1
+				} else {
+					sc.count[e.id] = 1
+				}
+				sc.touched = append(sc.touched, e.id)
+			default:
+				sc.count[e.id] = c + 1
+			}
+		}
+	}
+	for _, a := range sc.touched {
+		if sc.count[a] > 0 {
+			res.st.Verified++
+			if strsim.JaccardSimAtLeast(ix.sig(a), sig, ix.theta) {
+				res.pairs = append(res.pairs, pairdist.IDPair{A: int(a), B: int(rid)})
+			}
+		}
+		sc.count[a] = 0
+	}
+	sc.touched = sc.touched[:0]
+}

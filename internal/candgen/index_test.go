@@ -1,0 +1,330 @@
+package candgen
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"adrdedup/internal/pairdist"
+)
+
+// probeSeq runs the probe kernel over records [from, Len()) on the calling
+// goroutine — Probe without the engine, for the fuzz target and for pinning
+// that the staged result does not depend on task boundaries.
+func probeSeq(ix *Index, from int) ([]pairdist.IDPair, Stats) {
+	var res taskResult
+	sc := probeScratch{count: make([]int32, ix.Len())}
+	for rid := from; rid < ix.Len(); rid++ {
+		ix.probeRecord(int32(rid), &sc, &res)
+	}
+	return canonPairs(res.pairs), res.st
+}
+
+// indexState is what Truncate promises to restore when no rebuild happened
+// in between: signatures, postings and the empty list. The rank map is not
+// part of it (ranks handed to tokens of dropped records stay assigned).
+type indexState struct {
+	toks  []uint32
+	off   []int
+	post  map[uint32][]posting
+	empty []int32
+}
+
+func snapshotState(ix *Index) indexState {
+	st := indexState{
+		toks:  slices.Clone(ix.toks),
+		off:   slices.Clone(ix.off),
+		post:  make(map[uint32][]posting, len(ix.post)),
+		empty: slices.Clone(ix.empty),
+	}
+	for r, list := range ix.post {
+		st.post[r] = slices.Clone(list)
+	}
+	return st
+}
+
+func (a indexState) equal(b indexState) bool {
+	return slices.Equal(a.toks, b.toks) && slices.Equal(a.off, b.off) &&
+		slices.Equal(a.empty, b.empty) && reflect.DeepEqual(a.post, b.post)
+}
+
+// checkIndexInvariants asserts the structural contract of the index: every
+// signature strictly ascending in rank space, every non-empty record posted
+// under exactly its prefix tokens with the right positions, posting lists
+// ascending by id, no empty lists left behind.
+func checkIndexInvariants(t testing.TB, ix *Index) {
+	t.Helper()
+	want := make(map[uint32][]posting)
+	var empty []int32
+	for id := int32(0); int(id) < ix.Len(); id++ {
+		sig := ix.sig(id)
+		if len(sig) == 0 {
+			empty = append(empty, id)
+			continue
+		}
+		for i := 1; i < len(sig); i++ {
+			if sig[i-1] >= sig[i] {
+				t.Fatalf("record %d: rank-space signature not strictly ascending: %v", id, sig)
+			}
+		}
+		for k, r := range ix.prefix(sig) {
+			want[r] = append(want[r], posting{id: id, idx: int32(k)})
+		}
+	}
+	if !reflect.DeepEqual(ix.post, want) {
+		t.Fatalf("postings differ from a from-scratch index over the stored signatures:\n got %v\nwant %v", ix.post, want)
+	}
+	if !slices.Equal(ix.empty, empty) {
+		t.Fatalf("empty list %v, want %v", ix.empty, empty)
+	}
+}
+
+// TestIndexDifferential is the exactness gate for the persistent index:
+// random corpora (empty and duplicated signatures included) are fed in random
+// batch sizes, with failed batches — Append then Truncate — interleaved, and
+// at every step the staged Probe must emit exactly the pair set of the
+// brute-force oracle, the from-scratch naive oracle, the one-shot Pairs with
+// MinArrival at the batch start, and the sequential kernel. Every run crosses
+// the initial build plus at least two doubling rebuilds.
+func TestIndexDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, theta := range []float64{0.3, 0.5, 0.8, 1.0} {
+			rng := rand.New(rand.NewSource(seed*31 + int64(theta*100)))
+			n := 120 + rng.Intn(100)
+			sigs := randomCorpus(rng, n, 400)
+			junk := randomCorpus(rng, 40, 600) // tokens 400..599 occur only in failed batches
+			name := fmt.Sprintf("seed%d/θ=%v", seed, theta)
+
+			ix, err := NewIndex(theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var union []pairdist.IDPair
+			failed := 0
+			for from := 0; from < n; {
+				size := 1 + rng.Intn(12)
+				if from+size > n {
+					size = n - from
+				}
+				if rng.Intn(3) == 0 {
+					// A batch whose Detect fails: it reaches the index, is
+					// probed, and is rolled back.
+					before, rebuilds := snapshotState(ix), ix.rebuilds
+					lo := rng.Intn(len(junk))
+					ix.Append(junk[lo:min(lo+1+rng.Intn(8), len(junk))])
+					if _, _, err := ix.Probe(testEngine(0), from, 2); err != nil {
+						t.Fatalf("%s: probing a doomed batch: %v", name, err)
+					}
+					ix.Truncate(from)
+					failed++
+					if ix.Len() != from {
+						t.Fatalf("%s: Truncate(%d) left %d records", name, from, ix.Len())
+					}
+					if ix.rebuilds == rebuilds && !snapshotState(ix).equal(before) {
+						t.Fatalf("%s: Append+Truncate at %d without a rebuild did not restore the index", name, from)
+					}
+					checkIndexInvariants(t, ix)
+				}
+				ix.Append(sigs[from : from+size])
+				checkIndexInvariants(t, ix)
+				total := from + size
+
+				got, st, err := ix.Probe(testEngine(0.3*float64(seed%2)), from, 1+rng.Intn(4))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !slices.IsSortedFunc(got, func(a, b pairdist.IDPair) int {
+					if pairLess(a, b) {
+						return -1
+					}
+					return 1
+				}) {
+					t.Errorf("%s: Probe output not in (A, B) order", name)
+				}
+				want := canonPairs(naivePairs(sigs[:total], theta, from))
+				if !reflect.DeepEqual(canonPairs(got), want) {
+					t.Fatalf("%s from %d: Probe emitted %d pairs, naive oracle %d\n got: %v\nwant: %v",
+						name, from, len(got), len(want), got, want)
+				}
+				if brute := canonPairs(BruteForcePairs(sigs[:total], theta, from)); !reflect.DeepEqual(brute, want) {
+					t.Fatalf("%s from %d: BruteForcePairs diverges from the naive oracle", name, from)
+				}
+				oneShot, _, err := Pairs(testEngine(0), sigs[:total], Params{Theta: theta, Partitions: 3, MinArrival: from})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(canonPairs(oneShot), want) {
+					t.Fatalf("%s from %d: one-shot Pairs diverges from the naive oracle", name, from)
+				}
+				seq, seqSt := probeSeq(ix, from)
+				if !reflect.DeepEqual(seq, want) {
+					t.Fatalf("%s from %d: sequential kernel diverges from the naive oracle", name, from)
+				}
+				if st.Scanned != seqSt.Scanned || st.Verified != seqSt.Verified {
+					t.Errorf("%s from %d: staged counters (%d scanned, %d verified) differ from sequential (%d, %d)",
+						name, from, st.Scanned, st.Verified, seqSt.Scanned, seqSt.Verified)
+				}
+				if st.Emitted != int64(len(got)) || st.Records != total {
+					t.Errorf("%s from %d: Stats %+v for %d pairs over %d records", name, from, st, len(got), total)
+				}
+				if st.Scanned < st.Verified {
+					t.Errorf("%s from %d: verified more than scanned: %+v", name, from, st)
+				}
+				union = append(union, got...)
+				from = total
+			}
+			if ix.rebuilds < 3 {
+				t.Errorf("%s: %d rebuilds; the run must cross the first build and two doublings", name, ix.rebuilds)
+			}
+			if failed == 0 {
+				t.Errorf("%s: no failed batch was interleaved", name)
+			}
+			// Pair sets are independent of the append history: the union over
+			// all batches is the whole corpus' pair set, which is also what
+			// one Append of everything emits.
+			all := canonPairs(naivePairs(sigs, theta, 0))
+			if !reflect.DeepEqual(canonPairs(union), all) {
+				t.Fatalf("%s: union over batches has %d pairs, whole-corpus oracle %d", name, len(union), len(all))
+			}
+			whole, _ := NewIndex(theta)
+			whole.Append(sigs)
+			if one, _ := probeSeq(whole, 0); !reflect.DeepEqual(one, all) {
+				t.Fatalf("%s: single-Append index emits %d pairs, oracle %d", name, len(one), len(all))
+			}
+		}
+	}
+}
+
+// TestIndexStatsDeterministic pins the counters: the same append history run
+// twice — once on a fault-injecting engine — reports bit-identical Stats at
+// every probe, and a different batching of the same records reports the same
+// pairs with (legitimately) different work counters.
+func TestIndexStatsDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	sigs := randomCorpus(rng, 400, 3000)
+	run := func(failureRate float64, batch int) ([]Stats, []pairdist.IDPair) {
+		ix, err := NewIndex(0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats []Stats
+		var union []pairdist.IDPair
+		for from := 0; from < len(sigs); from += batch {
+			ix.Append(sigs[from:min(from+batch, len(sigs))])
+			pairs, st, err := ix.Probe(testEngine(failureRate), from, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats = append(stats, st)
+			union = append(union, pairs...)
+		}
+		return stats, canonPairs(union)
+	}
+	first, pairs := run(0, 7)
+	again, _ := run(0.3, 7)
+	if !reflect.DeepEqual(first, again) {
+		t.Fatalf("same history, different Stats:\n first %+v\n again %+v", first, again)
+	}
+	other, otherPairs := run(0, 50)
+	if !reflect.DeepEqual(pairs, otherPairs) {
+		t.Fatalf("batching changed the pair set: %d vs %d pairs", len(pairs), len(otherPairs))
+	}
+	sum := func(sts []Stats) (v int64) {
+		for _, st := range sts {
+			v += st.Verified
+		}
+		return v
+	}
+	if sum(first) == 0 || sum(other) == 0 {
+		t.Fatal("no verifications; test would be vacuous")
+	}
+}
+
+// TestIndexRanksFrozenBetweenRebuilds pins the rank discipline the exactness
+// argument rests on: a token keeps its rank until the next rebuild, tokens
+// first seen since the last rebuild sort before every frozen token, and a
+// rebuild orders by current frequency.
+func TestIndexRanksFrozenBetweenRebuilds(t *testing.T) {
+	ix, err := NewIndex(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frequencies after the first build: 10→4, 20→3, 30→1.
+	ix.Append([][]uint32{{10, 20}, {10, 20}, {10, 20}, {10, 30}})
+	if ix.rebuilds != 1 {
+		t.Fatalf("first Append did not build: %d rebuilds", ix.rebuilds)
+	}
+	if !(ix.ranks[30] < ix.ranks[20] && ix.ranks[20] < ix.ranks[10]) {
+		t.Fatalf("ranks not in ascending frequency: %v", ix.ranks)
+	}
+	frozen := map[uint32]uint32{10: ix.ranks[10], 20: ix.ranks[20], 30: ix.ranks[30]}
+
+	// Three more records: below the doubling, so no rebuild. Token 30 is now
+	// the most frequent of the batch but keeps its rank; 40 is new and must
+	// lead every signature it is in.
+	ix.Append([][]uint32{{30, 40}, {30}, {30}})
+	if ix.rebuilds != 1 {
+		t.Fatalf("rebuilt below the doubling: %d rebuilds at %d records", ix.rebuilds, ix.Len())
+	}
+	for tok, r := range frozen {
+		if ix.ranks[tok] != r {
+			t.Errorf("token %d moved from rank %d to %d without a rebuild", tok, r, ix.ranks[tok])
+		}
+	}
+	if ix.ranks[40] >= frozenBase || ix.sig(4)[0] != ix.ranks[40] {
+		t.Errorf("new token 40 has rank %d and does not lead its signature %v", ix.ranks[40], ix.sig(4))
+	}
+
+	// The eighth record doubles the count: re-rank. 30 (4 occurrences) now
+	// ranks after 20 (3) and 40 (1).
+	ix.Append([][]uint32{{10}})
+	if ix.rebuilds != 2 {
+		t.Fatalf("no rebuild at the doubling: %d rebuilds at %d records", ix.rebuilds, ix.Len())
+	}
+	if !(ix.ranks[40] < ix.ranks[20] && ix.ranks[20] < ix.ranks[30] && ix.ranks[30] < ix.ranks[10]) {
+		t.Errorf("ranks after rebuild not in ascending frequency: %v", ix.ranks)
+	}
+	checkIndexInvariants(t, ix)
+
+	// A token seen only in a rolled-back batch loses its rank at the next
+	// rebuild instead of lingering.
+	ix.Append([][]uint32{{99}})
+	ix.Truncate(8)
+	ix.Append(make([][]uint32, 8))
+	if ix.rebuilds != 3 {
+		t.Fatalf("no rebuild at 16 records: %d", ix.rebuilds)
+	}
+	if _, ok := ix.ranks[99]; ok {
+		t.Error("token 99 occurs in no record but kept a rank across a rebuild")
+	}
+	checkIndexInvariants(t, ix)
+}
+
+func TestIndexRejectsBadArguments(t *testing.T) {
+	for _, theta := range []float64{0, -0.1, 1.01} {
+		if _, err := NewIndex(theta); err == nil {
+			t.Errorf("NewIndex(%v): want error", theta)
+		}
+	}
+	ix, err := NewIndex(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Append([][]uint32{{1}, {1}})
+	for _, from := range []int{-1, 3} {
+		if _, _, err := ix.Probe(testEngine(0), from, 1); err == nil {
+			t.Errorf("Probe from %d of %d: want error", from, ix.Len())
+		}
+	}
+	if pairs, _, err := ix.Probe(testEngine(0), 2, 1); err != nil || pairs != nil {
+		t.Errorf("Probe of no records = %v, %v", pairs, err)
+	}
+	ix.Truncate(5) // beyond Len: no-op
+	ix.Truncate(-3)
+	if ix.Len() != 0 {
+		t.Errorf("Truncate(-3) left %d records", ix.Len())
+	}
+	checkIndexInvariants(t, ix)
+}

@@ -13,6 +13,11 @@
 // 1-D (record-block) and 2-D (block-pair) all-pairs partitionings of
 // Özkural & Aykanat (arXiv:1402.3010), so candidate generation runs with
 // traces, speculative execution, and chaos injection like every other stage.
+//
+// Pairs is the one-shot batch form: it ranks, orders and indexes a whole
+// corpus per call. Index is the persistent form the Detector keeps across
+// Detect calls: the same filter and verifier over an append-only index whose
+// token order is frozen between occasional rebuilds.
 package candgen
 
 import (
@@ -237,9 +242,9 @@ type probeEmit func(a, b int32)
 type proberSet func(id int32) bool
 
 // probeScratch is per-task probe state, reused across probe records so the
-// hot loop allocates nothing: count is indexed by order position (0 unseen,
-// -1 positionally pruned, >0 shared prefix tokens so far), touched lists the
-// positions to reset.
+// hot loop allocates nothing: count is indexed by candidate (order position
+// for a plan, record id for an Index; 0 unseen, -1 positionally pruned, >0
+// shared prefix tokens so far), touched lists the candidates to reset.
 type probeScratch struct {
 	count   []int32
 	touched []int32

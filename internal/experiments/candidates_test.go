@@ -65,6 +65,24 @@ func TestCandidatesModesAgree(t *testing.T) {
 	}
 }
 
+// TestCandidatesCountersReproducible runs the exhibit twice and requires the
+// whole funnel — not just the emitted set — to repeat exactly. The counters
+// hang on how candgen breaks frequency ties, which is by interned token ID,
+// so this fails whenever IDs depend on how extract tasks were scheduled.
+func TestCandidatesCountersReproducible(t *testing.T) {
+	run := func() [4]int64 {
+		res, err := Candidates(CandidatesParams{Records: 1500, SamplePairs: 5000, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [4]int64{res.IndexEntries, res.Scanned, res.Verified, res.Candidates}
+	}
+	first, again := run(), run()
+	if first != again {
+		t.Errorf("index entries / scanned / verified / candidates differ between identical runs: %v vs %v", first, again)
+	}
+}
+
 // BenchmarkCandidateGen snapshots the candidate-wall exhibit for bench-json
 // at full scale: a 100k-report corpus (5.0 billion quadratic pairs), where
 // the extrapolated brute-force obligation is the infeasibility line and the

@@ -62,8 +62,8 @@ func TestInternedKernelEdgeCaseReports(t *testing.T) {
 		{GenericNameDesc: "Aspirin", MedDRAPTName: "Headache", ReportDescription: "severe headache after aspirin"},
 		{GenericNameDesc: "Aspirin,Aspirin,Aspirin"}, // duplicate tokens
 		{MedDRAPTName: "Nausea,Vomiting,Nausea"},
-		{ReportDescription: "the of and to"},     // all stopwords -> empty token set
-		{ReportDescription: "头痛 悪心 ñandú café"},  // unicode tokens
+		{ReportDescription: "the of and to"},    // all stopwords -> empty token set
+		{ReportDescription: "头痛 悪心 ñandú café"}, // unicode tokens
 		{GenericNameDesc: "头痛药", MedDRAPTName: "头痛", ReportDescription: "头痛 headache 头痛"},
 		{CalculatedAge: 30, Sex: "F", ResidentialState: "NSW", OnsetDate: "01/01/2020"},
 		{CalculatedAge: 30, Sex: "F", ResidentialState: "VIC", OnsetDate: "01/01/2020",

@@ -93,11 +93,16 @@ func Extract(r adr.Report) Features {
 // concurrent extract tasks.
 func ExtractWith(it *intern.Interner, r adr.Report) Features {
 	f := Extract(r)
+	f.intern(it)
+	return f
+}
+
+// intern builds the three ID sets from the string sets.
+func (f *Features) intern(it *intern.Interner) {
 	f.DrugIDs = it.SortedSet(f.DrugSet)
 	f.ADRIDs = it.SortedSet(f.ADRSet)
 	f.DescIDs = it.SortedSet(f.DescTokens)
 	f.Interned = true
-	return f
 }
 
 // SignatureIDs returns the report's signature set: the sorted union of the
@@ -207,59 +212,29 @@ func onesVec() []float64 {
 
 // ExtractAll preprocesses reports in parallel on the cluster (the text
 // pipeline dominates; this is the first stage of the paper's workflow in
-// Figure 1). Features are not interned — callers that compare features
-// across multiple extraction calls should use ExtractAllWith with one
-// long-lived interner instead.
+// Figure 1). Features come back in the order of reports. They are not
+// interned — callers that compare features across multiple extraction calls
+// should use ExtractAllWith with one long-lived interner instead.
 func ExtractAll(ctx *rdd.Context, reports []adr.Report, partitions int) ([]Features, error) {
-	return extractAll(ctx, nil, reports, partitions)
+	src := rdd.Parallelize(ctx, reports, partitions).SetName("reports").WithBytesPerRecord(600)
+	return rdd.Map(src, Extract).SetName("features").Collect()
 }
 
 // ExtractAllWith is ExtractAll with token interning through it, enabling
-// the merge-scan Jaccard kernel downstream. The interner is shared by the
-// parallel extract tasks (it is safe for concurrent use) and must be the
-// same one for every feature set that will be compared together.
+// the merge-scan Jaccard kernel downstream. The parallel tasks only tokenise;
+// IDs are assigned afterwards in one driver-side pass over the reports in
+// order, so an interner fed the same reports in the same order hands out the
+// same IDs on every run and at every core count — ID order reaches candgen's
+// frequency-rank tie-break and through it the Scanned/Verified counters. it
+// must be the same interner for every feature set that will be compared
+// together.
 func ExtractAllWith(ctx *rdd.Context, it *intern.Interner, reports []adr.Report, partitions int) ([]Features, error) {
-	return extractAll(ctx, it, reports, partitions)
-}
-
-func extractAll(ctx *rdd.Context, it *intern.Interner, reports []adr.Report, partitions int) ([]Features, error) {
-	extract := Extract
-	if it != nil {
-		extract = func(r adr.Report) Features { return ExtractWith(it, r) }
-	}
-	type indexed struct {
-		i int
-		f Features
-	}
-	src := rdd.Parallelize(ctx, reports, partitions).SetName("reports").WithBytesPerRecord(600)
-	extracted := rdd.MapPartitionsWithIndex(src, func(p int, in []adr.Report) ([]indexed, error) {
-		out := make([]indexed, len(in))
-		for i, r := range in {
-			out[i] = indexed{i: r.ArrivalSeq, f: extract(r)}
-		}
-		return out, nil
-	}).SetName("features")
-	rows, err := extracted.Collect()
+	feats, err := ExtractAll(ctx, reports, partitions)
 	if err != nil {
 		return nil, err
 	}
-	feats := make([]Features, len(reports))
-	for _, row := range rows {
-		if row.i < 0 || row.i >= len(feats) {
-			// Reports straight from a generator may not have arrival
-			// sequences assigned; fall back to positional mapping.
-			return extractAllPositional(ctx, extract, reports, partitions)
-		}
-		feats[row.i] = row.f
-	}
-	return feats, nil
-}
-
-func extractAllPositional(ctx *rdd.Context, extract func(adr.Report) Features, reports []adr.Report, partitions int) ([]Features, error) {
-	src := rdd.Parallelize(ctx, reports, partitions).SetName("reports").WithBytesPerRecord(600)
-	feats, err := rdd.Map(src, extract).SetName("features").Collect()
-	if err != nil {
-		return nil, err
+	for i := range feats {
+		feats[i].intern(it)
 	}
 	return feats, nil
 }

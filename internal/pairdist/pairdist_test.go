@@ -2,11 +2,13 @@ package pairdist
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"adrdedup/internal/adr"
 	"adrdedup/internal/adrgen"
 	"adrdedup/internal/cluster"
+	"adrdedup/internal/intern"
 	"adrdedup/internal/rdd"
 )
 
@@ -140,6 +142,36 @@ func TestExtractAllMatchesSerial(t *testing.T) {
 		if got[i].Age != want.Age || got[i].Sex != want.Sex ||
 			len(got[i].DescTokens) != len(want.DescTokens) {
 			t.Fatalf("feature %d mismatch", i)
+		}
+	}
+}
+
+// TestExtractAllWithAssignsIDsInArrivalOrder pins what makes interned IDs —
+// and every counter downstream of candgen's rank tie-break — independent of
+// goroutine scheduling: however the extract tasks interleave on a real
+// worker pool, IDs come out exactly as a sequential ExtractWith loop over the
+// reports assigns them. Arrival sequences far outside [0, len) (a batch
+// arriving at a grown database) must not disturb the order of the result.
+func TestExtractAllWithAssignsIDsInArrivalOrder(t *testing.T) {
+	c := adrgen.Generate(adrgen.Config{NumReports: 300, DuplicatePairs: 10, NumDrugs: 40, NumADRs: 60, Seed: 6})
+	reports := append([]adr.Report(nil), c.Reports...)
+	for i := range reports {
+		reports[i].ArrivalSeq += 5000
+	}
+	serial := intern.New()
+	want := make([]Features, len(reports))
+	for i, r := range reports {
+		want[i] = ExtractWith(serial, r)
+	}
+	for run := 0; run < 3; run++ {
+		cl := cluster.New(cluster.Config{Executors: 4, RealParallel: true, RealWorkers: 4})
+		got, err := ExtractAllWith(rdd.NewContext(cl), intern.New(), reports, 16)
+		cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: parallel extraction differs from the sequential ExtractWith loop", run)
 		}
 	}
 }

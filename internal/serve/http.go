@@ -26,7 +26,7 @@ const MaxFieldBytes = 64 << 10
 // maps to. The decoder never panics and never returns an untyped error:
 // FuzzIngestRequest pins both properties.
 type RequestError struct {
-	Status int    // HTTP status, always in [400, 500)
+	Status int // HTTP status, always in [400, 500)
 	Msg    string
 }
 

@@ -172,19 +172,19 @@ type LoadSnapshot struct {
 // Errors (with FirstError kept for diagnosis), not returned as RunLoad
 // errors.
 type LoadResult struct {
-	Profile   string        `json:"profile"`
-	Workers   int           `json:"workers"`
-	BatchSize int           `json:"batchSize"`
-	Elapsed   float64       `json:"elapsedSeconds"`
-	Sent      uint64        `json:"sent"`
-	Batches   uint64        `json:"batches"`
-	Errors    uint64        `json:"errors"`
-	Throttled uint64        `json:"throttled"`
-	Matched   uint64        `json:"matched"`
-	Scored    uint64        `json:"scored"`
-	Reports   float64       `json:"throughputPerSec"`
-	Latency   LatencySummary `json:"latency"`
-	FirstError string       `json:"firstError,omitempty"`
+	Profile    string         `json:"profile"`
+	Workers    int            `json:"workers"`
+	BatchSize  int            `json:"batchSize"`
+	Elapsed    float64        `json:"elapsedSeconds"`
+	Sent       uint64         `json:"sent"`
+	Batches    uint64         `json:"batches"`
+	Errors     uint64         `json:"errors"`
+	Throttled  uint64         `json:"throttled"`
+	Matched    uint64         `json:"matched"`
+	Scored     uint64         `json:"scored"`
+	Reports    float64        `json:"throughputPerSec"`
+	Latency    LatencySummary `json:"latency"`
+	FirstError string         `json:"firstError,omitempty"`
 }
 
 // loadState is the shared mutable state of one run.

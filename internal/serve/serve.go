@@ -1,10 +1,9 @@
 // Package serve wraps a trained adrdedup.Detector in a long-running online
 // ingest service: reports arrive continuously over HTTP (singles or
 // batches), each arrival is checked against the live database through the
-// detector's incremental candidate index (the shared interner and
-// kind-tagged term index from the blocking path, or the prefix-filtered
-// MinArrival path of internal/candgen), and the scored matches are returned
-// to the submitter.
+// detector's persistent candidate index (the shared interner and the
+// append-only prefix-filtered index of internal/candgen), and the scored
+// matches are returned to the submitter.
 //
 // The service is a bounded pipeline:
 //

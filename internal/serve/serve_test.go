@@ -19,7 +19,8 @@ import (
 
 // testBootCfg is a small deterministic bootstrap sized for unit tests:
 // identical seeds give bit-identical detectors, which the oracle tests rely
-// on. CandidateBlock keeps candidate volume meaningful on a tiny corpus.
+// on. The prefix index at θ = 0.25 keeps candidate volume meaningful on a
+// tiny corpus: a few dozen scored pairs per report.
 func testBootCfg(seed int64, seedReports, seedDups, trainPairs int) BootstrapConfig {
 	return BootstrapConfig{
 		SeedReports:    seedReports,
@@ -27,9 +28,10 @@ func testBootCfg(seed int64, seedReports, seedDups, trainPairs int) BootstrapCon
 		TrainPairs:     trainPairs,
 		Seed:           seed,
 		Detector: adrdedup.Options{
-			Cluster:    cluster.Config{Executors: 4},
-			Classifier: core.Config{K: 5, B: 6, C: 3, Seed: seed},
-			Candidates: adrdedup.CandidateBlock,
+			Cluster:        cluster.Config{Executors: 4},
+			Classifier:     core.Config{K: 5, B: 6, C: 3, Seed: seed},
+			Candidates:     adrdedup.CandidatePrefixIndex,
+			CandidateTheta: 0.25,
 		},
 	}
 }

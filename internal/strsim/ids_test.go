@@ -40,8 +40,8 @@ func TestJaccardSortedIDsEdgeCases(t *testing.T) {
 		{nil, []uint32{1}, 0},
 		{[]uint32{1}, nil, 0},
 		{[]uint32{1, 2}, []uint32{1, 2}, 1},
-		{[]uint32{1, 2}, []uint32{3, 4}, 0},       // disjoint ranges (early-out)
-		{[]uint32{1, 3}, []uint32{2, 4}, 0},       // interleaved, no overlap
+		{[]uint32{1, 2}, []uint32{3, 4}, 0}, // disjoint ranges (early-out)
+		{[]uint32{1, 3}, []uint32{2, 4}, 0}, // interleaved, no overlap
 		{[]uint32{1, 2, 3}, []uint32{2, 3, 4}, 0.5},
 	}
 	for _, c := range cases {

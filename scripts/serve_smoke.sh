@@ -6,6 +6,13 @@
 #   - the load run finishes with zero errors and a non-zero match count
 #   - the daemon's /v1/stats agrees it ingested every report
 #   - SIGTERM drains gracefully and the daemon exits 0
+#
+# The daemon runs at -cand-theta 0.8, not the library default 0.5. The
+# candidate index is no longer the reason (it is appended to per batch; the
+# whole run takes ~15 s on 2 cores): at 0.5 this traffic's campaign reports
+# become candidates of each other, the run scores 15.0M pairs instead of 230,
+# and kNN classification of that volume takes it to 5m41s — past a smoke's
+# budget. What is asserted does not depend on the threshold.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
