@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"adrdedup/internal/kmeans"
@@ -24,15 +23,15 @@ type Classifier struct {
 	centers [][]float64
 
 	// negBlocks holds the negative training pairs of each Voronoi cell,
-	// keyed by cluster ID, one block per element — cached on the cluster
-	// so repeated Classify calls reuse it (Spark persistence).
-	negBlocks *rdd.RDD[rdd.Pair[int, []ipair]]
+	// keyed by cluster ID, one flat block per element — cached on the
+	// cluster so repeated Classify calls reuse it (Spark persistence).
+	negBlocks *rdd.RDD[rdd.Pair[int, knn.Block]]
 	negSizes  []int
 	totalNeg  int
 
 	// positives is the full positive set, broadcast to tasks
 	// (observation 1: it is small).
-	positives []ipair
+	positives knn.Block
 
 	// negTrees holds an optional k-d tree per negative block
 	// (Config.LocalIndex), aligned with cluster IDs.
@@ -41,11 +40,6 @@ type Classifier struct {
 	// pruneCenters/pruneRadii implement §4.3.4 when cfg.Pruning is set.
 	pruneCenters [][]float64
 	pruneRadii   []float64
-
-	intraComparisons    atomic.Int64
-	crossComparisons    atomic.Int64
-	positiveComparisons atomic.Int64
-	additionalClusters  atomic.Int64
 }
 
 // Train partitions the labelled pairs and prepares the cluster-resident
@@ -108,44 +102,24 @@ func Train(ctx *rdd.Context, pairs []TrainingPair, cfg Config) (*Classifier, err
 
 	// Split by label; group negatives per cluster. Every pair keeps its
 	// global training index so neighbor lists merge exactly.
-	b := len(c.centers)
-	negByCluster := make([][]ipair, b)
+	negByCluster := make([][]ipair, len(c.centers))
+	var positives []ipair
 	for i, p := range pairs {
 		ip := ipair{Idx: i, Vec: p.Vec, Label: p.Label}
 		if p.Label > 0 {
-			c.positives = append(c.positives, ip)
+			positives = append(positives, ip)
 			continue
 		}
 		negByCluster[assign[i]] = append(negByCluster[assign[i]], ip)
 	}
-	c.negSizes = make([]int, b)
-	blocks := make([]rdd.Pair[int, []ipair], 0, b)
-	for cl, block := range negByCluster {
-		c.negSizes[cl] = len(block)
-		c.totalNeg += len(block)
-		blocks = append(blocks, rdd.KV(cl, block))
-	}
-	avg := int64(1)
-	if b > 0 {
-		avg = int64(c.totalNeg/b+1) * int64(8*dim+16)
-	}
-	c.negBlocks = rdd.Parallelize(ctx, blocks, b).
-		SetName("T-neg.blocks").
-		WithBytesPerRecord(avg).
-		Cache()
-
-	// Broadcast the centers and positives to the executors.
-	ctx.Cluster().Broadcast(int64(len(c.centers)) * int64(8*dim))
-	ctx.Cluster().Broadcast(int64(len(c.positives)) * int64(8*dim+8))
-
-	if cfg.LocalIndex {
-		c.buildLocalIndexes(negByCluster)
+	if err := c.install(negByCluster, positives, "T-neg.blocks"); err != nil {
+		return nil, err
 	}
 
 	// §4.3.4 preparation: cluster the positives, record radii.
-	if cfg.Pruning != nil && len(c.positives) > 0 {
-		posVecs := make([][]float64, len(c.positives))
-		for i, p := range c.positives {
+	if cfg.Pruning != nil && len(positives) > 0 {
+		posVecs := make([][]float64, len(positives))
+		for i, p := range positives {
 			posVecs[i] = p.Vec
 		}
 		res, err := kmeans.Run(posVecs, cfg.Pruning.Clusters, kmeans.Options{
@@ -160,24 +134,85 @@ func Train(ctx *rdd.Context, pairs []TrainingPair, cfg Config) (*Classifier, err
 	return c, nil
 }
 
+// install puts the training pairs, grouped into one negative block per
+// cluster plus the positive set, into the layout Classify scans — the one
+// constructor behind Train and Load. It caches the negative blocks on the
+// cluster, broadcasts centers and positives, and builds the local indexes.
+func (c *Classifier) install(negByCluster [][]ipair, positives []ipair, name string) error {
+	var err error
+	if c.positives, err = flatBlock(positives, c.dim, +1); err != nil {
+		return err
+	}
+	b := len(negByCluster)
+	c.negSizes = make([]int, b)
+	blocks := make([]rdd.Pair[int, knn.Block], b)
+	for cl, members := range negByCluster {
+		block, err := flatBlock(members, c.dim, -1)
+		if err != nil {
+			return err
+		}
+		c.negSizes[cl] = block.Len()
+		c.totalNeg += block.Len()
+		blocks[cl] = rdd.KV(cl, block)
+	}
+	avg := int64(1)
+	if b > 0 {
+		avg = int64(c.totalNeg/b+1) * int64(8*c.dim+16)
+	}
+	c.negBlocks = rdd.Parallelize(c.ctx, blocks, b).
+		SetName(name).
+		WithBytesPerRecord(avg).
+		Cache()
+
+	// Broadcast the centers and positives to the executors.
+	c.ctx.Cluster().Broadcast(int64(len(c.centers)) * int64(8*c.dim))
+	c.ctx.Cluster().Broadcast(int64(c.positives.Len()) * int64(8*c.dim+8))
+
+	if c.cfg.LocalIndex {
+		c.buildLocalIndexes(blocks)
+	}
+	return nil
+}
+
+// flatBlock copies the members' vectors row-major into one arena — one
+// allocation per block and contiguous memory for the distance scans. The
+// label is stored once: a block holds one class.
+func flatBlock(members []ipair, dim, label int) (knn.Block, error) {
+	b := knn.Block{
+		Vecs:  make([]float64, 0, dim*len(members)),
+		IDs:   make([]int, len(members)),
+		Label: label,
+	}
+	for i, m := range members {
+		if len(m.Vec) != dim {
+			return knn.Block{}, fmt.Errorf("core: training pair %d has dim %d, want %d", m.Idx, len(m.Vec), dim)
+		}
+		if m.Label != label {
+			return knn.Block{}, fmt.Errorf("core: training pair %d has label %d in a block of label %d", m.Idx, m.Label, label)
+		}
+		b.IDs[i] = m.Idx
+		b.Vecs = append(b.Vecs, m.Vec...)
+	}
+	return b, nil
+}
+
 // buildLocalIndexes constructs one k-d tree per negative block. Trees are
 // block-local (like Zhang et al.'s per-block R-trees) so partition pruning
 // and the index compose.
-func (c *Classifier) buildLocalIndexes(negByCluster [][]ipair) {
-	c.negTrees = make([]*knn.KDTree, len(negByCluster))
-	for cl, block := range negByCluster {
-		if len(block) == 0 {
+func (c *Classifier) buildLocalIndexes(blocks []rdd.Pair[int, knn.Block]) {
+	c.negTrees = make([]*knn.KDTree, len(blocks))
+	for cl, kv := range blocks {
+		block := kv.Value
+		if block.Len() == 0 {
 			continue
 		}
-		pts := make([][]float64, len(block))
-		labels := make([]int, len(block))
-		ids := make([]int, len(block))
-		for i, p := range block {
-			pts[i] = p.Vec
-			labels[i] = p.Label
-			ids[i] = p.Idx
+		pts := make([][]float64, block.Len())
+		labels := make([]int, block.Len())
+		for i := range pts {
+			pts[i] = block.Row(i, c.dim)
+			labels[i] = block.Label
 		}
-		c.negTrees[cl] = knn.BuildKDTree(pts, labels, ids)
+		c.negTrees[cl] = knn.BuildKDTree(pts, labels, block.IDs)
 	}
 }
 
@@ -185,7 +220,7 @@ func (c *Classifier) buildLocalIndexes(negByCluster [][]ipair) {
 func (c *Classifier) Centers() [][]float64 { return c.centers }
 
 // Positives returns the count of positive training pairs.
-func (c *Classifier) Positives() int { return len(c.positives) }
+func (c *Classifier) Positives() int { return c.positives.Len() }
 
 // NegativeSizes returns the per-cluster negative pair counts.
 func (c *Classifier) NegativeSizes() []int { return c.negSizes }
@@ -218,8 +253,8 @@ type Stats struct {
 	VirtualTime               time.Duration
 }
 
-// ipair is a training pair with its global index, the element the negative
-// blocks and positive scan work over.
+// ipair is a training pair with its global index: what Train groups into
+// blocks and what a saved model stores per block.
 type ipair struct {
 	Idx   int
 	Vec   []float64
@@ -233,10 +268,38 @@ type sItem struct {
 	Cluster int
 }
 
+// work counts the distance computations and partition visits spent on one
+// testing pair. The counts travel in the rows so that Stats is summed from
+// committed task output only: a counter bumped from inside a task would
+// count a failed or speculative attempt a second time. Row types keep every
+// field exported: a spilled partition is gob-encoded.
+type work struct {
+	Intra      int64
+	Cross      int64
+	Additional int64
+}
+
+func (w work) plus(o work) work {
+	return work{Intra: w.Intra + o.Intra, Cross: w.Cross + o.Cross, Additional: w.Additional + o.Additional}
+}
+
 // stage1Out carries a testing pair's state after the intra-cluster stage.
 type stage1Out struct {
 	Item       sItem
 	Neighbors  []knn.Neighbor
+	Intra      int64
 	NeedCross  bool
 	Additional []int
+}
+
+// partial is a testing pair's neighbor list so far and the work behind it.
+type partial struct {
+	Neighbors []knn.Neighbor
+	Work      work
+}
+
+// scoredRow is a classified testing pair and the work behind it.
+type scoredRow struct {
+	Result Result
+	Work   work
 }

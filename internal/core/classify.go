@@ -27,10 +27,6 @@ func (c *Classifier) Classify(test [][]float64) ([]Result, Stats, error) {
 	}
 
 	startVirtual := c.ctx.Cluster().VirtualElapsed()
-	baseIntra := c.intraComparisons.Load()
-	baseCross := c.crossComparisons.Load()
-	basePos := c.positiveComparisons.Load()
-	baseAdd := c.additionalClusters.Load()
 
 	// §4.3.4 testing-set pruning.
 	keep, err := c.pruneMask(test)
@@ -52,18 +48,19 @@ func (c *Classifier) Classify(test [][]float64) ([]Result, Stats, error) {
 	}
 
 	if len(items) > 0 {
-		classified, err := c.classifyItems(items)
+		classified, spent, err := c.classifyItems(items)
 		if err != nil {
 			return nil, stats, err
 		}
 		results = append(results, classified...)
+		stats.IntraClusterComparisons = spent.Intra
+		stats.CrossClusterComparisons = spent.Cross
+		stats.AdditionalClustersChecked = spent.Additional
+		// One full positive scan per classified item.
+		stats.PositiveScanComparisons = int64(len(items)) * int64(c.positives.Len())
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].ID < results[j].ID })
 
-	stats.IntraClusterComparisons = c.intraComparisons.Load() - baseIntra
-	stats.CrossClusterComparisons = c.crossComparisons.Load() - baseCross
-	stats.PositiveScanComparisons = c.positiveComparisons.Load() - basePos
-	stats.AdditionalClustersChecked = c.additionalClusters.Load() - baseAdd
 	stats.VirtualTime = c.ctx.Cluster().VirtualElapsed() - startVirtual
 	return results, stats, nil
 }
@@ -137,8 +134,9 @@ func (c *Classifier) assignClusters(test [][]float64, keep []bool) ([]sItem, []i
 }
 
 // classifyItems runs the two comparison stages of Algorithm 2 over the
-// surviving testing pairs.
-func (c *Classifier) classifyItems(items []sItem) ([]Result, error) {
+// surviving testing pairs and returns their results with the work the
+// committed rows report.
+func (c *Classifier) classifyItems(items []sItem) ([]Result, work, error) {
 	k := c.cfg.K
 	positives := c.positives
 	eps := c.cfg.Epsilon
@@ -161,16 +159,18 @@ func (c *Classifier) classifyItems(items []sItem) ([]Result, error) {
 	// memory management the paper credits Spark for (§2.2); without it
 	// the intra-cluster scans would run twice.
 	joined := rdd.Join(sKeyed, c.negBlocks, len(c.centers)).SetName("S⋈T-neg")
-	stage1 := rdd.Map(joined, func(row rdd.Pair[int, rdd.Tuple2[sItem, []ipair]]) stage1Out {
+	stage1 := rdd.Map(joined, func(row rdd.Pair[int, rdd.Tuple2[sItem, knn.Block]]) stage1Out {
 		s := row.Value.A
-		block := row.Value.B
-		neighbors := c.topKAgainst(s.Vec, row.Key, block, k, &c.intraComparisons)
+		// One buffer over the own block and straight on over every
+		// positive pair (lines 9-10): the negatives' k-th distance
+		// already bounds the positive scan, and the result is the top k
+		// of the union, which is what merging two top-k lists gives.
+		top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
+		intra := c.scanBlock(&top, s.Vec, row.Key, row.Value.B)
+		top.Scan(s.Vec, positives)
+		neighbors := top.Neighbors()
 
-		// Line 9-10: distances to every positive pair, merged in.
-		posNeighbors := c.topKPositives(s.Vec, k)
-		neighbors = knn.Merge(k, neighbors, posNeighbors)
-
-		out := stage1Out{Item: s, Neighbors: neighbors}
+		out := stage1Out{Item: s, Neighbors: neighbors, Intra: intra}
 		hasPositive := false
 		for _, n := range neighbors {
 			if n.Label > 0 {
@@ -189,7 +189,6 @@ func (c *Classifier) classifyItems(items []sItem) ([]Result, error) {
 		}
 		if out.NeedCross {
 			out.Additional = c.selectPartitions(s, neighbors)
-			c.additionalClusters.Add(int64(len(out.Additional)))
 			if len(out.Additional) == 0 {
 				out.NeedCross = false
 			}
@@ -201,8 +200,11 @@ func (c *Classifier) classifyItems(items []sItem) ([]Result, error) {
 	// Stage 2 (lines 12-15): fan surviving queries out to their additional
 	// partitions, join with those negative blocks, and merge the per-
 	// partition top-k lists back per testing pair.
-	base := rdd.Map(stage1, func(o stage1Out) rdd.Pair[int, []knn.Neighbor] {
-		return rdd.KV(o.Item.ID, o.Neighbors)
+	base := rdd.Map(stage1, func(o stage1Out) rdd.Pair[int, partial] {
+		return rdd.KV(o.Item.ID, partial{
+			Neighbors: o.Neighbors,
+			Work:      work{Intra: o.Intra, Additional: int64(len(o.Additional))},
+		})
 	}).SetName("S.stage1.neighbors")
 
 	type crossQuery struct {
@@ -221,67 +223,61 @@ func (c *Classifier) classifyItems(items []sItem) ([]Result, error) {
 	}).SetName("S.crossFanout")
 
 	crossJoined := rdd.Join(fanout, c.negBlocks, len(c.centers)).SetName("Scross⋈T-neg")
-	crossResults := rdd.Map(crossJoined, func(row rdd.Pair[int, rdd.Tuple2[crossQuery, []ipair]]) rdd.Pair[int, []knn.Neighbor] {
+	crossResults := rdd.Map(crossJoined, func(row rdd.Pair[int, rdd.Tuple2[crossQuery, knn.Block]]) rdd.Pair[int, partial] {
 		q := row.Value.A
-		block := row.Value.B
-		return rdd.KV(q.ID, c.topKAgainst(q.Vec, row.Key, block, k, &c.crossComparisons))
+		top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
+		cross := c.scanBlock(&top, q.Vec, row.Key, row.Value.B)
+		return rdd.KV(q.ID, partial{Neighbors: top.Neighbors(), Work: work{Cross: cross}})
 	}).SetName("S.crossNeighbors")
 
-	merged := rdd.ReduceByKey(rdd.Union(base, crossResults), func(a, b []knn.Neighbor) []knn.Neighbor {
-		return knn.Merge(k, a, b)
+	// The lists of one testing pair come from different blocks, so they
+	// are sorted and share no training index: a linear merge suffices.
+	merged := rdd.ReduceByKey(rdd.Union(base, crossResults), func(a, b partial) partial {
+		return partial{
+			Neighbors: knn.MergeSorted(k, a.Neighbors, b.Neighbors),
+			Work:      a.Work.plus(b.Work),
+		}
 	}, c.cfg.C).SetName("S.finalNeighbors")
 
 	// Line 17: score (Eq. 5) and label (Eq. 6).
 	theta := c.cfg.Theta
-	scored := rdd.Map(merged, func(kv rdd.Pair[int, []knn.Neighbor]) Result {
-		score := ScoreNeighbors(kv.Value, eps)
+	scored := rdd.Map(merged, func(kv rdd.Pair[int, partial]) scoredRow {
+		p := kv.Value
+		score := ScoreNeighbors(p.Neighbors, eps)
 		label := -1
 		if score >= theta {
 			label = 1
 		}
-		return Result{ID: kv.Key, Score: score, Label: label, Neighbors: kv.Value}
+		return scoredRow{
+			Result: Result{ID: kv.Key, Score: score, Label: label, Neighbors: p.Neighbors},
+			Work:   p.Work,
+		}
 	}).SetName("S.scored")
 
-	results, err := scored.Collect()
+	rows, err := scored.Collect()
 	if err != nil {
-		return nil, fmt.Errorf("core: classification: %w", err)
+		return nil, work{}, fmt.Errorf("core: classification: %w", err)
 	}
-	// Any positives needed? Count positive-scan comparisons driver-side:
-	// one full positive scan per classified item.
-	c.positiveComparisons.Add(int64(len(items)) * int64(len(positives)))
-	return results, nil
+	results := make([]Result, len(rows))
+	var spent work
+	for i, r := range rows {
+		results[i] = r.Result
+		spent = spent.plus(r.Work)
+	}
+	return results, spent, nil
 }
 
-// topKAgainst finds the query's k nearest members of a negative block,
-// charging the comparison counter with the distance computations actually
-// performed. With Config.LocalIndex the block's k-d tree answers the query;
-// otherwise the block is scanned. Neighbors keep their global training
-// index, so later merges deduplicate exactly.
-func (c *Classifier) topKAgainst(q []float64, cluster int, block []ipair, k int, counter interface{ Add(int64) int64 }) []knn.Neighbor {
+// scanBlock offers a negative block to the query's buffer and returns the
+// number of distance computations it took. With Config.LocalIndex the
+// block's k-d tree answers the query; otherwise the block is scanned, and a
+// scanned block charges its full size. Neighbors keep their global training
+// index, so lists from different blocks merge exactly.
+func (c *Classifier) scanBlock(top *knn.TopK, q []float64, cluster int, block knn.Block) int64 {
 	if c.negTrees != nil && cluster >= 0 && cluster < len(c.negTrees) && c.negTrees[cluster] != nil {
-		neighbors, computed := c.negTrees[cluster].Query(q, k)
-		counter.Add(computed)
-		return neighbors
+		return c.negTrees[cluster].Search(q, top)
 	}
-	counter.Add(int64(len(block)))
-	cands := make([]knn.Neighbor, len(block))
-	for j, t := range block {
-		cands[j] = knn.Neighbor{Index: t.Idx, Dist: vecmath.Dist(q, t.Vec), Label: t.Label}
-	}
-	return rdd.BoundedMin(cands, k, knn.Less)
-}
-
-// topKPositives returns the k nearest positive pairs (observation 1: the
-// positive set is scanned exhaustively).
-func (c *Classifier) topKPositives(q []float64, k int) []knn.Neighbor {
-	if len(c.positives) == 0 {
-		return nil
-	}
-	cands := make([]knn.Neighbor, len(c.positives))
-	for j, t := range c.positives {
-		cands[j] = knn.Neighbor{Index: t.Idx, Dist: vecmath.Dist(q, t.Vec), Label: +1}
-	}
-	return rdd.BoundedMin(cands, k, knn.Less)
+	top.Scan(q, block)
+	return int64(block.Len())
 }
 
 // selectPartitions is Algorithm 1: choose which other partitions must be

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"adrdedup/internal/knn"
 	"adrdedup/internal/rdd"
 )
 
@@ -19,16 +20,10 @@ type modelFile struct {
 	Config       Config
 	Dim          int
 	Centers      [][]float64
-	NegBlocks    [][]savedPair
-	Positives    []savedPair
+	NegBlocks    [][]ipair
+	Positives    []ipair
 	PruneCenters [][]float64
 	PruneRadii   []float64
-}
-
-type savedPair struct {
-	Idx   int
-	Vec   []float64
-	Label int
 }
 
 // Save serializes the trained classifier (partitioning, negative blocks,
@@ -40,27 +35,18 @@ func (c *Classifier) Save(w io.Writer) error {
 		Config:       c.cfg,
 		Dim:          c.dim,
 		Centers:      c.centers,
-		NegBlocks:    make([][]savedPair, 0, len(c.negSizes)),
-		Positives:    make([]savedPair, len(c.positives)),
+		NegBlocks:    make([][]ipair, len(c.negSizes)),
+		Positives:    blockPairs(c.positives, c.dim),
 		PruneCenters: c.pruneCenters,
 		PruneRadii:   c.pruneRadii,
-	}
-	for i, p := range c.positives {
-		mf.Positives[i] = savedPair(p)
 	}
 	blocks, err := c.negBlocks.Collect()
 	if err != nil {
 		return fmt.Errorf("core: collecting negative blocks: %w", err)
 	}
-	ordered := make([][]savedPair, len(c.negSizes))
 	for _, kv := range blocks {
-		sp := make([]savedPair, len(kv.Value))
-		for i, p := range kv.Value {
-			sp[i] = savedPair(p)
-		}
-		ordered[kv.Key] = sp
+		mf.NegBlocks[kv.Key] = blockPairs(kv.Value, c.dim)
 	}
-	mf.NegBlocks = ordered
 	if err := gob.NewEncoder(w).Encode(mf); err != nil {
 		return fmt.Errorf("core: encoding model: %w", err)
 	}
@@ -78,8 +64,8 @@ func Load(ctx *rdd.Context, r io.Reader) (*Classifier, error) {
 	if mf.Version != modelVersion {
 		return nil, fmt.Errorf("core: model version %d, want %d", mf.Version, modelVersion)
 	}
-	if len(mf.Centers) == 0 || mf.Dim <= 0 {
-		return nil, fmt.Errorf("core: corrupt model (dim=%d, centers=%d)", mf.Dim, len(mf.Centers))
+	if len(mf.Centers) == 0 || mf.Dim <= 0 || len(mf.NegBlocks) != len(mf.Centers) {
+		return nil, fmt.Errorf("core: corrupt model (dim=%d, centers=%d, blocks=%d)", mf.Dim, len(mf.Centers), len(mf.NegBlocks))
 	}
 	c := &Classifier{
 		ctx:          ctx,
@@ -89,49 +75,19 @@ func Load(ctx *rdd.Context, r io.Reader) (*Classifier, error) {
 		pruneCenters: mf.PruneCenters,
 		pruneRadii:   mf.PruneRadii,
 	}
-	c.positives = arenaPairs(mf.Positives, mf.Dim)
-	b := len(mf.NegBlocks)
-	c.negSizes = make([]int, b)
-	blocks := make([]rdd.Pair[int, []ipair], 0, b)
-	negByCluster := make([][]ipair, b)
-	for cl, saved := range mf.NegBlocks {
-		block := arenaPairs(saved, mf.Dim)
-		c.negSizes[cl] = len(block)
-		c.totalNeg += len(block)
-		negByCluster[cl] = block
-		blocks = append(blocks, rdd.KV(cl, block))
+	// install rejects a file whose vectors are not all Dim wide or whose
+	// labels disagree with the block they sit in.
+	if err := c.install(mf.NegBlocks, mf.Positives, "T-neg.blocks(loaded)"); err != nil {
+		return nil, fmt.Errorf("core: corrupt model: %w", err)
 	}
-	if mf.Config.LocalIndex {
-		c.buildLocalIndexes(negByCluster)
-	}
-	avg := int64(1)
-	if b > 0 {
-		avg = int64(c.totalNeg/b+1) * int64(8*mf.Dim+16)
-	}
-	c.negBlocks = rdd.Parallelize(ctx, blocks, b).
-		SetName("T-neg.blocks(loaded)").
-		WithBytesPerRecord(avg).
-		Cache()
-	ctx.Cluster().Broadcast(int64(len(c.centers)) * int64(8*mf.Dim))
-	ctx.Cluster().Broadcast(int64(len(c.positives)) * int64(8*mf.Dim+8))
 	return c, nil
 }
 
-// arenaPairs rebuilds a block of training pairs with every vector copied
-// into one flat arena — one allocation per block instead of one per vector,
-// and contiguous memory for the distance scans. Vectors whose saved width
-// does not match dim (possible only in a hand-corrupted file) keep their
-// decoded slice rather than corrupting the arena layout.
-func arenaPairs(saved []savedPair, dim int) []ipair {
-	block := make([]ipair, len(saved))
-	arena := make([]float64, dim*len(saved))
-	for i, p := range saved {
-		block[i] = ipair(p)
-		if len(p.Vec) == dim {
-			v := arena[i*dim : (i+1)*dim : (i+1)*dim]
-			copy(v, p.Vec)
-			block[i].Vec = v
-		}
+// blockPairs is the saved form of a flat block. The vectors alias the arena.
+func blockPairs(b knn.Block, dim int) []ipair {
+	out := make([]ipair, b.Len())
+	for i, id := range b.IDs {
+		out[i] = ipair{Idx: id, Vec: b.Row(i, dim), Label: b.Label}
 	}
-	return block
+	return out
 }

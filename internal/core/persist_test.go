@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"math"
+	"encoding/gob"
 	"strings"
 	"testing"
 )
@@ -20,7 +20,7 @@ func TestSaveLoadRoundTripClassifiesIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := original.Classify(queries)
+	want, wantStats, err := original.Classify(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,21 +35,18 @@ func TestSaveLoadRoundTripClassifiesIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := loaded.Classify(queries)
+	got, gotStats, err := loaded.Classify(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("result counts differ: %d vs %d", len(got), len(want))
+	// Both models were laid out by the same constructor, so the loaded one
+	// returns the same neighbors to the bit for the same work.
+	if err := sameResults(got, want); err != nil {
+		t.Errorf("loaded vs original: %v", err)
 	}
-	for i := range got {
-		if got[i].Label != want[i].Label || got[i].Pruned != want[i].Pruned {
-			t.Errorf("query %d: loaded (%d,%v) vs original (%d,%v)",
-				i, got[i].Label, got[i].Pruned, want[i].Label, want[i].Pruned)
-		}
-		if !got[i].Pruned && math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-			t.Errorf("query %d: score %v vs %v", i, got[i].Score, want[i].Score)
-		}
+	wantStats.VirtualTime, gotStats.VirtualTime = 0, 0
+	if gotStats != wantStats {
+		t.Errorf("loaded stats %+v, original %+v", gotStats, wantStats)
 	}
 	if loaded.Positives() != original.Positives() {
 		t.Errorf("positives %d vs %d", loaded.Positives(), original.Positives())
@@ -85,5 +82,41 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 	}
 	if _, err := Load(testCtx(), &buf); err == nil {
 		t.Error("expected error on exhausted stream")
+	}
+}
+
+// TestLoadRejectsCorruptModel hand-corrupts a saved model: a vector of the
+// wrong width, a positive filed in a negative block, a block count that
+// disagrees with the centers and an unknown version must each fail Load, not
+// be carried into the arenas.
+func TestLoadRejectsCorruptModel(t *testing.T) {
+	const dim = 3
+	clf, err := Train(testCtx(), synthData(5, 100, dim, 56), Config{K: 3, B: 2, C: 2, Seed: 57})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(*modelFile){
+		"narrow negative": func(mf *modelFile) { mf.NegBlocks[0][0].Vec = mf.NegBlocks[0][0].Vec[:dim-1] },
+		"wide positive":   func(mf *modelFile) { mf.Positives[0].Vec = append(mf.Positives[0].Vec, 0.5) },
+		"misfiled label":  func(mf *modelFile) { mf.NegBlocks[1][0].Label = +1 },
+		"missing block":   func(mf *modelFile) { mf.NegBlocks = mf.NegBlocks[:1] },
+		"future version":  func(mf *modelFile) { mf.Version = modelVersion + 1 },
+	} {
+		var saved bytes.Buffer
+		if err := clf.Save(&saved); err != nil {
+			t.Fatal(err)
+		}
+		var mf modelFile
+		if err := gob.NewDecoder(&saved).Decode(&mf); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(&mf)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(mf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(testCtx(), &buf); err == nil {
+			t.Errorf("%s: Load accepted the file", name)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package knn
 import (
 	"sort"
 
-	"adrdedup/internal/rdd"
 	"adrdedup/internal/vecmath"
 )
 
@@ -73,18 +72,24 @@ func (t *KDTree) Query(q []float64, k int) ([]Neighbor, int64) {
 	if t.root < 0 || k <= 0 {
 		return nil, 0
 	}
-	s := &kdSearch{tree: t, q: q, k: k}
+	top := NewTopK(k, nil)
+	computed := t.Search(q, &top)
+	return top.Neighbors(), computed
+}
+
+// Search offers the indexed points that can still enter top, pruning
+// subtrees against its current k-th distance, and returns the number of
+// distance computations performed.
+func (t *KDTree) Search(q []float64, top *TopK) int64 {
+	s := kdSearch{tree: t, q: q, top: top}
 	s.walk(t.root)
-	return rdd.BoundedMin(s.found, k, Less), s.computed
+	return s.computed
 }
 
 type kdSearch struct {
 	tree     *KDTree
 	q        []float64
-	k        int
-	found    []Neighbor
-	worst    float64 // k-th best distance so far (valid when full)
-	full     bool
+	top      *TopK
 	computed int64
 }
 
@@ -95,9 +100,8 @@ func (s *kdSearch) walk(node int) {
 	t := s.tree
 	n := t.nodes[node]
 	p := t.pts[n.point]
-	d := vecmath.Dist(s.q, p)
 	s.computed++
-	s.offer(n.point, d)
+	s.offer(n.point, vecmath.SqDist(s.q, p))
 
 	diff := s.q[n.axis] - p[n.axis]
 	near, far := n.left, n.right
@@ -107,12 +111,12 @@ func (s *kdSearch) walk(node int) {
 	s.walk(near)
 	// The far subtree can only contain a better neighbor when the
 	// splitting plane is closer than the current k-th best.
-	if !s.full || abs(diff) < s.worst {
+	if worst, full := s.top.Worst(); !full || abs(diff) < worst {
 		s.walk(far)
 	}
 }
 
-func (s *kdSearch) offer(point int, d float64) {
+func (s *kdSearch) offer(point int, sq float64) {
 	label := 0
 	if s.tree.labels != nil {
 		label = s.tree.labels[point]
@@ -121,17 +125,7 @@ func (s *kdSearch) offer(point int, d float64) {
 	if s.tree.ids != nil {
 		id = s.tree.ids[point]
 	}
-	s.found = append(s.found, Neighbor{Index: id, Dist: d, Label: label})
-	// Recompute the pruning bound lazily: keep found bounded so the
-	// append-heavy search does not grow without limit.
-	if len(s.found) >= 4*s.k {
-		s.found = rdd.BoundedMin(s.found, s.k, Less)
-	}
-	if len(s.found) >= s.k {
-		top := rdd.BoundedMin(s.found, s.k, Less)
-		s.worst = top[len(top)-1].Dist
-		s.full = true
-	}
+	s.top.OfferSq(id, sq, label)
 }
 
 func abs(x float64) float64 {

@@ -108,3 +108,15 @@ func BenchmarkKDTreeVsLinear(b *testing.B) {
 		}
 	})
 }
+
+func BenchmarkKDTreeQuery(b *testing.B) {
+	pts := randVecs(4000, 7, 9)
+	labels := make([]int, len(pts))
+	tree := BuildKDTree(pts, labels, nil)
+	queries := randVecs(64, 7, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.Query(queries[i%len(queries)], 9)
+	}
+}

@@ -62,31 +62,34 @@ func BruteForce(queries, train [][]float64, labels []int, k int) [][]Neighbor {
 
 // Query returns the k nearest training points to q, ascending by distance.
 func Query(q []float64, train [][]float64, labels []int, k int) []Neighbor {
-	cands := make([]Neighbor, len(train))
+	top := NewTopK(k, nil)
 	for j, t := range train {
 		lbl := 0
 		if labels != nil {
 			lbl = labels[j]
 		}
-		cands[j] = Neighbor{Index: j, Dist: vecmath.Dist(q, t), Label: lbl}
+		top.OfferSq(j, vecmath.SqDist(q, t), lbl)
 	}
-	return rdd.BoundedMin(cands, k, Less)
+	return top.Neighbors()
 }
 
 // Merge combines neighbor lists into the k nearest overall, deduplicating by
-// training index (a neighbor may be found by several partitions).
+// training index (a neighbor may be found by several partitions, at the same
+// distance each time). The lists need not be sorted.
 func Merge(k int, lists ...[]Neighbor) []Neighbor {
-	var all []Neighbor
-	seen := make(map[int]bool)
+	top := NewTopK(k, nil)
 	for _, l := range lists {
+	next:
 		for _, n := range l {
-			if !seen[n.Index] {
-				seen[n.Index] = true
-				all = append(all, n)
+			for _, held := range top.Neighbors() {
+				if held.Index == n.Index {
+					continue next
+				}
 			}
+			top.Offer(n)
 		}
 	}
-	return rdd.BoundedMin(all, k, Less)
+	return top.Neighbors()
 }
 
 // Item is one vector with identity and label, the element type of the
@@ -112,11 +115,11 @@ func NaiveJoin(ctx *rdd.Context, queries, train []Item, k, sBlocks, tBlocks int)
 	partial := rdd.FlatMap(blockPairs, func(p rdd.Tuple2[[]Item, []Item]) []rdd.Pair[int, []Neighbor] {
 		out := make([]rdd.Pair[int, []Neighbor], 0, len(p.A))
 		for _, q := range p.A {
-			cands := make([]Neighbor, len(p.B))
-			for j, t := range p.B {
-				cands[j] = Neighbor{Index: t.ID, Dist: vecmath.Dist(q.Vec, t.Vec), Label: t.Label}
+			top := NewTopK(k, nil)
+			for _, t := range p.B {
+				top.OfferSq(t.ID, vecmath.SqDist(q.Vec, t.Vec), t.Label)
 			}
-			out = append(out, rdd.KV(q.ID, rdd.BoundedMin(cands, k, Less)))
+			out = append(out, rdd.KV(q.ID, top.Neighbors()))
 		}
 		return out
 	}).SetName("knn.partial")
