@@ -9,7 +9,7 @@
 //	adrdedup summary -db reports.json
 //	adrdedup detect  -db reports.json -batch batch.json -labels labels.json [-theta 0] [-top 20]
 //	                 [-memory-mb 0] [-target-partition-mb 0]
-//	                 [-real-parallel] [-workers N]
+//	                 [-workers N]
 //	                 [-trace trace.json] [-metrics-out metrics.json]
 //	                 [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -20,10 +20,10 @@
 // buffers over the budget spill to a virtual local disk (visible as spill
 // events in the trace) without changing any output. -target-partition-mb
 // turns on adaptive post-shuffle partition coalescing toward that size.
-// -real-parallel swaps the goroutine-per-task launcher for the work-stealing
-// worker pool (-workers, default NumCPU) — results and committed counters
-// are bit-identical, only wall-clock changes. -cpuprofile / -memprofile
-// write runtime/pprof profiles of the whole detect run.
+// -workers sizes the engine's work-stealing pool (default NumCPU) — results
+// and committed counters do not depend on it, only wall-clock does.
+// -cpuprofile / -memprofile write runtime/pprof profiles of the whole detect
+// run.
 //
 // File formats: reports and batches are JSON arrays of report objects (see
 // internal/adr); labels are a JSON array of {"caseA", "caseB", "duplicate"}
@@ -73,7 +73,7 @@ func usage() {
   adrdedup summary -db reports.json
   adrdedup detect  -db reports.json -batch batch.json -labels labels.json [-theta 0] [-top 20]
                    [-memory-mb 0] [-target-partition-mb 0]
-                   [-real-parallel] [-workers N]
+                   [-workers N]
                    [-trace trace.json] [-metrics-out metrics.json]
                    [-cpuprofile cpu.pprof] [-memprofile mem.pprof]`)
 }
@@ -160,8 +160,7 @@ func runDetect(args []string) (retErr error) {
 	maxStageRetries := fs.Int("max-stage-retries", 0, "stage resubmissions after shuffle fetch failures before aborting (0 = default)")
 	memoryMB := fs.Int("memory-mb", 0, "per-executor memory budget in MB; blocks and shuffle buffers over budget spill to virtual disk (0 = unbounded default)")
 	targetPartitionMB := fs.Int("target-partition-mb", 0, "adaptive post-shuffle coalescing target partition size in MB (0 = off)")
-	realParallel := fs.Bool("real-parallel", false, "run stages on the work-stealing worker pool instead of goroutine-per-task (bit-identical results)")
-	workers := fs.Int("workers", 0, "worker-pool size for -real-parallel (0 = NumCPU)")
+	workers := fs.Int("workers", 0, "work-stealing pool size (0 = NumCPU)")
 	tracePath := fs.String("trace", "", "write a JSON stage/task trace event log to this file and print a per-stage summary to stderr")
 	metricsPath := fs.String("metrics-out", "", "write the final cluster metrics snapshot as JSON to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
@@ -214,7 +213,6 @@ func runDetect(args []string) (retErr error) {
 			MemoryPerExecutorMB: *memoryMB,
 			SpillToDisk:         *memoryMB > 0,
 			TargetPartitionMB:   *targetPartitionMB,
-			RealParallel:        *realParallel,
 			RealWorkers:         *workers,
 		},
 		Classifier:     core.Config{K: *k, B: *b, Theta: *theta},

@@ -11,7 +11,7 @@
 //	          [-workers 2] [-queue-depth 64] [-max-batch 5000]
 //	          [-seed-reports 2000] [-seed-dups 80] [-train-pairs 1200] [-seed 1]
 //	          [-candidates prefix-index] [-cand-theta 0] [-k 0] [-b 0] [-theta 0]
-//	          [-executors 8] [-engine-workers 0] [-virtual-engine]
+//	          [-executors 8] [-engine-workers 0]
 //	          [-drain-timeout 30s]
 //
 // Endpoints:
@@ -71,7 +71,6 @@ func run(args []string) error {
 	theta := fs.Float64("theta", 0, "duplicate probability threshold (0 = default)")
 	executors := fs.Int("executors", 8, "engine executors")
 	engineWorkers := fs.Int("engine-workers", 0, "work-stealing pool size (0 = NumCPU)")
-	virtualEngine := fs.Bool("virtual-engine", false, "run the engine on the virtual-time scheduler instead of the work-stealing pool")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight batches on shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -94,7 +93,6 @@ func run(args []string) error {
 		SeedDuplicates: *seedDups,
 		TrainPairs:     *trainPairs,
 		Seed:           *seed,
-		VirtualEngine:  *virtualEngine,
 		Detector: adrdedup.Options{
 			Cluster: cluster.Config{
 				Executors:   *executors,

@@ -11,10 +11,9 @@
 // counts, at a correspondingly longer runtime). Reported execution times are
 // virtual cluster times; see DESIGN.md §6.
 //
-// -real-parallel runs the shared experiment cluster's stages on the
-// work-stealing worker pool (-workers, default NumCPU) instead of
-// goroutine-per-task; results and committed counters are bit-identical, only
-// host wall-clock changes. -cpuprofile and -memprofile write runtime/pprof
+// -workers sizes the shared experiment cluster's work-stealing pool (default
+// NumCPU); results, committed counters and virtual times do not depend on it,
+// only host wall-clock does. -cpuprofile and -memprofile write runtime/pprof
 // profiles of the run.
 package main
 
@@ -37,8 +36,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced corpus and pair counts for smoke runs")
 	tracePath := flag.String("trace", "", "write a JSON stage/task trace event log to this file and print a per-stage summary to stderr")
 	metricsPath := flag.String("metrics-out", "", "write the final cluster metrics snapshot as JSON to this file")
-	realParallel := flag.Bool("real-parallel", false, "run stages on the work-stealing worker pool instead of goroutine-per-task (bit-identical results)")
-	workers := flag.Int("workers", 0, "worker-pool size for -real-parallel (0 = NumCPU)")
+	workers := flag.Int("workers", 0, "work-stealing pool size (0 = NumCPU)")
 	cpuProfile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a runtime/pprof heap profile at the end of the run to this file")
 	flag.Usage = func() {
@@ -61,7 +59,7 @@ func main() {
 	r := &runner{
 		scale: *scale, seed: *seed, quick: *quick,
 		trace: *tracePath, metricsOut: *metricsPath,
-		realParallel: *realParallel, workers: *workers,
+		workers: *workers,
 	}
 	runErr := r.run(flag.Arg(0))
 	// Export observability artifacts even after a failed exhibit: a trace
@@ -79,14 +77,13 @@ func main() {
 }
 
 type runner struct {
-	scale        float64
-	seed         int64
-	quick        bool
-	trace        string
-	metricsOut   string
-	realParallel bool
-	workers      int
-	env          *experiments.Env
+	scale      float64
+	seed       int64
+	quick      bool
+	trace      string
+	metricsOut string
+	workers    int
+	env        *experiments.Env
 }
 
 // writeArtifacts exports the trace event log (spanning every engine reset of
@@ -165,7 +162,6 @@ func (r *runner) environment() (*experiments.Env, error) {
 	}
 	clusterCfg := experiments.DefaultCluster()
 	clusterCfg.Trace = r.trace != ""
-	clusterCfg.RealParallel = r.realParallel
 	clusterCfg.RealWorkers = r.workers
 	start := time.Now()
 	env, err := experiments.NewEnv(experiments.EnvConfig{

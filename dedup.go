@@ -104,10 +104,6 @@ type Detector struct {
 	// extracts, across batches, so all features stay mutually comparable
 	// by the merge-scan Jaccard kernel.
 	interner *intern.Interner
-	// disableInterning forces the legacy string-set kernel; it exists so
-	// differential tests can run the whole pipeline against the
-	// pre-interning oracle.
-	disableInterning bool
 	// feats[i] is the preprocessed form of the report with ArrivalSeq i.
 	// Interned features drop their string token sets: every distance the
 	// detector computes is Jaccard over the ID sets.
@@ -224,20 +220,13 @@ func (d *Detector) extendFeatures() error {
 		parts = d.ctx.DefaultParallelism()
 	}
 	parts = min(parts, len(fresh)) // a single report is one task, not eight
-	var feats []pairdist.Features
-	var err error
-	if d.disableInterning {
-		feats, err = pairdist.ExtractAll(d.ctx, fresh, parts)
-	} else {
-		feats, err = pairdist.ExtractAllWith(d.ctx, d.interner, fresh, parts)
-	}
+	feats, err := pairdist.ExtractAllWith(d.ctx, d.interner, fresh, parts)
 	if err != nil {
 		return fmt.Errorf("adrdedup: extracting features: %w", err)
 	}
 	for i := range feats {
-		if f := &feats[i]; f.Interned {
-			f.DrugSet, f.ADRSet, f.DescTokens = nil, nil, nil
-		}
+		f := &feats[i]
+		f.DrugSet, f.ADRSet, f.DescTokens = nil, nil, nil
 	}
 	if d.index != nil {
 		sigs, err := candgen.Signatures(feats)

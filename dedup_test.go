@@ -408,32 +408,37 @@ func TestDetectUnderFaultInjectionMatchesCleanRun(t *testing.T) {
 }
 
 // TestDetectMatchesLegacyKernelBitExact runs the full pipeline twice over
-// the same corpus — once on the interned merge-scan kernel, once with
-// interning disabled so every distance goes through the legacy string-set
-// kernel — and requires the Detect output to be identical, scores compared
-// bit-exactly. This is the end-to-end guarantee on top of the per-pair
-// differential tests in internal/pairdist.
+// the same corpus — once as the product runs it, on the interned merge-scan
+// kernel, and once over un-interned features the test extracts and installs
+// itself, so every distance goes through the legacy string-set kernel — and
+// requires the Detect output to be identical, scores compared bit-exactly.
+// This is the end-to-end guarantee on top of the per-pair differential tests
+// in internal/pairdist.
 func TestDetectMatchesLegacyKernelBitExact(t *testing.T) {
 	run := func(legacy bool) []Match {
 		c, det, batch := testCorpus(t, 20)
-		det.disableInterning = legacy
 		if legacy {
-			// testCorpus already featurized the database through the
-			// interned path; rebuild everything through the oracle.
-			det.feats = det.feats[:0]
-			if err := det.extendFeatures(); err != nil {
+			// Replace the interned features testCorpus built with the
+			// oracle's, batch included: Detect featurizes only reports
+			// beyond len(det.feats), so it finds nothing left to intern.
+			all := append(det.db.Reports(), batch...)
+			feats, err := pairdist.ExtractAll(det.ctx, all, det.ctx.DefaultParallelism())
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for i := range det.feats {
-			if det.feats[i].Interned == legacy {
-				t.Fatalf("feature %d: Interned=%v in legacy=%v run", i, det.feats[i].Interned, legacy)
-			}
+			det.feats = feats
 		}
 		trainOnGroundTruth(t, c, det, 2000)
 		matches, err := det.DetectAll(batch)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Checked after Detect so a legacy run that re-featurized the
+		// batch through the interner cannot pass unnoticed.
+		for i := range det.feats {
+			if det.feats[i].Interned == legacy {
+				t.Fatalf("feature %d: Interned=%v in legacy=%v run", i, det.feats[i].Interned, legacy)
+			}
 		}
 		// Detect sorts by descending score with an unstable sort; order
 		// ties deterministically by case pair before comparing.

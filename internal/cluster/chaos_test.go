@@ -9,13 +9,13 @@ import (
 
 // The chaos harness: seeded randomized stage programs run on the cluster
 // under every combination of {fault injection, injected stragglers,
-// speculation on/off, executor count} and must produce partition contents,
-// published results, and committed counters bit-identical to a sequential
-// oracle that never retries, never speculates, and never races. This is the
-// same differential discipline the RDD layer's differential suite applies to
-// operator fusion, aimed here at attempt races: any path by which a losing
-// or failed attempt leaks a shuffle write, a result, or a counter delta
-// shows up as a diff against the oracle.
+// speculation on/off, executor count, pool size} and must produce partition
+// contents, published results, and committed counters bit-identical to a
+// sequential oracle that never retries, never speculates, and never races.
+// This is the same differential discipline the RDD layer's differential
+// suite applies to operator fusion, aimed here at attempt races: any path by
+// which a losing or failed attempt leaks a shuffle write, a result, or a
+// counter delta shows up as a diff against the oracle.
 //
 // Determinism rests on three engine properties the harness exercises
 // together: commit-on-success side effects (task.go), idempotent
@@ -297,10 +297,16 @@ func int64sEqual(a, b []int64) bool {
 // TestChaos is the deterministic chaos harness: 10 seeded programs x
 // {1,4,8 executors} x {fault injection off/on} x {executor kills off/on} x
 // {stragglers off/on} x {speculation off/on} x {unbounded/tight/oneblock
-// memory budget} = 1440 combinations, every one bit-identical to the
-// sequential oracle. Executor kills exercise the full recovery path —
-// host-local shuffle loss, FetchFailed, lineage resubmission — and the
-// committed counters must still match the oracle exactly: patch-up
+// memory budget} = 1440 configurations, each run on a 1-worker and a
+// 3-worker pool, every one bit-identical to the sequential oracle.
+// Work-stealing reorders task execution arbitrarily — a stolen task runs on
+// a different goroutine, with a different WorkerScratch, interleaved with
+// different neighbors — and one worker serializes a stage outright, yet
+// nothing the oracle checks may move, because every observable side effect
+// is commit-gated and every injection decision is hashed from stable
+// identities rather than arrival order. Executor kills exercise the full
+// recovery path — host-local shuffle loss, FetchFailed, lineage
+// resubmission — and the committed counters must still match the oracle exactly: patch-up
 // recomputation runs in recovery mode and contributes no work-counter
 // deltas. The memory tiers force shuffle blocks through the disk overflow
 // tier; spilling must be visible only in the SpillEvents/SpilledBytes
@@ -323,89 +329,92 @@ func TestChaos(t *testing.T) {
 					for _, stragglers := range []bool{false, true} {
 						for _, speculation := range []bool{false, true} {
 							for _, tier := range chaosMemTiers {
-								name := fmt.Sprintf("seed=%d/exec=%d/fail=%v/kill=%v/strag=%v/spec=%v/mem=%s",
-									seed, executors, failureRate, execFail, stragglers, speculation, tier.name)
-								cfg := chaosConfig(seed, executors, failureRate, execFail, stragglers, speculation, tier.budget)
-								unbounded := tier.budget == 0
-								t.Run(name, func(t *testing.T) {
-									t.Parallel()
-									c := New(cfg)
-									defer c.Close()
-									state, sums, err := runChaosProgram(c, prog)
-									if err != nil {
-										if execFail == 0 {
-											t.Fatalf("program failed without executor kills: %v", err)
+								for _, workers := range []int{1, 3} {
+									name := fmt.Sprintf("seed=%d/exec=%d/fail=%v/kill=%v/strag=%v/spec=%v/mem=%s/workers=%d",
+										seed, executors, failureRate, execFail, stragglers, speculation, tier.name, workers)
+									cfg := chaosConfig(seed, executors, failureRate, execFail, stragglers, speculation, tier.budget)
+									cfg.RealWorkers = workers
+									unbounded := tier.budget == 0
+									t.Run(name, func(t *testing.T) {
+										t.Parallel()
+										c := New(cfg)
+										defer c.Close()
+										state, sums, err := runChaosProgram(c, prog)
+										if err != nil {
+											if execFail == 0 {
+												t.Fatalf("program failed without executor kills: %v", err)
+											}
+											// Retry exhaustion is the only legitimate
+											// failure, it must carry the typed abort,
+											// and a re-run must abort the same stage.
+											// (The FetchFailed cause may name a
+											// different lost subset: which outputs
+											// are still missing at the final fetch
+											// depends on real-time attempt races.)
+											var abort *StageAbortedError
+											if !errors.As(err, &abort) {
+												t.Fatalf("program failed without typed stage abort: %v", err)
+											}
+											c2 := New(cfg)
+											defer c2.Close()
+											_, _, err2 := runChaosProgram(c2, prog)
+											var abort2 *StageAbortedError
+											if err2 == nil || !errors.As(err2, &abort2) || abort.Stage != abort2.Stage {
+												t.Fatalf("abort not deterministic:\n  first: %v\n second: %v", err, err2)
+											}
+											return
 										}
-										// Retry exhaustion is the only legitimate
-										// failure, it must carry the typed abort,
-										// and a re-run must abort the same stage.
-										// (The FetchFailed cause may name a
-										// different lost subset: which outputs
-										// are still missing at the final fetch
-										// depends on real-time attempt races.)
-										var abort *StageAbortedError
-										if !errors.As(err, &abort) {
-											t.Fatalf("program failed without typed stage abort: %v", err)
+										if len(state) != len(want.finalState) {
+											t.Fatalf("final partitions = %d, want %d", len(state), len(want.finalState))
 										}
-										c2 := New(cfg)
-										defer c2.Close()
-										_, _, err2 := runChaosProgram(c2, prog)
-										var abort2 *StageAbortedError
-										if err2 == nil || !errors.As(err2, &abort2) || abort.Stage != abort2.Stage {
-											t.Fatalf("abort not deterministic:\n  first: %v\n second: %v", err, err2)
+										for i := range state {
+											if !int64sEqual(state[i], want.finalState[i]) {
+												t.Errorf("partition %d = %v, want %v", i, state[i], want.finalState[i])
+											}
 										}
-										return
-									}
-									if len(state) != len(want.finalState) {
-										t.Fatalf("final partitions = %d, want %d", len(state), len(want.finalState))
-									}
-									for i := range state {
-										if !int64sEqual(state[i], want.finalState[i]) {
-											t.Errorf("partition %d = %v, want %v", i, state[i], want.finalState[i])
+										for i := range sums {
+											if sums[i] != want.finalResults[i] {
+												t.Errorf("published checksum %d = %d, want %d", i, sums[i], want.finalResults[i])
+											}
 										}
-									}
-									for i := range sums {
-										if sums[i] != want.finalResults[i] {
-											t.Errorf("published checksum %d = %d, want %d", i, sums[i], want.finalResults[i])
+										m := c.Metrics().Snapshot()
+										// Counters are commit-gated: retried, cancelled,
+										// and speculation-losing attempts must not leak.
+										if m.RecordsProcessed != want.records {
+											t.Errorf("RecordsProcessed = %d, want %d", m.RecordsProcessed, want.records)
 										}
-									}
-									m := c.Metrics().Snapshot()
-									// Counters are commit-gated: retried, cancelled,
-									// and speculation-losing attempts must not leak.
-									if m.RecordsProcessed != want.records {
-										t.Errorf("RecordsProcessed = %d, want %d", m.RecordsProcessed, want.records)
-									}
-									if m.Comparisons != want.comparisons {
-										t.Errorf("Comparisons = %d, want %d", m.Comparisons, want.comparisons)
-									}
-									if m.ShuffleRecordsWritten != want.shufRecords {
-										t.Errorf("ShuffleRecordsWritten = %d, want %d", m.ShuffleRecordsWritten, want.shufRecords)
-									}
-									if m.ShuffleBytesWritten != want.shufWritten {
-										t.Errorf("ShuffleBytesWritten = %d, want %d", m.ShuffleBytesWritten, want.shufWritten)
-									}
-									if m.ShuffleBytesRead != want.shufRead {
-										t.Errorf("ShuffleBytesRead = %d, want %d", m.ShuffleBytesRead, want.shufRead)
-									}
-									if !stragglers && m.StragglersInjected != 0 {
-										t.Errorf("StragglersInjected = %d with injection off", m.StragglersInjected)
-									}
-									if !speculation && m.SpeculativeTasksLaunched != 0 {
-										t.Errorf("SpeculativeTasksLaunched = %d with speculation off", m.SpeculativeTasksLaunched)
-									}
-									// Spill counters are accounted separately, like
-									// the recovery counters: they may vary with
-									// attempt races, but must be zero without a
-									// budget and never bleed into work counters
-									// (asserted bit-exact above).
-									if unbounded && (m.SpillEvents != 0 || m.SpilledBytes != 0) {
-										t.Errorf("SpillEvents/SpilledBytes = %d/%d with no memory budget",
-											m.SpillEvents, m.SpilledBytes)
-									}
-									if m.SpillEvents == 0 && m.SpilledBytes != 0 {
-										t.Errorf("SpilledBytes = %d with zero SpillEvents", m.SpilledBytes)
-									}
-								})
+										if m.Comparisons != want.comparisons {
+											t.Errorf("Comparisons = %d, want %d", m.Comparisons, want.comparisons)
+										}
+										if m.ShuffleRecordsWritten != want.shufRecords {
+											t.Errorf("ShuffleRecordsWritten = %d, want %d", m.ShuffleRecordsWritten, want.shufRecords)
+										}
+										if m.ShuffleBytesWritten != want.shufWritten {
+											t.Errorf("ShuffleBytesWritten = %d, want %d", m.ShuffleBytesWritten, want.shufWritten)
+										}
+										if m.ShuffleBytesRead != want.shufRead {
+											t.Errorf("ShuffleBytesRead = %d, want %d", m.ShuffleBytesRead, want.shufRead)
+										}
+										if !stragglers && m.StragglersInjected != 0 {
+											t.Errorf("StragglersInjected = %d with injection off", m.StragglersInjected)
+										}
+										if !speculation && m.SpeculativeTasksLaunched != 0 {
+											t.Errorf("SpeculativeTasksLaunched = %d with speculation off", m.SpeculativeTasksLaunched)
+										}
+										// Spill counters are accounted separately, like
+										// the recovery counters: they may vary with
+										// attempt races, but must be zero without a
+										// budget and never bleed into work counters
+										// (asserted bit-exact above).
+										if unbounded && (m.SpillEvents != 0 || m.SpilledBytes != 0) {
+											t.Errorf("SpillEvents/SpilledBytes = %d/%d with no memory budget",
+												m.SpillEvents, m.SpilledBytes)
+										}
+										if m.SpillEvents == 0 && m.SpilledBytes != 0 {
+											t.Errorf("SpilledBytes = %d with zero SpillEvents", m.SpilledBytes)
+										}
+									})
+								}
 							}
 						}
 					}
@@ -458,99 +467,5 @@ func TestChaosComboCount(t *testing.T) {
 	combos := 10 * 3 * 2 * 2 * 2 * 2 * len(chaosMemTiers)
 	if combos < 720 {
 		t.Fatalf("chaos grid has %d combos, need >= 720", combos)
-	}
-}
-
-// TestRealParallelBitIdentical is the chaos harness's real-parallel axis:
-// the same seeded programs, fault/kill/straggler/speculation/memory grid,
-// but executed on the work-stealing goroutine-per-core pool
-// (Config.RealParallel) with 1 and 3 workers. Work-stealing reorders task
-// execution arbitrarily — a stolen task runs on a different goroutine, with
-// a different WorkerScratch, interleaved with different neighbors — yet
-// partition contents, published results, and committed counters must stay
-// bit-identical to the same sequential oracle the virtual-time scheduler is
-// held to, because every observable side effect is commit-gated and every
-// injection decision is hashed from stable identities rather than arrival
-// order. Aborting combos must abort deterministically, exactly as in
-// TestChaos.
-func TestRealParallelBitIdentical(t *testing.T) {
-	seeds := 3
-	if testing.Short() {
-		seeds = 1
-	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		prog := genChaosProgram(seed * 7919)
-		want := chaosOracle(prog)
-		for _, executors := range []int{1, 4} {
-			for _, failureRate := range []float64{0, 0.3} {
-				for _, execFail := range []float64{0, 0.3} {
-					for _, stragglers := range []bool{false, true} {
-						for _, speculation := range []bool{false, true} {
-							for _, tier := range chaosMemTiers[:2] { // unbounded, tight
-								for _, workers := range []int{1, 3} {
-									name := fmt.Sprintf("seed=%d/exec=%d/fail=%v/kill=%v/strag=%v/spec=%v/mem=%s/workers=%d",
-										seed, executors, failureRate, execFail, stragglers, speculation, tier.name, workers)
-									cfg := chaosConfig(seed, executors, failureRate, execFail, stragglers, speculation, tier.budget)
-									cfg.RealParallel = true
-									cfg.RealWorkers = workers
-									t.Run(name, func(t *testing.T) {
-										t.Parallel()
-										c := New(cfg)
-										defer c.Close()
-										state, sums, err := runChaosProgram(c, prog)
-										if err != nil {
-											if execFail == 0 {
-												t.Fatalf("program failed without executor kills: %v", err)
-											}
-											var abort *StageAbortedError
-											if !errors.As(err, &abort) {
-												t.Fatalf("program failed without typed stage abort: %v", err)
-											}
-											c2 := New(cfg)
-											defer c2.Close()
-											_, _, err2 := runChaosProgram(c2, prog)
-											var abort2 *StageAbortedError
-											if err2 == nil || !errors.As(err2, &abort2) || abort.Stage != abort2.Stage {
-												t.Fatalf("abort not deterministic:\n  first: %v\n second: %v", err, err2)
-											}
-											return
-										}
-										if len(state) != len(want.finalState) {
-											t.Fatalf("final partitions = %d, want %d", len(state), len(want.finalState))
-										}
-										for i := range state {
-											if !int64sEqual(state[i], want.finalState[i]) {
-												t.Errorf("partition %d = %v, want %v", i, state[i], want.finalState[i])
-											}
-										}
-										for i := range sums {
-											if sums[i] != want.finalResults[i] {
-												t.Errorf("published checksum %d = %d, want %d", i, sums[i], want.finalResults[i])
-											}
-										}
-										m := c.Metrics().Snapshot()
-										if m.RecordsProcessed != want.records {
-											t.Errorf("RecordsProcessed = %d, want %d", m.RecordsProcessed, want.records)
-										}
-										if m.Comparisons != want.comparisons {
-											t.Errorf("Comparisons = %d, want %d", m.Comparisons, want.comparisons)
-										}
-										if m.ShuffleRecordsWritten != want.shufRecords {
-											t.Errorf("ShuffleRecordsWritten = %d, want %d", m.ShuffleRecordsWritten, want.shufRecords)
-										}
-										if m.ShuffleBytesWritten != want.shufWritten {
-											t.Errorf("ShuffleBytesWritten = %d, want %d", m.ShuffleBytesWritten, want.shufWritten)
-										}
-										if m.ShuffleBytesRead != want.shufRead {
-											t.Errorf("ShuffleBytesRead = %d, want %d", m.ShuffleBytesRead, want.shufRead)
-										}
-									})
-								}
-							}
-						}
-					}
-				}
-			}
-		}
 	}
 }

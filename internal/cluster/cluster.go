@@ -45,16 +45,17 @@
 // delay) to exercise the machinery, mirroring how FailureRate exercises
 // retries.
 //
-// # Real-parallel execution
+// # Real execution
 //
-// Config.RealParallel replaces the goroutine-per-task launch with a
-// goroutine-per-core work-stealing pool (pool.go): RealWorkers workers with
-// per-worker LIFO deques, FIFO stealing, and per-worker scratch buffers
-// (WorkerScratch) handed to tasks through TaskContext.Scratch. Virtual-time
-// accounting is unchanged — the mode only changes how fast the real
-// computation saturates the host. Because all side effects are commit-gated
-// and injection is hashed from stable identities, results and committed
-// counters stay bit-identical to the default mode.
+// Every stage's real computation runs on one launcher, a goroutine-per-core
+// work-stealing pool (pool.go): RealWorkers workers with per-worker LIFO
+// deques, FIFO stealing, and per-worker scratch buffers (WorkerScratch)
+// handed to tasks through TaskContext.Scratch. The pool decides only how
+// fast the real computation saturates the host; the virtual clock above is
+// a post-hoc cost model over the committed task durations. Because all side
+// effects are commit-gated and injection is hashed from stable identities,
+// results and committed counters do not depend on the pool size or on the
+// order stealing runs tasks in.
 package cluster
 
 import (
@@ -150,18 +151,14 @@ type Config struct {
 	PressureTimeouts bool
 	// Seed drives all stochastic behaviour (fault and straggler injection).
 	Seed int64
-	// RealParallelism caps worker goroutines; 0 means GOMAXPROCS.
-	RealParallelism int
-	// RealParallel switches stage execution from the legacy
-	// goroutine-per-task launch to the goroutine-per-core work-stealing
-	// worker pool (pool.go): RealWorkers goroutines with per-worker LIFO
-	// deques, FIFO stealing over partitions, and per-worker WorkerScratch
-	// buffers so zero-alloc kernels survive concurrency. The virtual-time
-	// scheduler stays the oracle: results and committed counters are
-	// bit-identical to the default mode, only real wall-clock changes.
+	// RealParallel is inert: the engine never reads it. The work-stealing
+	// pool (pool.go) is the only task launcher, so there is no mode left to
+	// select. The field survives only because the frozen bench module's
+	// bench/trace.go assigns it (its one assigner); the next [benchmark] PR
+	// deletes that assignment and this field together.
 	RealParallel bool
-	// RealWorkers is the pool size in RealParallel mode. 0 selects
-	// runtime.NumCPU() — one worker per core.
+	// RealWorkers is the size of the work-stealing pool that runs every
+	// stage's tasks. 0 selects runtime.NumCPU() — one worker per core.
 	RealWorkers int
 	// Scheduling selects the task-to-slot placement policy. The paper
 	// names executor load balancing as future work (§7); LPT implements
@@ -270,9 +267,6 @@ func (c Config) withDefaults() Config {
 	if c.SpillPenalty < 1 {
 		c.SpillPenalty = 3
 	}
-	if c.RealParallelism <= 0 {
-		c.RealParallelism = runtime.GOMAXPROCS(0)
-	}
 	if c.RealWorkers <= 0 {
 		c.RealWorkers = runtime.NumCPU()
 	}
@@ -341,7 +335,7 @@ type Cluster struct {
 	// goroutine outlives the cluster.
 	poolCtx    context.Context
 	poolCancel context.CancelFunc
-	// scratch recycles per-worker buffer bundles across stages and modes.
+	// scratch recycles per-worker buffer bundles across stages.
 	scratch scratchPool
 }
 
@@ -505,9 +499,9 @@ func (e *StageAbortedError) Error() string {
 func (e *StageAbortedError) Unwrap() []error { return []error{ErrStageAborted, e.Cause} }
 
 // RunStage executes numTasks tasks, each invoking run with a fresh
-// TaskContext. Tasks run really in parallel (bounded by RealParallelism) and
-// their virtual durations are list-scheduled onto the configured executor
-// slots to advance the cluster's virtual clock.
+// TaskContext. Tasks run really in parallel on the work-stealing pool
+// (RealWorkers workers) and their virtual durations are list-scheduled onto
+// the configured executor slots to advance the cluster's virtual clock.
 func (c *Cluster) RunStage(name string, numTasks int, run func(tc *TaskContext) error) (StageStats, error) {
 	_, stats, err := c.runStage(name, numTasks, run, false, false)
 	return stats, err

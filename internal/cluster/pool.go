@@ -2,10 +2,9 @@ package cluster
 
 import "sync/atomic"
 
-// This file implements RealParallel mode: instead of one goroutine per task
-// gated by a semaphore (the legacy launch path in executeAttempt), a stage's
-// tasks are seeded round-robin into per-worker Chase-Lev deques and executed
-// by a fixed pool of Config.RealWorkers goroutines. Each worker pops its own
+// This file is the engine's task launcher — the only one: a stage's tasks are
+// seeded round-robin into per-worker Chase-Lev deques and executed by a fixed
+// pool of Config.RealWorkers goroutines. Each worker pops its own
 // deque LIFO (cache-warm work first) and steals FIFO from the others when it
 // drains, so skewed stages — candgen posting lists, Cartesian shards — keep
 // every core busy without any central dispatch lock.
@@ -15,8 +14,8 @@ import "sync/atomic"
 // idempotently by (map task, seq), metric deltas are buffered per attempt and
 // folded only on the single winning commit, and fault/straggler injection is
 // hashed from (seed, stage, task, attempt), not from arrival order. Results
-// and committed counters are therefore bit-identical to the virtual-time
-// scheduler's, which TestRealParallelBitIdentical pins across the chaos grid.
+// and committed counters are therefore bit-identical to the sequential
+// oracle's at every pool size, which TestChaos pins across its grid.
 //
 // Scratch ownership: each worker checks one WorkerScratch out of the cluster
 // pool for the whole stage and threads it through every chain it runs, so
@@ -37,7 +36,7 @@ type poolRun struct {
 }
 
 // startPool seeds the deques and launches the worker pool for one submission
-// attempt's launch set. Callers wait on sr.wg as with the legacy path.
+// attempt's launch set. The caller waits on sr.wg.
 func (sr *stageRun) startPool(launch []int) {
 	n := sr.c.cfg.RealWorkers
 	if n > len(launch) {
@@ -48,8 +47,8 @@ func (sr *stageRun) startPool(launch []int) {
 		pr.deques[w] = newWSDeque((len(launch) + n - 1) / n)
 	}
 	// Round-robin task i to deque i%n, pushed in reverse so the owner's
-	// LIFO pop yields its tasks in ascending order — the same order the
-	// legacy path launches them, which keeps trace interleavings familiar.
+	// LIFO pop yields its tasks in ascending order, which keeps trace
+	// interleavings readable.
 	for w := 0; w < n; w++ {
 		for i := len(launch) - 1; i >= 0; i-- {
 			if i%n == w {

@@ -7,28 +7,28 @@ import (
 	"time"
 )
 
-// TestRealParallelMatchesVirtualScheduler runs the same chaos program under
-// the legacy goroutine-per-task mode and the work-stealing pool and compares
-// them directly: final state, published results, and every committed work
-// counter must match, not just both match the oracle.
-func TestRealParallelMatchesVirtualScheduler(t *testing.T) {
+// TestPoolSizeInvariant runs the same chaos program on a 1-worker pool (every
+// stage serialized, nothing to steal) and a 3-worker pool and compares them
+// directly, counter for counter: final state, published results, and every
+// committed work counter must match, not just both match the oracle.
+func TestPoolSizeInvariant(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		prog := genChaosProgram(seed * 104729)
 		base := chaosConfig(seed, 4, 0.3, 0, true, true, 0)
 
+		base.RealWorkers = 1
 		ref := New(base)
 		refState, refSums, refErr := runChaosProgram(ref, prog)
 		ref.Close()
 
 		cfg := base
-		cfg.RealParallel = true
 		cfg.RealWorkers = 3
 		pool := New(cfg)
 		poolState, poolSums, poolErr := runChaosProgram(pool, prog)
 		pool.Close()
 
 		if (refErr == nil) != (poolErr == nil) {
-			t.Fatalf("seed %d: error divergence: ref=%v pool=%v", seed, refErr, poolErr)
+			t.Fatalf("seed %d: error divergence: 1 worker=%v 3 workers=%v", seed, refErr, poolErr)
 		}
 		if refErr != nil {
 			continue
@@ -50,18 +50,18 @@ func TestRealParallelMatchesVirtualScheduler(t *testing.T) {
 			pm.ShuffleRecordsWritten != rm.ShuffleRecordsWritten ||
 			pm.ShuffleBytesWritten != rm.ShuffleBytesWritten ||
 			pm.ShuffleBytesRead != rm.ShuffleBytesRead {
-			t.Errorf("seed %d: committed counters diverged:\n  ref:  %+v\n  pool: %+v", seed, rm, pm)
+			t.Errorf("seed %d: committed counters diverged:\n  1 worker:  %+v\n  3 workers: %+v", seed, rm, pm)
 		}
 	}
 }
 
-// TestRealParallelScratchIsolation proves two pool workers never alias a
+// TestPoolScratchIsolation proves two pool workers never alias a
 // WorkerScratch: two tasks rendezvous mid-flight (so both are provably
 // concurrent), each fills its scratch buffer with a task-unique marker while
 // holding the barrier, and then checks its buffer was not clobbered by the
 // other task. The scratch pointers themselves must differ.
-func TestRealParallelScratchIsolation(t *testing.T) {
-	c := New(Config{Executors: 1, RealParallel: true, RealWorkers: 2})
+func TestPoolScratchIsolation(t *testing.T) {
+	c := New(Config{Executors: 1, RealWorkers: 2})
 	defer c.Close()
 
 	var mu sync.Mutex
@@ -106,16 +106,16 @@ func TestRealParallelScratchIsolation(t *testing.T) {
 	}
 }
 
-// TestRealParallelSpareWorkers pins the pause handoff: when a pool worker's
+// TestPoolSpareWorkers pins the pause handoff: when a pool worker's
 // task blocks in a simulated delay it releases its token and a spare worker
 // must pick up the remaining tasks, so a stage of blocking tasks overlaps
 // its sleeps instead of serializing them.
-func TestRealParallelSpareWorkers(t *testing.T) {
+func TestPoolSpareWorkers(t *testing.T) {
 	const (
 		tasks = 8
 		delay = 20 * time.Millisecond
 	)
-	c := New(Config{Executors: 1, RealParallel: true, RealWorkers: 2})
+	c := New(Config{Executors: 1, RealWorkers: 2})
 	defer c.Close()
 	start := time.Now()
 	_, err := c.RunStage("sleepy", tasks, func(tc *TaskContext) error {
@@ -139,34 +139,30 @@ func TestRealParallelSpareWorkers(t *testing.T) {
 // immediately instead of holding goroutines (and the caller) for the full
 // simulated delay.
 func TestCloseWakesInflightDelays(t *testing.T) {
-	for _, realParallel := range []bool{false, true} {
-		cfg := Config{
-			Executors:            1,
-			RealParallel:         realParallel,
-			RealWorkers:          2,
-			StragglerRate:        1, // every attempt blocks...
-			StragglerRealDelayMS: 5000,
-			MaxTaskRetries:       1,
+	c := New(Config{
+		Executors:            1,
+		RealWorkers:          2,
+		StragglerRate:        1, // every attempt blocks...
+		StragglerRealDelayMS: 5000,
+		MaxTaskRetries:       1,
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.RunStage("stuck", 2, func(tc *TaskContext) error { return nil })
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the chains enter their delay
+	start := time.Now()
+	c.Close()
+	select {
+	case <-done:
+		// The stage returned promptly (success or fail-fast both fine);
+		// the point is that Close unblocked the 5s sleeps.
+		if waited := time.Since(start); waited > 2*time.Second {
+			t.Errorf("stage took %v after Close", waited)
 		}
-		c := New(cfg)
-		done := make(chan error, 1)
-		go func() {
-			_, err := c.RunStage("stuck", 2, func(tc *TaskContext) error { return nil })
-			done <- err
-		}()
-		time.Sleep(20 * time.Millisecond) // let the chains enter their delay
-		start := time.Now()
-		c.Close()
-		select {
-		case <-done:
-			// The stage returned promptly (success or fail-fast both fine);
-			// the point is that Close unblocked the 5s sleeps.
-			if waited := time.Since(start); waited > 2*time.Second {
-				t.Errorf("realParallel=%v: stage took %v after Close", realParallel, waited)
-			}
-		case <-time.After(3 * time.Second):
-			t.Fatalf("realParallel=%v: stage still blocked 3s after Close", realParallel)
-		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("stage still blocked 3s after Close")
 	}
 }
 
@@ -174,7 +170,7 @@ func TestCloseWakesInflightDelays(t *testing.T) {
 // are reused rather than reallocated: a second stage on the same cluster
 // must see warmed buffers (capacity retained from the first stage).
 func TestScratchPoolRecycles(t *testing.T) {
-	c := New(Config{Executors: 1, RealParallel: true, RealWorkers: 1})
+	c := New(Config{Executors: 1, RealWorkers: 1})
 	defer c.Close()
 	var firstPtr *WorkerScratch
 	_, err := c.RunStage("warm", 1, func(tc *TaskContext) error {

@@ -358,44 +358,41 @@ func TestStageAbortAfterMaxRetries(t *testing.T) {
 
 // TestSpeculationMonitorStoppedOnErrorPaths: RunStage's error exits (task
 // exhaustion, stage abort) must stop the straggler monitor goroutine before
-// returning — in both execution modes, since RealParallel's pool workers and
-// spares are additional goroutines that must also drain. Run under -race,
-// repeated failing stages would otherwise accumulate leaked monitors. The
-// straggler injection exercises the pause/spare handoff on the pool path, so
-// retired spares are covered too.
+// returning, and the pool's workers and spares must drain with it. Run under
+// -race, repeated failing stages would otherwise accumulate leaked monitors.
+// The straggler injection exercises the pause/spare handoff, so retired
+// spares are covered too.
 func TestSpeculationMonitorStoppedOnErrorPaths(t *testing.T) {
 	boom := errors.New("boom")
-	for _, realParallel := range []bool{false, true} {
-		before := runtime.NumGoroutine()
-		for i := 0; i < 10; i++ {
-			c := New(Config{Executors: 4, Speculation: true, MaxTaskRetries: 1,
-				SpeculationQuantile: 0.1, SpeculationInterval: 50 * time.Microsecond,
-				RealParallel: realParallel, RealWorkers: 3,
-				StragglerRate: 0.3, StragglerRealDelayMS: 1})
-			_, err := c.RunStage("failing", 8, func(tc *TaskContext) error {
-				if tc.Task()%2 == 1 {
-					return boom
-				}
-				return nil
-			})
-			if !errors.Is(err, boom) {
-				t.Fatalf("realParallel=%v: err = %v", realParallel, err)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		c := New(Config{Executors: 4, Speculation: true, MaxTaskRetries: 1,
+			SpeculationQuantile: 0.1, SpeculationInterval: 50 * time.Microsecond,
+			RealWorkers:   3,
+			StragglerRate: 0.3, StragglerRealDelayMS: 1})
+		_, err := c.RunStage("failing", 8, func(tc *TaskContext) error {
+			if tc.Task()%2 == 1 {
+				return boom
 			}
-			c.Close()
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("err = %v", err)
 		}
-		leaked := true
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
-			if runtime.NumGoroutine() <= before+2 {
-				leaked = false
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
+		c.Close()
+	}
+	leaked := true
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if runtime.NumGoroutine() <= before+2 {
+			leaked = false
+			break
 		}
-		if leaked {
-			t.Errorf("realParallel=%v: goroutine count %d stayed above baseline %d: monitor/worker leak",
-				realParallel, runtime.NumGoroutine(), before)
-		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if leaked {
+		t.Errorf("goroutine count %d stayed above baseline %d: monitor/worker leak",
+			runtime.NumGoroutine(), before)
 	}
 }
 

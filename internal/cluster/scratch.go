@@ -2,10 +2,10 @@ package cluster
 
 import "sync"
 
-// WorkerScratch is a per-worker bundle of reusable buffers. In RealParallel
-// mode every pool worker owns exactly one WorkerScratch for the lifetime of
-// the stage and hands it to each task it runs via TaskContext.Scratch, so
-// kernels (pairdist tiling, candgen posting merges) keep their zero-alloc
+// WorkerScratch is a per-worker bundle of reusable buffers. Every pool
+// worker owns exactly one WorkerScratch for the lifetime of the stage and
+// hands it to each task it runs via TaskContext.Scratch, so kernels (the
+// candgen probe's overlap counters) keep their zero-alloc
 // steady state even with many tasks in flight: the buffers grow to the
 // high-water mark once and are reused for every subsequent task on that
 // worker. Two workers never share a WorkerScratch, so no synchronization or
@@ -54,10 +54,9 @@ func roundCap(n int) int {
 	return c
 }
 
-// scratchPool recycles WorkerScratch instances across stages and across the
-// non-pool execution paths (legacy goroutine-per-task mode, speculative
-// chains), so warmed buffers survive stage boundaries instead of being
-// reallocated per stage.
+// scratchPool recycles WorkerScratch instances across stages (and lends one
+// to each speculative chain, which no pool worker runs), so warmed buffers
+// survive stage boundaries instead of being reallocated per stage.
 type scratchPool struct {
 	mu   sync.Mutex
 	free []*WorkerScratch

@@ -37,12 +37,14 @@ type stageRun struct {
 	// live is the stage attempt's live-executor list, set by runStage
 	// before each attempt launches and stable while its chains run.
 	live []int
-	sem  chan struct{}
-	wg   sync.WaitGroup
-	// pool is the current submission attempt's work-stealing pool in
-	// RealParallel mode (nil otherwise / between attempts). Written by
-	// startPool before its workers launch and read only from chains those
-	// workers run, so the wg.Wait between attempts orders all accesses.
+	// sem gates the fixed worker pool plus the spares standing in for
+	// paused workers: at most RealWorkers primary chains run at once.
+	sem chan struct{}
+	wg  sync.WaitGroup
+	// pool is the current submission attempt's work-stealing pool. Written
+	// by startPool before its workers launch and read only from chains
+	// those workers run, so the wg.Wait between attempts orders all
+	// accesses.
 	pool *poolRun
 
 	// results holds the committed task results (PublishResult); only the
@@ -103,20 +105,13 @@ func (r *chainResult) absorb(res chainResult) {
 }
 
 func (c *Cluster) newStageRun(stageID int, name string, numTasks int, run func(tc *TaskContext) error, collect, recovery bool) *stageRun {
-	// In RealParallel mode the semaphore gates the fixed worker pool (plus
-	// spares standing in for paused workers), so it must admit RealWorkers
-	// tokens even when that exceeds RealParallelism.
-	par := c.cfg.RealParallelism
-	if c.cfg.RealParallel {
-		par = c.cfg.RealWorkers
-	}
 	sr := &stageRun{
 		c:        c,
 		stageID:  stageID,
 		name:     name,
 		run:      run,
 		recovery: recovery,
-		sem:      make(chan struct{}, par),
+		sem:      make(chan struct{}, c.cfg.RealWorkers),
 		states:   make([]taskState, numTasks),
 	}
 	for i := range sr.states {
@@ -129,7 +124,7 @@ func (c *Cluster) newStageRun(stageID int, name string, numTasks int, run func(t
 }
 
 // executeAttempt runs one submission attempt: every not-yet-committed task's
-// primary chain on the bounded worker pool and, with speculation enabled,
+// primary chain on the work-stealing pool and, with speculation enabled,
 // the straggler monitor alongside. It returns when every launched chain has
 // finished, and — on every path — only after the monitor goroutine has
 // stopped, so a failing stage never leaks it.
@@ -157,30 +152,16 @@ func (sr *stageRun) executeAttempt() {
 			<-monitorDone
 		}
 	}()
-	if sr.c.cfg.RealParallel {
-		sr.startPool(launch)
-	} else {
-		for _, i := range launch {
-			sr.wg.Add(1)
-			sr.sem <- struct{}{}
-			go func(task int) {
-				defer sr.wg.Done()
-				defer func() { <-sr.sem }()
-				sr.runChain(task, false, nil)
-			}(i)
-		}
-	}
+	sr.startPool(launch)
 	sr.wg.Wait()
 }
 
-// pauseSlot releases the chain's worker token around a blocking sleep; in
-// pool mode it additionally offers the freed capacity to a spare worker so
-// unclaimed tasks keep running while this one stalls.
+// pauseSlot releases the chain's worker token around a blocking sleep and
+// offers the freed capacity to a spare worker so unclaimed tasks keep running
+// while this one stalls.
 func (sr *stageRun) pauseSlot() {
 	<-sr.sem
-	if pr := sr.pool; pr != nil {
-		pr.ensureSpare()
-	}
+	sr.pool.ensureSpare()
 }
 
 // resumeSlot re-acquires a worker token after a blocking sleep.
@@ -306,8 +287,8 @@ func (sr *stageRun) monitor(stop, done chan struct{}) {
 // than its primary whenever one exists).
 //
 // sc is the worker-owned scratch threaded to every attempt's TaskContext;
-// callers without one (the legacy launch path, speculative chains) pass nil
-// and the chain checks one out of the cluster pool for its duration.
+// speculative chains, which no pool worker runs, pass nil and the chain
+// checks one out of the cluster pool for its duration.
 func (sr *stageRun) runChain(task int, speculative bool, sc *WorkerScratch) {
 	if sc == nil {
 		sc = sr.c.scratch.get()
@@ -414,8 +395,8 @@ func (sr *stageRun) runAttempts(ctx context.Context, task int, speculative bool,
 			executor: exec, recovery: sr.recovery, scratch: sc}
 		if !speculative {
 			// Primary chains hold a worker token; blocking sleeps yield it
-			// so stalled tasks don't starve real workers (and, in pool
-			// mode, let a spare worker soak up the freed capacity).
+			// so stalled tasks don't starve real workers, and a spare
+			// worker soaks up the freed capacity.
 			tc.pause = sr.pauseSlot
 			tc.resume = sr.resumeSlot
 		}

@@ -58,14 +58,14 @@ type TaskContext struct {
 	workingSetBytes int64
 
 	// scratch is the worker-owned reusable buffer bundle for this attempt.
-	// In RealParallel mode the pool worker running the chain owns it for
-	// the whole stage; elsewhere the chain checks one out per task. Either
-	// way it is never shared between concurrently running attempts.
+	// The pool worker running a primary chain owns it for the whole stage;
+	// a speculative chain checks one out per task. Either way it is never
+	// shared between concurrently running attempts.
 	scratch *WorkerScratch
 
 	// pause/resume yield and re-acquire the attempt's real worker slot
 	// around blocking sleeps: a task stalled in simulated delay burns no
-	// CPU, so holding a RealParallelism token would starve other tasks —
+	// CPU, so holding a worker token would starve other tasks —
 	// and, on small hosts, the very completions the straggler monitor's
 	// quantile gate waits for. Nil for attempts that hold no token
 	// (speculative chains).

@@ -83,10 +83,10 @@ func TestCandidatesCountersReproducible(t *testing.T) {
 	}
 }
 
-// BenchmarkCandidateGen snapshots the candidate-wall exhibit for bench-json
-// at full scale: a 100k-report corpus (5.0 billion quadratic pairs), where
-// the extrapolated brute-force obligation is the infeasibility line and the
-// prefix-filtered generator completes outright.
+// BenchmarkCandidateGen runs the candidate-wall exhibit at full scale: a
+// 100k-report corpus (5.0 billion quadratic pairs), where the extrapolated
+// brute-force obligation is the infeasibility line and the prefix-filtered
+// generator completes outright.
 func BenchmarkCandidateGen(b *testing.B) {
 	var res CandidatesResult
 	var err error

@@ -41,8 +41,8 @@ func TestRecoveryOverheadCeiling(t *testing.T) {
 	}
 }
 
-// BenchmarkRecoveryOverhead snapshots the executor-loss recovery exhibit for
-// bench-json: the overhead metric is the faulty/clean virtual makespan ratio
+// BenchmarkRecoveryOverhead runs the executor-loss recovery exhibit under
+// `go test -bench`: the overhead metric is the faulty/clean virtual makespan ratio
 // of the shuffle workload under deterministic kills, averaged over 3 seeds.
 func BenchmarkRecoveryOverhead(b *testing.B) {
 	env, err := NewEnv(EnvConfig{

@@ -36,7 +36,7 @@ func TestServeExhibitShape(t *testing.T) {
 	}
 }
 
-// BenchmarkServeSustained snapshots the serving exhibit for bench-json: a
+// BenchmarkServeSustained runs the serving exhibit under `go test -bench`: a
 // 30k-report stream pushed over HTTP at the bootstrapped service, reporting
 // end-to-end ingest throughput and client-observed latency percentiles.
 func BenchmarkServeSustained(b *testing.B) {

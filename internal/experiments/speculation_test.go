@@ -30,8 +30,8 @@ func TestSpeculationSpeedupFloor(t *testing.T) {
 	}
 }
 
-// BenchmarkSpeculationSkew snapshots the straggler-mitigation exhibit for
-// bench-json: the reported speedup metric is the off/on virtual makespan
+// BenchmarkSpeculationSkew runs the straggler-mitigation exhibit under
+// `go test -bench`: the reported speedup metric is the off/on virtual makespan
 // ratio of the injected-straggler workload.
 func BenchmarkSpeculationSkew(b *testing.B) {
 	env, err := NewEnv(EnvConfig{

@@ -35,8 +35,8 @@ func TestSpillOutputIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkSpillOverhead snapshots the memory-pressure exhibit for
-// bench-json: the reported ratio is the budgeted/unbounded virtual makespan
+// BenchmarkSpillOverhead runs the memory-pressure exhibit under
+// `go test -bench`: the reported ratio is the budgeted/unbounded virtual makespan
 // of the identical candidate pipeline, alongside the spilled volume.
 func BenchmarkSpillOverhead(b *testing.B) {
 	var rows []SpillRow

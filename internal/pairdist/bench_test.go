@@ -23,8 +23,8 @@ var benchSink float64
 //   - interned: sorted-ID merge-scan kernel writing into one flat arena —
 //     zero allocations per comparison, one arena per sweep.
 //
-// `make bench-json` snapshots both into BENCH_pairdist.json; the interned
-// kernel must show >=10x fewer allocs/op and less B/op and ns/op.
+// The interned kernel must show >=10x fewer allocs/op and less B/op and
+// ns/op than legacy.
 func BenchmarkPairKernel(b *testing.B) {
 	const numReports = 240
 	c := adrgen.Generate(adrgen.Config{
@@ -84,22 +84,6 @@ func BenchmarkPairKernel(b *testing.B) {
 			benchSink = arena[0]
 		}
 	})
-
-	b.Run("tiled", func(b *testing.B) {
-		// The RealParallel per-worker shape: cache-tiled sweep with a
-		// warmed WorkerScratch and a preallocated arena — the steady state
-		// of one pool worker, 0 allocs/op.
-		b.ReportAllocs()
-		pairs := benchAllPairs(numReports)
-		arena := make([]float64, Dims*len(pairs))
-		var sc cluster.WorkerScratch
-		SweepInto(&sc, arena, interned, pairs, JaccardMetric)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			SweepInto(&sc, arena, interned, pairs, JaccardMetric)
-			benchSink = arena[0]
-		}
-	})
 }
 
 func benchAllPairs(n int) []IDPair {
@@ -136,14 +120,21 @@ func scalingChunks(pairs []IDPair, tasks int) ([][]IDPair, [][]float64) {
 	return chunks, arenas
 }
 
-// BenchmarkRealParallelScaling runs the 240-report all-pairs pair-kernel
-// sweep (28,680 pairs/op) as a RealParallel stage with 1 -> NumCPU workers:
-// the `make bench-json` engine snapshot and the CI scaling sanity check read
-// its ns/op trend. Each worker computes its chunks cache-tiled through its
-// own WorkerScratch into a preallocated arena, so per-worker steady state
-// stays allocation-free; remaining allocs/op are fixed stage machinery,
-// independent of the pair count.
-func BenchmarkRealParallelScaling(b *testing.B) {
+// sweepChunk is one scaling task's work: the ComputeVectors loop over a
+// chunk, into the task's preallocated arena.
+func sweepChunk(arena []float64, feats []Features, chunk []IDPair) {
+	for i, p := range chunk {
+		DistanceInto(arena[i*Dims:(i+1)*Dims:(i+1)*Dims], feats[p.A], feats[p.B], JaccardMetric)
+	}
+}
+
+// BenchmarkPoolScaling runs the 240-report all-pairs pair-kernel sweep
+// (28,680 pairs/op) as one engine stage on 1 -> NumCPU pool workers; the CI
+// scaling sanity check reads the same trend. Each task computes its chunk
+// into a preallocated arena, so the per-pair steady state stays
+// allocation-free; remaining allocs/op are fixed stage machinery, independent
+// of the pair count.
+func BenchmarkPoolScaling(b *testing.B) {
 	const numReports = 240
 	c := adrgen.Generate(adrgen.Config{
 		NumReports: numReports, DuplicatePairs: 20, NumDrugs: 60, NumADRs: 90, Seed: 42,
@@ -158,7 +149,7 @@ func BenchmarkRealParallelScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			cl := cluster.New(cluster.Config{
 				Executors: 1, CoresPerExecutor: w,
-				RealParallel: true, RealWorkers: w,
+				RealWorkers: w,
 			})
 			defer cl.Close()
 			tasks := 4 * w // 4 chunks per worker leaves room for stealing
@@ -167,8 +158,7 @@ func BenchmarkRealParallelScaling(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_, err := cl.RunStage("pairsweep", tasks, func(tc *cluster.TaskContext) error {
-					ch := chunks[tc.Task()]
-					SweepInto(tc.Scratch(), arenas[tc.Task()], interned, ch, JaccardMetric)
+					sweepChunk(arenas[tc.Task()], interned, chunks[tc.Task()])
 					return nil
 				})
 				if err != nil {
@@ -179,12 +169,12 @@ func BenchmarkRealParallelScaling(b *testing.B) {
 	}
 }
 
-// TestRealParallelScalingSpeedup is the CI scaling sanity check: on a host
+// TestPoolScalingSpeedup is the CI scaling sanity check: on a host
 // with at least 4 cores, the 4-worker all-pairs sweep must run at least 2x
 // faster than the 1-worker sweep (the acceptance floor; the trend should be
 // near-linear to NumCPU). Hosts below 4 cores skip — they cannot exhibit
 // the parallelism this asserts.
-func TestRealParallelScalingSpeedup(t *testing.T) {
+func TestPoolScalingSpeedup(t *testing.T) {
 	if runtime.NumCPU() < 4 {
 		t.Skipf("host has %d CPUs, need >= 4 to measure 4-worker speedup", runtime.NumCPU())
 	}
@@ -205,7 +195,7 @@ func TestRealParallelScalingSpeedup(t *testing.T) {
 	sweep := func(workers int) time.Duration {
 		cl := cluster.New(cluster.Config{
 			Executors: 1, CoresPerExecutor: workers,
-			RealParallel: true, RealWorkers: workers,
+			RealWorkers: workers,
 		})
 		defer cl.Close()
 		tasks := 4 * workers
@@ -213,7 +203,7 @@ func TestRealParallelScalingSpeedup(t *testing.T) {
 		run := func() time.Duration {
 			start := time.Now()
 			if _, err := cl.RunStage("pairsweep", tasks, func(tc *cluster.TaskContext) error {
-				SweepInto(tc.Scratch(), arenas[tc.Task()], interned, chunks[tc.Task()], JaccardMetric)
+				sweepChunk(arenas[tc.Task()], interned, chunks[tc.Task()])
 				return nil
 			}); err != nil {
 				t.Fatal(err)

@@ -14,7 +14,6 @@ package pairdist
 
 import (
 	"adrdedup/internal/adr"
-	"adrdedup/internal/cluster"
 	"adrdedup/internal/intern"
 	"adrdedup/internal/rdd"
 	"adrdedup/internal/strsim"
@@ -261,23 +260,19 @@ func ComputeVectors(ctx *rdd.Context, feats []Features, pairs []IDPair, partitio
 	// Broadcasting features to every executor: charge ~300 bytes each.
 	ctx.Cluster().Broadcast(int64(len(feats)) * 300)
 	src := rdd.Parallelize(ctx, pairs, partitions).SetName("pairIDs").WithBytesPerRecord(24)
-	vectors := rdd.MapPartitionsTC(src, func(tc *cluster.TaskContext, _ int, in []IDPair) ([]PairRecord, error) {
+	vectors := rdd.MapPartitions(src, func(in []IDPair) ([]PairRecord, error) {
 		// One flat arena backs every distance vector of the partition:
 		// Dims*len(in) floats in a single allocation, re-sliced per pair
 		// (full-capacity slices, so an append on one Vec can never bleed
 		// into its neighbor). Nothing downstream mutates Vec contents, so
 		// sharing one backing array is safe; it does keep the whole
 		// partition's arena alive while any one Vec is referenced.
-		//
-		// The sweep runs cache-tiled using the attempt's worker-owned
-		// scratch: concurrent tasks (RealParallel mode) each hold their
-		// own WorkerScratch, so the tiling buffers are never shared.
 		out := make([]PairRecord, len(in))
 		arena := make([]float64, Dims*len(in))
-		SweepInto(tc.Scratch(), arena, feats, in, JaccardMetric)
 		for i, p := range in {
-			out[i] = PairRecord{A: p.A, B: p.B, Label: p.Label,
-				Vec: arena[i*Dims : (i+1)*Dims : (i+1)*Dims]}
+			vec := arena[i*Dims : (i+1)*Dims : (i+1)*Dims]
+			DistanceInto(vec, feats[p.A], feats[p.B], JaccardMetric)
+			out[i] = PairRecord{A: p.A, B: p.B, Label: p.Label, Vec: vec}
 		}
 		return out, nil
 	}).SetName("pairVectors").WithBytesPerRecord(16 + 8*Dims)

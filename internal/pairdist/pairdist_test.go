@@ -164,7 +164,7 @@ func TestExtractAllWithAssignsIDsInArrivalOrder(t *testing.T) {
 		want[i] = ExtractWith(serial, r)
 	}
 	for run := 0; run < 3; run++ {
-		cl := cluster.New(cluster.Config{Executors: 4, RealParallel: true, RealWorkers: 4})
+		cl := cluster.New(cluster.Config{Executors: 4, RealWorkers: 4})
 		got, err := ExtractAllWith(rdd.NewContext(cl), intern.New(), reports, 16)
 		cl.Close()
 		if err != nil {

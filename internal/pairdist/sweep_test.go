@@ -1,18 +1,15 @@
 package pairdist
 
 import (
-	"fmt"
-	"math/rand"
-	"sync"
 	"testing"
 
 	"adrdedup/internal/adrgen"
 	"adrdedup/internal/cluster"
 	"adrdedup/internal/intern"
+	"adrdedup/internal/rdd"
 )
 
-// sweepCorpus builds an interned feature set large enough to force the tiled
-// path (several SweepTile-wide tiles) plus a pair list.
+// sweepCorpus builds an interned feature set over generated reports.
 func sweepCorpus(t testing.TB, numReports int, seed int64) []Features {
 	t.Helper()
 	c := adrgen.Generate(adrgen.Config{
@@ -37,76 +34,12 @@ func allPairs(n int) []IDPair {
 	return pairs
 }
 
-// TestSweepIntoMatchesDirect is the tiling differential: the cache-tiled
-// sweep must fill the arena bit-identically to the plain in-order scan, for
-// all-pairs batches, shuffled batches, and small batches that take the
-// fallback. Each vector lands at its pair's original index regardless of the
-// tiled compute order.
-func TestSweepIntoMatchesDirect(t *testing.T) {
-	const numReports = 300 // > 2 tiles, forces the tiled path for big batches
-	feats := sweepCorpus(t, numReports, 42)
-
-	cases := map[string][]IDPair{
-		"all-pairs": allPairs(numReports),
-		"small":     allPairs(20), // below the tiling threshold: fallback path
-	}
-	shuffled := allPairs(numReports)
-	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	})
-	cases["shuffled"] = shuffled
-
-	for name, pairs := range cases {
-		t.Run(name, func(t *testing.T) {
-			want := make([]float64, Dims*len(pairs))
-			for i, p := range pairs {
-				DistanceInto(want[i*Dims:(i+1)*Dims], feats[p.A], feats[p.B], JaccardMetric)
-			}
-			got := make([]float64, Dims*len(pairs))
-			var sc cluster.WorkerScratch
-			SweepInto(&sc, got, feats, pairs, JaccardMetric)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("arena[%d] = %v, want %v (pair %d dim %d)",
-						i, got[i], want[i], i/Dims, i%Dims)
-				}
-			}
-			// Re-run on the same (now dirty) scratch: stale buffer contents
-			// must not leak into results.
-			SweepInto(&sc, got, feats, pairs, JaccardMetric)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("dirty-scratch rerun: arena[%d] = %v, want %v", i, got[i], want[i])
-				}
-			}
-		})
-	}
-}
-
-// TestSweepZeroAlloc pins the acceptance criterion directly: with a warmed
-// per-worker scratch and a preallocated arena, the tiled sweep performs zero
-// allocations per run.
-func TestSweepZeroAlloc(t *testing.T) {
-	const numReports = 300
-	feats := sweepCorpus(t, numReports, 42)
-	pairs := allPairs(numReports)
-	arena := make([]float64, Dims*len(pairs))
-	var sc cluster.WorkerScratch
-	SweepInto(&sc, arena, feats, pairs, JaccardMetric) // warm the scratch
-	allocs := testing.AllocsPerRun(5, func() {
-		SweepInto(&sc, arena, feats, pairs, JaccardMetric)
-	})
-	if allocs != 0 {
-		t.Fatalf("SweepInto allocs/run = %v, want 0", allocs)
-	}
-}
-
-// TestSweepArenaIsolation is the satellite's arena-isolation proof: two
-// tasks running concurrently on a RealParallel pool must hold distinct
-// WorkerScratch instances, and hammering SweepInto from both (same feature
-// set, interleaved goroutines) must reproduce the sequential reference
-// exactly. A shared tiling buffer would corrupt the counting-sort
-// permutation and scatter vectors to wrong indices.
+// TestSweepArenaIsolation is the arena-isolation proof: ComputeVectors tasks
+// running concurrently on a 2-worker pool over one shared feature set must
+// reproduce the sequential reference exactly, and no two of the vectors they
+// return may share memory — each task slices its own arena, full-capacity, so
+// neither a concurrent task nor an append on a neighbouring Vec can reach
+// another pair's floats. Run under -race in CI.
 func TestSweepArenaIsolation(t *testing.T) {
 	const numReports = 300
 	feats := sweepCorpus(t, numReports, 42)
@@ -116,40 +49,40 @@ func TestSweepArenaIsolation(t *testing.T) {
 		DistanceInto(want[i*Dims:(i+1)*Dims], feats[p.A], feats[p.B], JaccardMetric)
 	}
 
-	c := cluster.New(cluster.Config{Executors: 1, RealParallel: true, RealWorkers: 2})
+	c := cluster.New(cluster.Config{Executors: 1, RealWorkers: 2})
 	defer c.Close()
-
-	var mu sync.Mutex
-	scratches := make(map[int]*cluster.WorkerScratch)
-	arenas := [2][]float64{
-		make([]float64, Dims*len(pairs)),
-		make([]float64, Dims*len(pairs)),
-	}
-	var barrier sync.WaitGroup
-	barrier.Add(2)
-	_, err := c.RunStage("sweep-isolation", 2, func(tc *cluster.TaskContext) error {
-		sc := tc.Scratch()
-		mu.Lock()
-		scratches[tc.Task()] = sc
-		mu.Unlock()
-		barrier.Done()
-		barrier.Wait() // both tasks provably in flight before sweeping
-		arena := arenas[tc.Task()]
-		for rep := 0; rep < 3; rep++ {
-			SweepInto(sc, arena, feats, pairs, JaccardMetric)
-			for i := range want {
-				if arena[i] != want[i] {
-					return fmt.Errorf("task %d rep %d: arena[%d] = %v, want %v",
-						tc.Task(), rep, i, arena[i], want[i])
-				}
-			}
-		}
-		return nil
-	})
+	recs, err := ComputeVectors(rdd.NewContext(c), feats, pairs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scratches[0] == scratches[1] {
-		t.Fatalf("concurrent tasks shared WorkerScratch %p: tiling buffers alias", scratches[0])
+	if len(recs) != len(pairs) {
+		t.Fatalf("%d records, want %d", len(recs), len(pairs))
+	}
+	for i, r := range recs {
+		if r.A != pairs[i].A || r.B != pairs[i].B {
+			t.Fatalf("record %d = (%d,%d), want (%d,%d)", i, r.A, r.B, pairs[i].A, pairs[i].B)
+		}
+		if len(r.Vec) != Dims || cap(r.Vec) != Dims {
+			t.Fatalf("pair %d: len/cap(Vec) = %d/%d, want %d/%d", i, len(r.Vec), cap(r.Vec), Dims, Dims)
+		}
+		for d, v := range r.Vec {
+			if v != want[i*Dims+d] {
+				t.Fatalf("pair %d dim %d = %v, want %v", i, d, v, want[i*Dims+d])
+			}
+		}
+	}
+	// Aliasing check: stamp every float with its own index, then read them
+	// all back. Two vectors sharing memory would lose a stamp.
+	for i, r := range recs {
+		for d := range r.Vec {
+			r.Vec[d] = float64(i*Dims + d)
+		}
+	}
+	for i, r := range recs {
+		for d, v := range r.Vec {
+			if v != float64(i*Dims+d) {
+				t.Fatalf("pair %d dim %d was overwritten through another pair's vector", i, d)
+			}
+		}
 	}
 }

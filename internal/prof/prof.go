@@ -1,6 +1,6 @@
 // Package prof wires the standard runtime/pprof CPU and heap profiles into
 // the command binaries' -cpuprofile / -memprofile flags, so kernel-level
-// changes (cache tiling, real-parallel scaling) are measurable with
+// changes (distance kernels, pool scaling) are measurable with
 // `go tool pprof` on real workloads rather than only in microbenchmarks.
 package prof
 

@@ -8,10 +8,10 @@ import (
 
 // Engine micro-benchmarks for fused narrow-stage execution. Each benchmark
 // runs the same operator graph twice — fused and with fusion disabled (the
-// pre-fusion materializing baseline, kept behind the SetFusionEnabled flag)
-// — and measures partition computation directly, so allocs/op and B/op
-// reflect the operator chain itself rather than cluster scheduling noise.
-// `make bench-json` snapshots these into BENCH_engine.json.
+// pre-fusion materializing baseline, reachable only through the test-only
+// SetFusionEnabled) — and measures partition computation directly, so
+// allocs/op and B/op reflect the operator chain itself rather than cluster
+// scheduling noise.
 
 func benchModes(b *testing.B, run func(b *testing.B)) {
 	for _, mode := range []struct {

@@ -48,27 +48,17 @@ import (
 type streamFn[T any] func(tc *cluster.TaskContext, partition int, sizeHint func(int), emit func(T) error) error
 
 // fusionOff disables fused execution when set (every narrow operator then
-// materializes its parent, as before fusion existed). It exists so
-// benchmarks and the differential suite can compare the two paths; the
-// default is fusion on.
+// materializes its parent, as before fusion existed). Only tests can set it
+// (SetFusionEnabled in export_test.go), so benchmarks and the differential
+// suite can compare the two paths; product code always runs fused.
 var fusionOff atomic.Bool
 
-// SetFusionEnabled toggles fused narrow-stage execution process-wide and
-// returns the previous setting. Intended for benchmarks and differential
-// tests; production code should leave fusion enabled.
-func SetFusionEnabled(on bool) bool {
-	return !fusionOff.Swap(!on)
-}
-
-// FusionEnabled reports whether fused narrow-stage execution is active.
-func FusionEnabled() bool { return !fusionOff.Load() }
-
 // fusable reports whether downstream operators may stream through this RDD
-// instead of materializing it: it has a streaming description, fusion is
-// enabled, and it is not cached (a cached RDD must be read through — and
+// instead of materializing it: it has a streaming description, no test has
+// switched fusion off, and it is not cached (a cached RDD must be read through — and
 // feed — the block store, making it a fusion boundary).
 func (r *RDD[T]) fusable() bool {
-	if r.stream == nil || !FusionEnabled() {
+	if r.stream == nil || fusionOff.Load() {
 		return false
 	}
 	r.mu.Lock()

@@ -88,8 +88,8 @@ func MapPartitionsWithIndex[T, U any](r *RDD[T], f func(partition int, in []T) (
 // MapPartitionsTC applies f to each whole partition along with the task's
 // TaskContext, giving whole-partition kernels access to per-attempt services
 // — most importantly TaskContext.Scratch, the worker-owned buffer bundle
-// that keeps zero-alloc kernels allocation-free when tasks run concurrently
-// (RealParallel mode). Like MapPartitionsWithIndex it is a fusion boundary.
+// that keeps zero-alloc kernels allocation-free when tasks run concurrently.
+// Like MapPartitionsWithIndex it is a fusion boundary.
 //
 // f may run concurrently for different partitions and may run more than once
 // for the same partition (task retries, speculative attempts); it must treat

@@ -26,11 +26,8 @@ type BootstrapConfig struct {
 	// Seed drives corpus generation and pair sampling; the whole
 	// bootstrap is deterministic in it.
 	Seed int64
-	// Detector configures the wrapped pipeline. Unless VirtualEngine is
-	// set, the engine is forced onto the RealParallel work-stealing pool:
-	// a serving process wants real cores, not the virtual-time scheduler.
-	Detector      adrdedup.Options
-	VirtualEngine bool
+	// Detector configures the wrapped pipeline.
+	Detector adrdedup.Options
 }
 
 func (c BootstrapConfig) withDefaults() BootstrapConfig {
@@ -75,9 +72,6 @@ type Bootstrap struct {
 // cfg.Seed.
 func NewBootstrap(cfg BootstrapConfig) (*Bootstrap, error) {
 	cfg = cfg.withDefaults()
-	if !cfg.VirtualEngine {
-		cfg.Detector.Cluster.RealParallel = true
-	}
 	det, err := adrdedup.New(cfg.Detector)
 	if err != nil {
 		return nil, fmt.Errorf("serve: creating detector: %w", err)

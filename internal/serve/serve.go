@@ -16,8 +16,8 @@
 // Workers claim jobs from the queue and run Detect under one mutex: the
 // detector is a single-driver pipeline (like a Spark driver), and the
 // arrival order of the database is defined by the order batches win that
-// mutex. Scoring itself is parallelized inside the engine, which the
-// bootstrap runs in RealParallel mode (the work-stealing pool) by default.
+// mutex. Scoring itself is parallelized inside the engine, on its
+// work-stealing pool.
 //
 // Shutdown is a drain: Shutdown flips the server to draining (new submits
 // are refused with ErrShuttingDown, HTTP 503), closes the queue, and waits
@@ -315,9 +315,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Close drains the server and then closes the detector's engine (stopping
-// the RealParallel worker pool). For callers that gave the server sole
-// ownership of the detector.
+// Close drains the server and then closes the detector's engine. For callers
+// that gave the server sole ownership of the detector.
 func (s *Server) Close(ctx context.Context) error {
 	err := s.Shutdown(ctx)
 	s.det.Engine().Cluster().Close()
