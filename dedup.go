@@ -25,10 +25,12 @@
 package adrdedup
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"adrdedup/internal/adr"
 	"adrdedup/internal/candgen"
@@ -415,14 +417,14 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 	// Descending score; ties broken by case numbers so equal-scored
 	// matches come out in one deterministic order regardless of sort
 	// internals or candidate enumeration order.
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Score != matches[j].Score {
-			return matches[i].Score > matches[j].Score
+	slices.SortFunc(matches, func(a, b Match) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		if matches[i].CaseA != matches[j].CaseA {
-			return matches[i].CaseA < matches[j].CaseA
+		if c := strings.Compare(a.CaseA, b.CaseA); c != 0 {
+			return c
 		}
-		return matches[i].CaseB < matches[j].CaseB
+		return strings.Compare(a.CaseB, b.CaseB)
 	})
 	return matches, nil
 }

@@ -1,6 +1,8 @@
 package adrgen
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -315,6 +317,41 @@ func TestSplitDuplicatesDeterministicAndDisjoint(t *testing.T) {
 	for _, d := range te1 {
 		if inTrain[pairKey(d.IdxA, d.IdxB)] {
 			t.Error("train and test overlap")
+		}
+	}
+}
+
+// corpusHash folds every field of every report (the 37 TGA fields plus
+// ArrivalSeq, by reflection so a new field cannot be missed) and the ground
+// truth into one FNV-1a hash.
+func corpusHash(c *Corpus) uint64 {
+	h := fnv.New64a()
+	for i := range c.Reports {
+		v := reflect.ValueOf(c.Reports[i])
+		for f := 0; f < v.NumField(); f++ {
+			fmt.Fprintf(h, "%v\x00", v.Field(f).Interface())
+		}
+	}
+	for _, d := range c.Duplicates {
+		fmt.Fprintf(h, "%d\x00%d\x00%s\x00%s\x00%d\x00", d.IdxA, d.IdxB, d.CaseA, d.CaseB, d.Mode)
+	}
+	return h.Sum64()
+}
+
+// TestGenerateGolden pins the generated corpus byte for byte: the hashes
+// were captured before the lexicon position maps were memoised on the
+// generator, so any change to what Generate emits — which would silently
+// move every benchmark workload and seeded exhibit — fails here.
+func TestGenerateGolden(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want uint64
+	}{
+		{smallConfig(), 0xab78a96373739cde},
+		{Config{NumReports: 2000, DuplicatePairs: 120, Seed: 42}, 0xfa52cf3da586ec11},
+	} {
+		if got := corpusHash(Generate(tc.cfg)); got != tc.want {
+			t.Errorf("seed %d: corpus hash %#x, want %#x", tc.cfg.Seed, got, tc.want)
 		}
 	}
 }

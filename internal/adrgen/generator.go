@@ -150,6 +150,8 @@ func Generate(cfg Config) *Corpus {
 		drugs: DrugLexicon(cfg.NumDrugs),
 		adrs:  ADRLexicon(cfg.NumADRs),
 	}
+	g.drugPos = positions(g.drugs)
+	g.adrPos = positions(g.adrs)
 
 	g.makeCampaigns()
 	numBase := cfg.NumReports - cfg.DuplicatePairs
@@ -219,6 +221,18 @@ type generator struct {
 	drugs     []string
 	adrs      []string
 	campaigns []campaign
+	// drugPos and adrPos map a lexicon term to its position, built once:
+	// every generated report derives three code lists from them.
+	drugPos map[string]int
+	adrPos  map[string]int
+}
+
+func positions(lexicon []string) map[string]int {
+	pos := make(map[string]int, len(lexicon))
+	for i, v := range lexicon {
+		pos[v] = i
+	}
+	return pos
 }
 
 // campaign is a shared reporting context: one drug exposure event that many
@@ -394,15 +408,15 @@ func (g *generator) baseReport(i int) (adr.Report, int) {
 		HospitalisationCode: fmt.Sprintf("H%d", g.rng.Intn(3)),
 		HospitalisationDesc: []string{"Not hospitalised", "Hospitalised", "Unknown"}[g.rng.Intn(3)],
 		MedDRAPTName:        strings.Join(adrs, ","),
-		MedDRAPTCode:        ptCodes(adrs, g.adrs),
+		MedDRAPTCode:        ptCodes(adrs, g.adrPos),
 		MedDRALLTName:       strings.Join(adrs, ","),
-		MedDRALLTCode:       ptCodes(adrs, g.adrs),
+		MedDRALLTCode:       ptCodes(adrs, g.adrPos),
 		SuspectCode:         "S1",
 		SuspectDesc:         "Suspected medicine",
 		TradeNameDesc:       strings.ToUpper(drugs[0]),
 		TradeNameCode:       fmt.Sprintf("T%05d", g.rng.Intn(99999)),
 		GenericNameDesc:     strings.Join(drugs, ","),
-		GenericNameCode:     ptCodes(drugs, g.drugs),
+		GenericNameCode:     ptCodes(drugs, g.drugPos),
 		DosageAmount:        fmt.Sprintf("%d", []int{5, 10, 20, 40, 80}[g.rng.Intn(5)]),
 		UnitProportionCode:  "MG",
 		DosageFormCode:      fmt.Sprintf("F%d", g.rng.Intn(6)),
@@ -419,11 +433,7 @@ func (g *generator) baseReport(i int) (adr.Report, int) {
 
 // ptCodes derives stable MedDRA-style codes from lexicon positions so that
 // identical terms always carry identical codes.
-func ptCodes(values, lexicon []string) string {
-	pos := make(map[string]int, len(lexicon))
-	for i, v := range lexicon {
-		pos[v] = i
-	}
+func ptCodes(values []string, pos map[string]int) string {
 	codes := make([]string, len(values))
 	for i, v := range values {
 		codes[i] = fmt.Sprintf("PT%06d", pos[v])
@@ -459,7 +469,7 @@ func (g *generator) duplicateOf(base adr.Report, i int, mode DuplicateMode) adr.
 			r.ResidentialState = []string{"Not Known", "-"}[g.rng.Intn(2)]
 		}
 		if g.rng.Float64() < 0.35 {
-			r.MedDRAPTName, r.MedDRAPTCode = perturbList(g.rng, base.MedDRAPTName, base.MedDRAPTCode, g.adrs)
+			r.MedDRAPTName, r.MedDRAPTCode = g.perturbList(base.MedDRAPTName, base.MedDRAPTCode)
 		}
 		if g.rng.Float64() < 0.1 {
 			r.OnsetDate = "-"
@@ -529,12 +539,13 @@ func (g *generator) recodeList(names string) (string, string) {
 		seen[a] = struct{}{}
 		kept = append(kept, a)
 	}
-	return strings.Join(kept, ","), ptCodes(kept, g.adrs)
+	return strings.Join(kept, ","), ptCodes(kept, g.adrPos)
 }
 
-// perturbList reorders the comma-separated term list and drops or adds one
-// term, keeping codes consistent with names.
-func perturbList(rng *rand.Rand, names, codes string, lexicon []string) (string, string) {
+// perturbList reorders the comma-separated reaction list and drops or adds
+// one term, keeping codes consistent with names.
+func (g *generator) perturbList(names, codes string) (string, string) {
+	rng := g.rng
 	ns := adr.SplitMulti(names)
 	cs := adr.SplitMulti(codes)
 	if len(ns) == 0 {
@@ -554,12 +565,8 @@ func perturbList(rng *rand.Rand, names, codes string, lexicon []string) (string,
 	case len(terms) > 1 && rng.Float64() < 0.5:
 		terms = terms[:len(terms)-1] // dropped symptom
 	case rng.Float64() < 0.5:
-		pos := make(map[string]int, len(lexicon))
-		for i, v := range lexicon {
-			pos[v] = i
-		}
-		extra := lexicon[rng.Intn(len(lexicon))]
-		terms = append(terms, term{extra, fmt.Sprintf("PT%06d", pos[extra])})
+		extra := g.adrs[rng.Intn(len(g.adrs))]
+		terms = append(terms, term{extra, fmt.Sprintf("PT%06d", g.adrPos[extra])})
 	}
 	outN := make([]string, len(terms))
 	outC := make([]string, len(terms))

@@ -1,6 +1,7 @@
 package candgen
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -77,6 +78,10 @@ type Stats struct {
 	// Verified counts full merge-scan verifications (each candidate pair
 	// exactly once); Emitted counts pairs passing verification.
 	Scanned, Verified, Emitted int64
+	// BitmapPruned counts the candidates Index.Probe ruled out with the
+	// hashed-bitmap overlap bound instead of verifying them; the one-shot
+	// Pairs has no such filter and leaves it zero.
+	BitmapPruned int64
 }
 
 // TotalPairs is the size of the search space the generator replaces: all
@@ -109,13 +114,15 @@ func Signatures(feats []pairdist.Features) ([][]uint32, error) {
 	return sigs, nil
 }
 
-// pairLess orders IDPairs by (A, B).
-func pairLess(a, b pairdist.IDPair) bool {
-	if a.A != b.A {
-		return a.A < b.A
+// pairCmp orders IDPairs by (A, B).
+func pairCmp(a, b pairdist.IDPair) int {
+	if c := cmp.Compare(a.A, b.A); c != 0 {
+		return c
 	}
-	return a.B < b.B
+	return cmp.Compare(a.B, b.B)
 }
+
+func pairLess(a, b pairdist.IDPair) bool { return pairCmp(a, b) < 0 }
 
 // Pairs generates every unordered record pair whose signature Jaccard
 // similarity reaches p.Theta, as rdd stages on ctx's engine. The result is
@@ -206,6 +213,7 @@ func mergeResults(results []taskResult, st *Stats) []pairdist.IDPair {
 		st.IndexEntries += r.st.IndexEntries
 		st.Scanned += r.st.Scanned
 		st.Verified += r.st.Verified
+		st.BitmapPruned += r.st.BitmapPruned
 	}
 	return pairs
 }

@@ -1,8 +1,12 @@
 package candgen
 
 import (
+	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
+
+	"adrdedup/internal/strsim"
 )
 
 // decodeCorpus turns arbitrary fuzz bytes into a signature corpus. Byte 0
@@ -187,6 +191,92 @@ func FuzzIndexAppend(f *testing.F) {
 		}
 		if ix.Len() != len(sigs) || clean.Len() != len(sigs) {
 			t.Fatalf("indexes hold %d and %d records, want %d", ix.Len(), clean.Len(), len(sigs))
+		}
+	})
+}
+
+// decodeIDSet reads data as little-endian uint32 token IDs (a trailing
+// partial word is dropped) and returns them as a sorted, deduplicated set.
+func decodeIDSet(data []byte) []uint32 {
+	var set []uint32
+	for ; len(data) >= 4; data = data[4:] {
+		set = append(set, binary.LittleEndian.Uint32(data))
+	}
+	slices.Sort(set)
+	return slices.Compact(set)
+}
+
+func encodeIDSet(set []uint32) []byte {
+	var data []byte
+	for _, t := range set {
+		data = binary.LittleEndian.AppendUint32(data, t)
+	}
+	return data
+}
+
+// FuzzBitmapBound fuzzes the hashed-bitmap overlap bound on two arbitrary
+// token-ID sets entered into an index: the bound must never fall below the
+// true intersection size, must therefore never rule out a pair that
+// JaccardSimAtLeast accepts at the fuzzed θ, and a probe of the two records
+// must emit the pair exactly when the from-scratch oracle does. The seeds
+// cover what hashing to 256 bits can do to a set: sets far larger than the
+// bitmap (every bit set, the bound degenerates to the length bound), sets
+// that differ only in tokens sharing one bit (the difference is invisible),
+// near-duplicates, disjoint sets, and the empty set.
+func FuzzBitmapBound(f *testing.F) {
+	span := func(lo, n, step uint32) []uint32 {
+		out := make([]uint32, n)
+		for i := range out {
+			out[i] = lo + uint32(i)*step
+		}
+		return out
+	}
+	// Tokens that all hash to bit 0.
+	var colliding []uint32
+	for t := uint32(0); len(colliding) < 40; t++ {
+		if bitmapBit(t) == 0 {
+			colliding = append(colliding, t)
+		}
+	}
+	f.Add(byte(127), []byte{}, []byte{})
+	f.Add(byte(127), encodeIDSet(span(0, 30, 1)), encodeIDSet(span(0, 30, 1)))
+	f.Add(byte(127), encodeIDSet(span(0, 30, 1)), encodeIDSet(span(5, 30, 1)))
+	f.Add(byte(200), encodeIDSet(span(0, 30, 1)), encodeIDSet(span(1000, 30, 7)))
+	f.Add(byte(127), encodeIDSet(span(0, 600, 1)), encodeIDSet(span(300, 600, 1)))
+	f.Add(byte(76), encodeIDSet(span(0, 1000, 3)), encodeIDSet(span(0, 700, 3)))
+	f.Add(byte(127), encodeIDSet(colliding[:20]), encodeIDSet(colliding[20:]))
+	f.Add(byte(127), encodeIDSet(append(span(0, 20, 1), colliding[:10]...)), encodeIDSet(append(span(0, 20, 1), colliding[10:25]...)))
+	f.Add(byte(255), encodeIDSet(span(0, 300, 1)), encodeIDSet(span(0, 299, 1)))
+	f.Add(byte(0), encodeIDSet([]uint32{1 << 31, 1<<32 - 1}), encodeIDSet([]uint32{0, 1 << 31}))
+	f.Fuzz(func(t *testing.T, thetaByte byte, rawA, rawB []byte) {
+		if len(rawA)+len(rawB) > 1<<14 {
+			t.Skip("cap set sizes")
+		}
+		theta := float64(1+int(thetaByte)) / 256
+		a, b := decodeIDSet(rawA), decodeIDSet(rawB)
+		ix, err := NewIndex(theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Append([][]uint32{a, b})
+		checkBitmaps(t, ix, [][]uint32{a, b})
+
+		inter := 0
+		for _, tok := range a {
+			if _, found := slices.BinarySearch(b, tok); found {
+				inter++
+			}
+		}
+		bound := overlapBound(ix.bitmap(0), ix.bitmap(1), len(a), len(b))
+		if bound < inter {
+			t.Fatalf("bound %d below the true overlap %d; a=%v b=%v", bound, inter, a, b)
+		}
+		if need := pairNeed(theta, len(a), len(b)); strsim.JaccardSimAtLeast(a, b, theta) && bound < need {
+			t.Fatalf("θ=%v: bound %d < need %d rules out a pair the verifier accepts; a=%v b=%v", theta, bound, need, a, b)
+		}
+		got, st := probeSeq(ix, 0)
+		if want := naiveAtLeast(a, b, theta); (len(got) == 1) != want {
+			t.Fatalf("θ=%v: probe emitted %v (stats %+v), oracle says %v; a=%v b=%v", theta, got, st, want, a, b)
 		}
 	})
 }

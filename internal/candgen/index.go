@@ -1,9 +1,10 @@
 package candgen
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"adrdedup/internal/cluster"
 	"adrdedup/internal/pairdist"
@@ -51,6 +52,16 @@ type Index struct {
 	// ascending (rarest first); record id is toks[off[id]:off[id+1]].
 	toks []uint32
 	off  []int
+	// longest is the size of the longest signature ever appended — an upper
+	// bound on every stored signature's size, which is all probes need.
+	longest int
+	// bm holds one bitmapWords-word hashed bitmap per record, back to back:
+	// bit bitmapBit(t) is set for every token t of the record. It is keyed
+	// on token IDs, not ranks — ranks change at every rebuild, IDs never do,
+	// and the rank map is a bijection, so the bitmap of a record's ID set
+	// bounds overlaps of its rank set just as well. Append writes it once;
+	// rebuild never touches it.
+	bm []uint64
 	// post maps a rank to the records whose prefix contains it, in arrival
 	// order (ascending id). empty lists the records with empty signatures.
 	post  map[uint32][]posting
@@ -66,6 +77,30 @@ type Index struct {
 // the positional filter).
 type posting struct {
 	id, idx int32
+}
+
+// bitmapWords is the width of a record's hashed bitmap in 64-bit words: 256
+// bits, 32 bytes per record. Signatures at the daemon's workloads hold a few
+// dozen tokens, so most bits of a symmetric difference survive hashing.
+const bitmapWords = 4
+
+// bitmapBit hashes a token ID to its bit in a record bitmap (Fibonacci
+// hashing: interned IDs are dense small integers, the top byte of the product
+// spreads them).
+func bitmapBit(t uint32) uint32 { return t * 0x9E3779B1 >> 24 }
+
+// overlapBound bounds |A∩B| from above for two records of la and lb tokens
+// with bitmaps a and b: a bit set in exactly one bitmap is owed to a token in
+// exactly one of the sets, and distinct bits to distinct tokens, so
+// popcount(a⊕b) <= |A△B| = la + lb - 2|A∩B|. A bit both sets hash to hides
+// differences, never invents one: the bound can only over-count the overlap,
+// so a pair it rules out is a pair the merge scan would reject.
+func overlapBound(a, b []uint64, la, lb int) int {
+	diff := 0
+	for w := 0; w < bitmapWords; w++ {
+		diff += bits.OnesCount64(a[w] ^ b[w])
+	}
+	return (la + lb - diff) / 2
 }
 
 // frozenBase is the lowest rank a rebuild assigns. Tokens first seen between
@@ -93,6 +128,10 @@ func (ix *Index) Len() int { return len(ix.off) - 1 }
 
 func (ix *Index) sig(id int32) []uint32 { return ix.toks[ix.off[id]:ix.off[id+1]] }
 
+func (ix *Index) bitmap(id int32) []uint64 {
+	return ix.bm[int(id)*bitmapWords : (int(id)+1)*bitmapWords]
+}
+
 // prefix returns the indexed prefix of a rank-space signature.
 func (ix *Index) prefix(sig []uint32) []uint32 {
 	return sig[:len(sig)-minOverlap(ix.theta, len(sig))+1]
@@ -109,7 +148,10 @@ func (ix *Index) Append(sigs [][]uint32) {
 	rebuild := ix.Len()+len(sigs) >= 2*ix.rebuiltAt
 	for _, sig := range sigs {
 		start := len(ix.toks)
+		var bm [bitmapWords]uint64
 		for _, t := range sig {
+			bit := bitmapBit(t)
+			bm[bit>>6] |= 1 << (bit & 63)
 			r, ok := ix.ranks[t]
 			if !ok {
 				r = ix.nextNew
@@ -120,6 +162,8 @@ func (ix *Index) Append(sigs [][]uint32) {
 		}
 		slices.Sort(ix.toks[start:])
 		ix.off = append(ix.off, len(ix.toks))
+		ix.longest = max(ix.longest, len(sig))
+		ix.bm = append(ix.bm, bm[:]...)
 		if !rebuild {
 			ix.enter(int32(ix.Len() - 1))
 		}
@@ -159,11 +203,11 @@ func (ix *Index) rebuild() {
 			order = append(order, uint32(i))
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if ci, cj := counts[order[i]], counts[order[j]]; ci != cj {
-			return ci < cj
+	slices.SortFunc(order, func(a, b uint32) int {
+		if c := cmp.Compare(counts[a], counts[b]); c != 0 {
+			return c
 		}
-		return order[i] < order[j]
+		return cmp.Compare(a, b)
 	})
 	remap := make([]uint32, len(counts))
 	for i, old := range order {
@@ -222,6 +266,7 @@ func (ix *Index) Truncate(n int) {
 	}
 	ix.toks = ix.toks[:ix.off[n]]
 	ix.off = ix.off[:n+1]
+	ix.bm = ix.bm[:n*bitmapWords]
 }
 
 // Probe checks records [from, Len()) against every earlier record, as one
@@ -273,7 +318,7 @@ func (ix *Index) Probe(ctx *rdd.Context, from, partitions int) ([]pairdist.IDPai
 		return nil, st, fmt.Errorf("candgen: probing prefix index: %w", err)
 	}
 	pairs := mergeResults(results, &st)
-	sort.Slice(pairs, func(i, j int) bool { return pairLess(pairs[i], pairs[j]) })
+	slices.SortFunc(pairs, pairCmp)
 	st.Emitted = int64(len(pairs))
 	return pairs, st, nil
 }
@@ -282,11 +327,12 @@ func (ix *Index) Probe(ctx *rdd.Context, from, partitions int) ([]pairdist.IDPai
 // plan.probeRecord does for the one-shot index: candidates accumulate in the
 // scratch table at their first shared prefix token, where the positional
 // filter (PPJoin) prunes those whose remaining suffixes cannot reach the
-// required overlap, and each survivor is verified exactly once after the
-// scan. Postings are in arrival order, not size order, so the length bound
-// is checked per entry instead of by binary search; in exchange "earlier"
-// is a prefix of each list and every pair has exactly one prober, its newer
-// record.
+// required overlap. After the scan each survivor first meets the bitmap bound
+// (overlapBound), and only those it cannot rule out are verified, exactly
+// once, by the merge scan. Postings are in arrival order, not size order, so
+// the length bound is checked per entry instead of by binary search; in
+// exchange "earlier" is a prefix of each list and every pair has exactly one
+// prober, its newer record.
 func (ix *Index) probeRecord(rid int32, sc *probeScratch, res *taskResult) {
 	sig := ix.sig(rid)
 	if len(sig) == 0 {
@@ -301,6 +347,7 @@ func (ix *Index) probeRecord(rid int32, sc *probeScratch, res *taskResult) {
 	}
 	lr := len(sig)
 	minLen := minOverlap(ix.theta, lr)
+	need := sc.needTable(ix.theta, lr, minLen, ix.longest)
 	for i, t := range ix.prefix(sig) {
 		for _, e := range ix.post[t] {
 			if e.id >= rid {
@@ -316,7 +363,7 @@ func (ix *Index) probeRecord(rid int32, sc *probeScratch, res *taskResult) {
 				// Already pruned at its first common token.
 			case 0:
 				suffix := min(lr-i-1, la-int(e.idx)-1)
-				if 1+suffix < pairNeed(ix.theta, la, lr) {
+				if 1+suffix < int(need[la]) {
 					sc.count[e.id] = -1
 				} else {
 					sc.count[e.id] = 1
@@ -327,11 +374,17 @@ func (ix *Index) probeRecord(rid int32, sc *probeScratch, res *taskResult) {
 			}
 		}
 	}
+	bm := ix.bitmap(rid)
 	for _, a := range sc.touched {
 		if sc.count[a] > 0 {
-			res.st.Verified++
-			if strsim.JaccardSimAtLeast(ix.sig(a), sig, ix.theta) {
-				res.pairs = append(res.pairs, pairdist.IDPair{A: int(a), B: int(rid)})
+			la := ix.off[a+1] - ix.off[a]
+			if overlapBound(ix.bitmap(a), bm, la, lr) < int(need[la]) {
+				res.st.BitmapPruned++
+			} else {
+				res.st.Verified++
+				if strsim.JaccardSimAtLeast(ix.sig(a), sig, ix.theta) {
+					res.pairs = append(res.pairs, pairdist.IDPair{A: int(a), B: int(rid)})
+				}
 			}
 		}
 		sc.count[a] = 0

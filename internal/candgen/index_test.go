@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 
+	"adrdedup/internal/adrgen"
+	"adrdedup/internal/intern"
 	"adrdedup/internal/pairdist"
 )
 
@@ -23,11 +25,12 @@ func probeSeq(ix *Index, from int) ([]pairdist.IDPair, Stats) {
 }
 
 // indexState is what Truncate promises to restore when no rebuild happened
-// in between: signatures, postings and the empty list. The rank map is not
-// part of it (ranks handed to tokens of dropped records stay assigned).
+// in between: signatures, bitmaps, postings and the empty list. The rank map
+// is not part of it (ranks handed to tokens of dropped records stay assigned).
 type indexState struct {
 	toks  []uint32
 	off   []int
+	bm    []uint64
 	post  map[uint32][]posting
 	empty []int32
 }
@@ -36,6 +39,7 @@ func snapshotState(ix *Index) indexState {
 	st := indexState{
 		toks:  slices.Clone(ix.toks),
 		off:   slices.Clone(ix.off),
+		bm:    slices.Clone(ix.bm),
 		post:  make(map[uint32][]posting, len(ix.post)),
 		empty: slices.Clone(ix.empty),
 	}
@@ -46,16 +50,19 @@ func snapshotState(ix *Index) indexState {
 }
 
 func (a indexState) equal(b indexState) bool {
-	return slices.Equal(a.toks, b.toks) && slices.Equal(a.off, b.off) &&
+	return slices.Equal(a.toks, b.toks) && slices.Equal(a.off, b.off) && slices.Equal(a.bm, b.bm) &&
 		slices.Equal(a.empty, b.empty) && reflect.DeepEqual(a.post, b.post)
 }
 
 // checkIndexInvariants asserts the structural contract of the index: every
 // signature strictly ascending in rank space, every non-empty record posted
 // under exactly its prefix tokens with the right positions, posting lists
-// ascending by id, no empty lists left behind.
+// ascending by id, no empty lists left behind, one bitmap per record.
 func checkIndexInvariants(t testing.TB, ix *Index) {
 	t.Helper()
+	if len(ix.bm) != ix.Len()*bitmapWords {
+		t.Fatalf("%d bitmap words for %d records", len(ix.bm), ix.Len())
+	}
 	want := make(map[uint32][]posting)
 	var empty []int32
 	for id := int32(0); int(id) < ix.Len(); id++ {
@@ -81,14 +88,38 @@ func checkIndexInvariants(t testing.TB, ix *Index) {
 	}
 }
 
+// checkBitmaps asserts that record i's bitmap is exactly the hashed image of
+// sigs[i]'s token IDs — whatever rebuilds and rollbacks the index has been
+// through since the record was appended.
+func checkBitmaps(t testing.TB, ix *Index, sigs [][]uint32) {
+	t.Helper()
+	if ix.Len() != len(sigs) {
+		t.Fatalf("index holds %d records, want %d", ix.Len(), len(sigs))
+	}
+	for id, sig := range sigs {
+		var want [bitmapWords]uint64
+		for _, tok := range sig {
+			bit := bitmapBit(tok)
+			want[bit/64] |= 1 << (bit % 64)
+		}
+		if got := ix.bitmap(int32(id)); !slices.Equal(got, want[:]) {
+			t.Fatalf("record %d: bitmap %x, want %x for tokens %v", id, got, want, sig)
+		}
+	}
+}
+
 // TestIndexDifferential is the exactness gate for the persistent index:
 // random corpora (empty and duplicated signatures included) are fed in random
 // batch sizes, with failed batches — Append then Truncate — interleaved, and
 // at every step the staged Probe must emit exactly the pair set of the
 // brute-force oracle, the from-scratch naive oracle, the one-shot Pairs with
 // MinArrival at the batch start, and the sequential kernel. Every run crosses
-// the initial build plus at least two doubling rebuilds.
+// the initial build plus at least two doubling rebuilds, and the record
+// bitmaps must come through all of it bit-exact — with the bitmap bound
+// having ruled candidates out along the way, or the pair sets prove nothing
+// about it.
 func TestIndexDifferential(t *testing.T) {
+	var bitmapPruned int64
 	for seed := int64(1); seed <= 5; seed++ {
 		for _, theta := range []float64{0.3, 0.5, 0.8, 1.0} {
 			rng := rand.New(rand.NewSource(seed*31 + int64(theta*100)))
@@ -130,17 +161,13 @@ func TestIndexDifferential(t *testing.T) {
 				ix.Append(sigs[from : from+size])
 				checkIndexInvariants(t, ix)
 				total := from + size
+				checkBitmaps(t, ix, sigs[:total])
 
 				got, st, err := ix.Probe(testEngine(0.3*float64(seed%2)), from, 1+rng.Intn(4))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if !slices.IsSortedFunc(got, func(a, b pairdist.IDPair) int {
-					if pairLess(a, b) {
-						return -1
-					}
-					return 1
-				}) {
+				if !slices.IsSortedFunc(got, pairCmp) {
 					t.Errorf("%s: Probe output not in (A, B) order", name)
 				}
 				want := canonPairs(naivePairs(sigs[:total], theta, from))
@@ -162,15 +189,16 @@ func TestIndexDifferential(t *testing.T) {
 				if !reflect.DeepEqual(seq, want) {
 					t.Fatalf("%s from %d: sequential kernel diverges from the naive oracle", name, from)
 				}
-				if st.Scanned != seqSt.Scanned || st.Verified != seqSt.Verified {
-					t.Errorf("%s from %d: staged counters (%d scanned, %d verified) differ from sequential (%d, %d)",
-						name, from, st.Scanned, st.Verified, seqSt.Scanned, seqSt.Verified)
+				if st.Scanned != seqSt.Scanned || st.Verified != seqSt.Verified || st.BitmapPruned != seqSt.BitmapPruned {
+					t.Errorf("%s from %d: staged counters (%d scanned, %d verified, %d bitmap-pruned) differ from sequential (%d, %d, %d)",
+						name, from, st.Scanned, st.Verified, st.BitmapPruned, seqSt.Scanned, seqSt.Verified, seqSt.BitmapPruned)
 				}
+				bitmapPruned += st.BitmapPruned
 				if st.Emitted != int64(len(got)) || st.Records != total {
 					t.Errorf("%s from %d: Stats %+v for %d pairs over %d records", name, from, st, len(got), total)
 				}
-				if st.Scanned < st.Verified {
-					t.Errorf("%s from %d: verified more than scanned: %+v", name, from, st)
+				if st.Scanned < st.Verified+st.BitmapPruned {
+					t.Errorf("%s from %d: verified and bitmap-pruned more than scanned: %+v", name, from, st)
 				}
 				union = append(union, got...)
 				from = total
@@ -194,6 +222,9 @@ func TestIndexDifferential(t *testing.T) {
 				t.Fatalf("%s: single-Append index emits %d pairs, oracle %d", name, len(one), len(all))
 			}
 		}
+	}
+	if bitmapPruned == 0 {
+		t.Error("the bitmap bound never ruled a candidate out")
 	}
 }
 
@@ -327,4 +358,42 @@ func TestIndexRejectsBadArguments(t *testing.T) {
 		t.Errorf("Truncate(-3) left %d records", ix.Len())
 	}
 	checkIndexInvariants(t, ix)
+}
+
+// BenchmarkIndexProbe times one Index.Probe at the batch_detect shape: 250
+// arriving reports against a 10,000-report database at θ = 0.5, signatures
+// extracted from generated reports the way the Detector extracts them. The
+// custom metrics are the counters behind the time: merge-scan verifications
+// per emitted pair, and candidates the bitmap bound ruled out per probe.
+func BenchmarkIndexProbe(b *testing.B) {
+	const seeded, arriving = 10000, 250
+	reports := adrgen.Generate(adrgen.Config{NumReports: seeded, DuplicatePairs: seeded / 25, Seed: 1}).Reports
+	batch := adrgen.Generate(adrgen.Config{NumReports: arriving, DuplicatePairs: arriving / 100, Seed: 2, CampaignFraction: -1}).Reports
+	ctx := testEngine(0)
+	feats, err := pairdist.ExtractAllWith(ctx, intern.New(), append(reports, batch...), 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sigs, err := Signatures(feats)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := NewIndex(0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix.Append(sigs[:seeded])
+	ix.Append(sigs[seeded:])
+
+	var st Stats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, st, err = ix.Probe(ctx, seeded, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.Verified)/float64(st.Emitted), "verified/emitted")
+	b.ReportMetric(float64(st.BitmapPruned), "bitmap-pruned/op")
+	b.ReportMetric(float64(st.Scanned), "scanned/op")
+	b.ReportMetric(float64(st.Emitted), "emitted/op")
 }

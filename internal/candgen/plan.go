@@ -248,6 +248,24 @@ type proberSet func(id int32) bool
 type probeScratch struct {
 	count   []int32
 	touched []int32
+	// need is Index.probeRecord's pairNeed table for the current prober,
+	// indexed by candidate length.
+	need []int32
+}
+
+// needTable fills sc.need with pairNeed(theta, la, lr) for every candidate
+// length la from minLen up that the length bound admits against a prober of
+// lr tokens, longest being the longest signature there is: a probe looks the
+// value up per candidate instead of redoing the float arithmetic, and there
+// are far fewer admissible lengths than candidates.
+func (sc *probeScratch) needTable(theta float64, lr, minLen, longest int) []int32 {
+	if longest >= len(sc.need) {
+		sc.need = make([]int32, longest+1)
+	}
+	for la := minLen; la <= longest && float64(lr) >= theta*float64(la); la++ {
+		sc.need[la] = int32(pairNeed(theta, la, lr))
+	}
+	return sc.need
 }
 
 func (pl *plan) newProbeScratch() *probeScratch {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -29,9 +30,15 @@ type Classifier struct {
 	negSizes  []int
 	totalNeg  int
 
-	// positives is the full positive set, broadcast to tasks
-	// (observation 1: it is small).
-	positives knn.Block
+	// posGroups is the full positive set, broadcast to tasks (observation
+	// 1: it is small), k-means-grouped so that stage 1 can rule out a whole
+	// group without scanning it (scanPositives). Row 0 of a group is its
+	// centre — the member nearest the k-means centroid — and posRadii the
+	// distance from that row to the group's farthest member. numPos is the
+	// total over the groups.
+	posGroups []knn.Block
+	posRadii  []float64
+	numPos    int
 
 	// negTrees holds an optional k-d tree per negative block
 	// (Config.LocalIndex), aligned with cluster IDs.
@@ -137,10 +144,10 @@ func Train(ctx *rdd.Context, pairs []TrainingPair, cfg Config) (*Classifier, err
 // install puts the training pairs, grouped into one negative block per
 // cluster plus the positive set, into the layout Classify scans — the one
 // constructor behind Train and Load. It caches the negative blocks on the
-// cluster, broadcasts centers and positives, and builds the local indexes.
+// cluster, groups the positives, broadcasts centers and positives, and builds
+// the local indexes.
 func (c *Classifier) install(negByCluster [][]ipair, positives []ipair, name string) error {
-	var err error
-	if c.positives, err = flatBlock(positives, c.dim, +1); err != nil {
+	if err := c.groupPositives(positives); err != nil {
 		return err
 	}
 	b := len(negByCluster)
@@ -166,10 +173,73 @@ func (c *Classifier) install(negByCluster [][]ipair, positives []ipair, name str
 
 	// Broadcast the centers and positives to the executors.
 	c.ctx.Cluster().Broadcast(int64(len(c.centers)) * int64(8*c.dim))
-	c.ctx.Cluster().Broadcast(int64(c.positives.Len()) * int64(8*c.dim+8))
+	c.ctx.Cluster().Broadcast(int64(c.numPos) * int64(8*c.dim+8))
 
 	if c.cfg.LocalIndex {
 		c.buildLocalIndexes(blocks)
+	}
+	return nil
+}
+
+// maxPosGroups caps the positive group count, so that a testing pair's group
+// bounds fit a fixed-size array on its task's stack.
+const maxPosGroups = 32
+
+// posGroupCount is the number of groups n positives are split into: about
+// sqrt(n), which minimises centres plus rows for a query that has to open
+// one group, up to maxPosGroups.
+func posGroupCount(n int) int {
+	return min(int(math.Ceil(math.Sqrt(float64(n)))), maxPosGroups)
+}
+
+// groupPositives k-means-groups the positives into flat blocks. The grouping
+// is a function of the positives in the order given, cfg.Seed and
+// cfg.KMeansMaxIter; Train passes them in training order and Save stores
+// them in that order, so a loaded model groups exactly as the trained one.
+//
+// A group's centre is a member, not the centroid: its distance to a query is
+// then a distance the scan needs anyway, so grouping never computes more
+// distances per testing pair than there are positives.
+func (c *Classifier) groupPositives(positives []ipair) error {
+	c.numPos = len(positives)
+	if len(positives) == 0 {
+		return nil
+	}
+	vecs := make([][]float64, len(positives))
+	for i, p := range positives {
+		vecs[i] = p.Vec
+	}
+	res, err := kmeans.Run(vecs, posGroupCount(len(positives)), kmeans.Options{
+		MaxIter: c.cfg.KMeansMaxIter, Seed: c.cfg.Seed + 2,
+	})
+	if err != nil {
+		return fmt.Errorf("core: grouping positives: %w", err)
+	}
+	members := make([][]ipair, len(res.Centers))
+	for i, p := range positives {
+		members[res.Assign[i]] = append(members[res.Assign[i]], p)
+	}
+	for g, m := range members {
+		if len(m) == 0 {
+			continue
+		}
+		nearest, nearestSq := 0, math.Inf(1)
+		for i, p := range m {
+			if sq := vecmath.SqDist(p.Vec, res.Centers[g]); sq < nearestSq {
+				nearest, nearestSq = i, sq
+			}
+		}
+		m[0], m[nearest] = m[nearest], m[0]
+		block, err := flatBlock(m, c.dim, +1)
+		if err != nil {
+			return err
+		}
+		var radius float64
+		for i := 1; i < block.Len(); i++ {
+			radius = max(radius, vecmath.Dist(block.Row(0, c.dim), block.Row(i, c.dim)))
+		}
+		c.posGroups = append(c.posGroups, block)
+		c.posRadii = append(c.posRadii, radius)
 	}
 	return nil
 }
@@ -220,7 +290,7 @@ func (c *Classifier) buildLocalIndexes(blocks []rdd.Pair[int, knn.Block]) {
 func (c *Classifier) Centers() [][]float64 { return c.centers }
 
 // Positives returns the count of positive training pairs.
-func (c *Classifier) Positives() int { return c.positives.Len() }
+func (c *Classifier) Positives() int { return c.numPos }
 
 // NegativeSizes returns the per-cluster negative pair counts.
 func (c *Classifier) NegativeSizes() []int { return c.negSizes }
@@ -244,11 +314,14 @@ type Result struct {
 
 // Stats summarizes one Classify call, feeding the paper's Figs. 7, 8, 11.
 type Stats struct {
-	TestPairs                 int
-	PrunedPairs               int
-	IntraClusterComparisons   int64
-	CrossClusterComparisons   int64
-	PositiveScanComparisons   int64
+	TestPairs               int
+	PrunedPairs             int
+	IntraClusterComparisons int64
+	CrossClusterComparisons int64
+	PositiveScanComparisons int64
+	// PositiveGroupsSkipped counts the positive groups stage 1 ruled out
+	// from their centre distance and radius without scanning their rows.
+	PositiveGroupsSkipped     int64
 	AdditionalClustersChecked int64
 	VirtualTime               time.Duration
 }
@@ -272,22 +345,42 @@ type sItem struct {
 // testing pair. The counts travel in the rows so that Stats is summed from
 // committed task output only: a counter bumped from inside a task would
 // count a failed or speculative attempt a second time. Row types keep every
-// field exported: a spilled partition is gob-encoded.
+// field exported: a spilled partition is gob-encoded. The fields are 32 bits
+// wide because every testing pair carries a few copies of them through the
+// stages — a per-pair count is bounded by the training-set size — and the
+// driver sums them into Stats' 64-bit counters.
 type work struct {
-	Intra      int64
-	Cross      int64
-	Additional int64
+	Intra      int32
+	Cross      int32
+	Additional int32
+	// PosScan counts the distances the positive scan computed, centre
+	// distances included; PosSkipped the groups it did not open.
+	PosScan    int32
+	PosSkipped int32
 }
 
 func (w work) plus(o work) work {
-	return work{Intra: w.Intra + o.Intra, Cross: w.Cross + o.Cross, Additional: w.Additional + o.Additional}
+	return work{
+		Intra: w.Intra + o.Intra, Cross: w.Cross + o.Cross, Additional: w.Additional + o.Additional,
+		PosScan: w.PosScan + o.PosScan, PosSkipped: w.PosSkipped + o.PosSkipped,
+	}
 }
 
-// stage1Out carries a testing pair's state after the intra-cluster stage.
+// addTo adds one testing pair's work to the call's counters.
+func (w work) addTo(s *Stats) {
+	s.IntraClusterComparisons += int64(w.Intra)
+	s.CrossClusterComparisons += int64(w.Cross)
+	s.AdditionalClustersChecked += int64(w.Additional)
+	s.PositiveScanComparisons += int64(w.PosScan)
+	s.PositiveGroupsSkipped += int64(w.PosSkipped)
+}
+
+// stage1Out carries a testing pair's state after the intra-cluster stage;
+// Work holds what that stage spent (Additional is filled from the list).
 type stage1Out struct {
 	Item       sItem
 	Neighbors  []knn.Neighbor
-	Intra      int64
+	Work       work
 	NeedCross  bool
 	Additional []int
 }

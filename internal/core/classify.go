@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"adrdedup/internal/knn"
 	"adrdedup/internal/rdd"
@@ -48,18 +49,13 @@ func (c *Classifier) Classify(test [][]float64) ([]Result, Stats, error) {
 	}
 
 	if len(items) > 0 {
-		classified, spent, err := c.classifyItems(items)
+		classified, err := c.classifyItems(items, &stats)
 		if err != nil {
 			return nil, stats, err
 		}
 		results = append(results, classified...)
-		stats.IntraClusterComparisons = spent.Intra
-		stats.CrossClusterComparisons = spent.Cross
-		stats.AdditionalClustersChecked = spent.Additional
-		// One full positive scan per classified item.
-		stats.PositiveScanComparisons = int64(len(items)) * int64(c.positives.Len())
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].ID < results[j].ID })
+	slices.SortFunc(results, func(a, b Result) int { return cmp.Compare(a.ID, b.ID) })
 
 	stats.VirtualTime = c.ctx.Cluster().VirtualElapsed() - startVirtual
 	return results, stats, nil
@@ -134,11 +130,10 @@ func (c *Classifier) assignClusters(test [][]float64, keep []bool) ([]sItem, []i
 }
 
 // classifyItems runs the two comparison stages of Algorithm 2 over the
-// surviving testing pairs and returns their results with the work the
-// committed rows report.
-func (c *Classifier) classifyItems(items []sItem) ([]Result, work, error) {
+// surviving testing pairs and returns their results, adding the work the
+// committed rows report to stats.
+func (c *Classifier) classifyItems(items []sItem, stats *Stats) ([]Result, error) {
 	k := c.cfg.K
-	positives := c.positives
 	eps := c.cfg.Epsilon
 
 	// Keyed testing pairs, split into C partitions (line 4).
@@ -148,8 +143,9 @@ func (c *Classifier) classifyItems(items []sItem) ([]Result, work, error) {
 	).SetName("S.byCluster")
 
 	// Stage 1 (lines 6-12): join testing pairs with their own cluster's
-	// negative block, take the local top-k, fold in the exhaustive
-	// positive scan, and decide whether cross-cluster search is needed.
+	// negative block, take the local top-k, fold in the positive scan
+	// (exhaustive up to groups that provably hold no neighbor), and decide
+	// whether cross-cluster search is needed.
 	// The join is partitioned per training cluster (b partitions), so a
 	// task's working set is one cluster's block: small cluster numbers
 	// mean big blocks, which is what overruns executor memory in the
@@ -161,16 +157,16 @@ func (c *Classifier) classifyItems(items []sItem) ([]Result, work, error) {
 	joined := rdd.Join(sKeyed, c.negBlocks, len(c.centers)).SetName("S⋈T-neg")
 	stage1 := rdd.Map(joined, func(row rdd.Pair[int, rdd.Tuple2[sItem, knn.Block]]) stage1Out {
 		s := row.Value.A
-		// One buffer over the own block and straight on over every
-		// positive pair (lines 9-10): the negatives' k-th distance
+		// One buffer over the own block and straight on over the
+		// positive pairs (lines 9-10): the negatives' k-th distance
 		// already bounds the positive scan, and the result is the top k
 		// of the union, which is what merging two top-k lists gives.
 		top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
-		intra := c.scanBlock(&top, s.Vec, row.Key, row.Value.B)
-		top.Scan(s.Vec, positives)
+		spent := work{Intra: int32(c.scanBlock(&top, s.Vec, row.Key, row.Value.B))}
+		spent.PosScan, spent.PosSkipped = c.scanPositives(&top, s.Vec)
 		neighbors := top.Neighbors()
 
-		out := stage1Out{Item: s, Neighbors: neighbors, Intra: intra}
+		out := stage1Out{Item: s, Neighbors: neighbors, Work: spent}
 		hasPositive := false
 		for _, n := range neighbors {
 			if n.Label > 0 {
@@ -201,10 +197,9 @@ func (c *Classifier) classifyItems(items []sItem) ([]Result, work, error) {
 	// partitions, join with those negative blocks, and merge the per-
 	// partition top-k lists back per testing pair.
 	base := rdd.Map(stage1, func(o stage1Out) rdd.Pair[int, partial] {
-		return rdd.KV(o.Item.ID, partial{
-			Neighbors: o.Neighbors,
-			Work:      work{Intra: o.Intra, Additional: int64(len(o.Additional))},
-		})
+		spent := o.Work
+		spent.Additional = int32(len(o.Additional))
+		return rdd.KV(o.Item.ID, partial{Neighbors: o.Neighbors, Work: spent})
 	}).SetName("S.stage1.neighbors")
 
 	type crossQuery struct {
@@ -227,7 +222,7 @@ func (c *Classifier) classifyItems(items []sItem) ([]Result, work, error) {
 		q := row.Value.A
 		top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
 		cross := c.scanBlock(&top, q.Vec, row.Key, row.Value.B)
-		return rdd.KV(q.ID, partial{Neighbors: top.Neighbors(), Work: work{Cross: cross}})
+		return rdd.KV(q.ID, partial{Neighbors: top.Neighbors(), Work: work{Cross: int32(cross)}})
 	}).SetName("S.crossNeighbors")
 
 	// The lists of one testing pair come from different blocks, so they
@@ -256,15 +251,14 @@ func (c *Classifier) classifyItems(items []sItem) ([]Result, work, error) {
 
 	rows, err := scored.Collect()
 	if err != nil {
-		return nil, work{}, fmt.Errorf("core: classification: %w", err)
+		return nil, fmt.Errorf("core: classification: %w", err)
 	}
 	results := make([]Result, len(rows))
-	var spent work
 	for i, r := range rows {
 		results[i] = r.Result
-		spent = spent.plus(r.Work)
+		r.Work.addTo(stats)
 	}
-	return results, spent, nil
+	return results, nil
 }
 
 // scanBlock offers a negative block to the query's buffer and returns the
@@ -279,6 +273,76 @@ func (c *Classifier) scanBlock(top *knn.TopK, q []float64, cluster int, block kn
 	top.Scan(q, block)
 	return int64(block.Len())
 }
+
+// scanPositives offers the positive pairs to the query's buffer: first every
+// group's centre row, then the groups' other rows, group by group in
+// ascending order of a lower bound on the distance from q to any member,
+// stopping at the first group whose bound is strictly above the buffer's k-th
+// distance — that group and every later one hold no neighbor. It returns the
+// distances computed (one per centre plus one per other row of each group
+// opened, so never more than there are positives) and the groups left
+// unopened. The buffer ends up exactly as after a scan of every positive:
+// what is skipped could not have entered.
+//
+// The bound. For a member p of a group with centre c and radius r, the
+// triangle inequality gives d(q,p) >= d(q,c) - d(c,p) >= d(q,c) - r. That
+// holds for exact distances; the buffer compares computed ones. Each of the
+// three is vecmath.Dist of exactly represented inputs — dim squares summed in
+// order, all non-negative, then a square root — so each carries a relative
+// error below g = (dim/2+2)·2^-53, and so does r, the largest computed
+// d(c,p). Chaining the three errors, a member's computed distance is at least
+// dc - r - 2g·(dc+r) for the computed dc = d(q,c). The bound subtracts
+// posSlack(dim)·(dc+r) with posSlack = 8g: the spare factor of four pays for
+// the few roundings in evaluating the bound itself, each at most
+// 2^-53·(dc+r). Squares that underflow break the relative argument, by less
+// than sqrt(dim)·2^-537 per distance; posAbsSlack covers that. The allowances
+// cost nothing measurable: they only open a group whose bound lies within a
+// few ulps of the k-th distance. A bound that is NaN (infinite inputs) fails
+// the skip test and its group is scanned.
+//
+// A group is skipped only when bound > w, strictly, w being the k-th
+// distance: then every member's computed distance is strictly above w and
+// knn.Less would refuse it whatever its index. A member at exactly w — which
+// enters when its index is below the k-th neighbor's — has bound <= w and is
+// scanned. Until k neighbors are held w is +Inf and nothing is skipped.
+func (c *Classifier) scanPositives(top *knn.TopK, q []float64) (computed, skipped int32) {
+	var buf [maxPosGroups]float64
+	bounds := buf[:len(c.posGroups)]
+	slack := posSlack(c.dim)
+	for g, group := range c.posGroups {
+		// The same bits Scan would compute for the row.
+		dc, r := vecmath.Dist(q, group.Row(0, c.dim)), c.posRadii[g]
+		top.Offer(knn.Neighbor{Index: group.IDs[0], Dist: dc, Label: group.Label})
+		bounds[g] = dc - r - slack*(dc+r) - posAbsSlack
+	}
+	computed = int32(len(bounds))
+	// Selecting the smallest unopened bound each round costs less than
+	// sorting them: a round opens a group, and few queries open more than
+	// one or two.
+	var opened uint32
+	for left := len(bounds); left > 0; left-- {
+		best := -1
+		for g, b := range bounds {
+			if opened&(1<<g) == 0 && (best < 0 || b < bounds[best]) {
+				best = g
+			}
+		}
+		if w, _ := top.Worst(); bounds[best] > w {
+			return computed, int32(left)
+		}
+		group := c.posGroups[best]
+		top.Scan(q, knn.Block{Vecs: group.Vecs[c.dim:], IDs: group.IDs[1:], Label: group.Label})
+		computed += int32(group.Len() - 1)
+		opened |= 1 << best
+	}
+	return computed, 0
+}
+
+// posSlack is the relative and posAbsSlack the absolute floating-point
+// allowance of the positive-group bound; see scanPositives.
+func posSlack(dim int) float64 { return float64(4*dim+16) * 0x1p-53 }
+
+const posAbsSlack = 0x1p-500
 
 // selectPartitions is Algorithm 1: choose which other partitions must be
 // searched for the query's true k nearest neighbors. With Voronoi

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"adrdedup/internal/knn"
 	"adrdedup/internal/rdd"
@@ -36,7 +38,7 @@ func (c *Classifier) Save(w io.Writer) error {
 		Dim:          c.dim,
 		Centers:      c.centers,
 		NegBlocks:    make([][]ipair, len(c.negSizes)),
-		Positives:    blockPairs(c.positives, c.dim),
+		Positives:    c.positivePairs(),
 		PruneCenters: c.pruneCenters,
 		PruneRadii:   c.pruneRadii,
 	}
@@ -81,6 +83,18 @@ func Load(ctx *rdd.Context, r io.Reader) (*Classifier, error) {
 		return nil, fmt.Errorf("core: corrupt model: %w", err)
 	}
 	return c, nil
+}
+
+// positivePairs is the saved form of the positive set: the groups' members
+// back in training order, the order Train handed them to groupPositives, so
+// that Load regroups them identically.
+func (c *Classifier) positivePairs() []ipair {
+	out := make([]ipair, 0, c.numPos)
+	for _, g := range c.posGroups {
+		out = append(out, blockPairs(g, c.dim)...)
+	}
+	slices.SortFunc(out, func(a, b ipair) int { return cmp.Compare(a.Idx, b.Idx) })
+	return out
 }
 
 // blockPairs is the saved form of a flat block. The vectors alias the arena.
