@@ -53,6 +53,7 @@ fuzz:
 
 # serve-smoke boots adrdedupd on a random port, drives 50k reports at it
 # with adrload, and asserts zero errors, non-zero matches, and a clean
-# SIGTERM drain.
+# SIGTERM drain; first it boots once with the ignored -workers flag the
+# frozen bench/ harness still passes.
 serve-smoke:
 	bash scripts/serve_smoke.sh

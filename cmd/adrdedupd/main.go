@@ -8,7 +8,7 @@
 // Usage:
 //
 //	adrdedupd [-addr 127.0.0.1:8080]
-//	          [-workers 2] [-queue-depth 64] [-max-batch 5000]
+//	          [-queue-depth 64] [-max-batch 5000]
 //	          [-seed-reports 2000] [-seed-dups 80] [-train-pairs 1200] [-seed 1]
 //	          [-candidates prefix-index] [-cand-theta 0] [-k 0] [-b 0] [-theta 0]
 //	          [-executors 8] [-engine-workers 0]
@@ -57,7 +57,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("adrdedupd", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-	workers := fs.Int("workers", 2, "pipeline workers claiming batches from the ingest queue")
+	fs.Int("workers", 2, "ignored — kept only because the frozen bench/workload.go:156 passes it; the next [benchmark] PR deletes it with serve.Config.Workers")
 	queueDepth := fs.Int("queue-depth", 64, "ingest queue capacity; a full queue answers 429")
 	maxBatch := fs.Int("max-batch", 5000, "max reports per submitted batch")
 	seedReports := fs.Int("seed-reports", 2000, "synthetic seed database size")
@@ -111,7 +111,6 @@ func run(args []string) error {
 		boot.TrainDuration.Round(time.Millisecond))
 
 	srv := serve.New(boot.Detector, serve.Config{
-		Workers:    *workers,
 		QueueDepth: *queueDepth,
 		MaxBatch:   *maxBatch,
 	})

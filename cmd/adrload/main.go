@@ -9,20 +9,14 @@
 //
 //	adrload -addr http://127.0.0.1:8080
 //	        [-workers 4] [-batch-size 100] [-push-interval 0]
-//	        [-count 0] [-duration 0] [-profile steady]
+//	        [-count 0] [-duration 0]
 //	        [-report-interval 5s] [-seed 1] [-dup-fraction 0.02]
 //	        [-case-prefix LOAD] [-timeout 60s] [-summary-json out.json]
 //
 // At least one of -count (total reports, exact) or -duration (wall clock)
-// must be set; the run stops at whichever limit is hit first. Profiles:
-//
-//	steady  each worker sends batches back-to-back, pausing -push-interval
-//	        between sends
-//	ramp    worker start times are staggered across the first half of the
-//	        run, so offered load climbs from one worker to all of them
-//	burst   workers alternate bursts of 8 back-to-back batches with an idle
-//	        gap of 8×-push-interval — the same average rate as steady but
-//	        maximally bunched, for exercising 429 backpressure
+// must be set; the run stops at whichever limit is hit first. Each worker
+// sends batches back-to-back, pausing -push-interval between sends (bunched,
+// open-loop arrivals are the bench harness's serve_open workload).
 //
 // 429/503 responses are retried after the server's Retry-After hint and
 // counted as "throttled", not as errors. The process exits 1 if any request
@@ -59,7 +53,6 @@ func run(args []string) error {
 	pushInterval := fs.Duration("push-interval", 0, "per-worker pause between sends (0 = as fast as the service admits)")
 	count := fs.Int("count", 0, "total reports to send (0 = unbounded, requires -duration)")
 	duration := fs.Duration("duration", 0, "wall-clock bound on the run (0 = unbounded, requires -count)")
-	profileName := fs.String("profile", "steady", "load shape: steady, ramp, or burst")
 	reportInterval := fs.Duration("report-interval", 5*time.Second, "progress report period (0 = no progress reports)")
 	seed := fs.Int64("seed", 1, "deterministic traffic seed")
 	dupFraction := fs.Float64("dup-fraction", 0.02, "share of stream reports belonging to an injected duplicate pair")
@@ -72,10 +65,6 @@ func run(args []string) error {
 	if *count <= 0 && *duration <= 0 {
 		return fmt.Errorf("set -count and/or -duration (run 'adrload -h' for usage)")
 	}
-	profile, err := serve.ParseProfile(*profileName)
-	if err != nil {
-		return err
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -87,7 +76,6 @@ func run(args []string) error {
 		PushInterval: *pushInterval,
 		Duration:     *duration,
 		Count:        *count,
-		Profile:      profile,
 		Traffic: serve.TrafficConfig{
 			DupFraction: *dupFraction,
 			Seed:        *seed,
@@ -103,8 +91,8 @@ func run(args []string) error {
 		},
 	}
 
-	fmt.Fprintf(os.Stderr, "adrload: %s profile, %d workers, batch %d -> %s\n",
-		profile, cfg.Workers, cfg.BatchSize, cfg.BaseURL)
+	fmt.Fprintf(os.Stderr, "adrload: %d workers, batch %d -> %s\n",
+		cfg.Workers, cfg.BatchSize, cfg.BaseURL)
 	res, err := serve.RunLoad(ctx, cfg)
 	if err != nil && err != context.Canceled {
 		return err

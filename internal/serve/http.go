@@ -188,13 +188,13 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.RLock()
-		running := s.state == stateRunning
+		state := s.state
 		s.mu.RUnlock()
-		if running {
+		if state == stateRunning {
 			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 			return
 		}
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": stateName(s.state)})
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": stateName(state)})
 	})
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	return mux

@@ -9,7 +9,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,9 +31,9 @@ func newIdleServer(t *testing.T) *Server {
 	return New(det, Config{MaxBatch: 5, MaxBodyBytes: 4096})
 }
 
-// gatedServer builds a started single-worker server whose worker blocks in
-// the pre-Detect test hook until gate is closed; entered reports each job the
-// worker picks up. The deterministic seam for backpressure and drain tests.
+// gatedServer builds a started server whose consumer blocks in the
+// pre-Detect test hook until gate is closed; entered reports each job the
+// consumer picks up. The deterministic seam for backpressure and drain tests.
 func gatedServer(t *testing.T, seed int64, cfg Config) (srv *Server, gate chan struct{}, entered chan struct{}) {
 	t.Helper()
 	boot := mustBootstrap(t, testBootCfg(seed, 120, 6, 150))
@@ -73,13 +75,39 @@ func marshalBatch(t *testing.T, reports []adr.Report) []byte {
 	return data
 }
 
-// TestQueueFullReturns429: with one worker held mid-batch and a depth-1
+// waitFor polls cond for up to five seconds and fails the test with what if it
+// never holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func getStats(t *testing.T, baseURL string) Stats {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestQueueFullReturns429: with the consumer held mid-batch and a depth-1
 // queue occupied, the next ingest is refused with 429 and the configured
-// Retry-After hint, and the refusal is counted. Releasing the worker drains
+// Retry-After hint, and the refusal is counted. Releasing the consumer drains
 // both accepted batches successfully.
 func TestQueueFullReturns429(t *testing.T) {
 	srv, gate, entered := gatedServer(t, 41, Config{
-		Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second,
+		QueueDepth: 1, RetryAfter: 2 * time.Second,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -94,18 +122,13 @@ func TestQueueFullReturns429(t *testing.T) {
 		m, err := srv.Submit(context.Background(), traffic[0:5])
 		res1 <- result{m, err}
 	}()
-	<-entered // worker is now holding batch 1
+	<-entered // the consumer is now holding batch 1
 	go func() {
 		m, err := srv.Submit(context.Background(), traffic[5:10])
 		res2 <- result{m, err}
 	}()
 	// Wait until batch 2 occupies the queue's only slot.
-	for deadline := time.Now().Add(5 * time.Second); srv.Stats().QueueDepth != 1; {
-		if time.Now().After(deadline) {
-			t.Fatal("second batch never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "second batch never reached the queue", func() bool { return srv.Stats().QueueDepth == 1 })
 
 	resp, body := postJSON(t, ts.URL+"/v1/reports:batch", marshalBatch(t, traffic[10:15]))
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -132,9 +155,11 @@ func TestQueueFullReturns429(t *testing.T) {
 }
 
 // TestDrainCompletesInFlight: Shutdown refuses new work immediately (503
-// over HTTP) but the already-accepted batch still completes and is absorbed.
+// over HTTP) but the already-accepted batches — the one in flight and the one
+// still queued behind it — complete and are absorbed, and /v1/stats shows the
+// queued batch for as long as the drain has not reached it.
 func TestDrainCompletesInFlight(t *testing.T) {
-	srv, gate, entered := gatedServer(t, 43, Config{Workers: 1, QueueDepth: 4})
+	srv, gate, entered := gatedServer(t, 43, Config{QueueDepth: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -144,7 +169,13 @@ func TestDrainCompletesInFlight(t *testing.T) {
 		_, err := srv.Submit(context.Background(), traffic[0:8])
 		inflight <- err
 	}()
-	<-entered // worker holds the batch mid-Detect
+	<-entered // the consumer holds the batch mid-Detect
+	queued := make(chan error, 1)
+	go func() {
+		_, err := srv.Submit(context.Background(), traffic[14:20])
+		queued <- err
+	}()
+	waitFor(t, "second batch never reached the queue", func() bool { return srv.Stats().QueueDepth == 1 })
 
 	shutdownErr := make(chan error, 1)
 	go func() {
@@ -152,12 +183,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 		defer cancel()
 		shutdownErr <- srv.Shutdown(ctx)
 	}()
-	for deadline := time.Now().Add(5 * time.Second); srv.Stats().State != "draining"; {
-		if time.Now().After(deadline) {
-			t.Fatal("server never reached draining state")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "server never reached draining state", func() bool { return srv.Stats().State == "draining" })
 
 	if _, err := srv.Submit(context.Background(), traffic[8:10]); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("submit during drain returned %v, want ErrShuttingDown", err)
@@ -172,6 +198,10 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	if hresp, _ := http.Get(ts.URL + "/healthz"); hresp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("healthz during drain = %d, want 503", hresp.StatusCode)
 	}
+	if st := getStats(t, ts.URL); st.State != "draining" || st.QueueDepth < 1 {
+		t.Errorf("stats during drain: state=%q queueDepth=%d, want draining with the queued batch visible",
+			st.State, st.QueueDepth)
+	}
 
 	close(gate)
 	if err := <-shutdownErr; err != nil {
@@ -180,12 +210,15 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	if err := <-inflight; err != nil {
 		t.Fatalf("in-flight batch failed during drain: %v", err)
 	}
-	st := srv.Stats()
-	if st.State != "stopped" {
-		t.Errorf("state after drain = %q, want stopped", st.State)
+	if err := <-queued; err != nil {
+		t.Fatalf("queued batch failed during drain: %v", err)
 	}
-	if st.Ingested != 8 {
-		t.Errorf("in-flight batch not absorbed: ingested=%d, want 8", st.Ingested)
+	st := getStats(t, ts.URL)
+	if st.State != "stopped" || st.QueueDepth != 0 {
+		t.Errorf("after drain: state=%q queueDepth=%d, want stopped/0", st.State, st.QueueDepth)
+	}
+	if st.Ingested != 14 {
+		t.Errorf("accepted batches not absorbed: ingested=%d, want 8 in flight + 6 queued", st.Ingested)
 	}
 	if _, err := srv.Submit(context.Background(), traffic[12:14]); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("submit after shutdown returned %v, want ErrShuttingDown", err)
@@ -195,22 +228,89 @@ func TestDrainCompletesInFlight(t *testing.T) {
 
 // TestShutdownTimeout: a deadline shorter than the in-flight batch makes
 // Shutdown return the context error while the drain continues; a second
-// Shutdown call then completes it.
+// Shutdown call then completes it. The timed-out call leaves no goroutine of
+// its own behind, and the drain ends the consumer and the submitter.
 func TestShutdownTimeout(t *testing.T) {
-	srv, gate, entered := gatedServer(t, 47, Config{Workers: 1, QueueDepth: 2})
+	srv, gate, entered := gatedServer(t, 47, Config{QueueDepth: 2})
 	traffic := GenerateTraffic(TrafficConfig{Reports: 10, Seed: 29})
 	go func() { _, _ = srv.Submit(context.Background(), traffic[:5]) }()
 	<-entered
+	held := runtime.NumGoroutine() // includes the held consumer and the waiting submitter
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown with expired deadline returned %v, want DeadlineExceeded", err)
 	}
+	if n := settleGoroutines(held); n > held {
+		t.Errorf("timed-out Shutdown left %d goroutine(s) behind", n-held)
+	}
 	close(gate)
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatalf("second Shutdown returned %v, want nil", err)
 	}
+	if n := settleGoroutines(held - 2); n > held-2 {
+		t.Errorf("after the drain %d goroutines live, want at most %d (consumer and submitter gone)", n, held-2)
+	}
+	srv.Detector().Engine().Cluster().Close()
+}
+
+// TestHealthzDuringShutdown hammers /healthz while the server goes running ->
+// draining -> stopped. The handler must read the state once, under the lock:
+// run with -race this fails on a second, unlocked read for the 503 body. The
+// body must also agree with the status code it came with.
+func TestHealthzDuringShutdown(t *testing.T) {
+	srv, gate, entered := gatedServer(t, 53, Config{QueueDepth: 2})
+	h := srv.Handler()
+	traffic := GenerateTraffic(TrafficConfig{Reports: 5, Seed: 31})
+	go func() { _, _ = srv.Submit(context.Background(), traffic) }()
+	<-entered
+
+	stop := make(chan struct{})
+	sawDraining := make(chan struct{})
+	var sawOnce sync.Once
+	hammered := make(chan struct{})
+	go func() {
+		defer close(hammered)
+		req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			var body map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+				t.Errorf("healthz body %q: %v", rec.Body, err)
+				return
+			}
+			switch status := body["status"]; {
+			case rec.Code == http.StatusOK && status == "ok":
+			case rec.Code == http.StatusServiceUnavailable && status == "draining":
+				sawOnce.Do(func() { close(sawDraining) })
+			case rec.Code == http.StatusServiceUnavailable && status == "stopped":
+			default:
+				t.Errorf("healthz answered %d with status %q", rec.Code, status)
+				return
+			}
+		}
+	}()
+
+	shutdownErr := make(chan error, 1)
+	go func() { shutdownErr <- srv.Shutdown(context.Background()) }()
+	select {
+	case <-sawDraining:
+	case <-time.After(5 * time.Second):
+		t.Fatal("healthz never reported draining")
+	}
+	close(gate)
+	if err := <-shutdownErr; err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-hammered
 	srv.Detector().Engine().Cluster().Close()
 }
 
@@ -278,7 +378,7 @@ func TestIngestDecodeErrors(t *testing.T) {
 // checks the stats surfaces: /v1/stats JSON shape and the expvar var.
 func TestHTTPIngestEndToEnd(t *testing.T) {
 	boot := mustBootstrap(t, testBootCfg(31, 250, 12, 300))
-	srv := New(boot.Detector, Config{Workers: 2, QueueDepth: 8})
+	srv := New(boot.Detector, Config{QueueDepth: 8})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -323,15 +423,7 @@ func TestHTTPIngestEndToEnd(t *testing.T) {
 		}
 	}
 
-	sresp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	st := getStats(t, ts.URL)
 	if st.State != "running" {
 		t.Errorf("stats state = %q, want running", st.State)
 	}

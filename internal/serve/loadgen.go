@@ -77,50 +77,6 @@ func GenerateTraffic(cfg TrafficConfig) []adr.Report {
 	return out
 }
 
-// LoadProfile shapes how workers pace their sends.
-type LoadProfile int
-
-const (
-	// LoadSteady sends batches at a constant per-worker cadence
-	// (PushInterval between sends; 0 = as fast as the service admits).
-	LoadSteady LoadProfile = iota
-	// LoadRamp staggers worker start times across the ramp window, so
-	// offered load climbs from one worker to all of them.
-	LoadRamp
-	// LoadBurst alternates bursts of burstBatches back-to-back sends
-	// with an idle gap of burstBatches*PushInterval — the same average
-	// rate as steady but maximally bunched, the backpressure stressor.
-	LoadBurst
-)
-
-// burstBatches is the burst length of LoadBurst.
-const burstBatches = 8
-
-func (p LoadProfile) String() string {
-	switch p {
-	case LoadRamp:
-		return "ramp"
-	case LoadBurst:
-		return "burst"
-	default:
-		return "steady"
-	}
-}
-
-// ParseProfile parses a profile name (steady, ramp, burst).
-func ParseProfile(s string) (LoadProfile, error) {
-	switch s {
-	case "steady", "":
-		return LoadSteady, nil
-	case "ramp":
-		return LoadRamp, nil
-	case "burst":
-		return LoadBurst, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown load profile %q (want steady, ramp, or burst)", s)
-	}
-}
-
 // LoadConfig configures a load run against a running service.
 type LoadConfig struct {
 	// BaseURL is the service root, e.g. "http://127.0.0.1:8080".
@@ -139,8 +95,6 @@ type LoadConfig struct {
 	// ingested report stays unique.
 	Duration time.Duration
 	Count    int
-	// Profile shapes pacing; see LoadProfile.
-	Profile LoadProfile
 	// Traffic configures the synthetic stream. Traffic.Reports is
 	// overridden by Count when Count is set.
 	Traffic TrafficConfig
@@ -172,7 +126,6 @@ type LoadSnapshot struct {
 // Errors (with FirstError kept for diagnosis), not returned as RunLoad
 // errors.
 type LoadResult struct {
-	Profile    string         `json:"profile"`
 	Workers    int            `json:"workers"`
 	BatchSize  int            `json:"batchSize"`
 	Elapsed    float64        `json:"elapsedSeconds"`
@@ -275,10 +228,10 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadResult, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			st.workerLoop(ctx, w)
-		}(w)
+			st.workerLoop(ctx)
+		}()
 	}
 	wg.Wait()
 	close(reporterDone)
@@ -286,7 +239,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadResult, error) {
 
 	elapsed := time.Since(start)
 	res := LoadResult{
-		Profile:   cfg.Profile.String(),
 		Workers:   cfg.Workers,
 		BatchSize: cfg.BatchSize,
 		Elapsed:   elapsed.Seconds(),
@@ -372,34 +324,14 @@ func (st *loadState) claim() ([]adr.Report, bool) {
 	return batch, true
 }
 
-func (st *loadState) workerLoop(ctx context.Context, w int) {
-	cfg := st.cfg
-	if cfg.Profile == LoadRamp && cfg.Workers > 1 {
-		// Stagger starts across the ramp window: worker 0 immediately,
-		// the last worker at the window's end.
-		window := cfg.Duration / 2
-		if window <= 0 {
-			window = 4 * time.Second
-		}
-		st.sleep(ctx, window*time.Duration(w)/time.Duration(cfg.Workers))
-	}
-	inBurst := 0
+func (st *loadState) workerLoop(ctx context.Context) {
 	for !st.stopped(ctx) {
 		batch, ok := st.claim()
 		if !ok {
 			return
 		}
 		st.send(ctx, batch)
-		switch cfg.Profile {
-		case LoadBurst:
-			inBurst++
-			if inBurst >= burstBatches {
-				inBurst = 0
-				st.sleep(ctx, time.Duration(burstBatches)*cfg.PushInterval)
-			}
-		default:
-			st.sleep(ctx, cfg.PushInterval)
-		}
+		st.sleep(ctx, st.cfg.PushInterval)
 	}
 }
 

@@ -7,21 +7,21 @@
 //
 // The service is a bounded pipeline:
 //
-//	HTTP handler -> bounded queue -> worker pool -> Detector (serialized)
+//	HTTP handler -> bounded queue -> one consumer -> Detector
 //
 // Handlers enqueue a job and wait for its result, so client-observed
 // latency covers queueing plus scoring. The queue has a fixed depth; when
 // it is full the submitter gets ErrQueueFull, which the HTTP layer turns
 // into 429 with a Retry-After header — backpressure instead of collapse.
-// Workers claim jobs from the queue and run Detect under one mutex: the
-// detector is a single-driver pipeline (like a Spark driver), and the
-// arrival order of the database is defined by the order batches win that
-// mutex. Scoring itself is parallelized inside the engine, on its
-// work-stealing pool.
+// One consumer goroutine owns the detector and runs Detect on the queued
+// batches one after another: the detector is a single-driver pipeline (like
+// a Spark driver submitting jobs in sequence), and the arrival order of the
+// database is simply queue order. Parallelism lives inside each Detect, on
+// the engine's work-stealing pool.
 //
 // Shutdown is a drain: Shutdown flips the server to draining (new submits
 // are refused with ErrShuttingDown, HTTP 503), closes the queue, and waits
-// for the workers to finish every already-accepted batch, so no accepted
+// for the consumer to finish every already-accepted batch, so no accepted
 // report is ever dropped.
 package serve
 
@@ -49,10 +49,9 @@ var (
 
 // Config tunes the serving pipeline. Zero values take defaults.
 type Config struct {
-	// Workers is the number of pipeline workers claiming batches from the
-	// queue (default 2). Detection is serialized on the detector; extra
-	// workers overlap a batch's post-processing and response delivery
-	// with the next batch's scoring.
+	// Workers is ignored — kept only because the frozen bench/trace.go:211
+	// and bench/workload.go:156 set it; the next [benchmark] PR deletes it
+	// with cluster.Config.RealParallel. One consumer owns the detector.
 	Workers int
 	// QueueDepth bounds the ingest queue (default 64). A full queue
 	// refuses new batches with ErrQueueFull / HTTP 429.
@@ -73,9 +72,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
@@ -113,8 +109,8 @@ func stateName(s int) string {
 	}
 }
 
-// job is one queued ingest batch; done is buffered so a worker never blocks
-// on a submitter that gave up.
+// job is one queued ingest batch; done is buffered so the consumer never
+// blocks on a submitter that gave up.
 type job struct {
 	batch    []adr.Report
 	enqueued time.Time
@@ -139,11 +135,9 @@ type Server struct {
 	mu    sync.RWMutex
 	state int
 	queue chan *job
-	wg    sync.WaitGroup
-
-	// detMu serializes detector access across workers; acquisition order
-	// defines the database's arrival order.
-	detMu sync.Mutex
+	// done is closed once the server is stopped: by the consumer after it
+	// drained the closed queue, or by Shutdown on a never-started server.
+	done chan struct{}
 
 	started time.Time
 	hist    *Histogram
@@ -154,9 +148,9 @@ type Server struct {
 	arrivalMu sync.Mutex
 	arrivals  [][]string
 
-	// testHookBeforeDetect, when set, runs in the worker just before each
+	// testHookBeforeDetect, when set, runs in the consumer just before each
 	// Detect — the seam deterministic backpressure/drain tests use to
-	// hold a worker mid-batch.
+	// hold the consumer mid-batch.
 	testHookBeforeDetect func()
 }
 
@@ -169,10 +163,11 @@ func New(det *adrdedup.Detector, cfg Config) *Server {
 		cfg:  cfg,
 		det:  det,
 		hist: NewHistogram(),
+		done: make(chan struct{}),
 	}
 }
 
-// Start launches the worker pool. Starting an already-started or stopped
+// Start launches the consumer. Starting an already-started or stopped
 // server is an error.
 func (s *Server) Start() error {
 	s.mu.Lock()
@@ -186,10 +181,7 @@ func (s *Server) Start() error {
 	s.queue = make(chan *job, s.cfg.QueueDepth)
 	s.state = stateRunning
 	s.started = time.Now()
-	s.wg.Add(s.cfg.Workers)
-	for i := 0; i < s.cfg.Workers; i++ {
-		go s.worker()
-	}
+	go s.consume()
 	registerExpvar(s)
 	return nil
 }
@@ -238,18 +230,24 @@ func (s *Server) Submit(ctx context.Context, batch []adr.Report) ([]adrdedup.Mat
 	}
 }
 
-func (s *Server) worker() {
-	defer s.wg.Done()
+// consume is the one goroutine that touches the detector: it processes the
+// queue in order and, once Shutdown closed it and it ran dry, stops the
+// server.
+func (s *Server) consume() {
 	for j := range s.queue {
 		s.process(j)
 	}
+	s.mu.Lock()
+	s.state = stateStopped
+	s.mu.Unlock()
+	unregisterExpvar(s)
+	close(s.done)
 }
 
 func (s *Server) process(j *job) {
 	if hook := s.testHookBeforeDetect; hook != nil {
 		hook()
 	}
-	s.detMu.Lock()
 	matches, err := s.det.Detect(j.batch)
 	if err == nil && s.cfg.RecordArrivals {
 		cases := make([]string, len(j.batch))
@@ -260,7 +258,6 @@ func (s *Server) process(j *job) {
 		s.arrivals = append(s.arrivals, cases)
 		s.arrivalMu.Unlock()
 	}
-	s.detMu.Unlock()
 
 	s.hist.Observe(time.Since(j.enqueued))
 	if err != nil {
@@ -293,22 +290,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		close(s.queue)
 	case stateNew:
 		s.state = stateStopped
-		s.mu.Unlock()
-		return nil
+		close(s.done)
 	}
 	s.mu.Unlock()
 
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
 	select {
-	case <-done:
-		s.mu.Lock()
-		s.state = stateStopped
-		s.mu.Unlock()
-		unregisterExpvar(s)
+	case <-s.done:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -328,8 +315,8 @@ func (s *Server) Close(ctx context.Context) error {
 func (s *Server) Detector() *adrdedup.Detector { return s.det }
 
 // ArrivalBatches returns the recorded arrival log (Config.RecordArrivals):
-// the case numbers of each absorbed batch, in the order the batches won the
-// detector. Tests replay it against a sequential oracle.
+// the case numbers of each absorbed batch, in the order the consumer took
+// them off the queue. Tests replay it against a sequential oracle.
 func (s *Server) ArrivalBatches() [][]string {
 	s.arrivalMu.Lock()
 	defer s.arrivalMu.Unlock()
@@ -346,7 +333,6 @@ type Stats struct {
 	State         string  `json:"state"`
 	UptimeSeconds float64 `json:"uptimeSeconds"`
 
-	Workers    int `json:"workers"`
 	QueueDepth int `json:"queueDepth"`
 	QueueCap   int `json:"queueCap"`
 
@@ -377,14 +363,10 @@ func (s *Server) Stats() Stats {
 	s.mu.RLock()
 	state := s.state
 	started := s.started
-	var depth int
-	if s.queue != nil && state == stateRunning {
-		depth = len(s.queue)
-	}
+	depth := len(s.queue) // nil before Start; batches stay queued while draining
 	s.mu.RUnlock()
 	st := Stats{
 		State:            stateName(state),
-		Workers:          s.cfg.Workers,
 		QueueDepth:       depth,
 		QueueCap:         s.cfg.QueueDepth,
 		Ingested:         s.ingested.Load(),

@@ -63,7 +63,7 @@ func closeServer(t testing.TB, srv *Server) {
 func TestConcurrentIngestMatchesSequentialOracle(t *testing.T) {
 	cfg := testBootCfg(7, 250, 12, 300)
 	boot := mustBootstrap(t, cfg)
-	srv := New(boot.Detector, Config{Workers: 4, QueueDepth: 8, RecordArrivals: true})
+	srv := New(boot.Detector, Config{QueueDepth: 8, RecordArrivals: true})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestIngestPartitioningProperty(t *testing.T) {
 
 	prop := func(seed int64) bool {
 		boot := mustBootstrap(t, cfg)
-		srv := New(boot.Detector, Config{Workers: 2, QueueDepth: 8})
+		srv := New(boot.Detector, Config{QueueDepth: 8})
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -208,8 +208,8 @@ func TestIngestPartitioningProperty(t *testing.T) {
 
 // TestServerGoroutineLeak pins the full lifecycle against goroutine leaks:
 // repeated bootstrap / start / ingest / drain / close cycles must return the
-// process to its baseline goroutine count (workers exit on queue close, the
-// engine pool stops on Close).
+// process to its baseline goroutine count (the consumer exits on queue close,
+// the engine pool stops on Close).
 func TestServerGoroutineLeak(t *testing.T) {
 	runtime.GC()
 	baseline := runtime.NumGoroutine()
@@ -217,7 +217,7 @@ func TestServerGoroutineLeak(t *testing.T) {
 	traffic := GenerateTraffic(TrafficConfig{Reports: 20, DupFraction: 0.2, Seed: 17})
 	for i := int64(0); i < 2; i++ {
 		boot := mustBootstrap(t, testBootCfg(21+i, 120, 6, 150))
-		srv := New(boot.Detector, Config{Workers: 3, QueueDepth: 4})
+		srv := New(boot.Detector, Config{QueueDepth: 4})
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -227,15 +227,20 @@ func TestServerGoroutineLeak(t *testing.T) {
 		closeServer(t, srv)
 	}
 
+	if n := settleGoroutines(baseline + 2); n > baseline+2 {
+		t.Fatalf("goroutines leaked: %d live, baseline %d (+2 tolerance)", n, baseline)
+	}
+}
+
+// settleGoroutines gives exiting goroutines up to two seconds to bring the
+// live count down to max, and returns the last count it saw.
+func settleGoroutines(max int) int {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		runtime.GC()
 		n := runtime.NumGoroutine()
-		if n <= baseline+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d live, baseline %d (+2 tolerance)", n, baseline)
+		if n <= max || time.Now().After(deadline) {
+			return n
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
