@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSpillCodec -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzIngestRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzTopK -fuzztime=10s ./internal/knn
+	$(GO) test -run='^$$' -fuzz=FuzzGroupSearch -fuzztime=10s ./internal/knn
 
 # serve-smoke boots adrdedupd on a random port, drives 50k reports at it
 # with adrload, and asserts zero errors, non-zero matches, and a clean

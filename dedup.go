@@ -404,11 +404,11 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 			continue
 		}
 		pair := ids[res.ID]
-		a, _ := d.db.At(pair.A)
-		b, _ := d.db.At(pair.B)
+		caseA, _ := d.db.CaseNumber(pair.A)
+		caseB, _ := d.db.CaseNumber(pair.B)
 		matches = append(matches, Match{
-			CaseA:     a.CaseNumber,
-			CaseB:     b.CaseNumber,
+			CaseA:     caseA,
+			CaseB:     caseB,
 			Score:     res.Score,
 			Duplicate: res.Label > 0,
 			Pruned:    res.Pruned,

@@ -113,26 +113,26 @@ func TestDatabaseBefore(t *testing.T) {
 	}
 }
 
-func TestDatabaseAtAndTail(t *testing.T) {
+func TestDatabaseCaseNumberAndTail(t *testing.T) {
 	db := NewDatabase()
 	if err := db.Add(sample("A"), sample("B"), sample("C")); err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := db.At(1); !ok || r.CaseNumber != "B" || r.ArrivalSeq != 1 {
-		t.Errorf("At(1) = %+v, %v", r, ok)
+	if c, ok := db.CaseNumber(1); !ok || c != "B" {
+		t.Errorf("CaseNumber(1) = %q, %v", c, ok)
 	}
 	for _, i := range []int{-1, 3} {
-		if _, ok := db.At(i); ok {
-			t.Errorf("At(%d) reported ok", i)
+		if _, ok := db.CaseNumber(i); ok {
+			t.Errorf("CaseNumber(%d) reported ok", i)
 		}
 	}
 	tail := db.Tail(1)
-	if len(tail) != 2 || tail[0].CaseNumber != "B" || tail[1].ArrivalSeq != 2 {
+	if len(tail) != 2 || tail[0].CaseNumber != "B" || tail[0].ArrivalSeq != 1 || tail[1].ArrivalSeq != 2 {
 		t.Errorf("Tail(1) = %v", tail)
 	}
 	// A snapshot, not a view: writing to it must not reach the database.
 	tail[0].CaseNumber = "X"
-	if r, _ := db.At(1); r.CaseNumber != "B" {
+	if c, _ := db.CaseNumber(1); c != "B" {
 		t.Error("Tail returned a view of the database's own slice")
 	}
 	if got := db.Tail(-5); len(got) != 3 {

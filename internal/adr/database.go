@@ -91,15 +91,15 @@ func (d *Database) Reports() []Report {
 	return out
 }
 
-// At returns the report with arrival sequence i; ok is false when i is out
-// of range.
-func (d *Database) At(i int) (Report, bool) {
+// CaseNumber returns the case number of the report with arrival sequence i
+// without copying the report; ok is false when i is out of range.
+func (d *Database) CaseNumber(i int) (string, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if i < 0 || i >= len(d.reports) {
-		return Report{}, false
+		return "", false
 	}
-	return d.reports[i], true
+	return d.reports[i].CaseNumber, true
 }
 
 // Tail returns a snapshot of the reports with arrival sequence >= from — the

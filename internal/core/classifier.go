@@ -24,25 +24,17 @@ type Classifier struct {
 	centers [][]float64
 
 	// negBlocks holds the negative training pairs of each Voronoi cell,
-	// keyed by cluster ID, one flat block per element — cached on the
-	// cluster so repeated Classify calls reuse it (Spark persistence).
-	negBlocks *rdd.RDD[rdd.Pair[int, knn.Block]]
+	// keyed by cluster ID, grouped for knn.Groups.Search — cached on the
+	// cluster so repeated Classify calls reuse it (Spark persistence), and
+	// joined with the testing pairs so a task holds one cell's block.
+	negBlocks *rdd.RDD[rdd.Pair[int, knn.Groups]]
 	negSizes  []int
 	totalNeg  int
 
-	// posGroups is the full positive set, broadcast to tasks (observation
-	// 1: it is small), k-means-grouped so that stage 1 can rule out a whole
-	// group without scanning it (scanPositives). Row 0 of a group is its
-	// centre — the member nearest the k-means centroid — and posRadii the
-	// distance from that row to the group's farthest member. numPos is the
-	// total over the groups.
-	posGroups []knn.Block
-	posRadii  []float64
-	numPos    int
-
-	// negTrees holds an optional k-d tree per negative block
-	// (Config.LocalIndex), aligned with cluster IDs.
-	negTrees []*knn.KDTree
+	// positives is the full positive set, broadcast to tasks (observation
+	// 1: it is small), grouped the same way, so that stage 1 can rule out a
+	// whole group without scanning it.
+	positives knn.Groups
 
 	// pruneCenters/pruneRadii implement §4.3.4 when cfg.Pruning is set.
 	pruneCenters [][]float64
@@ -141,26 +133,26 @@ func Train(ctx *rdd.Context, pairs []TrainingPair, cfg Config) (*Classifier, err
 	return c, nil
 }
 
-// install puts the training pairs, grouped into one negative block per
-// cluster plus the positive set, into the layout Classify scans — the one
-// constructor behind Train and Load. It caches the negative blocks on the
-// cluster, groups the positives, broadcasts centers and positives, and builds
-// the local indexes.
+// install puts the training pairs, one negative block per cluster plus the
+// positive set, into the layout Classify searches — the one constructor
+// behind Train and Load. It groups every block, caches the negative blocks on
+// the cluster, and broadcasts centers and positives.
 func (c *Classifier) install(negByCluster [][]ipair, positives []ipair, name string) error {
-	if err := c.groupPositives(positives); err != nil {
+	var err error
+	if c.positives, err = c.group(positives, +1); err != nil {
 		return err
 	}
 	b := len(negByCluster)
 	c.negSizes = make([]int, b)
-	blocks := make([]rdd.Pair[int, knn.Block], b)
+	blocks := make([]rdd.Pair[int, knn.Groups], b)
 	for cl, members := range negByCluster {
-		block, err := flatBlock(members, c.dim, -1)
+		groups, err := c.group(members, -1)
 		if err != nil {
 			return err
 		}
-		c.negSizes[cl] = block.Len()
-		c.totalNeg += block.Len()
-		blocks[cl] = rdd.KV(cl, block)
+		c.negSizes[cl] = groups.Len()
+		c.totalNeg += groups.Len()
+		blocks[cl] = rdd.KV(cl, groups)
 	}
 	avg := int64(1)
 	if b > 0 {
@@ -173,53 +165,36 @@ func (c *Classifier) install(negByCluster [][]ipair, positives []ipair, name str
 
 	// Broadcast the centers and positives to the executors.
 	c.ctx.Cluster().Broadcast(int64(len(c.centers)) * int64(8*c.dim))
-	c.ctx.Cluster().Broadcast(int64(c.numPos) * int64(8*c.dim+8))
-
-	if c.cfg.LocalIndex {
-		c.buildLocalIndexes(blocks)
-	}
+	c.ctx.Cluster().Broadcast(int64(c.positives.Len()) * int64(8*c.dim+8))
 	return nil
 }
 
-// maxPosGroups caps the positive group count, so that a testing pair's group
-// bounds fit a fixed-size array on its task's stack.
-const maxPosGroups = 32
-
-// posGroupCount is the number of groups n positives are split into: about
-// sqrt(n), which minimises centres plus rows for a query that has to open
-// one group, up to maxPosGroups.
-func posGroupCount(n int) int {
-	return min(int(math.Ceil(math.Sqrt(float64(n)))), maxPosGroups)
-}
-
-// groupPositives k-means-groups the positives into flat blocks. The grouping
-// is a function of the positives in the order given, cfg.Seed and
-// cfg.KMeansMaxIter; Train passes them in training order and Save stores
-// them in that order, so a loaded model groups exactly as the trained one.
-//
-// A group's centre is a member, not the centroid: its distance to a query is
-// then a distance the scan needs anyway, so grouping never computes more
-// distances per testing pair than there are positives.
-func (c *Classifier) groupPositives(positives []ipair) error {
-	c.numPos = len(positives)
-	if len(positives) == 0 {
-		return nil
+// group k-means-groups the members of one block — the positive set or one
+// negative Voronoi cell — into member-centred knn.Groups: knn.GroupCount
+// groups, each led by the member nearest its centroid. The grouping is a
+// function of the members in the order given, cfg.Seed and cfg.KMeansMaxIter;
+// Train passes them in training order and Save stores them in that order, so
+// a loaded model groups exactly as the trained one.
+func (c *Classifier) group(members []ipair, label int) (knn.Groups, error) {
+	if len(members) == 0 {
+		return knn.Groups{}, nil
 	}
-	vecs := make([][]float64, len(positives))
-	for i, p := range positives {
-		vecs[i] = p.Vec
+	vecs := make([][]float64, len(members))
+	for i, m := range members {
+		vecs[i] = m.Vec
 	}
-	res, err := kmeans.Run(vecs, posGroupCount(len(positives)), kmeans.Options{
+	res, err := kmeans.Run(vecs, knn.GroupCount(len(members)), kmeans.Options{
 		MaxIter: c.cfg.KMeansMaxIter, Seed: c.cfg.Seed + 2,
 	})
 	if err != nil {
-		return fmt.Errorf("core: grouping positives: %w", err)
+		return knn.Groups{}, fmt.Errorf("core: grouping training pairs: %w", err)
 	}
-	members := make([][]ipair, len(res.Centers))
-	for i, p := range positives {
-		members[res.Assign[i]] = append(members[res.Assign[i]], p)
+	byGroup := make([][]ipair, len(res.Centers))
+	for i, m := range members {
+		byGroup[res.Assign[i]] = append(byGroup[res.Assign[i]], m)
 	}
-	for g, m := range members {
+	blocks := make([]knn.Block, 0, len(byGroup))
+	for g, m := range byGroup {
 		if len(m) == 0 {
 			continue
 		}
@@ -230,22 +205,17 @@ func (c *Classifier) groupPositives(positives []ipair) error {
 			}
 		}
 		m[0], m[nearest] = m[nearest], m[0]
-		block, err := flatBlock(m, c.dim, +1)
+		block, err := flatBlock(m, c.dim, label)
 		if err != nil {
-			return err
+			return knn.Groups{}, err
 		}
-		var radius float64
-		for i := 1; i < block.Len(); i++ {
-			radius = max(radius, vecmath.Dist(block.Row(0, c.dim), block.Row(i, c.dim)))
-		}
-		c.posGroups = append(c.posGroups, block)
-		c.posRadii = append(c.posRadii, radius)
+		blocks = append(blocks, block)
 	}
-	return nil
+	return knn.NewGroups(blocks), nil
 }
 
 // flatBlock copies the members' vectors row-major into one arena — one
-// allocation per block and contiguous memory for the distance scans. The
+// allocation per group and contiguous memory for the distance scans. The
 // label is stored once: a block holds one class.
 func flatBlock(members []ipair, dim, label int) (knn.Block, error) {
 	b := knn.Block{
@@ -266,31 +236,11 @@ func flatBlock(members []ipair, dim, label int) (knn.Block, error) {
 	return b, nil
 }
 
-// buildLocalIndexes constructs one k-d tree per negative block. Trees are
-// block-local (like Zhang et al.'s per-block R-trees) so partition pruning
-// and the index compose.
-func (c *Classifier) buildLocalIndexes(blocks []rdd.Pair[int, knn.Block]) {
-	c.negTrees = make([]*knn.KDTree, len(blocks))
-	for cl, kv := range blocks {
-		block := kv.Value
-		if block.Len() == 0 {
-			continue
-		}
-		pts := make([][]float64, block.Len())
-		labels := make([]int, block.Len())
-		for i := range pts {
-			pts[i] = block.Row(i, c.dim)
-			labels[i] = block.Label
-		}
-		c.negTrees[cl] = knn.BuildKDTree(pts, labels, block.IDs)
-	}
-}
-
 // Centers returns the Voronoi cell centers of the training partition.
 func (c *Classifier) Centers() [][]float64 { return c.centers }
 
 // Positives returns the count of positive training pairs.
-func (c *Classifier) Positives() int { return c.numPos }
+func (c *Classifier) Positives() int { return c.positives.Len() }
 
 // NegativeSizes returns the per-cluster negative pair counts.
 func (c *Classifier) NegativeSizes() []int { return c.negSizes }
@@ -313,6 +263,9 @@ type Result struct {
 }
 
 // Stats summarizes one Classify call, feeding the paper's Figs. 7, 8, 11.
+// The three comparison counters count distances computed: a searched block
+// charges its group centres plus the rows of the groups it opened, never more
+// than its size.
 type Stats struct {
 	TestPairs               int
 	PrunedPairs             int
@@ -350,11 +303,12 @@ type sItem struct {
 // stages — a per-pair count is bounded by the training-set size — and the
 // driver sums them into Stats' 64-bit counters.
 type work struct {
+	// Intra, Cross and PosScan count the distances each search computed,
+	// centre distances included; PosSkipped the positive groups it did not
+	// open.
 	Intra      int32
 	Cross      int32
 	Additional int32
-	// PosScan counts the distances the positive scan computed, centre
-	// distances included; PosSkipped the groups it did not open.
 	PosScan    int32
 	PosSkipped int32
 }

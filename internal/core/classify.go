@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"adrdedup/internal/knn"
 	"adrdedup/internal/rdd"
@@ -43,19 +41,16 @@ func (c *Classifier) Classify(test [][]float64) ([]Result, Stats, error) {
 	}
 	stats.PrunedPairs = len(pruned)
 
-	results := make([]Result, 0, len(test))
+	// IDs are exactly 0..len(test)-1, so every result has its slot.
+	results := make([]Result, len(test))
 	for _, id := range pruned {
-		results = append(results, Result{ID: id, Score: math.Inf(-1), Label: -1, Pruned: true})
+		results[id] = Result{ID: id, Score: math.Inf(-1), Label: -1, Pruned: true}
 	}
-
 	if len(items) > 0 {
-		classified, err := c.classifyItems(items, &stats)
-		if err != nil {
+		if err := c.classifyItems(items, results, &stats); err != nil {
 			return nil, stats, err
 		}
-		results = append(results, classified...)
 	}
-	slices.SortFunc(results, func(a, b Result) int { return cmp.Compare(a.ID, b.ID) })
 
 	stats.VirtualTime = c.ctx.Cluster().VirtualElapsed() - startVirtual
 	return results, stats, nil
@@ -130,11 +125,10 @@ func (c *Classifier) assignClusters(test [][]float64, keep []bool) ([]sItem, []i
 }
 
 // classifyItems runs the two comparison stages of Algorithm 2 over the
-// surviving testing pairs and returns their results, adding the work the
-// committed rows report to stats.
-func (c *Classifier) classifyItems(items []sItem, stats *Stats) ([]Result, error) {
+// surviving testing pairs, writes each one's result to results[ID], and adds
+// the work the committed rows report to stats.
+func (c *Classifier) classifyItems(items []sItem, results []Result, stats *Stats) error {
 	k := c.cfg.K
-	eps := c.cfg.Epsilon
 
 	// Keyed testing pairs, split into C partitions (line 4).
 	sKeyed := rdd.Map(
@@ -143,27 +137,28 @@ func (c *Classifier) classifyItems(items []sItem, stats *Stats) ([]Result, error
 	).SetName("S.byCluster")
 
 	// Stage 1 (lines 6-12): join testing pairs with their own cluster's
-	// negative block, take the local top-k, fold in the positive scan
-	// (exhaustive up to groups that provably hold no neighbor), and decide
-	// whether cross-cluster search is needed.
+	// negative block, take the local top-k, fold in the positives, and
+	// decide whether cross-cluster search is needed.
 	// The join is partitioned per training cluster (b partitions), so a
 	// task's working set is one cluster's block: small cluster numbers
 	// mean big blocks, which is what overruns executor memory in the
 	// paper's Fig. 8(b).
-	// The stage-1 output feeds two consumers (the no-cross results and the
-	// cross-cluster fanout), so it is persisted — exactly the distributed
-	// memory management the paper credits Spark for (§2.2); without it
-	// the intra-cluster scans would run twice.
+	// The stage-1 output feeds three consumers (the no-cross results, the
+	// crossing pairs' lists and the cross-cluster fanout), so it is
+	// persisted — exactly the distributed memory management the paper
+	// credits Spark for (§2.2); without it the intra-cluster searches would
+	// run again for each.
 	joined := rdd.Join(sKeyed, c.negBlocks, len(c.centers)).SetName("S⋈T-neg")
-	stage1 := rdd.Map(joined, func(row rdd.Pair[int, rdd.Tuple2[sItem, knn.Block]]) stage1Out {
+	stage1 := rdd.Map(joined, func(row rdd.Pair[int, rdd.Tuple2[sItem, knn.Groups]]) stage1Out {
 		s := row.Value.A
 		// One buffer over the own block and straight on over the
 		// positive pairs (lines 9-10): the negatives' k-th distance
-		// already bounds the positive scan, and the result is the top k
+		// already bounds the positive search, and the result is the top k
 		// of the union, which is what merging two top-k lists gives.
 		top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
-		spent := work{Intra: int32(c.scanBlock(&top, s.Vec, row.Key, row.Value.B))}
-		spent.PosScan, spent.PosSkipped = c.scanPositives(&top, s.Vec)
+		var spent work
+		spent.Intra, _ = row.Value.B.Search(&top, s.Vec)
+		spent.PosScan, spent.PosSkipped = c.positives.Search(&top, s.Vec)
 		neighbors := top.Neighbors()
 
 		out := stage1Out{Item: s, Neighbors: neighbors, Work: spent}
@@ -193,10 +188,18 @@ func (c *Classifier) classifyItems(items []sItem, stats *Stats) ([]Result, error
 	}).SetName("S.stage1").WithBytesPerRecord(int64(8*c.dim + 48 + 48*c.cfg.K)).Cache()
 	defer stage1.Unpersist()
 
-	// Stage 2 (lines 12-15): fan surviving queries out to their additional
+	// A testing pair that does not cross is final after stage 1: it is
+	// scored straight from the cached rows, and only the pairs that cross
+	// are shuffled into the merge.
+	final := rdd.Map(rdd.Filter(stage1, func(o stage1Out) bool { return !o.NeedCross }),
+		func(o stage1Out) scoredRow { return c.score(o.Item.ID, o.Neighbors, o.Work) },
+	).SetName("S.final")
+
+	// Stage 2 (lines 12-15): fan crossing queries out to their additional
 	// partitions, join with those negative blocks, and merge the per-
 	// partition top-k lists back per testing pair.
-	base := rdd.Map(stage1, func(o stage1Out) rdd.Pair[int, partial] {
+	crossing := rdd.Filter(stage1, func(o stage1Out) bool { return o.NeedCross })
+	base := rdd.Map(crossing, func(o stage1Out) rdd.Pair[int, partial] {
 		spent := o.Work
 		spent.Additional = int32(len(o.Additional))
 		return rdd.KV(o.Item.ID, partial{Neighbors: o.Neighbors, Work: spent})
@@ -206,10 +209,7 @@ func (c *Classifier) classifyItems(items []sItem, stats *Stats) ([]Result, error
 		ID  int
 		Vec []float64
 	}
-	fanout := rdd.FlatMap(stage1, func(o stage1Out) []rdd.Pair[int, crossQuery] {
-		if !o.NeedCross {
-			return nil
-		}
+	fanout := rdd.FlatMap(crossing, func(o stage1Out) []rdd.Pair[int, crossQuery] {
 		out := make([]rdd.Pair[int, crossQuery], 0, len(o.Additional))
 		for _, p := range o.Additional {
 			out = append(out, rdd.KV(p, crossQuery{ID: o.Item.ID, Vec: o.Item.Vec}))
@@ -218,11 +218,11 @@ func (c *Classifier) classifyItems(items []sItem, stats *Stats) ([]Result, error
 	}).SetName("S.crossFanout")
 
 	crossJoined := rdd.Join(fanout, c.negBlocks, len(c.centers)).SetName("Scross⋈T-neg")
-	crossResults := rdd.Map(crossJoined, func(row rdd.Pair[int, rdd.Tuple2[crossQuery, knn.Block]]) rdd.Pair[int, partial] {
+	crossResults := rdd.Map(crossJoined, func(row rdd.Pair[int, rdd.Tuple2[crossQuery, knn.Groups]]) rdd.Pair[int, partial] {
 		q := row.Value.A
 		top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
-		cross := c.scanBlock(&top, q.Vec, row.Key, row.Value.B)
-		return rdd.KV(q.ID, partial{Neighbors: top.Neighbors(), Work: work{Cross: int32(cross)}})
+		cross, _ := row.Value.B.Search(&top, q.Vec)
+		return rdd.KV(q.ID, partial{Neighbors: top.Neighbors(), Work: work{Cross: cross}})
 	}).SetName("S.crossNeighbors")
 
 	// The lists of one testing pair come from different blocks, so they
@@ -234,115 +234,35 @@ func (c *Classifier) classifyItems(items []sItem, stats *Stats) ([]Result, error
 		}
 	}, c.cfg.C).SetName("S.finalNeighbors")
 
-	// Line 17: score (Eq. 5) and label (Eq. 6).
-	theta := c.cfg.Theta
-	scored := rdd.Map(merged, func(kv rdd.Pair[int, partial]) scoredRow {
-		p := kv.Value
-		score := ScoreNeighbors(p.Neighbors, eps)
-		label := -1
-		if score >= theta {
-			label = 1
-		}
-		return scoredRow{
-			Result: Result{ID: kv.Key, Score: score, Label: label, Neighbors: p.Neighbors},
-			Work:   p.Work,
-		}
+	// Line 17 for the pairs that crossed.
+	crossed := rdd.Map(merged, func(kv rdd.Pair[int, partial]) scoredRow {
+		return c.score(kv.Key, kv.Value.Neighbors, kv.Value.Work)
 	}).SetName("S.scored")
 
-	rows, err := scored.Collect()
+	rows, err := rdd.Union(final, crossed).Collect()
 	if err != nil {
-		return nil, fmt.Errorf("core: classification: %w", err)
+		return fmt.Errorf("core: classification: %w", err)
 	}
-	results := make([]Result, len(rows))
-	for i, r := range rows {
-		results[i] = r.Result
+	for _, r := range rows {
+		results[r.Result.ID] = r.Result
 		r.Work.addTo(stats)
 	}
-	return results, nil
+	return nil
 }
 
-// scanBlock offers a negative block to the query's buffer and returns the
-// number of distance computations it took. With Config.LocalIndex the
-// block's k-d tree answers the query; otherwise the block is scanned, and a
-// scanned block charges its full size. Neighbors keep their global training
-// index, so lists from different blocks merge exactly.
-func (c *Classifier) scanBlock(top *knn.TopK, q []float64, cluster int, block knn.Block) int64 {
-	if c.negTrees != nil && cluster >= 0 && cluster < len(c.negTrees) && c.negTrees[cluster] != nil {
-		return c.negTrees[cluster].Search(q, top)
+// score is line 17 of Algorithm 2: the Eq. 5 score of a testing pair's final
+// neighbors and its Eq. 6 label.
+func (c *Classifier) score(id int, neighbors []knn.Neighbor, spent work) scoredRow {
+	score := ScoreNeighbors(neighbors, c.cfg.Epsilon)
+	label := -1
+	if score >= c.cfg.Theta {
+		label = 1
 	}
-	top.Scan(q, block)
-	return int64(block.Len())
+	return scoredRow{
+		Result: Result{ID: id, Score: score, Label: label, Neighbors: neighbors},
+		Work:   spent,
+	}
 }
-
-// scanPositives offers the positive pairs to the query's buffer: first every
-// group's centre row, then the groups' other rows, group by group in
-// ascending order of a lower bound on the distance from q to any member,
-// stopping at the first group whose bound is strictly above the buffer's k-th
-// distance — that group and every later one hold no neighbor. It returns the
-// distances computed (one per centre plus one per other row of each group
-// opened, so never more than there are positives) and the groups left
-// unopened. The buffer ends up exactly as after a scan of every positive:
-// what is skipped could not have entered.
-//
-// The bound. For a member p of a group with centre c and radius r, the
-// triangle inequality gives d(q,p) >= d(q,c) - d(c,p) >= d(q,c) - r. That
-// holds for exact distances; the buffer compares computed ones. Each of the
-// three is vecmath.Dist of exactly represented inputs — dim squares summed in
-// order, all non-negative, then a square root — so each carries a relative
-// error below g = (dim/2+2)·2^-53, and so does r, the largest computed
-// d(c,p). Chaining the three errors, a member's computed distance is at least
-// dc - r - 2g·(dc+r) for the computed dc = d(q,c). The bound subtracts
-// posSlack(dim)·(dc+r) with posSlack = 8g: the spare factor of four pays for
-// the few roundings in evaluating the bound itself, each at most
-// 2^-53·(dc+r). Squares that underflow break the relative argument, by less
-// than sqrt(dim)·2^-537 per distance; posAbsSlack covers that. The allowances
-// cost nothing measurable: they only open a group whose bound lies within a
-// few ulps of the k-th distance. A bound that is NaN (infinite inputs) fails
-// the skip test and its group is scanned.
-//
-// A group is skipped only when bound > w, strictly, w being the k-th
-// distance: then every member's computed distance is strictly above w and
-// knn.Less would refuse it whatever its index. A member at exactly w — which
-// enters when its index is below the k-th neighbor's — has bound <= w and is
-// scanned. Until k neighbors are held w is +Inf and nothing is skipped.
-func (c *Classifier) scanPositives(top *knn.TopK, q []float64) (computed, skipped int32) {
-	var buf [maxPosGroups]float64
-	bounds := buf[:len(c.posGroups)]
-	slack := posSlack(c.dim)
-	for g, group := range c.posGroups {
-		// The same bits Scan would compute for the row.
-		dc, r := vecmath.Dist(q, group.Row(0, c.dim)), c.posRadii[g]
-		top.Offer(knn.Neighbor{Index: group.IDs[0], Dist: dc, Label: group.Label})
-		bounds[g] = dc - r - slack*(dc+r) - posAbsSlack
-	}
-	computed = int32(len(bounds))
-	// Selecting the smallest unopened bound each round costs less than
-	// sorting them: a round opens a group, and few queries open more than
-	// one or two.
-	var opened uint32
-	for left := len(bounds); left > 0; left-- {
-		best := -1
-		for g, b := range bounds {
-			if opened&(1<<g) == 0 && (best < 0 || b < bounds[best]) {
-				best = g
-			}
-		}
-		if w, _ := top.Worst(); bounds[best] > w {
-			return computed, int32(left)
-		}
-		group := c.posGroups[best]
-		top.Scan(q, knn.Block{Vecs: group.Vecs[c.dim:], IDs: group.IDs[1:], Label: group.Label})
-		computed += int32(group.Len() - 1)
-		opened |= 1 << best
-	}
-	return computed, 0
-}
-
-// posSlack is the relative and posAbsSlack the absolute floating-point
-// allowance of the positive-group bound; see scanPositives.
-func posSlack(dim int) float64 { return float64(4*dim+16) * 0x1p-53 }
-
-const posAbsSlack = 0x1p-500
 
 // selectPartitions is Algorithm 1: choose which other partitions must be
 // searched for the query's true k nearest neighbors. With Voronoi

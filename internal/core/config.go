@@ -8,8 +8,8 @@
 //
 //  1. Intra-cluster: the k nearest neighbors of s among the negative pairs
 //     of its own cluster are found with a join on cluster IDs, then merged
-//     with the distances from s to *all* positive pairs — positives are few
-//     (observation 1), so scanning them exhaustively is cheap and makes the
+//     with its k nearest among *all* positive pairs — positives are few
+//     (observation 1), so searching them all is cheap and makes the
 //     cross-cluster decision sound.
 //  2. Cross-cluster: only when the merged top-k contains a positive pair
 //     (observations 2-3) are additional partitions searched, and only those
@@ -72,12 +72,6 @@ type Config struct {
 	// Voronoi property, the hyperplane bound is unsound and the
 	// cross-cluster stage degrades to searching every partition.
 	RandomPartition bool
-	// LocalIndex builds a k-d tree over each negative block so the
-	// intra- and cross-cluster searches visit a fraction of each block
-	// instead of scanning it (the per-block index of Zhang et al.,
-	// related work §6). Results are identical; the comparison counters
-	// then report distance computations actually performed.
-	LocalIndex bool
 }
 
 func (c Config) withDefaults() Config {

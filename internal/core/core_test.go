@@ -154,44 +154,6 @@ func TestFastEqualsExactLabels(t *testing.T) {
 	t.Logf("stats: %+v (exact-score-checked: %d)", stats, scoreChecked)
 }
 
-// TestLocalIndexIdenticalResultsFewerComparisons verifies the k-d tree
-// local index: same labels and scores, fewer distance computations.
-func TestLocalIndexIdenticalResultsFewerComparisons(t *testing.T) {
-	const dim = 7
-	train := synthData(20, 4000, dim, 61)
-	queries, _ := synthQueries(200, dim, 62)
-
-	run := func(local bool) ([]Result, Stats) {
-		ctx := testCtx()
-		clf, err := Train(ctx, train, Config{K: 9, B: 8, C: 4, Seed: 63, LocalIndex: local})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, stats, err := clf.Classify(queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, stats
-	}
-	scan, scanStats := run(false)
-	tree, treeStats := run(true)
-	for i := range scan {
-		if scan[i].Label != tree[i].Label {
-			t.Errorf("query %d: label %d (scan) vs %d (tree)", i, scan[i].Label, tree[i].Label)
-		}
-		if math.Abs(scan[i].Score-tree[i].Score) > 1e-9 {
-			t.Errorf("query %d: score %v vs %v", i, scan[i].Score, tree[i].Score)
-		}
-	}
-	if treeStats.IntraClusterComparisons >= scanStats.IntraClusterComparisons {
-		t.Errorf("tree computed %d distances, scan %d; index saved nothing",
-			treeStats.IntraClusterComparisons, scanStats.IntraClusterComparisons)
-	}
-	t.Logf("distance computations: scan=%d tree=%d (%.0f%%)",
-		scanStats.IntraClusterComparisons, treeStats.IntraClusterComparisons,
-		100*float64(treeStats.IntraClusterComparisons)/float64(scanStats.IntraClusterComparisons))
-}
-
 // TestFastEqualsExactAcrossSeeds is the exactness property over several
 // random datasets and configurations: Fast kNN labels always match the
 // brute-force reference.

@@ -1,13 +1,19 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"adrdedup/internal/adrgen"
+	"adrdedup/internal/candgen"
 	"adrdedup/internal/cluster"
+	"adrdedup/internal/intern"
 	"adrdedup/internal/knn"
+	"adrdedup/internal/pairdist"
 	"adrdedup/internal/rdd"
 	"adrdedup/internal/vecmath"
 )
@@ -21,17 +27,6 @@ func refTopKAgainst(q []float64, block []ipair, k int) []knn.Neighbor {
 	cands := make([]knn.Neighbor, len(block))
 	for j, t := range block {
 		cands[j] = knn.Neighbor{Index: t.Idx, Dist: vecmath.Dist(q, t.Vec), Label: t.Label}
-	}
-	return rdd.BoundedMin(cands, k, knn.Less)
-}
-
-func refTopKPositives(q []float64, positives []ipair, k int) []knn.Neighbor {
-	if len(positives) == 0 {
-		return nil
-	}
-	cands := make([]knn.Neighbor, len(positives))
-	for j, t := range positives {
-		cands[j] = knn.Neighbor{Index: t.Idx, Dist: vecmath.Dist(q, t.Vec), Label: +1}
 	}
 	return rdd.BoundedMin(cands, k, knn.Less)
 }
@@ -54,8 +49,8 @@ func refMerge(k int, lists ...[]knn.Neighbor) []knn.Neighbor {
 // reference kernel. It takes the classifier's partition (centers, block
 // membership, pruning mask, Algorithm 1) as given and reads every vector
 // from the caller's training pairs, not from the classifier's arenas. It
-// scans every positive for every testing pair: the classifier's positive
-// groups are nothing it knows about.
+// scans every negative of every block it visits and every positive for every
+// testing pair: the classifier's groups are nothing it knows about.
 func referenceClassify(t *testing.T, c *Classifier, train []TrainingPair, test [][]float64) ([]Result, Stats) {
 	t.Helper()
 	rows, err := c.negBlocks.Collect()
@@ -64,8 +59,10 @@ func referenceClassify(t *testing.T, c *Classifier, train []TrainingPair, test [
 	}
 	blocks := make([][]ipair, len(c.centers))
 	for _, kv := range rows {
-		for _, id := range kv.Value.IDs {
-			blocks[kv.Key] = append(blocks[kv.Key], ipair{Idx: id, Vec: train[id].Vec, Label: train[id].Label})
+		for _, g := range kv.Value.Blocks {
+			for _, id := range g.IDs {
+				blocks[kv.Key] = append(blocks[kv.Key], ipair{Idx: id, Vec: train[id].Vec, Label: train[id].Label})
+			}
 		}
 	}
 	var positives []ipair
@@ -89,7 +86,7 @@ func referenceClassify(t *testing.T, c *Classifier, train []TrainingPair, test [
 			continue
 		}
 		own, _ := vecmath.ArgMinDist(v, c.centers)
-		neighbors := refMerge(k, refTopKAgainst(v, blocks[own], k), refTopKPositives(v, positives, k))
+		neighbors := refMerge(k, refTopKAgainst(v, blocks[own], k), refTopKAgainst(v, positives, k))
 		stats.IntraClusterComparisons += int64(len(blocks[own]))
 		stats.PositiveScanComparisons += int64(len(positives))
 
@@ -187,7 +184,7 @@ func TestClassifyMatchesReferenceKernel(t *testing.T) {
 		{"no-positive-shortcut", func(c *Config) { c.DisablePositiveShortcut = true }},
 		{"pruning", func(c *Config) { c.Pruning = &PruningConfig{Clusters: 3, FTheta: 0.2} }},
 	}
-	var skipped int64
+	var saved, skipped int64
 	for _, dim := range []int{1, 7, 16} {
 		for _, n := range []int{30, 600} {
 			train := gridData(rng, n, dim)
@@ -209,18 +206,25 @@ func TestClassifyMatchesReferenceKernel(t *testing.T) {
 					if err := sameResults(got, want); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					// The reference scans every positive, so its count is
-					// the ceiling of the one counter it cannot repeat.
-					if gotStats.PositiveScanComparisons > wantStats.PositiveScanComparisons {
-						t.Fatalf("%s: %d positive-scan distances, more than the %d of scanning every positive",
-							name, gotStats.PositiveScanComparisons, wantStats.PositiveScanComparisons)
+					// The reference scans every row of every block it
+					// visits, so its counts are the ceiling of the three
+					// the grouped search lowers.
+					if gotStats.IntraClusterComparisons > wantStats.IntraClusterComparisons ||
+						gotStats.CrossClusterComparisons > wantStats.CrossClusterComparisons ||
+						gotStats.PositiveScanComparisons > wantStats.PositiveScanComparisons {
+						t.Fatalf("%s: stats %+v compute more distances than the reference's %+v", name, gotStats, wantStats)
 					}
 					if v.name == "default" {
+						// Only a skipped group saves a negative distance.
+						saved += wantStats.IntraClusterComparisons + wantStats.CrossClusterComparisons -
+							gotStats.IntraClusterComparisons - gotStats.CrossClusterComparisons
 						skipped += gotStats.PositiveGroupsSkipped
 					}
 					gotStats.VirtualTime = 0
-					gotStats.PositiveScanComparisons, gotStats.PositiveGroupsSkipped = 0, 0
-					wantStats.PositiveScanComparisons = 0
+					gotStats.IntraClusterComparisons, wantStats.IntraClusterComparisons = 0, 0
+					gotStats.CrossClusterComparisons, wantStats.CrossClusterComparisons = 0, 0
+					gotStats.PositiveScanComparisons, wantStats.PositiveScanComparisons = 0, 0
+					gotStats.PositiveGroupsSkipped = 0
 					if gotStats != wantStats {
 						t.Fatalf("%s: stats %+v, reference %+v", name, gotStats, wantStats)
 					}
@@ -228,183 +232,215 @@ func TestClassifyMatchesReferenceKernel(t *testing.T) {
 			}
 		}
 	}
+	if saved == 0 {
+		t.Error("no negative group was ever skipped on the default configuration")
+	}
 	if skipped == 0 {
 		t.Error("no positive group was ever skipped on the default configuration")
 	}
-}
-
-// scanGrouped runs stage 1's two scans for one query outside the engine: the
-// negatives as one block, then the classifier's grouped positive scan.
-func scanGrouped(t *testing.T, c *Classifier, k int, negs []ipair, q []float64) ([]knn.Neighbor, int, int) {
-	t.Helper()
-	neg, err := flatBlock(negs, c.dim, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
-	top.Scan(q, neg)
-	computed, skipped := c.scanPositives(&top, q)
-	return top.Neighbors(), int(computed), int(skipped)
 }
 
 func sameNeighbors(a, b []knn.Neighbor) bool {
 	return sameResults([]Result{{Neighbors: a}}, []Result{{Neighbors: b}}) == nil
 }
 
-// TestPositiveGroupSkipKeepsBoundaryTies drives the grouped positive scan at
-// the cases its skip test could get wrong, each against the scan of every
-// positive: a positive at exactly the k-th distance, which must enter when
-// its index is the lower one and stay out when it is the higher; groups of
-// radius zero; a single group; fewer positives than k; a group whose bound
-// rounds above a member's distance; and grid coordinates, where equal
-// distances are everywhere.
-func TestPositiveGroupSkipKeepsBoundaryTies(t *testing.T) {
+func relabel(members []ipair, label int) []ipair {
+	out := make([]ipair, len(members))
+	for i, m := range members {
+		m.Label = label
+		out[i] = m
+	}
+	return out
+}
+
+// stageShape is one place Algorithm 2 searches a grouped block, run for one
+// query outside the engine: the block under test holds label, the other
+// block the other label, and search returns the final neighbors with the
+// distances computed and groups skipped in the block under test.
+type stageShape struct {
+	name   string
+	label  int
+	search func(block, other knn.Groups, k int, q []float64) ([]knn.Neighbor, int, int)
+}
+
+var stageShapes = []stageShape{
+	// Stage 1 searches the own negative block, then the positives into the
+	// same buffer.
+	{"stage 1, positives", +1, func(block, other knn.Groups, k int, q []float64) ([]knn.Neighbor, int, int) {
+		top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
+		other.Search(&top, q)
+		computed, skipped := block.Search(&top, q)
+		return top.Neighbors(), int(computed), int(skipped)
+	}},
+	{"stage 1, negatives", -1, func(block, other knn.Groups, k int, q []float64) ([]knn.Neighbor, int, int) {
+		top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
+		computed, skipped := block.Search(&top, q)
+		other.Search(&top, q)
+		return top.Neighbors(), int(computed), int(skipped)
+	}},
+	// The cross stage searches another negative block into a buffer of its
+	// own and merges that list with the stage-1 one.
+	{"cross stage, negatives", -1, func(block, other knn.Groups, k int, q []float64) ([]knn.Neighbor, int, int) {
+		own := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
+		other.Search(&own, q)
+		top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
+		computed, skipped := block.Search(&top, q)
+		return knn.MergeSorted(k, own.Neighbors(), top.Neighbors()), int(computed), int(skipped)
+	}},
+}
+
+// TestGroupSkipKeepsBoundaryTies drives the grouped search at the cases its
+// skip test could get wrong, in each place Algorithm 2 runs it — the
+// positives in stage 1, the own negative block in stage 1, another negative
+// block in the cross stage — each against the scan of every row: a member at
+// exactly the k-th distance, which must enter when its index is the lower one
+// and stay out when it is the higher; groups of radius zero; a single group;
+// fewer members than k; a group whose bound rounds above a member's distance;
+// and grid coordinates, where equal distances are everywhere.
+func TestGroupSkipKeepsBoundaryTies(t *testing.T) {
 	const dim = 2
 	at := func(idx, label int, x, y float64) ipair { return ipair{Idx: idx, Vec: []float64{x, y}, Label: label} }
-	grouped := func(positives []ipair) *Classifier {
-		c := &Classifier{cfg: Config{Seed: 5}.withDefaults(), dim: len(positives[0].Vec)}
-		if err := c.groupPositives(positives); err != nil {
+	grouped := func(members []ipair, label int) knn.Groups {
+		c := &Classifier{cfg: Config{Seed: 5}.withDefaults(), dim: len(members[0].Vec)}
+		g, err := c.group(relabel(members, label), label)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Positives() != len(positives) {
-			t.Fatalf("%d positives grouped, want %d", c.Positives(), len(positives))
+		if g.Len() != len(members) {
+			t.Fatalf("%d members grouped, want %d", g.Len(), len(members))
 		}
-		return c
+		return g
+	}
+	// search runs one case in one place and checks it against the scan of
+	// both blocks.
+	search := func(sh stageShape, name string, k int, members, others []ipair, q []float64) ([]knn.Neighbor, int, int) {
+		got, computed, skipped := sh.search(grouped(members, sh.label), grouped(others, -sh.label), k, q)
+		want := refMerge(k, refTopKAgainst(q, relabel(others, -sh.label), k), refTopKAgainst(q, relabel(members, sh.label), k))
+		if !sameNeighbors(got, want) {
+			t.Errorf("%s, %s, k=%d: neighbors %+v, full scan %+v", sh.name, name, k, got, want)
+		}
+		return got, computed, skipped
 	}
 	q := []float64{0.5, 0.5}
-	// Negatives at 0.1, 0.2 and 0.3 from q along x; with k = 3 the third is
-	// the k-th neighbor. 0.3 along y is the same distance to the last bit.
-	negs := []ipair{at(10, -1, 0.6, 0.5), at(11, -1, 0.7, 0.5), at(12, -1, 0.8, 0.5)}
+	// The other block at 0.1, 0.2 and 0.3 from q along x; with k = 3 the
+	// third is the k-th neighbor. 0.3 along y is the same distance to the
+	// last bit.
+	others := []ipair{at(10, -1, 0.6, 0.5), at(11, -1, 0.7, 0.5), at(12, -1, 0.8, 0.5)}
 	var corners []ipair
 	for i, xy := range [][2]float64{{0, 0}, {0.05, 0}, {0, 0.05}, {0.05, 0.05}, {1, 1}, {0.95, 1}, {1, 0.95}, {0.95, 0.95}} {
 		corners = append(corners, at(20+i, +1, xy[0], xy[1]))
 	}
-
-	for _, tc := range []struct {
-		name     string
-		tieIdx   int
-		tieEnter bool
-	}{
-		{"lower index enters", 3, true},
-		{"higher index stays out", 50, false},
-	} {
-		positives := append([]ipair{at(tc.tieIdx, +1, 0.5, 0.8)}, corners...)
-		c := grouped(positives)
-		alone := false
-		for g, group := range c.posGroups {
-			alone = alone || (group.Len() == 1 && group.IDs[0] == tc.tieIdx && c.posRadii[g] == 0)
-		}
-		if !alone || len(c.posGroups) < 2 {
-			t.Fatalf("%s: the tied positive is not a radius-0 group of its own among several: %+v", tc.name, c.posGroups)
-		}
-		got, computed, skipped := scanGrouped(t, c, 3, negs, q)
-		want := refMerge(3, refTopKAgainst(q, negs, 3), refTopKPositives(q, positives, 3))
-		if !sameNeighbors(got, want) {
-			t.Errorf("%s: neighbors %+v, full scan %+v", tc.name, got, want)
-		}
-		if entered := got[2].Index == tc.tieIdx; entered != tc.tieEnter || got[2].Dist != want[2].Dist {
-			t.Errorf("%s: k-th neighbor %+v", tc.name, got[2])
-		}
-		if skipped == 0 || computed >= len(positives) {
-			t.Errorf("%s: %d distances, %d groups skipped: the far corners were scanned", tc.name, computed, skipped)
-		}
-	}
-
-	// Every positive on one point: one group of radius zero, ties settled
-	// by index alone, on both sides of the k-th negative's index.
 	var stacked []ipair
 	for _, idx := range []int{2, 5, 40, 41, 60, 61} {
 		stacked = append(stacked, at(idx, +1, 0.5, 0.8))
 	}
-	c := grouped(stacked)
-	if len(c.posGroups) != 1 || c.posRadii[0] != 0 {
-		t.Fatalf("coincident positives: %d groups, radii %v", len(c.posGroups), c.posRadii)
-	}
-	for _, k := range []int{1, 3, 5, 9} {
-		got, _, _ := scanGrouped(t, c, k, negs, q)
-		if want := refMerge(k, refTopKAgainst(q, negs, k), refTopKPositives(q, stacked, k)); !sameNeighbors(got, want) {
-			t.Errorf("coincident positives, k=%d: neighbors %+v, full scan %+v", k, got, want)
-		}
-	}
-
-	// Fewer positives than k, and fewer candidates than k altogether: the
-	// buffer never fills, nothing may be skipped, every positive is held.
-	few := corners[:4]
-	c = grouped(few)
-	got, computed, skipped := scanGrouped(t, c, 9, negs[:2], q)
-	if want := refMerge(9, refTopKAgainst(q, negs[:2], 9), refTopKPositives(q, few, 9)); !sameNeighbors(got, want) {
-		t.Errorf("positives < k: neighbors %+v, full scan %+v", got, want)
-	}
-	if skipped != 0 || computed != len(few) || len(got) != len(few)+2 {
-		t.Errorf("positives < k: %d distances, %d skipped, %d neighbors held", computed, skipped, len(got))
-	}
-
-	// A single positive is a single group.
-	c = grouped(corners[:1])
-	if len(c.posGroups) != 1 {
-		t.Fatalf("one positive in %d groups", len(c.posGroups))
-	}
-	got, _, _ = scanGrouped(t, c, 3, negs[:2], q)
-	if want := refMerge(3, refTopKAgainst(q, negs[:2], 3), refTopKPositives(q, corners[:1], 3)); !sameNeighbors(got, want) {
-		t.Errorf("one positive: neighbors %+v, full scan %+v", got, want)
-	}
-
-	// Rounding: on a line, d(q,c) - r is the distance to the member behind
-	// the radius on paper, and a few ulps more in floating point (0.55 -
-	// fl(0.55-0.05) > 0.05). Without its allowance the bound would rule out a
-	// member tied with the k-th neighbor.
+	// On a line, d(q,c) - r is the distance to the member behind the radius
+	// on paper, and a few ulps more in floating point (0.55 - fl(0.55-0.05) >
+	// 0.05). Without its allowance the bound would rule out a member tied
+	// with the k-th neighbor.
 	var line []ipair
 	for i, x := range []float64{0.05, 0.55, 0.6, 5, 5.1, 5.2, 9, 9.1} {
 		line = append(line, ipair{Idx: i, Vec: []float64{x}, Label: +1})
 	}
-	c = grouped(line)
-	tight := false
-	for g, group := range c.posGroups {
-		tight = tight || (group.IDs[0] == 1 && group.Len() == 3 && 0.55-c.posRadii[g] > 0.05)
-	}
-	if !tight {
-		t.Fatalf("rounding: no group centred on 0.55 whose plain bound exceeds 0.05: %+v %v", c.posGroups, c.posRadii)
-	}
-	lineNeg := []ipair{{Idx: 99, Vec: []float64{-0.05}, Label: -1}}
-	got, _, skipped = scanGrouped(t, c, 1, lineNeg, []float64{0})
-	if want := refMerge(1, refTopKAgainst([]float64{0}, lineNeg, 1), refTopKPositives([]float64{0}, line, 1)); !sameNeighbors(got, want) || got[0].Index != 0 {
-		t.Errorf("rounding: neighbors %+v, full scan %+v", got, want)
-	}
-	if skipped != 2 {
-		t.Errorf("rounding: %d groups skipped, want the two far ones", skipped)
-	}
+	lineOther := []ipair{{Idx: 99, Vec: []float64{-0.05}, Label: -1}}
 
-	// Grid coordinates in two dimensions: distances tie all the time, at the
-	// k-th place too, between positives of different groups and against the
-	// negatives.
-	rng := rand.New(rand.NewSource(23))
-	var skippedTotal int
-	for round := 0; round < 20; round++ {
-		var gridPos, gridNeg []ipair
-		for i, p := range gridData(rng, 150, dim) {
-			if p.Label > 0 {
-				gridPos = append(gridPos, ipair{Idx: i, Vec: p.Vec, Label: +1})
-			} else if len(gridNeg) < 30 {
-				gridNeg = append(gridNeg, ipair{Idx: i, Vec: p.Vec, Label: -1})
+	for _, sh := range stageShapes {
+		for _, tc := range []struct {
+			name     string
+			tieIdx   int
+			tieEnter bool
+		}{
+			{"lower index enters", 3, true},
+			{"higher index stays out", 50, false},
+		} {
+			members := append([]ipair{at(tc.tieIdx, +1, 0.5, 0.8)}, corners...)
+			g := grouped(members, sh.label)
+			alone := false
+			for i, b := range g.Blocks {
+				alone = alone || (b.Len() == 1 && b.IDs[0] == tc.tieIdx && g.Radii[i] == 0)
+			}
+			if !alone || len(g.Blocks) < 2 {
+				t.Fatalf("%s: the tied member is not a radius-0 group of its own among several: %+v", tc.name, g)
+			}
+			got, computed, skipped := search(sh, tc.name, 3, members, others, q)
+			if entered := got[2].Index == tc.tieIdx; entered != tc.tieEnter {
+				t.Errorf("%s, %s: k-th neighbor %+v", sh.name, tc.name, got[2])
+			}
+			// Only a buffer already holding the other block's k-th
+			// distance can rule the far corners out.
+			if sh.name == "stage 1, positives" && (skipped == 0 || computed >= len(members)) {
+				t.Errorf("%s, %s: %d distances, %d groups skipped: the far corners were scanned", sh.name, tc.name, computed, skipped)
 			}
 		}
-		c := grouped(gridPos)
-		for _, k := range []int{1, 3, 9} {
-			for _, q := range gridQueries(rng, 40, dim) {
-				got, computed, skipped := scanGrouped(t, c, k, gridNeg, q)
-				want := refMerge(k, refTopKAgainst(q, gridNeg, k), refTopKPositives(q, gridPos, k))
-				if !sameNeighbors(got, want) {
-					t.Fatalf("grid round %d k=%d q=%v: neighbors %+v, full scan %+v", round, k, q, got, want)
+
+		// Every member on one point: one group of radius zero, ties settled
+		// by index alone, on both sides of the k-th neighbor's index.
+		if g := grouped(stacked, sh.label); len(g.Blocks) != 1 || g.Radii[0] != 0 {
+			t.Fatalf("coincident members: %d groups, radii %v", len(g.Blocks), g.Radii)
+		}
+		for _, k := range []int{1, 3, 5, 9} {
+			search(sh, "coincident members", k, stacked, others, q)
+		}
+
+		// Fewer members than k, and fewer candidates than k altogether: the
+		// buffer never fills, nothing may be skipped, every member is held.
+		few := corners[:4]
+		got, computed, skipped := search(sh, "members < k", 9, few, others[:2], q)
+		if skipped != 0 || computed != len(few) || len(got) != len(few)+2 {
+			t.Errorf("%s, members < k: %d distances, %d skipped, %d neighbors held", sh.name, computed, skipped, len(got))
+		}
+
+		// A single member is a single group.
+		if g := grouped(corners[:1], sh.label); len(g.Blocks) != 1 {
+			t.Fatalf("one member in %d groups", len(g.Blocks))
+		}
+		search(sh, "one member", 3, corners[:1], others[:2], q)
+
+		g := grouped(line, sh.label)
+		tight := false
+		for i, b := range g.Blocks {
+			tight = tight || (b.IDs[0] == 1 && b.Len() == 3 && 0.55-g.Radii[i] > 0.05)
+		}
+		if !tight {
+			t.Fatalf("rounding: no group centred on 0.55 whose plain bound exceeds 0.05: %+v", g)
+		}
+		got, _, skipped = search(sh, "rounding", 1, line, lineOther, []float64{0})
+		if got[0].Index != 0 || skipped != 2 {
+			t.Errorf("%s, rounding: neighbors %+v, %d groups skipped, want index 0 and the two far groups", sh.name, got, skipped)
+		}
+
+		// Grid coordinates in two dimensions: distances tie all the time, at
+		// the k-th place too, between members of different groups and
+		// against the other block.
+		rng := rand.New(rand.NewSource(23))
+		var skippedTotal int
+		for round := 0; round < 20; round++ {
+			var members, other []ipair
+			for i, p := range gridData(rng, 150, dim) {
+				if p.Label > 0 {
+					members = append(members, ipair{Idx: i, Vec: p.Vec, Label: +1})
+				} else if len(other) < 30 {
+					other = append(other, ipair{Idx: i, Vec: p.Vec, Label: -1})
 				}
-				if computed > len(gridPos) {
-					t.Fatalf("grid round %d: %d distances for %d positives", round, computed, len(gridPos))
+			}
+			block, otherBlock := grouped(members, sh.label), grouped(other, -sh.label)
+			members, other = relabel(members, sh.label), relabel(other, -sh.label)
+			for _, k := range []int{1, 3, 9} {
+				for _, q := range gridQueries(rng, 40, dim) {
+					got, computed, skipped := sh.search(block, otherBlock, k, q)
+					if want := refMerge(k, refTopKAgainst(q, other, k), refTopKAgainst(q, members, k)); !sameNeighbors(got, want) {
+						t.Fatalf("%s, grid round %d k=%d q=%v: neighbors %+v, full scan %+v", sh.name, round, k, q, got, want)
+					}
+					if computed > len(members) {
+						t.Fatalf("%s, grid round %d: %d distances for %d members", sh.name, round, computed, len(members))
+					}
+					skippedTotal += skipped
 				}
-				skippedTotal += skipped
 			}
 		}
-	}
-	if skippedTotal == 0 {
-		t.Error("grid: no group was ever skipped")
+		if skippedTotal == 0 {
+			t.Errorf("%s, grid: no group was ever skipped", sh.name)
+		}
 	}
 }
 
@@ -470,67 +506,171 @@ func TestClassifyStatsIdenticalUnderFaults(t *testing.T) {
 	}
 }
 
-// BenchmarkClassifyPair times what stage 1 does for one testing pair at the
-// batch_detect shape — a 121-pair negative block, 400 positives, 7 dimensions,
-// k = 9 — through the kernel with the positives grouped (what Classify runs),
-// through the kernel scanning every positive, and through the reference.
-func BenchmarkClassifyPair(b *testing.B) {
-	const dim, k = 7, 9
-	train := synthData(400, 121, dim, 95)
-	var negs, poss []ipair
-	for i, p := range train {
-		ip := ipair{Idx: i, Vec: p.Vec, Label: p.Label}
-		if p.Label > 0 {
-			poss = append(poss, ip)
-		} else {
-			negs = append(negs, ip)
-		}
-	}
-	neg, err := flatBlock(negs, dim, -1)
+// TestNoCrossPairsSkipMerge pins that only the testing pairs that cross
+// reach the merge: a pair whose stage-1 top-k is final is scored from the
+// cached stage-1 rows, so the records shuffled into S.finalNeighbors are the
+// crossing pairs' stage-1 lists plus one list per block they fanned out to.
+// With two clusters a crossing pair fans out to exactly the other one, so no
+// two of its lists meet in one map-side combine and the count is exact.
+func TestNoCrossPairsSkipMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	train := gridData(rng, 1000, 2)
+	queries := gridQueries(rng, 300, 2)
+	ctx := testCtx()
+	clf, err := Train(ctx, train, Config{K: 9, B: 2, C: 4, Seed: 2})
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	pos, err := flatBlock(poss, dim, +1)
+	before := ctx.Cluster().Metrics().ShuffleRecordsWritten.Load()
+	got, stats, err := clf.Classify(queries)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	queries, _ := synthQueries(256, dim, 96)
+	shuffled := ctx.Cluster().Metrics().ShuffleRecordsWritten.Load() - before
+	want, _ := referenceClassify(t, clf, train, queries)
+	if err := sameResults(got, want); err != nil {
+		t.Fatal(err)
+	}
 
-	b.Run("grouped", func(b *testing.B) {
-		c := &Classifier{cfg: Config{Seed: 95}.withDefaults(), dim: dim}
-		if err := c.groupPositives(poss); err != nil {
+	// The two joins shuffle the testing pairs and the fanout, each beside
+	// the b negative blocks; the merge takes the rest.
+	b := int64(len(clf.Centers()))
+	fanout := stats.AdditionalClustersChecked
+	merged := shuffled - (int64(len(queries)) + b) - (fanout + b)
+	crossing := fanout
+	if crossing == 0 || crossing >= int64(len(queries)) {
+		t.Fatalf("%d of %d testing pairs cross; the data does not tell the merges apart", crossing, len(queries))
+	}
+	if merged != crossing+fanout {
+		t.Errorf("%d records shuffled into the merge, want %d crossing pairs + %d fanout", merged, crossing, fanout)
+	}
+}
+
+// batchDetectCells builds what one batch_detect Detect classifies: a
+// classifier trained the way the bootstrap trains it (1,200 pairs sampled from
+// a 10k-report seed corpus with 400 duplicates, half of the negatives
+// confusable), and the θ = 0.5 candidate pairs of 250 arriving reports as
+// testing pairs, each routed to its Voronoi cell. It returns the classifier
+// with the cells in descending order of the testing pairs they receive.
+func batchDetectCells(b *testing.B) (*Classifier, []cellQueries) {
+	const seeded, arriving = 10000, 250
+	corpus := adrgen.Generate(adrgen.Config{NumReports: seeded, DuplicatePairs: seeded / 25, Seed: 1})
+	batch := adrgen.Generate(adrgen.Config{NumReports: arriving, DuplicatePairs: arriving / 100, Seed: 2, CampaignFraction: -1}).Reports
+	ctx := testCtx()
+	feats, err := pairdist.ExtractAllWith(ctx, intern.New(), append(corpus.Reports, batch...), 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vectors := func(ids []pairdist.IDPair) []pairdist.PairRecord {
+		recs, err := pairdist.ComputeVectors(ctx, feats, ids, 8)
+		if err != nil {
 			b.Fatal(err)
 		}
-		var computed int64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q := queries[i%len(queries)]
-			top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
-			top.Scan(q, neg)
-			n, _ := c.scanPositives(&top, q)
-			computed += int64(n)
-			benchSink = top.Neighbors()
+		return recs
+	}
+	labelled, err := corpus.SamplePairs(adrgen.PairSampleOptions{Total: 1200, HardFraction: 0.5, Seed: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]pairdist.IDPair, len(labelled))
+	for i, p := range labelled {
+		ids[i] = pairdist.IDPair{A: p.A, B: p.B, Label: p.Label}
+	}
+	var train []TrainingPair
+	for _, r := range vectors(ids) {
+		train = append(train, TrainingPair{Vec: r.Vec, Label: r.Label})
+	}
+	clf, err := Train(ctx, train, Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	sigs, err := candgen.Signatures(feats)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := candgen.NewIndex(0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix.Append(sigs[:seeded])
+	ix.Append(sigs[seeded:])
+	candidates, _, err := ix.Probe(ctx, seeded, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows, err := clf.negBlocks.Collect()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells := make([]cellQueries, len(clf.centers))
+	for _, kv := range rows {
+		cells[kv.Key].block = kv.Value
+	}
+	for _, r := range vectors(candidates) {
+		cl, _ := vecmath.ArgMinDist(r.Vec, clf.centers)
+		cells[cl].queries = append(cells[cl].queries, r.Vec)
+	}
+	slices.SortStableFunc(cells, func(x, y cellQueries) int { return cmp.Compare(len(y.queries), len(x.queries)) })
+	return clf, cells
+}
+
+// cellQueries is one Voronoi cell's negative block and the testing pairs the
+// stage-1 join routes to it.
+type cellQueries struct {
+	block   knn.Groups
+	queries [][]float64
+}
+
+// BenchmarkClassifyPair times what stage 1 does for one testing pair at
+// Detect's shape — 7 dimensions, k = 9, the batch_detect bootstrap's 400
+// positives and the own-cell negative blocks of its two hottest cells, which
+// receive four in five testing pairs, each with the testing pairs routed to
+// it — with the negative block grouped (what Classify runs), scanned flat,
+// and through the reference.
+func BenchmarkClassifyPair(b *testing.B) {
+	clf, cells := batchDetectCells(b)
+	k, dim := clf.cfg.K, clf.dim
+	poss := groupPairs(clf.positives, dim)
+	for _, cell := range cells[:2] {
+		negs := groupPairs(cell.block, dim)
+		flat, err := flatBlock(negs, dim, -1)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(computed)/float64(b.N), "posdist/op")
-	})
-	b.Run("kernel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q := queries[i%len(queries)]
-			top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
-			top.Scan(q, neg)
-			top.Scan(q, pos)
-			benchSink = top.Neighbors()
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q := queries[i%len(queries)]
-			benchSink = refMerge(k, refTopKAgainst(q, negs, k), refTopKPositives(q, poss, k))
-		}
-	})
+		queries := cell.queries
+		b.Run(fmt.Sprintf("neg=%d/grouped", len(negs)), func(b *testing.B) {
+			var negDist, posDist int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q := queries[i%len(queries)]
+				top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
+				nd, _ := cell.block.Search(&top, q)
+				pd, _ := clf.positives.Search(&top, q)
+				negDist, posDist = negDist+int64(nd), posDist+int64(pd)
+				benchSink = top.Neighbors()
+			}
+			b.ReportMetric(float64(negDist)/float64(b.N), "negdist/op")
+			b.ReportMetric(float64(posDist)/float64(b.N), "posdist/op")
+		})
+		b.Run(fmt.Sprintf("neg=%d/flat", len(negs)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q := queries[i%len(queries)]
+				top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
+				top.Scan(q, flat)
+				clf.positives.Search(&top, q)
+				benchSink = top.Neighbors()
+			}
+		})
+		b.Run(fmt.Sprintf("neg=%d/reference", len(negs)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q := queries[i%len(queries)]
+				benchSink = refMerge(k, refTopKAgainst(q, negs, k), refTopKAgainst(q, poss, k))
+			}
+		})
+	}
 }
 
 var benchSink []knn.Neighbor

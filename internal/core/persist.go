@@ -38,7 +38,7 @@ func (c *Classifier) Save(w io.Writer) error {
 		Dim:          c.dim,
 		Centers:      c.centers,
 		NegBlocks:    make([][]ipair, len(c.negSizes)),
-		Positives:    c.positivePairs(),
+		Positives:    groupPairs(c.positives, c.dim),
 		PruneCenters: c.pruneCenters,
 		PruneRadii:   c.pruneRadii,
 	}
@@ -47,7 +47,7 @@ func (c *Classifier) Save(w io.Writer) error {
 		return fmt.Errorf("core: collecting negative blocks: %w", err)
 	}
 	for _, kv := range blocks {
-		mf.NegBlocks[kv.Key] = blockPairs(kv.Value, c.dim)
+		mf.NegBlocks[kv.Key] = groupPairs(kv.Value, c.dim)
 	}
 	if err := gob.NewEncoder(w).Encode(mf); err != nil {
 		return fmt.Errorf("core: encoding model: %w", err)
@@ -85,23 +85,16 @@ func Load(ctx *rdd.Context, r io.Reader) (*Classifier, error) {
 	return c, nil
 }
 
-// positivePairs is the saved form of the positive set: the groups' members
-// back in training order, the order Train handed them to groupPositives, so
-// that Load regroups them identically.
-func (c *Classifier) positivePairs() []ipair {
-	out := make([]ipair, 0, c.numPos)
-	for _, g := range c.posGroups {
-		out = append(out, blockPairs(g, c.dim)...)
+// groupPairs is the saved form of a grouped block: its members back in
+// training order, the order Train handed them to the grouping, so that Load
+// regroups them identically. The vectors alias the arenas.
+func groupPairs(g knn.Groups, dim int) []ipair {
+	out := make([]ipair, 0, g.Len())
+	for _, b := range g.Blocks {
+		for i, id := range b.IDs {
+			out = append(out, ipair{Idx: id, Vec: b.Row(i, dim), Label: b.Label})
+		}
 	}
 	slices.SortFunc(out, func(a, b ipair) int { return cmp.Compare(a.Idx, b.Idx) })
-	return out
-}
-
-// blockPairs is the saved form of a flat block. The vectors alias the arena.
-func blockPairs(b knn.Block, dim int) []ipair {
-	out := make([]ipair, b.Len())
-	for i, id := range b.IDs {
-		out[i] = ipair{Idx: id, Vec: b.Row(i, dim), Label: b.Label}
-	}
 	return out
 }

@@ -81,7 +81,6 @@ func Ablation(env *Env, p AblationParams) ([]AblationRow, error) {
 		{name: "no-partition-pruning", cfg: withFlag(base, func(c *core.Config) { c.DisablePartitionPruning = true })},
 		{name: "no-positive-shortcut", cfg: withFlag(base, func(c *core.Config) { c.DisablePositiveShortcut = true })},
 		{name: "random-partition", cfg: withFlag(base, func(c *core.Config) { c.RandomPartition = true })},
-		{name: "kdtree-local-index", cfg: withFlag(base, func(c *core.Config) { c.LocalIndex = true })},
 	}
 
 	var out []AblationRow
