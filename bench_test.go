@@ -22,6 +22,7 @@ import (
 	"adrdedup/internal/knn"
 	"adrdedup/internal/pairdist"
 	"adrdedup/internal/rdd"
+	"adrdedup/internal/serve"
 	"adrdedup/internal/svm"
 	"adrdedup/internal/text"
 )
@@ -559,6 +560,43 @@ func BenchmarkEndToEndDetectBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDetectBatchShape times Detect at the shape of the benchmark
+// harness's batch_detect workload: 250-report batches against a 10k-report
+// database bootstrapped once, prefix-index candidates at θ 0.5. pairs/op and
+// distinct/op are the candidate pairs per call and the distinct distance
+// vectors among them, the count the classifier is sent.
+func BenchmarkDetectBatchShape(b *testing.B) {
+	const perCall = 250
+	boot, err := serve.NewBootstrap(serve.BootstrapConfig{
+		SeedReports:    10_000,
+		SeedDuplicates: 400,
+		Seed:           1,
+		Detector: adrdedup.Options{
+			Cluster:        cluster.Config{Executors: 8},
+			Classifier:     core.Config{Seed: 1},
+			Candidates:     adrdedup.CandidatePrefixIndex,
+			CandidateTheta: 0.5,
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer boot.Detector.Engine().Cluster().Close()
+	traffic := serve.GenerateTraffic(serve.TrafficConfig{Reports: perCall * b.N, Seed: 3})
+	var pairs, distinct int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := boot.Detector.Detect(traffic[i*perCall : (i+1)*perCall]); err != nil {
+			b.Fatal(err)
+		}
+		p, d := boot.Detector.LastDetectShape()
+		pairs += p
+		distinct += d
+	}
+	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+	b.ReportMetric(float64(distinct)/float64(b.N), "distinct/op")
 }
 
 // stripArrival clears generator arrival sequences so the database assigns

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 
@@ -118,6 +119,10 @@ type Detector struct {
 
 	clf      *core.Classifier
 	training []core.TrainingPair
+
+	// shape is the last Detect's classification size (zero when it
+	// classified nothing).
+	shape detectShape
 }
 
 // Match is one scored report pair produced by Detect.
@@ -342,6 +347,7 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 	if d.clf == nil {
 		return nil, errors.New("adrdedup: classifier not trained")
 	}
+	d.shape = detectShape{}
 	if len(batch) == 0 {
 		return nil, nil
 	}
@@ -389,44 +395,168 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 	if err != nil {
 		return nil, fmt.Errorf("adrdedup: vectorizing candidate pairs: %w", err)
 	}
-	vecs := make([][]float64, len(recs))
-	for i, r := range recs {
-		vecs[i] = r.Vec
-	}
+	// Eqs. 5/6 make a pair's result a function of its vector alone, and the
+	// vectors fall on a small lattice (four 0/1 fields, three Jaccard
+	// distances over small sets), so each distinct vector is classified once
+	// and its pairs read the result back through their slot.
+	vecs, slot := distinctVectors(recs)
 	results, _, err := d.clf.Classify(vecs)
 	if err != nil {
 		return nil, fmt.Errorf("adrdedup: classifying candidate pairs: %w", err)
 	}
+	d.shape = detectShape{pairs: len(recs), distinct: len(vecs)}
+	return d.orderMatches(ids, slot, results, includePruned), nil
+}
 
-	matches := make([]Match, 0, len(results))
-	for _, res := range results {
-		if res.Pruned && !includePruned {
-			continue
+// detectShape is the size of one Detect call's classification: its candidate
+// pairs and the distinct distance vectors among them, which is what Classify
+// was sent.
+type detectShape struct {
+	pairs, distinct int
+}
+
+// vecKey is a distance vector's identity in the distinct pass: the bit
+// patterns of its coordinates. Equal bits are equal inputs to every distance
+// Classify computes, so pairs with equal keys get equal results. Comparing
+// with == instead would merge +0 with -0, and rounding would merge vectors
+// that can score differently.
+type vecKey [pairdist.Dims]uint64
+
+// distinctVectors returns the distinct vectors of recs in order of first
+// appearance, and per record the index of its vector among them.
+func distinctVectors(recs []pairdist.PairRecord) (vecs [][]float64, slot []int32) {
+	// Sized from the pair count: a call with few pairs allocates next to
+	// nothing, and at the batch shape distinct vectors are a few percent of
+	// the pairs.
+	seen := make(map[vecKey]int32, len(recs)/16)
+	slot = make([]int32, len(recs))
+	for i, r := range recs {
+		var k vecKey
+		for j, x := range r.Vec {
+			k[j] = math.Float64bits(x)
 		}
-		pair := ids[res.ID]
-		caseA, _ := d.db.CaseNumber(pair.A)
-		caseB, _ := d.db.CaseNumber(pair.B)
-		matches = append(matches, Match{
-			CaseA:     caseA,
-			CaseB:     caseB,
-			Score:     res.Score,
-			Duplicate: res.Label > 0,
-			Pruned:    res.Pruned,
-		})
+		s, ok := seen[k]
+		if !ok {
+			s = int32(len(vecs))
+			seen[k] = s
+			vecs = append(vecs, r.Vec)
+		}
+		slot[i] = s
 	}
-	// Descending score; ties broken by case numbers so equal-scored
-	// matches come out in one deterministic order regardless of sort
-	// internals or candidate enumeration order.
-	slices.SortFunc(matches, func(a, b Match) int {
-		if c := cmp.Compare(b.Score, a.Score); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.CaseA, b.CaseA); c != 0 {
-			return c
-		}
-		return strings.Compare(a.CaseB, b.CaseB)
+	return vecs, slot
+}
+
+// orderMatches assembles the matches of pairs ids, whose vectors' results
+// sit at results[slot[i]], sorted by descending score with ties broken by
+// (CaseA, CaseB), so equal-scored matches come out in one deterministic order
+// regardless of sort internals or candidate enumeration order. Nothing is
+// compared per pair but integers: the distinct results are ranked once by
+// score, the pairs are bucketed by their result's rank, and inside a bucket
+// each pair is one integer, the ranks of its two reports in case-number order
+// packed a<<32 | b (case numbers are unique, so ranks order as the strings
+// do). Every table is sized by the distinct vectors and by the reports in
+// this call's pairs, never by the database.
+func (d *Detector) orderMatches(ids []pairdist.IDPair, slot []int32, results []core.Result, includePruned bool) []Match {
+	// Label and Pruned split only equal scores that differ in them, which
+	// Eq. 6 and ε > 0 rule out; with them in the rank, results sharing a
+	// rank make identical matches whatever the classifier does.
+	rank, ranks := denseRanks(len(results), func(x, y int32) int {
+		rx, ry := &results[x], &results[y]
+		return cmp.Or(cmp.Compare(ry.Score, rx.Score), cmp.Compare(rx.Label, ry.Label),
+			cmp.Compare(boolInt(rx.Pruned), boolInt(ry.Pruned)))
 	})
-	return matches, nil
+	rep := make([]int32, ranks) // a result of each rank
+	for s, r := range rank {
+		rep[r] = int32(s)
+	}
+	kept := func(i int) bool { return includePruned || !results[slot[i]].Pruned }
+
+	// Bucket by rank: start[r] is where rank r's pairs begin in keys.
+	start := make([]int, ranks+1)
+	for i := range ids {
+		if kept(i) {
+			start[rank[slot[i]]+1]++
+		}
+	}
+	for r := 1; r <= ranks; r++ {
+		start[r] += start[r-1]
+	}
+	next := slices.Clone(start[:ranks])
+	local := make(map[int]uint64) // arrival sequence -> index into seqs
+	var seqs []int
+	index := func(seq int) uint64 {
+		i, ok := local[seq]
+		if !ok {
+			i = uint64(len(seqs))
+			local[seq] = i
+			seqs = append(seqs, seq)
+		}
+		return i
+	}
+	keys := make([]uint64, start[ranks])
+	for i, p := range ids {
+		if kept(i) {
+			r := rank[slot[i]]
+			keys[next[r]] = index(p.A)<<32 | index(p.B)
+			next[r]++
+		}
+	}
+
+	cases := make([]string, len(seqs))
+	for i, seq := range seqs {
+		cases[i], _ = d.db.CaseNumber(seq)
+	}
+	caseRank, _ := denseRanks(len(cases), func(x, y int32) int { return strings.Compare(cases[x], cases[y]) })
+	byRank := make([]string, len(cases))
+	for i, r := range caseRank {
+		byRank[r] = cases[i]
+	}
+	matches := make([]Match, len(keys))
+	for r := 0; r < ranks; r++ {
+		bucket := keys[start[r]:start[r+1]]
+		for i, ab := range bucket {
+			bucket[i] = uint64(caseRank[ab>>32])<<32 | uint64(caseRank[uint32(ab)])
+		}
+		slices.Sort(bucket)
+		res := &results[rep[r]]
+		for i, ab := range bucket {
+			matches[start[r]+i] = Match{
+				CaseA:     byRank[ab>>32],
+				CaseB:     byRank[uint32(ab)],
+				Score:     res.Score,
+				Duplicate: res.Label > 0,
+				Pruned:    res.Pruned,
+			}
+		}
+	}
+	return matches
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// denseRanks ranks the items 0..n-1 in the order compare defines, items
+// compare finds equal sharing a rank, and returns each item's rank and the
+// number of ranks.
+func denseRanks(n int, compare func(x, y int32) int) (ranks []int32, count int) {
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, compare)
+	ranks = make([]int32, n)
+	r := int32(0)
+	for i, x := range order {
+		if i > 0 && compare(order[i-1], x) != 0 {
+			r++
+		}
+		ranks[x] = r
+	}
+	return ranks, int(r) + 1
 }
 
 // candidates generates Eq. 3's pairs for the reports from arrival sequence

@@ -2,8 +2,15 @@ package adrdedup
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"adrdedup/internal/adr"
@@ -19,13 +26,31 @@ import (
 // with all but the last `holdout` reports.
 func testCorpus(t *testing.T, holdout int) (*adrgen.Corpus, *Detector, []adr.Report) {
 	t.Helper()
-	c := adrgen.Generate(adrgen.Config{
+	c := newTestCorpus()
+	det, batch := loadCorpus(t, c, testOptions(), holdout)
+	return c, det, batch
+}
+
+// newTestCorpus generates testCorpus's reports.
+func newTestCorpus() *adrgen.Corpus {
+	return adrgen.Generate(adrgen.Config{
 		NumReports: 500, DuplicatePairs: 40, NumDrugs: 80, NumADRs: 120, Seed: 42,
 	})
-	det, err := New(Options{
+}
+
+// testOptions is the detector configuration testCorpus loads into.
+func testOptions() Options {
+	return Options{
 		Cluster:    cluster.Config{Executors: 4, CoresPerExecutor: 2},
 		Classifier: core.Config{K: 7, B: 8, C: 4, Theta: 0, Seed: 1},
-	})
+	}
+}
+
+// loadCorpus returns a detector built from opts and loaded with all but the
+// last `holdout` reports of c, and those last reports as the batch.
+func loadCorpus(t *testing.T, c *adrgen.Corpus, opts Options, holdout int) (*Detector, []adr.Report) {
+	t.Helper()
+	det, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +63,7 @@ func testCorpus(t *testing.T, holdout int) (*adrgen.Corpus, *Detector, []adr.Rep
 	if err := det.AddKnownReports(existing); err != nil {
 		t.Fatal(err)
 	}
-	return c, det, batch
+	return det, batch
 }
 
 // trainOnGroundTruth trains the detector on all duplicate pairs fully inside
@@ -633,43 +658,90 @@ func TestDetectRollsBackOnClassifierFailure(t *testing.T) {
 	_ = c
 }
 
+// relabelCases renames report i of c "A-<perm[i]>", perm a fixed permutation,
+// so case-number string order differs from both arrival order and numeric
+// order ("A-10" < "A-9").
+func relabelCases(c *adrgen.Corpus) {
+	perm := rand.New(rand.NewSource(5)).Perm(len(c.Reports))
+	for i := range c.Reports {
+		c.Reports[i].CaseNumber = fmt.Sprintf("A-%d", perm[i])
+	}
+	for i := range c.Duplicates {
+		d := &c.Duplicates[i]
+		d.CaseA, d.CaseB = c.Reports[d.IdxA].CaseNumber, c.Reports[d.IdxB].CaseNumber
+	}
+}
+
 // TestDetectMatchOrderDeterministic pins the total order of Detect's output:
-// descending score, ties broken by (CaseA, CaseB). kNN scores take at most
-// k+1 distinct values, so equal-score runs are long and an unstable sort
-// keyed on score alone shuffled them unpredictably.
+// descending score, ties broken by (CaseA, CaseB) in string order. kNN scores
+// take few distinct values, so equal-score runs are long and an unstable sort
+// keyed on score alone shuffled them unpredictably. Case numbers are
+// relabelled so that an order following arrival sequences or case-number
+// digits instead of strings fails.
 func TestDetectMatchOrderDeterministic(t *testing.T) {
-	run := func() []Match {
-		c, det, batch := testCorpus(t, 20)
+	run := func() ([]Match, *Detector) {
+		c := newTestCorpus()
+		relabelCases(c)
+		det, batch := loadCorpus(t, c, testOptions(), 20)
 		trainOnGroundTruth(t, c, det, 2000)
 		matches, err := det.DetectAll(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return matches
+		return matches, det
 	}
-	matches := run()
+	matches, det := run()
 	if len(matches) < 2 {
 		t.Fatalf("only %d matches; ordering test is vacuous", len(matches))
 	}
-	ties := 0
+	arrival := func(caseNumber string) int {
+		r, _ := det.Database().Get(caseNumber)
+		return r.ArrivalSeq
+	}
+	number := func(caseNumber string) int {
+		n, err := strconv.Atoi(strings.TrimPrefix(caseNumber, "A-"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	ties, longest, runLen, notByArrival, notByNumber := 0, 1, 1, 0, 0
 	for i := 1; i < len(matches); i++ {
 		a, b := matches[i-1], matches[i]
 		if a.Score < b.Score {
 			t.Fatalf("matches %d,%d not in descending score order: %v < %v", i-1, i, a.Score, b.Score)
 		}
-		if a.Score == b.Score {
-			ties++
-			if a.CaseA > b.CaseA || (a.CaseA == b.CaseA && a.CaseB >= b.CaseB) {
-				t.Fatalf("equal-score matches %d,%d not ordered by case numbers: (%s,%s) before (%s,%s)",
-					i-1, i, a.CaseA, a.CaseB, b.CaseA, b.CaseB)
+		if a.Score != b.Score {
+			runLen = 1
+			continue
+		}
+		ties++
+		runLen++
+		longest = max(longest, runLen)
+		if a.CaseA > b.CaseA || (a.CaseA == b.CaseA && a.CaseB >= b.CaseB) {
+			t.Fatalf("equal-score matches %d,%d not ordered by case numbers: (%s,%s) before (%s,%s)",
+				i-1, i, a.CaseA, a.CaseB, b.CaseA, b.CaseB)
+		}
+		if a.CaseA != b.CaseA {
+			if arrival(a.CaseA) > arrival(b.CaseA) {
+				notByArrival++
+			}
+			if number(a.CaseA) > number(b.CaseA) {
+				notByNumber++
 			}
 		}
 	}
 	if ties == 0 {
 		t.Fatal("no equal-score runs in output; tie-break untested")
 	}
+	if longest < 100 {
+		t.Fatalf("longest equal-score run has %d matches; want a large group", longest)
+	}
+	if notByArrival == 0 || notByNumber == 0 {
+		t.Fatalf("tie-breaks against arrival order %d, against numeric order %d: both must occur", notByArrival, notByNumber)
+	}
 	// A fully independent re-run must reproduce the identical sequence.
-	again := run()
+	again, _ := run()
 	if len(again) != len(matches) {
 		t.Fatalf("re-run returned %d matches, first run %d", len(again), len(matches))
 	}
@@ -677,6 +749,172 @@ func TestDetectMatchOrderDeterministic(t *testing.T) {
 		if matches[i] != again[i] {
 			t.Fatalf("match %d differs between identical runs: %+v vs %+v", i, matches[i], again[i])
 		}
+	}
+}
+
+// referenceDetect is Detect spelled out step by step on det: absorb the batch,
+// vectorize its candidate pairs, classify them, and return every match
+// (pruned included, as DetectAll does) sorted by descending score and then
+// (CaseA, CaseB) in string order. With distinct set it classifies each
+// distinct vector once, keyed on its bits; otherwise every pair. It also
+// returns the vectors classified and the engine records the steps committed.
+func referenceDetect(t *testing.T, det *Detector, batch []adr.Report, distinct bool) (_ []Match, classified int, records int64) {
+	t.Helper()
+	before := det.Metrics().RecordsProcessed
+	existing := det.db.Len()
+	if err := det.db.Add(batch...); err != nil {
+		t.Fatal(err)
+	}
+	if err := det.extendFeatures(); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := det.candidates(existing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := pairdist.ComputeVectors(det.ctx, det.feats, ids, det.classifierPartitions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vecs [][]float64
+	slot := make([]int, len(recs))
+	seen := make(map[[pairdist.Dims]uint64]int)
+	for i, r := range recs {
+		var key [pairdist.Dims]uint64
+		for j, x := range r.Vec {
+			key[j] = math.Float64bits(x)
+		}
+		s, ok := seen[key]
+		if !ok || !distinct {
+			s = len(vecs)
+			seen[key] = s
+			vecs = append(vecs, r.Vec)
+		}
+		slot[i] = s
+	}
+	results, _, err := det.clf.Classify(vecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records = det.Metrics().RecordsProcessed - before
+	matches := make([]Match, len(ids))
+	for i, p := range ids {
+		res := results[slot[i]]
+		caseA, _ := det.db.CaseNumber(p.A)
+		caseB, _ := det.db.CaseNumber(p.B)
+		matches[i] = Match{CaseA: caseA, CaseB: caseB, Score: res.Score, Duplicate: res.Label > 0, Pruned: res.Pruned}
+	}
+	slices.SortFunc(matches, func(a, b Match) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.CaseA, b.CaseA); c != 0 {
+			return c
+		}
+		return strings.Compare(a.CaseB, b.CaseB)
+	})
+	return matches, len(vecs), records
+}
+
+// TestDetectClassifiesDistinctVectorsOnce pins the distinct pass. DetectAll
+// must equal, scores bit for bit, a reference that classifies every candidate
+// pair; and the classifier must be sent each distinct vector once. The second
+// half is read from the engine's committed records: Detect commits exactly
+// what the reference commits when it classifies the distinct vectors, and
+// fewer than when it classifies every pair, so a Detect without the pass
+// fails. Clean, with §4.3.4 pruning, and under task failures with
+// speculation.
+func TestDetectClassifiesDistinctVectorsOnce(t *testing.T) {
+	pruning := testOptions()
+	pruning.Classifier.Pruning = &core.PruningConfig{Clusters: 4, FTheta: 0.25}
+	faulty := testOptions()
+	faulty.Cluster = cluster.Config{
+		Executors: 4, CoresPerExecutor: 2, FailureRate: 0.3, MaxTaskRetries: 40, Seed: 9,
+		Speculation: true, SpeculationQuantile: 0.5, SpeculationMinRuntimeMS: -1,
+		StragglerRate: 0.1, StragglerRealDelayMS: 1,
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"clean", testOptions()},
+		{"pruning", pruning},
+		{"failures+speculation", faulty},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCorpus()
+			build := func() (*Detector, []adr.Report) {
+				det, batch := loadCorpus(t, c, tc.opts, 20)
+				trainOnGroundTruth(t, c, det, 2000)
+				return det, batch
+			}
+			det, batch := build()
+			before := det.Metrics().RecordsProcessed
+			got, err := det.DetectAll(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			records := det.Metrics().RecordsProcessed - before
+
+			refDet, refBatch := build()
+			want, pairs, everyRecords := referenceDetect(t, refDet, refBatch, false)
+			if len(got) != len(want) {
+				t.Fatalf("DetectAll returned %d matches, the reference %d", len(got), len(want))
+			}
+			pruned := 0
+			for i := range want {
+				g, w := got[i], want[i]
+				if g.CaseA != w.CaseA || g.CaseB != w.CaseB || math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
+					g.Duplicate != w.Duplicate || g.Pruned != w.Pruned {
+					t.Fatalf("match %d: DetectAll %+v, reference %+v", i, g, w)
+				}
+				if g.Pruned {
+					pruned++
+				}
+			}
+
+			distDet, distBatch := build()
+			_, distinct, distinctRecords := referenceDetect(t, distDet, distBatch, true)
+			if distinct >= pairs {
+				t.Fatalf("%d pairs carry %d distinct vectors; the test is vacuous", pairs, distinct)
+			}
+			if records != distinctRecords || records >= everyRecords {
+				t.Fatalf("DetectAll committed %d records; classifying the %d distinct vectors commits %d, all %d pairs %d",
+					records, distinct, distinctRecords, pairs, everyRecords)
+			}
+			if det.shape != (detectShape{pairs: pairs, distinct: distinct}) {
+				t.Fatalf("shape %+v, want %d pairs, %d distinct", det.shape, pairs, distinct)
+			}
+			if tc.opts.Classifier.Pruning != nil && pruned == 0 {
+				t.Fatal("no pair pruned; the pruning case is vacuous")
+			}
+			if m := det.Metrics(); tc.opts.Cluster.FailureRate > 0 && (m.TaskFailures == 0 || m.SpeculativeTasksLaunched == 0) {
+				t.Fatalf("faults did not fire: %d task failures, %d speculative tasks", m.TaskFailures, m.SpeculativeTasksLaunched)
+			}
+			t.Logf("%d pairs, %d distinct vectors, %d pruned", pairs, distinct, pruned)
+		})
+	}
+}
+
+// TestDistinctVectorsKeepsOneUlpApart pins the distinct pass's key: vectors
+// merge only when every coordinate has the same bits. One ulp apart, or +0
+// against -0, they stay separate; equal vectors in separate slices share a
+// slot.
+func TestDistinctVectorsKeepsOneUlpApart(t *testing.T) {
+	base := []float64{0, 1, 0, 1, 0.5, 1.0 / 3, 0.75}
+	ulp := slices.Clone(base)
+	ulp[pairdist.FieldDescription] = math.Nextafter(base[pairdist.FieldDescription], 1)
+	negZero := slices.Clone(base)
+	negZero[pairdist.FieldAge] = math.Copysign(0, -1)
+	recs := []pairdist.PairRecord{
+		{Vec: base}, {Vec: ulp}, {Vec: slices.Clone(base)}, {Vec: negZero}, {Vec: slices.Clone(ulp)},
+	}
+	vecs, slot := distinctVectors(recs)
+	if want := []int32{0, 1, 0, 2, 1}; !slices.Equal(slot, want) {
+		t.Fatalf("slots %v, want %v", slot, want)
+	}
+	if len(vecs) != 3 || &vecs[1][0] != &ulp[0] || &vecs[2][0] != &negZero[0] {
+		t.Fatalf("distinct vectors %v, want base, its one-ulp neighbour, its -0 variant", vecs)
 	}
 }
 

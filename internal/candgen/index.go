@@ -312,15 +312,52 @@ func (ix *Index) Probe(ctx *rdd.Context, from, partitions int) ([]pairdist.IDPai
 		for _, rid := range in {
 			ix.probeRecord(rid, &sc, &res)
 		}
+		// Sorted here, in parallel, so Probe only merges the task lists.
+		slices.SortFunc(res.pairs, pairCmp)
 		return []taskResult{res}, nil
 	}).SetName("candgen.probeIndex").Collect()
 	if err != nil {
 		return nil, st, fmt.Errorf("candgen: probing prefix index: %w", err)
 	}
-	pairs := mergeResults(results, &st)
-	slices.SortFunc(pairs, pairCmp)
+	pairs := mergeSortedResults(results, &st)
 	st.Emitted = int64(len(pairs))
 	return pairs, st, nil
+}
+
+// mergeSortedResults is mergeResults for probe task results, whose pair lists
+// are each sorted by (A, B): it merges them into one sorted slice, allocated
+// once. (Probe tasks count no index entries; Probe sets that counter.)
+// A probe has a task per partition, a handful, so the next pair is picked by
+// scanning the list heads.
+func mergeSortedResults(results []taskResult, st *Stats) []pairdist.IDPair {
+	lists := make([][]pairdist.IDPair, 0, len(results))
+	total := 0
+	for _, r := range results {
+		st.Scanned += r.st.Scanned
+		st.Verified += r.st.Verified
+		st.BitmapPruned += r.st.BitmapPruned
+		if len(r.pairs) > 0 {
+			lists = append(lists, r.pairs)
+			total += len(r.pairs)
+		}
+	}
+	pairs := make([]pairdist.IDPair, 0, total)
+	for len(lists) > 1 {
+		next := 0
+		for t := 1; t < len(lists); t++ {
+			if pairCmp(lists[t][0], lists[next][0]) < 0 {
+				next = t
+			}
+		}
+		pairs = append(pairs, lists[next][0])
+		if lists[next] = lists[next][1:]; len(lists[next]) == 0 {
+			lists = slices.Delete(lists, next, next+1)
+		}
+	}
+	for _, l := range lists {
+		pairs = append(pairs, l...)
+	}
+	return pairs
 }
 
 // probeRecord pairs record rid with every earlier record, the way
