@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPrefixPlan -fuzztime=10s ./internal/candgen
 	$(GO) test -run='^$$' -fuzz=FuzzIndexAppend -fuzztime=10s ./internal/candgen
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapBound -fuzztime=10s ./internal/candgen
+	$(GO) test -run='^$$' -fuzz=FuzzResumeVerify -fuzztime=10s ./internal/candgen
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=10s ./internal/rdd
 	$(GO) test -run='^$$' -fuzz=FuzzSpillCodec -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzIngestRequest -fuzztime=10s ./internal/serve

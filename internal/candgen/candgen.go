@@ -74,7 +74,10 @@ type Stats struct {
 	// per off-diagonal block pairing; Index.Probe counts those entered
 	// since the previous probe, a rebuild's included).
 	IndexEntries int64
-	// Scanned counts posting-list entries surviving the length bound;
+	// Scanned counts the posting-list entries that could pair with their
+	// prober: those inside the length bound, and for Index.Probe only in
+	// the lists where the pair's first common token can sit (its mid
+	// lists, and its tail lists for partners longer than the prober);
 	// Verified counts full merge-scan verifications (each candidate pair
 	// exactly once); Emitted counts pairs passing verification.
 	Scanned, Verified, Emitted int64

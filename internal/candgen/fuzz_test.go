@@ -214,6 +214,68 @@ func encodeIDSet(set []uint32) []byte {
 	return data
 }
 
+// decodeByteSet reads each byte of data as one token ID and returns them as
+// a sorted, deduplicated set: a 256-token universe, so two fuzzed sets share
+// tokens often.
+func decodeByteSet(data []byte) []uint32 {
+	set := make([]uint32, len(data))
+	for i, b := range data {
+		set[i] = uint32(b)
+	}
+	slices.Sort(set)
+	return slices.Compact(set)
+}
+
+// FuzzResumeVerify fuzzes the probe's verification against the verifier it
+// replaces. For two sets a (the indexed candidate) and r (the prober) and a
+// θ, it takes the length window and need the probe would use (needTable),
+// the rectangle the probe would scan (rect) and the number of common tokens
+// inside it, which is what the scan leaves in the candidate's count. The
+// rectangle must hold a common token whenever JaccardSimAtLeast accepts the
+// pair (the prefix argument that lets the probe skip the rest of the
+// lists), the window must admit every pair it accepts, and resumeVerify,
+// from that count, must accept exactly the pairs it accepts.
+func FuzzResumeVerify(f *testing.F) {
+	f.Add(byte(127), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, []byte{5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add(byte(127), []byte{5, 6, 7, 8, 9, 10, 11, 12}, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Fuzz(func(t *testing.T, thetaByte byte, rawA, rawR []byte) {
+		theta := float64(1+int(thetaByte)) / 256
+		a, r := decodeByteSet(rawA), decodeByteSet(rawR)
+		if len(a) == 0 || len(r) == 0 {
+			t.Skip("empty signatures pair outside the posting lists")
+		}
+		ix, err := NewIndex(theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Append([][]uint32{a, r}) // sizes the index's cut table
+		var sc probeScratch
+		need, minLen, maxLen := sc.needTable(theta, len(r), len(ix.cuts)-1)
+		want := strsim.JaccardSimAtLeast(a, r, theta)
+		la := len(a)
+		if la < minLen || la > maxLen {
+			if want {
+				t.Fatalf("θ=%v: length window [%d, %d] rejects a pair the verifier accepts; a=%v r=%v", theta, minLen, maxLen, a, r)
+			}
+			return
+		}
+		ma, mr := ix.rect(la, len(r))
+		count := 0
+		for _, tok := range a[:ma] {
+			if _, found := slices.BinarySearch(r[:mr], tok); found {
+				count++
+			}
+		}
+		if want && count == 0 {
+			t.Fatalf("θ=%v: accepted pair shares no token in the rectangle a[:%d] × r[:%d]; a=%v r=%v", theta, ma, mr, a, r)
+		}
+		if got := resumeVerify(a, r, ma, mr, count, int(need[la])); got != want {
+			t.Fatalf("θ=%v: resumed verification says %v from %d of need %d in a[:%d] × r[:%d], JaccardSimAtLeast %v; a=%v r=%v",
+				theta, got, count, need[la], ma, mr, want, a, r)
+		}
+	})
+}
+
 // FuzzBitmapBound fuzzes the hashed-bitmap overlap bound on two arbitrary
 // token-ID sets entered into an index: the bound must never fall below the
 // true intersection size, must therefore never rule out a pair that

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"adrdedup/internal/cluster"
 	"adrdedup/internal/pairdist"
 	"adrdedup/internal/rdd"
-	"adrdedup/internal/strsim"
 )
 
 // Index is the persistent, append-only form of the prefix-filtered inverted
@@ -52,9 +52,11 @@ type Index struct {
 	// ascending (rarest first); record id is toks[off[id]:off[id+1]].
 	toks []uint32
 	off  []int
-	// longest is the size of the longest signature ever appended — an upper
-	// bound on every stored signature's size, which is all probes need.
-	longest int
+	// cuts[l] says where a signature of l tokens is split between the mid
+	// and tail lists. It covers every size up to the longest signature ever
+	// appended, an upper bound on every stored size, which is all probes
+	// need.
+	cuts []cut
 	// bm holds one bitmapWords-word hashed bitmap per record, back to back:
 	// bit bitmapBit(t) is set for every token t of the record. It is keyed
 	// on token IDs, not ranks — ranks change at every rebuild, IDs never do,
@@ -62,10 +64,12 @@ type Index struct {
 	// bounds overlaps of its rank set just as well. Append writes it once;
 	// rebuild never touches it.
 	bm []uint64
-	// post maps a rank to the records whose prefix contains it, in arrival
-	// order (ascending id). empty lists the records with empty signatures.
-	post  map[uint32][]posting
-	empty []int32
+	// mid and tail map a rank to the records whose prefix contains it, in
+	// arrival order (ascending id): mid those that hold it among their first
+	// cut.mid tokens, tail those that hold it further on in their prefix.
+	// empty lists the records with empty signatures.
+	mid, tail map[uint32][]posting
+	empty     []int32
 
 	rebuiltAt int   // Len() at the last rebuild
 	rebuilds  int   // rebuilds so far; tests assert schedules cross several
@@ -73,10 +77,23 @@ type Index struct {
 }
 
 // posting is one inverted-index entry: a record whose prefix contains the
-// token, and the token's index within that record's signature (which feeds
-// the positional filter).
+// token, the token's index within that record's signature (which feeds the
+// positional filter), and the record's size (which feeds the length bound
+// without a trip to off).
 type posting struct {
-	id, idx int32
+	id, idx, size int32
+}
+
+// postingBytes is what one posting costs to ship to a probe task.
+const postingBytes = int64(unsafe.Sizeof(posting{}))
+
+// cut is how a signature of l tokens is indexed: its first mid tokens go to
+// the mid lists and the rest of its first pre tokens, its probing prefix, to
+// the tail lists. pre = l - minOverlap(l) + 1 is the prefix any partner of
+// any size needs; mid = l - pairNeed(l, l) + 1 is the shorter prefix that
+// suffices against partners at least as long (see probeRecord).
+type cut struct {
+	mid, pre int32
 }
 
 // bitmapWords is the width of a record's hashed bitmap in 64-bit words: 256
@@ -119,7 +136,9 @@ func NewIndex(theta float64) (*Index, error) {
 		ranks:   make(map[uint32]uint32),
 		nextNew: frozenBase - 1,
 		off:     []int{0},
-		post:    make(map[uint32][]posting),
+		cuts:    []cut{{}},
+		mid:     make(map[uint32][]posting),
+		tail:    make(map[uint32][]posting),
 	}, nil
 }
 
@@ -130,11 +149,6 @@ func (ix *Index) sig(id int32) []uint32 { return ix.toks[ix.off[id]:ix.off[id+1]
 
 func (ix *Index) bitmap(id int32) []uint64 {
 	return ix.bm[int(id)*bitmapWords : (int(id)+1)*bitmapWords]
-}
-
-// prefix returns the indexed prefix of a rank-space signature.
-func (ix *Index) prefix(sig []uint32) []uint32 {
-	return sig[:len(sig)-minOverlap(ix.theta, len(sig))+1]
 }
 
 // Append indexes sigs (sorted, deduplicated token-ID sets, as Signatures
@@ -162,7 +176,12 @@ func (ix *Index) Append(sigs [][]uint32) {
 		}
 		slices.Sort(ix.toks[start:])
 		ix.off = append(ix.off, len(ix.toks))
-		ix.longest = max(ix.longest, len(sig))
+		for l := len(ix.cuts); l <= len(sig); l++ {
+			ix.cuts = append(ix.cuts, cut{
+				mid: int32(l - pairNeed(ix.theta, l, l) + 1),
+				pre: int32(l - minOverlap(ix.theta, l) + 1),
+			})
+		}
 		ix.bm = append(ix.bm, bm[:]...)
 		if !rebuild {
 			ix.enter(int32(ix.Len() - 1))
@@ -173,18 +192,29 @@ func (ix *Index) Append(sigs [][]uint32) {
 	}
 }
 
-// enter adds record id's prefix postings (or lists it as empty).
+// enter adds record id's prefix postings (or lists it as empty): the first
+// cut.mid of them to the mid lists, the rest to the tail lists.
 func (ix *Index) enter(id int32) {
 	sig := ix.sig(id)
 	if len(sig) == 0 {
 		ix.empty = append(ix.empty, id)
 		return
 	}
-	pre := ix.prefix(sig)
-	for k, r := range pre {
-		ix.post[r] = append(ix.post[r], posting{id: id, idx: int32(k)})
+	c := ix.cuts[len(sig)]
+	for k, r := range sig[:c.pre] {
+		m := ix.postings(c, k)
+		m[r] = append(m[r], posting{id: id, idx: int32(k), size: int32(len(sig))})
 	}
-	ix.entered += int64(len(pre))
+	ix.entered += int64(c.pre)
+}
+
+// postings returns the lists a signature cut at c is posted to at prefix
+// position k.
+func (ix *Index) postings(c cut, k int) map[uint32][]posting {
+	if int32(k) < c.mid {
+		return ix.mid
+	}
+	return ix.tail
 }
 
 // rebuild re-ranks every token by ascending current frequency — ties on the
@@ -225,7 +255,11 @@ func (ix *Index) rebuild() {
 	}
 	ix.frozen = uint32(len(order))
 	ix.nextNew = frozenBase - 1
-	ix.post = make(map[uint32][]posting, len(order))
+	// Nearly every token sits in some record's mid prefix; only commoner
+	// ones reach a tail (a few percent of the tokens at θ 0.5, a quarter at
+	// θ 0.8), so the tail map grows as needed.
+	ix.mid = make(map[uint32][]posting, len(order))
+	ix.tail = make(map[uint32][]posting)
 	ix.empty = ix.empty[:0]
 	for id := int32(0); int(id) < ix.Len(); id++ {
 		slices.Sort(ix.sig(id))
@@ -248,7 +282,7 @@ func (ix *Index) Truncate(n int) {
 	if n >= ix.Len() {
 		return
 	}
-	// Postings ascend by id, so the dropped records sit at the list tails;
+	// Postings ascend by id, so the dropped records sit at the list ends;
 	// popping newest-first keeps each pop at the very end.
 	for id := int32(ix.Len() - 1); int(id) >= n; id-- {
 		sig := ix.sig(id)
@@ -256,11 +290,13 @@ func (ix *Index) Truncate(n int) {
 			ix.empty = ix.empty[:len(ix.empty)-1]
 			continue
 		}
-		for _, r := range ix.prefix(sig) {
-			if list := ix.post[r]; len(list) > 1 {
-				ix.post[r] = list[:len(list)-1]
+		c := ix.cuts[len(sig)]
+		for k, r := range sig[:c.pre] {
+			m := ix.postings(c, k)
+			if list := m[r]; len(list) > 1 {
+				m[r] = list[:len(list)-1]
 			} else {
-				delete(ix.post, r)
+				delete(m, r)
 			}
 		}
 	}
@@ -298,7 +334,7 @@ func (ix *Index) Probe(ctx *rdd.Context, from, partitions int) ([]pairdist.IDPai
 
 	// What the probe tasks have not seen before: the new postings and the
 	// arriving records' signatures.
-	ctx.Cluster().Broadcast(st.IndexEntries*8 + int64(len(ix.toks)-ix.off[from])*4)
+	ctx.Cluster().Broadcast(st.IndexEntries*postingBytes + int64(len(ix.toks)-ix.off[from])*4)
 	src := rdd.Parallelize(ctx, probers, partitions).SetName("probers").WithBytesPerRecord(4)
 	results, err := rdd.MapPartitionsTC(src, func(tc *cluster.TaskContext, _ int, in []int32) ([]taskResult, error) {
 		var res taskResult
@@ -366,10 +402,29 @@ func mergeSortedResults(results []taskResult, st *Stats) []pairdist.IDPair {
 // filter (PPJoin) prunes those whose remaining suffixes cannot reach the
 // required overlap. After the scan each survivor first meets the bitmap bound
 // (overlapBound), and only those it cannot rule out are verified, exactly
-// once, by the merge scan. Postings are in arrival order, not size order, so
-// the length bound is checked per entry instead of by binary search; in
-// exchange "earlier" is a prefix of each list and every pair has exactly one
-// prober, its newer record.
+// once, by a merge scan that resumes past the prefixes (resumeVerify).
+// Postings are in arrival order, not size order, so the length bound is
+// checked per entry, on the size the posting carries; in exchange "earlier"
+// is a prefix of each list and every pair has exactly one prober, its newer
+// record.
+//
+// Each pair is looked for only where it can be found. A candidate a of la
+// tokens and the prober r of lr tokens that reach theta share at least
+// o = pairNeed(la, lr) tokens, so (the prefix-filter lemma) their first
+// common token c sits among a's first la-o+1 and r's first lr-o+1 tokens.
+// pairNeed grows with the sizes and o <= min(la, lr), hence:
+//   - la <= lr: o >= pairNeed(la, la) and o >= minOverlap(lr), so c is in
+//     a's mid prefix and in r's probing prefix. r reads the mid lists, for
+//     candidates with la <= lr, at every position of its prefix.
+//   - la > lr: the same argument with the roles swapped puts c in a's
+//     probing prefix (mid or tail) and in r's mid prefix. r reads both
+//     lists, for candidates with la > lr, at its mid positions only.
+//
+// Either way the scan covers a rectangle, a prefix of a against a prefix of
+// r (rect), in ascending order of r's position. c is in it and precedes
+// every other common token in both sets, so the first entry met for a pair
+// that reaches theta is c itself, which is all the positional filter needs;
+// and count[a] ends as the number of common tokens inside the rectangle.
 func (ix *Index) probeRecord(rid int32, sc *probeScratch, res *taskResult) {
 	sig := ix.sig(rid)
 	if len(sig) == 0 {
@@ -383,43 +438,27 @@ func (ix *Index) probeRecord(rid int32, sc *probeScratch, res *taskResult) {
 		return
 	}
 	lr := len(sig)
-	minLen := minOverlap(ix.theta, lr)
-	need := sc.needTable(ix.theta, lr, minLen, ix.longest)
-	for i, t := range ix.prefix(sig) {
-		for _, e := range ix.post[t] {
-			if e.id >= rid {
-				break
-			}
-			la := ix.off[e.id+1] - ix.off[e.id]
-			if la < minLen || float64(lr) < ix.theta*float64(la) {
-				continue
-			}
-			res.st.Scanned++
-			switch c := sc.count[e.id]; c {
-			case -1:
-				// Already pruned at its first common token.
-			case 0:
-				suffix := min(lr-i-1, la-int(e.idx)-1)
-				if 1+suffix < int(need[la]) {
-					sc.count[e.id] = -1
-				} else {
-					sc.count[e.id] = 1
-				}
-				sc.touched = append(sc.touched, e.id)
-			default:
-				sc.count[e.id] = c + 1
-			}
+	need, minLen, maxLen := sc.needTable(ix.theta, lr, len(ix.cuts)-1)
+	cr := ix.cuts[lr]
+	for i, t := range sig[:cr.pre] {
+		if int32(i) < cr.mid {
+			res.st.Scanned += sc.scan(ix.mid[t], rid, i, lr, minLen, maxLen)
+			res.st.Scanned += sc.scan(ix.tail[t], rid, i, lr, lr+1, maxLen)
+		} else {
+			res.st.Scanned += sc.scan(ix.mid[t], rid, i, lr, minLen, lr)
 		}
 	}
 	bm := ix.bitmap(rid)
 	for _, a := range sc.touched {
-		if sc.count[a] > 0 {
-			la := ix.off[a+1] - ix.off[a]
+		if c := sc.count[a]; c > 0 {
+			asig := ix.sig(a)
+			la := len(asig)
 			if overlapBound(ix.bitmap(a), bm, la, lr) < int(need[la]) {
 				res.st.BitmapPruned++
 			} else {
 				res.st.Verified++
-				if strsim.JaccardSimAtLeast(ix.sig(a), sig, ix.theta) {
+				ma, mr := ix.rect(la, lr)
+				if resumeVerify(asig, sig, ma, mr, int(c), int(need[la])) {
 					res.pairs = append(res.pairs, pairdist.IDPair{A: int(a), B: int(rid)})
 				}
 			}
@@ -427,4 +466,97 @@ func (ix *Index) probeRecord(rid int32, sc *probeScratch, res *taskResult) {
 		sc.count[a] = 0
 	}
 	sc.touched = sc.touched[:0]
+}
+
+// scan reads one posting list for prober rid, of lr tokens, at position i of
+// its prefix: it counts a hit on every earlier record of lo..hi tokens,
+// applying the positional filter at a candidate's first hit, and returns how
+// many entries it counted.
+func (sc *probeScratch) scan(list []posting, rid int32, i, lr, lo, hi int) (scanned int64) {
+	count, need := sc.count, sc.need
+	for _, e := range list {
+		if e.id >= rid {
+			break
+		}
+		la := int(e.size)
+		if la < lo || la > hi {
+			continue
+		}
+		scanned++
+		switch c := count[e.id]; c {
+		case -1:
+			// Already pruned at its first common token.
+		case 0:
+			suffix := min(lr-i-1, la-int(e.idx)-1)
+			if 1+suffix < int(need[la]) {
+				count[e.id] = -1
+			} else {
+				count[e.id] = 1
+			}
+			sc.touched = append(sc.touched, e.id)
+		default:
+			count[e.id] = c + 1
+		}
+	}
+	return scanned
+}
+
+// rect returns the rectangle the probe scans for a candidate of la tokens
+// and a prober of lr tokens: the candidate's first ma tokens against the
+// prober's first mr (see probeRecord).
+func (ix *Index) rect(la, lr int) (ma, mr int) {
+	if la <= lr {
+		return int(ix.cuts[la].mid), int(ix.cuts[lr].pre)
+	}
+	return int(ix.cuts[la].pre), int(ix.cuts[lr].mid)
+}
+
+// resumeVerify reports whether the sorted sets a and r share at least need
+// tokens, given that count is the number of common tokens inside the
+// rectangle a[:ma] × r[:mr] (ma, mr >= 1). A common token no greater than
+// both a[ma-1] and r[mr-1] lies inside the rectangle, and every token inside
+// it is no greater than both, so count is exactly the number of common tokens
+// up to the smaller of the two; the merge resumes just past it in both sets
+// and looks for the need - count still missing, with JaccardSimAtLeast's
+// early-outs. need being the verifier's own pairNeed (and its length-ratio
+// check folded into needTable), this accepts exactly what JaccardSimAtLeast
+// accepts.
+func resumeVerify(a, r []uint32, ma, mr, count, need int) bool {
+	more := need - count
+	if more <= 0 {
+		return true
+	}
+	i, j := ma, mr
+	if last := a[ma-1]; last <= r[mr-1] {
+		j = past(r[:mr], last)
+	} else {
+		i = past(a[:ma], r[mr-1])
+	}
+	for i < len(a) && j < len(r) {
+		if min(len(a)-i, len(r)-j) < more {
+			return false
+		}
+		switch ai, rj := a[i], r[j]; {
+		case ai == rj:
+			if more--; more == 0 {
+				return true
+			}
+			i++
+			j++
+		case ai < rj:
+			i++
+		default:
+			j++
+		}
+	}
+	return false
+}
+
+// past returns the index of the first element of the sorted s greater than t.
+func past(s []uint32, t uint32) int {
+	k, found := slices.BinarySearch(s, t)
+	if found {
+		k++
+	}
+	return k
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"adrdedup/internal/adrgen"
 	"adrdedup/internal/intern"
@@ -31,7 +32,8 @@ type indexState struct {
 	toks  []uint32
 	off   []int
 	bm    []uint64
-	post  map[uint32][]posting
+	mid   map[uint32][]posting
+	tail  map[uint32][]posting
 	empty []int32
 }
 
@@ -40,30 +42,38 @@ func snapshotState(ix *Index) indexState {
 		toks:  slices.Clone(ix.toks),
 		off:   slices.Clone(ix.off),
 		bm:    slices.Clone(ix.bm),
-		post:  make(map[uint32][]posting, len(ix.post)),
+		mid:   cloneLists(ix.mid),
+		tail:  cloneLists(ix.tail),
 		empty: slices.Clone(ix.empty),
-	}
-	for r, list := range ix.post {
-		st.post[r] = slices.Clone(list)
 	}
 	return st
 }
 
+func cloneLists(m map[uint32][]posting) map[uint32][]posting {
+	out := make(map[uint32][]posting, len(m))
+	for r, list := range m {
+		out[r] = slices.Clone(list)
+	}
+	return out
+}
+
 func (a indexState) equal(b indexState) bool {
 	return slices.Equal(a.toks, b.toks) && slices.Equal(a.off, b.off) && slices.Equal(a.bm, b.bm) &&
-		slices.Equal(a.empty, b.empty) && reflect.DeepEqual(a.post, b.post)
+		slices.Equal(a.empty, b.empty) && reflect.DeepEqual(a.mid, b.mid) && reflect.DeepEqual(a.tail, b.tail)
 }
 
 // checkIndexInvariants asserts the structural contract of the index: every
 // signature strictly ascending in rank space, every non-empty record posted
-// under exactly its prefix tokens with the right positions, posting lists
-// ascending by id, no empty lists left behind, one bitmap per record.
+// under exactly its prefix tokens with the right positions and its size, its
+// first l - pairNeed(l, l) + 1 postings in the mid lists and the rest of its
+// l - minOverlap(l) + 1 in the tail lists, posting lists ascending by id, no
+// empty lists left behind, one bitmap per record.
 func checkIndexInvariants(t testing.TB, ix *Index) {
 	t.Helper()
 	if len(ix.bm) != ix.Len()*bitmapWords {
 		t.Fatalf("%d bitmap words for %d records", len(ix.bm), ix.Len())
 	}
-	want := make(map[uint32][]posting)
+	wantMid, wantTail := make(map[uint32][]posting), make(map[uint32][]posting)
 	var empty []int32
 	for id := int32(0); int(id) < ix.Len(); id++ {
 		sig := ix.sig(id)
@@ -76,12 +86,25 @@ func checkIndexInvariants(t testing.TB, ix *Index) {
 				t.Fatalf("record %d: rank-space signature not strictly ascending: %v", id, sig)
 			}
 		}
-		for k, r := range ix.prefix(sig) {
-			want[r] = append(want[r], posting{id: id, idx: int32(k)})
+		l := len(sig)
+		mid, pre := l-pairNeed(ix.theta, l, l)+1, l-minOverlap(ix.theta, l)+1
+		if mid < 1 || mid > pre {
+			t.Fatalf("record %d of %d tokens: mid prefix %d outside [1, %d]", id, l, mid, pre)
+		}
+		for k, r := range sig[:pre] {
+			e := posting{id: id, idx: int32(k), size: int32(l)}
+			if k < mid {
+				wantMid[r] = append(wantMid[r], e)
+			} else {
+				wantTail[r] = append(wantTail[r], e)
+			}
 		}
 	}
-	if !reflect.DeepEqual(ix.post, want) {
-		t.Fatalf("postings differ from a from-scratch index over the stored signatures:\n got %v\nwant %v", ix.post, want)
+	if !reflect.DeepEqual(ix.mid, wantMid) {
+		t.Fatalf("mid postings differ from a from-scratch index over the stored signatures:\n got %v\nwant %v", ix.mid, wantMid)
+	}
+	if !reflect.DeepEqual(ix.tail, wantTail) {
+		t.Fatalf("tail postings differ from a from-scratch index over the stored signatures:\n got %v\nwant %v", ix.tail, wantTail)
 	}
 	if !slices.Equal(ix.empty, empty) {
 		t.Fatalf("empty list %v, want %v", ix.empty, empty)
@@ -360,17 +383,142 @@ func TestIndexRejectsBadArguments(t *testing.T) {
 	checkIndexInvariants(t, ix)
 }
 
-// BenchmarkIndexProbe times one Index.Probe at the batch_detect shape: 250
-// arriving reports against a 10,000-report database at θ = 0.5, signatures
-// extracted from generated reports the way the Detector extracts them. The
-// custom metrics are the counters behind the time: merge-scan verifications
-// per emitted pair, and candidates the bitmap bound ruled out per probe.
-func BenchmarkIndexProbe(b *testing.B) {
-	const seeded, arriving = 10000, 250
+// idRanked returns an empty index at theta whose rank order is token-ID
+// order for IDs below universe, and which does not rebuild: hand-built
+// signatures are then rank-space signatures as written. Any fixed token
+// order is exact, so the probe owes such an index the oracle's pairs too.
+func idRanked(t *testing.T, theta float64, universe uint32) *Index {
+	t.Helper()
+	ix, err := NewIndex(theta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tok := uint32(0); tok < universe; tok++ {
+		ix.ranks[tok] = frozenBase + tok
+	}
+	ix.frozen = universe
+	ix.rebuiltAt = 1 << 30
+	return ix
+}
+
+// consecutive returns the n tokens lo, lo+1, ...
+func consecutive(lo, n uint32) []uint32 {
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = lo + uint32(i)
+	}
+	return out
+}
+
+// TestProbeFindsPartnersAcrossLengths pins, on hand-built signatures, the
+// shapes the shorter-prefix probe must get right: each pair lies where only
+// one branch of the probe can find it. A prober shorter than its partner
+// whose only common prefix tokens sit in the partner's tail (found only by
+// reading tail lists at the prober's mid positions); the mirror, a longer
+// prober whose only common prefix tokens sit in its own tail (found only by
+// reading mid lists at every prefix position); equal sizes; θ 1, where
+// every tail is empty; θ 0.05 at the length bound's edge; and sizes the
+// length bound rejects, which must not even be scanned.
+func TestProbeFindsPartnersAcrossLengths(t *testing.T) {
+	cases := []struct {
+		name        string
+		theta       float64
+		old, prober []uint32
+		pair        bool
+		// shape is where every common token of the two probing prefixes
+		// sits: in the old record's tail, the prober's tail, or, for
+		// "rejected", nowhere the length bound lets the probe look.
+		shape string
+	}{
+		{"shorter prober, partner's tail", 0.5,
+			append(consecutive(0, 4), consecutive(10, 6)...), append(consecutive(10, 6), 20, 21), true, "old tail"},
+		{"longer prober, own tail", 0.5,
+			append(consecutive(10, 6), 20, 21), append(consecutive(0, 4), consecutive(10, 6)...), true, "prober tail"},
+		{"equal sizes", 0.5,
+			append(consecutive(0, 3), consecutive(10, 7)...), append(consecutive(5, 3), consecutive(10, 7)...), true, ""},
+		{"equal sizes, one short", 0.5,
+			append(consecutive(0, 4), consecutive(10, 6)...), append(consecutive(5, 4), consecutive(10, 6)...), false, ""},
+		{"theta 1, equal", 1, []uint32{3, 5, 7}, []uint32{3, 5, 7}, true, ""},
+		{"theta 1, subset", 1, []uint32{3, 5, 7, 9}, []uint32{3, 5, 7}, false, ""},
+		{"theta 0.05, partner's tail", 0.05,
+			append(append(consecutive(100, 37), 200, 201), 300), []uint32{200, 201}, true, "old tail"},
+		{"theta 0.05, one past the length bound", 0.05,
+			append(append(consecutive(100, 38), 200, 201), 300), []uint32{200, 201}, false, "rejected"},
+		{"partner too long", 0.5, consecutive(10, 10), []uint32{10, 11}, false, "rejected"},
+		{"partner too short", 0.5, []uint32{10, 11}, consecutive(10, 10), false, "rejected"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := idRanked(t, tc.theta, 512)
+			// A record sharing no token with either comes first: an earlier
+			// record the probe must pass over without pairing.
+			ix.Append([][]uint32{{400}})
+			ix.Append([][]uint32{tc.old})
+			ix.Append([][]uint32{tc.prober})
+			checkIndexInvariants(t, ix)
+			for id, sig := range [][]uint32{1: tc.old, 2: tc.prober} {
+				for k, tok := range sig {
+					if ix.sig(int32(id))[k] != frozenBase+tok {
+						t.Fatalf("record %d was not ranked in token order: %v", id, ix.sig(int32(id)))
+					}
+				}
+			}
+
+			cutOf := func(l int) (mid, pre int) {
+				return l - pairNeed(tc.theta, l, l) + 1, l - minOverlap(tc.theta, l) + 1
+			}
+			oldMid, oldPre := cutOf(len(tc.old))
+			proberMid, proberPre := cutOf(len(tc.prober))
+			common := 0
+			for j, tok := range tc.prober[:proberPre] {
+				k, found := slices.BinarySearch(tc.old[:oldPre], tok)
+				if !found {
+					continue
+				}
+				common++
+				switch {
+				case tc.shape == "old tail" && k < oldMid:
+					t.Fatalf("common token %d at the old record's mid position %d (mid %d)", tok, k, oldMid)
+				case tc.shape == "prober tail" && j < proberMid:
+					t.Fatalf("common token %d at the prober's mid position %d (mid %d)", tok, j, proberMid)
+				}
+			}
+			if tc.shape != "" && common == 0 {
+				t.Fatal("the two probing prefixes share no token; the case tests nothing")
+			}
+
+			want := canonPairs(naivePairs([][]uint32{{400}, tc.old, tc.prober}, tc.theta, 2))
+			if got := len(want) == 1; got != tc.pair {
+				t.Fatalf("oracle pairs %v, case expects a pair: %v", want, tc.pair)
+			}
+			seq, st := probeSeq(ix, 2)
+			if !reflect.DeepEqual(seq, want) {
+				t.Fatalf("sequential probe emitted %v, oracle %v (stats %+v)", seq, want, st)
+			}
+			staged, _, err := ix.Probe(testEngine(0), 2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(canonPairs(staged), want) {
+				t.Fatalf("staged probe emitted %v, oracle %v", staged, want)
+			}
+			if tc.shape == "rejected" && st.Scanned != 0 {
+				t.Fatalf("scanned %d postings of a partner the length bound rules out", st.Scanned)
+			}
+		})
+	}
+}
+
+// benchSignatures extracts the signatures of a generated database of seeded
+// reports followed by an arriving batch, the way the Detector extracts them.
+func benchSignatures(b *testing.B, seeded, arriving int) [][]uint32 {
+	b.Helper()
 	reports := adrgen.Generate(adrgen.Config{NumReports: seeded, DuplicatePairs: seeded / 25, Seed: 1}).Reports
-	batch := adrgen.Generate(adrgen.Config{NumReports: arriving, DuplicatePairs: arriving / 100, Seed: 2, CampaignFraction: -1}).Reports
-	ctx := testEngine(0)
-	feats, err := pairdist.ExtractAllWith(ctx, intern.New(), append(reports, batch...), 4)
+	if arriving > 0 {
+		batch := adrgen.Generate(adrgen.Config{NumReports: arriving, DuplicatePairs: arriving / 100, Seed: 2, CampaignFraction: -1}).Reports
+		reports = append(reports, batch...)
+	}
+	feats, err := pairdist.ExtractAllWith(testEngine(0), intern.New(), reports, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -378,22 +526,77 @@ func BenchmarkIndexProbe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix, err := NewIndex(0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix.Append(sigs[:seeded])
-	ix.Append(sigs[seeded:])
+	return sigs
+}
 
-	var st Stats
+// BenchmarkIndexProbe times one Index.Probe of 250 arriving reports at two
+// shapes: the batch_detect workload's (a 10,000-report database, θ 0.5) and
+// the serve_singles/serve_open workloads' (2,000 reports, θ 0.8). The custom
+// metrics are the counters behind the time: postings scanned, merge-scan
+// verifications per emitted pair, and candidates the bitmap bound ruled out.
+func BenchmarkIndexProbe(b *testing.B) {
+	const arriving = 250
+	for _, shape := range []struct {
+		name   string
+		theta  float64
+		seeded int
+	}{
+		{"theta=0.5/records=10k", 0.5, 10000},
+		{"theta=0.8/records=2k", 0.8, 2000},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			sigs := benchSignatures(b, shape.seeded, arriving)
+			ix, err := NewIndex(shape.theta)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ix.Append(sigs[:shape.seeded])
+			ix.Append(sigs[shape.seeded:])
+
+			ctx := testEngine(0)
+			var st Stats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, st, err = ix.Probe(ctx, shape.seeded, 8); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(st.Verified)/float64(st.Emitted), "verified/emitted")
+			b.ReportMetric(float64(st.BitmapPruned), "bitmap-pruned/op")
+			b.ReportMetric(float64(st.Scanned), "scanned/op")
+			b.ReportMetric(float64(st.Emitted), "emitted/op")
+		})
+	}
+}
+
+// BenchmarkIndexAppend times growing an index the way a Detector grows it:
+// a 2,000-record seed, then 250-record batches up to 64,000 records, which
+// crosses five doubling rebuilds (at 4k, 8k, 16k, 32k and 64k records). It
+// reports the mean cost per appended record and the slowest single Append,
+// which is the rebuild one batch pays alone.
+func BenchmarkIndexAppend(b *testing.B) {
+	const seeded, total, batch = 2000, 64000, 250
+	sigs := benchSignatures(b, total, 0)
+	var slowest time.Duration
+	rebuilds := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, st, err = ix.Probe(ctx, seeded, 8); err != nil {
+		b.StopTimer()
+		ix, err := NewIndex(0.5)
+		if err != nil {
 			b.Fatal(err)
 		}
+		ix.Append(sigs[:seeded])
+		start := ix.rebuilds
+		b.StartTimer()
+		for from := seeded; from < total; from += batch {
+			t0 := time.Now()
+			ix.Append(sigs[from : from+batch])
+			slowest = max(slowest, time.Since(t0))
+		}
+		rebuilds = ix.rebuilds - start
 	}
-	b.ReportMetric(float64(st.Verified)/float64(st.Emitted), "verified/emitted")
-	b.ReportMetric(float64(st.BitmapPruned), "bitmap-pruned/op")
-	b.ReportMetric(float64(st.Scanned), "scanned/op")
-	b.ReportMetric(float64(st.Emitted), "emitted/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(total-seeded)), "ns/record")
+	b.ReportMetric(float64(slowest.Nanoseconds())/1e6, "max-append-ms")
+	b.ReportMetric(float64(rebuilds), "rebuilds")
 }

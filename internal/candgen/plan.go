@@ -254,18 +254,30 @@ type probeScratch struct {
 }
 
 // needTable fills sc.need with pairNeed(theta, la, lr) for every candidate
-// length la from minLen up that the length bound admits against a prober of
-// lr tokens, longest being the longest signature there is: a probe looks the
-// value up per candidate instead of redoing the float arithmetic, and there
-// are far fewer admissible lengths than candidates.
-func (sc *probeScratch) needTable(theta float64, lr, minLen, longest int) []int32 {
+// length la the length bound admits against a prober of lr tokens, longest
+// being the longest signature there is, and returns those lengths as the
+// range [minLen, maxLen]: a probe tests the length bound on two integers and
+// looks the need up per candidate instead of redoing the float arithmetic,
+// and there are far fewer admissible lengths than candidates.
+// strsim.JaccardSimAtLeast also rejects on the length ratio computed by
+// division, which can disagree with the multiplicative bound at a rounding
+// tie; a length it rejects that way gets a need no pair of those sizes can
+// reach, so a probe accepts exactly the pairs the verifier accepts.
+func (sc *probeScratch) needTable(theta float64, lr, longest int) (need []int32, minLen, maxLen int) {
 	if longest >= len(sc.need) {
 		sc.need = make([]int32, longest+1)
 	}
+	minLen = minOverlap(theta, lr)
+	maxLen = minLen - 1
 	for la := minLen; la <= longest && float64(lr) >= theta*float64(la); la++ {
-		sc.need[la] = int32(pairNeed(theta, la, lr))
+		n := pairNeed(theta, la, lr)
+		if strsim.JaccardSimUpperBound(la, lr) < theta {
+			n = min(la, lr) + 1
+		}
+		sc.need[la] = int32(n)
+		maxLen = la
 	}
-	return sc.need
+	return sc.need, minLen, maxLen
 }
 
 func (pl *plan) newProbeScratch() *probeScratch {
