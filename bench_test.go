@@ -564,14 +564,27 @@ func BenchmarkEndToEndDetectBatch(b *testing.B) {
 
 // BenchmarkDetectBatchShape times Detect at the shape of the benchmark
 // harness's batch_detect workload: 250-report batches against a 10k-report
-// database bootstrapped once, prefix-index candidates at θ 0.5. pairs/op and
-// distinct/op are the candidate pairs per call and the distinct distance
-// vectors among them, the count the classifier is sent.
+// database bootstrapped once, prefix-index candidates at θ 0.5.
 func BenchmarkDetectBatchShape(b *testing.B) {
-	const perCall = 250
+	benchmarkDetectShape(b, 10_000, 250)
+}
+
+// BenchmarkDetectMixedShape times Detect at the in-process shape of the
+// benchmark harness's serve_mixed workload: 10-report batches against a
+// 3k-report database bootstrapped once, prefix-index candidates at θ 0.5.
+func BenchmarkDetectMixedShape(b *testing.B) {
+	benchmarkDetectShape(b, 3_000, 10)
+}
+
+// benchmarkDetectShape times perCall-report Detect calls against a database of
+// seed reports bootstrapped as the benchmark harness does. pairs/op,
+// distinct/op and classified/op are the candidate pairs per call, the
+// distinct distance vectors among them, and the vectors the model had not
+// scored before, which are all Classify is sent.
+func benchmarkDetectShape(b *testing.B, seed, perCall int) {
 	boot, err := serve.NewBootstrap(serve.BootstrapConfig{
-		SeedReports:    10_000,
-		SeedDuplicates: 400,
+		SeedReports:    seed,
+		SeedDuplicates: seed / 25,
 		Seed:           1,
 		Detector: adrdedup.Options{
 			Cluster:        cluster.Config{Executors: 8},
@@ -585,18 +598,20 @@ func BenchmarkDetectBatchShape(b *testing.B) {
 	}
 	defer boot.Detector.Engine().Cluster().Close()
 	traffic := serve.GenerateTraffic(serve.TrafficConfig{Reports: perCall * b.N, Seed: 3})
-	var pairs, distinct int
+	var pairs, distinct, classified int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := boot.Detector.Detect(traffic[i*perCall : (i+1)*perCall]); err != nil {
 			b.Fatal(err)
 		}
-		p, d := boot.Detector.LastDetectShape()
+		p, d, c := boot.Detector.LastDetectShape()
 		pairs += p
 		distinct += d
+		classified += c
 	}
 	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
 	b.ReportMetric(float64(distinct)/float64(b.N), "distinct/op")
+	b.ReportMetric(float64(classified)/float64(b.N), "classified/op")
 }
 
 // stripArrival clears generator arrival sequences so the database assigns

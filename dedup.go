@@ -117,8 +117,10 @@ type Detector struct {
 	// both.
 	index *candgen.Index
 
-	clf      *core.Classifier
-	training []core.TrainingPair
+	// model is the trained classifier and its score table (nil until
+	// trained). Training or loading replaces the whole value, so a table
+	// never outlives the classifier that filled it.
+	model *model
 
 	// shape is the last Detect's classification size (zero when it
 	// classified nothing).
@@ -288,18 +290,17 @@ func (d *Detector) TrainFromIDPairs(ids []pairdist.IDPair) error {
 	if err != nil {
 		return fmt.Errorf("adrdedup: training classifier: %w", err)
 	}
-	d.clf = clf
-	d.training = training
+	d.model = newModel(clf, training)
 	return nil
 }
 
 // SaveModel serializes the trained classifier so a later process can skip
 // retraining. The report database itself is saved separately (adr.WriteJSON).
 func (d *Detector) SaveModel(w io.Writer) error {
-	if d.clf == nil {
+	if d.model == nil {
 		return errors.New("adrdedup: no trained model to save")
 	}
-	return d.clf.Save(w)
+	return d.model.clf.Save(w)
 }
 
 // LoadModel restores a classifier previously written by SaveModel, binding
@@ -310,16 +311,20 @@ func (d *Detector) LoadModel(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	d.clf = clf
-	d.training = nil
+	d.model = newModel(clf, nil)
 	return nil
 }
 
 // Trained reports whether a classifier is available.
-func (d *Detector) Trained() bool { return d.clf != nil }
+func (d *Detector) Trained() bool { return d.model != nil }
 
 // TrainingSize returns the number of training pairs of the current model.
-func (d *Detector) TrainingSize() int { return len(d.training) }
+func (d *Detector) TrainingSize() int {
+	if d.model == nil {
+		return 0
+	}
+	return len(d.model.training)
+}
 
 func (d *Detector) classifierPartitions() int {
 	if d.opts.Classifier.C > 0 {
@@ -344,7 +349,7 @@ func (d *Detector) DetectAll(batch []adr.Report) ([]Match, error) {
 }
 
 func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, retErr error) {
-	if d.clf == nil {
+	if d.model == nil {
 		return nil, errors.New("adrdedup: classifier not trained")
 	}
 	d.shape = detectShape{}
@@ -395,68 +400,146 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 	if err != nil {
 		return nil, fmt.Errorf("adrdedup: vectorizing candidate pairs: %w", err)
 	}
-	// Eqs. 5/6 make a pair's result a function of its vector alone, and the
-	// vectors fall on a small lattice (four 0/1 fields, three Jaccard
-	// distances over small sets), so each distinct vector is classified once
-	// and its pairs read the result back through their slot.
-	vecs, slot := distinctVectors(recs)
-	results, _, err := d.clf.Classify(vecs)
+	// Eqs. 5/6 make a pair's result a function of its vector and the model
+	// alone, and the vectors fall on a small lattice (four 0/1 fields, three
+	// Jaccard distances over small sets) that every call revisits. So the
+	// model's score table answers the vectors it has seen, and Classify is
+	// sent each vector the model has never scored, once. Rows enter the
+	// table only from a Classify that returned without error, and stay when
+	// this Detect fails or is rolled back: they depend on the model, never
+	// on the database.
+	slot, verdicts, classified, err := d.model.score(recs)
 	if err != nil {
 		return nil, fmt.Errorf("adrdedup: classifying candidate pairs: %w", err)
 	}
-	d.shape = detectShape{pairs: len(recs), distinct: len(vecs)}
-	return d.orderMatches(ids, slot, results, includePruned), nil
+	d.shape = detectShape{pairs: len(recs), distinct: len(verdicts), classified: classified}
+	return d.orderMatches(ids, slot, verdicts, includePruned), nil
 }
 
 // detectShape is the size of one Detect call's classification: its candidate
-// pairs and the distinct distance vectors among them, which is what Classify
-// was sent.
+// pairs, the distinct distance vectors among them, and how many of those
+// Classify was sent, the ones the model had not scored before.
 type detectShape struct {
-	pairs, distinct int
+	pairs, distinct, classified int
 }
 
-// vecKey is a distance vector's identity in the distinct pass: the bit
+// vecKey is a distance vector's identity in the score table: the bit
 // patterns of its coordinates. Equal bits are equal inputs to every distance
 // Classify computes, so pairs with equal keys get equal results. Comparing
 // with == instead would merge +0 with -0, and rounding would merge vectors
 // that can score differently.
 type vecKey [pairdist.Dims]uint64
 
-// distinctVectors returns the distinct vectors of recs in order of first
-// appearance, and per record the index of its vector among them.
-func distinctVectors(recs []pairdist.PairRecord) (vecs [][]float64, slot []int32) {
-	// Sized from the pair count: a call with few pairs allocates next to
-	// nothing, and at the batch shape distinct vectors are a few percent of
-	// the pairs.
-	seen := make(map[vecKey]int32, len(recs)/16)
+// verdict is what the model decided for one distance vector.
+type verdict struct {
+	Score  float64
+	Label  int
+	Pruned bool
+}
+
+// model is a trained classifier and its score table: the verdict of every
+// distance vector it has classified. Under a fixed training set a verdict is
+// a pure function of the vector, so the table is exact for as long as the
+// classifier lives, and dies with it.
+type model struct {
+	clf      *core.Classifier
+	training []core.TrainingPair
+
+	rows []scoreRow
+	// row maps a vector's key to its index in rows.
+	row map[vecKey]int32
+	// calls numbers score calls, to tell which rows the current call has
+	// already placed.
+	calls uint64
+}
+
+// scoreRow is one table entry. call and slot are score's scratch: the last
+// call that referenced the row, and the row's slot in that call's verdicts.
+type scoreRow struct {
+	verdict
+	call uint64
+	slot int32
+}
+
+func newModel(clf *core.Classifier, training []core.TrainingPair) *model {
+	return &model{clf: clf, training: training, row: make(map[vecKey]int32)}
+}
+
+// score returns the verdicts of the distinct vectors of recs and, per
+// record, the slot of its vector's verdict, classifying only the vectors the
+// model has never scored; classified is how many that was. Each record costs
+// one table lookup. The misses are deduplicated, sent to Classify once, and
+// entered into the table only if Classify succeeds. Slots follow first
+// appearance among the table's hits, then the misses, so the call's work and
+// its verdicts are sized by its records, never by the table.
+func (m *model) score(recs []pairdist.PairRecord) (slot []int32, verdicts []verdict, classified int, err error) {
+	m.calls++
+	call := m.calls
 	slot = make([]int32, len(recs))
+	var hits []int32 // rows this call references, by slot
+	var misses [][]float64
+	var missKeys []vecKey
+	missed := make(map[vecKey]int32)
 	for i, r := range recs {
 		var k vecKey
 		for j, x := range r.Vec {
 			k[j] = math.Float64bits(x)
 		}
-		s, ok := seen[k]
-		if !ok {
-			s = int32(len(vecs))
-			seen[k] = s
-			vecs = append(vecs, r.Vec)
+		if e, ok := m.row[k]; ok {
+			row := &m.rows[e]
+			if row.call != call {
+				row.call, row.slot = call, int32(len(hits))
+				hits = append(hits, e)
+			}
+			slot[i] = row.slot
+			continue
 		}
-		slot[i] = s
+		s, ok := missed[k]
+		if !ok {
+			s = int32(len(misses))
+			missed[k] = s
+			misses = append(misses, r.Vec)
+			missKeys = append(missKeys, k)
+		}
+		slot[i] = ^s // resolved below, once the misses have slots
 	}
-	return vecs, slot
+	verdicts = make([]verdict, len(hits), len(hits)+len(misses))
+	for s, e := range hits {
+		verdicts[s] = m.rows[e].verdict
+	}
+	if len(misses) == 0 {
+		return slot, verdicts, 0, nil
+	}
+	results, _, err := m.clf.Classify(misses)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	base := int32(len(hits))
+	for j, res := range results { // results[j] is misses[j]'s
+		v := verdict{Score: res.Score, Label: res.Label, Pruned: res.Pruned}
+		m.row[missKeys[j]] = int32(len(m.rows))
+		m.rows = append(m.rows, scoreRow{verdict: v})
+		verdicts = append(verdicts, v)
+	}
+	for i, s := range slot {
+		if s < 0 {
+			slot[i] = base + ^s
+		}
+	}
+	return slot, verdicts, len(misses), nil
 }
 
-// orderMatches assembles the matches of pairs ids, whose vectors' results
+// orderMatches assembles the matches of pairs ids, whose vectors' verdicts
 // sit at results[slot[i]], sorted by descending score with ties broken by
 // (CaseA, CaseB), so equal-scored matches come out in one deterministic order
 // regardless of sort internals or candidate enumeration order. Nothing is
-// compared per pair but integers: the distinct results are ranked once by
-// score, the pairs are bucketed by their result's rank, and inside a bucket
+// compared per pair but integers: the call's verdicts are ranked once by
+// score, the pairs are bucketed by their verdict's rank, and inside a bucket
 // each pair is one integer, the ranks of its two reports in case-number order
 // packed a<<32 | b (case numbers are unique, so ranks order as the strings
-// do). Every table is sized by the distinct vectors and by the reports in
-// this call's pairs, never by the database.
-func (d *Detector) orderMatches(ids []pairdist.IDPair, slot []int32, results []core.Result, includePruned bool) []Match {
+// do). Every table is sized by the call's distinct vectors and by the reports
+// in its pairs, never by the database or the model's score table.
+func (d *Detector) orderMatches(ids []pairdist.IDPair, slot []int32, results []verdict, includePruned bool) []Match {
 	// Label and Pruned split only equal scores that differ in them, which
 	// Eq. 6 and ε > 0 rule out; with them in the rank, results sharing a
 	// rank make identical matches whatever the classifier does.

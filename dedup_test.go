@@ -70,6 +70,13 @@ func loadCorpus(t *testing.T, c *adrgen.Corpus, opts Options, holdout int) (*Det
 // the loaded database plus sampled negatives.
 func trainOnGroundTruth(t *testing.T, c *adrgen.Corpus, det *Detector, negatives int) {
 	t.Helper()
+	if err := det.TrainFromLabeledCases(groundTruthPairs(c, det, negatives)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// groundTruthPairs is trainOnGroundTruth's labelled set.
+func groundTruthPairs(c *adrgen.Corpus, det *Detector, negatives int) []LabeledCasePair {
 	var labelled []LabeledCasePair
 	for _, d := range c.Duplicates {
 		if _, okA := det.Database().Get(d.CaseA); !okA {
@@ -127,9 +134,7 @@ func trainOnGroundTruth(t *testing.T, c *adrgen.Corpus, det *Detector, negatives
 			count++
 		}
 	}
-	if err := det.TrainFromLabeledCases(labelled); err != nil {
-		t.Fatal(err)
-	}
+	return labelled
 }
 
 func TestNewValidatesClassifierConfig(t *testing.T) {
@@ -569,21 +574,28 @@ func TestMetricsExposed(t *testing.T) {
 // the batch is silently lost — a retry then failed on its own case numbers
 // instead of detecting anything.
 func TestDetectRollsBackOnEngineFailure(t *testing.T) {
+	checkRollsBackAndRetries(t, "extract")
+}
+
+// TestDetectRollsBackOnClassifierFailure pins the late error path: the
+// failure strikes *after* the batch's features were extracted and appended,
+// so both the database and the feature slice must roll back together.
+func TestDetectRollsBackOnClassifierFailure(t *testing.T) {
+	checkRollsBackAndRetries(t, "classify")
+}
+
+// checkRollsBackAndRetries fails a testCorpus batch at failDetect's position,
+// requires the database and the features to be back at their old length,
+// and requires the retried batch to be absorbed and to return the matches a
+// detector that never failed returns.
+func checkRollsBackAndRetries(t *testing.T, position string) {
+	t.Helper()
 	c, det, batch := testCorpus(t, 20)
 	trainOnGroundTruth(t, c, det, 2000)
 	existing := det.Database().Len()
 	nFeats := len(det.feats)
 
-	// Swap in an engine whose tasks always fail: extraction of the new
-	// batch dies after the database has absorbed it.
-	goodCl, goodCtx := det.cl, det.ctx
-	badCl := cluster.New(cluster.Config{Executors: 2, FailureRate: 1, MaxTaskRetries: 1, Seed: 5})
-	det.cl, det.ctx = badCl, rdd.NewContext(badCl)
-	if _, err := det.Detect(batch); err == nil {
-		t.Fatal("expected Detect to fail on the always-failing engine")
-	}
-	det.cl, det.ctx = goodCl, goodCtx
-
+	failDetect(t, det, position, batch)
 	if got := det.Database().Len(); got != existing {
 		t.Fatalf("failed Detect left the database at %d reports, want %d", got, existing)
 	}
@@ -591,71 +603,26 @@ func TestDetectRollsBackOnEngineFailure(t *testing.T) {
 		t.Fatalf("failed Detect left %d features, want %d", got, nFeats)
 	}
 
-	// The same batch retried must now be fully processed.
 	matches, err := det.Detect(batch)
 	if err != nil {
 		t.Fatalf("retrying the batch after a failed Detect: %v", err)
 	}
-	if len(matches) == 0 {
-		t.Fatal("retried Detect returned no matches")
-	}
 	if got := det.Database().Len(); got != existing+len(batch) {
 		t.Fatalf("retried Detect absorbed to %d reports, want %d", got, existing+len(batch))
 	}
-	_ = c
-}
 
-// TestDetectRollsBackOnClassifierFailure pins the late error path: the
-// failure strikes *after* the batch's features were extracted and appended,
-// so both the database and the feature slice must roll back together.
-func TestDetectRollsBackOnClassifierFailure(t *testing.T) {
-	c, det, batch := testCorpus(t, 20)
-	trainOnGroundTruth(t, c, det, 2000)
-	existing := det.Database().Len()
-	nFeats := len(det.feats)
-
-	// A classifier trained on 5-dimensional vectors rejects the
-	// 7-dimensional pair vectors, deterministically failing Detect at the
-	// classification step.
-	goodClf := det.clf
-	bogus := make([]core.TrainingPair, 8)
-	for i := range bogus {
-		v := make([]float64, 5)
-		v[i%5] = float64(i + 1)
-		label := -1
-		if i%2 == 0 {
-			label = 1
-		}
-		bogus[i] = core.TrainingPair{Vec: v, Label: label}
-	}
-	badClf, err := core.Train(det.ctx, bogus, core.Config{K: 1, B: 2, C: 2, Seed: 3})
+	c, clean, batch := testCorpus(t, 20)
+	trainOnGroundTruth(t, c, clean, 2000)
+	want, err := clean.Detect(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det.clf = badClf
-	if _, err := det.Detect(batch); err == nil {
-		t.Fatal("expected Detect to fail on the wrong-dimension classifier")
+	if len(want) == 0 {
+		t.Fatal("never-failed Detect returned no matches; comparison would be vacuous")
 	}
-	det.clf = goodClf
-
-	if got := det.Database().Len(); got != existing {
-		t.Fatalf("failed Detect left the database at %d reports, want %d", got, existing)
+	if !reflect.DeepEqual(matches, want) {
+		t.Fatalf("retried Detect returned %d matches, a never-failed detector %d", len(matches), len(want))
 	}
-	if got := len(det.feats); got != nFeats {
-		t.Fatalf("failed Detect left %d features, want %d (features not rolled back)", got, nFeats)
-	}
-
-	matches, err := det.Detect(batch)
-	if err != nil {
-		t.Fatalf("retrying the batch after a failed Detect: %v", err)
-	}
-	if len(matches) == 0 {
-		t.Fatal("retried Detect returned no matches")
-	}
-	if got := det.Database().Len(); got != existing+len(batch) {
-		t.Fatalf("retried Detect absorbed to %d reports, want %d", got, existing+len(batch))
-	}
-	_ = c
 }
 
 // relabelCases renames report i of c "A-<perm[i]>", perm a fixed permutation,
@@ -752,13 +719,18 @@ func TestDetectMatchOrderDeterministic(t *testing.T) {
 	}
 }
 
+// refTable is referenceDetect's score table: the result of every vector it
+// has classified, keyed on the vector's bits.
+type refTable map[[pairdist.Dims]uint64]core.Result
+
 // referenceDetect is Detect spelled out step by step on det: absorb the batch,
 // vectorize its candidate pairs, classify them, and return every match
 // (pruned included, as DetectAll does) sorted by descending score and then
-// (CaseA, CaseB) in string order. With distinct set it classifies each
-// distinct vector once, keyed on its bits; otherwise every pair. It also
+// (CaseA, CaseB) in string order. With a nil table it classifies every pair.
+// Otherwise pairs whose vector the table holds read it from there, each other
+// vector is classified once, and its result is added to the table. It also
 // returns the vectors classified and the engine records the steps committed.
-func referenceDetect(t *testing.T, det *Detector, batch []adr.Report, distinct bool) (_ []Match, classified int, records int64) {
+func referenceDetect(t *testing.T, det *Detector, batch []adr.Report, table refTable) (_ []Match, classified int, records int64) {
 	t.Helper()
 	before := det.Metrics().RecordsProcessed
 	existing := det.db.Len()
@@ -777,29 +749,40 @@ func referenceDetect(t *testing.T, det *Detector, batch []adr.Report, distinct b
 		t.Fatal(err)
 	}
 	var vecs [][]float64
-	slot := make([]int, len(recs))
-	seen := make(map[[pairdist.Dims]uint64]int)
+	slot := make([]int, len(recs)) // index into vecs, or -1: read from table
+	keys := make([][pairdist.Dims]uint64, len(recs))
+	pending := make(map[[pairdist.Dims]uint64]int)
 	for i, r := range recs {
-		var key [pairdist.Dims]uint64
 		for j, x := range r.Vec {
-			key[j] = math.Float64bits(x)
+			keys[i][j] = math.Float64bits(x)
 		}
-		s, ok := seen[key]
-		if !ok || !distinct {
-			s = len(vecs)
-			seen[key] = s
-			vecs = append(vecs, r.Vec)
+		if table != nil {
+			if _, ok := table[keys[i]]; ok {
+				slot[i] = -1
+				continue
+			}
+			if s, ok := pending[keys[i]]; ok {
+				slot[i] = s
+				continue
+			}
+			pending[keys[i]] = len(vecs)
 		}
-		slot[i] = s
+		slot[i] = len(vecs)
+		vecs = append(vecs, r.Vec)
 	}
-	results, _, err := det.clf.Classify(vecs)
+	results, _, err := det.model.clf.Classify(vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	records = det.Metrics().RecordsProcessed - before
 	matches := make([]Match, len(ids))
 	for i, p := range ids {
-		res := results[slot[i]]
+		var res core.Result
+		if slot[i] < 0 {
+			res = table[keys[i]]
+		} else {
+			res = results[slot[i]]
+		}
 		caseA, _ := det.db.CaseNumber(p.A)
 		caseB, _ := det.db.CaseNumber(p.B)
 		matches[i] = Match{CaseA: caseA, CaseB: caseB, Score: res.Score, Duplicate: res.Label > 0, Pruned: res.Pruned}
@@ -813,6 +796,9 @@ func referenceDetect(t *testing.T, det *Detector, batch []adr.Report, distinct b
 		}
 		return strings.Compare(a.CaseB, b.CaseB)
 	})
+	for key, s := range pending {
+		table[key] = results[s]
+	}
 	return matches, len(vecs), records
 }
 
@@ -825,22 +811,7 @@ func referenceDetect(t *testing.T, det *Detector, batch []adr.Report, distinct b
 // fails. Clean, with §4.3.4 pruning, and under task failures with
 // speculation.
 func TestDetectClassifiesDistinctVectorsOnce(t *testing.T) {
-	pruning := testOptions()
-	pruning.Classifier.Pruning = &core.PruningConfig{Clusters: 4, FTheta: 0.25}
-	faulty := testOptions()
-	faulty.Cluster = cluster.Config{
-		Executors: 4, CoresPerExecutor: 2, FailureRate: 0.3, MaxTaskRetries: 40, Seed: 9,
-		Speculation: true, SpeculationQuantile: 0.5, SpeculationMinRuntimeMS: -1,
-		StragglerRate: 0.1, StragglerRealDelayMS: 1,
-	}
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"clean", testOptions()},
-		{"pruning", pruning},
-		{"failures+speculation", faulty},
-	} {
+	for _, tc := range scoringSetups() {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newTestCorpus()
 			build := func() (*Detector, []adr.Report) {
@@ -857,24 +828,11 @@ func TestDetectClassifiesDistinctVectorsOnce(t *testing.T) {
 			records := det.Metrics().RecordsProcessed - before
 
 			refDet, refBatch := build()
-			want, pairs, everyRecords := referenceDetect(t, refDet, refBatch, false)
-			if len(got) != len(want) {
-				t.Fatalf("DetectAll returned %d matches, the reference %d", len(got), len(want))
-			}
-			pruned := 0
-			for i := range want {
-				g, w := got[i], want[i]
-				if g.CaseA != w.CaseA || g.CaseB != w.CaseB || math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
-					g.Duplicate != w.Duplicate || g.Pruned != w.Pruned {
-					t.Fatalf("match %d: DetectAll %+v, reference %+v", i, g, w)
-				}
-				if g.Pruned {
-					pruned++
-				}
-			}
+			want, pairs, everyRecords := referenceDetect(t, refDet, refBatch, nil)
+			pruned := checkBitExact(t, got, want)
 
 			distDet, distBatch := build()
-			_, distinct, distinctRecords := referenceDetect(t, distDet, distBatch, true)
+			_, distinct, distinctRecords := referenceDetect(t, distDet, distBatch, refTable{})
 			if distinct >= pairs {
 				t.Fatalf("%d pairs carry %d distinct vectors; the test is vacuous", pairs, distinct)
 			}
@@ -882,39 +840,270 @@ func TestDetectClassifiesDistinctVectorsOnce(t *testing.T) {
 				t.Fatalf("DetectAll committed %d records; classifying the %d distinct vectors commits %d, all %d pairs %d",
 					records, distinct, distinctRecords, pairs, everyRecords)
 			}
-			if det.shape != (detectShape{pairs: pairs, distinct: distinct}) {
-				t.Fatalf("shape %+v, want %d pairs, %d distinct", det.shape, pairs, distinct)
+			if want := (detectShape{pairs: pairs, distinct: distinct, classified: distinct}); det.shape != want {
+				t.Fatalf("shape %+v, want %+v", det.shape, want)
 			}
-			if tc.opts.Classifier.Pruning != nil && pruned == 0 {
-				t.Fatal("no pair pruned; the pruning case is vacuous")
-			}
-			if m := det.Metrics(); tc.opts.Cluster.FailureRate > 0 && (m.TaskFailures == 0 || m.SpeculativeTasksLaunched == 0) {
-				t.Fatalf("faults did not fire: %d task failures, %d speculative tasks", m.TaskFailures, m.SpeculativeTasksLaunched)
-			}
+			checkSetupFired(t, tc.opts, det, pruned)
 			t.Logf("%d pairs, %d distinct vectors, %d pruned", pairs, distinct, pruned)
 		})
 	}
 }
 
-// TestDistinctVectorsKeepsOneUlpApart pins the distinct pass's key: vectors
-// merge only when every coordinate has the same bits. One ulp apart, or +0
-// against -0, they stay separate; equal vectors in separate slices share a
-// slot.
+// scoringSetup is one configuration the scoring tests run under.
+type scoringSetup struct {
+	name string
+	opts Options
+}
+
+// scoringSetups are testOptions clean, with §4.3.4 pruning, and under task
+// failures with speculation racing stragglers.
+func scoringSetups() []scoringSetup {
+	pruning := testOptions()
+	pruning.Classifier.Pruning = &core.PruningConfig{Clusters: 4, FTheta: 0.25}
+	faulty := testOptions()
+	faulty.Cluster = cluster.Config{
+		Executors: 4, CoresPerExecutor: 2, FailureRate: 0.3, MaxTaskRetries: 40, Seed: 9,
+		Speculation: true, SpeculationQuantile: 0.5, SpeculationMinRuntimeMS: -1,
+		StragglerRate: 0.1, StragglerRealDelayMS: 1,
+	}
+	return []scoringSetup{{"clean", testOptions()}, {"pruning", pruning}, {"failures+speculation", faulty}}
+}
+
+// checkBitExact requires got to equal want match for match, scores compared
+// bit for bit, and returns how many of the matches are pruned.
+func checkBitExact(t *testing.T, got, want []Match) (pruned int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("DetectAll returned %d matches, the reference %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.CaseA != w.CaseA || g.CaseB != w.CaseB || math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
+			g.Duplicate != w.Duplicate || g.Pruned != w.Pruned {
+			t.Fatalf("match %d: DetectAll %+v, reference %+v", i, g, w)
+		}
+		if g.Pruned {
+			pruned++
+		}
+	}
+	return pruned
+}
+
+// checkSetupFired fails a pruning setup that pruned nothing and a faulty one
+// whose faults did not fire.
+func checkSetupFired(t *testing.T, opts Options, det *Detector, pruned int) {
+	t.Helper()
+	if opts.Classifier.Pruning != nil && pruned == 0 {
+		t.Fatal("no pair pruned; the pruning case is vacuous")
+	}
+	if m := det.Metrics(); opts.Cluster.FailureRate > 0 && (m.TaskFailures == 0 || m.SpeculativeTasksLaunched == 0) {
+		t.Fatalf("faults did not fire: %d task failures, %d speculative tasks", m.TaskFailures, m.SpeculativeTasksLaunched)
+	}
+}
+
+// TestDetectScoresEachVectorOncePerModel pins the score table across calls.
+// One detector runs four consecutive DetectAll batches; each must equal,
+// scores bit for bit, a reference that classifies every pair. The engine's
+// committed records show what Classify was sent: every call commits exactly
+// what a reference commits when it classifies only the vectors its model has
+// not scored yet, and from the second call on fewer than one that classifies
+// the call's distinct vectors, so a table that forgets between calls fails.
+// Clean, with §4.3.4 pruning, and under task failures with speculation.
+func TestDetectScoresEachVectorOncePerModel(t *testing.T) {
+	for _, tc := range scoringSetups() {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCorpus()
+			build := func() (*Detector, []adr.Report) {
+				det, batch := loadCorpus(t, c, tc.opts, 20)
+				trainOnGroundTruth(t, c, det, 2000)
+				return det, batch
+			}
+			det, batch := build()
+			everyDet, _ := build()
+			distDet, _ := build()
+			memoDet, _ := build()
+			memo := refTable{}
+			pruned := 0
+			for call := 0; call < 4; call++ {
+				chunk := batch[call*5 : (call+1)*5]
+				before := det.Metrics().RecordsProcessed
+				got, err := det.DetectAll(chunk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				records := det.Metrics().RecordsProcessed - before
+
+				want, pairs, _ := referenceDetect(t, everyDet, chunk, nil)
+				pruned += checkBitExact(t, got, want)
+				_, distinct, distinctRecords := referenceDetect(t, distDet, chunk, refTable{})
+				_, fresh, freshRecords := referenceDetect(t, memoDet, chunk, memo)
+				if want := (detectShape{pairs: pairs, distinct: distinct, classified: fresh}); det.shape != want {
+					t.Fatalf("call %d: shape %+v, want %+v", call, det.shape, want)
+				}
+				if records != freshRecords {
+					t.Fatalf("call %d: DetectAll committed %d records; classifying the %d vectors the model has not scored commits %d",
+						call, records, fresh, freshRecords)
+				}
+				if call > 0 && (fresh >= distinct || records >= distinctRecords) {
+					t.Fatalf("call %d: %d new of %d distinct vectors; DetectAll committed %d records, classifying the distinct ones %d",
+						call, fresh, distinct, records, distinctRecords)
+				}
+				t.Logf("call %d: %d pairs, %d distinct vectors, %d new", call, pairs, distinct, fresh)
+			}
+			if len(det.model.rows) != len(memo) {
+				t.Fatalf("score table holds %d rows, the reference %d", len(det.model.rows), len(memo))
+			}
+			checkSetupFired(t, tc.opts, det, pruned)
+		})
+	}
+}
+
+// TestScoreTableFollowsModel: a detector that scored a batch under model A
+// and then retrains, or loads a saved model, must return for the next batch
+// exactly what a fresh detector holding only the new model returns. The new
+// model is trained on A's labelled pairs with every label flipped, so a
+// verdict of A's read back from a stale table would show.
+func TestScoreTableFollowsModel(t *testing.T) {
+	c := newTestCorpus()
+	det, batch := loadCorpus(t, c, testOptions(), 20)
+	labelsA := groundTruthPairs(c, det, 2000)
+	labelsB := slices.Clone(labelsA)
+	for i := range labelsB {
+		labelsB[i].Duplicate = !labelsB[i].Duplicate
+	}
+	first, second := batch[:10], batch[10:]
+
+	// scoredUnderA returns a detector that has trained model A and detected
+	// the first batch.
+	scoredUnderA := func() *Detector {
+		det, _ := loadCorpus(t, c, testOptions(), 20)
+		if err := det.TrainFromLabeledCases(labelsA); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := det.DetectAll(first); err != nil {
+			t.Fatal(err)
+		}
+		return det
+	}
+	// holdingOnly returns a detector whose database already holds the first
+	// batch and that has never held any model but the one install puts in.
+	holdingOnly := func(install func(*Detector)) *Detector {
+		det, _ := loadCorpus(t, c, testOptions(), 20)
+		if err := det.AddKnownReports(first); err != nil {
+			t.Fatal(err)
+		}
+		install(det)
+		return det
+	}
+	detectSecond := func(det *Detector) []Match {
+		m, err := det.DetectAll(second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	trainB := func(det *Detector) {
+		if err := det.TrainFromLabeledCases(labelsB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var saved bytes.Buffer
+	if err := holdingOnly(trainB).SaveModel(&saved); err != nil {
+		t.Fatal(err)
+	}
+	loadB := func(det *Detector) {
+		if err := det.LoadModel(bytes.NewReader(saved.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stayedA := detectSecond(scoredUnderA())
+	for _, tc := range []struct {
+		name    string
+		install func(*Detector)
+	}{
+		{"retrain", trainB},
+		{"LoadModel", loadB},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			det := scoredUnderA()
+			tc.install(det)
+			got := detectSecond(det)
+			if det.shape.classified != det.shape.distinct {
+				t.Fatalf("after the switch Classify was sent %d of %d distinct vectors, want all", det.shape.classified, det.shape.distinct)
+			}
+			want := detectSecond(holdingOnly(tc.install))
+			if reflect.DeepEqual(want, stayedA) {
+				t.Fatal("models A and B agree on the second batch; the test is vacuous")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %s: %d matches differ from a detector holding only the new model (%d matches)", tc.name, len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestDistinctVectorsKeepsOneUlpApart pins the score table's key and slots:
+// vectors merge only when every coordinate has the same bits. One ulp apart,
+// or +0 against -0, they stay separate; equal vectors in separate slices
+// share a slot. A second call reads the vectors it repeats from the table,
+// classifies only the new one, and every slot holds its vector's verdict.
 func TestDistinctVectorsKeepsOneUlpApart(t *testing.T) {
+	cl := cluster.New(cluster.Config{Executors: 2})
+	defer cl.Close()
+	train := make([]core.TrainingPair, 12)
+	for i := range train {
+		v := make([]float64, pairdist.Dims)
+		v[i%pairdist.Dims] = float64(i+1) / 12
+		train[i] = core.TrainingPair{Vec: v, Label: 1 - 2*(i%2)}
+	}
+	clf, err := core.Train(rdd.NewContext(cl), train, core.Config{K: 3, B: 2, C: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	classify := func(vecs ...[]float64) []verdict {
+		results, _, err := clf.Classify(vecs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]verdict, len(results))
+		for i, r := range results {
+			out[i] = verdict{Score: r.Score, Label: r.Label, Pruned: r.Pruned}
+		}
+		return out
+	}
+	m := newModel(clf, train)
+	score := func(wantSlots []int32, wantClassified int, want []verdict, vecs ...[]float64) {
+		t.Helper()
+		recs := make([]pairdist.PairRecord, len(vecs))
+		for i, v := range vecs {
+			recs[i].Vec = v
+		}
+		slot, verdicts, classified, err := m.score(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(slot, wantSlots) || classified != wantClassified {
+			t.Fatalf("slots %v with %d classified, want %v with %d", slot, classified, wantSlots, wantClassified)
+		}
+		if !slices.Equal(verdicts, want) {
+			t.Fatalf("verdicts %v, want %v", verdicts, want)
+		}
+	}
+
 	base := []float64{0, 1, 0, 1, 0.5, 1.0 / 3, 0.75}
 	ulp := slices.Clone(base)
 	ulp[pairdist.FieldDescription] = math.Nextafter(base[pairdist.FieldDescription], 1)
 	negZero := slices.Clone(base)
 	negZero[pairdist.FieldAge] = math.Copysign(0, -1)
-	recs := []pairdist.PairRecord{
-		{Vec: base}, {Vec: ulp}, {Vec: slices.Clone(base)}, {Vec: negZero}, {Vec: slices.Clone(ulp)},
-	}
-	vecs, slot := distinctVectors(recs)
-	if want := []int32{0, 1, 0, 2, 1}; !slices.Equal(slot, want) {
-		t.Fatalf("slots %v, want %v", slot, want)
-	}
-	if len(vecs) != 3 || &vecs[1][0] != &ulp[0] || &vecs[2][0] != &negZero[0] {
-		t.Fatalf("distinct vectors %v, want base, its one-ulp neighbour, its -0 variant", vecs)
+	fresh := slices.Clone(base)
+	fresh[pairdist.FieldDrugName] = 0.25
+	first := classify(base, ulp, negZero)
+	score([]int32{0, 1, 0, 2, 1}, 3, first, base, ulp, slices.Clone(base), negZero, slices.Clone(ulp))
+	score([]int32{0, 2, 1, 2}, 1, append([]verdict{first[2], first[0]}, classify(fresh)...),
+		negZero, fresh, base, slices.Clone(fresh))
+	if len(m.rows) != 4 {
+		t.Fatalf("score table holds %d rows, want 4", len(m.rows))
 	}
 }
 
@@ -1093,18 +1282,21 @@ func TestPrefixIndexIncrementalEqualsOneShot(t *testing.T) {
 	}
 }
 
-// failDetect makes the next Detect fail at one of its two failure positions,
-// runs it, and restores the detector's parts. "extract" swaps in an engine
-// whose tasks always fail, so the batch has reached the database but neither
-// feats nor the index; "classify" swaps in a classifier trained on
-// 5-dimensional vectors, which rejects the 7-dimensional pair vectors after
-// features and postings were appended and the index probed.
+// failDetect makes the next Detect fail at one of its failure positions, runs
+// it, and restores the detector's parts. "extract" swaps in an engine whose
+// tasks always fail, so the batch has reached the database but neither feats
+// nor the index; "classify" swaps in a model trained on 5-dimensional
+// vectors, which rejects the 7-dimensional pair vectors after features and
+// postings were appended and the index probed; "classify-engine" keeps the
+// detector's model, score table included, but rebinds its classifier to an
+// always-failing engine, so Classify fails on the vectors the table misses.
 func failDetect(t *testing.T, det *Detector, position string, batch []adr.Report) {
 	t.Helper()
+	badCl := cluster.New(cluster.Config{Executors: 2, FailureRate: 1, MaxTaskRetries: 1, Seed: 5})
+	defer badCl.Close()
 	switch position {
 	case "extract":
 		goodCl, goodCtx := det.cl, det.ctx
-		badCl := cluster.New(cluster.Config{Executors: 2, FailureRate: 1, MaxTaskRetries: 1, Seed: 5})
 		det.cl, det.ctx = badCl, rdd.NewContext(badCl)
 		defer func() { det.cl, det.ctx = goodCl, goodCtx }()
 	case "classify":
@@ -1118,9 +1310,27 @@ func failDetect(t *testing.T, det *Detector, position string, batch []adr.Report
 		if err != nil {
 			t.Fatal(err)
 		}
-		goodClf := det.clf
-		det.clf = badClf
-		defer func() { det.clf = goodClf }()
+		good := det.model
+		det.model = newModel(badClf, bogus)
+		defer func() { det.model = good }()
+	case "classify-engine":
+		var saved bytes.Buffer
+		if err := det.SaveModel(&saved); err != nil {
+			t.Fatal(err)
+		}
+		sick, err := core.Load(rdd.NewContext(badCl), &saved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := len(det.model.rows)
+		goodClf := det.model.clf
+		det.model.clf = sick
+		defer func() {
+			det.model.clf = goodClf
+			if got := len(det.model.rows); got != rows {
+				t.Fatalf("a failed Classify grew the score table from %d to %d rows", rows, got)
+			}
+		}()
 	default:
 		t.Fatalf("unknown failure position %q", position)
 	}
@@ -1129,7 +1339,7 @@ func failDetect(t *testing.T, det *Detector, position string, batch []adr.Report
 	}
 }
 
-// TestPrefixIndexRollsBackOnFailedDetect: a Detect failing at either failure
+// TestPrefixIndexRollsBackOnFailedDetect: a Detect failing at any failure
 // position must leave the database, the features and the index exactly as
 // long as they were — a batch's postings left behind would pair every later
 // batch against reports that are no longer in the database — and the retried
@@ -1150,7 +1360,7 @@ func TestPrefixIndexRollsBackOnFailedDetect(t *testing.T) {
 		t.Fatal("clean run returned no matches for the batch under test; comparison would be vacuous")
 	}
 
-	for _, position := range []string{"extract", "classify"} {
+	for _, position := range []string{"extract", "classify", "classify-engine"} {
 		_, det, batch := prefixTestDetector(t, 20)
 		chunks := [][]adr.Report{batch[:5], batch[5:15], batch[15:]}
 		// Warm the index past the seed database.

@@ -180,12 +180,13 @@ func TestFig10ShapeExecutorScaling(t *testing.T) {
 	// DistancePairs must be large enough that the distance stage stays
 	// compute-dominated: the interned merge-scan kernel cut per-pair cost
 	// by an order of magnitude, so at the old 20k pairs the fixed per-stage
-	// scheduler overhead swamped the speedup 16 executors buy.
+	// scheduler overhead swamped the speedup 16 executors buy, and reading
+	// features through pointers cut it again.
 	points, err := Fig10(env, Fig10Params{
 		Executors:     []int{2, 16},
 		TrainSizes:    []int{60_000},
 		TestSize:      4_000,
-		DistancePairs: 60_000,
+		DistancePairs: 120_000,
 		Seed:          8,
 	})
 	if err != nil {

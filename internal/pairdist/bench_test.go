@@ -59,7 +59,7 @@ func BenchmarkPairKernel(b *testing.B) {
 			var sum float64
 			for x := 0; x < numReports; x++ {
 				for y := x + 1; y < numReports; y++ {
-					DistanceInto(buf[:], interned[x], interned[y], JaccardMetric)
+					DistanceInto(buf[:], &interned[x], &interned[y], JaccardMetric)
 					sum += buf[FieldDescription]
 				}
 			}
@@ -77,7 +77,7 @@ func BenchmarkPairKernel(b *testing.B) {
 			p := 0
 			for x := 0; x < numReports; x++ {
 				for y := x + 1; y < numReports; y++ {
-					DistanceInto(arena[p*Dims:(p+1)*Dims:(p+1)*Dims], interned[x], interned[y], JaccardMetric)
+					DistanceInto(arena[p*Dims:(p+1)*Dims:(p+1)*Dims], &interned[x], &interned[y], JaccardMetric)
 					p++
 				}
 			}
@@ -124,7 +124,7 @@ func scalingChunks(pairs []IDPair, tasks int) ([][]IDPair, [][]float64) {
 // chunk, into the task's preallocated arena.
 func sweepChunk(arena []float64, feats []Features, chunk []IDPair) {
 	for i, p := range chunk {
-		DistanceInto(arena[i*Dims:(i+1)*Dims:(i+1)*Dims], feats[p.A], feats[p.B], JaccardMetric)
+		DistanceInto(arena[i*Dims:(i+1)*Dims:(i+1)*Dims], &feats[p.A], &feats[p.B], JaccardMetric)
 	}
 }
 
