@@ -42,12 +42,12 @@ bench:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzStem -fuzztime=10s ./internal/text
 	$(GO) test -run='^$$' -fuzz=FuzzHashKey -fuzztime=10s ./internal/rdd
+	$(GO) test -run='^$$' -fuzz=FuzzKeyedOpsMatchOracle -fuzztime=10s ./internal/rdd
 	$(GO) test -run='^$$' -fuzz=FuzzIntern -fuzztime=10s ./internal/intern
 	$(GO) test -run='^$$' -fuzz=FuzzPrefixPlan -fuzztime=10s ./internal/candgen
 	$(GO) test -run='^$$' -fuzz=FuzzIndexAppend -fuzztime=10s ./internal/candgen
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapBound -fuzztime=10s ./internal/candgen
 	$(GO) test -run='^$$' -fuzz=FuzzResumeVerify -fuzztime=10s ./internal/candgen
-	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=10s ./internal/rdd
 	$(GO) test -run='^$$' -fuzz=FuzzSpillCodec -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzIngestRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzTopK -fuzztime=10s ./internal/knn

@@ -514,7 +514,7 @@ func BenchmarkRDDShuffleReduceByKey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ctx := rdd.NewContext(cluster.New(cluster.Config{Executors: 8}))
 		r := rdd.Parallelize(ctx, pairs, 16)
-		if _, err := rdd.ReduceByKey(r, func(a, b int) int { return a + b }, 8).Count(); err != nil {
+		if _, err := rdd.ReduceByKey(r, func(a, b int) int { return a + b }, 8).Collect(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,8 +39,7 @@ type blockEntry struct {
 	data  any
 	bytes int64
 	// executor is the host whose loss drops this block; ReliableStorage
-	// marks blocks that survive executor failures (checkpoints, driver-
-	// side inserts).
+	// marks driver-side inserts, which survive executor failures.
 	executor int
 	// codec, when non-nil, makes the block spillable instead of evictable.
 	codec SpillCodec

@@ -322,13 +322,12 @@ type Cluster struct {
 	stageCounter int
 	execs        []executorMeta
 
-	blocks      *BlockStore
-	shuffles    *ShuffleService
-	checkpoints *CheckpointStore
-	spill       *SpillStore
-	metrics     *Metrics
-	history     stageHistory
-	tracer      *Tracer
+	blocks   *BlockStore
+	shuffles *ShuffleService
+	spill    *SpillStore
+	metrics  *Metrics
+	history  stageHistory
+	tracer   *Tracer
 
 	// poolCtx parents every attempt context; Close cancels it, waking any
 	// chain blocked in a simulated real delay (straggler sleeps) so no
@@ -347,7 +346,6 @@ func New(cfg Config) *Cluster {
 	c.spill = newSpillStore(c)
 	c.blocks = newBlockStore(int64(cfg.Executors)*cfg.executorMemoryBytes(), c)
 	c.shuffles = newShuffleService(c)
-	c.checkpoints = newCheckpointStore(c)
 	c.metrics = &Metrics{}
 	c.tracer = NewTracer(cfg.TraceCapacity)
 	if cfg.Trace {

@@ -42,18 +42,13 @@ type Metrics struct {
 	// outputs; RecomputedStages the lineage patch-up resubmissions run in
 	// response; RecomputedTasks the lost map partitions those patch-ups
 	// regenerated (never more than MapOutputsLost — recovery recomputes
-	// only what was actually lost). CheckpointedPartitions and
-	// CheckpointBytes count partitions materialized to reliable storage by
-	// rdd.Checkpoint, which truncates lineage so recovery replays from the
-	// checkpoint instead of the full chain.
-	ExecutorFailures       atomic.Int64
-	MapOutputsLost         atomic.Int64
-	ExecutorsBlacklisted   atomic.Int64
-	FetchFailures          atomic.Int64
-	RecomputedStages       atomic.Int64
-	RecomputedTasks        atomic.Int64
-	CheckpointedPartitions atomic.Int64
-	CheckpointBytes        atomic.Int64
+	// only what was actually lost).
+	ExecutorFailures     atomic.Int64
+	MapOutputsLost       atomic.Int64
+	ExecutorsBlacklisted atomic.Int64
+	FetchFailures        atomic.Int64
+	RecomputedStages     atomic.Int64
+	RecomputedTasks      atomic.Int64
 
 	// Memory-bounded engine counters. SpillEvents counts blocks written to
 	// the disk overflow tier (block cache overflow, shuffle buffers over
@@ -92,14 +87,12 @@ type MetricsSnapshot struct {
 	SpeculativeWastedNS      int64
 	StragglersInjected       int64
 
-	ExecutorFailures       int64
-	MapOutputsLost         int64
-	ExecutorsBlacklisted   int64
-	FetchFailures          int64
-	RecomputedStages       int64
-	RecomputedTasks        int64
-	CheckpointedPartitions int64
-	CheckpointBytes        int64
+	ExecutorFailures     int64
+	MapOutputsLost       int64
+	ExecutorsBlacklisted int64
+	FetchFailures        int64
+	RecomputedStages     int64
+	RecomputedTasks      int64
 
 	SpillEvents         int64
 	SpilledBytes        int64
@@ -130,14 +123,12 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		SpeculativeWastedNS:      m.SpeculativeWastedNS.Load(),
 		StragglersInjected:       m.StragglersInjected.Load(),
 
-		ExecutorFailures:       m.ExecutorFailures.Load(),
-		MapOutputsLost:         m.MapOutputsLost.Load(),
-		ExecutorsBlacklisted:   m.ExecutorsBlacklisted.Load(),
-		FetchFailures:          m.FetchFailures.Load(),
-		RecomputedStages:       m.RecomputedStages.Load(),
-		RecomputedTasks:        m.RecomputedTasks.Load(),
-		CheckpointedPartitions: m.CheckpointedPartitions.Load(),
-		CheckpointBytes:        m.CheckpointBytes.Load(),
+		ExecutorFailures:     m.ExecutorFailures.Load(),
+		MapOutputsLost:       m.MapOutputsLost.Load(),
+		ExecutorsBlacklisted: m.ExecutorsBlacklisted.Load(),
+		FetchFailures:        m.FetchFailures.Load(),
+		RecomputedStages:     m.RecomputedStages.Load(),
+		RecomputedTasks:      m.RecomputedTasks.Load(),
 
 		SpillEvents:         m.SpillEvents.Load(),
 		SpilledBytes:        m.SpilledBytes.Load(),
@@ -172,8 +163,6 @@ func (m *Metrics) Reset() {
 	m.FetchFailures.Store(0)
 	m.RecomputedStages.Store(0)
 	m.RecomputedTasks.Store(0)
-	m.CheckpointedPartitions.Store(0)
-	m.CheckpointBytes.Store(0)
 	m.SpillEvents.Store(0)
 	m.SpilledBytes.Store(0)
 	m.CoalescedPartitions.Store(0)

@@ -6,15 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
 // Tests for executor-loss recovery: host-local shuffle invalidation,
-// FetchFailed-driven lineage resubmission, the blacklist policy, typed stage
-// aborts, and the reliable checkpoint store. The chaos harness
+// FetchFailed-driven lineage resubmission, the blacklist policy, and typed
+// stage aborts. The chaos harness
 // (chaos_test.go) exercises the same machinery end to end against the
 // sequential oracle; these tests pin the individual mechanisms.
 
@@ -523,42 +522,6 @@ func TestRecoveryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCheckpointStoreSurvivesExecutorLoss(t *testing.T) {
-	c := New(Config{Executors: 2, Trace: true})
-	id := BlockID{RDD: 3, Partition: 1}
-	c.Checkpoints().Put(id, []byte("payload"))
-	if got := c.Metrics().CheckpointedPartitions.Load(); got != 1 {
-		t.Fatalf("CheckpointedPartitions = %d", got)
-	}
-	// Replacement must not double-count partitions.
-	c.Checkpoints().Put(id, []byte("payload2"))
-	if got := c.Metrics().CheckpointedPartitions.Load(); got != 1 {
-		t.Fatalf("CheckpointedPartitions after replace = %d, want 1", got)
-	}
-	if !c.FailExecutor(0) {
-		t.Fatal("FailExecutor refused")
-	}
-	b, ok := c.Checkpoints().Get(id)
-	if !ok || string(b) != "payload2" {
-		t.Fatalf("checkpoint lost with executor: %q %v", b, ok)
-	}
-	sawEvent := false
-	for _, e := range c.Tracer().Snapshot() {
-		if e.Kind == EventCheckpoint {
-			sawEvent = true
-			if e.Executor != ReliableStorage {
-				t.Errorf("checkpoint event executor = %d, want ReliableStorage", e.Executor)
-			}
-			if !strings.Contains(e.Detail, "rdd3/p1") {
-				t.Errorf("checkpoint event detail = %q", e.Detail)
-			}
-		}
-	}
-	if !sawEvent {
-		t.Error("no checkpoint trace event")
 	}
 }
 

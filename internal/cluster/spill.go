@@ -58,7 +58,7 @@ func GobCodec[T any]() SpillCodec {
 		},
 		decode: func(b []byte) (v any, err error) {
 			// gob decoding of corrupt input can panic; a spill read-back
-			// must degrade to an error like the checkpoint codec does.
+			// must degrade to an error, not crash the task.
 			defer func() {
 				if r := recover(); r != nil {
 					err = fmt.Errorf("cluster: gob spill codec: decode panicked: %v", r)

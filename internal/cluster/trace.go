@@ -45,13 +45,11 @@ const (
 	// threshold into exponential backoff. fetch_failed is emitted by a
 	// reduce attempt whose shuffle read touched lost map outputs, and
 	// stage_resubmit marks the scheduler recomputing those outputs from
-	// lineage before re-running the stage. checkpoint marks one partition
-	// materialized to reliable storage by rdd.Checkpoint.
+	// lineage before re-running the stage.
 	EventExecutorLost        EventKind = "executor_lost"
 	EventExecutorBlacklisted EventKind = "executor_blacklisted"
 	EventFetchFailed         EventKind = "fetch_failed"
 	EventStageResubmit       EventKind = "stage_resubmit"
-	EventCheckpoint          EventKind = "checkpoint"
 	// Memory-bounded engine events. spill marks one block written to the
 	// disk overflow tier (Bytes is the framed, compressed on-disk size;
 	// Executor the host whose local disk holds it); spill_load marks its

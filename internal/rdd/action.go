@@ -2,13 +2,9 @@ package rdd
 
 import (
 	"container/heap"
-	"errors"
 
 	"adrdedup/internal/cluster"
 )
-
-// ErrEmpty is returned by actions that require a non-empty dataset.
-var ErrEmpty = errors.New("rdd: empty dataset")
 
 // Collect materializes the whole dataset on the driver, in partition order.
 func (r *RDD[T]) Collect() ([]T, error) {
@@ -29,164 +25,9 @@ func (r *RDD[T]) Collect() ([]T, error) {
 	return out, nil
 }
 
-// Count returns the number of elements.
-func (r *RDD[T]) Count() (int64, error) {
-	parts, err := RunJob(r, r.lineageName()+".count", func(_ *cluster.TaskContext, _ int, data []T) (int64, error) {
-		return int64(len(data)), nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	for _, c := range parts {
-		n += c
-	}
-	return n, nil
-}
-
-// Reduce combines all elements with f. It returns ErrEmpty on an empty
-// dataset. f must be associative and commutative, as in Spark.
-func Reduce[T any](r *RDD[T], f func(T, T) T) (T, error) {
-	type partial struct {
-		v  T
-		ok bool
-	}
-	parts, err := RunJob(r, r.lineageName()+".reduce", func(_ *cluster.TaskContext, _ int, data []T) (partial, error) {
-		if len(data) == 0 {
-			return partial{}, nil
-		}
-		acc := data[0]
-		for _, v := range data[1:] {
-			acc = f(acc, v)
-		}
-		return partial{v: acc, ok: true}, nil
-	})
-	var zero T
-	if err != nil {
-		return zero, err
-	}
-	var acc T
-	found := false
-	for _, p := range parts {
-		if !p.ok {
-			continue
-		}
-		if !found {
-			acc = p.v
-			found = true
-		} else {
-			acc = f(acc, p.v)
-		}
-	}
-	if !found {
-		return zero, ErrEmpty
-	}
-	return acc, nil
-}
-
-// Aggregate folds every element into an accumulator: seqOp within partitions,
-// combOp across them. zero constructs a fresh accumulator.
-func Aggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combOp func(U, U) U) (U, error) {
-	parts, err := RunJob(r, r.lineageName()+".aggregate", func(_ *cluster.TaskContext, _ int, data []T) (U, error) {
-		acc := zero()
-		for _, v := range data {
-			acc = seqOp(acc, v)
-		}
-		return acc, nil
-	})
-	if err != nil {
-		var z U
-		return z, err
-	}
-	acc := zero()
-	for _, p := range parts {
-		acc = combOp(acc, p)
-	}
-	return acc, nil
-}
-
-// Take returns the first n elements in partition order. Note: unlike Spark's
-// incremental take, this materializes every partition (the simulated cluster
-// runs whole stages); it is an action for tests and small previews.
-func (r *RDD[T]) Take(n int) ([]T, error) {
-	all, err := r.Collect()
-	if err != nil {
-		return nil, err
-	}
-	if n > len(all) {
-		n = len(all)
-	}
-	return all[:n:n], nil
-}
-
-// First returns the first element, or ErrEmpty.
-func (r *RDD[T]) First() (T, error) {
-	var zero T
-	got, err := r.Take(1)
-	if err != nil {
-		return zero, err
-	}
-	if len(got) == 0 {
-		return zero, ErrEmpty
-	}
-	return got[0], nil
-}
-
-// Foreach applies f to every element for its side effects. f runs inside
-// tasks and must be safe for concurrent use and idempotent under task retry.
-func (r *RDD[T]) Foreach(f func(T)) error {
-	_, err := RunJob(r, r.lineageName()+".foreach", func(_ *cluster.TaskContext, _ int, data []T) (struct{}, error) {
-		for _, v := range data {
-			f(v)
-		}
-		return struct{}{}, nil
-	})
-	return err
-}
-
-// CountByKey returns a map from key to occurrence count.
-func CountByKey[K comparable, V any](r *RDD[Pair[K, V]]) (map[K]int64, error) {
-	parts, err := RunJob(r, r.lineageName()+".countByKey", func(_ *cluster.TaskContext, _ int, data []Pair[K, V]) (map[K]int64, error) {
-		m := make(map[K]int64)
-		for _, kv := range data {
-			m[kv.Key]++
-		}
-		return m, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[K]int64)
-	for _, m := range parts {
-		for k, c := range m {
-			out[k] += c
-		}
-	}
-	return out, nil
-}
-
-// TopK returns the n smallest elements according to less, in ascending
-// order. Each partition keeps a bounded heap; the driver merges them. This is
-// the primitive the kNN layer uses to keep k nearest neighbors.
-func TopK[T any](r *RDD[T], n int, less func(a, b T) bool) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	parts, err := RunJob(r, r.lineageName()+".topK", func(_ *cluster.TaskContext, _ int, data []T) ([]T, error) {
-		return BoundedMin(data, n, less), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var merged []T
-	for _, p := range parts {
-		merged = append(merged, p...)
-	}
-	return BoundedMin(merged, n, less), nil
-}
-
 // BoundedMin returns the n smallest elements of data under less, ascending.
-// It is exported for reuse by the kNN packages.
+// It is the reference selection the kNN kernels' tests check their bounded
+// top-k against.
 func BoundedMin[T any](data []T, n int, less func(a, b T) bool) []T {
 	if n <= 0 || len(data) == 0 {
 		return nil

@@ -96,7 +96,7 @@ func BenchmarkJoinPartition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ctx := NewContext(cluster.New(cluster.Config{Executors: 4}))
 		joined := Join(Parallelize(ctx, left, 4), Parallelize(ctx, right, 4), 4)
-		if _, err := joined.Count(); err != nil {
+		if _, err := joined.Collect(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -93,32 +93,6 @@ func diffOps() []diffOp {
 			},
 		},
 		{
-			name: "mapValues",
-			apply: func(r *RDD[drec], _ int) *RDD[drec] {
-				return MapValues(r, func(v int) int { return v - 7 })
-			},
-			oracle: func(in []drec, _ int) []drec {
-				out := make([]drec, 0, len(in))
-				for _, kv := range in {
-					out = append(out, KV(kv.Key, kv.Value-7))
-				}
-				return out
-			},
-		},
-		{
-			name: "keys",
-			apply: func(r *RDD[drec], _ int) *RDD[drec] {
-				return Map(Keys(r), func(k int) drec { return KV(k, k) })
-			},
-			oracle: func(in []drec, _ int) []drec {
-				out := make([]drec, 0, len(in))
-				for _, kv := range in {
-					out = append(out, KV(kv.Key, kv.Key))
-				}
-				return out
-			},
-		},
-		{
 			name: "cache",
 			apply: func(r *RDD[drec], _ int) *RDD[drec] {
 				return r.Cache()
@@ -157,13 +131,6 @@ func diffOps() []diffOp {
 				}
 				return out
 			},
-		},
-		{
-			name: "coalesce",
-			apply: func(r *RDD[drec], _ int) *RDD[drec] {
-				return Coalesce(r, 2)
-			},
-			oracle: func(in []drec, _ int) []drec { return in },
 		},
 		{
 			name:    "partitionBy",
@@ -206,24 +173,6 @@ func diffOps() []diffOp {
 				// contract (stable local sorts + deterministic fetch order).
 				out := append([]drec(nil), in...)
 				sort.SliceStable(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-				return out
-			},
-		},
-		{
-			name:    "distinct",
-			shuffle: true,
-			apply: func(r *RDD[drec], np int) *RDD[drec] {
-				return Distinct(r, np)
-			},
-			oracle: func(in []drec, _ int) []drec {
-				seen := make(map[drec]bool, len(in))
-				var out []drec
-				for _, kv := range in {
-					if !seen[kv] {
-						seen[kv] = true
-						out = append(out, kv)
-					}
-				}
 				return out
 			},
 		},
@@ -391,9 +340,9 @@ func TestSortByStableEqualKeys(t *testing.T) {
 }
 
 // narrowDiffOps is the operator mix for the exact-order differential: only
-// order-deterministic operators (no shuffle), plus Sample and
-// MapElementsWithIndex, whose outputs depend on partitioning and therefore
-// cannot be checked against a partition-agnostic oracle.
+// order-deterministic operators (no shuffle), plus Sample, whose output
+// depends on partitioning and therefore cannot be checked against a
+// partition-agnostic oracle.
 func narrowDiffOps() []diffOp {
 	var ops []diffOp
 	for _, op := range diffOps() {
@@ -401,23 +350,12 @@ func narrowDiffOps() []diffOp {
 			ops = append(ops, op)
 		}
 	}
-	ops = append(ops,
-		diffOp{
-			name: "sample",
-			apply: func(r *RDD[drec], _ int) *RDD[drec] {
-				return Sample(r, 0.7, 31)
-			},
+	return append(ops, diffOp{
+		name: "sample",
+		apply: func(r *RDD[drec], _ int) *RDD[drec] {
+			return Sample(r, 0.7, 31)
 		},
-		diffOp{
-			name: "mapIdx",
-			apply: func(r *RDD[drec], _ int) *RDD[drec] {
-				return MapElementsWithIndex(r, func(p int, kv drec) drec {
-					return KV(kv.Key, kv.Value+p)
-				})
-			},
-		},
-	)
-	return ops
+	})
 }
 
 // TestDifferentialFusedVsUnfused: the identical narrow program, run on

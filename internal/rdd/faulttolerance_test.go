@@ -2,10 +2,183 @@ package rdd
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"adrdedup/internal/cluster"
 )
+
+// killAllButOne fails every live executor except the last, invalidating all
+// executor-hosted shuffle outputs and cached partitions.
+func killAllButOne(t *testing.T, cl *cluster.Cluster) {
+	t.Helper()
+	live := cl.LiveExecutors()
+	if len(live) < 2 {
+		t.Fatal("need at least 2 live executors to kill")
+	}
+	for _, e := range live[:len(live)-1] {
+		if !cl.FailExecutor(e) {
+			t.Fatalf("FailExecutor(%d) refused", e)
+		}
+	}
+}
+
+func recomputeStages(cl *cluster.Cluster) int {
+	n := 0
+	for _, s := range cl.StageHistory() {
+		if strings.Contains(s.Name, ".recompute") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestExecutorLossTransparentToJobs: an RDD pipeline run under executor kills
+// must produce the same results and committed work counters as a kill-free
+// run — recovery is invisible above the cluster layer.
+func TestExecutorLossTransparentToJobs(t *testing.T) {
+	run := func(killRate float64) ([]Pair[int, int], cluster.MetricsSnapshot) {
+		cl := cluster.New(cluster.Config{
+			Executors:           4,
+			Seed:                23,
+			ExecutorFailureRate: killRate,
+		})
+		ctx := NewContext(cl)
+		data := make([]int, 400)
+		for i := range data {
+			data[i] = i
+		}
+		keyed := Map(Parallelize(ctx, data, 8), func(v int) Pair[int, int] { return KV(v%5, v) })
+		sums := ReduceByKey(keyed, func(a, b int) int { return a + b }, 3)
+		out, err := SortBy(sums, func(a, b Pair[int, int]) bool { return a.Key < b.Key }, 2).Collect()
+		if err != nil {
+			t.Fatalf("pipeline at kill rate %v: %v", killRate, err)
+		}
+		return out, cl.Metrics().Snapshot()
+	}
+	wantOut, clean := run(0)
+	gotOut, faulty := run(0.3)
+
+	if faulty.ExecutorFailures == 0 {
+		t.Fatal("kill rate 0.3 lost no executors; test is vacuous")
+	}
+	if fmt.Sprint(gotOut) != fmt.Sprint(wantOut) {
+		t.Errorf("results diverge under executor loss:\n got %v\nwant %v", gotOut, wantOut)
+	}
+	if clean.RecordsProcessed != faulty.RecordsProcessed ||
+		clean.Comparisons != faulty.Comparisons ||
+		clean.ShuffleRecordsWritten != faulty.ShuffleRecordsWritten ||
+		clean.ShuffleBytesWritten != faulty.ShuffleBytesWritten ||
+		clean.ShuffleBytesRead != faulty.ShuffleBytesRead {
+		t.Errorf("work counters diverge under executor loss:\n clean  %+v\n faulty %+v", clean, faulty)
+	}
+	if faulty.RecomputedTasks > faulty.MapOutputsLost {
+		t.Errorf("RecomputedTasks %d > MapOutputsLost %d: recovery recomputed more than it lost",
+			faulty.RecomputedTasks, faulty.MapOutputsLost)
+	}
+}
+
+// TestLostShuffleOutputsRecomputedAfterExecutorLoss: killing the hosts of a
+// finished shuffle's map outputs makes the next job over the same RDD
+// recompute the lost outputs from lineage, and only those, with an unchanged
+// result.
+func TestLostShuffleOutputsRecomputedAfterExecutorLoss(t *testing.T) {
+	cl := cluster.New(cluster.Config{Executors: 4, ExecutorRecoveryStages: 1000})
+	ctx := NewContext(cl)
+	keyed := Map(Parallelize(ctx, ints(200), 6), func(v int) Pair[int, int] { return KV(v%4, v) })
+	sums := ReduceByKey(keyed, func(a, b int) int { return a + b }, 3)
+	want, err := sums.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	killAllButOne(t, cl)
+	got, err := sums.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := recomputeStages(cl); n == 0 {
+		t.Fatal("executor loss recomputed nothing; test is vacuous")
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("recovered collect = %v, want %v", got, want)
+	}
+	m := cl.Metrics().Snapshot()
+	if m.RecomputedTasks > m.MapOutputsLost {
+		t.Errorf("RecomputedTasks %d > MapOutputsLost %d: recovery recomputed more than it lost",
+			m.RecomputedTasks, m.MapOutputsLost)
+	}
+}
+
+// TestCachedPartitionsDieWithExecutor: a cached partition lives on the
+// executor that computed it, so killing that executor drops it and the next
+// read recomputes it from lineage.
+func TestCachedPartitionsDieWithExecutor(t *testing.T) {
+	cl := cluster.New(cluster.Config{Executors: 3, ExecutorRecoveryStages: 1000})
+	ctx := NewContext(cl)
+	cached := Map(Parallelize(ctx, []int{1, 2, 3, 4, 5, 6}, 3), func(v int) int { return v * 2 }).Cache()
+	want, err := cached.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	killAllButOne(t, cl)
+	got, err := cached.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.Metrics().BlockRecomputes.Load() == 0 {
+		t.Error("cached partitions survived executor loss; cache is not host-local")
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("recomputed collect = %v, want %v", got, want)
+	}
+}
+
+// TestSpilledCachedPartitionsCollectAfterHostLoss: a cached RDD whose
+// partitions were displaced to executor-local spill disk loses them with the
+// hosts (spill files live on the dead host's disk); the next collect
+// recomputes them from lineage and matches an unbudgeted, kill-free run.
+func TestSpilledCachedPartitionsCollectAfterHostLoss(t *testing.T) {
+	build := func(cl *cluster.Cluster) *RDD[Pair[int, int]] {
+		ctx := NewContext(cl)
+		keyed := Map(Parallelize(ctx, ints(400), 8), func(v int) Pair[int, int] { return KV(v%5, v) })
+		return ReduceByKey(keyed, func(a, b int) int { return a + b }, 4)
+	}
+
+	clOracle := cluster.New(cluster.Config{Executors: 4})
+	defer clOracle.Close()
+	want, err := build(clOracle).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A pathological 64-byte budget displaces every cached partition to
+	// spill disk the moment it lands.
+	cl := cluster.New(cluster.Config{
+		Executors:              4,
+		ExecutorRecoveryStages: 1000,
+		SpillToDisk:            true,
+		MemoryPerExecutorBytes: 64,
+	})
+	defer cl.Close()
+	sums := build(cl).Cache()
+	if _, err := sums.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if cl.Blocks().SpilledLen() == 0 {
+		t.Fatal("no cached partition spilled under a 64-byte budget; test is vacuous")
+	}
+	killAllButOne(t, cl)
+	got, err := sums.Collect()
+	if err != nil {
+		t.Fatalf("collect after executor loss: %v", err)
+	}
+	if cl.Metrics().BlockRecomputes.Load() == 0 {
+		t.Error("spilled partitions on killed hosts were read back instead of recomputed")
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("post-kill collect = %v, want %v", got, want)
+	}
+}
 
 // runCountedPipeline executes a representative shuffle pipeline (map →
 // reduceByKey → counting action) on a fresh cluster with the given failure
@@ -149,16 +322,7 @@ func TestStageNamesCarryLineageTags(t *testing.T) {
 	}
 	want := fmt.Sprintf("@rdd%d", r.ID())
 	last := h[len(h)-1].Name
-	if !contains(last, want) {
+	if !strings.Contains(last, want) {
 		t.Errorf("stage name %q missing lineage tag %q", last, want)
 	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

@@ -8,11 +8,10 @@ import (
 
 // Fused narrow-stage execution.
 //
-// Narrow (element-wise) transformations — Map, Filter, FlatMap, Sample,
-// MapValues, Keys, Values, MapElementsWithIndex — carry, in addition to the
-// usual per-partition compute closure, a *streaming* description of the
-// operator: a function that pushes the partition's elements one at a time
-// into a downstream emit callback. When a chain of such operators is
+// Narrow (element-wise) transformations — Map, Filter, FlatMap, Sample —
+// carry, in addition to the usual per-partition compute closure, a
+// *streaming* description of the operator: a function that pushes the
+// partition's elements one at a time into a downstream emit callback. When a chain of such operators is
 // materialized, the chain collapses into a single one-pass loop over the
 // nearest upstream fusion boundary with one output allocation, instead of
 // one full intermediate slice per operator.
@@ -24,13 +23,12 @@ import (
 //     operators must read through the cache, and the cache must be fed);
 //   - shuffle outputs (PartitionBy, and everything built on it) and sources
 //     (Parallelize), whose partitions arrive as slices;
-//   - multi-parent / partition-reshaping operators (Union, Cartesian,
-//     Coalesce) and opaque whole-partition operators (MapPartitions,
-//     MapPartitionsWithIndex, SortBy), which consume their parents as
-//     slices. Cartesian is special-cased: it is a boundary for its *parents*
-//     but streams its pairs element-by-element into the fused downstream
-//     chain, so `Cartesian(a, b) → Filter → Map` never materializes the full
-//     cross product.
+//   - multi-parent operators (Union, Cartesian) and opaque whole-partition
+//     operators (MapPartitions, MapPartitionsTC, SortBy), which consume
+//     their parents as slices. Cartesian is special-cased: it is a boundary
+//     for its *parents* but streams its pairs element-by-element into the
+//     fused downstream chain, so `Cartesian(a, b) → Filter → Map` never
+//     materializes the full cross product.
 //
 // Counter attribution is unchanged by fusion: records and working-set bytes
 // are charged where partitions actually materialize — at the boundary RDD a

@@ -97,21 +97,6 @@ func TestSetNameOverridesFusedLabel(t *testing.T) {
 	}
 }
 
-// TestMapElementsWithIndex: the fused element-wise indexed map sees the
-// correct partition index for every element.
-func TestMapElementsWithIndex(t *testing.T) {
-	ctx := NewContext(cluster.New(cluster.Config{Executors: 2}))
-	r := Parallelize(ctx, []int{10, 20, 30, 40}, 2)
-	got, err := MapElementsWithIndex(r, func(p, v int) int { return v + p }).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{10, 20, 31, 41} // partition 0: {10,20}, partition 1: {30,40}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
 // buildNarrowChain is the 3-operator chain shared by the allocation test and
 // BenchmarkNarrowChain.
 func buildNarrowChain(ctx *Context, data []int, parts int) *RDD[int] {

@@ -1,8 +1,11 @@
 package rdd
 
 import (
+	"fmt"
 	"hash/fnv"
 	"testing"
+
+	"adrdedup/internal/cluster"
 )
 
 // FuzzHashKey fuzzes the shuffle key hasher across every supported key kind.
@@ -79,6 +82,97 @@ func FuzzHashKey(f *testing.F) {
 		h.Write([]byte(s))
 		if got, want := hashKey(s), h.Sum64(); got != want {
 			t.Errorf("hashKey(%q) = %d, want stdlib FNV-1a %d", s, got, want)
+		}
+	})
+}
+
+// FuzzKeyedOpsMatchOracle fuzzes the three keyed shuffles the engine keeps
+// against driver-side oracles, for any record multiset and any input and
+// output partition counts. Each byte b at index i becomes the record
+// (b%11, i). Invariants:
+//
+//   - PartitionBy conserves the record multiset and puts every record in
+//     bucket hashKey(key) % numPartitions;
+//   - ReduceByKey(+) yields each key once, with the driver's per-key sum;
+//   - Join of the records with themselves yields Σ count(key)² rows, each
+//     pairing two records of the same key.
+func FuzzKeyedOpsMatchOracle(f *testing.F) {
+	f.Add([]byte{}, uint8(1), uint8(1))
+	f.Add([]byte{0}, uint8(4), uint8(3))
+	f.Add([]byte{7, 7, 7, 7}, uint8(2), uint8(5))
+	f.Add([]byte("aspirin"), uint8(3), uint8(2))
+	f.Add([]byte("nausea and dizziness"), uint8(7), uint8(1))
+	f.Add([]byte{0, 11, 22, 33, 44, 55}, uint8(6), uint8(6))
+	f.Add([]byte{255, 1, 254, 2, 253, 3}, uint8(1), uint8(8))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(5), uint8(4))
+	f.Fuzz(func(t *testing.T, data []byte, inParts, outParts uint8) {
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		in := int(inParts%8) + 1
+		out := int(outParts%8) + 1
+		records := make([]Pair[int, int], len(data))
+		counts := make(map[int]int)
+		sums := make(map[int]int)
+		for i, b := range data {
+			k := int(b % 11)
+			records[i] = KV(k, i)
+			counts[k]++
+			sums[k] += i
+		}
+		cl := cluster.New(cluster.Config{Executors: 3})
+		defer cl.Close()
+		src := Parallelize(NewContext(cl), records, in)
+
+		buckets, err := RunJob(PartitionBy(src, out), "buckets",
+			func(_ *cluster.TaskContext, p int, part []Pair[int, int]) ([]Pair[int, int], error) {
+				for _, kv := range part {
+					if b := int(hashKey(kv.Key) % uint64(out)); b != p {
+						t.Errorf("key %d in partition %d, want bucket %d", kv.Key, p, b)
+					}
+				}
+				return part, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shuffled []Pair[int, int]
+		for _, part := range buckets {
+			shuffled = append(shuffled, part...)
+		}
+		if got, want := fmt.Sprint(sortedPairs(shuffled)), fmt.Sprint(sortedPairs(records)); got != want {
+			t.Errorf("PartitionBy changed the records:\n got %s\nwant %s", got, want)
+		}
+
+		reduced, err := ReduceByKey(src, func(a, b int) int { return a + b }, out).Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reduced) != len(sums) {
+			t.Errorf("ReduceByKey yielded %d keys, want %d", len(reduced), len(sums))
+		}
+		for _, kv := range reduced {
+			if kv.Value != sums[kv.Key] {
+				t.Errorf("ReduceByKey key %d = %d, want %d", kv.Key, kv.Value, sums[kv.Key])
+			}
+		}
+
+		joined, err := Join(src, src, out).Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for _, c := range counts {
+			want += c * c
+		}
+		if len(joined) != want {
+			t.Errorf("Join yielded %d rows, want %d", len(joined), want)
+		}
+		for _, kv := range joined {
+			a, b := kv.Value.A, kv.Value.B
+			if int(data[a]%11) != kv.Key || int(data[b]%11) != kv.Key {
+				t.Errorf("Join paired records %d and %d under key %d", a, b, kv.Key)
+			}
 		}
 	})
 }

@@ -25,7 +25,7 @@ func TestCacheServesFromBlockStore(t *testing.T) {
 	if first != 40 {
 		t.Fatalf("first pass computed %d elements, want 40", first)
 	}
-	if _, err := r.Count(); err != nil {
+	if _, err := r.Collect(); err != nil {
 		t.Fatal(err)
 	}
 	if len(computes.vs) != first {
@@ -51,9 +51,13 @@ func TestEvictionRecomputesFromLineage(t *testing.T) {
 
 	for range [3]int{} {
 		for _, r := range []*RDD[int]{a, b, c} {
-			sum, err := Reduce(r, func(x, y int) int { return x + y })
+			vs, err := r.Collect()
 			if err != nil {
 				t.Fatal(err)
+			}
+			sum := 0
+			for _, v := range vs {
+				sum += v
 			}
 			if sum <= 0 {
 				t.Fatalf("bad sum %d", sum)
@@ -131,7 +135,7 @@ func TestShuffleChainAcrossStages(t *testing.T) {
 	ctx := testCtx()
 	base := Parallelize(ctx, kvPairs(200, 20), 6)
 	counts := ReduceByKey(base, func(a, b int) int { return a + b }, 4)
-	squares := MapValues(counts, func(v int) int { return v * v })
+	squares := Map(counts, func(kv Pair[int, int]) Pair[int, int] { return KV(kv.Key, kv.Value*kv.Value) })
 	joined := Join(counts, squares, 4)
 
 	got, err := joined.Collect()
@@ -148,12 +152,12 @@ func TestShuffleChainAcrossStages(t *testing.T) {
 	}
 	stagesBefore := ctx.Cluster().Metrics().StagesRun.Load()
 	// Re-running an action must not re-run the shuffle map stages.
-	if _, err := joined.Count(); err != nil {
+	if _, err := joined.Collect(); err != nil {
 		t.Fatal(err)
 	}
 	stagesAfter := ctx.Cluster().Metrics().StagesRun.Load()
 	if stagesAfter != stagesBefore+1 {
-		t.Errorf("re-count ran %d stages, want exactly 1 (shuffles must not re-run)",
+		t.Errorf("re-collect ran %d stages, want exactly 1 (shuffles must not re-run)",
 			stagesAfter-stagesBefore)
 	}
 }

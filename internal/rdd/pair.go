@@ -256,73 +256,6 @@ func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], f func(V, V) V, numPar
 	return out
 }
 
-// AggregateByKey folds values per key into an accumulator of a different
-// type: seqOp folds a value into a partition-local accumulator, combOp merges
-// accumulators across partitions.
-func AggregateByKey[K comparable, V, U any](r *RDD[Pair[K, V]], zero func() U,
-	seqOp func(U, V) U, combOp func(U, U) U, numPartitions int) *RDD[Pair[K, U]] {
-	local := MapPartitions(r, func(in []Pair[K, V]) ([]Pair[K, U], error) {
-		acc := make(map[K]U, len(in))
-		order := make([]K, 0, len(in))
-		for _, kv := range in {
-			cur, ok := acc[kv.Key]
-			if !ok {
-				cur = zero()
-				order = append(order, kv.Key)
-			}
-			acc[kv.Key] = seqOp(cur, kv.Value)
-		}
-		out := make([]Pair[K, U], 0, len(acc))
-		for _, k := range order {
-			out = append(out, Pair[K, U]{Key: k, Value: acc[k]})
-		}
-		return out, nil
-	}).SetName(r.name + ".aggLocal")
-	local.bytesPerRecord = r.bytesPerRecord
-	shuffled := PartitionBy(local, numPartitions)
-	out := MapPartitions(shuffled, func(in []Pair[K, U]) ([]Pair[K, U], error) {
-		acc := make(map[K]U, len(in))
-		order := make([]K, 0, len(in))
-		for _, kv := range in {
-			if cur, ok := acc[kv.Key]; ok {
-				acc[kv.Key] = combOp(cur, kv.Value)
-			} else {
-				acc[kv.Key] = kv.Value
-				order = append(order, kv.Key)
-			}
-		}
-		out := make([]Pair[K, U], 0, len(acc))
-		for _, k := range order {
-			out = append(out, Pair[K, U]{Key: k, Value: acc[k]})
-		}
-		return out, nil
-	}).SetName(r.name + ".aggregateByKey")
-	out.hashPartitioned = shuffled.hashPartitioned
-	return out
-}
-
-// GroupByKey gathers all values of each key into one slice.
-func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) *RDD[Pair[K, []V]] {
-	shuffled := PartitionBy(r, numPartitions)
-	out := MapPartitions(shuffled, func(in []Pair[K, V]) ([]Pair[K, []V], error) {
-		groups := make(map[K][]V, len(in))
-		order := make([]K, 0, len(in))
-		for _, kv := range in {
-			if _, ok := groups[kv.Key]; !ok {
-				order = append(order, kv.Key)
-			}
-			groups[kv.Key] = append(groups[kv.Key], kv.Value)
-		}
-		out := make([]Pair[K, []V], 0, len(groups))
-		for _, k := range order {
-			out = append(out, Pair[K, []V]{Key: k, Value: groups[k]})
-		}
-		return out, nil
-	}).SetName(r.name + ".groupByKey")
-	out.hashPartitioned = shuffled.hashPartitioned
-	return out
-}
-
 // Join inner-joins two keyed RDDs on their keys: the result contains one
 // (k, (v, w)) record per matching value combination. Both sides are
 // co-partitioned into numPartitions hash partitions, then joined locally.
@@ -388,77 +321,4 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], numPar
 	out.hashPartitioned = true
 	out.bytesPerRecord = bytesPerRecord
 	return out
-}
-
-// CoGroup groups both RDDs' values per key: for every key present in either
-// input, the result holds the full value slices from each side.
-func CoGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], numPartitions int) *RDD[Pair[K, Tuple2[[]V, []W]]] {
-	if a.ctx != b.ctx {
-		panic("rdd: CoGroup across contexts")
-	}
-	if numPartitions <= 0 {
-		numPartitions = a.ctx.parallelism
-	}
-	sa := partitionByOpt(a, numPartitions, false)
-	sb := partitionByOpt(b, numPartitions, false)
-	prepare := append(append([]func() error{}, sa.prepare...), sb.prepare...)
-	out := newRDD(a.ctx, fmt.Sprintf("cogroup(%s,%s)", a.name, b.name), numPartitions,
-		func(tc *cluster.TaskContext, p int) ([]Pair[K, Tuple2[[]V, []W]], error) {
-			left, err := sa.materialize(tc, p)
-			if err != nil {
-				return nil, err
-			}
-			right, err := sb.materialize(tc, p)
-			if err != nil {
-				return nil, err
-			}
-			vs := make(map[K][]V)
-			ws := make(map[K][]W)
-			var order []K
-			seen := make(map[K]bool)
-			for _, kv := range left {
-				if !seen[kv.Key] {
-					seen[kv.Key] = true
-					order = append(order, kv.Key)
-				}
-				vs[kv.Key] = append(vs[kv.Key], kv.Value)
-			}
-			for _, kw := range right {
-				if !seen[kw.Key] {
-					seen[kw.Key] = true
-					order = append(order, kw.Key)
-				}
-				ws[kw.Key] = append(ws[kw.Key], kw.Value)
-			}
-			out := make([]Pair[K, Tuple2[[]V, []W]], 0, len(order))
-			for _, k := range order {
-				out = append(out, Pair[K, Tuple2[[]V, []W]]{
-					Key:   k,
-					Value: Tuple2[[]V, []W]{A: vs[k], B: ws[k]},
-				})
-			}
-			return out, nil
-		}, prepare)
-	out.hashPartitioned = true
-	return out
-}
-
-// MapValues transforms only the value of each pair, preserving partitioning.
-// Like Map, it is a narrow operator and fuses.
-func MapValues[K comparable, V, W any](r *RDD[Pair[K, V]], f func(V) W) *RDD[Pair[K, W]] {
-	out := mapLabeled(r, "mapValues", func(kv Pair[K, V]) Pair[K, W] {
-		return Pair[K, W]{Key: kv.Key, Value: f(kv.Value)}
-	})
-	out.hashPartitioned = r.hashPartitioned
-	return out
-}
-
-// Keys projects a keyed RDD to its keys (narrow, fuses).
-func Keys[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[K] {
-	return mapLabeled(r, "keys", func(kv Pair[K, V]) K { return kv.Key })
-}
-
-// Values projects a keyed RDD to its values (narrow, fuses).
-func Values[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[V] {
-	return mapLabeled(r, "values", func(kv Pair[K, V]) V { return kv.Value })
 }

@@ -11,7 +11,7 @@ import (
 	"adrdedup/internal/cluster"
 )
 
-// sortedSink is a concurrency-safe int accumulator for Foreach tests.
+// sortedSink is a concurrency-safe int accumulator that tasks append to.
 type sortedSink struct {
 	mu sync.Mutex
 	vs []int
@@ -21,16 +21,6 @@ func (s *sortedSink) add(v int) {
 	s.mu.Lock()
 	s.vs = append(s.vs, v)
 	s.mu.Unlock()
-}
-
-func (s *sortedSink) sum() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := 0
-	for _, v := range s.vs {
-		t += v
-	}
-	return t
 }
 
 func kvPairs(n, keys int) []Pair[int, int] {
@@ -69,9 +59,9 @@ func TestPartitionByGroupsKeys(t *testing.T) {
 		}
 	}
 	// No records lost.
-	n, err := s.Count()
-	if err != nil || n != 100 {
-		t.Errorf("count after shuffle = %d, %v", n, err)
+	all, err := s.Collect()
+	if err != nil || len(all) != 100 {
+		t.Errorf("count after shuffle = %d, %v", len(all), err)
 	}
 }
 
@@ -107,7 +97,8 @@ func TestReduceByKey(t *testing.T) {
 }
 
 func TestReduceByKeyEqualsGroupThenFold(t *testing.T) {
-	// Algebraic law: reduceByKey(f) == groupByKey().mapValues(fold f).
+	// Algebraic law: reduceByKey(f) == group by key, then fold f over each
+	// group (done sequentially on the driver).
 	ctx := testCtx()
 	rng := rand.New(rand.NewSource(11))
 	data := make([]Pair[int, int], 500)
@@ -121,17 +112,17 @@ func TestReduceByKeyEqualsGroupThenFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped, err := GroupByKey(r, 4).Collect()
-	if err != nil {
-		t.Fatal(err)
+	grouped := make(map[int][]int)
+	for _, kv := range data {
+		grouped[kv.Key] = append(grouped[kv.Key], kv.Value)
 	}
 	want := make(map[int]int)
-	for _, kv := range grouped {
+	for k, vs := range grouped {
 		acc := 0
-		for _, v := range kv.Value {
-			acc += v
+		for _, v := range vs {
+			acc = f(acc, v)
 		}
-		want[kv.Key] = acc
+		want[k] = acc
 	}
 	if len(reduced) != len(want) {
 		t.Fatalf("key counts differ: %d vs %d", len(reduced), len(want))
@@ -139,46 +130,6 @@ func TestReduceByKeyEqualsGroupThenFold(t *testing.T) {
 	for _, kv := range reduced {
 		if want[kv.Key] != kv.Value {
 			t.Errorf("key %d: reduceByKey %d != group-fold %d", kv.Key, kv.Value, want[kv.Key])
-		}
-	}
-}
-
-func TestAggregateByKey(t *testing.T) {
-	ctx := testCtx()
-	r := Parallelize(ctx, kvPairs(100, 4), 5)
-	// Count per key via aggregate.
-	got, err := AggregateByKey(r,
-		func() int { return 0 },
-		func(acc, _ int) int { return acc + 1 },
-		func(a, b int) int { return a + b }, 2).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kv := range got {
-		if kv.Value != 25 {
-			t.Errorf("key %d count = %d, want 25", kv.Key, kv.Value)
-		}
-	}
-}
-
-func TestGroupByKey(t *testing.T) {
-	ctx := testCtx()
-	r := Parallelize(ctx, kvPairs(30, 3), 4)
-	got, err := GroupByKey(r, 2).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("groups = %d, want 3", len(got))
-	}
-	for _, kv := range got {
-		if len(kv.Value) != 10 {
-			t.Errorf("key %d has %d values, want 10", kv.Key, len(kv.Value))
-		}
-		for _, v := range kv.Value {
-			if v%3 != kv.Key {
-				t.Errorf("value %d grouped under wrong key %d", v, kv.Key)
-			}
 		}
 	}
 }
@@ -240,68 +191,9 @@ func TestJoinSizeMatchesNestedLoop(t *testing.T) {
 		want += int64(c * countR[k])
 	}
 	j := Join(Parallelize(ctx, left, 4), Parallelize(ctx, right, 3), 5)
-	n, err := j.Count()
-	if err != nil || n != want {
-		t.Errorf("join count = %d, want %d (%v)", n, want, err)
-	}
-}
-
-func TestCoGroup(t *testing.T) {
-	ctx := testCtx()
-	left := Parallelize(ctx, []Pair[string, int]{KV("a", 1), KV("a", 2), KV("b", 3)}, 2)
-	right := Parallelize(ctx, []Pair[string, string]{KV("a", "x"), KV("c", "y")}, 1)
-	got, err := CoGroup(left, right, 2).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := make(map[string]Tuple2[[]int, []string])
-	for _, kv := range got {
-		byKey[kv.Key] = kv.Value
-	}
-	if len(byKey) != 3 {
-		t.Fatalf("cogroup keys = %d, want 3", len(byKey))
-	}
-	a := byKey["a"]
-	sort.Ints(a.A)
-	if !reflect.DeepEqual(a.A, []int{1, 2}) || !reflect.DeepEqual(a.B, []string{"x"}) {
-		t.Errorf("cogroup[a] = %v", a)
-	}
-	if c := byKey["c"]; len(c.A) != 0 || !reflect.DeepEqual(c.B, []string{"y"}) {
-		t.Errorf("cogroup[c] = %v", c)
-	}
-}
-
-func TestMapValuesKeysValues(t *testing.T) {
-	ctx := testCtx()
-	r := Parallelize(ctx, []Pair[string, int]{KV("a", 1), KV("b", 2)}, 1)
-	mv, err := MapValues(r, func(v int) int { return v * 10 }).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mv[0].Value != 10 || mv[1].Value != 20 {
-		t.Errorf("MapValues = %v", mv)
-	}
-	ks, err := Keys(r).Collect()
-	if err != nil || !reflect.DeepEqual(ks, []string{"a", "b"}) {
-		t.Errorf("Keys = %v, %v", ks, err)
-	}
-	vs, err := Values(r).Collect()
-	if err != nil || !reflect.DeepEqual(vs, []int{1, 2}) {
-		t.Errorf("Values = %v, %v", vs, err)
-	}
-}
-
-func TestCountByKey(t *testing.T) {
-	ctx := testCtx()
-	r := Parallelize(ctx, kvPairs(60, 6), 4)
-	got, err := CountByKey(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, c := range got {
-		if c != 10 {
-			t.Errorf("key %d count = %d, want 10", k, c)
-		}
+	rows, err := j.Collect()
+	if err != nil || int64(len(rows)) != want {
+		t.Errorf("join count = %d, want %d (%v)", len(rows), want, err)
 	}
 }
 

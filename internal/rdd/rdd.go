@@ -2,11 +2,11 @@
 // top of the simulated cluster (internal/cluster). An RDD is an immutable,
 // lazily evaluated, partitioned collection defined by a per-partition compute
 // closure plus its lineage. Transformations (Map, Filter, Join, ReduceByKey,
-// ...) build new RDDs without running anything; actions (Collect, Count,
-// Reduce, ...) submit jobs. Jobs split into stages at shuffle boundaries,
-// exactly as in Spark: a keyed transformation first runs a map stage that
-// hash-partitions its input into the shuffle service, then downstream stages
-// read the shuffled blocks.
+// ...) build new RDDs without running anything; actions (Collect, or RunJob
+// with a per-partition function) submit jobs. Jobs split into stages at
+// shuffle boundaries, exactly as in Spark: a keyed transformation first runs
+// a map stage that hash-partitions its input into the shuffle service, then
+// downstream stages read the shuffled blocks.
 //
 // Because Go methods cannot introduce new type parameters, transformations
 // that change the element type are package-level functions: rdd.Map(r, f)
@@ -86,10 +86,6 @@ type RDD[T any] struct {
 	mu         sync.Mutex
 	cached     bool
 	everCached map[int]bool // partitions that were stored at least once
-
-	// checkpointed records that Checkpoint replaced compute with a reliable
-	// checkpoint-store read and truncated the lineage (see checkpoint.go).
-	checkpointed bool
 
 	// hashPartitioned marks the output of PartitionBy, letting keyed
 	// operations skip a redundant shuffle when co-partitioned.
@@ -223,8 +219,8 @@ func (r *RDD[T]) ensureDeps() error {
 // MapPartitions, say) cannot poison the cache for later readers. The copy is
 // shallow: elements that are themselves pointers/slices must still not be
 // deeply mutated. Uncached RDDs return the computed slice directly; callers
-// must treat it as read-only too, since narrow transformations (Parallelize,
-// Coalesce) may alias upstream storage.
+// must treat it as read-only too, since Parallelize aliases the driver's
+// slice.
 func (r *RDD[T]) materialize(tc *cluster.TaskContext, partition int) ([]T, error) {
 	r.mu.Lock()
 	cached := r.cached

@@ -38,10 +38,9 @@ func TestParallelizeCollectRoundTrip(t *testing.T) {
 
 func TestParallelizeEmptyAndSmall(t *testing.T) {
 	ctx := testCtx()
-	empty := Parallelize(ctx, []int(nil), 4)
-	n, err := empty.Count()
-	if err != nil || n != 0 {
-		t.Errorf("empty Count = %d, %v", n, err)
+	empty, err := Parallelize(ctx, []int(nil), 4).Collect()
+	if err != nil || len(empty) != 0 {
+		t.Errorf("empty Collect = %v, %v", empty, err)
 	}
 	small := Parallelize(ctx, []int{1, 2}, 10)
 	if small.NumPartitions() > 2 {
@@ -65,13 +64,13 @@ func TestMapFilterFlatMap(t *testing.T) {
 			t.Fatalf("Map wrong at %d: %d", i, v)
 		}
 	}
-	evens, err := Filter(r, func(x int) bool { return x%2 == 0 }).Count()
-	if err != nil || evens != 10 {
-		t.Errorf("Filter count = %d, %v", evens, err)
+	evens, err := Filter(r, func(x int) bool { return x%2 == 0 }).Collect()
+	if err != nil || len(evens) != 10 {
+		t.Errorf("Filter count = %d, %v", len(evens), err)
 	}
-	pairsN, err := FlatMap(r, func(x int) []int { return []int{x, x} }).Count()
-	if err != nil || pairsN != 40 {
-		t.Errorf("FlatMap count = %d, %v", pairsN, err)
+	pairs, err := FlatMap(r, func(x int) []int { return []int{x, x} }).Collect()
+	if err != nil || len(pairs) != 40 {
+		t.Errorf("FlatMap count = %d, %v", len(pairs), err)
 	}
 }
 
@@ -94,10 +93,10 @@ func TestMapFusionProperty(t *testing.T) {
 	}
 }
 
-func TestMapPartitionsWithIndex(t *testing.T) {
+func TestMapPartitionsTCPartitionIndex(t *testing.T) {
 	ctx := testCtx()
 	r := Parallelize(ctx, ints(10), 3)
-	got, err := MapPartitionsWithIndex(r, func(p int, in []int) ([]int, error) {
+	got, err := MapPartitionsTC(r, func(_ *cluster.TaskContext, p int, in []int) ([]int, error) {
 		out := make([]int, len(in))
 		for i := range in {
 			out[i] = p
@@ -123,13 +122,12 @@ func TestUnionCountAdditive(t *testing.T) {
 	if u.NumPartitions() != 5 {
 		t.Errorf("union partitions = %d, want 5", u.NumPartitions())
 	}
-	n, err := u.Count()
-	if err != nil || n != 50 {
-		t.Errorf("union count = %d, %v", n, err)
-	}
 	got, err := u.Collect()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != 50 {
+		t.Errorf("union count = %d, want 50", len(got))
 	}
 	want := append(append([]int{}, ints(30)...), ints(20)...)
 	if !reflect.DeepEqual(got, want) {
@@ -180,103 +178,16 @@ func TestSampleDeterministicAndProportional(t *testing.T) {
 	}
 }
 
-func TestCoalesce(t *testing.T) {
-	ctx := testCtx()
-	r := Parallelize(ctx, ints(100), 10)
-	c := Coalesce(r, 3)
-	if c.NumPartitions() != 3 {
-		t.Fatalf("coalesced partitions = %d", c.NumPartitions())
-	}
-	got, err := c.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ints(100)) {
-		t.Error("coalesce must preserve order")
-	}
-	if Coalesce(r, 20) != r {
-		t.Error("coalesce to more partitions should be a no-op")
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	ctx := testCtx()
-	data := []int{1, 2, 2, 3, 3, 3, 4, 4, 4, 4}
-	r := Parallelize(ctx, data, 4)
-	got, err := Distinct(r, 3).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Ints(got)
-	if !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
-		t.Errorf("Distinct = %v", got)
-	}
-}
-
-func TestReduceAndAggregate(t *testing.T) {
-	ctx := testCtx()
-	r := Parallelize(ctx, ints(101), 7)
-	sum, err := Reduce(r, func(a, b int) int { return a + b })
-	if err != nil || sum != 5050 {
-		t.Errorf("Reduce sum = %d, %v", sum, err)
-	}
-	_, err = Reduce(Parallelize(ctx, []int(nil), 1), func(a, b int) int { return a + b })
-	if err != ErrEmpty {
-		t.Errorf("Reduce on empty = %v, want ErrEmpty", err)
-	}
-	cnt, err := Aggregate(r, func() int { return 0 },
-		func(acc, _ int) int { return acc + 1 },
-		func(a, b int) int { return a + b })
-	if err != nil || cnt != 101 {
-		t.Errorf("Aggregate count = %d, %v", cnt, err)
-	}
-}
-
-func TestTakeFirst(t *testing.T) {
-	ctx := testCtx()
-	r := Parallelize(ctx, ints(10), 3)
-	got, err := r.Take(4)
-	if err != nil || !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
-		t.Errorf("Take = %v, %v", got, err)
-	}
-	got, err = r.Take(100)
-	if err != nil || len(got) != 10 {
-		t.Errorf("oversized Take = %v, %v", got, err)
-	}
-	first, err := r.First()
-	if err != nil || first != 0 {
-		t.Errorf("First = %d, %v", first, err)
-	}
-	_, err = Parallelize(ctx, []int(nil), 1).First()
-	if err != ErrEmpty {
-		t.Errorf("First on empty = %v", err)
-	}
-}
-
-func TestTopKAndBoundedMin(t *testing.T) {
-	ctx := testCtx()
+func TestBoundedMin(t *testing.T) {
+	less := func(a, b int) bool { return a < b }
 	data := []int{9, 1, 8, 2, 7, 3, 6, 4, 5, 0}
-	r := Parallelize(ctx, data, 4)
-	got, err := TopK(r, 3, func(a, b int) bool { return a < b })
-	if err != nil || !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("TopK = %v, %v", got, err)
+	if got := BoundedMin(data, 3, less); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Errorf("BoundedMin n=3 = %v", got)
 	}
-	if got := BoundedMin(data, 0, func(a, b int) bool { return a < b }); got != nil {
+	if got := BoundedMin(data, 0, less); got != nil {
 		t.Errorf("BoundedMin n=0 = %v", got)
 	}
-	if got := BoundedMin([]int{5}, 3, func(a, b int) bool { return a < b }); !reflect.DeepEqual(got, []int{5}) {
+	if got := BoundedMin([]int{5}, 3, less); !reflect.DeepEqual(got, []int{5}) {
 		t.Errorf("BoundedMin short input = %v", got)
-	}
-}
-
-func TestForeach(t *testing.T) {
-	ctx := testCtx()
-	r := Parallelize(ctx, ints(50), 5)
-	var mu sortedSink
-	if err := r.Foreach(mu.add); err != nil {
-		t.Fatal(err)
-	}
-	if mu.sum() != 1225 {
-		t.Errorf("foreach sum = %d, want 1225", mu.sum())
 	}
 }

@@ -10,13 +10,7 @@ import (
 // Map applies f to every element. Map is a narrow operator: it fuses with
 // adjacent narrow operators into a single streaming pass (see fuse.go).
 func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
-	return mapLabeled(r, "map", f)
-}
-
-// mapLabeled is Map with an explicit operator label for fused stage names
-// (MapValues, Keys, and Values reuse it under their own labels).
-func mapLabeled[T, U any](r *RDD[T], op string, f func(T) U) *RDD[U] {
-	return newNarrow(r, op, func(tc *cluster.TaskContext, p int, sizeHint func(int), emit func(U) error) error {
+	return newNarrow(r, "map", func(tc *cluster.TaskContext, p int, sizeHint func(int), emit func(U) error) error {
 		return r.streamInto(tc, p, sizeHint, func(v T) error {
 			return emit(f(v))
 		})
@@ -52,44 +46,18 @@ func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
 	})
 }
 
-// MapElementsWithIndex applies f to every element along with its partition
-// index. It is the element-wise special case of MapPartitionsWithIndex and,
-// unlike it, fuses with adjacent narrow operators.
-func MapElementsWithIndex[T, U any](r *RDD[T], f func(partition int, v T) U) *RDD[U] {
-	return newNarrow(r, "mapIdx", func(tc *cluster.TaskContext, p int, sizeHint func(int), emit func(U) error) error {
-		return r.streamInto(tc, p, sizeHint, func(v T) error {
-			return emit(f(p, v))
-		})
-	})
-}
-
-// MapPartitions applies f to each whole partition.
+// MapPartitions applies f to each whole partition; it is MapPartitionsTC for
+// functions that need neither the TaskContext nor the partition index.
 func MapPartitions[T, U any](r *RDD[T], f func(in []T) ([]U, error)) *RDD[U] {
-	return MapPartitionsWithIndex(r, func(_ int, in []T) ([]U, error) { return f(in) })
-}
-
-// MapPartitionsWithIndex applies f to each whole partition along with the
-// partition index. Because f is an opaque whole-partition function, this is
-// a fusion boundary: the parent is materialized as a slice. Element-wise
-// callers should prefer MapElementsWithIndex, which fuses.
-func MapPartitionsWithIndex[T, U any](r *RDD[T], f func(partition int, in []T) ([]U, error)) *RDD[U] {
-	out := newRDD(r.ctx, r.name+".mapPartitions", r.numPartitions,
-		func(tc *cluster.TaskContext, p int) ([]U, error) {
-			in, err := r.materialize(tc, p)
-			if err != nil {
-				return nil, err
-			}
-			return f(p, in)
-		}, r.prepare)
-	out.parts = r.partitions
-	return out
+	return MapPartitionsTC(r, func(_ *cluster.TaskContext, _ int, in []T) ([]U, error) { return f(in) })
 }
 
 // MapPartitionsTC applies f to each whole partition along with the task's
-// TaskContext, giving whole-partition kernels access to per-attempt services
-// — most importantly TaskContext.Scratch, the worker-owned buffer bundle
-// that keeps zero-alloc kernels allocation-free when tasks run concurrently.
-// Like MapPartitionsWithIndex it is a fusion boundary.
+// TaskContext and the partition index, giving whole-partition kernels access
+// to per-attempt services — most importantly TaskContext.Scratch, the
+// worker-owned buffer bundle that keeps zero-alloc kernels allocation-free
+// when tasks run concurrently. Because f is an opaque whole-partition
+// function, this is a fusion boundary: the parent is materialized as a slice.
 //
 // f may run concurrently for different partitions and may run more than once
 // for the same partition (task retries, speculative attempts); it must treat
@@ -189,52 +157,5 @@ func Sample[T any](r *RDD[T], fraction float64, seed int64) *RDD[T] {
 			}
 			return nil
 		})
-	})
-}
-
-// Coalesce reduces the partition count without a shuffle by concatenating
-// ranges of parent partitions. Coalesce is a fusion boundary (it reshapes
-// partitioning).
-func Coalesce[T any](r *RDD[T], numPartitions int) *RDD[T] {
-	if numPartitions >= r.numPartitions || numPartitions < 1 {
-		return r
-	}
-	p := numPartitions
-	return newRDD(r.ctx, r.name+".coalesce", p,
-		func(tc *cluster.TaskContext, part int) ([]T, error) {
-			// Resolve the parent count per task: adaptive coalescing may have
-			// shrunk it since this RDD was declared. The range arithmetic
-			// still covers [0, n) exactly once even when n < p (some output
-			// partitions are then empty).
-			n := r.partitions()
-			lo := part * n / p
-			hi := (part + 1) * n / p
-			var out []T
-			for i := lo; i < hi; i++ {
-				in, err := r.materialize(tc, i)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, in...)
-			}
-			return out, nil
-		}, r.prepare)
-}
-
-// Distinct removes duplicate elements via a shuffle (one partition per hash
-// bucket), preserving no particular order.
-func Distinct[T comparable](r *RDD[T], numPartitions int) *RDD[T] {
-	pairs := Map(r, func(v T) Pair[T, struct{}] { return Pair[T, struct{}]{Key: v} })
-	shuffled := PartitionBy(pairs, numPartitions)
-	return MapPartitions(shuffled, func(in []Pair[T, struct{}]) ([]T, error) {
-		seen := make(map[T]struct{}, len(in))
-		out := make([]T, 0, len(in))
-		for _, kv := range in {
-			if _, ok := seen[kv.Key]; !ok {
-				seen[kv.Key] = struct{}{}
-				out = append(out, kv.Key)
-			}
-		}
-		return out, nil
 	})
 }
