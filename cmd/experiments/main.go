@@ -239,8 +239,8 @@ func (r *runner) candidates() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Candidate generation wall: %d reports, theta %.2f, %s partitioning, %d partitions\n",
-		res.Records, res.Theta, res.Mode, res.Partitions)
+	fmt.Printf("Candidate generation wall: %d reports, theta %.2f, %d partitions\n",
+		res.Records, res.Theta, res.Partitions)
 	fmt.Printf("%-22s %18s\n", "funnel stage", "pairs")
 	fmt.Printf("%-22s %18d\n", "quadratic space", res.TotalPairs)
 	fmt.Printf("%-22s %18d\n", "prefix-index scanned", res.Scanned)

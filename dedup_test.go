@@ -1206,9 +1206,9 @@ func prefixTestDetector(t *testing.T, holdout int) (*adrgen.Corpus, *Detector, [
 }
 
 // checkIndexCoversFeats asserts the persistent index holds exactly the
-// detector's features and that probing it from `from` emits what the one-shot
-// generator emits over the same signatures — the incrementally maintained
-// index against a from-scratch rebuild.
+// detector's features and that probing it from `from` emits what Pairs emits
+// over the same signatures — the incrementally maintained index against one
+// built by a single whole-corpus Append.
 func checkIndexCoversFeats(t *testing.T, d *Detector, from int) {
 	t.Helper()
 	if got, want := d.index.Len(), len(d.feats); got != want {
@@ -1227,7 +1227,7 @@ func checkIndexCoversFeats(t *testing.T, d *Detector, from int) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("persistent index emits %d pairs from %d, one-shot generator %d", len(got), from, len(want))
+		t.Fatalf("persistent index emits %d pairs from %d, a whole-corpus Append %d", len(got), from, len(want))
 	}
 	if len(got) == 0 {
 		t.Fatal("no candidate pairs; comparison would be vacuous")

@@ -1,7 +1,7 @@
 package candgen
 
 import (
-	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -60,7 +60,6 @@ func TestParamsValidate(t *testing.T) {
 		{Theta: 0},
 		{Theta: -0.5},
 		{Theta: 1.5},
-		{Theta: 0.5, Mode: Mode(9)},
 		{Theta: 0.5, MinArrival: -1},
 	} {
 		if _, _, err := Pairs(testEngine(0), sigs, p); err == nil {
@@ -72,9 +71,62 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if OneD.String() != "prefix-1d" || TwoD.String() != "prefix-2d" {
-		t.Errorf("Mode strings = %q, %q", OneD.String(), TwoD.String())
+// TestPairsSmallCorpora pins Pairs at the edges of its input: no records, one
+// record, only empty signatures (paired among themselves at similarity 1),
+// empty signatures beside non-empty ones, θ 1 over duplicates, and a
+// MinArrival at or past the corpus end, which generates nothing and does no
+// work. Wherever it probes, its pairs are the oracle's and its Stats are
+// those of a fresh Index given the corpus in one Append and probed from
+// MinArrival.
+func TestPairsSmallCorpora(t *testing.T) {
+	cases := []struct {
+		name       string
+		theta      float64
+		sigs       [][]uint32
+		minArrival int
+	}{
+		{"no records", 0.5, nil, 0},
+		{"one record", 0.5, [][]uint32{{1, 2}}, 0},
+		{"only empty signatures", 0.5, [][]uint32{nil, {}, nil}, 0},
+		{"empty beside non-empty", 0.5, [][]uint32{{1, 2}, nil, {1, 2, 3}, {}, {4}}, 0},
+		{"theta 1 over duplicates", 1, [][]uint32{{1, 2}, {1, 2}, {1, 2, 3}, {1, 2}}, 1},
+		{"MinArrival at the end", 0.5, [][]uint32{{1}, {1}}, 2},
+		{"MinArrival past the end", 0.5, [][]uint32{{1}, {1}}, 5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, st, err := Pairs(testEngine(0), tc.sigs, Params{Theta: tc.theta, Partitions: 2, MinArrival: tc.minArrival})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.minArrival >= len(tc.sigs) {
+				if got != nil || st != (Stats{Records: len(tc.sigs)}) {
+					t.Fatalf("Pairs from %d of %d records = %v, %+v; want no pairs and no work",
+						tc.minArrival, len(tc.sigs), got, st)
+				}
+				return
+			}
+			if want := canonPairs(naivePairs(tc.sigs, tc.theta, tc.minArrival)); !reflect.DeepEqual(canonPairs(got), want) {
+				t.Fatalf("Pairs emitted %v, oracle %v", got, want)
+			}
+			empty := 0
+			for _, sig := range tc.sigs {
+				if len(sig) == 0 {
+					empty++
+				}
+			}
+			if st.Records != len(tc.sigs) || st.EmptyRecords != empty || st.Emitted != int64(len(got)) {
+				t.Errorf("Stats %+v for %d pairs over %d records, %d empty", st, len(got), len(tc.sigs), empty)
+			}
+			ix, err := NewIndex(tc.theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.Append(tc.sigs)
+			if _, want, err := ix.Probe(testEngine(0), tc.minArrival, 2); err != nil || st != want {
+				t.Errorf("Pairs Stats %+v, a one-Append index's %+v (err %v)", st, want, err)
+			}
+		})
 	}
 }
 
@@ -106,71 +158,5 @@ func TestSignatures(t *testing.T) {
 	if _, err := Signatures([]pairdist.Features{{}}); err == nil ||
 		!strings.Contains(err.Error(), "not interned") {
 		t.Errorf("Signatures on uninterned feature: err = %v", err)
-	}
-}
-
-// TestPlanInvariants checks the structural contract of the driver-side plan
-// on random corpora: order/pos are inverses, lengths ascend along the
-// processing order, prefixes follow the l - minOverlap + 1 formula, and the
-// rank transform is a bijection (set sizes preserved, output sorted).
-func TestPlanInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		sigs := randomCorpus(rng, 1+rng.Intn(60), 300)
-		theta := 0.05 + 0.95*rng.Float64()
-		pl := buildPlan(sigs, theta)
-		if len(pl.order)+len(pl.empty) != len(sigs) {
-			t.Fatalf("order %d + empty %d != records %d", len(pl.order), len(pl.empty), len(sigs))
-		}
-		for p, id := range pl.order {
-			if pl.pos[id] != int32(p) {
-				t.Fatalf("pos[%d] = %d, want %d", id, pl.pos[id], p)
-			}
-			if int(pl.lens[p]) != len(pl.ordered[id]) {
-				t.Fatalf("lens[%d] = %d, want %d", p, pl.lens[p], len(pl.ordered[id]))
-			}
-			if p > 0 && pl.lens[p-1] > pl.lens[p] {
-				t.Fatalf("lens not ascending at %d: %v", p, pl.lens)
-			}
-			wantPrefix := len(sigs[id]) - minOverlap(theta, len(sigs[id])) + 1
-			if int(pl.prefixLen[id]) != wantPrefix {
-				t.Fatalf("prefixLen[%d] = %d, want %d", id, pl.prefixLen[id], wantPrefix)
-			}
-		}
-		for _, id := range pl.empty {
-			if pl.pos[id] != -1 {
-				t.Fatalf("empty record %d has pos %d, want -1", id, pl.pos[id])
-			}
-			if len(sigs[id]) != 0 {
-				t.Fatalf("record %d listed empty but has %d tokens", id, len(sigs[id]))
-			}
-		}
-		for id, sig := range sigs {
-			rs := pl.ordered[id]
-			if len(rs) != len(sig) {
-				t.Fatalf("rank transform changed set size of %d: %d -> %d", id, len(sig), len(rs))
-			}
-			for i := 1; i < len(rs); i++ {
-				if rs[i-1] >= rs[i] {
-					t.Fatalf("rank-space signature %d not strictly increasing: %v", id, rs)
-				}
-			}
-		}
-	}
-}
-
-// TestRankOrderPutsRareTokensFirst pins the point of the frequency ordering:
-// the token appearing in fewest records gets the lowest rank, so it leads
-// every prefix that contains it.
-func TestRankOrderPutsRareTokensFirst(t *testing.T) {
-	sigs := [][]uint32{
-		{10, 20}, {10, 20}, {10, 20}, {10, 30},
-	}
-	// Frequencies: 10→4, 20→3, 30→1. Ranks: 30→0, 20→1, 10→2.
-	pl := buildPlan(sigs, 0.5)
-	want := []uint32{0, 2} // record 3 = {10, 30} → ranks {2, 0} sorted
-	got := pl.ordered[3]
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("rank-space signature of {10,30} = %v, want %v", got, want)
 	}
 }

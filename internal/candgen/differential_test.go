@@ -13,8 +13,8 @@ import (
 )
 
 // Differential recall suite: randomized signature corpora, run through the
-// staged prefix-filtered generator in both partitionings, across partition
-// counts and under fault injection, must emit *exactly* the pair set of two
+// staged prefix-filtered generator across partition counts and under fault
+// injection, must emit *exactly* the pair set of two
 // independent oracles — BruteForcePairs (same predicate, quadratic scan)
 // and a map-based naive Jaccard implemented from scratch below. Exactness
 // is the contract: prefix filtering must never prune a pair at or above θ
@@ -119,8 +119,8 @@ func canonPairs(in []pairdist.IDPair) []pairdist.IDPair {
 
 // TestDifferentialPrefixRecall is the CI-smoke recall gate (run uncached):
 // randomized corpora at several θ including the paper's 0.5, all-pairs and
-// incremental restriction, 1-D and 2-D partitioning, multiple partition
-// counts, clean and fault-injected.
+// incremental restriction, multiple partition counts, clean and
+// fault-injected.
 func TestDifferentialPrefixRecall(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -136,32 +136,30 @@ func TestDifferentialPrefixRecall(t *testing.T) {
 					t.Fatalf("seed%d θ=%v min=%d: BruteForcePairs diverges from naive oracle: %d vs %d pairs",
 						seed, theta, minArrival, len(brute), len(want))
 				}
-				for _, mode := range []Mode{OneD, TwoD} {
-					for _, parts := range []int{1, 3, 7} {
-						for _, failureRate := range []float64{0, 0.3} {
-							name := fmt.Sprintf("seed%d/θ=%v/min=%d/%s/parts%d/fail%v",
-								seed, theta, minArrival, mode, parts, failureRate)
-							got, st, err := Pairs(testEngine(failureRate), sigs, Params{
-								Theta: theta, Partitions: parts, Mode: mode, MinArrival: minArrival,
-							})
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
+				for _, parts := range []int{1, 3, 7} {
+					for _, failureRate := range []float64{0, 0.3} {
+						name := fmt.Sprintf("seed%d/θ=%v/min=%d/parts%d/fail%v",
+							seed, theta, minArrival, parts, failureRate)
+						got, st, err := Pairs(testEngine(failureRate), sigs, Params{
+							Theta: theta, Partitions: parts, MinArrival: minArrival,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !sort.SliceIsSorted(got, func(i, j int) bool {
+							if got[i].A != got[j].A {
+								return got[i].A < got[j].A
 							}
-							if !sort.SliceIsSorted(got, func(i, j int) bool {
-								if got[i].A != got[j].A {
-									return got[i].A < got[j].A
-								}
-								return got[i].B < got[j].B
-							}) {
-								t.Errorf("%s: Pairs output not in (A, B) order", name)
-							}
-							if !reflect.DeepEqual(canonPairs(got), want) {
-								t.Errorf("%s: emitted %d pairs, oracle %d\n got: %v\nwant: %v",
-									name, len(got), len(want), got, want)
-							}
-							if st.Emitted != int64(len(got)) {
-								t.Errorf("%s: Stats.Emitted = %d, len = %d", name, st.Emitted, len(got))
-							}
+							return got[i].B < got[j].B
+						}) {
+							t.Errorf("%s: Pairs output not in (A, B) order", name)
+						}
+						if !reflect.DeepEqual(canonPairs(got), want) {
+							t.Errorf("%s: emitted %d pairs, oracle %d\n got: %v\nwant: %v",
+								name, len(got), len(want), got, want)
+						}
+						if st.Emitted != int64(len(got)) {
+							t.Errorf("%s: Stats.Emitted = %d, len = %d", name, st.Emitted, len(got))
 						}
 					}
 				}

@@ -12,7 +12,7 @@ import (
 // decodeCorpus turns arbitrary fuzz bytes into a signature corpus. Byte 0
 // scales θ into (0, 1]; the rest split into records on 0xFF, each remaining
 // byte one token ID mod 48 (a small universe forces collisions, duplicates
-// inside a record, and empty records — exactly the shapes the plan must
+// inside a record, and empty records — exactly the shapes the index must
 // normalize away).
 func decodeCorpus(data []byte) (theta float64, sigs [][]uint32) {
 	theta = 0.5
@@ -49,92 +49,6 @@ func decodeCorpus(data []byte) (theta float64, sigs [][]uint32) {
 	return theta, sigs
 }
 
-// FuzzPrefixPlan fuzzes prefix-index construction end to end: arbitrary
-// bytes become a signature corpus and threshold, the plan is built, its
-// structural invariants are asserted, the inverted index is constructed
-// over the full processing order, and the single-task generation result is
-// compared pair-for-pair against the from-scratch quadratic oracle. Recall
-// exactness is the property under fuzz: no byte string may produce a plan
-// that drops or duplicates a qualifying pair.
-func FuzzPrefixPlan(f *testing.F) {
-	f.Add([]byte(""))
-	f.Add([]byte{128, 1, 2, 3, 0xFF, 1, 2, 3, 0xFF, 0xFF, 4})
-	f.Add([]byte{255, 7, 7, 7, 0xFF, 7, 9, 0xFF, 9})
-	f.Add([]byte{1, 0xFF, 0xFF, 0xFF, 5, 6, 0xFF, 6, 5})
-	f.Add([]byte{64, 47, 46, 45, 44, 0xFF, 44, 45, 46, 0xFF, 1, 44})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 512 {
-			t.Skip("cap corpus size; the oracle is quadratic")
-		}
-		theta, sigs := decodeCorpus(data)
-		pl := buildPlan(sigs, theta)
-
-		// Structural invariants of the plan and index.
-		if len(pl.order)+len(pl.empty) != len(sigs) {
-			t.Fatalf("order %d + empty %d != %d records", len(pl.order), len(pl.empty), len(sigs))
-		}
-		for p, id := range pl.order {
-			if pl.pos[id] != int32(p) {
-				t.Fatalf("pos/order not inverse at %d", id)
-			}
-			if p > 0 && pl.lens[p-1] > pl.lens[p] {
-				t.Fatalf("processing order not size-ascending at %d", p)
-			}
-			l := len(pl.ordered[id])
-			if pf := int(pl.prefixLen[id]); pf < 1 || pf > l {
-				t.Fatalf("prefixLen[%d] = %d outside [1, %d]", id, pf, l)
-			}
-		}
-		idx := make(postings)
-		entries := pl.indexRange(idx, 0, len(pl.order))
-		var listed int64
-		for tok, list := range idx {
-			listed += int64(len(list))
-			for i, e := range list {
-				if i > 0 && list[i-1].pos >= e.pos {
-					t.Fatalf("posting list %d not position-ascending: %v", tok, list)
-				}
-				id := pl.order[e.pos]
-				pf := pl.prefix(id)
-				if int(e.idx) >= len(pf) || pf[e.idx] != tok {
-					t.Fatalf("record %d posted under %d at index %d, but prefix is %v", id, tok, e.idx, pf)
-				}
-			}
-		}
-		if listed != entries {
-			t.Fatalf("indexRange reported %d entries, lists hold %d", entries, listed)
-		}
-
-		// Recall exactness, single diagonal block (the 2-D kernel covering
-		// the whole corpus), against the independent quadratic oracle.
-		var st Stats
-		got := map[[2]int32]int{}
-		pl.probeBlockPair(0, len(pl.order), 0, len(pl.order),
-			func(a, b int32) bool { return true }, &st,
-			func(a, b int32) { got[[2]int32{a, b}]++ })
-		for i := 0; i < len(pl.empty); i++ {
-			for j := i + 1; j < len(pl.empty); j++ {
-				got[[2]int32{pl.empty[i], pl.empty[j]}]++
-			}
-		}
-		want := naivePairs(sigs, theta, 0)
-		for _, p := range want {
-			k := [2]int32{int32(p.A), int32(p.B)}
-			switch got[k] {
-			case 1:
-				delete(got, k)
-			case 0:
-				t.Fatalf("θ=%v: qualifying pair (%d,%d) dropped; sigs=%v", theta, p.A, p.B, sigs)
-			default:
-				t.Fatalf("θ=%v: pair (%d,%d) emitted %d times; sigs=%v", theta, p.A, p.B, got[k], sigs)
-			}
-		}
-		for k := range got {
-			t.Fatalf("θ=%v: non-qualifying pair (%d,%d) emitted; sigs=%v", theta, k[0], k[1], sigs)
-		}
-	})
-}
-
 // FuzzIndexAppend fuzzes the persistent index's append history. data is a
 // corpus as decodeCorpus reads it; each byte of sched (cycled) drives one
 // step: the low three bits are the batch size minus one, the top bit makes a
@@ -144,12 +58,21 @@ func FuzzPrefixPlan(f *testing.F) {
 // emit exactly the from-scratch oracle's pairs for that batch: no history of
 // appends, rollbacks and doubling rebuilds may drop, add or duplicate a
 // pair, and Truncate must leave an index whose next probe equals that of an
-// index the dropped records never reached.
+// index the dropped records never reached. A third index takes the whole
+// corpus in one Append, the shape Pairs gives it and batches of at most 8
+// records never reach, and must emit the whole corpus' pairs.
 func FuzzIndexAppend(f *testing.F) {
 	f.Add([]byte(""), []byte(""))
 	f.Add([]byte{128, 1, 2, 3, 0xFF, 1, 2, 3, 0xFF, 0xFF, 4, 0xFF, 1, 2, 0xFF, 0xFF, 3, 4}, []byte{0x80, 0x01})
 	f.Add([]byte{255, 7, 7, 7, 0xFF, 7, 9, 0xFF, 9, 0xFF, 7, 0xFF, 7, 9}, []byte{0x00})
 	f.Add([]byte{64, 47, 46, 45, 44, 0xFF, 44, 45, 46, 0xFF, 1, 44, 0xFF, 44, 45, 0xFF, 46}, []byte{0x92, 0x07, 0x80})
+	// Small whole corpora, each under a one-byte schedule: one batch of up
+	// to 8, a failed batch before every record, single records, and a failed
+	// batch before every pair of records.
+	f.Add([]byte{128, 1, 2, 3, 0xFF, 1, 2, 3, 0xFF, 0xFF, 4}, []byte{0x07})
+	f.Add([]byte{255, 7, 7, 7, 0xFF, 7, 9, 0xFF, 9}, []byte{0x80})
+	f.Add([]byte{1, 0xFF, 0xFF, 0xFF, 5, 6, 0xFF, 6, 5}, []byte{0x00})
+	f.Add([]byte{64, 47, 46, 45, 44, 0xFF, 44, 45, 46, 0xFF, 1, 44}, []byte{0x81})
 	f.Fuzz(func(t *testing.T, data, sched []byte) {
 		if len(data) > 512 {
 			t.Skip("cap corpus size; the oracle is quadratic")
@@ -191,6 +114,16 @@ func FuzzIndexAppend(f *testing.F) {
 		}
 		if ix.Len() != len(sigs) || clean.Len() != len(sigs) {
 			t.Fatalf("indexes hold %d and %d records, want %d", ix.Len(), clean.Len(), len(sigs))
+		}
+		whole, _ := NewIndex(theta)
+		whole.Append(sigs)
+		checkIndexInvariants(t, whole)
+		got, _, err := whole.Probe(testEngine(0), 0, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := canonPairs(naivePairs(sigs, theta, 0)); !reflect.DeepEqual(canonPairs(got), want) {
+			t.Fatalf("θ=%v: whole-corpus index emitted %v, oracle %v; sigs=%v", theta, got, want, sigs)
 		}
 	})
 }

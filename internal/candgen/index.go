@@ -10,13 +10,13 @@ import (
 	"adrdedup/internal/cluster"
 	"adrdedup/internal/pairdist"
 	"adrdedup/internal/rdd"
+	"adrdedup/internal/strsim"
 )
 
-// Index is the persistent, append-only form of the prefix-filtered inverted
-// index: where Pairs ranks, orders and indexes a whole corpus per call, an
-// Index keeps every record's rank-space signature and prefix postings across
-// calls, so checking an arriving batch against the database (Eq. 3) costs
-// work proportional to the batch, not to the database.
+// Index is the persistent, append-only prefix-filtered inverted index: it
+// keeps every record's rank-space signature and prefix postings across calls,
+// so checking an arriving batch against the database (Eq. 3) costs work
+// proportional to the batch, not to the database.
 //
 // Exactness needs only that all signatures are sorted under one fixed total
 // token order; that the order is ascending frequency is what keeps posting
@@ -94,6 +94,38 @@ const postingBytes = int64(unsafe.Sizeof(posting{}))
 // suffices against partners at least as long (see probeRecord).
 type cut struct {
 	mid, pre int32
+}
+
+// minOverlap returns the smallest integer o with float64(o) >= theta*float64(l)
+// — the least intersection size any pair involving a size-l set needs under
+// the verification predicate (inter >= theta*union >= theta*l). The loop
+// lift makes the ceiling exact under the same floating-point operations the
+// verifier uses, so prefix pruning can never drop a qualifying pair.
+func minOverlap(theta float64, l int) int {
+	o := int(theta * float64(l))
+	for float64(o) < theta*float64(l) {
+		o++
+	}
+	if o > l {
+		o = l
+	}
+	if o < 1 {
+		o = 1
+	}
+	return o
+}
+
+// pairNeed returns the smallest intersection size that lets two sets of
+// sizes la and lb reach theta, under the exact verification predicate
+// (inter >= theta*(la+lb-inter) in float64) — the same loop-lifted ceiling
+// strsim.JaccardSimAtLeast computes.
+func pairNeed(theta float64, la, lb int) int {
+	total := la + lb
+	need := int(theta * float64(total) / (1 + theta))
+	for float64(need) < theta*float64(total-need) {
+		need++
+	}
+	return need
 }
 
 // bitmapWords is the width of a record's hashed bitmap in 64-bit words: 256
@@ -308,9 +340,9 @@ func (ix *Index) Truncate(n int) {
 // Probe checks records [from, Len()) against every earlier record, as one
 // engine stage of at most partitions tasks (0 = the engine's default
 // parallelism), and returns the pairs whose signature Jaccard similarity
-// reaches theta: exactly Pairs' output for MinArrival = from, sorted by
-// (A, B) with A < B. Stats.IndexEntries counts the postings entered since
-// the previous Probe.
+// reaches theta: exactly the brute-force >= theta pairs with at least one end
+// in [from, Len()), sorted by (A, B) with A < B. Stats.IndexEntries counts
+// the postings entered since the previous Probe.
 func (ix *Index) Probe(ctx *rdd.Context, from, partitions int) ([]pairdist.IDPair, Stats, error) {
 	n := ix.Len()
 	st := Stats{Records: n, EmptyRecords: len(ix.empty), IndexEntries: ix.entered}
@@ -360,9 +392,16 @@ func (ix *Index) Probe(ctx *rdd.Context, from, partitions int) ([]pairdist.IDPai
 	return pairs, st, nil
 }
 
-// mergeSortedResults is mergeResults for probe task results, whose pair lists
-// are each sorted by (A, B): it merges them into one sorted slice, allocated
-// once. (Probe tasks count no index entries; Probe sets that counter.)
+// taskResult is one probe task's output: its verified pairs plus its share
+// of the work counters, merged driver-side.
+type taskResult struct {
+	pairs []pairdist.IDPair
+	st    Stats
+}
+
+// mergeSortedResults sums the probe tasks' counters and merges their pair
+// lists, each sorted by (A, B), into one sorted slice, allocated once. (Probe
+// tasks count no index entries; Probe sets that counter.)
 // A probe has a task per partition, a handful, so the next pair is picked by
 // scanning the list heads.
 func mergeSortedResults(results []taskResult, st *Stats) []pairdist.IDPair {
@@ -396,11 +435,51 @@ func mergeSortedResults(results []taskResult, st *Stats) []pairdist.IDPair {
 	return pairs
 }
 
-// probeRecord pairs record rid with every earlier record, the way
-// plan.probeRecord does for the one-shot index: candidates accumulate in the
-// scratch table at their first shared prefix token, where the positional
-// filter (PPJoin) prunes those whose remaining suffixes cannot reach the
-// required overlap. After the scan each survivor first meets the bitmap bound
+// probeScratch is per-task probe state, reused across probe records so the
+// hot loop allocates nothing: count is indexed by candidate record id (0
+// unseen, -1 positionally pruned, >0 shared prefix tokens so far), touched
+// lists the candidates to reset.
+type probeScratch struct {
+	count   []int32
+	touched []int32
+	// need is Index.probeRecord's pairNeed table for the current prober,
+	// indexed by candidate length.
+	need []int32
+}
+
+// needTable fills sc.need with pairNeed(theta, la, lr) for every candidate
+// length la the length bound admits against a prober of lr tokens, longest
+// being the longest signature there is, and returns those lengths as the
+// range [minLen, maxLen]: a probe tests the length bound on two integers and
+// looks the need up per candidate instead of redoing the float arithmetic,
+// and there are far fewer admissible lengths than candidates.
+// strsim.JaccardSimAtLeast also rejects on the length ratio computed by
+// division, which can disagree with the multiplicative bound at a rounding
+// tie; a length it rejects that way gets a need no pair of those sizes can
+// reach, so a probe accepts exactly the pairs the verifier accepts.
+func (sc *probeScratch) needTable(theta float64, lr, longest int) (need []int32, minLen, maxLen int) {
+	if longest >= len(sc.need) {
+		sc.need = make([]int32, longest+1)
+	}
+	minLen = minOverlap(theta, lr)
+	maxLen = minLen - 1
+	for la := minLen; la <= longest && float64(lr) >= theta*float64(la); la++ {
+		n := pairNeed(theta, la, lr)
+		if strsim.JaccardSimUpperBound(la, lr) < theta {
+			n = min(la, lr) + 1
+		}
+		sc.need[la] = int32(n)
+		maxLen = la
+	}
+	return sc.need, minLen, maxLen
+}
+
+// probeRecord pairs record rid with every earlier record. Candidates are
+// accumulated AllPairs-style: the first shared prefix token registers the
+// candidate in the scratch table, where the positional filter (PPJoin) prunes
+// it if the remaining suffixes cannot reach the required overlap, and later
+// shared tokens only bump its count, so multiple shared tokens cannot
+// duplicate a pair. After the scan each survivor first meets the bitmap bound
 // (overlapBound), and only those it cannot rule out are verified, exactly
 // once, by a merge scan that resumes past the prefixes (resumeVerify).
 // Postings are in arrival order, not size order, so the length bound is

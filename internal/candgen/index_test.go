@@ -135,8 +135,10 @@ func checkBitmaps(t testing.TB, ix *Index, sigs [][]uint32) {
 // random corpora (empty and duplicated signatures included) are fed in random
 // batch sizes, with failed batches — Append then Truncate — interleaved, and
 // at every step the staged Probe must emit exactly the pair set of the
-// brute-force oracle, the from-scratch naive oracle, the one-shot Pairs with
-// MinArrival at the batch start, and the sequential kernel. Every run crosses
+// brute-force oracle, the from-scratch naive oracle, Pairs with MinArrival at
+// the batch start (a fresh index that took every record so far in one Append,
+// a different history from the incremental one), and the sequential kernel.
+// Every run crosses
 // the initial build plus at least two doubling rebuilds, and the record
 // bitmaps must come through all of it bit-exact — with the bitmap bound
 // having ruled candidates out along the way, or the pair sets prove nothing
@@ -201,12 +203,12 @@ func TestIndexDifferential(t *testing.T) {
 				if brute := canonPairs(BruteForcePairs(sigs[:total], theta, from)); !reflect.DeepEqual(brute, want) {
 					t.Fatalf("%s from %d: BruteForcePairs diverges from the naive oracle", name, from)
 				}
-				oneShot, _, err := Pairs(testEngine(0), sigs[:total], Params{Theta: theta, Partitions: 3, MinArrival: from})
+				whole, _, err := Pairs(testEngine(0), sigs[:total], Params{Theta: theta, Partitions: 3, MinArrival: from})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if !reflect.DeepEqual(canonPairs(oneShot), want) {
-					t.Fatalf("%s from %d: one-shot Pairs diverges from the naive oracle", name, from)
+				if !reflect.DeepEqual(canonPairs(whole), want) {
+					t.Fatalf("%s from %d: an index built by one whole-corpus Append diverges from the naive oracle", name, from)
 				}
 				seq, seqSt := probeSeq(ix, from)
 				if !reflect.DeepEqual(seq, want) {

@@ -36,8 +36,6 @@ type CandidatesParams struct {
 	// Partitions is the generation parallelism (default 25, the paper's
 	// executor count).
 	Partitions int
-	// Mode is the all-pairs partitioning (default 1-D).
-	Mode candgen.Mode
 	// SamplePairs is the number of random pairs vectorized to price the
 	// brute-force path's per-pair cost (default 200,000).
 	SamplePairs int
@@ -67,7 +65,6 @@ func (p CandidatesParams) withDefaults() CandidatesParams {
 type CandidatesResult struct {
 	Records    int
 	Theta      float64
-	Mode       string
 	Partitions int
 
 	// TotalPairs is the quadratic search space; Scanned/Verified/Candidates
@@ -129,7 +126,6 @@ func Candidates(p CandidatesParams) (CandidatesResult, error) {
 	var res CandidatesResult
 	res.Records = p.Records
 	res.Theta = p.Theta
-	res.Mode = p.Mode.String()
 	res.Partitions = p.Partitions
 	res.SamplePairs = p.SamplePairs
 
@@ -169,7 +165,7 @@ func Candidates(p CandidatesParams) (CandidatesResult, error) {
 
 	start := time.Now()
 	pairs, st, err := candgen.Pairs(ctx, sigs, candgen.Params{
-		Theta: p.Theta, Partitions: p.Partitions, Mode: p.Mode,
+		Theta: p.Theta, Partitions: p.Partitions,
 	})
 	if err != nil {
 		return res, fmt.Errorf("experiments: prefix generation: %w", err)

@@ -46,25 +46,6 @@ func TestCandidatesExhibitShape(t *testing.T) {
 	}
 }
 
-// TestCandidatesModesAgree: both all-pairs partitionings emit the identical
-// candidate set on the same corpus.
-func TestCandidatesModesAgree(t *testing.T) {
-	oneD, err := Candidates(CandidatesParams{Records: 1500, SamplePairs: 5000, Seed: 9, Mode: candgen.OneD})
-	if err != nil {
-		t.Fatal(err)
-	}
-	twoD, err := Candidates(CandidatesParams{Records: 1500, SamplePairs: 5000, Seed: 9, Mode: candgen.TwoD})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oneD.Candidates != twoD.Candidates {
-		t.Errorf("1-D emitted %d candidates, 2-D %d", oneD.Candidates, twoD.Candidates)
-	}
-	if oneD.Verified != twoD.Verified {
-		t.Errorf("1-D verified %d, 2-D %d", oneD.Verified, twoD.Verified)
-	}
-}
-
 // TestCandidatesCountersReproducible runs the exhibit twice and requires the
 // whole funnel — not just the emitted set — to repeat exactly. The counters
 // hang on how candgen breaks frequency ties, which is by interned token ID,
