@@ -44,6 +44,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzHashKey -fuzztime=10s ./internal/rdd
 	$(GO) test -run='^$$' -fuzz=FuzzKeyedOpsMatchOracle -fuzztime=10s ./internal/rdd
 	$(GO) test -run='^$$' -fuzz=FuzzIntern -fuzztime=10s ./internal/intern
+	$(GO) test -run='^$$' -fuzz=FuzzDistanceMatchesReference -fuzztime=10s ./internal/pairdist
 	$(GO) test -run='^$$' -fuzz=FuzzIndexAppend -fuzztime=10s ./internal/candgen
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapBound -fuzztime=10s ./internal/candgen
 	$(GO) test -run='^$$' -fuzz=FuzzResumeVerify -fuzztime=10s ./internal/candgen

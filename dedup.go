@@ -51,9 +51,6 @@ type Options struct {
 	// Classifier configures Fast kNN (k, cluster count b, partitions c,
 	// threshold θ, testing-set pruning).
 	Classifier core.Config
-	// ExtractPartitions sets the parallelism of report text processing
-	// (0 = the engine's default parallelism).
-	ExtractPartitions int
 	// Candidates selects how Eq. 3's candidate pairs are generated; see
 	// CandidateStrategy. The zero value is brute force (all pairs).
 	Candidates CandidateStrategy
@@ -108,8 +105,6 @@ type Detector struct {
 	// by the merge-scan Jaccard kernel.
 	interner *intern.Interner
 	// feats[i] is the preprocessed form of the report with ArrivalSeq i.
-	// Interned features drop their string token sets: every distance the
-	// detector computes is Jaccard over the ID sets.
 	feats []pairdist.Features
 	// index is the persistent prefix-filtered candidate index behind
 	// CandidatePrefixIndex (nil under brute force). It covers exactly
@@ -224,24 +219,13 @@ func (d *Detector) extendFeatures() error {
 	if len(fresh) == 0 {
 		return nil
 	}
-	parts := d.opts.ExtractPartitions
-	if parts <= 0 {
-		parts = d.ctx.DefaultParallelism()
-	}
-	parts = min(parts, len(fresh)) // a single report is one task, not eight
+	parts := min(d.ctx.DefaultParallelism(), len(fresh)) // a single report is one task, not eight
 	feats, err := pairdist.ExtractAllWith(d.ctx, d.interner, fresh, parts)
 	if err != nil {
 		return fmt.Errorf("adrdedup: extracting features: %w", err)
 	}
-	for i := range feats {
-		f := &feats[i]
-		f.DrugSet, f.ADRSet, f.DescTokens = nil, nil, nil
-	}
 	if d.index != nil {
-		sigs, err := candgen.Signatures(feats)
-		if err != nil {
-			return fmt.Errorf("adrdedup: building candidate signatures: %w", err)
-		}
+		sigs, _ := candgen.Signatures(feats) // cannot fail
 		d.index.Append(sigs)
 	}
 	d.feats = append(d.feats, feats...)

@@ -20,6 +20,8 @@ import (
 	"adrdedup/internal/core"
 	"adrdedup/internal/pairdist"
 	"adrdedup/internal/rdd"
+	"adrdedup/internal/strsim"
+	"adrdedup/internal/text"
 )
 
 // testCorpus returns a small deterministic corpus plus a detector pre-loaded
@@ -437,69 +439,113 @@ func TestDetectUnderFaultInjectionMatchesCleanRun(t *testing.T) {
 	}
 }
 
-// TestDetectMatchesLegacyKernelBitExact runs the full pipeline twice over
-// the same corpus — once as the product runs it, on the interned merge-scan
-// kernel, and once over un-interned features the test extracts and installs
-// itself, so every distance goes through the legacy string-set kernel — and
-// requires the Detect output to be identical, scores compared bit-exactly.
-// This is the end-to-end guarantee on top of the per-pair differential tests
-// in internal/pairdist.
-func TestDetectMatchesLegacyKernelBitExact(t *testing.T) {
-	run := func(legacy bool) []Match {
-		c, det, batch := testCorpus(t, 20)
-		if legacy {
-			// Replace the interned features testCorpus built with the
-			// oracle's, batch included: Detect featurizes only reports
-			// beyond len(det.feats), so it finds nothing left to intern.
-			all := append(det.db.Reports(), batch...)
-			feats, err := pairdist.ExtractAll(det.ctx, all, det.ctx.DefaultParallelism())
+// referenceVector is the §4.2 distance vector of two reports computed from
+// their strings: equality on the four exact-match fields, and
+// strsim.JaccardDistance (Eq. 4) over the split drug and reaction lists and
+// over the processed description tokens.
+func referenceVector(a, b adr.Report) []float64 {
+	differ := func(x bool) float64 {
+		if x {
+			return 1
+		}
+		return 0
+	}
+	return []float64{
+		pairdist.FieldAge:       differ(a.CalculatedAge != b.CalculatedAge),
+		pairdist.FieldSex:       differ(a.Sex != b.Sex),
+		pairdist.FieldState:     differ(a.ResidentialState != b.ResidentialState),
+		pairdist.FieldOnsetDate: differ(a.OnsetDate != b.OnsetDate),
+		pairdist.FieldDrugName:  strsim.JaccardDistance(adr.SplitMulti(a.GenericNameDesc), adr.SplitMulti(b.GenericNameDesc)),
+		pairdist.FieldADRName:   strsim.JaccardDistance(adr.SplitMulti(a.MedDRAPTName), adr.SplitMulti(b.MedDRAPTName)),
+		pairdist.FieldDescription: strsim.JaccardDistance(
+			text.Process(a.ReportDescription), text.Process(b.ReportDescription)),
+	}
+}
+
+// referenceTokens is a report's signature token set rebuilt from its
+// strings: its drugs, reactions and processed description tokens.
+func referenceTokens(r adr.Report) map[string]bool {
+	set := make(map[string]bool)
+	for _, toks := range [][]string{adr.SplitMulti(r.GenericNameDesc), adr.SplitMulti(r.MedDRAPTName), text.Process(r.ReportDescription)} {
+		for _, tok := range toks {
+			set[tok] = true
+		}
+	}
+	return set
+}
+
+// TestDetectMatchesStringReference is the end-to-end guarantee on top of the
+// per-pair differential tests in internal/pairdist. One DetectAll must return
+// exactly the pairs of Eq. 3, and each match must carry the verdict the
+// detector's classifier gives, in one Classify call, the pair's vector
+// rebuilt from the two reports' strings: score bit for bit, decision and
+// pruning flag equal. Clean, with §4.3.4 pruning, and under task failures
+// with speculation.
+func TestDetectMatchesStringReference(t *testing.T) {
+	for _, tc := range scoringSetups() {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCorpus()
+			det, batch := loadCorpus(t, c, tc.opts, 20)
+			trainOnGroundTruth(t, c, det, 2000)
+			existing := det.db.Len()
+			matches, err := det.DetectAll(batch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			det.feats = feats
-		}
-		trainOnGroundTruth(t, c, det, 2000)
-		matches, err := det.DetectAll(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Checked after Detect so a legacy run that re-featurized the
-		// batch through the interner cannot pass unnoticed.
-		for i := range det.feats {
-			if det.feats[i].Interned == legacy {
-				t.Fatalf("feature %d: Interned=%v in legacy=%v run", i, det.feats[i].Interned, legacy)
+
+			// Eq. 3: each batch report against every report before it.
+			reports := det.db.Reports()
+			eq3 := make(map[[2]string]bool)
+			for b := existing; b < len(reports); b++ {
+				for a := 0; a < b; a++ {
+					eq3[[2]string{reports[a].CaseNumber, reports[b].CaseNumber}] = true
+				}
 			}
-		}
-		// Detect sorts by descending score with an unstable sort; order
-		// ties deterministically by case pair before comparing.
-		sort.Slice(matches, func(i, j int) bool {
-			if matches[i].CaseA != matches[j].CaseA {
-				return matches[i].CaseA < matches[j].CaseA
+			if len(matches) != len(eq3) {
+				t.Fatalf("DetectAll returned %d matches, Eq. 3 defines %d pairs", len(matches), len(eq3))
 			}
-			return matches[i].CaseB < matches[j].CaseB
+			vecs := make([][]float64, len(matches))
+			for i, m := range matches {
+				key := [2]string{m.CaseA, m.CaseB}
+				if !eq3[key] {
+					t.Fatalf("match %d (%s, %s) is not an Eq. 3 pair, or repeats one", i, m.CaseA, m.CaseB)
+				}
+				delete(eq3, key)
+				a, _ := det.db.Get(m.CaseA)
+				b, _ := det.db.Get(m.CaseB)
+				vecs[i] = referenceVector(a, b)
+			}
+
+			results, _, err := det.model.clf.Classify(vecs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pruned, duplicates := 0, 0
+			for i, m := range matches {
+				r := results[i]
+				if math.Float64bits(m.Score) != math.Float64bits(r.Score) || m.Duplicate != (r.Label > 0) || m.Pruned != r.Pruned {
+					t.Fatalf("match %d %+v; the string reference scores %v, label %d, pruned %v",
+						i, m, r.Score, r.Label, r.Pruned)
+				}
+				if m.Pruned {
+					pruned++
+				}
+				if m.Duplicate {
+					duplicates++
+				}
+			}
+			if duplicates == 0 {
+				t.Fatal("no duplicates found; the comparison would be vacuous")
+			}
+			checkSetupFired(t, tc.opts, det, pruned)
 		})
-		return matches
-	}
-	interned := run(false)
-	oracle := run(true)
-	if len(interned) != len(oracle) {
-		t.Fatalf("match counts differ: interned %d vs legacy %d", len(interned), len(oracle))
-	}
-	for i := range interned {
-		if interned[i] != oracle[i] {
-			t.Fatalf("match %d differs: interned %+v vs legacy %+v", i, interned[i], oracle[i])
-		}
-	}
-	if len(Duplicates(interned)) == 0 {
-		t.Fatal("differential run found no duplicates; test would be vacuous")
 	}
 }
 
 // TestPrefixCandidatesMatchStringSetReference pins the interned-ID prefix
-// index to a straightforward string-keyed reference: the candidate pairs of a
-// batch are exactly the pairs whose drug ∪ reaction ∪ description token sets,
-// re-tokenised from the reports (interned features no longer carry the
-// strings), reach the threshold under a hash-set Jaccard.
+// index to a string reference: the candidate pairs of a batch are exactly
+// the pairs whose drug ∪ reaction ∪ description token sets, rebuilt from the
+// reports' strings, reach the threshold under a hash-set Jaccard.
 func TestPrefixCandidatesMatchStringSetReference(t *testing.T) {
 	_, det, batch := prefixTestDetector(t, 20)
 	existing := det.db.Len()
@@ -517,16 +563,7 @@ func TestPrefixCandidatesMatchStringSetReference(t *testing.T) {
 	reports := det.db.Reports()
 	sets := make([]map[string]bool, len(reports))
 	for i, r := range reports {
-		if det.feats[i].DrugSet != nil || det.feats[i].DescTokens != nil {
-			t.Fatalf("interned feature %d still retains its string sets", i)
-		}
-		f := pairdist.Extract(r)
-		sets[i] = make(map[string]bool)
-		for _, toks := range [][]string{f.DrugSet, f.ADRSet, f.DescTokens} {
-			for _, s := range toks {
-				sets[i][s] = true
-			}
-		}
+		sets[i] = referenceTokens(r)
 	}
 	want := make(map[[2]int]bool)
 	for b := existing; b < len(sets); b++ {

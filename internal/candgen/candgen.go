@@ -86,16 +86,17 @@ func TotalPairs(n, minArrival int) int64 {
 }
 
 // Signatures extracts the signature set of every feature (the sorted union
-// of its interned token-ID sets). All features must be interned — signature
-// comparison is only meaningful inside one interner ID space.
+// of its interned token-ID sets). Signature comparison is only meaningful
+// inside one interner ID space, so the features must share an interner.
+//
+// It cannot fail; the error result is always nil. It survives only because
+// the frozen bench module's bench/trace.go calls Signatures with this shape
+// (its one caller that checks the error); the next [benchmark] PR drops the
+// error and that check together.
 func Signatures(feats []pairdist.Features) ([][]uint32, error) {
 	sigs := make([][]uint32, len(feats))
-	for i, f := range feats {
-		s, ok := f.SignatureIDs()
-		if !ok {
-			return nil, fmt.Errorf("candgen: feature %d not interned", i)
-		}
-		sigs[i] = s
+	for i := range feats {
+		sigs[i] = feats[i].SignatureIDs()
 	}
 	return sigs, nil
 }

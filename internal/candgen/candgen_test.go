@@ -2,7 +2,6 @@ package candgen
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"adrdedup/internal/intern"
@@ -133,10 +132,10 @@ func TestPairsSmallCorpora(t *testing.T) {
 func TestSignatures(t *testing.T) {
 	it := intern.New()
 	feats := []pairdist.Features{
-		{Interned: true, DrugIDs: it.SortedSet([]string{"aspirin"}),
+		{DrugIDs: it.SortedSet([]string{"aspirin"}),
 			ADRIDs:  it.SortedSet([]string{"nausea", "headache"}),
 			DescIDs: it.SortedSet([]string{"aspirin", "sever"})},
-		{Interned: true}, // empty but interned
+		{}, // no tokens at all
 	}
 	sigs, err := Signatures(feats)
 	if err != nil {
@@ -153,10 +152,5 @@ func TestSignatures(t *testing.T) {
 	}
 	if sigs[1] != nil {
 		t.Errorf("empty feature signature = %v, want nil", sigs[1])
-	}
-
-	if _, err := Signatures([]pairdist.Features{{}}); err == nil ||
-		!strings.Contains(err.Error(), "not interned") {
-		t.Errorf("Signatures on uninterned feature: err = %v", err)
 	}
 }

@@ -3,11 +3,9 @@ package experiments
 import (
 	"time"
 
-	"adrdedup/internal/adrgen"
 	"adrdedup/internal/core"
 	"adrdedup/internal/eval"
 	"adrdedup/internal/knn"
-	"adrdedup/internal/pairdist"
 )
 
 // AblationParams configures the design-choice ablations DESIGN.md calls out.
@@ -120,66 +118,6 @@ func Ablation(env *Env, p AblationParams) ([]AblationRow, error) {
 func withFlag(cfg core.Config, set func(*core.Config)) core.Config {
 	set(&cfg)
 	return cfg
-}
-
-// TextMetricRow is one field-metric measurement.
-type TextMetricRow struct {
-	Metric string
-	AUPR   float64
-}
-
-// TextMetricAblation compares the paper's Jaccard field distance against a
-// cosine alternative: pair vectors are recomputed under each metric and the
-// same Fast kNN configuration is evaluated on both.
-func TextMetricAblation(env *Env, p AblationParams) ([]TextMetricRow, error) {
-	p = p.withDefaults()
-	trainIDs, err := env.Corpus.SamplePairs(adrgen.PairSampleOptions{
-		Total: p.TrainSize, Positives: env.TrainDups, HardFraction: p.HardFraction, Seed: p.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	testIDs, err := env.Corpus.SamplePairs(adrgen.PairSampleOptions{
-		Total: p.TestSize, Positives: env.TestDups, HardFraction: p.HardFraction, Seed: p.Seed + 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var out []TextMetricRow
-	for _, metric := range []pairdist.TextMetric{pairdist.JaccardMetric, pairdist.CosineMetric} {
-		train := make([]core.TrainingPair, len(trainIDs))
-		for i, id := range trainIDs {
-			train[i] = core.TrainingPair{
-				Vec:   pairdist.DistanceWith(env.Feats[id.A], env.Feats[id.B], metric),
-				Label: id.Label,
-			}
-		}
-		testVecs := make([][]float64, len(testIDs))
-		testLabels := make([]int, len(testIDs))
-		for i, id := range testIDs {
-			testVecs[i] = pairdist.DistanceWith(env.Feats[id.A], env.Feats[id.B], metric)
-			testLabels[i] = id.Label
-		}
-		clf, err := core.Train(env.Ctx, train, core.Config{K: p.K, B: p.B, C: p.C, Seed: p.Seed})
-		if err != nil {
-			return nil, err
-		}
-		results, _, err := clf.Classify(testVecs)
-		if err != nil {
-			return nil, err
-		}
-		scores := make([]float64, len(results))
-		for _, r := range results {
-			scores[r.ID] = r.Score
-		}
-		aupr, err := eval.AUPR(scores, testLabels)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, TextMetricRow{Metric: metric.String(), AUPR: aupr})
-	}
-	return out, nil
 }
 
 // voteScore is the Eq. 1 majority vote: the sum of neighbor labels. It

@@ -156,10 +156,7 @@ func Candidates(p CandidatesParams) (CandidatesResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("experiments: extracting features: %w", err)
 	}
-	sigs, err := candgen.Signatures(feats)
-	if err != nil {
-		return res, fmt.Errorf("experiments: building signatures: %w", err)
-	}
+	sigs, _ := candgen.Signatures(feats) // cannot fail
 
 	res.TotalPairs = candgen.TotalPairs(len(sigs), 0)
 

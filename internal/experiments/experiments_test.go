@@ -278,22 +278,6 @@ func TestAblationShapes(t *testing.T) {
 	}
 }
 
-func TestTextMetricAblation(t *testing.T) {
-	env := testEnv(t)
-	rows, err := TextMetricAblation(env, AblationParams{TrainSize: 20_000, TestSize: 3_000, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].Metric != "jaccard" || rows[1].Metric != "cosine" {
-		t.Fatalf("rows = %+v", rows)
-	}
-	for _, r := range rows {
-		if r.AUPR < 0.3 || r.AUPR > 1 {
-			t.Errorf("%s AUPR = %.3f out of plausible range", r.Metric, r.AUPR)
-		}
-	}
-}
-
 func TestLoadBalanceLPTNotWorse(t *testing.T) {
 	env := testEnv(t)
 	rows, err := LoadBalance(env, LoadBalanceParams{

@@ -145,10 +145,7 @@ func Spill(p SpillParams) ([]SpillRow, error) {
 		if err != nil {
 			return row, nil, fmt.Errorf("experiments: extracting features: %w", err)
 		}
-		sigs, err := candgen.Signatures(feats)
-		if err != nil {
-			return row, nil, fmt.Errorf("experiments: building signatures: %w", err)
-		}
+		sigs, _ := candgen.Signatures(feats) // cannot fail
 		pairs, _, err := candgen.Pairs(ctx, sigs, candgen.Params{
 			Theta: p.Theta, Partitions: p.Partitions,
 		})

@@ -18,39 +18,19 @@ var benchSink float64
 // generated reports (28,680 pairs per op) — the inner loop of the paper's
 // pairwise distance computing module (Fig. 10(b)).
 //
-//   - legacy: string-set kernel; every pair builds six map[string]struct{}
-//     and allocates a fresh []float64 vector (the pre-interning behavior).
-//   - interned: sorted-ID merge-scan kernel writing into one flat arena —
-//     zero allocations per comparison, one arena per sweep.
-//
-// The interned kernel must show >=10x fewer allocs/op and less B/op and
-// ns/op than legacy.
+//   - interned: the sorted-ID merge-scan kernel into one reused buffer —
+//     zero allocations per comparison;
+//   - interned-arena: the ComputeVectors shape, one arena per sweep.
 func BenchmarkPairKernel(b *testing.B) {
 	const numReports = 240
 	c := adrgen.Generate(adrgen.Config{
 		NumReports: numReports, DuplicatePairs: 20, NumDrugs: 60, NumADRs: 90, Seed: 42,
 	})
 	it := intern.New()
-	legacy := make([]Features, numReports)
 	interned := make([]Features, numReports)
 	for i, r := range c.Reports {
-		legacy[i] = Extract(r)
 		interned[i] = ExtractWith(it, r)
 	}
-
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var sum float64
-			for x := 0; x < numReports; x++ {
-				for y := x + 1; y < numReports; y++ {
-					v := Distance(legacy[x], legacy[y])
-					sum += v[FieldDescription]
-				}
-			}
-			benchSink = sum
-		}
-	})
 
 	b.Run("interned", func(b *testing.B) {
 		b.ReportAllocs()
@@ -59,7 +39,7 @@ func BenchmarkPairKernel(b *testing.B) {
 			var sum float64
 			for x := 0; x < numReports; x++ {
 				for y := x + 1; y < numReports; y++ {
-					DistanceInto(buf[:], &interned[x], &interned[y], JaccardMetric)
+					DistanceInto(buf[:], &interned[x], &interned[y])
 					sum += buf[FieldDescription]
 				}
 			}
@@ -77,7 +57,7 @@ func BenchmarkPairKernel(b *testing.B) {
 			p := 0
 			for x := 0; x < numReports; x++ {
 				for y := x + 1; y < numReports; y++ {
-					DistanceInto(arena[p*Dims:(p+1)*Dims:(p+1)*Dims], &interned[x], &interned[y], JaccardMetric)
+					DistanceInto(arena[p*Dims:(p+1)*Dims:(p+1)*Dims], &interned[x], &interned[y])
 					p++
 				}
 			}
@@ -124,7 +104,7 @@ func scalingChunks(pairs []IDPair, tasks int) ([][]IDPair, [][]float64) {
 // chunk, into the task's preallocated arena.
 func sweepChunk(arena []float64, feats []Features, chunk []IDPair) {
 	for i, p := range chunk {
-		DistanceInto(arena[i*Dims:(i+1)*Dims:(i+1)*Dims], &feats[p.A], &feats[p.B], JaccardMetric)
+		DistanceInto(arena[i*Dims:(i+1)*Dims:(i+1)*Dims], &feats[p.A], &feats[p.B])
 	}
 }
 
@@ -229,18 +209,12 @@ func TestPoolScalingSpeedup(t *testing.T) {
 	}
 }
 
-// BenchmarkExtract compares plain extraction against extraction with
-// interning, pricing the one-time per-report preprocessing the interned
-// kernel buys its zero-allocation comparisons with.
+// BenchmarkExtract prices the one-time per-report preprocessing (tokenise,
+// stem, intern) the interned kernel buys its zero-allocation comparisons
+// with.
 func BenchmarkExtract(b *testing.B) {
 	c := adrgen.Generate(adrgen.Config{
 		NumReports: 64, DuplicatePairs: 4, NumDrugs: 30, NumADRs: 40, Seed: 7,
-	})
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Extract(c.Reports[i%len(c.Reports)])
-		}
 	})
 	b.Run("interned", func(b *testing.B) {
 		it := intern.New()

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"adrdedup/internal/adr"
@@ -12,110 +14,121 @@ import (
 	"adrdedup/internal/cluster"
 	"adrdedup/internal/intern"
 	"adrdedup/internal/rdd"
+	"adrdedup/internal/strsim"
+	"adrdedup/internal/text"
 )
 
-// assertVecsBitIdentical fails unless the two vectors are equal under ==,
-// i.e. bit-identical (no tolerance).
-func assertVecsBitIdentical(t *testing.T, tag string, got, want []float64) {
+// referenceDistance is the §4.2 distance vector of two reports computed from
+// their strings: equality on the four exact-match fields, and
+// strsim.JaccardDistance over the split drug and reaction lists and over the
+// processed description tokens. The interned kernel must equal it bit for
+// bit.
+func referenceDistance(a, b adr.Report) []float64 {
+	differ := func(x bool) float64 {
+		if x {
+			return 1
+		}
+		return 0
+	}
+	return []float64{
+		FieldAge:       differ(a.CalculatedAge != b.CalculatedAge),
+		FieldSex:       differ(a.Sex != b.Sex),
+		FieldState:     differ(a.ResidentialState != b.ResidentialState),
+		FieldOnsetDate: differ(a.OnsetDate != b.OnsetDate),
+		FieldDrugName:  strsim.JaccardDistance(adr.SplitMulti(a.GenericNameDesc), adr.SplitMulti(b.GenericNameDesc)),
+		FieldADRName:   strsim.JaccardDistance(adr.SplitMulti(a.MedDRAPTName), adr.SplitMulti(b.MedDRAPTName)),
+		FieldDescription: strsim.JaccardDistance(
+			text.Process(a.ReportDescription), text.Process(b.ReportDescription)),
+	}
+}
+
+// assertVecsBitIdentical fails unless the two vectors are equal bit for bit
+// (no tolerance).
+func assertVecsBitIdentical(t testing.TB, tag string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: len %d vs %d", tag, len(got), len(want))
 	}
 	for d := range got {
-		if got[d] != want[d] {
-			t.Fatalf("%s dim %d: interned %v != legacy %v", tag, d, got[d], want[d])
+		if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+			t.Fatalf("%s dim %d (%s): kernel %v != reference %v", tag, d, FieldNames[d], got[d], want[d])
 		}
 	}
 }
 
-// TestInternedKernelBitIdenticalOnGeneratedCorpora pins the interned
-// merge-scan kernel to the legacy string-set kernel over randomized
-// generated report corpora: every pair's distance vector must be
-// bit-identical.
-func TestInternedKernelBitIdenticalOnGeneratedCorpora(t *testing.T) {
+// TestDistanceMatchesReferenceOnGeneratedCorpora pins the interned
+// merge-scan kernel to the string reference over randomized generated report
+// corpora: every pair's distance vector must be bit-identical.
+func TestDistanceMatchesReferenceOnGeneratedCorpora(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		c := adrgen.Generate(adrgen.Config{
-			NumReports: 150, DuplicatePairs: 15, NumDrugs: 40, NumADRs: 60, Seed: seed,
-		})
-		it := intern.New()
-		legacy := make([]Features, len(c.Reports))
-		interned := make([]Features, len(c.Reports))
-		for i, r := range c.Reports {
-			legacy[i] = Extract(r)
-			interned[i] = ExtractWith(it, r)
-		}
-		rng := rand.New(rand.NewSource(seed * 31))
-		for trial := 0; trial < 2000; trial++ {
-			a, b := rng.Intn(len(legacy)), rng.Intn(len(legacy))
-			assertVecsBitIdentical(t, fmt.Sprintf("seed %d pair (%d,%d)", seed, a, b),
-				Distance(interned[a], interned[b]), Distance(legacy[a], legacy[b]))
-		}
-	}
-}
-
-// TestInternedKernelEdgeCaseReports covers the boundary report shapes:
-// empty fields, duplicate tokens in multi-valued fields, all-stopword
-// descriptions, and unicode tokens.
-func TestInternedKernelEdgeCaseReports(t *testing.T) {
-	reports := []adr.Report{
-		{}, // everything empty
-		{GenericNameDesc: "Aspirin", MedDRAPTName: "Headache", ReportDescription: "severe headache after aspirin"},
-		{GenericNameDesc: "Aspirin,Aspirin,Aspirin"}, // duplicate tokens
-		{MedDRAPTName: "Nausea,Vomiting,Nausea"},
-		{ReportDescription: "the of and to"},    // all stopwords -> empty token set
-		{ReportDescription: "头痛 悪心 ñandú café"}, // unicode tokens
-		{GenericNameDesc: "头痛药", MedDRAPTName: "头痛", ReportDescription: "头痛 headache 头痛"},
-		{CalculatedAge: 30, Sex: "F", ResidentialState: "NSW", OnsetDate: "01/01/2020"},
-		{CalculatedAge: 30, Sex: "F", ResidentialState: "VIC", OnsetDate: "01/01/2020",
-			GenericNameDesc: "Paracetamol,Codeine", MedDRAPTName: "Dizziness",
-			ReportDescription: "dizziness and mild nausea reported after paracetamol with codeine"},
-	}
-	it := intern.New()
-	legacy := make([]Features, len(reports))
-	interned := make([]Features, len(reports))
-	for i, r := range reports {
-		legacy[i] = Extract(r)
-		interned[i] = ExtractWith(it, r)
-	}
-	for a := range reports {
-		for b := range reports {
-			for _, m := range []TextMetric{JaccardMetric, CosineMetric} {
-				assertVecsBitIdentical(t, fmt.Sprintf("%s (%d,%d)", m, a, b),
-					DistanceWith(interned[a], interned[b], m),
-					DistanceWith(legacy[a], legacy[b], m))
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			c := adrgen.Generate(adrgen.Config{
+				NumReports: 150, DuplicatePairs: 15, NumDrugs: 40, NumADRs: 60, Seed: seed,
+			})
+			it := intern.New()
+			feats := make([]Features, len(c.Reports))
+			for i, r := range c.Reports {
+				feats[i] = ExtractWith(it, r)
 			}
-		}
+			rng := rand.New(rand.NewSource(seed * 31))
+			var got [Dims]float64
+			for trial := 0; trial < 2000; trial++ {
+				a, b := rng.Intn(len(feats)), rng.Intn(len(feats))
+				DistanceInto(got[:], &feats[a], &feats[b])
+				assertVecsBitIdentical(t, fmt.Sprintf("pair (%d,%d)", a, b),
+					got[:], referenceDistance(c.Reports[a], c.Reports[b]))
+			}
+		})
 	}
 }
 
-// TestMixedFeaturesFallBackToStringKernel: comparing an interned feature
-// against a legacy one must silently use the string kernel, not read
-// incomparable ID sets.
-func TestMixedFeaturesFallBackToStringKernel(t *testing.T) {
-	r1 := adr.Report{GenericNameDesc: "Aspirin,Ibuprofen", MedDRAPTName: "Headache",
-		ReportDescription: "headache resolved after ibuprofen"}
-	r2 := adr.Report{GenericNameDesc: "Ibuprofen", MedDRAPTName: "Headache,Nausea",
-		ReportDescription: "persistent headache with nausea"}
-	it := intern.New()
-	mixed := Distance(ExtractWith(it, r1), Extract(r2))
-	pure := Distance(Extract(r1), Extract(r2))
-	assertVecsBitIdentical(t, "mixed-vs-legacy", mixed, pure)
+// edgeCaseReports are the boundary report shapes: empty fields, duplicate
+// tokens in multi-valued fields, all-stopword descriptions, and unicode
+// tokens.
+var edgeCaseReports = []struct {
+	name string
+	r    adr.Report
+}{
+	{"empty", adr.Report{}},
+	{"aspirin", adr.Report{GenericNameDesc: "Aspirin", MedDRAPTName: "Headache", ReportDescription: "severe headache after aspirin"}},
+	{"repeated-drugs", adr.Report{GenericNameDesc: "Aspirin,Aspirin,Aspirin"}},
+	{"repeated-reactions", adr.Report{MedDRAPTName: "Nausea,Vomiting,Nausea"}},
+	{"all-stopwords", adr.Report{ReportDescription: "the of and to"}},
+	{"unicode", adr.Report{ReportDescription: "头痛 悪心 ñandú café"}},
+	{"cjk-mixed", adr.Report{GenericNameDesc: "头痛药", MedDRAPTName: "头痛", ReportDescription: "头痛 headache 头痛"}},
+	{"categorical-only", adr.Report{CalculatedAge: 30, Sex: "F", ResidentialState: "NSW", OnsetDate: "01/01/2020"}},
+	{"full", adr.Report{CalculatedAge: 30, Sex: "F", ResidentialState: "VIC", OnsetDate: "01/01/2020",
+		GenericNameDesc: "Paracetamol,Codeine", MedDRAPTName: "Dizziness",
+		ReportDescription: "dizziness and mild nausea reported after paracetamol with codeine"}},
 }
 
-// TestComputeVectorsArenaMatchesLegacyAndIsIsolated checks the parallel
-// arena-backed path against the serial legacy kernel, and that the
+// TestDistanceMatchesReferenceOnEdgeCaseReports compares each boundary shape
+// against every other, through one interner.
+func TestDistanceMatchesReferenceOnEdgeCaseReports(t *testing.T) {
+	it := intern.New()
+	feats := make([]Features, len(edgeCaseReports))
+	for i, e := range edgeCaseReports {
+		feats[i] = ExtractWith(it, e.r)
+	}
+	for a, ea := range edgeCaseReports {
+		t.Run(ea.name, func(t *testing.T) {
+			for b, eb := range edgeCaseReports {
+				assertVecsBitIdentical(t, "against "+eb.name,
+					Distance(feats[a], feats[b]), referenceDistance(ea.r, eb.r))
+			}
+		})
+	}
+}
+
+// TestComputeVectorsArenaMatchesReferenceAndIsIsolated checks the parallel
+// arena-backed path against the string reference, and that the
 // full-capacity re-slicing isolates neighboring vectors from append.
-func TestComputeVectorsArenaMatchesLegacyAndIsIsolated(t *testing.T) {
+func TestComputeVectorsArenaMatchesReferenceAndIsIsolated(t *testing.T) {
 	c := adrgen.Generate(adrgen.Config{NumReports: 120, DuplicatePairs: 10, NumDrugs: 25, NumADRs: 35, Seed: 11})
 	ctx := rdd.NewContext(cluster.New(cluster.Config{Executors: 4}))
-	it := intern.New()
-	feats, err := ExtractAllWith(ctx, it, c.Reports, 4)
+	feats, err := ExtractAllWith(ctx, intern.New(), c.Reports, 4)
 	if err != nil {
 		t.Fatal(err)
-	}
-	legacy := make([]Features, len(c.Reports))
-	for i, r := range c.Reports {
-		legacy[i] = Extract(r)
 	}
 	rng := rand.New(rand.NewSource(12))
 	pairs := make([]IDPair, 500)
@@ -128,7 +141,7 @@ func TestComputeVectorsArenaMatchesLegacyAndIsIsolated(t *testing.T) {
 	}
 	for i, r := range recs {
 		assertVecsBitIdentical(t, fmt.Sprintf("pair %d", i),
-			r.Vec, Distance(legacy[r.A], legacy[r.B]))
+			r.Vec, referenceDistance(c.Reports[r.A], c.Reports[r.B]))
 		if cap(r.Vec) != Dims {
 			t.Fatalf("pair %d: Vec capacity %d, want %d (full-capacity arena slice)", i, cap(r.Vec), Dims)
 		}
@@ -141,10 +154,10 @@ func TestComputeVectorsArenaMatchesLegacyAndIsIsolated(t *testing.T) {
 	}
 }
 
-// TestInternedFeaturesGobRoundTrip pins that interned features survive
-// serialization: a persisted feature cache must compare identically after
-// decode (gob is the repo's model/persist codec).
-func TestInternedFeaturesGobRoundTrip(t *testing.T) {
+// TestFeaturesGobRoundTrip pins that features survive serialization: a
+// persisted feature cache must decode equal and compare identically (gob is
+// the repo's model/persist codec).
+func TestFeaturesGobRoundTrip(t *testing.T) {
 	it := intern.New()
 	f := ExtractWith(it, adr.Report{
 		CalculatedAge: 61, Sex: "M", ResidentialState: "QLD", OnsetDate: "05/06/2014",
@@ -159,8 +172,8 @@ func TestInternedFeaturesGobRoundTrip(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !got.Interned {
-		t.Fatal("Interned flag lost in round trip")
+	if !reflect.DeepEqual(got, f) {
+		t.Fatalf("decoded %+v, encoded %+v", got, f)
 	}
 	other := ExtractWith(it, adr.Report{GenericNameDesc: "Aspirin", MedDRAPTName: "Myalgia",
 		ReportDescription: "myalgia on aspirin"})

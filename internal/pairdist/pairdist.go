@@ -18,7 +18,6 @@ import (
 	"adrdedup/internal/rdd"
 	"adrdedup/internal/strsim"
 	"adrdedup/internal/text"
-	"adrdedup/internal/vecmath"
 )
 
 // Dims is the width of a pair distance vector: one entry per selected field.
@@ -45,126 +44,86 @@ var FieldNames = [Dims]string{
 // function needs, with the NLP pipeline already applied. Extracting features
 // once per report keeps the pairwise stage O(1) string work per comparison.
 //
-// When built through ExtractWith/ExtractAllWith, the three token sets are
-// additionally interned into sorted, deduplicated uint32 ID sets (DrugIDs,
-// ADRIDs, DescIDs), which is what lets the Jaccard kernel run as an
-// allocation-free merge scan. ID sets from different interners are not
-// comparable: all features compared against each other must come from one
-// shared interner (the Detector keeps one for its lifetime). DistanceWith
-// falls back to the string kernel whenever either side lacks IDs.
+// The three token sets are interned into sorted, deduplicated uint32 ID sets,
+// which is what lets the Jaccard kernel run as an allocation-free merge scan.
+// ID sets from different interners are not comparable: all features compared
+// against each other must come from one shared interner (the Detector keeps
+// one for its lifetime).
 type Features struct {
-	Age        int
-	Sex        string
-	State      string
-	OnsetDate  string
-	DrugSet    []string
-	ADRSet     []string
-	DescTokens []string
+	Age       int
+	Sex       string
+	State     string
+	OnsetDate string
 
-	// DrugIDs, ADRIDs, DescIDs are the interned forms of the three token
-	// sets: sorted, deduplicated IDs from the interner passed to
-	// ExtractWith. Valid only when Interned is true.
+	// DrugIDs, ADRIDs, DescIDs are the interned drug, reaction and
+	// description token sets: sorted, deduplicated IDs.
 	DrugIDs []uint32
 	ADRIDs  []uint32
 	DescIDs []uint32
-	// Interned records that the ID sets were built (they may legitimately
-	// be empty, so presence cannot be inferred from non-nil slices).
-	Interned bool
 }
 
-// Extract preprocesses one report without interning. Features built this
-// way always take the legacy string-set kernel; it is kept as the
-// differential oracle for the interned path.
-func Extract(r adr.Report) Features {
-	return Features{
-		Age:        r.CalculatedAge,
-		Sex:        r.Sex,
-		State:      r.ResidentialState,
-		OnsetDate:  r.OnsetDate,
-		DrugSet:    adr.SplitMulti(r.GenericNameDesc),
-		ADRSet:     adr.SplitMulti(r.MedDRAPTName),
-		DescTokens: text.Process(r.ReportDescription),
+// row is one report tokenised but not yet interned: what the parallel
+// extract tasks produce. Its fields are exported because spilled rows are
+// gob-encoded.
+type row struct {
+	Age                 int
+	Sex, State, Onset   string
+	Drugs, ADRs, Tokens []string
+}
+
+func tokenise(r adr.Report) row {
+	return row{
+		Age:    r.CalculatedAge,
+		Sex:    r.Sex,
+		State:  r.ResidentialState,
+		Onset:  r.OnsetDate,
+		Drugs:  adr.SplitMulti(r.GenericNameDesc),
+		ADRs:   adr.SplitMulti(r.MedDRAPTName),
+		Tokens: text.Process(r.ReportDescription),
 	}
 }
 
-// ExtractWith preprocesses one report and interns its token sets through
-// it, enabling the merge-scan Jaccard kernel. The interner may be shared by
-// concurrent extract tasks.
-func ExtractWith(it *intern.Interner, r adr.Report) Features {
-	f := Extract(r)
-	f.intern(it)
-	return f
+// intern builds the features, interning drugs, reactions and description
+// tokens in that order.
+func (w row) intern(it *intern.Interner) Features {
+	return Features{
+		Age:       w.Age,
+		Sex:       w.Sex,
+		State:     w.State,
+		OnsetDate: w.Onset,
+		DrugIDs:   it.SortedSet(w.Drugs),
+		ADRIDs:    it.SortedSet(w.ADRs),
+		DescIDs:   it.SortedSet(w.Tokens),
+	}
 }
 
-// intern builds the three ID sets from the string sets.
-func (f *Features) intern(it *intern.Interner) {
-	f.DrugIDs = it.SortedSet(f.DrugSet)
-	f.ADRIDs = it.SortedSet(f.ADRSet)
-	f.DescIDs = it.SortedSet(f.DescTokens)
-	f.Interned = true
+// ExtractWith preprocesses one report and interns its token sets through it.
+func ExtractWith(it *intern.Interner, r adr.Report) Features {
+	return tokenise(r).intern(it)
 }
 
 // SignatureIDs returns the report's signature set: the sorted union of the
 // three interned token-ID sets (drugs, ADRs, description). All three share
 // one interner ID space, so the union is a well-defined token set; it is
 // what the prefix-filtered candidate generator (internal/candgen) indexes.
-// Valid only for interned features (ok is false otherwise).
-func (f Features) SignatureIDs() (ids []uint32, ok bool) {
-	if !f.Interned {
-		return nil, false
-	}
-	return strsim.UnionSortedIDs(f.DrugIDs, f.ADRIDs, f.DescIDs), true
-}
-
-// TextMetric selects the token-set distance used for string and free-text
-// fields. The paper uses Jaccard (Eq. 4); cosine is provided for the metric
-// ablation (both are among the §1 candidates).
-type TextMetric int
-
-const (
-	// JaccardMetric is 1 - |A∩B|/|A∪B| (the paper's choice).
-	JaccardMetric TextMetric = iota
-	// CosineMetric is 1 - cosine similarity over token counts.
-	CosineMetric
-)
-
-func (m TextMetric) String() string {
-	if m == CosineMetric {
-		return "cosine"
-	}
-	return "jaccard"
-}
-
-func (m TextMetric) distance(a, b []string) float64 {
-	if m == CosineMetric {
-		return 1 - strsim.Cosine(a, b)
-	}
-	return strsim.JaccardDistance(a, b)
+func (f Features) SignatureIDs() []uint32 {
+	return strsim.UnionSortedIDs(f.DrugIDs, f.ADRIDs, f.DescIDs)
 }
 
 // Distance computes the §4.2 distance vector between two preprocessed
-// reports using the paper's Jaccard metric. Every component lies in [0, 1].
+// reports. Every component lies in [0, 1].
 func Distance(a, b Features) []float64 {
-	return DistanceWith(a, b, JaccardMetric)
-}
-
-// DistanceWith computes the distance vector under the chosen token metric.
-func DistanceWith(a, b Features, m TextMetric) []float64 {
 	v := make([]float64, Dims)
-	DistanceInto(v, &a, &b, m)
+	DistanceInto(v, &a, &b)
 	return v
 }
 
 // DistanceInto computes the distance vector into dst (which must have at
-// least Dims elements) and performs no allocation. When both features are
-// interned and the metric is Jaccard, the three token-set distances run as
-// merge scans over the sorted ID sets — bit-identical to the string kernel,
-// since both reduce to float64(|A∩B|)/float64(|A∪B|) over the same counts.
-// Cosine needs token multiplicities, which the deduplicated ID sets drop,
-// so it always takes the string path. The features are read through
-// pointers: a Features value is about 200 bytes, and copying two per pair
-// was a tenth of the vectorize loop.
-func DistanceInto(dst []float64, a, b *Features, m TextMetric) {
+// least Dims elements) and performs no allocation. The three token-set
+// distances are merge scans over the sorted ID sets. The features are read
+// through pointers: copying two Features values per pair was a tenth of the
+// vectorize loop.
+func DistanceInto(dst []float64, a, b *Features) {
 	_ = dst[Dims-1]
 	dst[FieldAge] = 0
 	if a.Age != b.Age {
@@ -182,60 +141,30 @@ func DistanceInto(dst []float64, a, b *Features, m TextMetric) {
 	if a.OnsetDate != b.OnsetDate {
 		dst[FieldOnsetDate] = 1
 	}
-	if m == JaccardMetric && a.Interned && b.Interned {
-		dst[FieldDrugName] = strsim.JaccardDistanceSortedIDs(a.DrugIDs, b.DrugIDs)
-		dst[FieldADRName] = strsim.JaccardDistanceSortedIDs(a.ADRIDs, b.ADRIDs)
-		dst[FieldDescription] = strsim.JaccardDistanceSortedIDs(a.DescIDs, b.DescIDs)
-		return
-	}
-	dst[FieldDrugName] = m.distance(a.DrugSet, b.DrugSet)
-	dst[FieldADRName] = m.distance(a.ADRSet, b.ADRSet)
-	dst[FieldDescription] = m.distance(a.DescTokens, b.DescTokens)
+	dst[FieldDrugName] = strsim.JaccardDistanceSortedIDs(a.DrugIDs, b.DrugIDs)
+	dst[FieldADRName] = strsim.JaccardDistanceSortedIDs(a.ADRIDs, b.ADRIDs)
+	dst[FieldDescription] = strsim.JaccardDistanceSortedIDs(a.DescIDs, b.DescIDs)
 }
 
-// VectorDist is the distance between two report pairs: the Euclidean
-// distance between their distance vectors (§4.2).
-func VectorDist(a, b []float64) float64 {
-	return vecmath.Dist(a, b)
-}
-
-// MaxVectorDist bounds VectorDist for Dims-dimensional unit-cube vectors;
-// useful for normalizing scores and thresholds.
-var MaxVectorDist = vecmath.Dist(make([]float64, Dims), onesVec())
-
-func onesVec() []float64 {
-	v := make([]float64, Dims)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
-}
-
-// ExtractAll preprocesses reports in parallel on the cluster (the text
+// ExtractAllWith preprocesses reports in parallel on the cluster (the text
 // pipeline dominates; this is the first stage of the paper's workflow in
-// Figure 1). Features come back in the order of reports. They are not
-// interned — callers that compare features across multiple extraction calls
-// should use ExtractAllWith with one long-lived interner instead.
-func ExtractAll(ctx *rdd.Context, reports []adr.Report, partitions int) ([]Features, error) {
-	src := rdd.Parallelize(ctx, reports, partitions).SetName("reports").WithBytesPerRecord(600)
-	return rdd.Map(src, Extract).SetName("features").Collect()
-}
-
-// ExtractAllWith is ExtractAll with token interning through it, enabling
-// the merge-scan Jaccard kernel downstream. The parallel tasks only tokenise;
-// IDs are assigned afterwards in one driver-side pass over the reports in
-// order, so an interner fed the same reports in the same order hands out the
-// same IDs on every run and at every core count — ID order reaches candgen's
+// Figure 1) and interns their token sets through it. Features come back in
+// the order of reports. The parallel tasks only tokenise; IDs are assigned
+// afterwards in one driver-side pass over the reports in order, so an
+// interner fed the same reports in the same order hands out the same IDs on
+// every run and at every core count — ID order reaches candgen's
 // frequency-rank tie-break and through it the Scanned/Verified counters. it
 // must be the same interner for every feature set that will be compared
 // together.
 func ExtractAllWith(ctx *rdd.Context, it *intern.Interner, reports []adr.Report, partitions int) ([]Features, error) {
-	feats, err := ExtractAll(ctx, reports, partitions)
+	src := rdd.Parallelize(ctx, reports, partitions).SetName("reports").WithBytesPerRecord(600)
+	rows, err := rdd.Map(src, tokenise).SetName("features").Collect()
 	if err != nil {
 		return nil, err
 	}
-	for i := range feats {
-		feats[i].intern(it)
+	feats := make([]Features, len(rows))
+	for i, w := range rows {
+		feats[i] = w.intern(it)
 	}
 	return feats, nil
 }
@@ -273,7 +202,7 @@ func ComputeVectors(ctx *rdd.Context, feats []Features, pairs []IDPair, partitio
 		arena := make([]float64, Dims*len(in))
 		for i, p := range in {
 			vec := arena[i*Dims : (i+1)*Dims : (i+1)*Dims]
-			DistanceInto(vec, &feats[p.A], &feats[p.B], JaccardMetric)
+			DistanceInto(vec, &feats[p.A], &feats[p.B])
 			out[i] = PairRecord{A: p.A, B: p.B, Label: p.Label, Vec: vec}
 		}
 		return out, nil

@@ -10,6 +10,8 @@ import (
 	"adrdedup/internal/cluster"
 	"adrdedup/internal/intern"
 	"adrdedup/internal/rdd"
+	"adrdedup/internal/text"
+	"adrdedup/internal/vecmath"
 )
 
 func reportA() adr.Report {
@@ -26,7 +28,7 @@ func reportA() adr.Report {
 }
 
 func TestDistanceIdenticalReportsIsZero(t *testing.T) {
-	f := Extract(reportA())
+	f := ExtractWith(intern.New(), reportA())
 	v := Distance(f, f)
 	for i, x := range v {
 		if x != 0 {
@@ -45,7 +47,8 @@ func TestDistanceFieldRules(t *testing.T) {
 	b.GenericNameDesc = "Paracetamol"
 	b.MedDRAPTName = "Headache"
 	b.ReportDescription = "Completely different narrative about an unrelated medicine event entirely."
-	v := Distance(Extract(a), Extract(b))
+	it := intern.New()
+	v := Distance(ExtractWith(it, a), ExtractWith(it, b))
 	for i := FieldAge; i <= FieldOnsetDate; i++ {
 		if v[i] != 1 {
 			t.Errorf("categorical dim %d = %v, want 1", i, v[i])
@@ -64,7 +67,8 @@ func TestDistancePartialOverlapInLists(t *testing.T) {
 	a.MedDRAPTName = "Vomiting,Pyrexia,Cough,Headache"
 	b := reportA()
 	b.MedDRAPTName = "Cough,Headache,Choking sensation,Chills,Vomiting"
-	v := Distance(Extract(a), Extract(b))
+	it := intern.New()
+	v := Distance(ExtractWith(it, a), ExtractWith(it, b))
 	// Overlap = {Vomiting, Cough, Headache} = 3; union = 6; distance = 0.5.
 	if math.Abs(v[FieldADRName]-0.5) > 1e-12 {
 		t.Errorf("ADR Jaccard distance = %v, want 0.5", v[FieldADRName])
@@ -73,9 +77,10 @@ func TestDistancePartialOverlapInLists(t *testing.T) {
 
 func TestDistanceRangeAndSymmetry(t *testing.T) {
 	c := adrgen.Generate(adrgen.Config{NumReports: 100, DuplicatePairs: 10, NumDrugs: 30, NumADRs: 40, Seed: 2})
+	it := intern.New()
 	feats := make([]Features, len(c.Reports))
 	for i, r := range c.Reports {
-		feats[i] = Extract(r)
+		feats[i] = ExtractWith(it, r)
 	}
 	for i := 0; i < 50; i++ {
 		a, b := feats[i], feats[99-i]
@@ -96,14 +101,14 @@ func TestDuplicatesCloserThanRandomPairs(t *testing.T) {
 	// The property the whole system rests on: ground-truth duplicates have
 	// systematically smaller distance vectors than random pairs.
 	c := adrgen.Generate(adrgen.Config{NumReports: 400, DuplicatePairs: 40, NumDrugs: 80, NumADRs: 120, Seed: 3})
+	it := intern.New()
 	feats := make([]Features, len(c.Reports))
 	for i, r := range c.Reports {
-		feats[i] = Extract(r)
+		feats[i] = ExtractWith(it, r)
 	}
-	zero := make([]float64, Dims)
 	var dupMean, randMean float64
 	for _, d := range c.Duplicates {
-		dupMean += VectorDist(Distance(feats[d.IdxA], feats[d.IdxB]), zero)
+		dupMean += vecmath.Norm(Distance(feats[d.IdxA], feats[d.IdxB]))
 	}
 	dupMean /= float64(len(c.Duplicates))
 	n := 0
@@ -111,7 +116,7 @@ func TestDuplicatesCloserThanRandomPairs(t *testing.T) {
 		if c.IsDuplicatePair(i, i+1) {
 			continue
 		}
-		randMean += VectorDist(Distance(feats[i], feats[i+1]), zero)
+		randMean += vecmath.Norm(Distance(feats[i], feats[i+1]))
 		n++
 	}
 	randMean /= float64(n)
@@ -120,28 +125,55 @@ func TestDuplicatesCloserThanRandomPairs(t *testing.T) {
 	}
 }
 
-func TestMaxVectorDist(t *testing.T) {
-	want := math.Sqrt(Dims)
-	if math.Abs(MaxVectorDist-want) > 1e-12 {
-		t.Errorf("MaxVectorDist = %v, want sqrt(%d)", MaxVectorDist, Dims)
-	}
-}
-
-func TestExtractAllMatchesSerial(t *testing.T) {
+// TestExtractAllWithResolvesToReferenceTokens pins what parallel extraction
+// keeps of each report: the four exact-match fields verbatim, and ID sets
+// that resolve through the interner to exactly the distinct tokens of the
+// string reference (adr.SplitMulti, text.Process), in increasing ID order.
+func TestExtractAllWithResolvesToReferenceTokens(t *testing.T) {
 	c := adrgen.Generate(adrgen.Config{NumReports: 120, DuplicatePairs: 5, NumDrugs: 20, NumADRs: 30, Seed: 4})
 	ctx := rdd.NewContext(cluster.New(cluster.Config{Executors: 4}))
-	got, err := ExtractAll(ctx, c.Reports, 6)
+	it := intern.New()
+	got, err := ExtractAllWith(ctx, it, c.Reports, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(c.Reports) {
 		t.Fatalf("features = %d", len(got))
 	}
+	resolve := func(ids []uint32) map[string]bool {
+		out := make(map[string]bool, len(ids))
+		for i, id := range ids {
+			tok, ok := it.Resolve(id)
+			if !ok || (i > 0 && ids[i-1] >= id) {
+				t.Fatalf("ID set %v is not a sorted set of assigned IDs", ids)
+			}
+			out[tok] = true
+		}
+		return out
+	}
+	distinct := func(toks []string) map[string]bool {
+		out := make(map[string]bool, len(toks))
+		for _, tok := range toks {
+			out[tok] = true
+		}
+		return out
+	}
 	for i, r := range c.Reports {
-		want := Extract(r)
-		if got[i].Age != want.Age || got[i].Sex != want.Sex ||
-			len(got[i].DescTokens) != len(want.DescTokens) {
-			t.Fatalf("feature %d mismatch", i)
+		f := got[i]
+		if f.Age != r.CalculatedAge || f.Sex != r.Sex || f.State != r.ResidentialState || f.OnsetDate != r.OnsetDate {
+			t.Fatalf("feature %d: exact-match fields %+v differ from report", i, f)
+		}
+		for _, field := range []struct {
+			ids  []uint32
+			want []string
+		}{
+			{f.DrugIDs, adr.SplitMulti(r.GenericNameDesc)},
+			{f.ADRIDs, adr.SplitMulti(r.MedDRAPTName)},
+			{f.DescIDs, text.Process(r.ReportDescription)},
+		} {
+			if g, w := resolve(field.ids), distinct(field.want); !reflect.DeepEqual(g, w) {
+				t.Fatalf("feature %d: IDs resolve to %v, reference tokens %v", i, g, w)
+			}
 		}
 	}
 }
@@ -179,7 +211,7 @@ func TestExtractAllWithAssignsIDsInArrivalOrder(t *testing.T) {
 func TestComputeVectors(t *testing.T) {
 	c := adrgen.Generate(adrgen.Config{NumReports: 100, DuplicatePairs: 8, NumDrugs: 20, NumADRs: 30, Seed: 5})
 	ctx := rdd.NewContext(cluster.New(cluster.Config{Executors: 4}))
-	feats, err := ExtractAll(ctx, c.Reports, 4)
+	feats, err := ExtractAllWith(ctx, intern.New(), c.Reports, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,14 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"adrdedup/internal/intern"
 )
 
-// featFromRaw builds a Features value from fuzz inputs.
-func featFromRaw(age uint8, sex, state, onset bool, drugs, adrs, tokens []uint8) Features {
+// featFromRaw builds a Features value from fuzz inputs, interning its token
+// sets through it — the one interner every feature of a property case shares,
+// as the Detector's features share one.
+func featFromRaw(it *intern.Interner, age uint8, sex, state, onset bool, drugs, adrs, tokens []uint8) Features {
 	word := func(v uint8) string { return string(rune('a' + v%20)) }
 	mk := func(vs []uint8) []string {
 		out := make([]string, 0, len(vs))
@@ -16,7 +20,8 @@ func featFromRaw(age uint8, sex, state, onset bool, drugs, adrs, tokens []uint8)
 		}
 		return out
 	}
-	f := Features{Age: int(age), DrugSet: mk(drugs), ADRSet: mk(adrs), DescTokens: mk(tokens)}
+	f := Features{Age: int(age),
+		DrugIDs: it.SortedSet(mk(drugs)), ADRIDs: it.SortedSet(mk(adrs)), DescIDs: it.SortedSet(mk(tokens))}
 	if sex {
 		f.Sex = "M"
 	} else {
@@ -38,27 +43,20 @@ func featFromRaw(age uint8, sex, state, onset bool, drugs, adrs, tokens []uint8)
 func TestDistancePropertyRangeSymmetryIdentity(t *testing.T) {
 	f := func(age1, age2 uint8, sex1, sex2, st1, st2, on1, on2 bool,
 		d1, d2, a1, a2, t1, t2 []uint8) bool {
-		fa := featFromRaw(age1, sex1, st1, on1, d1, a1, t1)
-		fb := featFromRaw(age2, sex2, st2, on2, d2, a2, t2)
-		for _, m := range []TextMetric{JaccardMetric, CosineMetric} {
-			ab := DistanceWith(fa, fb, m)
-			ba := DistanceWith(fb, fa, m)
-			self := DistanceWith(fa, fa, m)
-			for d := 0; d < Dims; d++ {
-				if ab[d] < 0 || ab[d] > 1+1e-9 {
-					return false
-				}
-				if math.Abs(ab[d]-ba[d]) > 1e-9 {
-					return false
-				}
-				if self[d] > 1e-9 {
-					return false
-				}
-			}
-			if VectorDist(ab, ba) > 1e-9 {
+		it := intern.New()
+		fa := featFromRaw(it, age1, sex1, st1, on1, d1, a1, t1)
+		fb := featFromRaw(it, age2, sex2, st2, on2, d2, a2, t2)
+		ab := Distance(fa, fb)
+		ba := Distance(fb, fa)
+		self := Distance(fa, fa)
+		for d := 0; d < Dims; d++ {
+			if ab[d] < 0 || ab[d] > 1 {
 				return false
 			}
-			if VectorDist(ab, ab) != 0 {
+			if math.Float64bits(ab[d]) != math.Float64bits(ba[d]) {
+				return false
+			}
+			if self[d] != 0 {
 				return false
 			}
 		}
@@ -66,24 +64,5 @@ func TestDistancePropertyRangeSymmetryIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestVectorDistBoundedByMax(t *testing.T) {
-	f := func(age1, age2 uint8, d1, d2 []uint8) bool {
-		fa := featFromRaw(age1, true, true, true, d1, d1, d1)
-		fb := featFromRaw(age2, false, false, false, d2, d2, d2)
-		v1 := Distance(fa, fb)
-		zero := make([]float64, Dims)
-		return VectorDist(v1, zero) <= MaxVectorDist+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTextMetricStrings(t *testing.T) {
-	if JaccardMetric.String() != "jaccard" || CosineMetric.String() != "cosine" {
-		t.Error("metric names wrong")
 	}
 }

@@ -1,7 +1,6 @@
 package strsim
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -22,7 +21,7 @@ func sortedSet(raw []uint8) []uint32 {
 }
 
 // stringsOf maps an ID set to an equivalent string set, so the ID kernel
-// can be compared bit-for-bit with the string kernel.
+// can be compared bit-for-bit with the map-based string reference, Jaccard.
 func stringsOf(ids []uint32) []string {
 	out := make([]string, len(ids))
 	for i, id := range ids {
@@ -93,136 +92,6 @@ func TestJaccardSimAtLeastMatchesExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
 		t.Error(err)
-	}
-}
-
-// --- small-set fast-path equivalence (satellite) ---
-
-// jaccardRef is the original map-based implementation, kept in the test as
-// the oracle for the quadratic small-set path.
-func jaccardRef(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	sa := make(map[string]struct{}, len(a))
-	for _, t := range a {
-		sa[t] = struct{}{}
-	}
-	sb := make(map[string]struct{}, len(b))
-	for _, t := range b {
-		sb[t] = struct{}{}
-	}
-	inter := 0
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(sa)+len(sb)-inter)
-}
-
-// cosineRef is the original map-based cosine, the oracle for cosineSmall.
-func cosineRef(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	ca := counts(a)
-	cb := counts(b)
-	var dot, na, nb float64
-	for t, x := range ca {
-		na += float64(x) * float64(x)
-		if y, ok := cb[t]; ok {
-			dot += float64(x) * float64(y)
-		}
-	}
-	for _, y := range cb {
-		nb += float64(y) * float64(y)
-	}
-	if dot == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// tokensOf maps fuzz bytes to token slices with deliberate duplicates and a
-// tiny alphabet so overlaps, repeats, and empty inputs all occur.
-func tokensOf(raw []uint8) []string {
-	out := make([]string, len(raw))
-	for i, v := range raw {
-		out[i] = string(rune('a' + v%6))
-	}
-	return out
-}
-
-func TestJaccardSmallSetPathMatchesMapPath(t *testing.T) {
-	f := func(ra, rb []uint8) bool {
-		if len(ra) > smallSetLen {
-			ra = ra[:smallSetLen]
-		}
-		if len(rb) > smallSetLen {
-			rb = rb[:smallSetLen]
-		}
-		a, b := tokensOf(ra), tokensOf(rb)
-		return Jaccard(a, b) == jaccardRef(a, b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCosineSmallSetPathMatchesMapPath(t *testing.T) {
-	f := func(ra, rb []uint8) bool {
-		if len(ra) > smallSetLen {
-			ra = ra[:smallSetLen]
-		}
-		if len(rb) > smallSetLen {
-			rb = rb[:smallSetLen]
-		}
-		a, b := tokensOf(ra), tokensOf(rb)
-		return Cosine(a, b) == cosineRef(a, b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestLargeSetStillUsesMapPathConsistently pins that results agree across
-// the size threshold: truncating just above and below smallSetLen changes
-// the implementation, never the value for identical inputs.
-func TestJaccardAgreesAcrossThreshold(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := smallSetLen + 1 + rng.Intn(8)
-		a := make([]string, n)
-		b := make([]string, rng.Intn(n+1))
-		for i := range a {
-			a[i] = string(rune('a' + rng.Intn(6)))
-		}
-		for i := range b {
-			b[i] = string(rune('a' + rng.Intn(6)))
-		}
-		if got, want := Jaccard(a, b), jaccardRef(a, b); got != want {
-			t.Fatalf("large-set Jaccard(%v, %v) = %v, want %v", a, b, got, want)
-		}
-		if got, want := Cosine(a, b), cosineRef(a, b); got != want {
-			t.Fatalf("large-set Cosine(%v, %v) = %v, want %v", a, b, got, want)
-		}
-	}
-}
-
-func BenchmarkJaccardSmallSets(b *testing.B) {
-	x := []string{"atorvastatin", "calcium"}
-	y := []string{"atorvastatin", "simvastatin", "ezetimibe"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Jaccard(x, y)
 	}
 }
 

@@ -1,96 +1,11 @@
-// Package strsim provides the string similarity metrics used for field
-// matching in duplicate detection (§4.2 of the paper): Levenshtein edit
-// distance, Hamming distance, Jaccard coefficient over sets, cosine
-// similarity over token multisets, and Jaro-Winkler similarity.
+// Package strsim provides the token-set similarity of §4.2 of the paper: the
+// Jaccard coefficient (Eq. 4). The distance kernel runs it as a merge scan
+// over sorted, deduplicated interned ID sets (ids.go); the map-based string
+// form in this file is the reference those scans are tested against.
 //
-// All similarity functions return values in [0, 1] where 1 means identical.
-// All distance functions are non-negative and zero iff the inputs match
-// under the metric's notion of equality.
+// Similarities lie in [0, 1] where 1 means identical; distances are
+// 1 - similarity.
 package strsim
-
-import (
-	"math"
-	"unicode/utf8"
-)
-
-// Levenshtein returns the edit distance between a and b: the minimum number
-// of single-rune insertions, deletions, and substitutions required to
-// transform a into b.
-func Levenshtein(a, b string) int {
-	if a == b {
-		return 0
-	}
-	ra := []rune(a)
-	rb := []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	// Keep the shorter string in rb to bound the row buffer.
-	if len(rb) > len(ra) {
-		ra, rb = rb, ra
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// LevenshteinSim converts edit distance to a similarity in [0, 1]:
-// 1 - dist/max(len(a), len(b)). Two empty strings are fully similar.
-func LevenshteinSim(a, b string) float64 {
-	la := utf8.RuneCountInString(a)
-	lb := utf8.RuneCountInString(b)
-	n := la
-	if lb > n {
-		n = lb
-	}
-	if n == 0 {
-		return 1
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(n)
-}
-
-// Hamming returns the Hamming distance between a and b: the number of
-// positions at which the corresponding runes differ. The second return is
-// false when the inputs have different lengths, for which Hamming distance
-// is undefined.
-func Hamming(a, b string) (int, bool) {
-	ra := []rune(a)
-	rb := []rune(b)
-	if len(ra) != len(rb) {
-		return 0, false
-	}
-	d := 0
-	for i := range ra {
-		if ra[i] != rb[i] {
-			d++
-		}
-	}
-	return d, true
-}
-
-// smallSetLen is the per-side length at or below which Jaccard and Cosine
-// use a quadratic slice scan instead of building maps. Drug and ADR value
-// sets are typically 1-3 tokens, for which hashing costs more than the
-// whole scan; both paths compute identical integer counts, so the float
-// results are bit-identical (see the property tests).
-const smallSetLen = 8
 
 // Jaccard returns the Jaccard similarity coefficient |A∩B| / |A∪B| between
 // two sets of tokens. Duplicate tokens within one input count once. Two
@@ -101,9 +16,6 @@ func Jaccard(a, b []string) float64 {
 	}
 	if len(a) == 0 || len(b) == 0 {
 		return 0
-	}
-	if len(a) <= smallSetLen && len(b) <= smallSetLen {
-		return jaccardSmall(a, b)
 	}
 	sa := make(map[string]struct{}, len(a))
 	for _, t := range a {
@@ -123,218 +35,8 @@ func Jaccard(a, b []string) float64 {
 	return float64(inter) / float64(union)
 }
 
-// jaccardSmall is the allocation-free small-set path: distinct and
-// intersection counts come from quadratic scans over the slices.
-func jaccardSmall(a, b []string) float64 {
-	na, inter := 0, 0
-	for i, t := range a {
-		if seenBefore(a, i, t) {
-			continue
-		}
-		na++
-		if contains(b, t) {
-			inter++
-		}
-	}
-	nb := 0
-	for i, t := range b {
-		if seenBefore(b, i, t) {
-			continue
-		}
-		nb++
-	}
-	return float64(inter) / float64(na+nb-inter)
-}
-
-// seenBefore reports whether s[i] already occurred in s[:i].
-func seenBefore(s []string, i int, t string) bool {
-	for _, u := range s[:i] {
-		if u == t {
-			return true
-		}
-	}
-	return false
-}
-
-func contains(s []string, t string) bool {
-	for _, u := range s {
-		if u == t {
-			return true
-		}
-	}
-	return false
-}
-
-func countOf(s []string, t string) int {
-	n := 0
-	for _, u := range s {
-		if u == t {
-			n++
-		}
-	}
-	return n
-}
-
 // JaccardDistance is 1 - Jaccard(a, b), the set distance used by the paper
 // for string-typed fields (Eq. 4).
 func JaccardDistance(a, b []string) float64 {
 	return 1 - Jaccard(a, b)
-}
-
-// Cosine returns the cosine similarity between the token-count vectors of a
-// and b. Two empty token lists have similarity 1; one empty and one
-// non-empty list have similarity 0.
-func Cosine(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	if len(a) <= smallSetLen && len(b) <= smallSetLen {
-		return cosineSmall(a, b)
-	}
-	ca := counts(a)
-	cb := counts(b)
-	var dot, na, nb float64
-	for t, x := range ca {
-		na += float64(x) * float64(x)
-		if y, ok := cb[t]; ok {
-			dot += float64(x) * float64(y)
-		}
-	}
-	for _, y := range cb {
-		nb += float64(y) * float64(y)
-	}
-	if dot == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// cosineSmall is the allocation-free small-set path. All partial sums are
-// small integers (counts and products of counts), which float64 represents
-// exactly, so the result is bit-identical to the map path regardless of
-// accumulation order.
-func cosineSmall(a, b []string) float64 {
-	var dot, na, nb float64
-	for i, t := range a {
-		if seenBefore(a, i, t) {
-			continue
-		}
-		x := float64(countOf(a, t))
-		na += x * x
-		if y := countOf(b, t); y > 0 {
-			dot += x * float64(y)
-		}
-	}
-	for i, t := range b {
-		if seenBefore(b, i, t) {
-			continue
-		}
-		y := float64(countOf(b, t))
-		nb += y * y
-	}
-	if dot == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// JaroWinkler returns the Jaro-Winkler similarity between a and b in [0, 1],
-// boosting matches with a common prefix of up to four runes by the standard
-// scaling factor 0.1.
-func JaroWinkler(a, b string) float64 {
-	j := jaro(a, b)
-	if j == 0 {
-		return 0
-	}
-	ra := []rune(a)
-	rb := []rune(b)
-	prefix := 0
-	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
-		prefix++
-	}
-	return j + float64(prefix)*0.1*(1-j)
-}
-
-func jaro(a, b string) float64 {
-	ra := []rune(a)
-	rb := []rune(b)
-	if len(ra) == 0 && len(rb) == 0 {
-		return 1
-	}
-	if len(ra) == 0 || len(rb) == 0 {
-		return 0
-	}
-	window := max2(len(ra), len(rb))/2 - 1
-	if window < 0 {
-		window = 0
-	}
-	matchedA := make([]bool, len(ra))
-	matchedB := make([]bool, len(rb))
-	matches := 0
-	for i, c := range ra {
-		lo := i - window
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + window + 1
-		if hi > len(rb) {
-			hi = len(rb)
-		}
-		for j := lo; j < hi; j++ {
-			if !matchedB[j] && rb[j] == c {
-				matchedA[i] = true
-				matchedB[j] = true
-				matches++
-				break
-			}
-		}
-	}
-	if matches == 0 {
-		return 0
-	}
-	transpositions := 0
-	j := 0
-	for i := range ra {
-		if !matchedA[i] {
-			continue
-		}
-		for !matchedB[j] {
-			j++
-		}
-		if ra[i] != rb[j] {
-			transpositions++
-		}
-		j++
-	}
-	m := float64(matches)
-	t := float64(transpositions) / 2
-	return (m/float64(len(ra)) + m/float64(len(rb)) + (m-t)/m) / 3
-}
-
-func counts(tokens []string) map[string]int {
-	c := make(map[string]int, len(tokens))
-	for _, t := range tokens {
-		c[t]++
-	}
-	return c
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -77,14 +77,6 @@ func TestStopwords(t *testing.T) {
 	}
 }
 
-func TestRemoveStopwords(t *testing.T) {
-	in := []string{"the", "patient", "experienced", "severe", "headache"}
-	want := []string{"severe", "headache"}
-	if got := RemoveStopwords(in); !reflect.DeepEqual(got, want) {
-		t.Errorf("RemoveStopwords(%v) = %v, want %v", in, got, want)
-	}
-}
-
 // Porter's published vocabulary gives exact expected outputs; these cases
 // are drawn from the reference test set plus ADR-domain words.
 func TestPorterStemmer(t *testing.T) {

@@ -78,17 +78,6 @@ func IsStopword(token string) bool {
 	return ok
 }
 
-// RemoveStopwords filters stop-words out of tokens, returning a new slice.
-func RemoveStopwords(tokens []string) []string {
-	out := make([]string, 0, len(tokens))
-	for _, t := range tokens {
-		if !IsStopword(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Process runs the full pipeline of §4.2 on a free-text field: tokenize,
 // remove stop-words, and stem each remaining token to its root form. The
 // stop-word filter and stemmer run in place on the freshly tokenized slice
