@@ -373,16 +373,9 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 
 	// Candidate pairs of Eq. 3: new x earlier, including earlier batch
 	// members (r is checked against A ∪ R - r, deduplicated by ordering).
-	ids, err := d.candidates(existing)
-	if err != nil {
+	tasks, pairs, err := d.scorePairs(existing)
+	if err != nil || pairs == 0 {
 		return nil, err
-	}
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	recs, err := pairdist.ComputeVectors(d.ctx, d.feats, ids, d.classifierPartitions())
-	if err != nil {
-		return nil, fmt.Errorf("adrdedup: vectorizing candidate pairs: %w", err)
 	}
 	// Eqs. 5/6 make a pair's result a function of its vector and the model
 	// alone, and the vectors fall on a small lattice (four 0/1 fields, three
@@ -392,12 +385,66 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 	// table only from a Classify that returned without error, and stay when
 	// this Detect fails or is rolled back: they depend on the model, never
 	// on the database.
-	slot, verdicts, classified, err := d.model.score(recs)
+	verdicts, classified, err := d.model.resolve(tasks)
 	if err != nil {
 		return nil, fmt.Errorf("adrdedup: classifying candidate pairs: %w", err)
 	}
-	d.shape = detectShape{pairs: len(recs), distinct: len(verdicts), classified: classified}
-	return d.orderMatches(ids, slot, verdicts, includePruned), nil
+	d.shape = detectShape{pairs: pairs, distinct: len(verdicts), classified: classified}
+	return d.orderMatches(tasks, verdicts, includePruned), nil
+}
+
+// scorePairs finds the candidate pairs of the reports from arrival sequence
+// existing on, and vectorizes and looks up each in the score table in the
+// task that found it: one probe stage under CandidatePrefixIndex (the pairs
+// whose signature sets reach CandidateTheta), one stage over every pair the
+// driver lists under brute force. It returns the tasks and the pair count.
+func (d *Detector) scorePairs(existing int) ([]scoredTask, int, error) {
+	m, feats := d.model, d.feats
+	score := func(tc *cluster.TaskContext, _ int, ids []pairdist.IDPair) (scoredTask, error) {
+		vec := tc.Scratch().Float64s(pairdist.Dims)
+		t := scoredTask{pairs: make([]scoredPair, len(ids)), missed: make(map[vecKey]int32)}
+		for i, p := range ids {
+			pairdist.DistanceInto(vec, &feats[p.A], &feats[p.B])
+			t.pairs[i] = scoredPair{A: int32(p.A), B: int32(p.B), slot: t.slot(m, vec)}
+		}
+		return t, nil
+	}
+	var tasks []scoredTask
+	var err error
+	if d.index != nil {
+		tasks, _, err = candgen.ProbeEach(d.index, d.ctx, existing, d.classifierPartitions(),
+			func(tc *cluster.TaskContext, ids []pairdist.IDPair) (scoredTask, error) {
+				tc.AddRecords(int64(len(ids))) // a record per pair vectorized
+				return score(tc, 0, ids)
+			})
+	} else if ids := allPairs(existing, len(feats)); len(ids) > 0 {
+		// RunJob commits a record per pair, its input.
+		src := rdd.Parallelize(d.ctx, ids, d.classifierPartitions()).SetName("pairIDs").WithBytesPerRecord(24)
+		tasks, err = rdd.RunJob(src, "pairVectors", score)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("adrdedup: scoring candidate pairs: %w", err)
+	}
+	pairs := 0
+	for _, t := range tasks {
+		pairs += len(t.pairs)
+	}
+	if pairs > 0 { // the features broadcast to the executors, ~300 bytes each
+		d.ctx.Cluster().Broadcast(int64(len(feats)) * 300)
+		d.ctx.Cluster().Metrics().Comparisons.Add(int64(pairs))
+	}
+	return tasks, pairs, nil
+}
+
+// allPairs returns every pair of reports 0..n-1 with B >= existing.
+func allPairs(existing, n int) []pairdist.IDPair {
+	var ids []pairdist.IDPair
+	for b := existing; b < n; b++ {
+		for a := 0; a < b; a++ {
+			ids = append(ids, pairdist.IDPair{A: a, B: b})
+		}
+	}
+	return ids
 }
 
 // detectShape is the size of one Detect call's classification: its candidate
@@ -437,7 +484,7 @@ type model struct {
 	calls uint64
 }
 
-// scoreRow is one table entry. call and slot are score's scratch: the last
+// scoreRow is one table entry. call and slot are resolve's scratch: the last
 // call that referenced the row, and the row's slot in that call's verdicts.
 type scoreRow struct {
 	verdict
@@ -449,72 +496,114 @@ func newModel(clf *core.Classifier, training []core.TrainingPair) *model {
 	return &model{clf: clf, training: training, row: make(map[vecKey]int32)}
 }
 
-// score returns the verdicts of the distinct vectors of recs and, per
-// record, the slot of its vector's verdict, classifying only the vectors the
-// model has never scored; classified is how many that was. Each record costs
-// one table lookup. The misses are deduplicated, sent to Classify once, and
-// entered into the table only if Classify succeeds. Slots follow first
-// appearance among the table's hits, then the misses, so the call's work and
-// its verdicts are sized by its records, never by the table.
-func (m *model) score(recs []pairdist.PairRecord) (slot []int32, verdicts []verdict, classified int, err error) {
+// scoredPair is a candidate pair and the slot of its vector's verdict: in a
+// task, the vector's score-table row or ^k for the task's k-th miss; after
+// resolve, the vector's slot in the call's verdicts.
+type scoredPair struct{ A, B, slot int32 }
+
+// scoredTask is one task's pairs and the keys (bits, so also the vectors) of
+// the distinct vectors among them the table does not hold, in task order.
+type scoredTask struct {
+	pairs  []scoredPair
+	misses []vecKey
+	missed map[vecKey]int32 // index into misses
+}
+
+// slot returns the task-side slot of vec. It only reads the table: rows are
+// inserted on the driver, after the stage and every attempt of it returned.
+func (t *scoredTask) slot(m *model, vec []float64) int32 {
+	var k vecKey
+	for j := range k {
+		k[j] = math.Float64bits(vec[j])
+	}
+	if e, ok := m.row[k]; ok {
+		return e
+	}
+	s, ok := t.missed[k]
+	if !ok {
+		s = int32(len(t.misses))
+		t.missed[k] = s
+		t.misses = append(t.misses, k)
+	}
+	return ^s
+}
+
+// resolve returns the verdicts of the distinct vectors of the tasks' pairs
+// and rewrites each pair's slot to its vector's slot in them; classified is
+// how many vectors the model had never scored. Those, the tasks' misses, are
+// deduplicated in task order, sent to Classify once, and entered into the
+// table only if Classify succeeds. (Task order is exact: Classify does not
+// depend on the order of its input, core.TestClassifyOrderIndependent.) Slots
+// follow first appearance among the table's hits, then the misses, so the
+// call's work and its verdicts are sized by its pairs, never by the table.
+func (m *model) resolve(tasks []scoredTask) (verdicts []verdict, classified int, err error) {
 	m.calls++
-	call := m.calls
-	slot = make([]int32, len(recs))
-	var hits []int32 // rows this call references, by slot
-	var misses [][]float64
-	var missKeys []vecKey
+	var hits []int32    // rows this call references, by slot
+	var misses []vecKey // the call's misses, deduplicated across tasks
 	missed := make(map[vecKey]int32)
-	for i, r := range recs {
-		var k vecKey
-		for j, x := range r.Vec {
-			k[j] = math.Float64bits(x)
-		}
-		if e, ok := m.row[k]; ok {
-			row := &m.rows[e]
-			if row.call != call {
-				row.call, row.slot = call, int32(len(hits))
-				hits = append(hits, e)
+	var global []int32 // the current task's misses' indices into misses
+	for _, t := range tasks {
+		global = global[:0]
+		for _, k := range t.misses {
+			g, ok := missed[k]
+			if !ok {
+				g = int32(len(misses))
+				missed[k] = g
+				misses = append(misses, k)
 			}
-			slot[i] = row.slot
-			continue
+			global = append(global, g)
 		}
-		s, ok := missed[k]
-		if !ok {
-			s = int32(len(misses))
-			missed[k] = s
-			misses = append(misses, r.Vec)
-			missKeys = append(missKeys, k)
+		for i := range t.pairs {
+			p := &t.pairs[i]
+			if p.slot < 0 {
+				p.slot = ^global[^p.slot] // resolved below, once the misses have slots
+				continue
+			}
+			row := &m.rows[p.slot]
+			if row.call != m.calls {
+				row.call, row.slot = m.calls, int32(len(hits))
+				hits = append(hits, p.slot)
+			}
+			p.slot = row.slot
 		}
-		slot[i] = ^s // resolved below, once the misses have slots
 	}
 	verdicts = make([]verdict, len(hits), len(hits)+len(misses))
 	for s, e := range hits {
 		verdicts[s] = m.rows[e].verdict
 	}
 	if len(misses) == 0 {
-		return slot, verdicts, 0, nil
+		return verdicts, 0, nil
 	}
-	results, _, err := m.clf.Classify(misses)
+	vecs := make([][]float64, len(misses))
+	for g, k := range misses {
+		vecs[g] = make([]float64, pairdist.Dims)
+		for j, b := range k {
+			vecs[g][j] = math.Float64frombits(b)
+		}
+	}
+	results, _, err := m.clf.Classify(vecs)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	base := int32(len(hits))
-	for j, res := range results { // results[j] is misses[j]'s
+	for g, res := range results { // results[g] is misses[g]'s
 		v := verdict{Score: res.Score, Label: res.Label, Pruned: res.Pruned}
-		m.row[missKeys[j]] = int32(len(m.rows))
+		m.row[misses[g]] = int32(len(m.rows))
 		m.rows = append(m.rows, scoreRow{verdict: v})
 		verdicts = append(verdicts, v)
 	}
-	for i, s := range slot {
-		if s < 0 {
-			slot[i] = base + ^s
+	base := int32(len(hits))
+	for _, t := range tasks {
+		for i := range t.pairs {
+			if s := t.pairs[i].slot; s < 0 {
+				t.pairs[i].slot = base + ^s
+			}
 		}
 	}
-	return slot, verdicts, len(misses), nil
+	return verdicts, len(misses), nil
 }
 
-// orderMatches assembles the matches of pairs ids, whose vectors' verdicts
-// sit at results[slot[i]], sorted by descending score with ties broken by
+// orderMatches assembles the matches of the tasks' pairs, whose vectors'
+// verdicts sit at results[slot], sorted by descending score with ties broken by
 // (CaseA, CaseB), so equal-scored matches come out in one deterministic order
 // regardless of sort internals or candidate enumeration order. Nothing is
 // compared per pair but integers: the call's verdicts are ranked once by
@@ -523,7 +612,7 @@ func (m *model) score(recs []pairdist.PairRecord) (slot []int32, verdicts []verd
 // packed a<<32 | b (case numbers are unique, so ranks order as the strings
 // do). Every table is sized by the call's distinct vectors and by the reports
 // in its pairs, never by the database or the model's score table.
-func (d *Detector) orderMatches(ids []pairdist.IDPair, slot []int32, results []verdict, includePruned bool) []Match {
+func (d *Detector) orderMatches(tasks []scoredTask, results []verdict, includePruned bool) []Match {
 	// Label and Pruned split only equal scores that differ in them, which
 	// Eq. 6 and ε > 0 rule out; with them in the rank, results sharing a
 	// rank make identical matches whatever the classifier does.
@@ -536,22 +625,24 @@ func (d *Detector) orderMatches(ids []pairdist.IDPair, slot []int32, results []v
 	for s, r := range rank {
 		rep[r] = int32(s)
 	}
-	kept := func(i int) bool { return includePruned || !results[slot[i]].Pruned }
+	kept := func(p scoredPair) bool { return includePruned || !results[p.slot].Pruned }
 
 	// Bucket by rank: start[r] is where rank r's pairs begin in keys.
 	start := make([]int, ranks+1)
-	for i := range ids {
-		if kept(i) {
-			start[rank[slot[i]]+1]++
+	for _, t := range tasks {
+		for _, p := range t.pairs {
+			if kept(p) {
+				start[rank[p.slot]+1]++
+			}
 		}
 	}
 	for r := 1; r <= ranks; r++ {
 		start[r] += start[r-1]
 	}
 	next := slices.Clone(start[:ranks])
-	local := make(map[int]uint64) // arrival sequence -> index into seqs
-	var seqs []int
-	index := func(seq int) uint64 {
+	local := make(map[int32]uint64) // arrival sequence -> index into seqs
+	var seqs []int32
+	index := func(seq int32) uint64 {
 		i, ok := local[seq]
 		if !ok {
 			i = uint64(len(seqs))
@@ -561,17 +652,19 @@ func (d *Detector) orderMatches(ids []pairdist.IDPair, slot []int32, results []v
 		return i
 	}
 	keys := make([]uint64, start[ranks])
-	for i, p := range ids {
-		if kept(i) {
-			r := rank[slot[i]]
-			keys[next[r]] = index(p.A)<<32 | index(p.B)
-			next[r]++
+	for _, t := range tasks {
+		for _, p := range t.pairs {
+			if kept(p) {
+				r := rank[p.slot]
+				keys[next[r]] = index(p.A)<<32 | index(p.B)
+				next[r]++
+			}
 		}
 	}
 
 	cases := make([]string, len(seqs))
 	for i, seq := range seqs {
-		cases[i], _ = d.db.CaseNumber(seq)
+		cases[i], _ = d.db.CaseNumber(int(seq))
 	}
 	caseRank, _ := denseRanks(len(cases), func(x, y int32) int { return strings.Compare(cases[x], cases[y]) })
 	byRank := make([]string, len(cases))
@@ -626,30 +719,16 @@ func denseRanks(n int, compare func(x, y int32) int) (ranks []int32, count int) 
 	return ranks, int(r) + 1
 }
 
-// candidates generates Eq. 3's pairs for the reports from arrival sequence
-// existing on. Under CandidatePrefixIndex that is one probe stage over the
-// batch against the persistent index — exactly the pairs whose signature
-// sets reach CandidateTheta; under brute force it is every pair.
-func (d *Detector) candidates(existing int) ([]pairdist.IDPair, error) {
-	if d.index != nil {
-		pairs, _, err := d.index.Probe(d.ctx, existing, d.classifierPartitions())
-		if err != nil {
-			return nil, fmt.Errorf("adrdedup: generating prefix-index candidates: %w", err)
-		}
-		return pairs, nil
-	}
-	var ids []pairdist.IDPair
-	for b := existing; b < len(d.feats); b++ {
-		for a := 0; a < b; a++ {
-			ids = append(ids, pairdist.IDPair{A: a, B: b})
-		}
-	}
-	return ids, nil
-}
-
-// Duplicates filters matches to the positive decisions.
+// Duplicates filters matches to the positive decisions, in their order, into
+// a non-nil slice sized to what it keeps (a few dozen of tens of thousands).
 func Duplicates(matches []Match) []Match {
-	out := make([]Match, 0, len(matches))
+	n := 0
+	for _, m := range matches {
+		if m.Duplicate {
+			n++
+		}
+	}
+	out := make([]Match, 0, n)
 	for _, m := range matches {
 		if m.Duplicate {
 			out = append(out, m)

@@ -255,6 +255,38 @@ func TestDetectEmptyBatch(t *testing.T) {
 	}
 }
 
+// TestDuplicatesKeepsOrderAllocatesKept pins Duplicates: the positive
+// matches in their input order, in a slice no larger than what it keeps (a
+// batch-shaped call keeps a few dozen of tens of thousands), and an empty,
+// non-nil slice when nothing is kept, which encodes as a JSON array.
+func TestDuplicatesKeepsOrderAllocatesKept(t *testing.T) {
+	var matches []Match
+	for i := 0; i < 1000; i++ {
+		matches = append(matches, Match{
+			CaseA: fmt.Sprintf("A-%d", i), CaseB: fmt.Sprintf("B-%d", i),
+			Score: 1 - float64(i)/1000, Duplicate: i%97 == 3, Pruned: i%5 == 0,
+		})
+	}
+	var want []Match
+	for _, m := range matches {
+		if m.Duplicate {
+			want = append(want, m)
+		}
+	}
+	got := Duplicates(matches)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Duplicates returned %v, want %v", got, want)
+	}
+	if cap(got) != len(want) {
+		t.Fatalf("Duplicates kept %d matches in a slice of capacity %d", len(got), cap(got))
+	}
+	for _, in := range [][]Match{nil, matches[:3]} {
+		if got := Duplicates(in); got == nil || len(got) != 0 {
+			t.Fatalf("Duplicates of %d non-duplicates returned %#v, want an empty non-nil slice", len(in), got)
+		}
+	}
+}
+
 func TestDetectAllIncludesPruned(t *testing.T) {
 	c := adrgen.Generate(adrgen.Config{
 		NumReports: 300, DuplicatePairs: 25, NumDrugs: 50, NumADRs: 80, Seed: 7,
@@ -479,8 +511,7 @@ func referenceTokens(r adr.Report) map[string]bool {
 // exactly the pairs of Eq. 3, and each match must carry the verdict the
 // detector's classifier gives, in one Classify call, the pair's vector
 // rebuilt from the two reports' strings: score bit for bit, decision and
-// pruning flag equal. Clean, with §4.3.4 pruning, and under task failures
-// with speculation.
+// pruning flag equal. In every scoringSetups setup.
 func TestDetectMatchesStringReference(t *testing.T) {
 	for _, tc := range scoringSetups() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -845,10 +876,9 @@ func referenceDetect(t *testing.T, det *Detector, batch []adr.Report, table refT
 // half is read from the engine's committed records: Detect commits exactly
 // what the reference commits when it classifies the distinct vectors, and
 // fewer than when it classifies every pair, so a Detect without the pass
-// fails. Clean, with §4.3.4 pruning, and under task failures with
-// speculation.
+// fails. In every candidateSetups setup.
 func TestDetectClassifiesDistinctVectorsOnce(t *testing.T) {
-	for _, tc := range scoringSetups() {
+	for _, tc := range candidateSetups() {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newTestCorpus()
 			build := func() (*Detector, []adr.Report) {
@@ -892,8 +922,9 @@ type scoringSetup struct {
 	opts Options
 }
 
-// scoringSetups are testOptions clean, with §4.3.4 pruning, and under task
-// failures with speculation racing stragglers.
+// scoringSetups are testOptions clean, with §4.3.4 pruning, under task
+// failures with speculation racing stragglers, and with executor memory small
+// enough that blocks spill to disk.
 func scoringSetups() []scoringSetup {
 	pruning := testOptions()
 	pruning.Classifier.Pruning = &core.PruningConfig{Clusters: 4, FTheta: 0.25}
@@ -903,7 +934,19 @@ func scoringSetups() []scoringSetup {
 		Speculation: true, SpeculationQuantile: 0.5, SpeculationMinRuntimeMS: -1,
 		StragglerRate: 0.1, StragglerRealDelayMS: 1,
 	}
-	return []scoringSetup{{"clean", testOptions()}, {"pruning", pruning}, {"failures+speculation", faulty}}
+	spill := testOptions()
+	spill.Cluster.MemoryPerExecutorBytes = 16 << 10
+	spill.Cluster.SpillToDisk = true
+	return []scoringSetup{{"clean", testOptions()}, {"pruning", pruning}, {"failures+speculation", faulty}, {"spill", spill}}
+}
+
+// candidateSetups are scoringSetups and prefix-index candidates, whose probe
+// tasks vectorize and look up the pairs they find. (Only the tests that do
+// not expect every Eq. 3 pair run it.)
+func candidateSetups() []scoringSetup {
+	prefix := testOptions()
+	prefix.Candidates, prefix.CandidateTheta = CandidatePrefixIndex, 0.3
+	return append(scoringSetups(), scoringSetup{"prefix-index", prefix})
 }
 
 // checkBitExact requires got to equal want match for match, scores compared
@@ -926,15 +969,19 @@ func checkBitExact(t *testing.T, got, want []Match) (pruned int) {
 	return pruned
 }
 
-// checkSetupFired fails a pruning setup that pruned nothing and a faulty one
-// whose faults did not fire.
+// checkSetupFired fails a pruning setup that pruned nothing, a faulty one
+// whose faults did not fire and a spilling one that spilled nothing.
 func checkSetupFired(t *testing.T, opts Options, det *Detector, pruned int) {
 	t.Helper()
 	if opts.Classifier.Pruning != nil && pruned == 0 {
 		t.Fatal("no pair pruned; the pruning case is vacuous")
 	}
-	if m := det.Metrics(); opts.Cluster.FailureRate > 0 && (m.TaskFailures == 0 || m.SpeculativeTasksLaunched == 0) {
+	m := det.Metrics()
+	if opts.Cluster.FailureRate > 0 && (m.TaskFailures == 0 || m.SpeculativeTasksLaunched == 0) {
 		t.Fatalf("faults did not fire: %d task failures, %d speculative tasks", m.TaskFailures, m.SpeculativeTasksLaunched)
+	}
+	if opts.Cluster.SpillToDisk && m.SpillEvents == 0 {
+		t.Fatal("nothing spilled; the spill case is vacuous")
 	}
 }
 
@@ -945,9 +992,9 @@ func checkSetupFired(t *testing.T, opts Options, det *Detector, pruned int) {
 // what a reference commits when it classifies only the vectors its model has
 // not scored yet, and from the second call on fewer than one that classifies
 // the call's distinct vectors, so a table that forgets between calls fails.
-// Clean, with §4.3.4 pruning, and under task failures with speculation.
+// In every candidateSetups setup.
 func TestDetectScoresEachVectorOncePerModel(t *testing.T) {
-	for _, tc := range scoringSetups() {
+	for _, tc := range candidateSetups() {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newTestCorpus()
 			build := func() (*Detector, []adr.Report) {

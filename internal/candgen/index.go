@@ -36,7 +36,7 @@ import (
 // they are a pure function of that history (rebuild ties are broken on the
 // previous rank, never on map order).
 //
-// An Index is driven from one goroutine; Probe's tasks only read it.
+// An Index is driven from one goroutine; its probe tasks only read it.
 type Index struct {
 	theta float64
 
@@ -344,6 +344,24 @@ func (ix *Index) Truncate(n int) {
 // in [from, Len()), sorted by (A, B) with A < B. Stats.IndexEntries counts
 // the postings entered since the previous Probe.
 func (ix *Index) Probe(ctx *rdd.Context, from, partitions int) ([]pairdist.IDPair, Stats, error) {
+	lists, st, err := ProbeEach(ix, ctx, from, partitions, func(_ *cluster.TaskContext, pairs []pairdist.IDPair) ([]pairdist.IDPair, error) {
+		// Sorted here, in parallel, so Probe only merges the task lists.
+		slices.SortFunc(pairs, pairCmp)
+		return pairs, nil
+	})
+	if err != nil || lists == nil { // failed, or nothing to probe
+		return nil, st, err
+	}
+	return mergeSorted(lists, int(st.Emitted)), st, nil
+}
+
+// ProbeEach runs Probe's stage, except that each task hands the pairs it
+// verified, in the order it found them, to f and returns what f makes of
+// them: the caller's work on a pair runs in the task that found it, and the
+// pairs never reach the driver. It returns f's results in task order and the
+// probe's counters. f runs once per committed task, and again for each retry
+// or speculative attempt; the pairs are its own to keep.
+func ProbeEach[R any](ix *Index, ctx *rdd.Context, from, partitions int, f func(*cluster.TaskContext, []pairdist.IDPair) (R, error)) ([]R, Stats, error) {
 	n := ix.Len()
 	st := Stats{Records: n, EmptyRecords: len(ix.empty), IndexEntries: ix.entered}
 	if from < 0 || from > n {
@@ -368,54 +386,47 @@ func (ix *Index) Probe(ctx *rdd.Context, from, partitions int) ([]pairdist.IDPai
 	// arriving records' signatures.
 	ctx.Cluster().Broadcast(st.IndexEntries*postingBytes + int64(len(ix.toks)-ix.off[from])*4)
 	src := rdd.Parallelize(ctx, probers, partitions).SetName("probers").WithBytesPerRecord(4)
-	results, err := rdd.MapPartitionsTC(src, func(tc *cluster.TaskContext, _ int, in []int32) ([]taskResult, error) {
-		var res taskResult
-		if len(in) == 0 {
-			return []taskResult{res}, nil
-		}
+	// Each task returns f's result and its share of the counters. (Probe
+	// tasks count no index entries; ProbeEach sets that counter.)
+	results, err := rdd.MapPartitionsTC(src, func(tc *cluster.TaskContext, _ int, in []int32) ([]rdd.Tuple2[R, Stats], error) {
 		// A record pairs only with earlier ones, so the last prober's id
 		// bounds every candidate id of the partition.
 		sc := probeScratch{count: tc.Scratch().Int32s(int(in[len(in)-1]))}
 		clear(sc.count)
+		var res taskResult
 		for _, rid := range in {
 			ix.probeRecord(rid, &sc, &res)
 		}
-		// Sorted here, in parallel, so Probe only merges the task lists.
-		slices.SortFunc(res.pairs, pairCmp)
-		return []taskResult{res}, nil
+		res.st.Emitted = int64(len(res.pairs))
+		out, err := f(tc, res.pairs)
+		return []rdd.Tuple2[R, Stats]{{A: out, B: res.st}}, err
 	}).SetName("candgen.probeIndex").Collect()
 	if err != nil {
 		return nil, st, fmt.Errorf("candgen: probing prefix index: %w", err)
 	}
-	pairs := mergeSortedResults(results, &st)
-	st.Emitted = int64(len(pairs))
-	return pairs, st, nil
+	outs := make([]R, len(results))
+	for i, r := range results {
+		outs[i] = r.A
+		st.Scanned += r.B.Scanned
+		st.Verified += r.B.Verified
+		st.BitmapPruned += r.B.BitmapPruned
+		st.Emitted += r.B.Emitted
+	}
+	return outs, st, nil
 }
 
-// taskResult is one probe task's output: its verified pairs plus its share
-// of the work counters, merged driver-side.
+// taskResult is what one probe task accumulates: its verified pairs and its
+// share of the work counters.
 type taskResult struct {
 	pairs []pairdist.IDPair
 	st    Stats
 }
 
-// mergeSortedResults sums the probe tasks' counters and merges their pair
-// lists, each sorted by (A, B), into one sorted slice, allocated once. (Probe
-// tasks count no index entries; Probe sets that counter.)
-// A probe has a task per partition, a handful, so the next pair is picked by
-// scanning the list heads.
-func mergeSortedResults(results []taskResult, st *Stats) []pairdist.IDPair {
-	lists := make([][]pairdist.IDPair, 0, len(results))
-	total := 0
-	for _, r := range results {
-		st.Scanned += r.st.Scanned
-		st.Verified += r.st.Verified
-		st.BitmapPruned += r.st.BitmapPruned
-		if len(r.pairs) > 0 {
-			lists = append(lists, r.pairs)
-			total += len(r.pairs)
-		}
-	}
+// mergeSorted merges lists, each sorted by (A, B), total pairs in all, into
+// one sorted slice, allocated once. A probe has a task per partition, a
+// handful, so the next pair is picked by scanning the list heads.
+func mergeSorted(lists [][]pairdist.IDPair, total int) []pairdist.IDPair {
+	lists = slices.DeleteFunc(lists, func(l []pairdist.IDPair) bool { return len(l) == 0 })
 	pairs := make([]pairdist.IDPair, 0, total)
 	for len(lists) > 1 {
 		next := 0

@@ -1,6 +1,8 @@
 package candgen
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"adrdedup/internal/adrgen"
+	"adrdedup/internal/cluster"
 	"adrdedup/internal/intern"
 	"adrdedup/internal/pairdist"
 )
@@ -295,6 +298,81 @@ func TestIndexStatsDeterministic(t *testing.T) {
 	}
 	if sum(first) == 0 || sum(other) == 0 {
 		t.Fatal("no verifications; test would be vacuous")
+	}
+}
+
+// TestProbeEachHandsEachTaskItsPairs pins the per-task hook under Probe: each
+// task hands f the pairs of its own contiguous run of probers, in probe order
+// (ascending newer record), and ProbeEach returns f's results in task order.
+// Together they are exactly Probe's pairs, with Probe's Stats, on a clean and
+// on a fault-injecting engine, and the stage commits one record per task
+// whatever f does. An error from f fails the probe.
+func TestProbeEachHandsEachTaskItsPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	sigs := randomCorpus(rng, 300, 1500)
+	const from, parts = 180, 12
+	build := func() *Index {
+		ix, err := NewIndex(0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Append(sigs[:from])
+		ix.Append(sigs[from:])
+		return ix
+	}
+	want, wantSt, err := build().Probe(testEngine(0), from, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("no pairs; the test is vacuous")
+	}
+	for _, failureRate := range []float64{0, 0.3} {
+		ctx := testEngine(failureRate)
+		before := ctx.Cluster().Metrics().RecordsProcessed.Load()
+		lists, st, err := ProbeEach(build(), ctx, from, parts, func(tc *cluster.TaskContext, pairs []pairdist.IDPair) ([]pairdist.IDPair, error) {
+			tc.AddRecords(1000) // f's own records are f's business, not the probe's
+			return pairs, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ctx.Cluster().Metrics().RecordsProcessed.Load() - before; got != int64(len(lists))*1001 {
+			t.Errorf("failure rate %v: %d tasks committed %d records, want one per task plus f's", failureRate, len(lists), got)
+		}
+		if len(lists) != parts {
+			t.Fatalf("failure rate %v: %d task results, want %d", failureRate, len(lists), parts)
+		}
+		if failureRate > 0 && ctx.Cluster().Metrics().TaskFailures.Load() == 0 {
+			t.Fatal("no task failed; the faulty case is vacuous")
+		}
+		var all []pairdist.IDPair
+		lastB := -1
+		for task, pairs := range lists {
+			if !slices.IsSortedFunc(pairs, func(a, b pairdist.IDPair) int { return cmp.Compare(a.B, b.B) }) {
+				t.Errorf("failure rate %v: task %d's pairs are not in probe order", failureRate, task)
+			}
+			if len(pairs) > 0 {
+				if pairs[0].B <= lastB {
+					t.Errorf("failure rate %v: task %d probes record %d, which an earlier task probed past", failureRate, task, pairs[0].B)
+				}
+				lastB = pairs[len(pairs)-1].B
+			}
+			all = append(all, pairs...)
+		}
+		if !reflect.DeepEqual(canonPairs(all), want) {
+			t.Fatalf("failure rate %v: ProbeEach's tasks hold %d pairs, Probe emits %d", failureRate, len(all), len(want))
+		}
+		if st != wantSt {
+			t.Fatalf("failure rate %v: ProbeEach stats %+v, Probe's %+v", failureRate, st, wantSt)
+		}
+	}
+	boom := errors.New("boom")
+	_, _, err = ProbeEach(build(), testEngine(0), from, parts, func(*cluster.TaskContext, []pairdist.IDPair) (int, error) {
+		return 0, boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("ProbeEach with a failing f returned %v, want %v", err, boom)
 	}
 }
 
