@@ -20,8 +20,9 @@
 // buffers over the budget spill to a virtual local disk (visible as spill
 // events in the trace) without changing any output. -target-partition-mb
 // turns on adaptive post-shuffle partition coalescing toward that size.
-// -workers sizes the engine's work-stealing pool (default NumCPU) — results
-// and committed counters do not depend on it, only wall-clock does.
+// -workers sizes the engine's task pool, the number of stage tasks computing
+// at once (default NumCPU) — results and committed counters do not depend on
+// it, only wall-clock does.
 // -cpuprofile / -memprofile write runtime/pprof profiles of the whole detect
 // run.
 //
@@ -160,7 +161,7 @@ func runDetect(args []string) (retErr error) {
 	maxStageRetries := fs.Int("max-stage-retries", 0, "stage resubmissions after shuffle fetch failures before aborting (0 = default)")
 	memoryMB := fs.Int("memory-mb", 0, "per-executor memory budget in MB; blocks and shuffle buffers over budget spill to virtual disk (0 = unbounded default)")
 	targetPartitionMB := fs.Int("target-partition-mb", 0, "adaptive post-shuffle coalescing target partition size in MB (0 = off)")
-	workers := fs.Int("workers", 0, "work-stealing pool size (0 = NumCPU)")
+	workers := fs.Int("workers", 0, "engine pool size: stage tasks computing at once (0 = NumCPU)")
 	tracePath := fs.String("trace", "", "write a JSON stage/task trace event log to this file and print a per-stage summary to stderr")
 	metricsPath := fs.String("metrics-out", "", "write the final cluster metrics snapshot as JSON to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")

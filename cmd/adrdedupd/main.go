@@ -70,7 +70,7 @@ func run(args []string) error {
 	b := fs.Int("b", 0, "kNN cluster count (0 = default)")
 	theta := fs.Float64("theta", 0, "duplicate probability threshold (0 = default)")
 	executors := fs.Int("executors", 8, "engine executors")
-	engineWorkers := fs.Int("engine-workers", 0, "work-stealing pool size (0 = NumCPU)")
+	engineWorkers := fs.Int("engine-workers", 0, "engine pool size: stage tasks computing at once (0 = NumCPU)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight batches on shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err

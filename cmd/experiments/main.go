@@ -11,10 +11,10 @@
 // counts, at a correspondingly longer runtime). Reported execution times are
 // virtual cluster times; see DESIGN.md §6.
 //
-// -workers sizes the shared experiment cluster's work-stealing pool (default
-// NumCPU); results, committed counters and virtual times do not depend on it,
-// only host wall-clock does. -cpuprofile and -memprofile write runtime/pprof
-// profiles of the run.
+// -workers sizes the shared experiment cluster's task pool, the number of
+// stage tasks computing at once (default NumCPU); results, committed
+// counters and virtual times do not depend on it, only host wall-clock does.
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run.
 package main
 
 import (
@@ -36,7 +36,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced corpus and pair counts for smoke runs")
 	tracePath := flag.String("trace", "", "write a JSON stage/task trace event log to this file and print a per-stage summary to stderr")
 	metricsPath := flag.String("metrics-out", "", "write the final cluster metrics snapshot as JSON to this file")
-	workers := flag.Int("workers", 0, "work-stealing pool size (0 = NumCPU)")
+	workers := flag.Int("workers", 0, "engine pool size: stage tasks computing at once (0 = NumCPU)")
 	cpuProfile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a runtime/pprof heap profile at the end of the run to this file")
 	flag.Usage = func() {

@@ -299,9 +299,10 @@ func int64sEqual(a, b []int64) bool {
 // {stragglers off/on} x {speculation off/on} x {unbounded/tight/oneblock
 // memory budget} = 1440 configurations, each run on a 1-worker and a
 // 3-worker pool, every one bit-identical to the sequential oracle.
-// Work-stealing reorders task execution arbitrarily — a stolen task runs on
-// a different goroutine, with a different WorkerScratch, interleaved with
-// different neighbors — and one worker serializes a stage outright, yet
+// The pool's shared cursor hands tasks to whichever worker or spare is free,
+// so a task runs on an arbitrary goroutine, with an arbitrary WorkerScratch,
+// interleaved with arbitrary neighbors — and one worker serializes a stage
+// outright, yet
 // nothing the oracle checks may move, because every observable side effect
 // is commit-gated and every injection decision is hashed from stable
 // identities rather than arrival order. Executor kills exercise the full

@@ -48,14 +48,16 @@
 // # Real execution
 //
 // Every stage's real computation runs on one launcher, a goroutine-per-core
-// work-stealing pool (pool.go): RealWorkers workers with per-worker LIFO
-// deques, FIFO stealing, and per-worker scratch buffers (WorkerScratch)
-// handed to tasks through TaskContext.Scratch. The pool decides only how
-// fast the real computation saturates the host; the virtual clock above is
-// a post-hoc cost model over the committed task durations. Because all side
-// effects are commit-gated and injection is hashed from stable identities,
-// results and committed counters do not depend on the pool size or on the
-// order stealing runs tasks in.
+// pool (pool.go): RealWorkers workers claim the stage's tasks in ascending
+// order from one shared atomic cursor, each with its own scratch buffers
+// (WorkerScratch) handed to tasks through TaskContext.Scratch. A task that
+// blocks in a simulated delay yields its token and a spare worker runs the
+// same loop in its place, so RealWorkers tokens bound the chains computing
+// at once. The pool decides only how fast the real computation saturates
+// the host; the virtual clock above is a post-hoc cost model over the
+// committed task durations. Because all side effects are commit-gated and
+// injection is hashed from stable identities, results and committed
+// counters do not depend on the pool size or on which worker runs a task.
 package cluster
 
 import (
@@ -80,8 +82,11 @@ type Config struct {
 	// working-set pressure threshold of each executor.
 	MemoryPerExecutorMB int
 	// MemoryPerExecutorBytes, when positive, overrides MemoryPerExecutorMB
-	// at byte granularity. Chaos and property tests use it to force memory
-	// pressure on workloads far smaller than a megabyte.
+	// at byte granularity for the block cache and shuffle budgets, which is
+	// how chaos and property tests force spills on workloads far smaller
+	// than a megabyte. The task working-set pressure check (SpillPenalty,
+	// PressureTimeouts) reads MemoryPerExecutorMB only, so a byte budget
+	// never adds pressure.
 	MemoryPerExecutorBytes int64
 	// SpillToDisk enables the disk overflow tier: blocks that exceed an
 	// executor's memory budget (cached partitions in the block store,
@@ -151,14 +156,16 @@ type Config struct {
 	PressureTimeouts bool
 	// Seed drives all stochastic behaviour (fault and straggler injection).
 	Seed int64
-	// RealParallel is inert: the engine never reads it. The work-stealing
-	// pool (pool.go) is the only task launcher, so there is no mode left to
+	// RealParallel is inert: the engine never reads it. The task pool
+	// (pool.go) is the only task launcher, so there is no mode left to
 	// select. The field survives only because the frozen bench module's
 	// bench/trace.go assigns it (its one assigner); the next [benchmark] PR
 	// deletes that assignment and this field together.
 	RealParallel bool
-	// RealWorkers is the size of the work-stealing pool that runs every
-	// stage's tasks. 0 selects runtime.NumCPU() — one worker per core.
+	// RealWorkers is the number of stage tasks that compute at once: the
+	// pool (pool.go) starts this many workers per stage and, while a task
+	// sleeps in a simulated delay, lends its token to a spare worker. 0
+	// selects runtime.NumCPU() — one per core.
 	RealWorkers int
 	// Scheduling selects the task-to-slot placement policy. The paper
 	// names executor load balancing as future work (§7); LPT implements
@@ -497,8 +504,8 @@ func (e *StageAbortedError) Error() string {
 func (e *StageAbortedError) Unwrap() []error { return []error{ErrStageAborted, e.Cause} }
 
 // RunStage executes numTasks tasks, each invoking run with a fresh
-// TaskContext. Tasks run really in parallel on the work-stealing pool
-// (RealWorkers workers) and their virtual durations are list-scheduled onto
+// TaskContext. Tasks run really in parallel on the task pool
+// (RealWorkers at once) and their virtual durations are list-scheduled onto
 // the configured executor slots to advance the cluster's virtual clock.
 func (c *Cluster) RunStage(name string, numTasks int, run func(tc *TaskContext) error) (StageStats, error) {
 	_, stats, err := c.runStage(name, numTasks, run, false, false)

@@ -2,13 +2,15 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestPoolSizeInvariant runs the same chaos program on a 1-worker pool (every
-// stage serialized, nothing to steal) and a 3-worker pool and compares them
+// stage serialized) and a 3-worker pool and compares them
 // directly, counter for counter: final state, published results, and every
 // committed work counter must match, not just both match the oracle.
 func TestPoolSizeInvariant(t *testing.T) {
@@ -52,6 +54,91 @@ func TestPoolSizeInvariant(t *testing.T) {
 			pm.ShuffleBytesRead != rm.ShuffleBytesRead {
 			t.Errorf("seed %d: committed counters diverged:\n  1 worker:  %+v\n  3 workers: %+v", seed, rm, pm)
 		}
+	}
+}
+
+// TestPoolRunsEachTaskOnce pins the shared cursor's claim contract at the
+// pool's edge cases — fewer tasks than workers, exactly as many, one more
+// than a multiple, and many: every task function runs exactly once and every
+// task commits. Every third task sleeps in tc.Delay, so spares start and claim
+// from the same cursor as the workers they stand in for.
+func TestPoolRunsEachTaskOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		seen := map[int]bool{}
+		for _, tasks := range []int{1, workers - 1, workers, 4*workers + 1, 257} {
+			if tasks < 1 || seen[tasks] {
+				continue
+			}
+			seen[tasks] = true
+			t.Run(fmt.Sprintf("workers=%d/tasks=%d", workers, tasks), func(t *testing.T) {
+				c := New(Config{Executors: 2, RealWorkers: workers})
+				defer c.Close()
+				runs := make([]atomic.Int32, tasks)
+				_, err := c.RunStage("once", tasks, func(tc *TaskContext) error {
+					runs[tc.Task()].Add(1)
+					if tc.Task()%3 == 0 {
+						tc.Delay(time.Millisecond, 0)
+					}
+					tc.AddRecords(1)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range runs {
+					if n := runs[i].Load(); n != 1 {
+						t.Errorf("task %d ran %d times, want 1", i, n)
+					}
+				}
+				if got := c.Metrics().Snapshot().RecordsProcessed; got != int64(tasks) {
+					t.Errorf("committed RecordsProcessed = %d, want %d", got, tasks)
+				}
+			})
+		}
+	}
+}
+
+// TestPoolNeverExceedsRealWorkers pins the semaphore bound with spares live:
+// half the tasks sleep in tc.Delay between two stretches of work, so paused
+// chains hand their tokens to spares and more chains are in flight than
+// RealWorkers, yet at no instant may more than RealWorkers of them be
+// working outside a Delay. The work is a plain sleep, which holds the token
+// without burning a core.
+func TestPoolNeverExceedsRealWorkers(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			c := New(Config{Executors: 2, RealWorkers: workers})
+			defer c.Close()
+			var computing, inFlight, peakComputing, peakInFlight atomic.Int64
+			raise := func(peak *atomic.Int64, v int64) {
+				for p := peak.Load(); v > p && !peak.CompareAndSwap(p, v); p = peak.Load() {
+				}
+			}
+			work := func() {
+				raise(&peakComputing, computing.Add(1))
+				time.Sleep(200 * time.Microsecond)
+				computing.Add(-1)
+			}
+			_, err := c.RunStage("bounded", 48, func(tc *TaskContext) error {
+				raise(&peakInFlight, inFlight.Add(1))
+				defer inFlight.Add(-1)
+				work()
+				if tc.Task()%2 == 0 {
+					tc.Delay(2*time.Millisecond, 0)
+				}
+				work()
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := peakInFlight.Load(); p <= int64(workers) {
+				t.Fatalf("at most %d chains in flight: no spare ran, the bound went untested", p)
+			}
+			if p := peakComputing.Load(); p > int64(workers) {
+				t.Fatalf("%d chains computed at once, want at most RealWorkers = %d", p, workers)
+			}
+		})
 	}
 }
 
@@ -126,9 +213,9 @@ func TestPoolSpareWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	// Workers (2) plus spares (cap 2) give concurrency 4: the serial bound
-	// is 8x20ms = 160ms, the expected overlap ~2x20ms-wave = 40ms. Assert
-	// well under serial with slack for scheduler noise.
+	// Every sleeping task lends its token to a spare, so all 8 sleeps can
+	// overlap: the serial bound is 8x20ms = 160ms, the expected time about
+	// one 20ms wave. Assert well under serial with slack for scheduler noise.
 	if elapsed >= tasks*delay {
 		t.Fatalf("stage took %v, want overlap below the %v serial bound", elapsed, tasks*delay)
 	}

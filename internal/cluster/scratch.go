@@ -3,13 +3,13 @@ package cluster
 import "sync"
 
 // WorkerScratch is a per-worker bundle of reusable buffers. Every pool
-// worker owns exactly one WorkerScratch for the lifetime of the stage and
-// hands it to each task it runs via TaskContext.Scratch, so kernels (the
-// candgen probe's overlap counters) keep their zero-alloc
-// steady state even with many tasks in flight: the buffers grow to the
-// high-water mark once and are reused for every subsequent task on that
-// worker. Two workers never share a WorkerScratch, so no synchronization or
-// aliasing hazard exists between concurrent tasks (pool_test.go proves this).
+// worker owns exactly one WorkerScratch for as long as it runs and hands it
+// to each task it runs via TaskContext.Scratch, so kernels (the candgen
+// probe's overlap counters) keep their zero-alloc steady state even with
+// many tasks in flight: the buffers grow to the high-water mark once and
+// are reused for every subsequent task on that worker. Two workers never
+// share a WorkerScratch, so no synchronization or aliasing hazard exists
+// between concurrent tasks (pool_test.go proves this).
 //
 // Buffers returned by the getters are valid until the same getter is called
 // again on the same scratch; their contents are unspecified (stale data from
@@ -17,7 +17,6 @@ import "sync"
 type WorkerScratch struct {
 	f64 []float64
 	i32 []int32
-	u32 []uint32
 }
 
 // Float64s returns a length-n float64 buffer with unspecified contents.
@@ -34,14 +33,6 @@ func (s *WorkerScratch) Int32s(n int) []int32 {
 		s.i32 = make([]int32, roundCap(n))
 	}
 	return s.i32[:n]
-}
-
-// Uint32s returns a length-n uint32 buffer with unspecified contents.
-func (s *WorkerScratch) Uint32s(n int) []uint32 {
-	if cap(s.u32) < n {
-		s.u32 = make([]uint32, roundCap(n))
-	}
-	return s.u32[:n]
 }
 
 // roundCap rounds a requested buffer size up to the next power of two so a

@@ -458,13 +458,5 @@ func (s *ShuffleService) partitionSizes(id, numPartitions int) (bytes, records [
 	return bytes, records
 }
 
-// ResidentShuffleBytes returns executor e's in-memory committed shuffle
-// bytes (the quantity the memory budget bounds), for tests and diagnostics.
-func (s *ShuffleService) ResidentShuffleBytes(e int) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.residentBytes[e]
-}
-
 // Shuffles exposes the shuffle service to the RDD layer.
 func (c *Cluster) Shuffles() *ShuffleService { return c.shuffles }

@@ -41,7 +41,7 @@ type stageRun struct {
 	// paused workers: at most RealWorkers primary chains run at once.
 	sem chan struct{}
 	wg  sync.WaitGroup
-	// pool is the current submission attempt's work-stealing pool. Written
+	// pool is the current submission attempt's task pool. Written
 	// by startPool before its workers launch and read only from chains
 	// those workers run, so the wg.Wait between attempts orders all
 	// accesses.
@@ -124,7 +124,7 @@ func (c *Cluster) newStageRun(stageID int, name string, numTasks int, run func(t
 }
 
 // executeAttempt runs one submission attempt: every not-yet-committed task's
-// primary chain on the work-stealing pool and, with speculation enabled,
+// primary chain on the task pool and, with speculation enabled,
 // the straggler monitor alongside. It returns when every launched chain has
 // finished, and — on every path — only after the monitor goroutine has
 // stopped, so a failing stage never leaks it.

@@ -157,20 +157,13 @@ func decodeSpillFrame(frame []byte) ([]byte, error) {
 // SpillRef is a handle to one block persisted in the spill store.
 type SpillRef struct {
 	id int
-	// rawBytes is the uncompressed payload size, diskBytes the framed and
-	// compressed size actually written (the basis for virtual disk time).
-	rawBytes  int64
+	// diskBytes is the framed and compressed size actually written (the
+	// basis for virtual disk time).
 	diskBytes int64
 	// executor is the host whose local disk holds the file; like Spark
 	// shuffle files, spilled blocks die with their executor.
 	executor int
 }
-
-// RawBytes returns the uncompressed size of the spilled payload.
-func (r SpillRef) RawBytes() int64 { return r.rawBytes }
-
-// DiskBytes returns the framed, compressed on-disk size.
-func (r SpillRef) DiskBytes() int64 { return r.diskBytes }
 
 // SpillStore is the cluster's disk-backed overflow tier: blocks that no
 // longer fit an executor's memory budget are framed (encodeSpillFrame),
@@ -224,7 +217,7 @@ func (s *SpillStore) Put(raw []byte, executor int) (SpillRef, error) {
 		return SpillRef{}, fmt.Errorf("cluster: writing spill block: %w", err)
 	}
 	s.live[id] = path
-	return SpillRef{id: id, rawBytes: int64(len(raw)), diskBytes: int64(len(frame)), executor: executor}, nil
+	return SpillRef{id: id, diskBytes: int64(len(frame)), executor: executor}, nil
 }
 
 // Get reads back and verifies one spilled payload.

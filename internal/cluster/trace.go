@@ -131,9 +131,6 @@ func NewTracer(capacity int) *Tracer {
 // Enable turns event recording on.
 func (t *Tracer) Enable() { t.enabled.Store(true) }
 
-// Disable turns event recording off; already-recorded events are kept.
-func (t *Tracer) Disable() { t.enabled.Store(false) }
-
 // Enabled reports whether events are being recorded. Callers that must build
 // an Event (formatting a Detail string, say) should check this first to keep
 // the disabled path allocation-free.

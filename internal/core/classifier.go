@@ -242,9 +242,6 @@ func (c *Classifier) Centers() [][]float64 { return c.centers }
 // Positives returns the count of positive training pairs.
 func (c *Classifier) Positives() int { return c.positives.Len() }
 
-// NegativeSizes returns the per-cluster negative pair counts.
-func (c *Classifier) NegativeSizes() []int { return c.negSizes }
-
 // Result is one classified testing pair.
 type Result struct {
 	// ID is the caller-assigned pair identity (index into the Classify

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"adrdedup/internal/cluster"
 	"adrdedup/internal/core"
 )
 
@@ -100,16 +99,4 @@ func Fig7(env *Env, p Fig7Params) ([]Fig7Point, error) {
 		out = append(out, point)
 	}
 	return out, nil
-}
-
-// Fig8MemoryConfig returns a cluster config whose executor memory reproduces
-// the paper's Fig. 8(b) regime at this library's default scale: joined
-// partitions fit comfortably for b >= ~25 and overrun memory below that.
-func Fig8MemoryConfig(base cluster.Config, trainSize int) cluster.Config {
-	// One negative block is ~trainSize/b pairs x ~72 bytes. At the
-	// default 400k training pairs, 1MB executors start thrashing below
-	// b ~= 28, matching the paper's "below 25" observation.
-	base.MemoryPerExecutorMB = 1
-	base.PressureTimeouts = true
-	return base
 }

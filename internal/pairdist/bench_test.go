@@ -132,7 +132,7 @@ func BenchmarkPoolScaling(b *testing.B) {
 				RealWorkers: w,
 			})
 			defer cl.Close()
-			tasks := 4 * w // 4 chunks per worker leaves room for stealing
+			tasks := 4 * w // 4 chunks per worker: a worker that finishes early claims another
 			chunks, arenas := scalingChunks(pairs, tasks)
 			b.ReportAllocs()
 			b.ResetTimer()

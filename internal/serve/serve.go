@@ -17,7 +17,7 @@
 // batches one after another: the detector is a single-driver pipeline (like
 // a Spark driver submitting jobs in sequence), and the arrival order of the
 // database is simply queue order. Parallelism lives inside each Detect, on
-// the engine's work-stealing pool.
+// the engine's task pool.
 //
 // Shutdown is a drain: Shutdown flips the server to draining (new submits
 // are refused with ErrShuttingDown, HTTP 503), closes the queue, and waits
