@@ -8,7 +8,7 @@
 //	adrdedup gen     -out reports.json -truth truth.json [-n 10382] [-dups 286] [-seed 1]
 //	adrdedup summary -db reports.json
 //	adrdedup detect  -db reports.json -batch batch.json -labels labels.json [-theta 0] [-top 20]
-//	                 [-memory-mb 0] [-target-partition-mb 0]
+//	                 [-memory-mb 0]
 //	                 [-workers N]
 //	                 [-trace trace.json] [-metrics-out metrics.json]
 //	                 [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -18,8 +18,7 @@
 // summary to stderr; -metrics-out dumps the final cluster counter snapshot.
 // -memory-mb bounds each simulated executor's memory: blocks and shuffle
 // buffers over the budget spill to a virtual local disk (visible as spill
-// events in the trace) without changing any output. -target-partition-mb
-// turns on adaptive post-shuffle partition coalescing toward that size.
+// events in the trace) without changing any output.
 // -workers sizes the engine's task pool, the number of stage tasks computing
 // at once (default NumCPU) — results and committed counters do not depend on
 // it, only wall-clock does.
@@ -73,7 +72,7 @@ func usage() {
   adrdedup gen     -out reports.json -truth truth.json [-n 10382] [-dups 286] [-seed 1]
   adrdedup summary -db reports.json
   adrdedup detect  -db reports.json -batch batch.json -labels labels.json [-theta 0] [-top 20]
-                   [-memory-mb 0] [-target-partition-mb 0]
+                   [-memory-mb 0]
                    [-workers N]
                    [-trace trace.json] [-metrics-out metrics.json]
                    [-cpuprofile cpu.pprof] [-memprofile mem.pprof]`)
@@ -160,7 +159,6 @@ func runDetect(args []string) (retErr error) {
 	failExecutors := fs.Float64("fail-executors", 0, "deterministic executor-kill rate per stage submission (lost shuffle outputs are recomputed from lineage)")
 	maxStageRetries := fs.Int("max-stage-retries", 0, "stage resubmissions after shuffle fetch failures before aborting (0 = default)")
 	memoryMB := fs.Int("memory-mb", 0, "per-executor memory budget in MB; blocks and shuffle buffers over budget spill to virtual disk (0 = unbounded default)")
-	targetPartitionMB := fs.Int("target-partition-mb", 0, "adaptive post-shuffle coalescing target partition size in MB (0 = off)")
 	workers := fs.Int("workers", 0, "engine pool size: stage tasks computing at once (0 = NumCPU)")
 	tracePath := fs.String("trace", "", "write a JSON stage/task trace event log to this file and print a per-stage summary to stderr")
 	metricsPath := fs.String("metrics-out", "", "write the final cluster metrics snapshot as JSON to this file")
@@ -213,7 +211,6 @@ func runDetect(args []string) (retErr error) {
 			MaxStageRetries:     *maxStageRetries,
 			MemoryPerExecutorMB: *memoryMB,
 			SpillToDisk:         *memoryMB > 0,
-			TargetPartitionMB:   *targetPartitionMB,
 			RealWorkers:         *workers,
 		},
 		Classifier:     core.Config{K: *k, B: *b, Theta: *theta},

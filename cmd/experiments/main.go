@@ -318,16 +318,16 @@ func (r *runner) spill() error {
 		return err
 	}
 	fmt.Println("Memory-pressure spilling on the candidate pipeline (unbounded vs per-executor budget)")
-	fmt.Printf("%-10s %12s %16s %12s %14s %12s\n",
-		"budget", "candidates", "exec time", "spills", "spilled bytes", "coalesced")
+	fmt.Printf("%-10s %12s %16s %12s %14s\n",
+		"budget", "candidates", "exec time", "spills", "spilled bytes")
 	for _, row := range rows {
 		budget := "unbounded"
 		if row.Budgeted {
 			budget = fmt.Sprintf("%d B", row.MemoryPerExecutorBytes)
 		}
-		fmt.Printf("%-10s %12d %16v %12d %14d %12d\n",
+		fmt.Printf("%-10s %12d %16v %12d %14d\n",
 			budget, row.Candidates, row.ExecutionTime.Round(time.Millisecond),
-			row.SpillEvents, row.SpilledBytes, row.CoalescedPartitions)
+			row.SpillEvents, row.SpilledBytes)
 	}
 	fmt.Printf("spill overhead: %.2fx (output byte-identical)\n", experiments.SpillOverhead(rows))
 	return nil

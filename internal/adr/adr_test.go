@@ -97,22 +97,6 @@ func TestDatabaseRejectsDuplicatesAndEmptyCase(t *testing.T) {
 	}
 }
 
-func TestDatabaseBefore(t *testing.T) {
-	db := NewDatabase()
-	if err := db.Add(sample("A"), sample("B"), sample("C")); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Before(2); len(got) != 2 || got[1].CaseNumber != "B" {
-		t.Errorf("Before(2) = %v", got)
-	}
-	if got := db.Before(10); len(got) != 3 {
-		t.Errorf("Before(10) len = %d", len(got))
-	}
-	if got := db.Before(-1); len(got) != 0 {
-		t.Errorf("Before(-1) len = %d", len(got))
-	}
-}
-
 func TestDatabaseCaseNumberAndTail(t *testing.T) {
 	db := NewDatabase()
 	if err := db.Add(sample("A"), sample("B"), sample("C")); err != nil {
@@ -207,39 +191,6 @@ func TestJSONRoundTrip(t *testing.T) {
 func TestJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader("{not json")); err == nil {
 		t.Error("expected error for invalid JSON")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	in := []Report{sample("A"), sample("B")}
-	// The description includes a comma to exercise CSV quoting.
-	in[0].ReportDescription = "cough, then choking; called ambulance"
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("rows = %d", len(out))
-	}
-	if out[0].ReportDescription != in[0].ReportDescription {
-		t.Errorf("description mangled: %q", out[0].ReportDescription)
-	}
-	if out[1].CalculatedAge != 46 || out[1].MedDRAPTCode != "PT0001" {
-		t.Errorf("row 2 = %+v", out[1])
-	}
-}
-
-func TestCSVRejectsBadHeaderAndAge(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("wrong,header\n")); err == nil {
-		t.Error("expected error for wrong header")
-	}
-	bad := strings.Join(csvHeader, ",") + "\nA,2013,notanage,M,NSW,x,y,z,w,v,desc\n"
-	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
-		t.Error("expected error for non-numeric age")
 	}
 }
 

@@ -1,11 +1,9 @@
 package adr
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 )
 
 // WriteJSON streams reports as a JSON array.
@@ -20,82 +18,6 @@ func ReadJSON(r io.Reader) ([]Report, error) {
 	var out []Report
 	if err := json.NewDecoder(r).Decode(&out); err != nil {
 		return nil, fmt.Errorf("adr: decoding reports: %w", err)
-	}
-	return out, nil
-}
-
-// csvHeader lists the CSV columns in a stable order. Only a compact subset
-// of fields round-trips through CSV: the seven selected fields plus
-// identifiers — the columns the duplicate detection pipeline consumes.
-var csvHeader = []string{
-	"case_number", "report_date", "calculated_age", "sex",
-	"residential_state", "onset_date", "reaction_outcome_description",
-	"generic_name_description", "meddra_pt_name", "meddra_pt_code",
-	"report_description",
-}
-
-// WriteCSV writes the pipeline-relevant columns of the reports.
-func WriteCSV(w io.Writer, reports []Report) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	for _, r := range reports {
-		rec := []string{
-			r.CaseNumber, r.ReportDate, strconv.Itoa(r.CalculatedAge),
-			r.Sex, r.ResidentialState, r.OnsetDate, r.ReactionOutcomeDesc,
-			r.GenericNameDesc, r.MedDRAPTName, r.MedDRAPTCode,
-			r.ReportDescription,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses reports previously written by WriteCSV.
-func ReadCSV(r io.Reader) ([]Report, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("adr: reading CSV header: %w", err)
-	}
-	if len(header) != len(csvHeader) {
-		return nil, fmt.Errorf("adr: CSV has %d columns, want %d", len(header), len(csvHeader))
-	}
-	for i, col := range header {
-		if col != csvHeader[i] {
-			return nil, fmt.Errorf("adr: CSV column %d is %q, want %q", i, col, csvHeader[i])
-		}
-	}
-	var out []Report
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("adr: reading CSV line %d: %w", line, err)
-		}
-		age, err := strconv.Atoi(rec[2])
-		if err != nil {
-			return nil, fmt.Errorf("adr: CSV line %d: bad age %q", line, rec[2])
-		}
-		out = append(out, Report{
-			CaseNumber:          rec[0],
-			ReportDate:          rec[1],
-			CalculatedAge:       age,
-			Sex:                 rec[3],
-			ResidentialState:    rec[4],
-			OnsetDate:           rec[5],
-			ReactionOutcomeDesc: rec[6],
-			GenericNameDesc:     rec[7],
-			MedDRAPTName:        rec[8],
-			MedDRAPTCode:        rec[9],
-			ReportDescription:   rec[10],
-		})
 	}
 	return out, nil
 }

@@ -129,23 +129,6 @@ func (d *Database) Get(caseNumber string) (Report, bool) {
 	return d.reports[i], true
 }
 
-// Before returns a snapshot of the reports that arrived before the given
-// arrival sequence — the "existing database" a new batch is compared
-// against.
-func (d *Database) Before(seq int) []Report {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if seq > len(d.reports) {
-		seq = len(d.reports)
-	}
-	if seq < 0 {
-		seq = 0
-	}
-	out := make([]Report, seq)
-	copy(out, d.reports[:seq])
-	return out
-}
-
 // Summary holds the corpus statistics the paper reports in Table 3.
 type Summary struct {
 	NumCases     int

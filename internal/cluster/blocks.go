@@ -266,19 +266,6 @@ func (b *BlockStore) Remove(id BlockID) {
 	}
 }
 
-// DropAll clears the cache (test/benchmark hygiene between runs).
-func (b *BlockStore) DropAll() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.lru.Init()
-	b.index = make(map[BlockID]*list.Element)
-	for _, e := range b.spilled {
-		b.cluster.spill.Free(*e.spill)
-	}
-	b.spilled = make(map[BlockID]*blockEntry)
-	b.used = 0
-}
-
 // Used returns the bytes currently resident in the memory tier (spilled
 // blocks count zero — that is the point of spilling).
 func (b *BlockStore) Used() int64 {

@@ -85,7 +85,7 @@ func TestBlockStoreRejectsOversized(t *testing.T) {
 	}
 }
 
-func TestBlockStoreRemoveAndDropAll(t *testing.T) {
+func TestBlockStoreRemove(t *testing.T) {
 	c := New(Config{Executors: 1, MemoryPerExecutorMB: 10})
 	bs := c.Blocks()
 	a := BlockID{RDD: 1, Partition: 0}
@@ -98,10 +98,6 @@ func TestBlockStoreRemoveAndDropAll(t *testing.T) {
 	}
 	if bs.Used() != 10 {
 		t.Errorf("Used=%d, want 10", bs.Used())
-	}
-	bs.DropAll()
-	if bs.Len() != 0 || bs.Used() != 0 {
-		t.Errorf("DropAll left Len=%d Used=%d", bs.Len(), bs.Used())
 	}
 }
 

@@ -100,12 +100,6 @@ type Config struct {
 	// charge virtual time for spill writes and read-backs, the disk
 	// analogue of NetworkMBps. 0 selects the default 500.
 	SpillMBps float64
-	// TargetPartitionMB enables Spark-AQE-style adaptive post-shuffle
-	// partition coalescing: after a map stage commits, consecutive reduce
-	// partitions smaller than this target are merged toward
-	// TargetPartitionMB bytes each (stage_coalesce trace events,
-	// CoalescedPartitions metric). 0 disables coalescing.
-	TargetPartitionMB int
 	// NetworkMBps is the simulated per-executor network bandwidth used to
 	// charge virtual time for shuffle reads and broadcasts.
 	NetworkMBps float64

@@ -53,15 +53,12 @@ type Metrics struct {
 	// Memory-bounded engine counters. SpillEvents counts blocks written to
 	// the disk overflow tier (block cache overflow, shuffle buffers over
 	// the executor budget, external-merge runs); SpilledBytes the framed,
-	// compressed bytes they put on disk. CoalescedPartitions counts reduce
-	// partitions eliminated by adaptive post-shuffle coalescing (inputs
-	// merged away, i.e. pre-count minus post-count summed over coalesced
-	// stages). Like the recovery counters these account mechanism cost
-	// separately from work: Records/Comparisons/Shuffle counters stay
-	// bit-identical between budgeted and unbounded runs of the same job.
-	SpillEvents         atomic.Int64
-	SpilledBytes        atomic.Int64
-	CoalescedPartitions atomic.Int64
+	// compressed bytes they put on disk. Like the recovery counters these
+	// account mechanism cost separately from work: Records/Comparisons/
+	// Shuffle counters stay bit-identical between budgeted and unbounded
+	// runs of the same job.
+	SpillEvents  atomic.Int64
+	SpilledBytes atomic.Int64
 }
 
 // MetricsSnapshot is a plain-value copy of Metrics.
@@ -94,9 +91,8 @@ type MetricsSnapshot struct {
 	RecomputedStages     int64
 	RecomputedTasks      int64
 
-	SpillEvents         int64
-	SpilledBytes        int64
-	CoalescedPartitions int64
+	SpillEvents  int64
+	SpilledBytes int64
 }
 
 // Snapshot copies the current counter values.
@@ -130,9 +126,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		RecomputedStages:     m.RecomputedStages.Load(),
 		RecomputedTasks:      m.RecomputedTasks.Load(),
 
-		SpillEvents:         m.SpillEvents.Load(),
-		SpilledBytes:        m.SpilledBytes.Load(),
-		CoalescedPartitions: m.CoalescedPartitions.Load(),
+		SpillEvents:  m.SpillEvents.Load(),
+		SpilledBytes: m.SpilledBytes.Load(),
 	}
 }
 
@@ -165,5 +160,4 @@ func (m *Metrics) Reset() {
 	m.RecomputedTasks.Store(0)
 	m.SpillEvents.Store(0)
 	m.SpilledBytes.Store(0)
-	m.CoalescedPartitions.Store(0)
 }

@@ -22,10 +22,10 @@ func TestShuffleInvalidateExecutor(t *testing.T) {
 	id := s.Register()
 	// Map tasks 0,1 hosted on executor 0; map task 2 on executor 1. Reduce
 	// partition 0 reads all three, partition 1 only map task 2.
-	s.write(id, 0, 0, 0, 0, "a", 1, 1)
-	s.write(id, 0, 1, 0, 0, "b", 1, 1)
-	s.write(id, 0, 2, 0, 1, "c", 1, 1)
-	s.write(id, 1, 2, 0, 1, "d", 1, 1)
+	s.write(id, 0, 0, 0, 0, "a", 1)
+	s.write(id, 0, 1, 0, 0, "b", 1)
+	s.write(id, 0, 2, 0, 1, "c", 1)
+	s.write(id, 1, 2, 0, 1, "d", 1)
 	s.MarkDone(id)
 
 	if lost := s.invalidateExecutor(1); lost != 1 {
@@ -51,8 +51,8 @@ func TestShuffleInvalidateExecutor(t *testing.T) {
 
 	// Recomputing the lost map task (same block keys, new host) repairs
 	// every partition.
-	s.write(id, 0, 2, 0, 2, "c", 1, 1)
-	s.write(id, 1, 2, 1, 2, "d", 1, 1)
+	s.write(id, 0, 2, 0, 2, "c", 1)
+	s.write(id, 1, 2, 1, 2, "d", 1)
 	if got := s.LostMapTasks(id); len(got) != 0 {
 		t.Fatalf("LostMapTasks after repair = %v, want none", got)
 	}

@@ -85,7 +85,6 @@ type blockKey struct {
 type shuffleBlock struct {
 	data     any
 	bytes    int64
-	records  int64
 	executor int
 	// spill is set while the block lives on its executor's disk (data is
 	// nil then).
@@ -269,7 +268,7 @@ func (s *ShuffleService) LostMapTasks(id int) []int {
 	return out
 }
 
-func (s *ShuffleService) write(shuffleID, reduceID, mapTask, seq, executor int, data any, records, bytes int64) {
+func (s *ShuffleService) write(shuffleID, reduceID, mapTask, seq, executor int, data any, bytes int64) {
 	s.mu.Lock()
 	st, ok := s.shuffles[shuffleID]
 	if !ok {
@@ -287,7 +286,7 @@ func (s *ShuffleService) write(shuffleID, reduceID, mapTask, seq, executor int, 
 	if old, ok := bucket[key]; ok {
 		s.releaseLocked(old)
 	}
-	blk := &shuffleBlock{data: data, bytes: bytes, records: records, executor: executor}
+	blk := &shuffleBlock{data: data, bytes: bytes, executor: executor}
 
 	// Budget check: a commit that would push the producing executor's
 	// resident shuffle buffers over its memory budget spills the incoming
@@ -432,30 +431,6 @@ func (s *ShuffleService) fetch(shuffleID, reduceID int) ([]any, int64, float64, 
 			fmt.Sprintf("shuffle %d reduce %d", shuffleID, reduceID))
 	}
 	return out, bytes, spillNS, nil, nil
-}
-
-// partitionSizes returns each reduce partition's committed raw bytes and
-// records (resident and spilled alike) for a shuffle with numPartitions
-// reduce partitions — the byte accounting adaptive coalescing plans from.
-func (s *ShuffleService) partitionSizes(id, numPartitions int) (bytes, records []int64) {
-	bytes = make([]int64, numPartitions)
-	records = make([]int64, numPartitions)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.shuffles[id]
-	if !ok {
-		return bytes, records
-	}
-	for rid, bucket := range st.buckets {
-		if rid < 0 || rid >= numPartitions {
-			continue
-		}
-		for _, b := range bucket {
-			bytes[rid] += b.bytes
-			records[rid] += b.records
-		}
-	}
-	return bytes, records
 }
 
 // Shuffles exposes the shuffle service to the RDD layer.

@@ -32,10 +32,10 @@ func TestShuffleDuplicateCommitIsIdempotent(t *testing.T) {
 				for mapTask := 0; mapTask < 3; mapTask++ {
 					seq := 0
 					for r := 0; r < tt.shards; r++ {
-						s.write(id, r, mapTask, seq, 0, []int{mapTask*100 + r}, 1, 8)
+						s.write(id, r, mapTask, seq, 0, []int{mapTask*100 + r}, 8)
 						seq++
 						if r%2 == 0 { // a second block for even partitions
-							s.write(id, r, mapTask, seq, 0, []int{mapTask*100 + r + 50}, 1, 8)
+							s.write(id, r, mapTask, seq, 0, []int{mapTask*100 + r + 50}, 8)
 							seq++
 						}
 					}
@@ -96,14 +96,14 @@ func TestShuffleFetchOrderProperty(t *testing.T) {
 		s := newShuffleService(New(Config{}))
 		id := s.Register()
 		for _, x := range writes {
-			s.write(id, x.reduce, x.mapTask, x.seq, 0, x.val, 1, 8)
+			s.write(id, x.reduce, x.mapTask, x.seq, 0, x.val, 8)
 		}
 		// Re-commit a shuffled duplicate of the final values (idempotence
 		// under re-ordered duplicate commits).
 		perm := rng.Perm(len(writes))
 		for _, pi := range perm {
 			x := writes[pi]
-			s.write(id, x.reduce, x.mapTask, x.seq, 0, ref[[3]int{x.reduce, x.mapTask, x.seq}], 1, 8)
+			s.write(id, x.reduce, x.mapTask, x.seq, 0, ref[[3]int{x.reduce, x.mapTask, x.seq}], 8)
 		}
 
 		for r := 0; r < 3; r++ {
@@ -148,7 +148,7 @@ func TestShuffleFetchOrderProperty(t *testing.T) {
 func TestShuffleUnregisterDropsBlocks(t *testing.T) {
 	s := newShuffleService(New(Config{}))
 	id := s.Register()
-	s.write(id, 0, 0, 0, 0, "x", 1, 1)
+	s.write(id, 0, 0, 0, 0, "x", 1)
 	s.MarkDone(id)
 	if !s.Done(id) {
 		t.Fatal("MarkDone not visible")

@@ -274,7 +274,7 @@ func (tc *TaskContext) FetchShuffle(shuffleID, reduceID int) ([]any, error) {
 func (tc *TaskContext) commit() {
 	m := tc.cluster.metrics
 	for _, w := range tc.pendingShuffle {
-		tc.cluster.shuffles.write(w.shuffleID, w.reduceID, w.mapTask, w.seq, tc.executor, w.data, w.records, w.bytes)
+		tc.cluster.shuffles.write(w.shuffleID, w.reduceID, w.mapTask, w.seq, tc.executor, w.data, w.bytes)
 		if !tc.recovery {
 			m.ShuffleBytesWritten.Add(w.bytes)
 			m.ShuffleRecordsWritten.Add(w.records)

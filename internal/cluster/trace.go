@@ -53,12 +53,9 @@ const (
 	// Memory-bounded engine events. spill marks one block written to the
 	// disk overflow tier (Bytes is the framed, compressed on-disk size;
 	// Executor the host whose local disk holds it); spill_load marks its
-	// read-back. stage_coalesce marks adaptive post-shuffle partition
-	// coalescing deciding a reduce-side plan (Detail carries the
-	// before/after partition counts and target).
-	EventSpill         EventKind = "spill"
-	EventSpillLoad     EventKind = "spill_load"
-	EventStageCoalesce EventKind = "stage_coalesce"
+	// read-back.
+	EventSpill     EventKind = "spill"
+	EventSpillLoad EventKind = "spill_load"
 )
 
 // Event is one structured record of the cluster's execution. Task and

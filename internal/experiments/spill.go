@@ -40,11 +40,7 @@ type SpillParams struct {
 	// (default 16 KiB — pathological on purpose; the unbounded run uses the
 	// engine default).
 	MemoryPerExecutorBytes int64
-	// TargetPartitionMB enables adaptive post-shuffle coalescing on the
-	// budgeted run (default 1), so the exhibit also reports how many
-	// undersized reduce partitions the AQE planner eliminated.
-	TargetPartitionMB int
-	Seed              int64
+	Seed                   int64
 }
 
 func (p SpillParams) withDefaults() SpillParams {
@@ -63,9 +59,6 @@ func (p SpillParams) withDefaults() SpillParams {
 	if p.MemoryPerExecutorBytes <= 0 {
 		p.MemoryPerExecutorBytes = 16 << 10
 	}
-	if p.TargetPartitionMB <= 0 {
-		p.TargetPartitionMB = 1
-	}
 	return p
 }
 
@@ -77,7 +70,6 @@ type SpillRow struct {
 	Candidates             int64
 	SpillEvents            int64
 	SpilledBytes           int64
-	CoalescedPartitions    int64
 }
 
 // SpillOverhead returns the budgeted/unbounded virtual makespan ratio — the
@@ -133,7 +125,6 @@ func Spill(p SpillParams) ([]SpillRow, error) {
 		if budgeted {
 			cfg.SpillToDisk = true
 			cfg.MemoryPerExecutorBytes = p.MemoryPerExecutorBytes
-			cfg.TargetPartitionMB = p.TargetPartitionMB
 			row.MemoryPerExecutorBytes = p.MemoryPerExecutorBytes
 		}
 		cl := cluster.New(cfg)
@@ -173,7 +164,6 @@ func Spill(p SpillParams) ([]SpillRow, error) {
 		row.Candidates = int64(len(sorted))
 		row.SpillEvents = m.SpillEvents
 		row.SpilledBytes = m.SpilledBytes
-		row.CoalescedPartitions = m.CoalescedPartitions
 		return row, sorted, nil
 	}
 

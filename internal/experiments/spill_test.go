@@ -22,8 +22,8 @@ func TestSpillOutputIdentical(t *testing.T) {
 					r.SpillEvents, r.SpilledBytes)
 			}
 		} else {
-			if r.SpillEvents != 0 || r.SpilledBytes != 0 || r.CoalescedPartitions != 0 {
-				t.Errorf("unbounded run has spill/coalesce accounting: %+v", r)
+			if r.SpillEvents != 0 || r.SpilledBytes != 0 {
+				t.Errorf("unbounded run has spill accounting: %+v", r)
 			}
 		}
 		if r.Candidates == 0 {
@@ -47,13 +47,12 @@ func BenchmarkSpillOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	var unbounded, budgeted, spilledMB, spillEvents, coalesced float64
+	var unbounded, budgeted, spilledMB, spillEvents float64
 	for _, r := range rows {
 		if r.Budgeted {
 			budgeted = r.ExecutionTime.Seconds()
 			spilledMB = float64(r.SpilledBytes) / (1 << 20)
 			spillEvents = float64(r.SpillEvents)
-			coalesced = float64(r.CoalescedPartitions)
 		} else {
 			unbounded = r.ExecutionTime.Seconds()
 		}
@@ -63,5 +62,4 @@ func BenchmarkSpillOverhead(b *testing.B) {
 	b.ReportMetric(budgeted, "makespan-budgeted-s")
 	b.ReportMetric(spilledMB, "spilled-MB")
 	b.ReportMetric(spillEvents, "spill-events")
-	b.ReportMetric(coalesced, "coalesced-partitions")
 }

@@ -145,13 +145,13 @@ func TestSortBySpillMatchesUnbounded(t *testing.T) {
 }
 
 // TestSpillTraceEvents: a traced budgeted pipeline must surface the spill
-// tier in the event log — "spill" events when blocks go to disk, and a
-// "stage_coalesce" event when the AQE planner merges undersized reduce
-// partitions — with the counters they summarize.
+// tier in the event log — "spill" events when blocks go to disk and
+// "spill_load" events when they are read back — with the counter they
+// summarize.
 func TestSpillTraceEvents(t *testing.T) {
 	cl := cluster.New(cluster.Config{
 		Executors: 4, CoresPerExecutor: 1, Seed: 11, Trace: true,
-		SpillToDisk: true, MemoryPerExecutorBytes: 512, TargetPartitionMB: 1,
+		SpillToDisk: true, MemoryPerExecutorBytes: 512,
 	})
 	defer cl.Close()
 	sorted := SortBy(spillInput(NewContext(cl)), func(a, b Pair[string, int64]) bool {
@@ -173,15 +173,9 @@ func TestSpillTraceEvents(t *testing.T) {
 	if kinds[cluster.EventSpillLoad] == 0 {
 		t.Error("no spill_load events in trace")
 	}
-	if kinds[cluster.EventStageCoalesce] == 0 {
-		t.Error("no stage_coalesce event in trace")
-	}
 	m := cl.Metrics().Snapshot()
 	if int64(kinds[cluster.EventSpill]) != m.SpillEvents {
 		t.Errorf("trace has %d spill events, metrics count %d", kinds[cluster.EventSpill], m.SpillEvents)
-	}
-	if m.CoalescedPartitions == 0 {
-		t.Error("stage_coalesce emitted but CoalescedPartitions is 0")
 	}
 }
 

@@ -129,10 +129,6 @@ func collectStream[T any](stream streamFn[T]) func(tc *cluster.TaskContext, part
 func newNarrow[T, U any](parent *RDD[T], op string, stream streamFn[U]) *RDD[U] {
 	out := newRDD(parent.ctx, parent.name+"."+op, parent.numPartitions,
 		collectStream(stream), parent.prepare)
-	// Narrow operators mirror their parent's partitioning one-to-one, so the
-	// count resolves through the parent: an adaptively coalesced upstream
-	// shuffle shrinks the whole narrow chain with it.
-	out.parts = parent.partitions
 	out.stream = stream
 	out.chain = func() string {
 		if parent.fusable() {

@@ -93,23 +93,9 @@ func splitmix64(x uint64) uint64 {
 // (0 = default parallelism) through the shuffle service. This is the stage
 // boundary: the parent's partitions are computed by a map stage whose output
 // buckets are committed to the shuffle service; the returned RDD's partitions
-// read (and are charged virtual network time for) those buckets.
-//
-// With Config.TargetPartitionMB set, the reduce side is adaptively coalesced:
-// once the map stage has committed and per-partition byte sizes are known,
-// undersized consecutive reduce partitions are merged toward the target
-// (cluster.CoalescePlan) and each output partition fetches its whole group of
-// hash buckets, in ascending bucket order. Coalescing changes only the
-// partition boundaries, never record content or relative order.
+// read (and are charged virtual network time for) those buckets. An input
+// already hash-partitioned into numPartitions is returned as is.
 func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) *RDD[Pair[K, V]] {
-	return partitionByOpt(r, numPartitions, true)
-}
-
-// partitionByOpt is PartitionBy with an explicit coalescing opt-out. Joins
-// pass allowCoalesce=false: both join sides must agree on the exact
-// partition -> key mapping, so their co-partitioning shuffles run with the
-// declared count even when adaptive coalescing is on.
-func partitionByOpt[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int, allowCoalesce bool) *RDD[Pair[K, V]] {
 	if numPartitions <= 0 {
 		numPartitions = r.ctx.parallelism
 	}
@@ -121,12 +107,6 @@ func partitionByOpt[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int, 
 	// The gob codec makes this shuffle's blocks spillable under the
 	// executor memory budget; without one every block would stay resident.
 	ctx.cl.Shuffles().SetCodec(shID, cluster.GobCodec[[]Pair[K, V]]())
-	coalesce := allowCoalesce && ctx.cl.CoalescingEnabled()
-	// plan is written once, inside runMapStage's once.Do, and read only
-	// after that (the sync.Once gives the happens-before edge): nil means
-	// run with the declared partitioning, otherwise plan[p] lists the hash
-	// buckets output partition p fetches.
-	var plan [][]int
 	bytesPerRecord := r.bytesPerRecord
 
 	// mapOutput streams the parent partition's fused narrow chain straight
@@ -177,14 +157,11 @@ func partitionByOpt[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int, 
 			}
 			stage := fmt.Sprintf("%s.shuffleMap#%d@rdd%d", r.lineageName(), shID, r.id)
 			_, onceErr = ctx.cl.RunStage(stage,
-				r.partitions(), func(tc *cluster.TaskContext) error {
+				r.numPartitions, func(tc *cluster.TaskContext) error {
 					return mapOutput(tc, tc.Task())
 				})
 			if onceErr == nil {
 				ctx.cl.Shuffles().MarkDone(shID)
-				if coalesce {
-					plan = ctx.cl.CoalescePlan(shID, numPartitions, stage)
-				}
 			}
 		})
 		return onceErr
@@ -192,17 +169,9 @@ func partitionByOpt[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int, 
 
 	out := newRDD(ctx, r.name+".partitionBy", numPartitions,
 		func(tc *cluster.TaskContext, p int) ([]Pair[K, V], error) {
-			group := []int{p}
-			if plan != nil {
-				group = plan[p]
-			}
-			var blocks []any
-			for _, q := range group {
-				bs, err := tc.FetchShuffle(shID, q)
-				if err != nil {
-					return nil, err
-				}
-				blocks = append(blocks, bs...)
+			blocks, err := tc.FetchShuffle(shID, p)
+			if err != nil {
+				return nil, err
 			}
 			var n int
 			for _, b := range blocks {
@@ -215,15 +184,7 @@ func partitionByOpt[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int, 
 			tc.SetWorkingSetBytes(int64(n) * bytesPerRecord)
 			return out, nil
 		}, []func() error{runMapStage})
-	out.parts = func() int {
-		if plan != nil {
-			return len(plan)
-		}
-		return numPartitions
-	}
-	// A shuffle that may coalesce cannot promise partition == hash % count,
-	// so downstream co-partitioning shortcuts must not trust it.
-	out.hashPartitioned = !coalesce
+	out.hashPartitioned = true
 	out.bytesPerRecord = bytesPerRecord
 	return out
 }
@@ -266,8 +227,8 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], numPar
 	if numPartitions <= 0 {
 		numPartitions = a.ctx.parallelism
 	}
-	sa := partitionByOpt(a, numPartitions, false)
-	sb := partitionByOpt(b, numPartitions, false)
+	sa := PartitionBy(a, numPartitions)
+	sb := PartitionBy(b, numPartitions)
 	prepare := append(append([]func() error{}, sa.prepare...), sb.prepare...)
 	bytesPerRecord := sa.bytesPerRecord + sb.bytesPerRecord
 	cl := a.ctx.cl

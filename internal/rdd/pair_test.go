@@ -1,10 +1,12 @@
 package rdd
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -194,6 +196,70 @@ func TestJoinSizeMatchesNestedLoop(t *testing.T) {
 	rows, err := j.Collect()
 	if err != nil || int64(len(rows)) != want {
 		t.Errorf("join count = %d, want %d (%v)", len(rows), want, err)
+	}
+}
+
+// TestJoinOfReducedInputsReusesTheirPartitioning: ReduceByKey's output is
+// hash-partitioned, so a Join at the same partition count reads both sides in
+// place — two shuffle-map stages, one per ReduceByKey — while a Join at
+// another count re-shuffles both sides (four). Either way it equals a
+// driver-side map join.
+func TestJoinOfReducedInputsReusesTheirPartitioning(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	left := make([]Pair[int, int], 300)
+	for i := range left {
+		left[i] = KV(rng.Intn(40), rng.Intn(100))
+	}
+	right := make([]Pair[int, int], 200)
+	for i := range right {
+		right[i] = KV(rng.Intn(40)+10, rng.Intn(100))
+	}
+	sums := func(in []Pair[int, int]) map[int]int {
+		out := make(map[int]int)
+		for _, kv := range in {
+			out[kv.Key] += kv.Value
+		}
+		return out
+	}
+	sl, sr := sums(left), sums(right)
+	want := make(map[int]Tuple2[int, int])
+	for k, v := range sl {
+		if w, ok := sr[k]; ok {
+			want[k] = Tuple2[int, int]{A: v, B: w}
+		}
+	}
+	add := func(a, b int) int { return a + b }
+	for _, tc := range []struct{ joinParts, mapStages int }{{4, 2}, {5, 4}} {
+		t.Run(fmt.Sprintf("join=%d", tc.joinParts), func(t *testing.T) {
+			cl := cluster.New(cluster.Config{Executors: 4, CoresPerExecutor: 2})
+			defer cl.Close()
+			ctx := NewContext(cl)
+			joined := Join(ReduceByKey(Parallelize(ctx, left, 3), add, 4),
+				ReduceByKey(Parallelize(ctx, right, 2), add, 4), tc.joinParts)
+			rows, err := joined.Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(map[int]Tuple2[int, int], len(rows))
+			for _, kv := range rows {
+				if _, dup := got[kv.Key]; dup {
+					t.Errorf("key %d joined twice", kv.Key)
+				}
+				got[kv.Key] = kv.Value
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("join = %v, want %v", got, want)
+			}
+			mapStages := 0
+			for _, st := range cl.StageHistory() {
+				if strings.Contains(st.Name, ".shuffleMap#") {
+					mapStages++
+				}
+			}
+			if mapStages != tc.mapStages {
+				t.Errorf("ran %d shuffle-map stages, want %d", mapStages, tc.mapStages)
+			}
+		})
 	}
 }
 

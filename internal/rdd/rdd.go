@@ -54,14 +54,7 @@ type RDD[T any] struct {
 	name string
 
 	numPartitions int
-	// parts, when non-nil, resolves the partition count lazily. Adaptive
-	// post-shuffle coalescing (cluster.CoalescePlan) can shrink a shuffled
-	// RDD's partition count only after its map stage has run and byte sizes
-	// are known, which is long after downstream RDDs were declared — so
-	// narrow children resolve their count through their parent at submission
-	// time instead of freezing numPartitions at build time.
-	parts   func() int
-	compute func(tc *cluster.TaskContext, partition int) ([]T, error)
+	compute       func(tc *cluster.TaskContext, partition int) ([]T, error)
 
 	// stream, when non-nil, is the element-wise streaming description of
 	// this RDD used for fused narrow-stage execution (see fuse.go).
@@ -140,19 +133,8 @@ func (r *RDD[T]) Name() string { return r.name }
 // ID returns the RDD's unique id within its context.
 func (r *RDD[T]) ID() int { return r.id }
 
-// NumPartitions returns the partition count. For RDDs downstream of an
-// adaptively coalesced shuffle the count is resolved lazily: before the
-// shuffle's map stage has run it reports the declared (pre-coalesce) count,
-// afterwards the post-plan count every job actually uses.
-func (r *RDD[T]) NumPartitions() int { return r.partitions() }
-
-// partitions resolves the current partition count (see the parts field).
-func (r *RDD[T]) partitions() int {
-	if r.parts != nil {
-		return r.parts()
-	}
-	return r.numPartitions
-}
+// NumPartitions returns the partition count, fixed when the RDD is built.
+func (r *RDD[T]) NumPartitions() int { return r.numPartitions }
 
 // SetName sets the debug name and returns the RDD for chaining. The name
 // also replaces the derived fused-chain label in stage names.
@@ -187,7 +169,7 @@ func (r *RDD[T]) Unpersist() {
 	r.cached = false
 	r.everCached = make(map[int]bool)
 	r.mu.Unlock()
-	for p := 0; p < r.partitions(); p++ {
+	for p := 0; p < r.numPartitions; p++ {
 		r.ctx.cl.Blocks().Remove(cluster.BlockID{RDD: r.id, Partition: p})
 	}
 }
@@ -292,14 +274,10 @@ func RunJob[T, R any](r *RDD[T], name string, fn func(tc *cluster.TaskContext, p
 	if err := r.ensureDeps(); err != nil {
 		return nil, fmt.Errorf("rdd %q: preparing dependencies: %w", r.name, err)
 	}
-	// The partition count is resolved only now, after ensureDeps: adaptive
-	// coalescing may have shrunk an upstream shuffle's reduce side when its
-	// map stage ran.
-	numPartitions := r.partitions()
 	// Results flow through the commit gate (PublishResult): with
 	// speculation enabled, rival attempts of a partition run concurrently
 	// and only the winning attempt's value lands in the slice.
-	raw, _, err := r.ctx.cl.RunStageResults(fmt.Sprintf("%s@rdd%d", name, r.id), numPartitions, func(tc *cluster.TaskContext) error {
+	raw, _, err := r.ctx.cl.RunStageResults(fmt.Sprintf("%s@rdd%d", name, r.id), r.numPartitions, func(tc *cluster.TaskContext) error {
 		data, err := r.materialize(tc, tc.Task())
 		if err != nil {
 			return err
@@ -315,7 +293,7 @@ func RunJob[T, R any](r *RDD[T], name string, fn func(tc *cluster.TaskContext, p
 	if err != nil {
 		return nil, fmt.Errorf("rdd %q: %w", r.name, err)
 	}
-	results := make([]R, numPartitions)
+	results := make([]R, r.numPartitions)
 	for i, v := range raw {
 		if v != nil {
 			results[i] = v.(R)

@@ -191,3 +191,137 @@ func TestBoundedMin(t *testing.T) {
 		t.Errorf("BoundedMin short input = %v", got)
 	}
 }
+
+// partitionSizes runs one job over r and returns each partition's record
+// count, in partition order.
+func partitionSizes[T any](r *RDD[T]) ([]int, error) {
+	return RunJob(r, "sizes", func(_ *cluster.TaskContext, _ int, data []T) (int, error) {
+		return len(data), nil
+	})
+}
+
+// TestPartitionCountFixedAtBuild pins that every operator's partition count
+// is decided when the RDD is built: NumPartitions reports it before any job
+// runs, a job over the RDD runs exactly that many result tasks — also under
+// a small spilling memory budget, where shuffle output is tiny — and the
+// count is unchanged afterwards. Hash-partitioned outputs also keep every
+// record in its key's own bucket.
+func TestPartitionCountFixedAtBuild(t *testing.T) {
+	pairs := kvPairs(120, 17)
+	add := func(a, b int) int { return a + b }
+	type built struct {
+		nparts  func() int
+		sizes   func() ([]int, error)
+		buckets func() ([][]int, error) // keys per partition; nil when not hash-partitioned
+	}
+	keysOf := func(r *RDD[Pair[int, int]]) func() ([][]int, error) {
+		return func() ([][]int, error) {
+			return RunJob(r, "keys", func(_ *cluster.TaskContext, _ int, data []Pair[int, int]) ([]int, error) {
+				keys := make([]int, len(data))
+				for i, kv := range data {
+					keys[i] = kv.Key
+				}
+				return keys, nil
+			})
+		}
+	}
+	of := func(r *RDD[Pair[int, int]], hashed bool) built {
+		b := built{nparts: r.NumPartitions, sizes: func() ([]int, error) { return partitionSizes(r) }}
+		if hashed {
+			b.buckets = keysOf(r)
+		}
+		return b
+	}
+	cases := []struct {
+		name    string
+		want    int
+		records int
+		build   func(ctx *Context) built
+	}{
+		{"parallelize", 5, 120, func(ctx *Context) built { return of(Parallelize(ctx, pairs, 5), false) }},
+		{"map+filter", 5, 60, func(ctx *Context) built {
+			r := Filter(Map(Parallelize(ctx, pairs, 5), func(kv Pair[int, int]) Pair[int, int] { return kv }),
+				func(kv Pair[int, int]) bool { return kv.Value%2 == 0 })
+			return of(r, false)
+		}},
+		{"flatMap", 5, 240, func(ctx *Context) built {
+			r := FlatMap(Parallelize(ctx, pairs, 5), func(kv Pair[int, int]) []Pair[int, int] { return []Pair[int, int]{kv, kv} })
+			return of(r, false)
+		}},
+		{"mapPartitionsTC", 5, 5, func(ctx *Context) built {
+			r := MapPartitionsTC(Parallelize(ctx, pairs, 5), func(_ *cluster.TaskContext, p int, in []Pair[int, int]) ([]Pair[int, int], error) {
+				return []Pair[int, int]{KV(p, len(in))}, nil
+			})
+			return of(r, false)
+		}},
+		{"union", 7, 240, func(ctx *Context) built {
+			return of(Union(Parallelize(ctx, pairs, 3), Parallelize(ctx, pairs, 4)), false)
+		}},
+		{"cartesian", 6, 120 * 4, func(ctx *Context) built {
+			r := Cartesian(Parallelize(ctx, pairs, 3), Parallelize(ctx, ints(4), 2))
+			return built{nparts: r.NumPartitions, sizes: func() ([]int, error) { return partitionSizes(r) }}
+		}},
+		{"partitionBy", 6, 120, func(ctx *Context) built {
+			return of(PartitionBy(Parallelize(ctx, pairs, 4), 6), true)
+		}},
+		{"reduceByKey", 8, 17, func(ctx *Context) built {
+			return of(ReduceByKey(Parallelize(ctx, pairs, 4), add, 8), true)
+		}},
+		{"join", 3, 120, func(ctx *Context) built {
+			r := Join(Parallelize(ctx, pairs, 4), ReduceByKey(Parallelize(ctx, pairs, 2), add, 5), 3)
+			return built{nparts: r.NumPartitions, sizes: func() ([]int, error) { return partitionSizes(r) }}
+		}},
+		{"sortBy", 4, 120, func(ctx *Context) built {
+			r := SortBy(Parallelize(ctx, pairs, 5), func(a, b Pair[int, int]) bool { return a.Value < b.Value }, 4)
+			return of(r, false)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := cluster.New(cluster.Config{
+				Executors: 3, CoresPerExecutor: 2, Seed: 5,
+				SpillToDisk: true, MemoryPerExecutorBytes: 256,
+			})
+			defer cl.Close()
+			b := tc.build(NewContext(cl))
+			if got := b.nparts(); got != tc.want {
+				t.Fatalf("NumPartitions before any job = %d, want %d", got, tc.want)
+			}
+			sizes, err := b.sizes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sizes) != tc.want {
+				t.Errorf("job returned %d partitions, want %d", len(sizes), tc.want)
+			}
+			total := 0
+			for _, n := range sizes {
+				total += n
+			}
+			if total != tc.records {
+				t.Errorf("records = %d, want %d", total, tc.records)
+			}
+			hist := cl.StageHistory()
+			if last := hist[len(hist)-1]; last.Tasks != tc.want {
+				t.Errorf("result stage %q ran %d tasks, want %d", last.Name, last.Tasks, tc.want)
+			}
+			if got := b.nparts(); got != tc.want {
+				t.Errorf("NumPartitions after the job = %d, want %d", got, tc.want)
+			}
+			if b.buckets == nil {
+				return
+			}
+			parts, err := b.buckets()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p, keys := range parts {
+				for _, k := range keys {
+					if want := int(hashKey(k) % uint64(tc.want)); want != p {
+						t.Errorf("key %d read by partition %d, its bucket is %d", k, p, want)
+					}
+				}
+			}
+		})
+	}
+}

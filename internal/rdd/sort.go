@@ -56,10 +56,6 @@ func SortBy[T any](r *RDD[T], less func(a, b T) bool, numPartitions int) *RDD[T]
 	shID := ctx.cl.Shuffles().Register()
 	ctx.cl.Shuffles().SetCodec(shID, cluster.GobCodec[[]T]())
 	parts := len(bounds) + 1
-	// Adaptive coalescing merges only *consecutive* ranges, so a coalesced
-	// sort output is still globally ordered across partitions. The plan is
-	// written once inside runMapStage (nil = run as declared).
-	var plan [][]int
 	prepareParent := keyed.prepare
 	// mapOutput streams the range-keying chain of one parent partition
 	// straight into the shuffle buckets (no intermediate keyed slice),
@@ -98,34 +94,25 @@ func SortBy[T any](r *RDD[T], less func(a, b T) bool, numPartitions int) *RDD[T]
 			}
 		}
 		stage := fmt.Sprintf("%s.sortShuffle#%d@rdd%d", r.lineageName(), shID, r.id)
-		_, err := ctx.cl.RunStage(stage, keyed.partitions(),
+		_, err := ctx.cl.RunStage(stage, keyed.numPartitions,
 			func(tc *cluster.TaskContext) error {
 				return mapOutput(tc, tc.Task())
 			})
 		if err == nil {
 			ctx.cl.Shuffles().MarkDone(shID)
-			if ctx.cl.CoalescingEnabled() {
-				plan = ctx.cl.CoalescePlan(shID, parts, stage)
-			}
 		}
 		return err
 	})
 
-	out := newRDD(ctx, r.name+".sortBy", parts,
+	return newRDD(ctx, r.name+".sortBy", parts,
 		func(tc *cluster.TaskContext, p int) ([]T, error) {
-			group := []int{p}
-			if plan != nil {
-				group = plan[p]
+			blocks, err := tc.FetchShuffle(shID, p)
+			if err != nil {
+				return nil, err
 			}
 			var out []T
-			for _, q := range group {
-				blocks, err := tc.FetchShuffle(shID, q)
-				if err != nil {
-					return nil, err
-				}
-				for _, b := range blocks {
-					out = append(out, b.([]T)...)
-				}
+			for _, b := range blocks {
+				out = append(out, b.([]T)...)
 			}
 			// In memory when the range fits the executor budget; a bounded-run
 			// external merge otherwise — output-identical either way.
@@ -133,13 +120,6 @@ func SortBy[T any](r *RDD[T], less func(a, b T) bool, numPartitions int) *RDD[T]
 				out, r.bytesPerRecord, less)
 			return out, nil
 		}, []func() error{runMapStage})
-	out.parts = func() int {
-		if plan != nil {
-			return len(plan)
-		}
-		return parts
-	}
-	return out
 }
 
 // onceErrFunc wraps f so it runs at most once (goroutine-safe) and replays

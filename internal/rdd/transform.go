@@ -64,7 +64,7 @@ func MapPartitions[T, U any](r *RDD[T], f func(in []T) ([]U, error)) *RDD[U] {
 // the scratch contents as unspecified at entry and must not retain scratch
 // buffers in its output.
 func MapPartitionsTC[T, U any](r *RDD[T], f func(tc *cluster.TaskContext, partition int, in []T) ([]U, error)) *RDD[U] {
-	out := newRDD(r.ctx, r.name+".mapPartitions", r.numPartitions,
+	return newRDD(r.ctx, r.name+".mapPartitions", r.numPartitions,
 		func(tc *cluster.TaskContext, p int) ([]U, error) {
 			in, err := r.materialize(tc, p)
 			if err != nil {
@@ -72,8 +72,6 @@ func MapPartitionsTC[T, U any](r *RDD[T], f func(tc *cluster.TaskContext, partit
 			}
 			return f(tc, p, in)
 		}, r.prepare)
-	out.parts = r.partitions
-	return out
 }
 
 // Union concatenates two RDDs; the result has the sum of their partitions.
@@ -83,17 +81,14 @@ func Union[T any](a, b *RDD[T]) *RDD[T] {
 		panic("rdd: Union across contexts")
 	}
 	prepare := append(append([]func() error{}, a.prepare...), b.prepare...)
-	out := newRDD(a.ctx, fmt.Sprintf("union(%s,%s)", a.name, b.name),
+	return newRDD(a.ctx, fmt.Sprintf("union(%s,%s)", a.name, b.name),
 		a.numPartitions+b.numPartitions,
 		func(tc *cluster.TaskContext, p int) ([]T, error) {
-			na := a.partitions()
-			if p < na {
+			if p < a.numPartitions {
 				return a.materialize(tc, p)
 			}
-			return b.materialize(tc, p-na)
+			return b.materialize(tc, p-a.numPartitions)
 		}, prepare)
-	out.parts = func() int { return a.partitions() + b.partitions() }
-	return out
 }
 
 // Cartesian pairs every element of a with every element of b. The result has
@@ -108,10 +103,7 @@ func Cartesian[T, U any](a *RDD[T], b *RDD[U]) *RDD[Tuple2[T, U]] {
 	}
 	prepare := append(append([]func() error{}, a.prepare...), b.prepare...)
 	stream := func(tc *cluster.TaskContext, p int, sizeHint func(int), emit func(Tuple2[T, U]) error) error {
-		// The right side's count is read at execution time: an adaptively
-		// coalesced parent changes the p -> (pa, pb) mapping with it.
-		nb := b.partitions()
-		pa, pb := p/nb, p%nb
+		pa, pb := p/b.numPartitions, p%b.numPartitions
 		left, err := a.materialize(tc, pa)
 		if err != nil {
 			return err
@@ -134,7 +126,6 @@ func Cartesian[T, U any](a *RDD[T], b *RDD[U]) *RDD[Tuple2[T, U]] {
 	}
 	out := newRDD(a.ctx, fmt.Sprintf("cartesian(%s,%s)", a.name, b.name),
 		a.numPartitions*b.numPartitions, collectStream(stream), prepare)
-	out.parts = func() int { return a.partitions() * b.partitions() }
 	out.stream = stream
 	return out
 }

@@ -64,11 +64,6 @@ type Config struct {
 	// RetryAfter is the Retry-After hint sent with 429/503 responses
 	// (default 1s).
 	RetryAfter time.Duration
-	// RecordArrivals keeps a log of each absorbed batch's case numbers in
-	// arrival order, so tests can replay the exact arrival sequence
-	// against a sequential oracle. Off in production: the log grows
-	// without bound.
-	RecordArrivals bool
 }
 
 func (c Config) withDefaults() Config {
@@ -144,9 +139,6 @@ type Server struct {
 
 	ingested, batches, scored, matched  atomic.Uint64
 	queueRejects, drainRefusals, failed atomic.Uint64
-
-	arrivalMu sync.Mutex
-	arrivals  [][]string
 
 	// testHookBeforeDetect, when set, runs in the consumer just before each
 	// Detect — the seam deterministic backpressure/drain tests use to
@@ -249,16 +241,6 @@ func (s *Server) process(j *job) {
 		hook()
 	}
 	matches, err := s.det.Detect(j.batch)
-	if err == nil && s.cfg.RecordArrivals {
-		cases := make([]string, len(j.batch))
-		for i, r := range j.batch {
-			cases[i] = r.CaseNumber
-		}
-		s.arrivalMu.Lock()
-		s.arrivals = append(s.arrivals, cases)
-		s.arrivalMu.Unlock()
-	}
-
 	s.hist.Observe(time.Since(j.enqueued))
 	if err != nil {
 		s.failed.Add(1)
@@ -313,19 +295,6 @@ func (s *Server) Close(ctx context.Context) error {
 // Detector exposes the wrapped detector, for stats and model export. The
 // caller must not call detection methods on it while the server runs.
 func (s *Server) Detector() *adrdedup.Detector { return s.det }
-
-// ArrivalBatches returns the recorded arrival log (Config.RecordArrivals):
-// the case numbers of each absorbed batch, in the order the consumer took
-// them off the queue. Tests replay it against a sequential oracle.
-func (s *Server) ArrivalBatches() [][]string {
-	s.arrivalMu.Lock()
-	defer s.arrivalMu.Unlock()
-	out := make([][]string, len(s.arrivals))
-	for i, b := range s.arrivals {
-		out[i] = append([]string(nil), b...)
-	}
-	return out
-}
 
 // Stats is the live counter snapshot behind /v1/stats and /debug/vars.
 type Stats struct {

@@ -57,13 +57,16 @@ func closeServer(t testing.TB, srv *Server) {
 
 // TestConcurrentIngestMatchesSequentialOracle is the -race stress test:
 // many goroutines push singles and batches through the live server, then the
-// recorded arrival order is replayed sequentially on a fresh identical
-// bootstrap. The two match sets must be exactly equal — concurrency may
-// reorder arrivals but must never change what a given arrival order detects.
+// arrival order is read back from the detector's database and replayed
+// sequentially on a fresh identical bootstrap. Each submitted batch must have
+// been absorbed once, whole and in order, and the match sets and committed
+// engine counters must be exactly equal — concurrency may reorder arrivals
+// but must never change what a given arrival order detects.
 func TestConcurrentIngestMatchesSequentialOracle(t *testing.T) {
 	cfg := testBootCfg(7, 250, 12, 300)
 	boot := mustBootstrap(t, cfg)
-	srv := New(boot.Detector, Config{QueueDepth: 8, RecordArrivals: true})
+	seedLen := boot.Detector.Database().Len()
+	srv := New(boot.Detector, Config{QueueDepth: 8})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,33 +115,45 @@ func TestConcurrentIngestMatchesSequentialOracle(t *testing.T) {
 	}
 	close(work)
 	wg.Wait()
-	arrivals := srv.ArrivalBatches()
 	closeServer(t, srv)
 	if t.Failed() {
 		t.FailNow()
 	}
 
-	absorbed := 0
-	for _, b := range arrivals {
-		absorbed += len(b)
+	// The database holds the absorbed reports in arrival order; group them
+	// back into the submitted batches.
+	batchOf := make(map[string]int, len(traffic))
+	for bi, b := range batches {
+		for _, r := range b {
+			batchOf[r.CaseNumber] = bi
+		}
 	}
-	if absorbed != len(traffic) {
-		t.Fatalf("arrival log covers %d reports, want %d", absorbed, len(traffic))
+	tail := boot.Detector.Database().Tail(seedLen)
+	if len(tail) != len(traffic) {
+		t.Fatalf("database absorbed %d reports, want %d", len(tail), len(traffic))
+	}
+	absorbed := make([]bool, len(batches))
+	var arrivals [][]adr.Report
+	for i := 0; i < len(tail); {
+		bi, ok := batchOf[tail[i].CaseNumber]
+		if !ok || absorbed[bi] {
+			t.Fatalf("arrival %d (%s) does not start an unabsorbed batch", i, tail[i].CaseNumber)
+		}
+		absorbed[bi] = true
+		for j, r := range batches[bi] {
+			if i+j >= len(tail) || tail[i+j].CaseNumber != r.CaseNumber {
+				t.Fatalf("batch %d not absorbed whole and in order at arrival %d", bi, i)
+			}
+		}
+		arrivals = append(arrivals, batches[bi])
+		i += len(batches[bi])
 	}
 
 	// Sequential oracle: fresh identical bootstrap, same arrival order.
 	oracle := mustBootstrap(t, cfg)
 	defer oracle.Detector.Engine().Cluster().Close()
-	byCase := make(map[string]adr.Report, len(traffic))
-	for _, r := range traffic {
-		byCase[r.CaseNumber] = r
-	}
 	var want []adrdedup.Match
-	for _, cases := range arrivals {
-		batch := make([]adr.Report, len(cases))
-		for i, cn := range cases {
-			batch[i] = byCase[cn]
-		}
+	for _, batch := range arrivals {
 		m, err := oracle.Detector.Detect(batch)
 		if err != nil {
 			t.Fatal(err)
@@ -154,6 +169,11 @@ func TestConcurrentIngestMatchesSequentialOracle(t *testing.T) {
 	}
 	if len(adrdedup.Duplicates(got)) == 0 {
 		t.Fatal("no duplicates flagged; oracle comparison would be vacuous")
+	}
+	// One Detect per batch: the engine work the server committed equals
+	// the replay's, stage for stage.
+	if g, w := boot.Detector.Metrics(), oracle.Detector.Metrics(); g != w {
+		t.Fatalf("server committed engine counters %+v, sequential replay %+v", g, w)
 	}
 }
 

@@ -66,20 +66,6 @@ func Scale(v []float64, c float64) {
 	}
 }
 
-// Mean returns the element-wise mean of the vectors. It panics when vs is
-// empty or the vectors disagree in length.
-func Mean(vs [][]float64) []float64 {
-	if len(vs) == 0 {
-		panic("vecmath: mean of zero vectors")
-	}
-	m := make([]float64, len(vs[0]))
-	for _, v := range vs {
-		Add(m, v)
-	}
-	Scale(m, 1/float64(len(vs)))
-	return m
-}
-
 // ArgMinDist returns the index of the center nearest to v (squared Euclidean)
 // and the squared distance to it. It panics when centers is empty.
 func ArgMinDist(v []float64, centers [][]float64) (int, float64) {

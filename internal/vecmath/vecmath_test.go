@@ -102,22 +102,6 @@ func TestAddScale(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	got := Mean([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if !Equal(got, []float64{3, 4}, 1e-12) {
-		t.Errorf("Mean = %v, want [3 4]", got)
-	}
-}
-
-func TestMeanPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on empty input")
-		}
-	}()
-	Mean(nil)
-}
-
 func TestArgMinDist(t *testing.T) {
 	centers := [][]float64{{0, 0}, {10, 10}, {5, 5}}
 	idx, d := ArgMinDist([]float64{4, 4}, centers)
