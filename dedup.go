@@ -21,7 +21,9 @@
 //
 // Detect checks every new report against the existing database and the rest
 // of its batch (Eq. 3), returns scored pairs, and absorbs the batch into the
-// database so the next batch is checked against it too.
+// database so the next batch is checked against it too. DetectDuplicates does
+// the same but ranks and names only the pairs flagged duplicate, for callers
+// that read nothing else.
 package adrdedup
 
 import (
@@ -321,24 +323,57 @@ func (d *Detector) classifierPartitions() int {
 // earlier database report and with the batch reports before it, the pairs
 // are vectorized and classified, and the batch is then absorbed into the
 // database. Matches are returned sorted by descending score; pruned pairs
-// are omitted unless includePruned is requested via DetectAll.
+// are omitted unless requested via DetectAll.
 func (d *Detector) Detect(batch []adr.Report) ([]Match, error) {
-	return d.detect(batch, false)
+	return d.detectMatches(batch, func(v verdict) bool { return !v.Pruned })
 }
 
 // DetectAll is Detect but also returns pairs eliminated by testing-set
 // pruning (with Pruned set), for auditability.
 func (d *Detector) DetectAll(batch []adr.Report) ([]Match, error) {
-	return d.detect(batch, true)
+	return d.detectMatches(batch, func(verdict) bool { return true })
 }
 
-func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, retErr error) {
+// detectMatches runs detect and orders the matches of the pairs whose
+// verdicts keep accepts, nil when the batch has no pair.
+func (d *Detector) detectMatches(batch []adr.Report, keep func(verdict) bool) ([]Match, error) {
+	tasks, verdicts, err := d.detect(batch)
+	if err != nil || len(verdicts) == 0 {
+		return nil, err
+	}
+	return d.orderMatches(tasks, verdicts, keep), nil
+}
+
+// DetectDuplicates is Detect for a caller that reads only the duplicates, as
+// the online service does: the batch is checked, classified and absorbed
+// exactly as by Detect, with the same engine work, but only the pairs
+// flagged duplicate are ranked and named. dups is Duplicates(Detect(batch))
+// and scored is len(Detect(batch)), the pairs testing-set pruning kept.
+func (d *Detector) DetectDuplicates(batch []adr.Report) (dups []Match, scored int, err error) {
+	tasks, verdicts, err := d.detect(batch)
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, t := range tasks {
+		for _, p := range t.pairs {
+			if !verdicts[p.slot].Pruned {
+				scored++
+			}
+		}
+	}
+	return d.orderMatches(tasks, verdicts, func(v verdict) bool { return v.Label > 0 && !v.Pruned }), scored, nil
+}
+
+// detect absorbs the batch and returns its candidate pairs, in the tasks that
+// found them, and the verdicts their slots index; both are empty when the
+// batch has no pair.
+func (d *Detector) detect(batch []adr.Report) (_ []scoredTask, _ []verdict, retErr error) {
 	if d.model == nil {
-		return nil, errors.New("adrdedup: classifier not trained")
+		return nil, nil, errors.New("adrdedup: classifier not trained")
 	}
 	d.shape = detectShape{}
 	if len(batch) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	// A long-lived detector (the online service) runs many Detects against
 	// one cluster. Each run's shuffle map outputs are dead once its matches
@@ -351,7 +386,7 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 	existing := d.db.Len()
 	nFeats := len(d.feats)
 	if err := d.db.Add(batch...); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Detect must be atomic: either the batch is absorbed and its matches
 	// returned, or the detector is left exactly as it was. Without this
@@ -368,14 +403,14 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 		}
 	}()
 	if err := d.extendFeatures(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Candidate pairs of Eq. 3: new x earlier, including earlier batch
 	// members (r is checked against A ∪ R - r, deduplicated by ordering).
 	tasks, pairs, err := d.scorePairs(existing)
 	if err != nil || pairs == 0 {
-		return nil, err
+		return nil, nil, err
 	}
 	// Eqs. 5/6 make a pair's result a function of its vector and the model
 	// alone, and the vectors fall on a small lattice (four 0/1 fields, three
@@ -387,10 +422,10 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 	// on the database.
 	verdicts, classified, err := d.model.resolve(tasks)
 	if err != nil {
-		return nil, fmt.Errorf("adrdedup: classifying candidate pairs: %w", err)
+		return nil, nil, fmt.Errorf("adrdedup: classifying candidate pairs: %w", err)
 	}
 	d.shape = detectShape{pairs: pairs, distinct: len(verdicts), classified: classified}
-	return d.orderMatches(tasks, verdicts, includePruned), nil
+	return tasks, verdicts, nil
 }
 
 // scorePairs finds the candidate pairs of the reports from arrival sequence
@@ -602,37 +637,49 @@ func (m *model) resolve(tasks []scoredTask) (verdicts []verdict, classified int,
 	return verdicts, len(misses), nil
 }
 
-// orderMatches assembles the matches of the tasks' pairs, whose vectors'
-// verdicts sit at results[slot], sorted by descending score with ties broken by
-// (CaseA, CaseB), so equal-scored matches come out in one deterministic order
-// regardless of sort internals or candidate enumeration order. Nothing is
-// compared per pair but integers: the call's verdicts are ranked once by
-// score, the pairs are bucketed by their verdict's rank, and inside a bucket
-// each pair is one integer, the ranks of its two reports in case-number order
-// packed a<<32 | b (case numbers are unique, so ranks order as the strings
-// do). Every table is sized by the call's distinct vectors and by the reports
-// in its pairs, never by the database or the model's score table.
-func (d *Detector) orderMatches(tasks []scoredTask, results []verdict, includePruned bool) []Match {
+// orderMatches assembles the matches of the tasks' pairs whose verdicts keep
+// accepts, the vectors' verdicts sitting at results[slot], sorted by
+// descending score with ties broken by (CaseA, CaseB), so equal-scored
+// matches come out in one deterministic order regardless of sort internals or
+// candidate enumeration order. Nothing is compared per pair but integers: the
+// call's kept verdicts are ranked once by score, the kept pairs are bucketed
+// by their verdict's rank, and inside a bucket each pair is one integer, the
+// ranks of its two reports in case-number order packed a<<32 | b (case
+// numbers are unique, so ranks order as the strings do). Every table is sized
+// by the call's distinct vectors and by the reports in its kept pairs, never
+// by the database or the model's score table, and a pair keep rejects costs
+// one lookup.
+func (d *Detector) orderMatches(tasks []scoredTask, results []verdict, keep func(verdict) bool) []Match {
+	var kept []int32 // the slots of the results keep accepts
+	for s := range results {
+		if keep(results[s]) {
+			kept = append(kept, int32(s))
+		}
+	}
 	// Label and Pruned split only equal scores that differ in them, which
 	// Eq. 6 and ε > 0 rule out; with them in the rank, results sharing a
 	// rank make identical matches whatever the classifier does.
-	rank, ranks := denseRanks(len(results), func(x, y int32) int {
-		rx, ry := &results[x], &results[y]
+	keptRank, ranks := denseRanks(len(kept), func(x, y int32) int {
+		rx, ry := &results[kept[x]], &results[kept[y]]
 		return cmp.Or(cmp.Compare(ry.Score, rx.Score), cmp.Compare(rx.Label, ry.Label),
 			cmp.Compare(boolInt(rx.Pruned), boolInt(ry.Pruned)))
 	})
-	rep := make([]int32, ranks) // a result of each rank
-	for s, r := range rank {
-		rep[r] = int32(s)
+	rank := make([]int32, len(results)) // a result's rank, -1 if not kept
+	for s := range rank {
+		rank[s] = -1
 	}
-	kept := func(p scoredPair) bool { return includePruned || !results[p.slot].Pruned }
+	rep := make([]int32, ranks) // a result of each rank
+	for i, s := range kept {
+		rank[s] = keptRank[i]
+		rep[keptRank[i]] = s
+	}
 
 	// Bucket by rank: start[r] is where rank r's pairs begin in keys.
 	start := make([]int, ranks+1)
 	for _, t := range tasks {
 		for _, p := range t.pairs {
-			if kept(p) {
-				start[rank[p.slot]+1]++
+			if r := rank[p.slot]; r >= 0 {
+				start[r+1]++
 			}
 		}
 	}
@@ -654,8 +701,7 @@ func (d *Detector) orderMatches(tasks []scoredTask, results []verdict, includePr
 	keys := make([]uint64, start[ranks])
 	for _, t := range tasks {
 		for _, p := range t.pairs {
-			if kept(p) {
-				r := rank[p.slot]
+			if r := rank[p.slot]; r >= 0 {
 				keys[next[r]] = index(p.A)<<32 | index(p.B)
 				next[r]++
 			}
@@ -709,9 +755,9 @@ func denseRanks(n int, compare func(x, y int32) int) (ranks []int32, count int) 
 	}
 	slices.SortFunc(order, compare)
 	ranks = make([]int32, n)
-	r := int32(0)
+	r := int32(-1)
 	for i, x := range order {
-		if i > 0 && compare(order[i-1], x) != 0 {
+		if i == 0 || compare(order[i-1], x) != 0 {
 			r++
 		}
 		ranks[x] = r

@@ -1373,8 +1373,20 @@ func TestPrefixIndexIncrementalEqualsOneShot(t *testing.T) {
 // vectors, which rejects the 7-dimensional pair vectors after features and
 // postings were appended and the index probed; "classify-engine" keeps the
 // detector's model, score table included, but rebinds its classifier to an
-// always-failing engine, so Classify fails on the vectors the table misses.
+// engine that is closed once the model is loaded (loading runs stages, which
+// an always-failing engine would fail), so Classify fails on the vectors the
+// table misses.
 func failDetect(t *testing.T, det *Detector, position string, batch []adr.Report) {
+	t.Helper()
+	failCall(t, det, position, func() error {
+		_, err := det.Detect(batch)
+		return err
+	})
+}
+
+// failCall is failDetect for any call that detects on det: call must fail at
+// the position.
+func failCall(t *testing.T, det *Detector, position string, call func() error) {
 	t.Helper()
 	badCl := cluster.New(cluster.Config{Executors: 2, FailureRate: 1, MaxTaskRetries: 1, Seed: 5})
 	defer badCl.Close()
@@ -1402,10 +1414,12 @@ func failDetect(t *testing.T, det *Detector, position string, batch []adr.Report
 		if err := det.SaveModel(&saved); err != nil {
 			t.Fatal(err)
 		}
-		sick, err := core.Load(rdd.NewContext(badCl), &saved)
+		closedCl := cluster.New(cluster.Config{Executors: 2, MaxTaskRetries: 1})
+		sick, err := core.Load(rdd.NewContext(closedCl), &saved)
 		if err != nil {
 			t.Fatal(err)
 		}
+		closedCl.Close()
 		rows := len(det.model.rows)
 		goodClf := det.model.clf
 		det.model.clf = sick
@@ -1418,7 +1432,7 @@ func failDetect(t *testing.T, det *Detector, position string, batch []adr.Report
 	default:
 		t.Fatalf("unknown failure position %q", position)
 	}
-	if _, err := det.Detect(batch); err == nil {
+	if err := call(); err == nil {
 		t.Fatalf("expected Detect to fail at %s", position)
 	}
 }
@@ -1501,4 +1515,179 @@ func TestDetectReleasesShuffleState(t *testing.T) {
 	if got := shuffles.Registered(); got != before {
 		t.Fatalf("registered shuffles grew from %d to %d across 4 Detects; per-batch state leaked", before, got)
 	}
+}
+
+// TestDetectDuplicatesEqualsDetect pins DetectDuplicates to Detect. Two
+// detectors with one history take the same consecutive batches, one through
+// Detect and the other through DetectDuplicates: every call must return
+// Duplicates(Detect) match for match and len(Detect) as scored, and leave the
+// two with equal engine counters, detect shapes, score tables and databases.
+// The second batch first fails in both, at the classifier, and must roll both
+// back alike. In every scoringSetups setup.
+func TestDetectDuplicatesEqualsDetect(t *testing.T) {
+	for _, tc := range scoringSetups() {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCorpus()
+			build := func() (*Detector, []adr.Report) {
+				det, batch := loadCorpus(t, c, tc.opts, 20)
+				trainOnGroundTruth(t, c, det, 2000)
+				return det, batch
+			}
+			full, batch := build()
+			dupsOnly, _ := build()
+			same := func(when string) {
+				t.Helper()
+				// Faults and spills make the attempt, speculation and
+				// block-store counters race; the work a run commits does not.
+				g, w := dupsOnly.Metrics(), full.Metrics()
+				if tc.opts.Cluster.FailureRate > 0 || tc.opts.Cluster.SpillToDisk {
+					g, w = committedWork(g), committedWork(w)
+				}
+				if g != w {
+					t.Fatalf("%s: DetectDuplicates left engine counters %+v, Detect %+v", when, g, w)
+				}
+				if g, w := dupsOnly.shape, full.shape; g != w {
+					t.Fatalf("%s: DetectDuplicates left shape %+v, Detect %+v", when, g, w)
+				}
+				if g, w := len(dupsOnly.model.rows), len(full.model.rows); g != w {
+					t.Fatalf("%s: DetectDuplicates left %d score-table rows, Detect %d", when, g, w)
+				}
+				if g, w := dupsOnly.db.Len(), full.db.Len(); g != w {
+					t.Fatalf("%s: DetectDuplicates left %d reports, Detect %d", when, g, w)
+				}
+			}
+			same("after training")
+			found, pruned := 0, 0
+			for i, chunk := range [][]adr.Report{batch[:6], batch[6:13], batch[13:]} {
+				if i == 1 {
+					failDetect(t, full, "classify", chunk)
+					failCall(t, dupsOnly, "classify", func() error {
+						_, _, err := dupsOnly.DetectDuplicates(chunk)
+						return err
+					})
+					same("after a failed batch")
+				}
+				want, err := full.Detect(chunk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, scored, err := dupsOnly.DetectDuplicates(chunk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if scored != len(want) {
+					t.Fatalf("batch %d: DetectDuplicates scored %d pairs, Detect returned %d", i, scored, len(want))
+				}
+				if w := Duplicates(want); !reflect.DeepEqual(got, w) {
+					t.Fatalf("batch %d: DetectDuplicates returned %d duplicates, Detect %d", i, len(got), len(w))
+				}
+				same(fmt.Sprintf("batch %d", i))
+				found += len(got)
+				pruned += full.shape.pairs - scored
+			}
+			if found == 0 {
+				t.Fatal("no duplicates found; the comparison is vacuous")
+			}
+			if tc.opts.Classifier.Pruning != nil && pruned == 0 {
+				t.Fatal("no pair pruned; scored is never tested against the pair count")
+			}
+		})
+	}
+}
+
+// committedWork keeps the engine counters a run commits exactly once whatever
+// its task failures, speculative races and spills: stages, records,
+// comparisons, shuffle writes and broadcasts.
+func committedWork(m cluster.MetricsSnapshot) cluster.MetricsSnapshot {
+	return cluster.MetricsSnapshot{
+		StagesRun: m.StagesRun, RecordsProcessed: m.RecordsProcessed, Comparisons: m.Comparisons,
+		ShuffleBytesWritten: m.ShuffleBytesWritten, ShuffleRecordsWritten: m.ShuffleRecordsWritten,
+		BroadcastBytes: m.BroadcastBytes,
+	}
+}
+
+// TestClassifyRecomputesTrainingBlocksAfterRelease pins executor loss against
+// the hash-partitioned training blocks. A detector whose executors are killed
+// at stage submissions runs consecutive Detects, each releasing its own
+// shuffles on exit, and then classifies its whole training set, which visits
+// every Voronoi cell; every call must return what a detector that loses
+// nothing returns. A kill drops the cached T-neg.blocks partitions its
+// executor held, so Classify recomputes them from the training-era shuffle;
+// had a release dropped that shuffle, the recomputed blocks would come back
+// empty and the results would differ. The kill rate is low and blacklisting
+// is off so that every stage keeps a live executor: a stage resubmitted with
+// none runs its tasks on no host, and what they cache is never lost.
+func TestClassifyRecomputesTrainingBlocksAfterRelease(t *testing.T) {
+	c := newTestCorpus()
+	faulty := testOptions()
+	faulty.Cluster.ExecutorFailureRate = 0.1
+	faulty.Cluster.MaxStageRetries = 12
+	faulty.Cluster.BlacklistAfterFailures = 1000 // killed executors rejoin, so kills go on
+	faulty.Cluster.Seed = 11
+	det, batch := loadCorpus(t, c, faulty, 20)
+	tracer := det.Engine().Cluster().Tracer()
+	tracer.Enable()
+	trainOnGroundTruth(t, c, det, 2000)
+	// The partitions training cached with data in them: a hash-partitioned
+	// cell can land in another cell's partition and leave its own empty.
+	held := make(map[string]bool)
+	for _, e := range tracer.Snapshot() {
+		if e.Kind == cluster.EventBlockCached && e.Bytes > 0 {
+			held[e.Detail] = true
+		}
+	}
+	tracer.Reset()
+	clean, _ := loadCorpus(t, c, testOptions(), 20)
+	trainOnGroundTruth(t, c, clean, 2000)
+
+	found := 0
+	for i := 0; i < 4; i++ {
+		chunk := batch[i*5 : (i+1)*5]
+		got, err := det.Detect(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := clean.Detect(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d under executor loss returned %d matches, the clean run %d", i, len(got), len(want))
+		}
+		found += len(got)
+	}
+	if found == 0 {
+		t.Fatal("no matches; the comparison is vacuous")
+	}
+
+	tracer.Reset() // count what the releases leave behind
+	vecs := make([][]float64, len(clean.model.training))
+	for i, p := range clean.model.training {
+		vecs[i] = p.Vec
+	}
+	for round := 0; round < 4; round++ {
+		got, _, err := det.model.clf.Classify(vecs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := clean.model.clf.Classify(vecs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: Classify under executor loss differs from the clean run", round)
+		}
+	}
+	recomputed := 0
+	for _, e := range tracer.Snapshot() {
+		block, ok := strings.CutSuffix(e.Detail, " (T-neg.blocks)")
+		if e.Kind == cluster.EventBlockRecompute && ok && held[block] {
+			recomputed++
+		}
+	}
+	if recomputed == 0 {
+		t.Fatalf("no cached T-neg.blocks partition with training pairs recomputed (%d executors lost); the test is vacuous",
+			det.Metrics().ExecutorFailures)
+	}
+	t.Logf("%d T-neg.blocks partitions recomputed, %d executors lost", recomputed, det.Metrics().ExecutorFailures)
 }

@@ -390,8 +390,14 @@ func ProbeEach[R any](ix *Index, ctx *rdd.Context, from, partitions int, f func(
 	// tasks count no index entries; ProbeEach sets that counter.)
 	results, err := rdd.MapPartitionsTC(src, func(tc *cluster.TaskContext, _ int, in []int32) ([]rdd.Tuple2[R, Stats], error) {
 		// A record pairs only with earlier ones, so the last prober's id
-		// bounds every candidate id of the partition.
-		sc := probeScratch{count: tc.Scratch().Int32s(int(in[len(in)-1]))}
+		// bounds every candidate id of the partition, and so the candidates
+		// one prober touches. The need table and the touched list share the
+		// second buffer: neither outgrows its share, so the task allocates
+		// no scratch of its own.
+		ids, longest := int(in[len(in)-1]), len(ix.cuts)-1
+		ws := tc.Scratch()
+		aux := ws.SecondInt32s(longest + 1 + ids)
+		sc := probeScratch{count: ws.Int32s(ids), need: aux[:longest+1], touched: aux[longest+1 : longest+1]}
 		clear(sc.count)
 		var res taskResult
 		for _, rid := range in {

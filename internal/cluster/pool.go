@@ -1,6 +1,9 @@
 package cluster
 
-import "sync/atomic"
+import (
+	"runtime"
+	"sync/atomic"
+)
 
 // This file is the engine's task launcher — the only one. A submission
 // attempt's launch list is fixed before any task runs and no task spawns a
@@ -61,6 +64,13 @@ func (pr *poolRun) worker() {
 			return
 		}
 		pr.sr.runChain(pr.launch[i], false, sc)
+		if pr.sr.c.cfg.Speculation {
+			// Let the straggler monitor run between tasks. With one P, a
+			// worker claiming task after task keeps it off the CPU until
+			// async preemption (~10 ms), by which time a straggler's delay
+			// is long over and nothing is left to speculate.
+			runtime.Gosched()
+		}
 	}
 }
 

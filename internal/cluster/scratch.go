@@ -5,18 +5,20 @@ import "sync"
 // WorkerScratch is a per-worker bundle of reusable buffers. Every pool
 // worker owns exactly one WorkerScratch for as long as it runs and hands it
 // to each task it runs via TaskContext.Scratch, so kernels (the candgen
-// probe's overlap counters) keep their zero-alloc steady state even with
-// many tasks in flight: the buffers grow to the high-water mark once and
-// are reused for every subsequent task on that worker. Two workers never
-// share a WorkerScratch, so no synchronization or aliasing hazard exists
-// between concurrent tasks (pool_test.go proves this).
+// probe's overlap counters, candidate list and need table) keep their
+// zero-alloc steady state even with many tasks in flight: the buffers grow
+// to the high-water mark once and are reused for every subsequent task on
+// that worker. Two workers never share a WorkerScratch, so no
+// synchronization or aliasing hazard exists between concurrent tasks
+// (pool_test.go proves this).
 //
 // Buffers returned by the getters are valid until the same getter is called
 // again on the same scratch; their contents are unspecified (stale data from
 // the previous task), so callers must fully overwrite what they read.
 type WorkerScratch struct {
-	f64 []float64
-	i32 []int32
+	f64  []float64
+	i32  []int32
+	i32b []int32
 }
 
 // Float64s returns a length-n float64 buffer with unspecified contents.
@@ -33,6 +35,15 @@ func (s *WorkerScratch) Int32s(n int) []int32 {
 		s.i32 = make([]int32, roundCap(n))
 	}
 	return s.i32[:n]
+}
+
+// SecondInt32s returns a length-n int32 buffer with unspecified contents,
+// distinct from the one Int32s returns, for a kernel that needs two at once.
+func (s *WorkerScratch) SecondInt32s(n int) []int32 {
+	if cap(s.i32b) < n {
+		s.i32b = make([]int32, roundCap(n))
+	}
+	return s.i32b[:n]
 }
 
 // roundCap rounds a requested buffer size up to the next power of two so a

@@ -135,8 +135,8 @@ func Train(ctx *rdd.Context, pairs []TrainingPair, cfg Config) (*Classifier, err
 
 // install puts the training pairs, one negative block per cluster plus the
 // positive set, into the layout Classify searches — the one constructor
-// behind Train and Load. It groups every block, caches the negative blocks on
-// the cluster, and broadcasts centers and positives.
+// behind Train and Load. It groups every block, hash-partitions and caches
+// the negative blocks on the cluster, and broadcasts centers and positives.
 func (c *Classifier) install(negByCluster [][]ipair, positives []ipair, name string) error {
 	var err error
 	if c.positives, err = c.group(positives, +1); err != nil {
@@ -158,10 +158,19 @@ func (c *Classifier) install(negByCluster [][]ipair, positives []ipair, name str
 	if b > 0 {
 		avg = int64(c.totalNeg/b+1) * int64(8*c.dim+16)
 	}
-	c.negBlocks = rdd.Parallelize(c.ctx, blocks, b).
+	// Hash-partitioned into the b partitions both joins of Classify use, so
+	// neither re-shuffles the training set, and materialized here, so Train
+	// and Load pay for that one shuffle and every Classify reads the cached
+	// blocks. A lost block is recomputed from the training-era shuffle,
+	// which Detect's ReleaseSince never drops (it is below every mark).
+	c.negBlocks = rdd.PartitionBy(rdd.Parallelize(c.ctx, blocks, b).
 		SetName(name).
-		WithBytesPerRecord(avg).
+		WithBytesPerRecord(avg), b).
+		SetName(name).
 		Cache()
+	if _, err := c.negBlocks.Collect(); err != nil {
+		return fmt.Errorf("core: caching negative blocks: %w", err)
+	}
 
 	// Broadcast the centers and positives to the executors.
 	c.ctx.Cluster().Broadcast(int64(len(c.centers)) * int64(8*c.dim))

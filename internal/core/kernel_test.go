@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"adrdedup/internal/adrgen"
@@ -506,12 +507,15 @@ func TestClassifyStatsIdenticalUnderFaults(t *testing.T) {
 	}
 }
 
-// TestNoCrossPairsSkipMerge pins that only the testing pairs that cross
-// reach the merge: a pair whose stage-1 top-k is final is scored from the
-// cached stage-1 rows, so the records shuffled into S.finalNeighbors are the
-// crossing pairs' stage-1 lists plus one list per block they fanned out to.
-// With two clusters a crossing pair fans out to exactly the other one, so no
-// two of its lists meet in one map-side combine and the count is exact.
+// TestNoCrossPairsSkipMerge pins what Classify shuffles. Only the testing
+// pairs that cross reach the merge: a pair whose stage-1 top-k is final is
+// scored from the cached stage-1 rows, so the records shuffled into
+// S.finalNeighbors are the crossing pairs' stage-1 lists plus one list per
+// block they fanned out to. With two clusters a crossing pair fans out to
+// exactly the other one, so no two of its lists meet in one map-side combine
+// and the count is exact. And no training record is shuffled: Train
+// hash-partitions the b negative blocks once, into the partitions both joins
+// use, and the joins read them from the cache.
 func TestNoCrossPairsSkipMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	train := gridData(rng, 1000, 2)
@@ -521,22 +525,31 @@ func TestNoCrossPairsSkipMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := int64(len(clf.Centers()))
+	if got := ctx.Cluster().Metrics().ShuffleRecordsWritten.Load(); got != b {
+		t.Fatalf("Train shuffled %d records, want the %d negative blocks once", got, b)
+	}
+	stages := len(ctx.Cluster().StageHistory())
 	before := ctx.Cluster().Metrics().ShuffleRecordsWritten.Load()
 	got, stats, err := clf.Classify(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shuffled := ctx.Cluster().Metrics().ShuffleRecordsWritten.Load() - before
+	for _, s := range ctx.Cluster().StageHistory()[stages:] {
+		if strings.HasPrefix(s.Name, "T-neg.blocks") {
+			t.Errorf("Classify ran stage %q over the training blocks", s.Name)
+		}
+	}
 	want, _ := referenceClassify(t, clf, train, queries)
 	if err := sameResults(got, want); err != nil {
 		t.Fatal(err)
 	}
 
-	// The two joins shuffle the testing pairs and the fanout, each beside
-	// the b negative blocks; the merge takes the rest.
-	b := int64(len(clf.Centers()))
+	// The two joins shuffle the testing pairs and the fanout and no
+	// training record; the merge takes the rest.
 	fanout := stats.AdditionalClustersChecked
-	merged := shuffled - (int64(len(queries)) + b) - (fanout + b)
+	merged := shuffled - int64(len(queries)) - fanout
 	crossing := fanout
 	if crossing == 0 || crossing >= int64(len(queries)) {
 		t.Fatalf("%d of %d testing pairs cross; the data does not tell the merges apart", crossing, len(queries))

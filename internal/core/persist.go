@@ -78,9 +78,10 @@ func Load(ctx *rdd.Context, r io.Reader) (*Classifier, error) {
 		pruneRadii:   mf.PruneRadii,
 	}
 	// install rejects a file whose vectors are not all Dim wide or whose
-	// labels disagree with the block they sit in.
+	// labels disagree with the block they sit in, and fails when the engine
+	// cannot cache the negative blocks.
 	if err := c.install(mf.NegBlocks, mf.Positives, "T-neg.blocks(loaded)"); err != nil {
-		return nil, fmt.Errorf("core: corrupt model: %w", err)
+		return nil, fmt.Errorf("core: loading model: %w", err)
 	}
 	return c, nil
 }

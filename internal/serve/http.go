@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"sync"
 
-	"adrdedup"
 	"adrdedup/internal/adr"
 )
 
@@ -227,13 +226,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, single boo
 		return
 	}
 
-	matches, err := s.Submit(r.Context(), batch)
+	// The response carries the duplicates only, so only they are ranked
+	// and named.
+	dups, scored, err := s.submit(r.Context(), batch, true)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	resp := ingestResponse{Ingested: len(batch), Scored: len(matches), Matches: []matchJSON{}}
-	for _, m := range adrdedup.Duplicates(matches) {
+	resp := ingestResponse{Ingested: len(batch), Scored: scored, Matches: make([]matchJSON, 0, len(dups))}
+	for _, m := range dups {
 		resp.Matches = append(resp.Matches, matchJSON{CaseA: m.CaseA, CaseB: m.CaseB, Score: m.Score, Duplicate: true})
 	}
 	resp.Duplicates = len(resp.Matches)

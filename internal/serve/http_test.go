@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 
 	"adrdedup"
 	"adrdedup/internal/adr"
+	"adrdedup/internal/core"
 )
 
 // newIdleServer wraps an untrained detector: enough for exercising the HTTP
@@ -448,5 +450,90 @@ func TestHTTPIngestEndToEnd(t *testing.T) {
 	}
 	if !bytes.Contains(vars, []byte(`"adrdedupd"`)) {
 		t.Error("/debug/vars does not expose the adrdedupd var")
+	}
+}
+
+// TestHTTPIngestMatchesSequentialReplay is the oracle for the handler's
+// duplicates-only path. Singles and batches are posted one after another, so
+// the arrival order is the posting order, and replayed through Detect on a
+// fresh identical bootstrap: each response's scored must be len(Detect) and
+// its matches Duplicates(Detect), in order, and /v1/stats must add up the
+// same. Testing-set pruning is on, so scored is not the candidate pair count:
+// a second replay through DetectAll shows that some pairs were pruned.
+func TestHTTPIngestMatchesSequentialReplay(t *testing.T) {
+	cfg := testBootCfg(61, 250, 12, 300)
+	cfg.Detector.Classifier.Pruning = &core.PruningConfig{Clusters: 4, FTheta: 0.7}
+	boot := mustBootstrap(t, cfg)
+	srv := New(boot.Detector, Config{QueueDepth: 4})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer closeServer(t, srv)
+	oracle := mustBootstrap(t, cfg)
+	defer oracle.Detector.Engine().Cluster().Close()
+	audit := mustBootstrap(t, cfg)
+	defer audit.Detector.Engine().Cluster().Close()
+
+	traffic := GenerateTraffic(TrafficConfig{Reports: 40, DupFraction: 0.3, Seed: 37})
+	var scored, matched, pruned, batches int
+	for i, n := 0, 1; i < len(traffic); i, n = i+n, n%4+1 {
+		batch := traffic[i:min(i+n, len(traffic))]
+		var resp *http.Response
+		var body []byte
+		if len(batch) == 1 {
+			single, err := json.Marshal(batch[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, body = postJSON(t, ts.URL+"/v1/reports", single)
+		} else {
+			resp, body = postJSON(t, ts.URL+"/v1/reports:batch", marshalBatch(t, batch))
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest of reports %d..%d = %d (body %s)", i, i+len(batch)-1, resp.StatusCode, body)
+		}
+		var got ingestResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+
+		want, err := oracle.Detector.Detect(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := audit.Detector.DetectAll(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDups := []matchJSON{}
+		for _, m := range adrdedup.Duplicates(want) {
+			wantDups = append(wantDups, matchJSON{CaseA: m.CaseA, CaseB: m.CaseB, Score: m.Score, Duplicate: true})
+		}
+		if got.Ingested != len(batch) || got.Scored != len(want) || got.Duplicates != len(wantDups) {
+			t.Fatalf("reports %d..%d: ingested/scored/duplicates %d/%d/%d, replay %d/%d/%d", i, i+len(batch)-1,
+				got.Ingested, got.Scored, got.Duplicates, len(batch), len(want), len(wantDups))
+		}
+		if !reflect.DeepEqual(got.Matches, wantDups) {
+			t.Fatalf("reports %d..%d: matches %+v, replay %+v", i, i+len(batch)-1, got.Matches, wantDups)
+		}
+		scored += len(want)
+		matched += len(wantDups)
+		pruned += len(all) - len(want)
+		batches++
+	}
+	if matched == 0 || pruned == 0 {
+		t.Fatalf("%d duplicates and %d pruned pairs over the stream; the replay is vacuous", matched, pruned)
+	}
+	t.Logf("%d batches: %d pairs scored, %d duplicates, %d pruned", batches, scored, matched, pruned)
+	st := getStats(t, ts.URL)
+	if st.Ingested != uint64(len(traffic)) || st.Batches != uint64(batches) ||
+		st.Scored != uint64(scored) || st.Matched != uint64(matched) {
+		t.Fatalf("stats ingested/batches/scored/matched %d/%d/%d/%d, replay %d/%d/%d/%d",
+			st.Ingested, st.Batches, st.Scored, st.Matched, len(traffic), batches, scored, matched)
+	}
+	if g, w := boot.Detector.Metrics(), oracle.Detector.Metrics(); g != w {
+		t.Fatalf("server committed engine counters %+v, sequential replay %+v", g, w)
 	}
 }

@@ -105,15 +105,21 @@ func stateName(s int) string {
 }
 
 // job is one queued ingest batch; done is buffered so the consumer never
-// blocks on a submitter that gave up.
+// blocks on a submitter that gave up. dupsOnly asks for the duplicates only
+// (the HTTP handler reads nothing else), so the consumer runs
+// DetectDuplicates instead of Detect.
 type job struct {
 	batch    []adr.Report
+	dupsOnly bool
 	enqueued time.Time
 	done     chan jobResult
 }
 
+// jobResult is a job's outcome: its matches (only the duplicates for a
+// dupsOnly job) and the count of scored pairs.
 type jobResult struct {
 	matches []adrdedup.Match
+	scored  int
 	err     error
 }
 
@@ -186,24 +192,32 @@ func (s *Server) Start() error {
 // context error but the batch is still processed — accepted work is never
 // dropped.
 func (s *Server) Submit(ctx context.Context, batch []adr.Report) ([]adrdedup.Match, error) {
+	matches, _, err := s.submit(ctx, batch, false)
+	return matches, err
+}
+
+// submit is Submit, except that with dupsOnly the matches are the batch's
+// duplicates only (adrdedup.Detector.DetectDuplicates); scored counts every
+// scored pair either way.
+func (s *Server) submit(ctx context.Context, batch []adr.Report, dupsOnly bool) (matches []adrdedup.Match, scored int, err error) {
 	if len(batch) == 0 {
-		return nil, errEmptyBatch
+		return nil, 0, errEmptyBatch
 	}
 	if len(batch) > s.cfg.MaxBatch {
-		return nil, errBatchTooLarge(len(batch), s.cfg.MaxBatch)
+		return nil, 0, errBatchTooLarge(len(batch), s.cfg.MaxBatch)
 	}
-	j := &job{batch: batch, enqueued: time.Now(), done: make(chan jobResult, 1)}
+	j := &job{batch: batch, dupsOnly: dupsOnly, enqueued: time.Now(), done: make(chan jobResult, 1)}
 
 	s.mu.RLock()
 	switch s.state {
 	case stateRunning:
 	case stateNew:
 		s.mu.RUnlock()
-		return nil, ErrNotStarted
+		return nil, 0, ErrNotStarted
 	default:
 		s.mu.RUnlock()
 		s.drainRefusals.Add(1)
-		return nil, ErrShuttingDown
+		return nil, 0, ErrShuttingDown
 	}
 	select {
 	case s.queue <- j:
@@ -211,14 +225,14 @@ func (s *Server) Submit(ctx context.Context, batch []adr.Report) ([]adrdedup.Mat
 	default:
 		s.mu.RUnlock()
 		s.queueRejects.Add(1)
-		return nil, ErrQueueFull
+		return nil, 0, ErrQueueFull
 	}
 
 	select {
 	case r := <-j.done:
-		return r.matches, r.err
+		return r.matches, r.scored, r.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, 0, ctx.Err()
 	}
 }
 
@@ -240,24 +254,30 @@ func (s *Server) process(j *job) {
 	if hook := s.testHookBeforeDetect; hook != nil {
 		hook()
 	}
-	matches, err := s.det.Detect(j.batch)
+	var r jobResult
+	if j.dupsOnly {
+		r.matches, r.scored, r.err = s.det.DetectDuplicates(j.batch)
+	} else {
+		r.matches, r.err = s.det.Detect(j.batch)
+		r.scored = len(r.matches)
+	}
 	s.hist.Observe(time.Since(j.enqueued))
-	if err != nil {
+	if r.err != nil {
 		s.failed.Add(1)
-		j.done <- jobResult{err: err}
+		j.done <- r
 		return
 	}
 	s.batches.Add(1)
 	s.ingested.Add(uint64(len(j.batch)))
-	s.scored.Add(uint64(len(matches)))
+	s.scored.Add(uint64(r.scored))
 	dups := 0
-	for _, m := range matches {
+	for _, m := range r.matches {
 		if m.Duplicate {
 			dups++
 		}
 	}
 	s.matched.Add(uint64(dups))
-	j.done <- jobResult{matches: matches}
+	j.done <- r
 }
 
 // Shutdown drains the server: new submits are refused immediately, every
