@@ -949,6 +949,57 @@ func candidateSetups() []scoringSetup {
 	return append(scoringSetups(), scoringSetup{"prefix-index", prefix})
 }
 
+// TestPrefixIndexCommittedCountersUnderExecutorLoss pins executor loss on the
+// prefix-index path: a detector whose executors are killed at stage
+// submissions trains and runs three consecutive DetectAll batches, and each
+// must return, scores bit for bit, what a clean detector with the same
+// executor count returns, with the same committed records, comparisons and
+// shuffle writes after every batch. The probe stage runs one task per
+// configured slot, so the clean run keeps the executor count: its records
+// differ between 6 and 8 executors, not between a clean and a faulty run.
+func TestPrefixIndexCommittedCountersUnderExecutorLoss(t *testing.T) {
+	c := newTestCorpus()
+	opts := func(killRate float64) Options {
+		o := testOptions()
+		o.Candidates, o.CandidateTheta = CandidatePrefixIndex, 0.3
+		o.Classifier.C = 0 // as adrdedup detect: the probe runs one task per slot
+		o.Cluster.Executors = 6
+		o.Cluster.ExecutorFailureRate = killRate
+		o.Cluster.MaxStageRetries = 12
+		o.Cluster.Seed = 7
+		return o
+	}
+	build := func(killRate float64) (*Detector, []adr.Report) {
+		det, batch := loadCorpus(t, c, opts(killRate), 60)
+		trainOnGroundTruth(t, c, det, 2000)
+		return det, batch
+	}
+	faulty, batch := build(0.25)
+	clean, _ := build(0)
+	for call := 0; call < 3; call++ {
+		chunk := batch[call*20 : (call+1)*20] // more reports than slots
+		got, err := faulty.DetectAll(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := clean.DetectAll(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBitExact(t, got, want)
+		f, w := faulty.Metrics(), clean.Metrics()
+		if f.RecordsProcessed != w.RecordsProcessed || f.Comparisons != w.Comparisons ||
+			f.ShuffleRecordsWritten != w.ShuffleRecordsWritten || f.ShuffleBytesWritten != w.ShuffleBytesWritten {
+			t.Fatalf("call %d: committed work under executor loss (records %d, comparisons %d, shuffle %d records %d B) differs from the clean run (%d, %d, %d, %d B)",
+				call, f.RecordsProcessed, f.Comparisons, f.ShuffleRecordsWritten, f.ShuffleBytesWritten,
+				w.RecordsProcessed, w.Comparisons, w.ShuffleRecordsWritten, w.ShuffleBytesWritten)
+		}
+	}
+	if m := faulty.Metrics(); m.ExecutorFailures == 0 || m.RecomputedTasks == 0 {
+		t.Fatalf("%d executors lost, %d tasks recomputed; the test is vacuous", m.ExecutorFailures, m.RecomputedTasks)
+	}
+}
+
 // checkBitExact requires got to equal want match for match, scores compared
 // bit for bit, and returns how many of the matches are pruned.
 func checkBitExact(t *testing.T, got, want []Match) (pruned int) {

@@ -121,7 +121,7 @@ func (b *BlockStore) unspillLocked(e *blockEntry) (any, float64, error) {
 			for b.used > b.capacity {
 				b.displaceLocked()
 			}
-			ns := b.cluster.recordSpillLoad(ref, fmt.Sprintf("rdd%d/p%d", e.id.RDD, e.id.Partition))
+			ns := b.cluster.AccountSpillRead(ref, fmt.Sprintf("rdd%d/p%d", e.id.RDD, e.id.Partition))
 			return data, ns, nil
 		}
 	}

@@ -427,7 +427,7 @@ func (s *ShuffleService) fetch(shuffleID, reduceID int) ([]any, int64, float64, 
 				shuffleID, reduceID, err)
 		}
 		out[i] = data
-		spillNS += s.cluster.recordSpillLoad(ref,
+		spillNS += s.cluster.AccountSpillRead(ref,
 			fmt.Sprintf("shuffle %d reduce %d", shuffleID, reduceID))
 	}
 	return out, bytes, spillNS, nil, nil

@@ -263,8 +263,8 @@ func (s *SpillStore) Close() {
 	}
 }
 
-// Spill exposes the cluster's spill store to the RDD layer (external merge
-// runs spill through the same framed, compressed, virtually-charged tier the
+// Spill exposes the cluster's spill store to the RDD layer (external join
+// chunks spill through the same framed, compressed, virtually-charged tier the
 // block and shuffle services use).
 func (c *Cluster) Spill() *SpillStore { return c.spill }
 
@@ -294,20 +294,9 @@ func (c *Cluster) recordSpill(ref SpillRef, detail string) {
 	c.mu.Unlock()
 }
 
-// recordSpillLoad accounts one spill read-back in the trace; the virtual
-// disk time is returned for the reader to charge to its attempt.
-func (c *Cluster) recordSpillLoad(ref SpillRef, detail string) float64 {
-	ns := c.SpillIONS(ref.diskBytes)
-	if c.tracer.Enabled() {
-		c.tracer.Emit(Event{Kind: EventSpillLoad, Task: -1, Attempt: -1, Executor: ref.executor,
-			Bytes: ref.diskBytes, VirtualNS: ns, Detail: detail})
-	}
-	return ns
-}
-
 // AccountSpillWrite records one spill write in the counters and the trace and
 // returns its virtual disk time for the caller to charge — task-side spillers
-// (the RDD layer's external merge) add it to their own attempt; commit-path
+// (the RDD layer's external join) add it to their own attempt; commit-path
 // spillers put it on the cluster clock. detail names the spilled subject.
 func (c *Cluster) AccountSpillWrite(ref SpillRef, detail string) float64 {
 	c.metrics.SpillEvents.Add(1)
@@ -321,7 +310,13 @@ func (c *Cluster) AccountSpillWrite(ref SpillRef, detail string) float64 {
 }
 
 // AccountSpillRead records one spill read-back in the trace and returns its
-// virtual disk time for the caller to charge to its attempt.
+// virtual disk time for the reader to charge to its attempt. detail names the
+// read-back subject.
 func (c *Cluster) AccountSpillRead(ref SpillRef, detail string) float64 {
-	return c.recordSpillLoad(ref, detail)
+	ns := c.SpillIONS(ref.diskBytes)
+	if c.tracer.Enabled() {
+		c.tracer.Emit(Event{Kind: EventSpillLoad, Task: -1, Attempt: -1, Executor: ref.executor,
+			Bytes: ref.diskBytes, VirtualNS: ns, Detail: detail})
+	}
+	return ns
 }

@@ -3,11 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"adrdedup/internal/adrgen"
 	"adrdedup/internal/candgen"
 	"adrdedup/internal/cluster"
+	"adrdedup/internal/core"
 	"adrdedup/internal/intern"
 	"adrdedup/internal/pairdist"
 	"adrdedup/internal/rdd"
@@ -15,15 +17,17 @@ import (
 
 // The memory-pressure exhibit: the paper's pipeline only reaches database
 // scale because Spark executors spill to local disk instead of holding every
-// shuffle buffer and cached partition in RAM. This exhibit runs the candidate
-// generation pipeline — signature extraction, the prefix-filtered generator,
-// and the shuffle-sort that fixes the candidate order for downstream
-// vectorize/classify — twice over the same corpus: once unbounded and once
-// under a per-executor budget far below the working set. The budgeted run
-// must spill (block cache, shuffle buffers, external merge runs) and still
-// produce byte-identical candidates; the makespan delta prices what the
-// virtual spill disk (SpillMBps) costs relative to keeping everything
-// resident.
+// shuffle buffer and cached partition in RAM. This exhibit runs the stages
+// Detect runs on a batch — signature extraction, the prefix-filtered
+// candidate generator, vectorizing every candidate, and Fast kNN
+// classification (Algorithm 2) of the candidate vectors against a model
+// trained on a labelled pair sample — twice over the same corpus: once
+// unbounded and once under a per-executor budget far below the working set.
+// The budgeted run must spill in every tier the classifier presses — the
+// block cache (the cached negative training blocks and stage-1 rows), the
+// join and merge shuffles, and the external join — and still produce
+// bit-identical results; the makespan delta prices what the virtual spill
+// disk (SpillMBps) costs relative to keeping everything resident.
 
 // SpillParams configures the exhibit.
 type SpillParams struct {
@@ -70,6 +74,10 @@ type SpillRow struct {
 	Candidates             int64
 	SpillEvents            int64
 	SpilledBytes           int64
+	// BlockSpills, ShuffleSpills and JoinSpills split SpillEvents by the
+	// tier that wrote them: cached partitions, shuffle blocks and the
+	// external join's build-side chunks.
+	BlockSpills, ShuffleSpills, JoinSpills int64
 }
 
 // SpillOverhead returns the budgeted/unbounded virtual makespan ratio — the
@@ -90,10 +98,11 @@ func SpillOverhead(rows []SpillRow) float64 {
 	return float64(budgeted) / float64(unbounded)
 }
 
-// Spill runs the candidate pipeline unbounded and under the budget and
-// reports both rows. The two candidate outputs must be byte-identical —
-// spilling is a placement decision, never a semantic one — and Spill returns
-// an error if they diverge.
+// Spill runs the candidate and classification pipeline unbounded and under
+// the budget and reports both rows. The two runs must return bit-identical
+// results — every candidate's score and label — since spilling is a
+// placement decision, never a semantic one; Spill returns an error if they
+// diverge.
 func Spill(p SpillParams) ([]SpillRow, error) {
 	p = p.withDefaults()
 
@@ -111,8 +120,20 @@ func Spill(p SpillParams) ([]SpillRow, error) {
 		Campaigns:      p.Records/50 + 1,
 		Seed:           p.Seed,
 	})
+	// The labelled sample the model trains on: every ground-truth duplicate
+	// and two sampled pairs per report in all.
+	labelled, err := corpus.SamplePairs(adrgen.PairSampleOptions{
+		Total: 2 * p.Records, HardFraction: 0.3, Seed: p.Seed,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: sampling training pairs: %w", err)
+	}
+	trainIDs := make([]pairdist.IDPair, len(labelled))
+	for i, lp := range labelled {
+		trainIDs[i] = pairdist.IDPair{A: lp.A, B: lp.B, Label: lp.Label}
+	}
 
-	run := func(budgeted bool) (SpillRow, []pairdist.IDPair, error) {
+	run := func(budgeted bool) (SpillRow, []core.Result, error) {
 		row := SpillRow{Budgeted: budgeted}
 		cfg := cluster.Config{
 			Executors:           p.Executors,
@@ -121,6 +142,7 @@ func Spill(p SpillParams) ([]SpillRow, error) {
 			ShuffleLatencyMS:    2,
 			SchedulerOverheadMS: 5,
 			Seed:                p.Seed,
+			Trace:               true, // spill events tell the tiers apart
 		}
 		if budgeted {
 			cfg.SpillToDisk = true
@@ -143,49 +165,91 @@ func Spill(p SpillParams) ([]SpillRow, error) {
 		if err != nil {
 			return row, nil, fmt.Errorf("experiments: prefix generation: %w", err)
 		}
-
-		// Downstream order fix: shuffle-sort the candidates into (A, B)
-		// order, through a cached RDD so the budgeted run presses the block
-		// cache as well as the shuffle buffers and the external merge.
-		cands := rdd.Parallelize(ctx, pairs, p.Partitions).
-			SetName("candidates").WithBytesPerRecord(24).Cache()
-		sorted, err := rdd.SortBy(cands, func(a, b pairdist.IDPair) bool {
-			if a.A != b.A {
-				return a.A < b.A
-			}
-			return a.B < b.B
-		}, p.Partitions).Collect()
+		cands, err := pairdist.ComputeVectors(ctx, feats, pairs, p.Partitions)
 		if err != nil {
-			return row, nil, fmt.Errorf("experiments: sorting candidates: %w", err)
+			return row, nil, fmt.Errorf("experiments: vectorizing candidates: %w", err)
+		}
+		trainRecs, err := pairdist.ComputeVectors(ctx, feats, trainIDs, p.Partitions)
+		if err != nil {
+			return row, nil, fmt.Errorf("experiments: vectorizing training pairs: %w", err)
+		}
+		training := make([]core.TrainingPair, len(trainRecs))
+		for i, r := range trainRecs {
+			training[i] = core.TrainingPair{Vec: r.Vec, Label: r.Label}
+		}
+		// The classifier defaults Detect runs with: k = 9, b = 32 Voronoi
+		// cells, C = 8 testing partitions.
+		clf, err := core.Train(ctx, training, core.Config{Seed: p.Seed})
+		if err != nil {
+			return row, nil, fmt.Errorf("experiments: training: %w", err)
+		}
+		test := make([][]float64, len(cands))
+		for i, r := range cands {
+			test[i] = r.Vec
+		}
+		results, _, err := clf.Classify(test)
+		if err != nil {
+			return row, nil, fmt.Errorf("experiments: classifying candidates: %w", err)
 		}
 
 		m := cl.Metrics().Snapshot()
 		row.ExecutionTime = cl.VirtualElapsed()
-		row.Candidates = int64(len(sorted))
+		row.Candidates = int64(len(cands))
 		row.SpillEvents = m.SpillEvents
 		row.SpilledBytes = m.SpilledBytes
-		return row, sorted, nil
+		if err := countSpillTiers(&row, cl.Tracer().Snapshot()); err != nil {
+			return row, nil, err
+		}
+		return row, results, nil
 	}
 
 	var out []SpillRow
-	var outputs [][]pairdist.IDPair
+	var outputs [][]core.Result
 	for _, budgeted := range []bool{false, true} {
-		row, pairs, err := run(budgeted)
+		row, results, err := run(budgeted)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, row)
-		outputs = append(outputs, pairs)
+		outputs = append(outputs, results)
 	}
 	if len(outputs[0]) != len(outputs[1]) {
-		return nil, fmt.Errorf("spill run diverged: %d candidates unbounded, %d budgeted",
+		return nil, fmt.Errorf("spill run diverged: %d results unbounded, %d budgeted",
 			len(outputs[0]), len(outputs[1]))
 	}
-	for i := range outputs[0] {
-		if outputs[0][i] != outputs[1][i] {
-			return nil, fmt.Errorf("spill run diverged at candidate %d: unbounded %+v, budgeted %+v",
-				i, outputs[0][i], outputs[1][i])
+	for i, want := range outputs[0] {
+		got := outputs[1][i]
+		if got.ID != want.ID || math.Float64bits(got.Score) != math.Float64bits(want.Score) ||
+			got.Label != want.Label {
+			return nil, fmt.Errorf("spill run diverged at candidate %d: unbounded (score %v, label %d), budgeted (score %v, label %d)",
+				i, want.Score, want.Label, got.Score, got.Label)
 		}
 	}
 	return out, nil
+}
+
+// countSpillTiers splits the trace's spill events by tier, told apart by
+// each event's Detail: a cached partition ("rdd3/p7"), a shuffle block
+// ("shuffle 4 reduce 1 map 2/0") or an external-join chunk ("join p2 left
+// chunk 0"). Every spill must be in the trace and in a known tier.
+func countSpillTiers(row *SpillRow, events []cluster.Event) error {
+	for _, e := range events {
+		if e.Kind != cluster.EventSpill {
+			continue
+		}
+		switch {
+		case strings.HasPrefix(e.Detail, "rdd"):
+			row.BlockSpills++
+		case strings.HasPrefix(e.Detail, "shuffle "):
+			row.ShuffleSpills++
+		case strings.HasPrefix(e.Detail, "join "):
+			row.JoinSpills++
+		default:
+			return fmt.Errorf("experiments: spill event of unknown tier %q", e.Detail)
+		}
+	}
+	if n := row.BlockSpills + row.ShuffleSpills + row.JoinSpills; n != row.SpillEvents {
+		return fmt.Errorf("experiments: trace holds %d spill events, metrics count %d", n, row.SpillEvents)
+	}
+	return nil
 }

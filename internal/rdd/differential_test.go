@@ -19,9 +19,7 @@ import (
 // fault injection; in every configuration the collected multiset must be
 // bit-identical to the oracle's. A second differential axis compares fused
 // against unfused execution of the identical program (exact order, since
-// narrow-only programs are order-deterministic), which also covers Sample,
-// whose output depends on partitioning and so has no partition-agnostic
-// oracle.
+// narrow-only programs are order-deterministic).
 
 // drec is the differential suite's record type.
 type drec = Pair[int, int]
@@ -162,20 +160,6 @@ func diffOps() []diffOp {
 				return out
 			},
 		},
-		{
-			name:    "sortBy",
-			shuffle: true,
-			apply: func(r *RDD[drec], np int) *RDD[drec] {
-				return SortBy(r, func(a, b drec) bool { return a.Key < b.Key }, np)
-			},
-			oracle: func(in []drec, _ int) []drec {
-				// Stable by key: equal keys keep input order, the engine's
-				// contract (stable local sorts + deterministic fetch order).
-				out := append([]drec(nil), in...)
-				sort.SliceStable(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-				return out
-			},
-		},
 	}
 }
 
@@ -305,44 +289,8 @@ func TestDifferentialFusedVsOracle(t *testing.T) {
 	}
 }
 
-// TestSortByStableEqualKeys is the equal-key axis of the sort differential:
-// sorting by key alone leaves equal-key order undefined by less, and an
-// unstable partition-local sort let it vary with partition layout and sort
-// internals. The engine's contract is stronger — equal keys come out in
-// input order (stable local sorts over the shuffle's deterministic fetch
-// order) — so the exact output sequence must match a sequential stable sort
-// for every partitioning and under fault injection.
-func TestSortByStableEqualKeys(t *testing.T) {
-	data := diffData(200) // 13 key groups, ~15 records each, values unique per key
-	want := append([]drec(nil), data...)
-	sort.SliceStable(want, func(i, j int) bool { return want[i].Key < want[j].Key })
-	for _, parts := range []int{1, 3, 8} {
-		for _, np := range []int{1, 2, 5} {
-			for _, failureRate := range []float64{0, 0.3} {
-				cl := cluster.New(cluster.Config{
-					Executors: 2, CoresPerExecutor: 2,
-					FailureRate: failureRate, MaxTaskRetries: 80, Seed: 99,
-				})
-				ctx := NewContext(cl)
-				sorted := SortBy(Parallelize(ctx, data, parts).SetName("sortIn"),
-					func(a, b drec) bool { return a.Key < b.Key }, np)
-				got, err := sorted.Collect()
-				if err != nil {
-					t.Fatalf("parts=%d np=%d fail=%v: %v", parts, np, failureRate, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("parts=%d np=%d fail=%v: equal-key order diverges from stable oracle",
-						parts, np, failureRate)
-				}
-			}
-		}
-	}
-}
-
 // narrowDiffOps is the operator mix for the exact-order differential: only
-// order-deterministic operators (no shuffle), plus Sample, whose output
-// depends on partitioning and therefore cannot be checked against a
-// partition-agnostic oracle.
+// order-deterministic operators (no shuffle).
 func narrowDiffOps() []diffOp {
 	var ops []diffOp
 	for _, op := range diffOps() {
@@ -350,12 +298,7 @@ func narrowDiffOps() []diffOp {
 			ops = append(ops, op)
 		}
 	}
-	return append(ops, diffOp{
-		name: "sample",
-		apply: func(r *RDD[drec], _ int) *RDD[drec] {
-			return Sample(r, 0.7, 31)
-		},
-	})
+	return ops
 }
 
 // TestDifferentialFusedVsUnfused: the identical narrow program, run on

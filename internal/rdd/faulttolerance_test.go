@@ -2,6 +2,7 @@ package rdd
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -50,10 +51,13 @@ func TestExecutorLossTransparentToJobs(t *testing.T) {
 		}
 		keyed := Map(Parallelize(ctx, data, 8), func(v int) Pair[int, int] { return KV(v%5, v) })
 		sums := ReduceByKey(keyed, func(a, b int) int { return a + b }, 3)
-		out, err := SortBy(sums, func(a, b Pair[int, int]) bool { return a.Key < b.Key }, 2).Collect()
+		// A second shuffle to another width, so kills also hit a map stage
+		// that reads a shuffle's output.
+		out, err := PartitionBy(sums, 2).Collect()
 		if err != nil {
 			t.Fatalf("pipeline at kill rate %v: %v", killRate, err)
 		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 		return out, cl.Metrics().Snapshot()
 	}
 	wantOut, clean := run(0)

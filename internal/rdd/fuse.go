@@ -8,7 +8,7 @@ import (
 
 // Fused narrow-stage execution.
 //
-// Narrow (element-wise) transformations — Map, Filter, FlatMap, Sample —
+// Narrow (element-wise) transformations — Map, Filter and FlatMap —
 // carry, in addition to the usual per-partition compute closure, a
 // *streaming* description of the operator: a function that pushes the
 // partition's elements one at a time into a downstream emit callback. When a chain of such operators is
@@ -24,7 +24,7 @@ import (
 //   - shuffle outputs (PartitionBy, and everything built on it) and sources
 //     (Parallelize), whose partitions arrive as slices;
 //   - multi-parent operators (Union, Cartesian) and opaque whole-partition
-//     operators (MapPartitions, MapPartitionsTC, SortBy), which consume
+//     operators (MapPartitions, MapPartitionsTC), which consume
 //     their parents as slices. Cartesian is special-cased: it is a boundary
 //     for its *parents* but streams its pairs element-by-element into the
 //     fused downstream chain, so `Cartesian(a, b) → Filter → Map` never

@@ -97,8 +97,13 @@ func TestUnpersistReleasesBlocks(t *testing.T) {
 	if n := ctx.Cluster().Blocks().Len(); n != 0 {
 		t.Errorf("%d blocks remain after Unpersist", n)
 	}
-	if r.IsCached() {
-		t.Error("IsCached true after Unpersist")
+	// Unpersist also stops future caching: a later job recomputes the
+	// partitions and leaves the block store empty.
+	if _, err := r.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if n := ctx.Cluster().Blocks().Len(); n != 0 {
+		t.Errorf("%d blocks cached by a job after Unpersist", n)
 	}
 }
 

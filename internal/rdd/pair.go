@@ -245,7 +245,7 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], numPar
 			tc.SetWorkingSetBytes(int64(len(left))*sa.bytesPerRecord +
 				int64(len(right))*sb.bytesPerRecord)
 			// Over-budget build side: probe in spilled chunks instead of one
-			// all-resident hash table (output-identical; see extmerge.go).
+			// all-resident hash table (output-identical; see extjoin.go).
 			if cl.SpillingEnabled() && int64(len(left))*sa.bytesPerRecord > cl.ExecutorMemoryBytes() {
 				return externalJoin(tc, cl, fmt.Sprintf("join p%d", p), left, right, sa.bytesPerRecord), nil
 			}

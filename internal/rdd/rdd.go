@@ -174,13 +174,6 @@ func (r *RDD[T]) Unpersist() {
 	}
 }
 
-// IsCached reports whether caching is enabled for this RDD.
-func (r *RDD[T]) IsCached() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cached
-}
-
 // ensureDeps runs every upstream shuffle map stage that has not run yet.
 // It is called driver-side before submitting a job.
 func (r *RDD[T]) ensureDeps() error {

@@ -2,7 +2,6 @@ package rdd
 
 import (
 	"fmt"
-	"math/rand"
 
 	"adrdedup/internal/cluster"
 )
@@ -128,25 +127,4 @@ func Cartesian[T, U any](a *RDD[T], b *RDD[U]) *RDD[Tuple2[T, U]] {
 		a.numPartitions*b.numPartitions, collectStream(stream), prepare)
 	out.stream = stream
 	return out
-}
-
-// Sample returns a Bernoulli sample of r with the given fraction,
-// deterministic for a given seed. Sample is a narrow operator and fuses:
-// the per-partition RNG consumes one draw per input element in order, so
-// fused and unfused execution select identical elements.
-func Sample[T any](r *RDD[T], fraction float64, seed int64) *RDD[T] {
-	return newNarrow(r, "sample", func(tc *cluster.TaskContext, p int, sizeHint func(int), emit func(T) error) error {
-		rng := rand.New(rand.NewSource(seed + int64(p)*7919))
-		scaled := func(n int) {
-			if sizeHint != nil {
-				sizeHint(int(float64(n)*fraction) + 1)
-			}
-		}
-		return r.streamInto(tc, p, scaled, func(v T) error {
-			if rng.Float64() < fraction {
-				return emit(v)
-			}
-			return nil
-		})
-	})
 }
