@@ -580,7 +580,8 @@ func BenchmarkDetectMixedShape(b *testing.B) {
 // seed reports bootstrapped as the benchmark harness does. pairs/op,
 // distinct/op and classified/op are the candidate pairs per call, the
 // distinct distance vectors among them, and the vectors the model had not
-// scored before, which are all Classify is sent.
+// scored before, which are all Classify is sent; stages/op and tasks/op are
+// the engine stages run and task attempts launched per call.
 func benchmarkDetectShape(b *testing.B, seed, perCall int) {
 	boot, err := serve.NewBootstrap(serve.BootstrapConfig{
 		SeedReports:    seed,
@@ -599,6 +600,9 @@ func benchmarkDetectShape(b *testing.B, seed, perCall int) {
 	defer boot.Detector.Engine().Cluster().Close()
 	traffic := serve.GenerateTraffic(serve.TrafficConfig{Reports: perCall * b.N, Seed: 3})
 	var pairs, distinct, classified int
+	// Engine stages and tasks per call, as deltas of the detector's metrics:
+	// where the engine's fixed cost per Detect goes.
+	start := boot.Detector.Metrics()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := boot.Detector.Detect(traffic[i*perCall : (i+1)*perCall]); err != nil {
@@ -612,6 +616,9 @@ func benchmarkDetectShape(b *testing.B, seed, perCall int) {
 	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
 	b.ReportMetric(float64(distinct)/float64(b.N), "distinct/op")
 	b.ReportMetric(float64(classified)/float64(b.N), "classified/op")
+	end := boot.Detector.Metrics()
+	b.ReportMetric(float64(end.StagesRun-start.StagesRun)/float64(b.N), "stages/op")
+	b.ReportMetric(float64(end.TasksLaunched-start.TasksLaunched)/float64(b.N), "tasks/op")
 }
 
 // stripArrival clears generator arrival sequences so the database assigns

@@ -64,10 +64,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -740,13 +740,12 @@ func (c *Cluster) injectFailure(stageID, task, attempt int, speculative bool) bo
 	if c.cfg.FailureRate <= 0 {
 		return false
 	}
-	h := fnv.New64a()
+	suffix := ""
 	if speculative {
-		fmt.Fprintf(h, "%d/%d/%d/%d/spec", c.cfg.Seed, stageID, task, attempt)
-	} else {
-		fmt.Fprintf(h, "%d/%d/%d/%d", c.cfg.Seed, stageID, task, attempt)
+		suffix = "/spec"
 	}
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	h := drawHash("", suffix, c.cfg.Seed, int64(stageID), int64(task), int64(attempt))
+	rng := rand.New(rand.NewSource(int64(h)))
 	return rng.Float64() < c.cfg.FailureRate
 }
 
@@ -760,10 +759,32 @@ func (c *Cluster) injectStraggler(stageID, task, attempt int, speculative bool) 
 	if c.cfg.StragglerRate <= 0 || speculative {
 		return false
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "straggler/%d/%d/%d/%d", c.cfg.Seed, stageID, task, attempt)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	h := drawHash("straggler/", "", c.cfg.Seed, int64(stageID), int64(task), int64(attempt))
+	rng := rand.New(rand.NewSource(int64(h)))
 	return rng.Float64() < c.cfg.StragglerRate
+}
+
+// drawHash is the 64-bit FNV-1a digest of prefix, the decimal vals joined by
+// "/", and suffix — the bytes fmt.Fprintf(fnv.New64a(), prefix+"%d/%d"+suffix,
+// vals...) writes, which keeps placement and every fault draw bit-identical
+// to that form (TestDrawHashMatchesFmt). It renders into a stack buffer with
+// strconv, so the draw every task makes allocates nothing.
+func drawHash(prefix, suffix string, vals ...int64) uint64 {
+	var buf [128]byte
+	b := append(buf[:0], prefix...)
+	for i, v := range vals {
+		if i > 0 {
+			b = append(b, '/')
+		}
+		b = strconv.AppendInt(b, v, 10)
+	}
+	b = append(b, suffix...)
+	h := uint64(14695981039346656037) // FNV-1a 64 offset basis
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211 // FNV-1a 64 prime
+	}
+	return h
 }
 
 // Broadcast charges the virtual cost of distributing bytes to every

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -288,5 +291,48 @@ func TestMetricsSnapshotAndReset(t *testing.T) {
 	c.Metrics().Reset()
 	if s := c.Metrics().Snapshot(); s.RecordsProcessed != 0 || s.StagesRun != 0 {
 		t.Errorf("reset snapshot = %+v", s)
+	}
+}
+
+// TestDrawHashMatchesFmt pins drawHash to the fmt-formatted FNV-1a digests
+// executor placement and every fault draw were defined by, over a grid of
+// seed/stage/task/attempt (negative and extreme seeds included), so
+// placement, task failures, stragglers and executor kills stay bit-identical
+// — and pins that a draw allocates nothing.
+func TestDrawHashMatchesFmt(t *testing.T) {
+	ref := func(format string, args ...any) uint64 {
+		h := fnv.New64a()
+		fmt.Fprintf(h, format, args...)
+		return h.Sum64()
+	}
+	for _, seed := range []int64{0, 1, 7, -3, 1 << 40, math.MaxInt64, math.MinInt64} {
+		for _, stage := range []int{0, 1, 9, 10, 12345} {
+			for _, task := range []int{0, 3, 99, 1000} {
+				for _, attempt := range []int{0, 1, 5} {
+					s, st, tk, at := seed, int64(stage), int64(task), int64(attempt)
+					checks := []struct {
+						got, want uint64
+						form      string
+					}{
+						{drawHash("host/", "", s, st, tk), ref("host/%d/%d/%d", seed, stage, task), "host"},
+						{drawHash("", "", s, st, tk, at), ref("%d/%d/%d/%d", seed, stage, task, attempt), "failure"},
+						{drawHash("", "/spec", s, st, tk, at), ref("%d/%d/%d/%d/spec", seed, stage, task, attempt), "speculative failure"},
+						{drawHash("straggler/", "", s, st, tk, at), ref("straggler/%d/%d/%d/%d", seed, stage, task, attempt), "straggler"},
+						{drawHash("exec/", "", s, st, at, tk), ref("exec/%d/%d/%d/%d", seed, stage, attempt, task), "executor kill"},
+					}
+					for _, c := range checks {
+						if c.got != c.want {
+							t.Fatalf("%s draw seed=%d stage=%d task=%d attempt=%d: %#x, fmt form %#x",
+								c.form, seed, stage, task, attempt, c.got, c.want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		drawHash("straggler/", "/spec", math.MinInt64, 1<<40, 12345, 5)
+	}); n != 0 {
+		t.Errorf("drawHash allocates %v times per draw, want 0", n)
 	}
 }

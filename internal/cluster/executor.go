@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 )
 
@@ -92,9 +91,8 @@ func (c *Cluster) injectExecutorFailures(stageID, resubmit int) []int {
 		if remaining <= 1 {
 			break
 		}
-		h := fnv.New64a()
-		fmt.Fprintf(h, "exec/%d/%d/%d/%d", c.cfg.Seed, stageID, resubmit, e)
-		rng := rand.New(rand.NewSource(int64(h.Sum64())))
+		h := drawHash("exec/", "", c.cfg.Seed, int64(stageID), int64(resubmit), int64(e))
+		rng := rand.New(rand.NewSource(int64(h)))
 		if rng.Float64() < c.cfg.ExecutorFailureRate {
 			kills = append(kills, e)
 			remaining--
@@ -163,9 +161,8 @@ func (c *Cluster) hostFor(live []int, stageID, task int, speculative bool) int {
 	if len(live) == 0 {
 		return -1
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "host/%d/%d/%d", c.cfg.Seed, stageID, task)
-	i := int(h.Sum64() % uint64(len(live)))
+	h := drawHash("host/", "", c.cfg.Seed, int64(stageID), int64(task))
+	i := int(h % uint64(len(live)))
 	if speculative && len(live) > 1 {
 		i = (i + 1) % len(live)
 	}

@@ -69,6 +69,44 @@ func TestShuffleInvalidateExecutor(t *testing.T) {
 	}
 }
 
+// TestShuffleEmptyOnlyWhenProven: a reduce partition reads as empty only once
+// the map stage is done, with no block committed and none lost. A bucket
+// whose blocks died with an executor is not empty until its recomputed
+// output commits; an unknown or released shuffle is never empty.
+func TestShuffleEmptyOnlyWhenProven(t *testing.T) {
+	s := newShuffleService(New(Config{}))
+	id := s.Register()
+	s.write(id, 0, 0, 0, 0, "a", 1)
+	s.write(id, 1, 1, 0, 1, "b", 1)
+	if s.Empty(id, 2) {
+		t.Fatal("partition 2 empty before the map stage is done")
+	}
+	s.MarkDone(id)
+	for p, want := range []bool{false, false, true} {
+		if got := s.Empty(id, p); got != want {
+			t.Errorf("Empty(partition %d) = %v, want %v", p, got, want)
+		}
+	}
+	s.invalidateExecutor(1)
+	if s.Empty(id, 1) {
+		t.Error("partition 1 empty while its only block is lost")
+	}
+	if !s.Empty(id, 2) {
+		t.Error("partition 2 stopped being empty after an unrelated loss")
+	}
+	s.write(id, 1, 1, 0, 2, "b", 1)
+	if s.Empty(id, 1) {
+		t.Error("partition 1 empty after its block was recomputed")
+	}
+	if s.Empty(id+1, 0) {
+		t.Error("an unknown shuffle reads as empty")
+	}
+	s.Unregister(id)
+	if s.Empty(id, 2) {
+		t.Error("a released shuffle reads as empty")
+	}
+}
+
 // TestFetchFailedResubmitsOnlyLostPartitions is the recovery end-to-end: kill
 // one executor after the map stage, and the reduce stage must detect the
 // loss, recompute exactly the map partitions that executor hosted, and

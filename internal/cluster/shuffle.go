@@ -189,6 +189,18 @@ func (s *ShuffleService) Done(id int) bool {
 	return ok && st.done
 }
 
+// Empty reports whether reduce partition p of the shuffle is proven to hold
+// no record: the map stage is done, no block is committed for p, and no block
+// of p was lost with an executor. A bucket whose blocks died is never empty —
+// its reduce task must launch, fail its fetch and trigger recovery. An
+// unknown (or released) shuffle is never empty either.
+func (s *ShuffleService) Empty(id, p int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, ok := s.shuffles[id]
+	return ok && st.done && len(st.buckets[p]) == 0 && len(st.lostByPart[p]) == 0
+}
+
 // Unregister drops all blocks and tracking state of a shuffle, releasing its
 // resident-byte shares and spilled files.
 func (s *ShuffleService) Unregister(id int) {

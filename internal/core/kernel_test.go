@@ -559,6 +559,38 @@ func TestNoCrossPairsSkipMerge(t *testing.T) {
 	}
 }
 
+// TestOneVectorClassifyLaunchesFewTasks: a single testing pair that does not
+// cross touches one Voronoi cell, so Classify launches a task only for the
+// partitions that can hold it — fewer than the b cells one join alone spans —
+// and its results equal the reference kernel's.
+func TestOneVectorClassifyLaunchesFewTasks(t *testing.T) {
+	train := synthData(60, 2400, 7, 5)
+	ctx := testCtx()
+	clf, err := Train(ctx, train, Config{B: 32, C: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := len(clf.Centers())
+	query := [][]float64{{0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9}}
+	m := ctx.Cluster().Metrics()
+	before := m.TasksLaunched.Load()
+	got, stats, err := clf.Classify(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	launched := m.TasksLaunched.Load() - before
+	if stats.AdditionalClustersChecked != 0 {
+		t.Fatalf("the query searched %d more cells; want a pair that does not cross", stats.AdditionalClustersChecked)
+	}
+	if launched >= int64(b) {
+		t.Errorf("one-vector Classify launched %d tasks, want fewer than the %d cells", launched, b)
+	}
+	want, _ := referenceClassify(t, clf, train, query)
+	if err := sameResults(got, want); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // batchDetectCells builds what one batch_detect Detect classifies: a
 // classifier trained the way the bootstrap trains it (1,200 pairs sampled from
 // a 10k-report seed corpus with 400 duplicates, half of the negatives

@@ -130,6 +130,8 @@ func newNarrow[T, U any](parent *RDD[T], op string, stream streamFn[U]) *RDD[U] 
 	out := newRDD(parent.ctx, parent.name+"."+op, parent.numPartitions,
 		collectStream(stream), parent.prepare)
 	out.stream = stream
+	// An element-wise operator maps an empty partition to an empty one.
+	out.empty = parent.knownEmpty
 	out.chain = func() string {
 		if parent.fusable() {
 			return parent.lineageName() + "+" + op

@@ -155,10 +155,13 @@ func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) *RD
 			if onceErr = r.ensureDeps(); onceErr != nil {
 				return
 			}
+			// A parent partition proven empty writes no bucket, so only the
+			// others launch; each keeps its partition index as map task.
+			parts := r.launchable()
 			stage := fmt.Sprintf("%s.shuffleMap#%d@rdd%d", r.lineageName(), shID, r.id)
 			_, onceErr = ctx.cl.RunStage(stage,
-				r.numPartitions, func(tc *cluster.TaskContext) error {
-					return mapOutput(tc, tc.Task())
+				len(parts), func(tc *cluster.TaskContext) error {
+					return mapOutput(tc, parts[tc.Task()])
 				})
 			if onceErr == nil {
 				ctx.cl.Shuffles().MarkDone(shID)
@@ -186,6 +189,7 @@ func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) *RD
 		}, []func() error{runMapStage})
 	out.hashPartitioned = true
 	out.bytesPerRecord = bytesPerRecord
+	out.empty = func(p int) bool { return ctx.cl.Shuffles().Empty(shID, p) }
 	return out
 }
 
@@ -209,11 +213,15 @@ func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], f func(V, V) V, numPar
 		}
 		return out, nil
 	}
+	// Both combine steps map an empty partition to an empty one, so each
+	// keeps its input's emptiness.
 	pre := MapPartitions(r, combine).SetName(r.name + ".combine")
 	pre.bytesPerRecord = r.bytesPerRecord
+	pre.empty = r.knownEmpty
 	shuffled := PartitionBy(pre, numPartitions)
 	out := MapPartitions(shuffled, combine).SetName(r.name + ".reduceByKey")
 	out.hashPartitioned = shuffled.hashPartitioned
+	out.empty = shuffled.knownEmpty
 	return out
 }
 
@@ -281,5 +289,7 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], numPar
 		}, prepare)
 	out.hashPartitioned = true
 	out.bytesPerRecord = bytesPerRecord
+	// An inner join of an empty side is empty.
+	out.empty = func(p int) bool { return sa.knownEmpty(p) || sb.knownEmpty(p) }
 	return out
 }

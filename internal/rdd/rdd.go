@@ -83,6 +83,11 @@ type RDD[T any] struct {
 	// hashPartitioned marks the output of PartitionBy, letting keyed
 	// operations skip a redundant shuffle when co-partitioned.
 	hashPartitioned bool
+
+	// empty, when non-nil, reports whether a partition is proven to hold no
+	// record, from committed shuffle output and operator semantics (see
+	// knownEmpty). nil means unknown: the partition always launches.
+	empty func(p int) bool
 }
 
 const defaultBytesPerRecord = 64
@@ -174,6 +179,25 @@ func (r *RDD[T]) Unpersist() {
 	}
 }
 
+// knownEmpty reports whether partition p is proven to hold no record. It is
+// meaningful only after ensureDeps: before the upstream map stages are done
+// every shuffle bucket reads as unknown, so nothing is ever skipped early.
+func (r *RDD[T]) knownEmpty(p int) bool {
+	return r.empty != nil && r.empty(p)
+}
+
+// launchable returns the partitions a stage over r launches a task for:
+// every partition not proven empty, ascending. Call it after ensureDeps.
+func (r *RDD[T]) launchable() []int {
+	parts := make([]int, 0, r.numPartitions)
+	for p := 0; p < r.numPartitions; p++ {
+		if !r.knownEmpty(p) {
+			parts = append(parts, p)
+		}
+	}
+	return parts
+}
+
 // ensureDeps runs every upstream shuffle map stage that has not run yet.
 // It is called driver-side before submitting a job.
 func (r *RDD[T]) ensureDeps() error {
@@ -257,12 +281,15 @@ func copySlice[T any](s []T) []T {
 	return out
 }
 
-// RunJob materializes every partition of r and applies fn to each, returning
+// RunJob materializes the partitions of r and applies fn to each, returning
 // the per-partition results in partition order. It is the primitive all
-// actions are built on. The submitted stage carries a lineage tag
-// ("<name>@rdd<id>") so traces and stage history identify which RDD a stage
-// materialized; for fused narrow chains the name joins the fused operators
-// with "+" up to the nearest boundary (e.g. "reports.map+filter@rdd7").
+// actions are built on. Only partitions that can hold a record launch a
+// task (task i computes the i-th of them); a partition proven empty gets R's
+// zero value, so Collect appends nothing for it. The submitted stage carries
+// a lineage tag ("<name>@rdd<id>") so traces and stage history identify which
+// RDD a stage materialized; for fused narrow chains the name joins the fused
+// operators with "+" up to the nearest boundary (e.g.
+// "reports.map+filter@rdd7").
 func RunJob[T, R any](r *RDD[T], name string, fn func(tc *cluster.TaskContext, partition int, data []T) (R, error)) ([]R, error) {
 	if err := r.ensureDeps(); err != nil {
 		return nil, fmt.Errorf("rdd %q: preparing dependencies: %w", r.name, err)
@@ -270,13 +297,15 @@ func RunJob[T, R any](r *RDD[T], name string, fn func(tc *cluster.TaskContext, p
 	// Results flow through the commit gate (PublishResult): with
 	// speculation enabled, rival attempts of a partition run concurrently
 	// and only the winning attempt's value lands in the slice.
-	raw, _, err := r.ctx.cl.RunStageResults(fmt.Sprintf("%s@rdd%d", name, r.id), r.numPartitions, func(tc *cluster.TaskContext) error {
-		data, err := r.materialize(tc, tc.Task())
+	parts := r.launchable()
+	raw, _, err := r.ctx.cl.RunStageResults(fmt.Sprintf("%s@rdd%d", name, r.id), len(parts), func(tc *cluster.TaskContext) error {
+		p := parts[tc.Task()]
+		data, err := r.materialize(tc, p)
 		if err != nil {
 			return err
 		}
 		tc.AddRecords(int64(len(data)))
-		res, err := fn(tc, tc.Task(), data)
+		res, err := fn(tc, p, data)
 		if err != nil {
 			return err
 		}
@@ -289,7 +318,7 @@ func RunJob[T, R any](r *RDD[T], name string, fn func(tc *cluster.TaskContext, p
 	results := make([]R, r.numPartitions)
 	for i, v := range raw {
 		if v != nil {
-			results[i] = v.(R)
+			results[parts[i]] = v.(R)
 		}
 	}
 	return results, nil

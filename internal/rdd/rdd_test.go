@@ -181,14 +181,41 @@ func partitionSizes[T any](r *RDD[T]) ([]int, error) {
 	})
 }
 
+// chunkSizes returns the partition sizes Parallelize gives n elements over p
+// partitions.
+func chunkSizes(n, p int) []int {
+	out := make([]int, p)
+	for i := range out {
+		out[i] = (i+1)*n/p - i*n/p
+	}
+	return out
+}
+
+// bucketSizes counts keys per hash bucket of n, the reference for a shuffle
+// output's partition sizes.
+func bucketSizes(keys []int, n int) []int {
+	out := make([]int, n)
+	for _, k := range keys {
+		out[hashKey(k)%uint64(n)]++
+	}
+	return out
+}
+
 // TestPartitionCountFixedAtBuild pins that every operator's partition count
 // is decided when the RDD is built: NumPartitions reports it before any job
-// runs, a job over the RDD runs exactly that many result tasks — also under
-// a small spilling memory budget, where shuffle output is tiny — and the
-// count is unchanged afterwards. Hash-partitioned outputs also keep every
-// record in its key's own bucket.
+// runs and is unchanged afterwards, and a job over the RDD returns one result
+// per partition, each partition's size equal to a driver-side reference —
+// also under a small spilling memory budget, where shuffle output is tiny.
+// The result stage launches exactly one task per partition that holds a
+// record (every partition here that is not proven empty holds one), and a
+// partition proven empty gets an empty result. Hash-partitioned outputs also
+// keep every record in its key's own bucket.
 func TestPartitionCountFixedAtBuild(t *testing.T) {
 	pairs := kvPairs(120, 17)
+	keys := make([]int, len(pairs))
+	for i, kv := range pairs {
+		keys[i] = kv.Key
+	}
 	add := func(a, b int) int { return a + b }
 	type built struct {
 		nparts  func() int
@@ -213,51 +240,79 @@ func TestPartitionCountFixedAtBuild(t *testing.T) {
 		}
 		return b
 	}
+	// Reference partition sizes, computed on the driver.
+	scale := func(sizes []int, f func(int) int) []int {
+		out := make([]int, len(sizes))
+		for i, n := range sizes {
+			out[i] = f(n)
+		}
+		return out
+	}
+	evens := make([]int, 5)
+	for i, n := range chunkSizes(120, 5) {
+		lo := i * 120 / 5
+		for _, kv := range pairs[lo : lo+n] {
+			if kv.Value%2 == 0 {
+				evens[i]++
+			}
+		}
+	}
+	var cart []int
+	for _, a := range chunkSizes(120, 3) {
+		for _, b := range chunkSizes(4, 2) {
+			cart = append(cart, a*b)
+		}
+	}
+	distinct := make([]int, 17)
+	for i := range distinct {
+		distinct[i] = i
+	}
 	cases := []struct {
-		name    string
-		want    int
-		records int
-		build   func(ctx *Context) built
+		name  string
+		want  int
+		sizes []int
+		build func(ctx *Context) built
 	}{
-		{"parallelize", 5, 120, func(ctx *Context) built { return of(Parallelize(ctx, pairs, 5), false) }},
-		{"map+filter", 5, 60, func(ctx *Context) built {
+		{"parallelize", 5, chunkSizes(120, 5), func(ctx *Context) built { return of(Parallelize(ctx, pairs, 5), false) }},
+		{"map+filter", 5, evens, func(ctx *Context) built {
 			r := Filter(Map(Parallelize(ctx, pairs, 5), func(kv Pair[int, int]) Pair[int, int] { return kv }),
 				func(kv Pair[int, int]) bool { return kv.Value%2 == 0 })
 			return of(r, false)
 		}},
-		{"flatMap", 5, 240, func(ctx *Context) built {
+		{"flatMap", 5, scale(chunkSizes(120, 5), func(n int) int { return 2 * n }), func(ctx *Context) built {
 			r := FlatMap(Parallelize(ctx, pairs, 5), func(kv Pair[int, int]) []Pair[int, int] { return []Pair[int, int]{kv, kv} })
 			return of(r, false)
 		}},
-		{"mapPartitions", 5, 60, func(ctx *Context) built {
+		{"mapPartitions", 5, scale(chunkSizes(120, 5), func(n int) int { return n / 2 }), func(ctx *Context) built {
 			r := MapPartitions(Parallelize(ctx, pairs, 5), func(in []Pair[int, int]) ([]Pair[int, int], error) {
 				return in[:len(in)/2], nil
 			})
 			return of(r, false)
 		}},
-		{"mapPartitionsTC", 5, 5, func(ctx *Context) built {
+		{"mapPartitionsTC", 5, []int{1, 1, 1, 1, 1}, func(ctx *Context) built {
 			r := MapPartitionsTC(Parallelize(ctx, pairs, 5), func(_ *cluster.TaskContext, p int, in []Pair[int, int]) ([]Pair[int, int], error) {
 				return []Pair[int, int]{KV(p, len(in))}, nil
 			})
 			return of(r, false)
 		}},
-		{"union", 7, 240, func(ctx *Context) built {
+		{"union", 7, append(chunkSizes(120, 3), chunkSizes(120, 4)...), func(ctx *Context) built {
 			return of(Union(Parallelize(ctx, pairs, 3), Parallelize(ctx, pairs, 4)), false)
 		}},
-		{"cartesian", 6, 120 * 4, func(ctx *Context) built {
+		{"cartesian", 6, cart, func(ctx *Context) built {
 			r := Cartesian(Parallelize(ctx, pairs, 3), Parallelize(ctx, ints(4), 2))
 			return built{nparts: r.NumPartitions, sizes: func() ([]int, error) { return partitionSizes(r) }}
 		}},
-		{"partitionBy", 6, 120, func(ctx *Context) built {
+		{"partitionBy", 6, bucketSizes(keys, 6), func(ctx *Context) built {
 			return of(PartitionBy(Parallelize(ctx, pairs, 4), 6), true)
 		}},
-		{"cache", 6, 120, func(ctx *Context) built {
+		{"cache", 6, bucketSizes(keys, 6), func(ctx *Context) built {
 			return of(PartitionBy(Parallelize(ctx, pairs, 4), 6).Cache(), true)
 		}},
-		{"reduceByKey", 8, 17, func(ctx *Context) built {
+		{"reduceByKey", 8, bucketSizes(distinct, 8), func(ctx *Context) built {
 			return of(ReduceByKey(Parallelize(ctx, pairs, 4), add, 8), true)
 		}},
-		{"join", 3, 120, func(ctx *Context) built {
+		// Every key of the left side meets exactly one reduced right row.
+		{"join", 3, bucketSizes(keys, 3), func(ctx *Context) built {
 			r := Join(Parallelize(ctx, pairs, 4), ReduceByKey(Parallelize(ctx, pairs, 2), add, 5), 3)
 			return built{nparts: r.NumPartitions, sizes: func() ([]int, error) { return partitionSizes(r) }}
 		}},
@@ -277,19 +332,19 @@ func TestPartitionCountFixedAtBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(sizes) != tc.want {
-				t.Errorf("job returned %d partitions, want %d", len(sizes), tc.want)
+			if !reflect.DeepEqual(sizes, tc.sizes) {
+				t.Errorf("partition sizes = %v, reference %v", sizes, tc.sizes)
 			}
-			total := 0
-			for _, n := range sizes {
-				total += n
-			}
-			if total != tc.records {
-				t.Errorf("records = %d, want %d", total, tc.records)
+			nonEmpty := 0
+			for _, n := range tc.sizes {
+				if n > 0 {
+					nonEmpty++
+				}
 			}
 			hist := cl.StageHistory()
-			if last := hist[len(hist)-1]; last.Tasks != tc.want {
-				t.Errorf("result stage %q ran %d tasks, want %d", last.Name, last.Tasks, tc.want)
+			if last := hist[len(hist)-1]; last.Tasks != nonEmpty {
+				t.Errorf("result stage %q ran %d tasks, want one per non-empty partition (%d)",
+					last.Name, last.Tasks, nonEmpty)
 			}
 			if got := b.nparts(); got != tc.want {
 				t.Errorf("NumPartitions after the job = %d, want %d", got, tc.want)
@@ -301,7 +356,13 @@ func TestPartitionCountFixedAtBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if len(parts) != tc.want {
+				t.Errorf("job returned %d partitions, want %d", len(parts), tc.want)
+			}
 			for p, keys := range parts {
+				if tc.sizes[p] == 0 && keys != nil {
+					t.Errorf("empty partition %d returned %v, want the zero value", p, keys)
+				}
 				for _, k := range keys {
 					if want := int(hashKey(k) % uint64(tc.want)); want != p {
 						t.Errorf("key %d read by partition %d, its bucket is %d", k, p, want)

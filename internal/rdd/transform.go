@@ -57,6 +57,8 @@ func MapPartitions[T, U any](r *RDD[T], f func(in []T) ([]U, error)) *RDD[U] {
 // worker-owned buffer bundle that keeps zero-alloc kernels allocation-free
 // when tasks run concurrently. Because f is an opaque whole-partition
 // function, this is a fusion boundary: the parent is materialized as a slice.
+// For the same reason f runs for every partition, even one whose input is
+// proven empty: it may emit rows from no input.
 //
 // f may run concurrently for different partitions and may run more than once
 // for the same partition (task retries, speculative attempts); it must treat
@@ -80,7 +82,7 @@ func Union[T any](a, b *RDD[T]) *RDD[T] {
 		panic("rdd: Union across contexts")
 	}
 	prepare := append(append([]func() error{}, a.prepare...), b.prepare...)
-	return newRDD(a.ctx, fmt.Sprintf("union(%s,%s)", a.name, b.name),
+	out := newRDD(a.ctx, fmt.Sprintf("union(%s,%s)", a.name, b.name),
 		a.numPartitions+b.numPartitions,
 		func(tc *cluster.TaskContext, p int) ([]T, error) {
 			if p < a.numPartitions {
@@ -88,6 +90,13 @@ func Union[T any](a, b *RDD[T]) *RDD[T] {
 			}
 			return b.materialize(tc, p-a.numPartitions)
 		}, prepare)
+	out.empty = func(p int) bool {
+		if p < a.numPartitions {
+			return a.knownEmpty(p)
+		}
+		return b.knownEmpty(p - a.numPartitions)
+	}
+	return out
 }
 
 // Cartesian pairs every element of a with every element of b. The result has
