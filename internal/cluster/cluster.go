@@ -92,14 +92,10 @@ type Config struct {
 	// executor's memory budget (cached partitions in the block store,
 	// committed shuffle buffers) are framed, compressed, and spilled to
 	// executor-local disk instead of being dropped, and read back
-	// transparently, charging virtual disk time at SpillMBps. Off by
+	// transparently, charging virtual disk time at spillMBps. Off by
 	// default: without it the engine keeps its historical
 	// evict-and-recompute behaviour.
 	SpillToDisk bool
-	// SpillMBps is the simulated executor-local disk bandwidth used to
-	// charge virtual time for spill writes and read-backs, the disk
-	// analogue of NetworkMBps. 0 selects the default 500.
-	SpillMBps float64
 	// NetworkMBps is the simulated per-executor network bandwidth used to
 	// charge virtual time for shuffle reads and broadcasts.
 	NetworkMBps float64
@@ -297,9 +293,6 @@ func (c Config) withDefaults() Config {
 		c.StragglerRealDelayMS = 5
 	} else if c.StragglerRealDelayMS < 0 {
 		c.StragglerRealDelayMS = 0
-	}
-	if c.SpillMBps <= 0 {
-		c.SpillMBps = 500
 	}
 	return c
 }

@@ -34,7 +34,7 @@ import (
 // executor's committed shuffle buffers are held to its memory budget: a
 // commit that would push the producing executor over the budget spills the
 // incoming block to that executor's local disk (framed, compressed, charged
-// at SpillMBps) instead of keeping it resident. Fetches read spilled blocks
+// at spillMBps) instead of keeping it resident. Fetches read spilled blocks
 // back transparently, returning the extra virtual disk time for the reduce
 // attempt to charge. Spilling is a pure storage decision: fetched contents,
 // fetch ordering, and the committed byte/record counters are identical to an

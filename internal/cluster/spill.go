@@ -168,8 +168,8 @@ type SpillRef struct {
 // SpillStore is the cluster's disk-backed overflow tier: blocks that no
 // longer fit an executor's memory budget are framed (encodeSpillFrame),
 // compressed, and written to per-cluster temporary files. Reads verify the
-// frame and charge virtual disk time at Config.SpillMBps — the disk analogue
-// of NetworkMBps. Files model executor-local disk: InvalidateExecutor on the
+// frame and charge virtual disk time at spillMBps — the disk analogue of
+// Config.NetworkMBps. Files model executor-local disk: InvalidateExecutor on the
 // owning service must free the dead host's spills.
 type SpillStore struct {
 	cluster *Cluster
@@ -275,14 +275,18 @@ func (c *Cluster) SpillingEnabled() bool { return c.cfg.SpillToDisk }
 // honouring the fine-grained MemoryPerExecutorBytes override.
 func (c *Cluster) ExecutorMemoryBytes() int64 { return c.cfg.executorMemoryBytes() }
 
+// spillMBps is the simulated executor-local disk bandwidth the spill tier
+// charges for writes and read-backs, a local-SSD-class figure.
+const spillMBps = 500
+
 // SpillIONS returns the virtual disk time for moving n on-disk bytes through
-// the spill tier at Config.SpillMBps, the disk analogue of the network charge
-// in FetchShuffle.
+// the spill tier at spillMBps, the disk analogue of the network charge in
+// FetchShuffle.
 func (c *Cluster) SpillIONS(n int64) float64 {
 	if n <= 0 {
 		return 0
 	}
-	return float64(n) / (c.cfg.SpillMBps * 1e6) * 1e9
+	return float64(n) / (spillMBps * 1e6) * 1e9
 }
 
 // recordSpill accounts one spill write: counters, trace, and virtual disk

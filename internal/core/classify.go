@@ -33,21 +33,19 @@ func (c *Classifier) Classify(test [][]float64) ([]Result, Stats, error) {
 		return nil, stats, err
 	}
 
-	// Lines 2-4 of Algorithm 2: assign each testing pair to its nearest
-	// training cluster and split the survivors into C partitions.
-	items, pruned, err := c.assignClusters(test, keep)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.PrunedPairs = len(pruned)
-
 	// IDs are exactly 0..len(test)-1, so every result has its slot.
 	results := make([]Result, len(test))
-	for _, id := range pruned {
-		results[id] = Result{ID: id, Score: math.Inf(-1), Label: -1, Pruned: true}
+	ids := make([]int, 0, len(test))
+	for i, k := range keep {
+		if k {
+			ids = append(ids, i)
+		} else {
+			stats.PrunedPairs++
+			results[i] = Result{ID: i, Score: math.Inf(-1), Label: -1, Pruned: true}
+		}
 	}
-	if len(items) > 0 {
-		if err := c.classifyItems(items, results, &stats); err != nil {
+	if len(ids) > 0 {
+		if err := c.classifyItems(test, ids, results, &stats); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -57,10 +55,12 @@ func (c *Classifier) Classify(test [][]float64) ([]Result, Stats, error) {
 }
 
 // pruneMask returns, per testing pair, whether it survives §4.3.4 pruning.
-// With pruning disabled (or no positive clusters) every pair survives.
+// With pruning disabled (or no positive clusters) every pair survives. The
+// verdicts are a stage of their own, not a filter fused into the stage-1
+// join: a call whose every pair is pruned then runs no join at all.
 func (c *Classifier) pruneMask(test [][]float64) ([]bool, error) {
-	keep := make([]bool, len(test))
 	if c.cfg.Pruning == nil || len(c.pruneCenters) == 0 {
+		keep := make([]bool, len(test))
 		for i := range keep {
 			keep[i] = true
 		}
@@ -70,71 +70,34 @@ func (c *Classifier) pruneMask(test [][]float64) ([]bool, error) {
 	radii := c.pruneRadii
 	// f(θ) is a fraction of the space diameter; convert to a distance.
 	slack := c.cfg.Pruning.FTheta * math.Sqrt(float64(c.dim))
-	type verdict struct {
-		ID   int
-		Keep bool
-	}
-	idx := make([]int, len(test))
-	for i := range idx {
-		idx[i] = i
-	}
-	src := rdd.Parallelize(c.ctx, idx, c.cfg.C).SetName("S.pruneIDs")
-	verdicts, err := rdd.Map(src, func(i int) verdict {
-		t := test[i]
+	keep, err := rdd.Map(rdd.Parallelize(c.ctx, test, c.cfg.C), func(t []float64) bool {
 		for ci, cp := range centers {
 			if vecmath.Dist(t, cp) <= radii[ci]+slack {
-				return verdict{ID: i, Keep: true}
+				return true
 			}
 		}
-		return verdict{ID: i, Keep: false}
+		return false
 	}).SetName("S.pruned").Collect()
 	if err != nil {
 		return nil, fmt.Errorf("core: pruning testing set: %w", err)
 	}
-	for _, v := range verdicts {
-		keep[v.ID] = v.Keep
-	}
 	return keep, nil
 }
 
-// assignClusters maps surviving testing pairs to their nearest Voronoi cell
-// (lines 2-3 of Algorithm 2) and returns the pruned IDs separately.
-func (c *Classifier) assignClusters(test [][]float64, keep []bool) ([]sItem, []int, error) {
-	var pruned []int
-	ids := make([]int, 0, len(test))
-	for i, k := range keep {
-		if k {
-			ids = append(ids, i)
-		} else {
-			pruned = append(pruned, i)
-		}
-	}
-	if len(ids) == 0 {
-		return nil, pruned, nil
-	}
-	centers := c.centers
-	src := rdd.Parallelize(c.ctx, ids, c.cfg.C).SetName("S.ids")
-	items, err := rdd.Map(src, func(i int) sItem {
-		cl, _ := vecmath.ArgMinDist(test[i], centers)
-		return sItem{ID: i, Vec: test[i], Cluster: cl}
-	}).SetName("S.assigned").Collect()
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: assigning testing pairs: %w", err)
-	}
-	return items, pruned, nil
-}
-
 // classifyItems runs the two comparison stages of Algorithm 2 over the
-// surviving testing pairs, writes each one's result to results[ID], and adds
-// the work the committed rows report to stats.
-func (c *Classifier) classifyItems(items []sItem, results []Result, stats *Stats) error {
+// surviving testing pairs test[ids], writes each one's result to
+// results[ID], and adds the work the committed rows report to stats.
+func (c *Classifier) classifyItems(test [][]float64, ids []int, results []Result, stats *Stats) error {
 	k := c.cfg.K
 
-	// Keyed testing pairs, split into C partitions (line 4).
-	sKeyed := rdd.Map(
-		rdd.Parallelize(c.ctx, items, c.cfg.C).SetName("S.items").WithBytesPerRecord(int64(8*c.dim+24)),
-		func(s sItem) rdd.Pair[int, sItem] { return rdd.KV(s.Cluster, s) },
-	).SetName("S.byCluster")
+	// Lines 2-4: split the testing pairs into C partitions and key each by
+	// its nearest Voronoi cell. The map is narrow, so it runs in the map
+	// tasks of the join's shuffle.
+	centers := c.centers
+	sKeyed := rdd.Map(rdd.Parallelize(c.ctx, ids, c.cfg.C), func(i int) rdd.Pair[int, sItem] {
+		cl, _ := vecmath.ArgMinDist(test[i], centers)
+		return rdd.KV(cl, sItem{ID: i, Vec: test[i], Cluster: cl})
+	}).SetName("S.byCluster")
 
 	// Stage 1 (lines 6-12): join testing pairs with their own cluster's
 	// negative block, take the local top-k, fold in the positives, and

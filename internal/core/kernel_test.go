@@ -48,7 +48,7 @@ func refMerge(k int, lists ...[]knn.Neighbor) []knn.Neighbor {
 
 // referenceClassify is Algorithm 2 run sequentially on the driver with the
 // reference kernel. It takes the classifier's partition (centers, block
-// membership, pruning mask, Algorithm 1) as given and reads every vector
+// membership, pruning clusters, Algorithm 1) as given and reads every vector
 // from the caller's training pairs, not from the classifier's arenas. It
 // scans every negative of every block it visits and every positive for every
 // testing pair: the classifier's groups are nothing it knows about.
@@ -72,16 +72,26 @@ func referenceClassify(t *testing.T, c *Classifier, train []TrainingPair, test [
 			positives = append(positives, ipair{Idx: i, Vec: p.Vec, Label: p.Label})
 		}
 	}
-	keep, err := c.pruneMask(test)
-	if err != nil {
-		t.Fatal(err)
+	// §4.3.4: a pair survives when it lies within f(θ) of some positive
+	// cluster's radius; with pruning off every pair survives.
+	kept := func(v []float64) bool {
+		if c.cfg.Pruning == nil || len(c.pruneCenters) == 0 {
+			return true
+		}
+		slack := c.cfg.Pruning.FTheta * math.Sqrt(float64(c.dim))
+		for ci, cp := range c.pruneCenters {
+			if vecmath.Dist(v, cp) <= c.pruneRadii[ci]+slack {
+				return true
+			}
+		}
+		return false
 	}
 
 	k := c.cfg.K
 	stats := Stats{TestPairs: len(test)}
 	results := make([]Result, len(test))
 	for i, v := range test {
-		if !keep[i] {
+		if !kept(v) {
 			stats.PrunedPairs++
 			results[i] = Result{ID: i, Score: math.Inf(-1), Label: -1, Pruned: true}
 			continue
@@ -562,32 +572,52 @@ func TestNoCrossPairsSkipMerge(t *testing.T) {
 // TestOneVectorClassifyLaunchesFewTasks: a single testing pair that does not
 // cross touches one Voronoi cell, so Classify launches a task only for the
 // partitions that can hold it — fewer than the b cells one join alone spans —
-// and its results equal the reference kernel's.
+// and its results equal the reference kernel's. It runs four stages, the
+// map sides of the three shuffles and the result stage: the testing pairs
+// keyed by their cell (the cell assignment runs in these map tasks), the
+// cross fanout, which runs the stage-1 join, the merge's inputs, and the
+// collect. Pruning adds its own stage.
 func TestOneVectorClassifyLaunchesFewTasks(t *testing.T) {
 	train := synthData(60, 2400, 7, 5)
-	ctx := testCtx()
-	clf, err := Train(ctx, train, Config{B: 32, C: 8, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := len(clf.Centers())
 	query := [][]float64{{0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9}}
-	m := ctx.Cluster().Metrics()
-	before := m.TasksLaunched.Load()
-	got, stats, err := clf.Classify(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	launched := m.TasksLaunched.Load() - before
-	if stats.AdditionalClustersChecked != 0 {
-		t.Fatalf("the query searched %d more cells; want a pair that does not cross", stats.AdditionalClustersChecked)
-	}
-	if launched >= int64(b) {
-		t.Errorf("one-vector Classify launched %d tasks, want fewer than the %d cells", launched, b)
-	}
-	want, _ := referenceClassify(t, clf, train, query)
-	if err := sameResults(got, want); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		pruning *PruningConfig
+		stages  int64
+	}{
+		{"no-pruning", nil, 4},
+		// f(θ) = 1 keeps every vector of the unit cube.
+		{"pruning-keeps", &PruningConfig{Clusters: 3, FTheta: 1}, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := testCtx()
+			clf, err := Train(ctx, train, Config{B: 32, C: 8, Seed: 5, Pruning: tc.pruning})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := len(clf.Centers())
+			m := ctx.Cluster().Metrics()
+			tasks, stages := m.TasksLaunched.Load(), m.StagesRun.Load()
+			got, stats, err := clf.Classify(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks, stages = m.TasksLaunched.Load()-tasks, m.StagesRun.Load()-stages
+			if stats.AdditionalClustersChecked != 0 || stats.PrunedPairs != 0 {
+				t.Fatalf("the query searched %d more cells and %d pairs were pruned; want a kept pair that does not cross",
+					stats.AdditionalClustersChecked, stats.PrunedPairs)
+			}
+			if tasks >= int64(b) {
+				t.Errorf("one-vector Classify launched %d tasks, want fewer than the %d cells", tasks, b)
+			}
+			if stages != tc.stages {
+				t.Errorf("one-vector Classify ran %d stages, want %d", stages, tc.stages)
+			}
+			want, _ := referenceClassify(t, clf, train, query)
+			if err := sameResults(got, want); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

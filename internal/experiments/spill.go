@@ -27,7 +27,8 @@ import (
 // block cache (the cached negative training blocks and stage-1 rows), the
 // join and merge shuffles, and the external join — and still produce
 // bit-identical results; the makespan delta prices what the virtual spill
-// disk (SpillMBps) costs relative to keeping everything resident.
+// disk (500 MB/s, Cluster.SpillIONS) costs relative to keeping everything
+// resident.
 
 // SpillParams configures the exhibit.
 type SpillParams struct {

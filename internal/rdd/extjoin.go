@@ -13,8 +13,8 @@ import (
 // the disk overflow tier is on (Config.SpillToDisk), Join switches from its
 // all-in-memory build-and-probe to an external one: budget-sized chunks of the
 // build side are spilled through the cluster's framed, compressed spill store,
-// read back and probed, charging virtual disk time at Config.SpillMBps to the
-// running attempt.
+// read back and probed, charging the spill tier's virtual disk time
+// (Cluster.SpillIONS) to the running attempt.
 //
 // The external join is *output-identical* to the in-memory one — it
 // re-establishes the in-memory (right index, left position) emission order
