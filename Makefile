@@ -50,6 +50,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzResumeVerify -fuzztime=10s ./internal/candgen
 	$(GO) test -run='^$$' -fuzz=FuzzSpillCodec -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzIngestRequest -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeMatchesReference -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzTokenizeMatchesReference -fuzztime=10s ./internal/text
 	$(GO) test -run='^$$' -fuzz=FuzzTopK -fuzztime=10s ./internal/knn
 	$(GO) test -run='^$$' -fuzz=FuzzGroupSearch -fuzztime=10s ./internal/knn
 

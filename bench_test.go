@@ -462,6 +462,7 @@ func BenchmarkPairDistance(b *testing.B) {
 func BenchmarkTextPipeline(b *testing.B) {
 	s := benchSetup(b)
 	desc := s.env.Corpus.Reports[0].ReportDescription
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		text.Process(desc)

@@ -1,8 +1,10 @@
 package intern
 
 import (
-	"bytes"
+	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // FuzzIntern fuzzes the interner with arbitrary byte input split into
@@ -12,7 +14,11 @@ import (
 //   - interning is stable: the same token yields the same ID across calls;
 //   - IDs are dense: every ID below Len resolves;
 //   - SortedSet output is strictly increasing (sorted and deduplicated)
-//     and its resolved tokens equal the distinct input tokens.
+//     and its resolved tokens equal the distinct input tokens;
+//   - SortedSet assigns the IDs per-token Intern calls in input order
+//     assign, on a fresh interner and on one that knows some tokens;
+//   - no stored token shares memory with the caller's string: the tokens
+//     are substrings of one input string, as Tokenize cuts them.
 //
 // The committed corpus under testdata/fuzz/FuzzIntern seeds empty input,
 // repeated tokens, and multi-byte unicode tokens.
@@ -22,10 +28,8 @@ func FuzzIntern(f *testing.F) {
 	f.Add([]byte("头痛 nausea 头痛 ñ"))
 	f.Add([]byte("a b c d e f g a b c"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tokens := []string{}
-		for _, w := range bytes.Fields(data) {
-			tokens = append(tokens, string(w))
-		}
+		input := string(data)
+		tokens := strings.Fields(input)
 		it := New()
 		ids := make(map[string]uint32)
 		for _, tok := range tokens {
@@ -63,5 +67,53 @@ func FuzzIntern(f *testing.F) {
 				t.Fatalf("set id %d resolves to %q, not an input token", id, tok)
 			}
 		}
+		for id := uint32(0); int(id) < it.Len(); id++ {
+			tok, _ := it.Resolve(id)
+			if sharesMemory(tok, input) {
+				t.Fatalf("stored token %q shares memory with the caller's string", tok)
+			}
+		}
+
+		// SortedSet against per-token Intern in input order, from empty and
+		// after the first half of the tokens is already known.
+		for _, known := range [][]string{nil, tokens[:len(tokens)/2]} {
+			bySet, byToken := New(), New()
+			for _, tok := range known {
+				bySet.Intern(tok)
+				byToken.Intern(tok)
+			}
+			set := bySet.SortedSet(tokens)
+			var want []uint32
+			for _, tok := range tokens {
+				want = append(want, byToken.Intern(tok))
+			}
+			slices.Sort(want)
+			want = slices.Compact(want)
+			if !slices.Equal(set, want) {
+				t.Fatalf("SortedSet = %v, per-token Intern = %v", set, want)
+			}
+			if bySet.Len() != byToken.Len() {
+				t.Fatalf("SortedSet interned %d tokens, per-token Intern %d", bySet.Len(), byToken.Len())
+			}
+			for id := uint32(0); int(id) < bySet.Len(); id++ {
+				a, _ := bySet.Resolve(id)
+				b, _ := byToken.Resolve(id)
+				if a != b {
+					t.Fatalf("id %d is %q under SortedSet, %q under Intern", id, a, b)
+				}
+				if sharesMemory(a, input) {
+					t.Fatalf("SortedSet stored token %q sharing memory with the caller's string", a)
+				}
+			}
+		}
 	})
+}
+
+// sharesMemory reports whether a's bytes lie inside b's.
+func sharesMemory(a, b string) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.StringData(a))), uintptr(unsafe.Pointer(unsafe.StringData(b)))
+	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
 }

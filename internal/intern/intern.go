@@ -11,6 +11,7 @@ package intern
 
 import (
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -38,10 +39,19 @@ func (it *Interner) Intern(tok string) uint32 {
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
+	return it.add(tok)
+}
+
+// add returns tok's ID, assigning the next one on first sight; it.mu must
+// be held for writing. It stores its own copy of a new token: callers pass
+// substrings of whole descriptions and report fields, which the table must
+// not keep alive.
+func (it *Interner) add(tok string) uint32 {
 	if id, ok := it.ids[tok]; ok {
 		return id
 	}
-	id = uint32(len(it.toks))
+	tok = strings.Clone(tok)
+	id := uint32(len(it.toks))
 	it.ids[tok] = id
 	it.toks = append(it.toks, tok)
 	return id
@@ -68,14 +78,31 @@ func (it *Interner) Len() int {
 // SortedSet interns every token and returns the sorted, deduplicated ID
 // set — the representation strsim.JaccardSortedIDs consumes. A nil or empty
 // input returns nil. The result is freshly allocated and never aliases
-// interner state.
+// interner state. IDs are assigned as per-token Intern calls in input order
+// would assign them, under one read lock for a set of known tokens and one
+// write lock for the rest.
 func (it *Interner) SortedSet(tokens []string) []uint32 {
 	if len(tokens) == 0 {
 		return nil
 	}
 	ids := make([]uint32, len(tokens))
+	miss := len(tokens)
+	it.mu.RLock()
 	for i, t := range tokens {
-		ids[i] = it.Intern(t)
+		id, ok := it.ids[t]
+		if !ok {
+			miss = i
+			break
+		}
+		ids[i] = id
+	}
+	it.mu.RUnlock()
+	if miss < len(tokens) {
+		it.mu.Lock()
+		for i := miss; i < len(tokens); i++ {
+			ids[i] = it.add(tokens[i])
+		}
+		it.mu.Unlock()
 	}
 	slices.Sort(ids)
 	return slices.Compact(ids)

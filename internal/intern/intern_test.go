@@ -89,7 +89,8 @@ func TestSortedSetMatchesMapSemantics(t *testing.T) {
 }
 
 // TestInternConcurrent hammers one interner from many goroutines over an
-// overlapping vocabulary; run with -race. IDs must stay consistent.
+// overlapping vocabulary, half through Intern and half through SortedSet;
+// run with -race. IDs must stay consistent.
 func TestInternConcurrent(t *testing.T) {
 	it := New()
 	const workers = 8
@@ -102,7 +103,14 @@ func TestInternConcurrent(t *testing.T) {
 			m := make(map[string]uint32)
 			for i := 0; i < 500; i++ {
 				tok := fmt.Sprintf("tok%d", (i*7+w)%100)
-				m[tok] = it.Intern(tok)
+				if w%2 == 0 {
+					m[tok] = it.Intern(tok)
+					continue
+				}
+				for _, id := range it.SortedSet([]string{tok, fmt.Sprintf("tok%d", (i*3+w)%100)}) {
+					s, _ := it.Resolve(id)
+					m[s] = id
+				}
 			}
 			results[w] = m
 		}(w)

@@ -1,14 +1,12 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"sort"
 	"strconv"
 	"sync"
@@ -38,110 +36,6 @@ var errEmptyBatch = &RequestError{Status: http.StatusBadRequest, Msg: "empty bat
 func errBatchTooLarge(n, max int) error {
 	return &RequestError{Status: http.StatusRequestEntityTooLarge,
 		Msg: fmt.Sprintf("batch of %d reports exceeds limit %d", n, max)}
-}
-
-// DecodeReport parses one JSON report object with the service's structural
-// guards: well-formed JSON, exactly one object, a non-empty case number,
-// every string field at most MaxFieldBytes, a plausible age. ArrivalSeq is
-// always reset — arrival order is assigned by the database, never by the
-// client. All failures are *RequestError (4xx).
-func DecodeReport(data []byte) (adr.Report, error) {
-	var r adr.Report
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(&r); err != nil {
-		return adr.Report{}, &RequestError{Status: http.StatusBadRequest,
-			Msg: "invalid report JSON: " + err.Error()}
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err != io.EOF {
-		return adr.Report{}, &RequestError{Status: http.StatusBadRequest,
-			Msg: "trailing data after report object"}
-	}
-	if err := checkReport(&r); err != nil {
-		return adr.Report{}, err
-	}
-	r.ArrivalSeq = 0
-	return r, nil
-}
-
-// checkReport enforces the per-field guards on a decoded report.
-func checkReport(r *adr.Report) error {
-	if r.CaseNumber == "" {
-		return &RequestError{Status: http.StatusUnprocessableEntity,
-			Msg: "report without case number"}
-	}
-	if r.CalculatedAge < 0 || r.CalculatedAge > 150 {
-		return &RequestError{Status: http.StatusUnprocessableEntity,
-			Msg: fmt.Sprintf("calculated age %d out of range [0, 150]", r.CalculatedAge)}
-	}
-	v := reflect.ValueOf(r).Elem()
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		if t.Field(i).Type.Kind() != reflect.String {
-			continue
-		}
-		if n := len(v.Field(i).String()); n > MaxFieldBytes {
-			return &RequestError{Status: http.StatusRequestEntityTooLarge,
-				Msg: fmt.Sprintf("field %s is %d bytes, limit %d", t.Field(i).Name, n, MaxFieldBytes)}
-		}
-	}
-	return nil
-}
-
-// DecodeBatch parses a batch ingest body: either {"reports": [...]} or a
-// bare JSON array of report objects. Beyond the per-report guards it
-// refuses empty batches, batches over maxBatch, and duplicate case numbers
-// within the batch (which the database would reject anyway — refusing them
-// at the door keeps the rejection a typed 4xx). All failures are
-// *RequestError.
-func DecodeBatch(data []byte, maxBatch int) ([]adr.Report, error) {
-	var raws []json.RawMessage
-	bare := false
-	for _, b := range data {
-		if b == ' ' || b == '\t' || b == '\n' || b == '\r' {
-			continue
-		}
-		bare = b == '['
-		break
-	}
-	if bare {
-		if err := json.Unmarshal(data, &raws); err != nil {
-			return nil, &RequestError{Status: http.StatusBadRequest,
-				Msg: "invalid batch JSON: " + err.Error()}
-		}
-	} else {
-		var req struct {
-			Reports []json.RawMessage `json:"reports"`
-		}
-		if err := json.Unmarshal(data, &req); err != nil {
-			return nil, &RequestError{Status: http.StatusBadRequest,
-				Msg: "invalid batch JSON: " + err.Error()}
-		}
-		raws = req.Reports
-	}
-	if len(raws) == 0 {
-		return nil, errEmptyBatch
-	}
-	if maxBatch > 0 && len(raws) > maxBatch {
-		return nil, errBatchTooLarge(len(raws), maxBatch)
-	}
-	out := make([]adr.Report, len(raws))
-	seen := make(map[string]int, len(raws))
-	for i, raw := range raws {
-		r, err := DecodeReport(raw)
-		if err != nil {
-			re := err.(*RequestError)
-			return nil, &RequestError{Status: re.Status,
-				Msg: fmt.Sprintf("report %d: %s", i, re.Msg)}
-		}
-		if j, dup := seen[r.CaseNumber]; dup {
-			return nil, &RequestError{Status: http.StatusUnprocessableEntity,
-				Msg: fmt.Sprintf("reports %d and %d share case number %q", j, i, r.CaseNumber)}
-		}
-		seen[r.CaseNumber] = i
-		out[i] = r
-	}
-	return out, nil
 }
 
 // matchJSON is the wire form of one flagged duplicate.

@@ -1,6 +1,9 @@
 package text
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzStem fuzzes the Porter stemmer. For any input, Stem must not panic,
 // must never grow the word, and must *converge*: repeated stemming reaches a
@@ -47,6 +50,73 @@ func FuzzStem(f *testing.F) {
 		if next := Stem(cur); next != cur {
 			t.Errorf("Stem(%q) did not reach a fixed point after %d rounds: still %q -> %q",
 				word, maxRounds, cur, next)
+		}
+	})
+}
+
+// referenceTokenize is Tokenize's per-character path applied to every
+// input, as Tokenize was before it gained an ASCII path.
+func referenceTokenize(s string) []string {
+	if s == "" {
+		return nil
+	}
+	return tokenizeRunes(s)
+}
+
+// referenceStem is Stem as it was before it worked in a stack buffer: a
+// fresh copy of every stemmable word.
+func referenceStem(word string) string {
+	if len(word) <= 2 {
+		return word
+	}
+	for i := 0; i < len(word); i++ {
+		if word[i] < 'a' || word[i] > 'z' {
+			return word
+		}
+	}
+	s := &stemmer{b: []byte(word), k: len(word) - 1}
+	s.step1ab()
+	if s.k > 0 {
+		s.step1c()
+		s.step2()
+		s.step3()
+		s.step4()
+		s.step5()
+	}
+	return string(s.b[:s.k+1])
+}
+
+// FuzzTokenizeMatchesReference holds Tokenize, Stem and Process to their
+// per-character, copy-per-word references on ASCII, mixed and invalid
+// UTF-8 input: the same tokens in the same order, the same stems.
+func FuzzTokenizeMatchesReference(f *testing.F) {
+	for _, s := range []string{
+		"", "!!!", "a", "Hello, World!",
+		"The patient experienced uncontrollable coughing and headaches.",
+		"On 30 April 2013, in the evening; 02-Oct-2013 atorvastatin 80MG",
+		"UPPER lower MiXeD x2y 007 hopefulness relational",
+		"naïve Café résumé: headache", "头痛 nausea 头痛 ñ", "ǅungla İstanbul ΣΊΣΥΦΟΣ",
+		"\xff\xfe not utf8 \x00", "abc\xc3def", "tab\tnew\nline\rcr",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := Tokenize(s), referenceTokenize(s)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, reference %q", s, got, want)
+		}
+		var wantProc []string
+		for _, tok := range want {
+			if st := Stem(tok); st != referenceStem(tok) {
+				t.Fatalf("Stem(%q) = %q, reference %q", tok, st, referenceStem(tok))
+			}
+			if !IsStopword(tok) {
+				wantProc = append(wantProc, referenceStem(tok))
+			}
+		}
+		proc := Process(s)
+		if len(proc) != len(wantProc) || len(proc) > 0 && !reflect.DeepEqual(proc, wantProc) {
+			t.Fatalf("Process(%q) = %q, reference %q", s, proc, wantProc)
 		}
 	})
 }

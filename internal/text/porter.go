@@ -1,20 +1,34 @@
 package text
 
+// stemBuf is the longest word Stem handles without allocating.
+const stemBuf = 32
+
 // Stem reduces an English word to its root form using the Porter stemming
 // algorithm (Porter, 1980). The input is expected to be a lowercase token as
 // produced by Tokenize; words shorter than three letters and tokens
 // containing non a-z characters are returned unchanged, matching the
-// reference implementation's behaviour.
+// reference implementation's behaviour. A word Porter leaves unchanged is
+// returned as given, without allocating when it is at most stemBuf bytes.
 func Stem(word string) string {
+	var buf [stemBuf]byte
+	if b, changed := stem(buf[:], word); changed {
+		return string(b)
+	}
+	return word
+}
+
+// stem runs Porter on word in buf's storage (on the heap when word does not
+// fit) and returns the stem and whether it differs from word.
+func stem(buf []byte, word string) ([]byte, bool) {
 	if len(word) <= 2 {
-		return word
+		return nil, false
 	}
 	for i := 0; i < len(word); i++ {
 		if word[i] < 'a' || word[i] > 'z' {
-			return word
+			return nil, false
 		}
 	}
-	s := &stemmer{b: []byte(word), k: len(word) - 1}
+	s := stemmer{b: append(buf[:0], word...), k: len(word) - 1}
 	s.step1ab()
 	// step1ab can strip the word down to a single letter (e.g. "aed" →
 	// "a"); the remaining steps all inspect b[k-1] and require at least
@@ -26,7 +40,8 @@ func Stem(word string) string {
 		s.step4()
 		s.step5()
 	}
-	return string(s.b[:s.k+1])
+	b := s.b[:s.k+1]
+	return b, string(b) != word
 }
 
 // stemmer is a direct port of Porter's reference implementation. b[0..k]

@@ -2,6 +2,7 @@ package text
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -229,5 +230,30 @@ func TestProcessParaphraseOverlap(t *testing.T) {
 	}
 	if shared < 2 {
 		t.Errorf("paraphrases share %d processed tokens, want >= 2 (a=%v b=%v)", shared, a, b)
+	}
+}
+
+// TestProcessASCIIAllocs pins the text path's allocations: an ASCII
+// description costs the lower-cased copy, the token slice and one buffer
+// for the stems Porter changed.
+func TestProcessASCIIAllocs(t *testing.T) {
+	desc := "On 30 April 2013 the Patient experienced uncontrollable coughing, " +
+		"headaches and Dizziness within hours of vaccination; treated with " +
+		"paracetamol and hospitalised overnight. Symptoms resolved."
+	if n := testing.AllocsPerRun(100, func() { Process(desc) }); n > 3 {
+		t.Errorf("Process allocates %.0f times, want at most 3", n)
+	}
+}
+
+// TestStemUnchangedAllocs pins Stem to no allocation for a word of up to
+// stemBuf bytes that Porter leaves unchanged.
+func TestStemUnchangedAllocs(t *testing.T) {
+	for _, w := range []string{"cat", "headach", "aspirin", "rhabdomyolysi", strings.Repeat("b", stemBuf)} {
+		if Stem(w) != w {
+			t.Fatalf("Stem(%q) changed the word; pick an unchanged one", w)
+		}
+		if n := testing.AllocsPerRun(100, func() { Stem(w) }); n != 0 {
+			t.Errorf("Stem(%q) allocates %.0f times, want 0", w, n)
+		}
 	}
 }

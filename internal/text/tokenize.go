@@ -7,16 +7,56 @@ package text
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize splits s into lowercase word tokens. A token is a maximal run of
 // letters or digits; everything else (punctuation, whitespace) separates
 // tokens. Purely numeric tokens are kept: dates and dosages carry signal for
 // duplicate detection.
+//
+// ASCII input is lower-cased once and its tokens are substrings of that
+// copy; input with any other byte takes the per-character path.
 func Tokenize(s string) []string {
-	if s == "" {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return tokenizeRunes(s)
+		}
+	}
+	lower := strings.ToLower(s)
+	n := 0
+	for i := 0; i < len(lower); i++ {
+		if isAlnum(lower[i]) && (i == 0 || !isAlnum(lower[i-1])) {
+			n++
+		}
+	}
+	if n == 0 {
 		return nil
 	}
+	tokens := make([]string, 0, n)
+	for i := 0; i < len(lower); {
+		if !isAlnum(lower[i]) {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(lower) && isAlnum(lower[j]) {
+			j++
+		}
+		tokens = append(tokens, lower[i:j])
+		i = j
+	}
+	return tokens
+}
+
+// isAlnum reports whether the ASCII byte c is a letter or a digit, which is
+// what unicode.IsLetter and unicode.IsDigit say of it.
+func isAlnum(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+}
+
+// tokenizeRunes is Tokenize for input beyond ASCII, one rune at a time.
+func tokenizeRunes(s string) []string {
 	tokens := make([]string, 0, len(s)/5)
 	var b strings.Builder
 	flush := func() {
@@ -80,15 +120,37 @@ func IsStopword(token string) bool {
 
 // Process runs the full pipeline of §4.2 on a free-text field: tokenize,
 // remove stop-words, and stem each remaining token to its root form. The
-// stop-word filter and stemmer run in place on the freshly tokenized slice
-// (Tokenize always returns a new slice), so the pipeline allocates once.
+// stop-word filter and stemmer run in place on the freshly tokenized slice.
+// A token Porter leaves unchanged is kept as Tokenize cut it; the stems that
+// differ share one buffer. So an ASCII description costs at most three
+// allocations: the lower-cased copy, the token slice and the stem buffer.
 func Process(s string) []string {
 	tokens := Tokenize(s)
 	out := tokens[:0]
-	for _, t := range tokens {
-		if !IsStopword(t) {
-			out = append(out, Stem(t))
+	var stems strings.Builder
+	var buf [stemBuf]byte
+	for i, t := range tokens {
+		if IsStopword(t) {
+			continue
 		}
+		b, changed := stem(buf[:], t)
+		if !changed {
+			out = append(out, t)
+			continue
+		}
+		if stems.Cap() == 0 {
+			// No stem outgrows its word, so the words left bound the
+			// buffer. out has not yet overwritten tokens[i:].
+			n := 0
+			for _, w := range tokens[i:] {
+				n += len(w)
+			}
+			stems.Grow(n)
+		}
+		start := stems.Len()
+		stems.Write(b)
+		// The builder only appends, so earlier stems stay valid.
+		out = append(out, stems.String()[start:])
 	}
 	return out
 }
