@@ -469,14 +469,6 @@ func BenchmarkTextPipeline(b *testing.B) {
 	}
 }
 
-func BenchmarkPorterStemmer(b *testing.B) {
-	words := []string{"vaccination", "uncontrollable", "rhabdomyolysis", "experienced", "hospitalization"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		text.Stem(words[i%len(words)])
-	}
-}
-
 func BenchmarkKMeansPartitioning(b *testing.B) {
 	s := benchSetup(b)
 	vecs := make([][]float64, len(s.data.Train))

@@ -34,7 +34,8 @@ func TestGenSummaryDetectRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, err := adrgen.ReadGroundTruth(tf)
+	var truth []adrgen.GroundTruthRecord
+	err = json.NewDecoder(tf).Decode(&truth)
 	tf.Close()
 	if err != nil {
 		t.Fatal(err)

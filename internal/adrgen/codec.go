@@ -2,7 +2,6 @@ package adrgen
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -15,6 +14,8 @@ type GroundTruthRecord struct {
 }
 
 // WriteGroundTruth serializes the corpus's duplicate ground truth as JSON.
+// Only case numbers and modes are written; corpus indices are meaningless
+// outside the generating process.
 func WriteGroundTruth(w io.Writer, duplicates []DuplicatePair) error {
 	records := make([]GroundTruthRecord, len(duplicates))
 	for i, d := range duplicates {
@@ -23,21 +24,4 @@ func WriteGroundTruth(w io.Writer, duplicates []DuplicatePair) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(records)
-}
-
-// ReadGroundTruth parses ground truth previously written by
-// WriteGroundTruth. Only case numbers and modes survive the round trip;
-// corpus indices are not serialized (they are meaningless outside the
-// generating process).
-func ReadGroundTruth(r io.Reader) ([]GroundTruthRecord, error) {
-	var out []GroundTruthRecord
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, fmt.Errorf("adrgen: decoding ground truth: %w", err)
-	}
-	for i, rec := range out {
-		if rec.CaseA == "" || rec.CaseB == "" {
-			return nil, fmt.Errorf("adrgen: ground truth record %d missing case numbers", i)
-		}
-	}
-	return out, nil
 }

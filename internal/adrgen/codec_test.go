@@ -2,7 +2,7 @@ package adrgen
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
 	"testing"
 )
 
@@ -12,8 +12,8 @@ func TestGroundTruthRoundTrip(t *testing.T) {
 	if err := WriteGroundTruth(&buf, c.Duplicates); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadGroundTruth(&buf)
-	if err != nil {
+	var got []GroundTruthRecord
+	if err := json.NewDecoder(&buf).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 15 {
@@ -24,14 +24,5 @@ func TestGroundTruthRoundTrip(t *testing.T) {
 		if rec.CaseA != d.CaseA || rec.CaseB != d.CaseB || rec.Mode != d.Mode.String() {
 			t.Errorf("record %d = %+v, want %+v", i, rec, d)
 		}
-	}
-}
-
-func TestReadGroundTruthRejectsBadInput(t *testing.T) {
-	if _, err := ReadGroundTruth(strings.NewReader("{oops")); err == nil {
-		t.Error("invalid JSON must error")
-	}
-	if _, err := ReadGroundTruth(strings.NewReader(`[{"caseA":"","caseB":"x"}]`)); err == nil {
-		t.Error("missing case number must error")
 	}
 }

@@ -266,17 +266,6 @@ func (b *BlockStore) Remove(id BlockID) {
 	}
 }
 
-// Used returns the bytes currently resident in the memory tier (spilled
-// blocks count zero — that is the point of spilling).
-func (b *BlockStore) Used() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.used
-}
-
-// Capacity returns the store's byte capacity.
-func (b *BlockStore) Capacity() int64 { return b.capacity }
-
 // Len returns the number of cached blocks, resident plus spilled.
 func (b *BlockStore) Len() int {
 	b.mu.Lock()

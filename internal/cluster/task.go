@@ -23,7 +23,7 @@ import (
 // shared across attempts. With speculation enabled, two attempts of the same
 // task may run concurrently — each gets its own TaskContext, and closures
 // that publish output must do so through the commit-gated channels
-// (WriteShuffle, PublishResult, the metric counters) or their own
+// (WriteShuffleAs, PublishResult, the metric counters) or their own
 // synchronization.
 type TaskContext struct {
 	cluster     *Cluster
@@ -50,7 +50,7 @@ type TaskContext struct {
 	// (broadcast reads, user-charged waits); shuffleWaitNS is the share
 	// spent fetching shuffle blocks, tracked separately so StageStats can
 	// report a compute vs. shuffle-wait breakdown. sleptNS is real
-	// wall-clock time spent blocked in Delay, subtracted from the
+	// wall-clock time spent blocked in sleep, subtracted from the
 	// attempt's measured compute time.
 	virtualNS       float64
 	shuffleWaitNS   float64
@@ -137,16 +137,6 @@ func (tc *TaskContext) Context() context.Context {
 	return tc.ctx
 }
 
-// Delay simulates a straggling attempt: it charges virtualNS of virtual time
-// immediately (so the would-be cost stays accounted even if the attempt is
-// later cancelled by a winning rival) and then blocks for up to d of real
-// wall-clock time, returning early if the attempt is cancelled. The real
-// block is excluded from the attempt's measured compute time.
-func (tc *TaskContext) Delay(d time.Duration, virtualNS float64) {
-	tc.AddVirtualNS(virtualNS)
-	tc.sleep(d)
-}
-
 // sleep blocks for up to d, waking early on attempt cancellation, and
 // records the slept time so it can be excluded from measured compute. The
 // attempt's real worker slot is yielded for the duration of the block.
@@ -210,20 +200,16 @@ func (tc *TaskContext) SetWorkingSetBytes(n int64) {
 	}
 }
 
-// WriteShuffle buffers one output bucket for the given shuffle and reduce
-// partition. The write is committed when the attempt succeeds. Committed
-// buckets are keyed by (map task, write sequence), so a duplicate commit of
-// the same deterministic output — e.g. by a retried or speculative attempt —
-// is idempotent: the bucket contents equal a single write.
-func (tc *TaskContext) WriteShuffle(shuffleID, reduceID int, data any, records, bytes int64) {
-	tc.WriteShuffleAs(shuffleID, reduceID, tc.task, data, records, bytes)
-}
-
-// WriteShuffleAs is WriteShuffle with an explicit map-task identity. A
-// recovery task regenerating executor-lost output runs under its own
-// patch-up stage's task numbering but must commit blocks under the original
-// map partition's (map task, seq) keys, or the recomputed blocks would not
-// splice back into the reduce-side sort order the first run established.
+// WriteShuffleAs buffers one output bucket for the given shuffle and reduce
+// partition, as map task mapTask's output. The write is committed when the
+// attempt succeeds. Committed buckets are keyed by (map task, write
+// sequence), so a duplicate commit of the same deterministic output — e.g.
+// by a retried or speculative attempt — is idempotent: the bucket contents
+// equal a single write. A recovery task regenerating executor-lost output
+// runs under its own patch-up stage's task numbering but must commit blocks
+// under the original map partition's (map task, seq) keys, or the
+// recomputed blocks would not splice back into the reduce-side sort order
+// the first run established.
 func (tc *TaskContext) WriteShuffleAs(shuffleID, reduceID, mapTask int, data any, records, bytes int64) {
 	tc.pendingShuffle = append(tc.pendingShuffle, pendingWrite{
 		shuffleID: shuffleID,

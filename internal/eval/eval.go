@@ -6,7 +6,6 @@ package eval
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 )
 
@@ -112,70 +111,4 @@ func AUPR(scores []float64, labels []int) (float64, error) {
 		i = j
 	}
 	return ap / float64(totalPos), nil
-}
-
-// Confusion counts outcomes at a fixed threshold: scores >= theta are
-// predicted positive.
-type Confusion struct {
-	TP, FP, TN, FN int
-}
-
-// ConfusionAt computes the confusion counts at threshold theta.
-func ConfusionAt(scores []float64, labels []int, theta float64) Confusion {
-	var c Confusion
-	for i, s := range scores {
-		predicted := s >= theta
-		actual := labels[i] > 0
-		switch {
-		case predicted && actual:
-			c.TP++
-		case predicted && !actual:
-			c.FP++
-		case !predicted && actual:
-			c.FN++
-		default:
-			c.TN++
-		}
-	}
-	return c
-}
-
-// Precision returns TP / (TP + FP), or 0 when nothing was predicted
-// positive.
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall returns TP / (TP + FN), or 0 when there are no positives.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// F1 is the harmonic mean of precision and recall.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
-// WriteCurve renders a PR curve as tab-separated rows (threshold, recall,
-// precision) for plotting.
-func WriteCurve(w io.Writer, points []Point) error {
-	if _, err := fmt.Fprintln(w, "threshold\trecall\tprecision"); err != nil {
-		return err
-	}
-	for _, p := range points {
-		if _, err := fmt.Fprintf(w, "%.6g\t%.4f\t%.4f\n", p.Threshold, p.Recall, p.Precision); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package eval
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -130,34 +129,6 @@ func TestPRCurveMonotoneRecall(t *testing.T) {
 	}
 	if points[len(points)-1].Recall != 1 {
 		t.Error("curve must end at full recall")
-	}
-}
-
-func TestConfusionAndDerivedMetrics(t *testing.T) {
-	scores := []float64{0.9, 0.6, 0.4, 0.1}
-	labels := []int{1, -1, 1, -1}
-	c := ConfusionAt(scores, labels, 0.5)
-	if c.TP != 1 || c.FP != 1 || c.FN != 1 || c.TN != 1 {
-		t.Fatalf("confusion = %+v", c)
-	}
-	if c.Precision() != 0.5 || c.Recall() != 0.5 || c.F1() != 0.5 {
-		t.Errorf("metrics = %v %v %v", c.Precision(), c.Recall(), c.F1())
-	}
-	empty := Confusion{}
-	if empty.Precision() != 0 || empty.Recall() != 0 || empty.F1() != 0 {
-		t.Error("empty confusion metrics must be 0")
-	}
-}
-
-func TestWriteCurve(t *testing.T) {
-	points := []Point{{Threshold: 0.5, Recall: 0.25, Precision: 0.75}}
-	var sb strings.Builder
-	if err := WriteCurve(&sb, points); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "threshold") || !strings.Contains(out, "0.2500\t0.7500") {
-		t.Errorf("output = %q", out)
 	}
 }
 

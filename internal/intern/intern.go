@@ -3,10 +3,13 @@
 // instead of building hash sets per comparison (the hot path of the paper's
 // pairwise distance computing module, Figure 1 / Fig. 10(b)).
 //
-// An Interner is built once per detector (or per extract stage) and shared:
-// Intern is safe for concurrent use from parallel extract tasks, and after
-// the build the structure is read-mostly — Intern hits the read-locked fast
-// path for every previously seen token.
+// A detector keeps one Interner for its lifetime, so features extracted in
+// different batches stay comparable. Extract tasks only tokenise: the driver
+// then interns each report's token sets through SortedSet, one report at a
+// time in arrival order (pairdist.ExtractAllWith), which is what makes IDs
+// independent of how the tasks interleave. Once the vocabulary has been
+// seen, most reports are known tokens only and SortedSet answers them under
+// the read lock.
 package intern
 
 import (
@@ -29,7 +32,8 @@ func New() *Interner {
 }
 
 // Intern returns the ID of tok, assigning the next free ID on first sight.
-// Safe for concurrent use.
+// Safe for concurrent use. The product interns through SortedSet; Intern is
+// the per-token reference FuzzIntern checks SortedSet against.
 func (it *Interner) Intern(tok string) uint32 {
 	it.mu.RLock()
 	id, ok := it.ids[tok]

@@ -34,12 +34,6 @@ const (
 	FieldDescription
 )
 
-// FieldNames labels the vector dimensions, in order.
-var FieldNames = [Dims]string{
-	"calculated age", "sex", "residential state", "onset date",
-	"generic name description", "MedDRA PT name", "report description",
-}
-
 // Features is the preprocessed form of one report: everything the distance
 // function needs, with the NLP pipeline already applied. Extracting features
 // once per report keeps the pairwise stage O(1) string work per comparison.
@@ -95,11 +89,6 @@ func (w row) intern(it *intern.Interner) Features {
 		ADRIDs:    it.SortedSet(w.ADRs),
 		DescIDs:   it.SortedSet(w.Tokens),
 	}
-}
-
-// ExtractWith preprocesses one report and interns its token sets through it.
-func ExtractWith(it *intern.Interner, r adr.Report) Features {
-	return tokenise(r).intern(it)
 }
 
 // SignatureIDs returns the report's signature set: the sorted union of the

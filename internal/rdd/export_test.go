@@ -7,3 +7,6 @@ package rdd
 func SetFusionEnabled(on bool) bool {
 	return !fusionOff.Swap(!on)
 }
+
+// NumPartitions returns the partition count, fixed when the RDD is built.
+func (r *RDD[T]) NumPartitions() int { return r.numPartitions }

@@ -138,9 +138,6 @@ func (r *RDD[T]) Name() string { return r.name }
 // ID returns the RDD's unique id within its context.
 func (r *RDD[T]) ID() int { return r.id }
 
-// NumPartitions returns the partition count, fixed when the RDD is built.
-func (r *RDD[T]) NumPartitions() int { return r.numPartitions }
-
 // SetName sets the debug name and returns the RDD for chaining. The name
 // also replaces the derived fused-chain label in stage names.
 func (r *RDD[T]) SetName(name string) *RDD[T] {

@@ -28,7 +28,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -372,19 +371,4 @@ func (s *Server) Stats() Stats {
 		st.UptimeSeconds = time.Since(started).Seconds()
 	}
 	return st
-}
-
-// SortMatches sorts matches the way Detect orders one batch — descending
-// score, ties by (CaseA, CaseB) — so match sets merged across incremental
-// batches compare deterministically against a one-shot run.
-func SortMatches(matches []adrdedup.Match) {
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Score != matches[j].Score {
-			return matches[i].Score > matches[j].Score
-		}
-		if matches[i].CaseA != matches[j].CaseA {
-			return matches[i].CaseA < matches[j].CaseA
-		}
-		return matches[i].CaseB < matches[j].CaseB
-	})
 }

@@ -139,14 +139,6 @@ func (m *Model) Decision(v []float64) float64 {
 	return s
 }
 
-// Predict thresholds the decision value at zero.
-func (m *Model) Predict(v []float64) int {
-	if m.Decision(v) >= 0 {
-		return 1
-	}
-	return -1
-}
-
 // DecisionBatch scores many vectors.
 func (m *Model) DecisionBatch(vs [][]float64) []float64 {
 	out := make([]float64, len(vs))

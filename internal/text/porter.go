@@ -1,24 +1,15 @@
 package text
 
-// stemBuf is the longest word Stem handles without allocating.
+// stemBuf is the longest word stem handles in a stack buffer without
+// allocating.
 const stemBuf = 32
 
-// Stem reduces an English word to its root form using the Porter stemming
-// algorithm (Porter, 1980). The input is expected to be a lowercase token as
-// produced by Tokenize; words shorter than three letters and tokens
-// containing non a-z characters are returned unchanged, matching the
-// reference implementation's behaviour. A word Porter leaves unchanged is
-// returned as given, without allocating when it is at most stemBuf bytes.
-func Stem(word string) string {
-	var buf [stemBuf]byte
-	if b, changed := stem(buf[:], word); changed {
-		return string(b)
-	}
-	return word
-}
-
-// stem runs Porter on word in buf's storage (on the heap when word does not
-// fit) and returns the stem and whether it differs from word.
+// stem reduces an English word to its root form using the Porter stemming
+// algorithm (Porter, 1980). It runs in buf's storage (on the heap when word
+// does not fit) and returns the stem and whether it differs from word. The
+// input is expected to be a lowercase token as produced by Tokenize; words
+// shorter than three letters and tokens containing non a-z characters are
+// returned unchanged, matching the reference implementation's behaviour.
 func stem(buf []byte, word string) ([]byte, bool) {
 	if len(word) <= 2 {
 		return nil, false

@@ -177,6 +177,14 @@ func TestPorterStemmer(t *testing.T) {
 	}
 }
 
+func BenchmarkPorterStemmer(b *testing.B) {
+	words := []string{"vaccination", "uncontrollable", "rhabdomyolysis", "experienced", "hospitalization"}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Stem(words[i%len(words)])
+	}
+}
+
 func TestStemIdempotent(t *testing.T) {
 	// A stemmed word stems to itself for typical vocabulary. (True Porter
 	// idempotence holds for the overwhelming majority of English words;

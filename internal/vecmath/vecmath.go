@@ -89,16 +89,3 @@ func Clone(v []float64) []float64 {
 	copy(out, v)
 	return out
 }
-
-// Equal reports whether a and b have the same length and elements within eps.
-func Equal(a, b []float64, eps float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > eps {
-			return false
-		}
-	}
-	return true
-}

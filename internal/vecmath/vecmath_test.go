@@ -129,15 +129,3 @@ func TestCloneIndependence(t *testing.T) {
 		t.Error("Clone shares backing array with source")
 	}
 }
-
-func TestEqual(t *testing.T) {
-	if !Equal([]float64{1, 2}, []float64{1, 2 + 1e-13}, 1e-12) {
-		t.Error("Equal should tolerate eps")
-	}
-	if Equal([]float64{1}, []float64{1, 2}, 1) {
-		t.Error("Equal should reject length mismatch")
-	}
-	if Equal([]float64{1}, []float64{2}, 0.5) {
-		t.Error("Equal should reject out-of-eps values")
-	}
-}
