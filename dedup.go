@@ -108,6 +108,9 @@ type Detector struct {
 	interner *intern.Interner
 	// feats[i] is the preprocessed form of the report with ArrivalSeq i.
 	feats []pairdist.Features
+	// shipped counts the leading feats the scoring stage has broadcast to
+	// the executors: a scoring call charges only those past it.
+	shipped int
 	// index is the persistent prefix-filtered candidate index behind
 	// CandidatePrefixIndex (nil under brute force). It covers exactly
 	// feats: extendFeatures appends to both, a failed Detect truncates
@@ -397,6 +400,7 @@ func (d *Detector) detect(batch []adr.Report) (_ []scoredTask, _ []verdict, retE
 		if retErr != nil {
 			d.db.Truncate(existing)
 			d.feats = d.feats[:nFeats]
+			d.shipped = min(d.shipped, nFeats)
 			if d.index != nil {
 				d.index.Truncate(nFeats)
 			}
@@ -436,10 +440,15 @@ func (d *Detector) detect(batch []adr.Report) (_ []scoredTask, _ []verdict, retE
 func (d *Detector) scorePairs(existing int) ([]scoredTask, int, error) {
 	m, feats := d.model, d.feats
 	score := func(tc *cluster.TaskContext, _ int, ids []pairdist.IDPair) (scoredTask, error) {
-		vec := tc.Scratch().Float64s(pairdist.Dims)
+		ws := tc.Scratch()
+		vec := ws.Float64s(pairdist.Dims)
+		// Both stages hand a task its pairs grouped by the newer record,
+		// so the scorer marks each prober once.
+		s := pairdist.NewScorer(ws)
+		defer s.Release()
 		t := scoredTask{pairs: make([]scoredPair, len(ids)), missed: make(map[vecKey]int32)}
 		for i, p := range ids {
-			pairdist.DistanceInto(vec, &feats[p.A], &feats[p.B])
+			s.DistanceInto(vec, &feats[p.A], &feats[p.B])
 			t.pairs[i] = scoredPair{A: int32(p.A), B: int32(p.B), slot: t.slot(m, vec)}
 		}
 		return t, nil
@@ -464,8 +473,10 @@ func (d *Detector) scorePairs(existing int) ([]scoredTask, int, error) {
 	for _, t := range tasks {
 		pairs += len(t.pairs)
 	}
-	if pairs > 0 { // the features broadcast to the executors, ~300 bytes each
-		d.ctx.Cluster().Broadcast(int64(len(feats)) * 300)
+	if pairs > 0 {
+		// The features the executors do not hold yet, ~300 bytes each.
+		d.ctx.Cluster().Broadcast(int64(len(feats)-d.shipped) * 300)
+		d.shipped = len(feats)
 		d.ctx.Cluster().Metrics().Comparisons.Add(int64(pairs))
 	}
 	return tasks, pairs, nil

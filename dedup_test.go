@@ -1568,6 +1568,72 @@ func TestDetectReleasesShuffleState(t *testing.T) {
 	}
 }
 
+// TestScoringBroadcastsEachFeatureOnce pins the scoring stage's broadcast to
+// the features the executors do not hold yet. Detectors over 2,000 and 4,000
+// reports take the same two batches: the first Detect ships every feature,
+// and the second ships only its own batch's, so equal batches commit equal
+// feature bytes and equal BroadcastBytes whatever the database size. A
+// Detect that fails after scoring rolls its features back, and the retried
+// batch ships them again.
+func TestScoringBroadcastsEachFeatureOnce(t *testing.T) {
+	const large, perBatch = 4000, 10
+	c := adrgen.Generate(adrgen.Config{
+		NumReports: large + 2*perBatch, DuplicatePairs: 160, NumDrugs: 80, NumADRs: 120, Seed: 42,
+	})
+	first, second := c.Reports[large:large+perBatch], c.Reports[large+perBatch:]
+	// featureBytes returns the BroadcastBytes a Detect of batch commits, and
+	// the bytes of its last broadcast, which is the features'.
+	featureBytes := func(det *Detector, batch []adr.Report) (total, feats int64) {
+		t.Helper()
+		tracer := det.Engine().Cluster().Tracer()
+		tracer.Reset()
+		before := det.Metrics().BroadcastBytes
+		if _, err := det.Detect(slices.Clone(batch)); err != nil {
+			t.Fatal(err)
+		}
+		if det.shape.pairs == 0 {
+			t.Fatal("the batch has no candidate pair, so nothing is scored or shipped")
+		}
+		for _, e := range tracer.Snapshot() {
+			if e.Kind == cluster.EventBroadcast {
+				feats = e.Bytes
+			}
+		}
+		return det.Metrics().BroadcastBytes - before, feats
+	}
+	var totals []int64
+	for _, size := range []int{large / 2, large} {
+		det, err := New(Options{
+			Cluster:        cluster.Config{Executors: 4, CoresPerExecutor: 2},
+			Classifier:     core.Config{K: 7, B: 8, C: 4, Theta: 0, Seed: 1},
+			Candidates:     CandidatePrefixIndex,
+			CandidateTheta: prefixTestTheta,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := det.AddKnownReports(slices.Clone(c.Reports[:size])); err != nil {
+			t.Fatal(err)
+		}
+		trainOnGroundTruth(t, c, det, 200)
+		det.Engine().Cluster().Tracer().Enable()
+		if _, feats := featureBytes(det, first); feats != int64(size+perBatch)*300 {
+			t.Fatalf("%d reports: the first Detect shipped %d feature bytes, want all %d features'", size, feats, size+perBatch)
+		}
+		if size == large/2 {
+			failDetect(t, det, "classify", slices.Clone(second))
+		}
+		total, feats := featureBytes(det, second)
+		if feats != perBatch*300 {
+			t.Fatalf("%d reports: the second Detect shipped %d feature bytes, want its %d features'", size, feats, perBatch)
+		}
+		totals = append(totals, total)
+	}
+	if totals[0] != totals[1] {
+		t.Fatalf("equal batches committed %d broadcast bytes against %d reports and %d against %d", totals[0], large/2, totals[1], large)
+	}
+}
+
 // TestDetectDuplicatesEqualsDetect pins DetectDuplicates to Detect. Two
 // detectors with one history take the same consecutive batches, one through
 // Detect and the other through DetectDuplicates: every call must return

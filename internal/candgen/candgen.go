@@ -58,12 +58,14 @@ type Stats struct {
 	// IndexEntries counts the prefix postings entered into the index since
 	// the previous probe, a rebuild's included.
 	IndexEntries int64
-	// Scanned counts the posting-list entries that could pair with their
-	// prober: those inside the length bound, and only in the lists where the
-	// pair's first common token can sit (its mid lists, and its tail lists
-	// for partners longer than the prober); Verified counts full merge-scan
-	// verifications (each candidate pair exactly once); Emitted counts pairs
-	// passing verification.
+	// Scanned counts the posting-list entries the probe read: those inside
+	// the length bound and inside the prober position's window — in the
+	// lists, and of the partner sizes, where the pair's first common token
+	// can sit at that position (the mid lists, the tail lists for partners
+	// longer than the prober, and sizes la with need(la, lr) <= lr - i at
+	// position i); Verified counts full merge-scan verifications (each
+	// candidate pair exactly once); Emitted counts pairs passing
+	// verification.
 	Scanned, Verified, Emitted int64
 	// BitmapPruned counts the candidates ruled out with the hashed-bitmap
 	// overlap bound instead of verifying them.

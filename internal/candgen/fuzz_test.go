@@ -58,7 +58,8 @@ func decodeCorpus(data []byte) (theta float64, sigs [][]uint32) {
 // emit exactly the from-scratch oracle's pairs for that batch: no history of
 // appends, rollbacks and doubling rebuilds may drop, add or duplicate a
 // pair, and Truncate must leave an index whose next probe equals that of an
-// index the dropped records never reached. A third index takes the whole
+// index the dropped records never reached. Both must also match the
+// reference probe, counters included. A third index takes the whole
 // corpus in one Append, the shape Pairs gives it and batches of at most 8
 // records never reach, and must emit the whole corpus' pairs.
 func FuzzIndexAppend(f *testing.F) {
@@ -110,6 +111,8 @@ func FuzzIndexAppend(f *testing.F) {
 				t.Fatalf("θ=%v from %d: index emitted %v, oracle %v; sigs=%v sched=%v",
 					theta, from, got, want, sigs[:total], sched)
 			}
+			checkAgainstReference(t, ix, from)
+			checkAgainstReference(t, clean, from)
 			from = total
 		}
 		if ix.Len() != len(sigs) || clean.Len() != len(sigs) {
@@ -162,10 +165,11 @@ func decodeByteSet(data []byte) []uint32 {
 // FuzzResumeVerify fuzzes the probe's verification against the verifier it
 // replaces. For two sets a (the indexed candidate) and r (the prober) and a
 // θ, it takes the length window and need the probe would use (needTable),
-// the rectangle the probe would scan (rect) and the number of common tokens
-// inside it, which is what the scan leaves in the candidate's count. The
-// rectangle must hold a common token whenever JaccardSimAtLeast accepts the
-// pair (the prefix argument that lets the probe skip the rest of the
+// the rectangle the probe would scan, a[:prefixOf] × r[:lr-need+1], and the
+// number of common tokens inside it, which is what the scan leaves in the
+// candidate's count. The rectangle must lie inside the prefixes the probe's
+// branch reads, must hold a common token whenever JaccardSimAtLeast accepts
+// the pair (the prefix argument that lets the probe skip the rest of the
 // lists), the window must admit every pair it accepts, and resumeVerify,
 // from that count, must accept exactly the pairs it accepts.
 func FuzzResumeVerify(f *testing.F) {
@@ -192,7 +196,21 @@ func FuzzResumeVerify(f *testing.F) {
 			}
 			return
 		}
-		ma, mr := ix.rect(la, len(r))
+		lr, n := len(r), int(need[la])
+		if n > lr {
+			if want {
+				t.Fatalf("θ=%v: need %d exceeds the prober's %d tokens for a pair the verifier accepts; a=%v r=%v", theta, n, lr, a, r)
+			}
+			return
+		}
+		ma, mr := ix.prefixOf(la, lr), lr-n+1
+		branch := ix.cuts[lr].pre
+		if la > lr {
+			branch = ix.cuts[lr].mid
+		}
+		if mr > int(branch) {
+			t.Fatalf("θ=%v: window r[:%d] for a partner of %d tokens reaches past the prefix the probe reads (cut %+v of %d tokens)", theta, mr, la, ix.cuts[lr], lr)
+		}
 		count := 0
 		for _, tok := range a[:ma] {
 			if _, found := slices.BinarySearch(r[:mr], tok); found {

@@ -64,11 +64,14 @@ type Index struct {
 	// bounds overlaps of its rank set just as well. Append writes it once;
 	// rebuild never touches it.
 	bm []uint64
-	// mid and tail map a rank to the records whose prefix contains it, in
-	// arrival order (ascending id): mid those that hold it among their first
-	// cut.mid tokens, tail those that hold it further on in their prefix.
-	// empty lists the records with empty signatures.
-	mid, tail map[uint32][]posting
+	// mid and tail map a rank to the records whose prefix contains it: mid
+	// those that hold it among their first cut.mid tokens, tail those that
+	// hold it further on in their prefix. Each list is grouped by record
+	// size, groups ascending by size and each group in arrival order
+	// (ascending id), so a probe reads only the sizes that can pair at its
+	// position (see probeRecord). empty lists the records with empty
+	// signatures.
+	mid, tail map[uint32][]group
 	empty     []int32
 
 	rebuiltAt int   // Len() at the last rebuild
@@ -77,11 +80,35 @@ type Index struct {
 }
 
 // posting is one inverted-index entry: a record whose prefix contains the
-// token, the token's index within that record's signature (which feeds the
-// positional filter), and the record's size (which feeds the length bound
-// without a trip to off).
+// token and the token's index within that record's signature (which feeds
+// the positional filter). The record's size is its group's.
 type posting struct {
-	id, idx, size int32
+	id, idx int32
+}
+
+// group is the run of one posting list's entries whose records have size
+// tokens, in arrival order. Its entries are a slice of their own (full
+// capacity when carved from a rebuild's arena), so appending to one group
+// never writes into another.
+type group struct {
+	size int32
+	ents []posting
+}
+
+// groupOf returns where the group of records of size l sits in the list gs
+// (ascending by size), and whether it is there. It is slices.BinarySearchFunc
+// written out: the generic form copies a group per comparison.
+func groupOf(gs []group, l int32) (int, bool) {
+	lo, hi := 0, len(gs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if gs[m].size < l {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(gs) && gs[lo].size == l
 }
 
 // postingBytes is what one posting costs to ship to a probe task.
@@ -169,8 +196,8 @@ func NewIndex(theta float64) (*Index, error) {
 		nextNew: frozenBase - 1,
 		off:     []int{0},
 		cuts:    []cut{{}},
-		mid:     make(map[uint32][]posting),
-		tail:    make(map[uint32][]posting),
+		mid:     make(map[uint32][]group),
+		tail:    make(map[uint32][]group),
 	}, nil
 }
 
@@ -232,17 +259,23 @@ func (ix *Index) enter(id int32) {
 		ix.empty = append(ix.empty, id)
 		return
 	}
-	c := ix.cuts[len(sig)]
+	l := int32(len(sig))
+	c := ix.cuts[l]
 	for k, r := range sig[:c.pre] {
 		m := ix.postings(c, k)
-		m[r] = append(m[r], posting{id: id, idx: int32(k), size: int32(len(sig))})
+		gs := m[r]
+		if g, ok := groupOf(gs, l); ok {
+			gs[g].ents = append(gs[g].ents, posting{id: id, idx: int32(k)})
+		} else {
+			m[r] = slices.Insert(gs, g, group{size: l, ents: []posting{{id: id, idx: int32(k)}}})
+		}
 	}
 	ix.entered += int64(c.pre)
 }
 
 // postings returns the lists a signature cut at c is posted to at prefix
 // position k.
-func (ix *Index) postings(c cut, k int) map[uint32][]posting {
+func (ix *Index) postings(c cut, k int) map[uint32][]group {
 	if int32(k) < c.mid {
 		return ix.mid
 	}
@@ -287,18 +320,127 @@ func (ix *Index) rebuild() {
 	}
 	ix.frozen = uint32(len(order))
 	ix.nextNew = frozenBase - 1
+	for id := int32(0); int(id) < ix.Len(); id++ {
+		slices.Sort(ix.sig(id))
+	}
+	ix.regroup()
+	ix.rebuiltAt = ix.Len()
+	ix.rebuilds++
+}
+
+// regroup re-enters every record's prefix postings after a rebuild, when
+// the ranks in force are exactly frozenBase .. frozenBase+frozen-1, so a
+// list is known by an array index instead of a map lookup: mid list j and
+// tail list frozen+j hold rank frozenBase+j. Walked in ascending (size, id)
+// order, the records reach every list in its final order, groups ascending
+// by size and ids ascending inside each, so the lists are built with no
+// search and no insertion, in three walks: one counts each list's groups,
+// one opens the groups and counts their entries, one fills them.
+//
+// Every group gets room for as many entries again as it holds: the record
+// count doubles before the next rebuild, so appends fill the room about as
+// the rebuild replaces it, instead of copying groups out and leaving their
+// old entries behind. A list gains sizes more slowly than its groups gain
+// entries, so it gets room for half as many groups again. (On a
+// 10,000-report index grown to 17,500, more room for either stays emptier
+// than it saves, and less makes appends copy more than it saves.)
+// All groups come from one arena and all entries from another, carved into
+// full-capacity slices so that filling one group's room can never write
+// into the next.
+func (ix *Index) regroup() {
+	v := int(ix.frozen)
+	bySize := ix.recordsBySize()
+	// opened[L] counts the groups of list L a walk has opened so far, and
+	// last[L] is the size of the latest.
+	opened, last := make([]int32, 2*v), make([]int32, 2*v)
+	walk := func(visit func(L int, l, id, k int32)) {
+		clear(opened)
+		clear(last)
+		for _, id := range bySize {
+			sig := ix.sig(id)
+			l := int32(len(sig))
+			c := ix.cuts[l]
+			for k, r := range sig[:c.pre] {
+				L := int(r - frozenBase)
+				if int32(k) >= c.mid {
+					L += v
+				}
+				if last[L] != l {
+					last[L] = l
+					opened[L]++
+				}
+				visit(L, l, id, int32(k))
+			}
+		}
+	}
+	walk(func(int, int32, int32, int32) {})
+	// List L's groups start at first[L] in the group arena, followed by
+	// their room.
+	room := func(n int32) int32 { return n + (n+1)/2 }
+	first := make([]int32, 2*v)
+	var nGroups int32
+	for L, n := range opened {
+		first[L], nGroups = nGroups, nGroups+room(n)
+	}
+	groupArena, lens := make([]group, nGroups), make([]int32, nGroups)
+	var nEnts int32
+	walk(func(L int, l, _, _ int32) {
+		g := first[L] + opened[L] - 1
+		groupArena[g].size = l
+		lens[g]++
+		nEnts++
+	})
+	ix.entered += int64(nEnts)
+	entArena := make([]posting, 2*nEnts)
+	var at int32
+	for g, n := range lens {
+		groupArena[g].ents = entArena[at : at : at+2*n]
+		at += 2 * n
+	}
+	walk(func(L int, _, id, k int32) {
+		gp := &groupArena[first[L]+opened[L]-1]
+		gp.ents = append(gp.ents, posting{id: id, idx: k})
+	})
 	// Nearly every token sits in some record's mid prefix; only commoner
 	// ones reach a tail (a few percent of the tokens at θ 0.5, a quarter at
 	// θ 0.8), so the tail map grows as needed.
-	ix.mid = make(map[uint32][]posting, len(order))
-	ix.tail = make(map[uint32][]posting)
-	ix.empty = ix.empty[:0]
-	for id := int32(0); int(id) < ix.Len(); id++ {
-		slices.Sort(ix.sig(id))
-		ix.enter(id)
+	ix.mid = make(map[uint32][]group, v)
+	ix.tail = make(map[uint32][]group)
+	for L, n := range opened {
+		if n > 0 {
+			m := ix.mid
+			if L >= v {
+				m = ix.tail
+			}
+			m[frozenBase+uint32(L%v)] = groupArena[first[L] : first[L]+n : first[L]+room(n)]
+		}
 	}
-	ix.rebuiltAt = ix.Len()
-	ix.rebuilds++
+	ix.empty = ix.empty[:0]
+	for _, id := range bySize {
+		if ix.off[id] != ix.off[id+1] {
+			break // sizes ascend: the empty records come first
+		}
+		ix.empty = append(ix.empty, id)
+	}
+}
+
+// recordsBySize returns every record id in ascending (size, id) order, by a
+// counting sort on size.
+func (ix *Index) recordsBySize() []int32 {
+	at := make([]int32, len(ix.cuts)+1)
+	for id := 0; id < ix.Len(); id++ {
+		at[ix.off[id+1]-ix.off[id]+1]++
+	}
+	for l := 1; l < len(at); l++ {
+		at[l] += at[l-1]
+	}
+	out := make([]int32, ix.Len())
+	for id := int32(0); int(id) < ix.Len(); id++ {
+		l := len(ix.sig(id))
+		out[at[l]] = id
+		at[l]++
+	}
+	return out
 }
 
 // Truncate drops every record with id >= n together with its postings, in
@@ -314,7 +456,7 @@ func (ix *Index) Truncate(n int) {
 	if n >= ix.Len() {
 		return
 	}
-	// Postings ascend by id, so the dropped records sit at the list ends;
+	// Groups ascend by id, so the dropped records sit at the group ends;
 	// popping newest-first keeps each pop at the very end.
 	for id := int32(ix.Len() - 1); int(id) >= n; id-- {
 		sig := ix.sig(id)
@@ -322,12 +464,18 @@ func (ix *Index) Truncate(n int) {
 			ix.empty = ix.empty[:len(ix.empty)-1]
 			continue
 		}
-		c := ix.cuts[len(sig)]
+		l := int32(len(sig))
+		c := ix.cuts[l]
 		for k, r := range sig[:c.pre] {
 			m := ix.postings(c, k)
-			if list := m[r]; len(list) > 1 {
-				m[r] = list[:len(list)-1]
-			} else {
+			gs := m[r]
+			g, _ := groupOf(gs, l)
+			switch ents := gs[g].ents; {
+			case len(ents) > 1:
+				gs[g].ents = ents[:len(ents)-1]
+			case len(gs) > 1:
+				m[r] = slices.Delete(gs, g, g+1)
+			default:
 				delete(m, r)
 			}
 		}
@@ -391,14 +539,14 @@ func ProbeEach[R any](ix *Index, ctx *rdd.Context, from, partitions int, f func(
 	results, err := rdd.MapPartitionsTC(src, func(tc *cluster.TaskContext, _ int, in []int32) ([]rdd.Tuple2[R, Stats], error) {
 		// A record pairs only with earlier ones, so the last prober's id
 		// bounds every candidate id of the partition, and so the candidates
-		// one prober touches. The need table and the touched list share the
-		// second buffer: neither outgrows its share, so the task allocates
-		// no scratch of its own.
+		// one prober touches. The count table is the worker's zeroed table:
+		// probeRecord resets every count it sets, so no task clears it. The
+		// need table and the touched list share a second buffer: neither
+		// outgrows its share, so the task allocates no scratch of its own.
 		ids, longest := int(in[len(in)-1]), len(ix.cuts)-1
 		ws := tc.Scratch()
-		aux := ws.SecondInt32s(longest + 1 + ids)
-		sc := probeScratch{count: ws.Int32s(ids), need: aux[:longest+1], touched: aux[longest+1 : longest+1]}
-		clear(sc.count)
+		aux := ws.Int32s(longest + 1 + ids)
+		sc := probeScratch{count: ws.ZeroedInt32s(ids), need: aux[:longest+1], touched: aux[longest+1 : longest+1]}
 		var res taskResult
 		for _, rid := range in {
 			ix.probeRecord(rid, &sc, &res)
@@ -454,8 +602,8 @@ func mergeSorted(lists [][]pairdist.IDPair, total int) []pairdist.IDPair {
 
 // probeScratch is per-task probe state, reused across probe records so the
 // hot loop allocates nothing: count is indexed by candidate record id (0
-// unseen, -1 positionally pruned, >0 shared prefix tokens so far), touched
-// lists the candidates to reset.
+// unseen, -1 positionally pruned, >0 shared prefix tokens so far) and is all
+// zero between probers, touched lists the candidates to reset.
 type probeScratch struct {
 	count   []int32
 	touched []int32
@@ -499,9 +647,8 @@ func (sc *probeScratch) needTable(theta float64, lr, longest int) (need []int32,
 // duplicate a pair. After the scan each survivor first meets the bitmap bound
 // (overlapBound), and only those it cannot rule out are verified, exactly
 // once, by a merge scan that resumes past the prefixes (resumeVerify).
-// Postings are in arrival order, not size order, so the length bound is
-// checked per entry, on the size the posting carries; in exchange "earlier"
-// is a prefix of each list and every pair has exactly one prober, its newer
+// Inside a size group postings are in arrival order, so "earlier" is a
+// prefix of each group and every pair has exactly one prober, its newer
 // record.
 //
 // Each pair is looked for only where it can be found. A candidate a of la
@@ -516,11 +663,23 @@ func (sc *probeScratch) needTable(theta float64, lr, longest int) (need []int32,
 //     probing prefix (mid or tail) and in r's mid prefix. r reads both
 //     lists, for candidates with la > lr, at its mid positions only.
 //
-// Either way the scan covers a rectangle, a prefix of a against a prefix of
-// r (rect), in ascending order of r's position. c is in it and precedes
-// every other common token in both sets, so the first entry met for a pair
-// that reaches theta is c itself, which is all the positional filter needs;
-// and count[a] ends as the number of common tokens inside the rectangle.
+// The same lemma also bounds r's side by the partner's size: c is among r's
+// first lr-o+1 tokens, so at position i only the groups of sizes la with
+// need(la, lr) <= lr-i can hold c, and scan reads no other group there. That
+// bound, lr-need(la, lr)+1, is no greater than the probing prefix when
+// la <= lr (need(la, lr) >= minOverlap(lr), as the union has at least lr
+// tokens) nor than the mid prefix when la > lr (need grows with la), so it
+// narrows both branches and never widens them.
+//
+// Either way the scan covers a rectangle, a[:ma] against r[:lr-need+1]
+// (ma from prefixOf), in ascending order of r's position. c is in it and
+// precedes every other common token in both sets, so the first entry met for
+// a pair that reaches theta is c itself, which is all the positional filter
+// needs; and count[a] ends as the number of common tokens inside the
+// rectangle. A candidate that the window hides entirely is one whose first
+// common token sits past it, which the positional filter would prune at that
+// token anyway, so the verified and bitmap-pruned candidates are those of a
+// scan without the window.
 func (ix *Index) probeRecord(rid int32, sc *probeScratch, res *taskResult) {
 	sig := ix.sig(rid)
 	if len(sig) == 0 {
@@ -553,8 +712,8 @@ func (ix *Index) probeRecord(rid int32, sc *probeScratch, res *taskResult) {
 				res.st.BitmapPruned++
 			} else {
 				res.st.Verified++
-				ma, mr := ix.rect(la, lr)
-				if resumeVerify(asig, sig, ma, mr, int(c), int(need[la])) {
+				n := int(need[la])
+				if resumeVerify(asig, sig, ix.prefixOf(la, lr), lr-n+1, int(c), n) {
 					res.pairs = append(res.pairs, pairdist.IDPair{A: int(a), B: int(rid)})
 				}
 			}
@@ -565,46 +724,58 @@ func (ix *Index) probeRecord(rid int32, sc *probeScratch, res *taskResult) {
 }
 
 // scan reads one posting list for prober rid, of lr tokens, at position i of
-// its prefix: it counts a hit on every earlier record of lo..hi tokens,
-// applying the positional filter at a candidate's first hit, and returns how
-// many entries it counted.
-func (sc *probeScratch) scan(list []posting, rid int32, i, lr, lo, hi int) (scanned int64) {
+// its prefix: of the groups of lo..hi tokens, it reads those whose records
+// can have their first common token with the prober at i, counts a hit on
+// every earlier record there, applying the positional filter at a
+// candidate's first hit, and returns how many entries it counted.
+func (sc *probeScratch) scan(list []group, rid int32, i, lr, lo, hi int) (scanned int64) {
 	count, need := sc.count, sc.need
-	for _, e := range list {
-		if e.id >= rid {
-			break
-		}
-		la := int(e.size)
-		if la < lo || la > hi {
+	room := int32(lr - i)
+	for _, g := range list {
+		la := int(g.size)
+		if la < lo {
 			continue
 		}
-		scanned++
-		switch c := count[e.id]; c {
-		case -1:
-			// Already pruned at its first common token.
-		case 0:
-			suffix := min(lr-i-1, la-int(e.idx)-1)
-			if 1+suffix < int(need[la]) {
-				count[e.id] = -1
-			} else {
-				count[e.id] = 1
+		if la > hi {
+			break
+		}
+		n := need[la]
+		if n > room {
+			continue
+		}
+		for _, e := range g.ents {
+			if e.id >= rid {
+				break
 			}
-			sc.touched = append(sc.touched, e.id)
-		default:
-			count[e.id] = c + 1
+			scanned++
+			switch c := count[e.id]; c {
+			case -1:
+				// Already pruned at its first common token.
+			case 0:
+				// The prober keeps room >= n tokens from i on, so only
+				// the candidate's suffix can fall short.
+				if int32(la)-e.idx < n {
+					count[e.id] = -1
+				} else {
+					count[e.id] = 1
+				}
+				sc.touched = append(sc.touched, e.id)
+			default:
+				count[e.id] = c + 1
+			}
 		}
 	}
 	return scanned
 }
 
-// rect returns the rectangle the probe scans for a candidate of la tokens
-// and a prober of lr tokens: the candidate's first ma tokens against the
-// prober's first mr (see probeRecord).
-func (ix *Index) rect(la, lr int) (ma, mr int) {
+// prefixOf returns how many of a candidate's la tokens the probe reads
+// against a prober of lr tokens: its mid prefix for la <= lr, its probing
+// prefix for la > lr (see probeRecord).
+func (ix *Index) prefixOf(la, lr int) int {
 	if la <= lr {
-		return int(ix.cuts[la].mid), int(ix.cuts[lr].pre)
+		return int(ix.cuts[la].mid)
 	}
-	return int(ix.cuts[la].pre), int(ix.cuts[lr].mid)
+	return int(ix.cuts[la].pre)
 }
 
 // resumeVerify reports whether the sorted sets a and r share at least need

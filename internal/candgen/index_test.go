@@ -25,7 +25,142 @@ func probeSeq(ix *Index, from int) ([]pairdist.IDPair, Stats) {
 	for rid := from; rid < ix.Len(); rid++ {
 		ix.probeRecord(int32(rid), &sc, &res)
 	}
+	res.st.Emitted = int64(len(res.pairs))
 	return canonPairs(res.pairs), res.st
+}
+
+// sizedPosting is a posting that carries its record's size, as postings did
+// before lists were grouped by size.
+type sizedPosting struct {
+	id, idx, size int32
+}
+
+// arrivalLists flattens grouped posting lists into arrival order (ascending
+// id), each entry carrying its group's size.
+func arrivalLists(m map[uint32][]group) map[uint32][]sizedPosting {
+	out := make(map[uint32][]sizedPosting, len(m))
+	for r, gs := range m {
+		var list []sizedPosting
+		for _, g := range gs {
+			for _, e := range g.ents {
+				list = append(list, sizedPosting{id: e.id, idx: e.idx, size: g.size})
+			}
+		}
+		slices.SortFunc(list, func(a, b sizedPosting) int { return cmp.Compare(a.id, b.id) })
+		out[r] = list
+	}
+	return out
+}
+
+// referenceProbe is probeSeq run by the probe the size groups replaced
+// (referenceProbeRecord), over the index's postings flattened into arrival
+// order: the exactness oracle for the per-position window. It must emit the
+// same pairs and verify and bitmap-prune the same candidates, and it scans
+// at least as many entries.
+func referenceProbe(ix *Index, from int) ([]pairdist.IDPair, Stats) {
+	mid, tail := arrivalLists(ix.mid), arrivalLists(ix.tail)
+	var res taskResult
+	sc := probeScratch{count: make([]int32, ix.Len())}
+	for rid := from; rid < ix.Len(); rid++ {
+		referenceProbeRecord(ix, mid, tail, int32(rid), &sc, &res)
+	}
+	res.st.Emitted = int64(len(res.pairs))
+	return canonPairs(res.pairs), res.st
+}
+
+// referenceProbeRecord is probeRecord without the per-position window: it
+// reads every entry of a list inside the length bound, checking the bound
+// per entry on the size the entry carries, and verifies from the rectangle
+// of the branch's prefixes, a[:ma] × r[:mr] (the candidate's mid prefix
+// against the prober's probing prefix for la <= lr, the candidate's probing
+// prefix against the prober's mid prefix for la > lr).
+func referenceProbeRecord(ix *Index, mid, tail map[uint32][]sizedPosting, rid int32, sc *probeScratch, res *taskResult) {
+	sig := ix.sig(rid)
+	if len(sig) == 0 {
+		for _, a := range ix.empty {
+			if a >= rid {
+				break
+			}
+			res.pairs = append(res.pairs, pairdist.IDPair{A: int(a), B: int(rid)})
+		}
+		return
+	}
+	lr := len(sig)
+	need, minLen, maxLen := sc.needTable(ix.theta, lr, len(ix.cuts)-1)
+	scan := func(list []sizedPosting, i, lo, hi int) {
+		for _, e := range list {
+			if e.id >= rid {
+				break
+			}
+			la := int(e.size)
+			if la < lo || la > hi {
+				continue
+			}
+			res.st.Scanned++
+			switch c := sc.count[e.id]; c {
+			case -1:
+			case 0:
+				if 1+min(lr-i-1, la-int(e.idx)-1) < int(need[la]) {
+					sc.count[e.id] = -1
+				} else {
+					sc.count[e.id] = 1
+				}
+				sc.touched = append(sc.touched, e.id)
+			default:
+				sc.count[e.id] = c + 1
+			}
+		}
+	}
+	cr := ix.cuts[lr]
+	for i, t := range sig[:cr.pre] {
+		if int32(i) < cr.mid {
+			scan(mid[t], i, minLen, maxLen)
+			scan(tail[t], i, lr+1, maxLen)
+		} else {
+			scan(mid[t], i, minLen, lr)
+		}
+	}
+	bm := ix.bitmap(rid)
+	for _, a := range sc.touched {
+		if c := sc.count[a]; c > 0 {
+			asig := ix.sig(a)
+			la := len(asig)
+			if overlapBound(ix.bitmap(a), bm, la, lr) < int(need[la]) {
+				res.st.BitmapPruned++
+			} else {
+				res.st.Verified++
+				ma, mr := int(ix.cuts[la].mid), int(ix.cuts[lr].pre)
+				if la > lr {
+					ma, mr = int(ix.cuts[la].pre), int(ix.cuts[lr].mid)
+				}
+				if resumeVerify(asig, sig, ma, mr, int(c), int(need[la])) {
+					res.pairs = append(res.pairs, pairdist.IDPair{A: int(a), B: int(rid)})
+				}
+			}
+		}
+		sc.count[a] = 0
+	}
+	sc.touched = sc.touched[:0]
+}
+
+// checkAgainstReference asserts that the probe of records [from, Len())
+// emits the reference probe's pairs with its Verified, BitmapPruned and
+// Emitted counters, scanning no more entries, and returns both Stats.
+func checkAgainstReference(t testing.TB, ix *Index, from int) (got, ref Stats) {
+	t.Helper()
+	pairs, got := probeSeq(ix, from)
+	refPairs, ref := referenceProbe(ix, from)
+	if !reflect.DeepEqual(pairs, refPairs) {
+		t.Fatalf("probe from %d emitted %d pairs, the reference probe %d\n got: %v\nwant: %v", from, len(pairs), len(refPairs), pairs, refPairs)
+	}
+	if got.Verified != ref.Verified || got.BitmapPruned != ref.BitmapPruned || got.Emitted != ref.Emitted {
+		t.Fatalf("probe from %d: %d verified, %d bitmap-pruned, %d emitted; the reference probe %d, %d, %d",
+			from, got.Verified, got.BitmapPruned, got.Emitted, ref.Verified, ref.BitmapPruned, ref.Emitted)
+	}
+	if got.Scanned > ref.Scanned {
+		t.Fatalf("probe from %d scanned %d entries, more than the reference probe's %d", from, got.Scanned, ref.Scanned)
+	}
+	return got, ref
 }
 
 // indexState is what Truncate promises to restore when no rebuild happened
@@ -35,8 +170,8 @@ type indexState struct {
 	toks  []uint32
 	off   []int
 	bm    []uint64
-	mid   map[uint32][]posting
-	tail  map[uint32][]posting
+	mid   map[uint32][]group
+	tail  map[uint32][]group
 	empty []int32
 }
 
@@ -52,10 +187,14 @@ func snapshotState(ix *Index) indexState {
 	return st
 }
 
-func cloneLists(m map[uint32][]posting) map[uint32][]posting {
-	out := make(map[uint32][]posting, len(m))
-	for r, list := range m {
-		out[r] = slices.Clone(list)
+func cloneLists(m map[uint32][]group) map[uint32][]group {
+	out := make(map[uint32][]group, len(m))
+	for r, gs := range m {
+		gs = slices.Clone(gs)
+		for g := range gs {
+			gs[g].ents = slices.Clone(gs[g].ents)
+		}
+		out[r] = gs
 	}
 	return out
 }
@@ -69,14 +208,35 @@ func (a indexState) equal(b indexState) bool {
 // signature strictly ascending in rank space, every non-empty record posted
 // under exactly its prefix tokens with the right positions and its size, its
 // first l - pairNeed(l, l) + 1 postings in the mid lists and the rest of its
-// l - minOverlap(l) + 1 in the tail lists, posting lists ascending by id, no
+// l - minOverlap(l) + 1 in the tail lists, every list grouped by size with
+// its groups ascending by size, none empty and ids ascending inside each, no
 // empty lists left behind, one bitmap per record.
 func checkIndexInvariants(t testing.TB, ix *Index) {
 	t.Helper()
 	if len(ix.bm) != ix.Len()*bitmapWords {
 		t.Fatalf("%d bitmap words for %d records", len(ix.bm), ix.Len())
 	}
-	wantMid, wantTail := make(map[uint32][]posting), make(map[uint32][]posting)
+	for _, m := range []map[uint32][]group{ix.mid, ix.tail} {
+		for r, gs := range m {
+			if len(gs) == 0 {
+				t.Fatalf("rank %d: empty list left behind", r)
+			}
+			for g, grp := range gs {
+				if g > 0 && gs[g-1].size >= grp.size {
+					t.Fatalf("rank %d: group of size %d follows one of size %d", r, grp.size, gs[g-1].size)
+				}
+				if len(grp.ents) == 0 {
+					t.Fatalf("rank %d: empty group of size %d", r, grp.size)
+				}
+				for e := 1; e < len(grp.ents); e++ {
+					if grp.ents[e-1].id >= grp.ents[e].id {
+						t.Fatalf("rank %d: ids not strictly ascending in the group of size %d: %v", r, grp.size, grp.ents)
+					}
+				}
+			}
+		}
+	}
+	wantMid, wantTail := make(map[uint32][]sizedPosting), make(map[uint32][]sizedPosting)
 	var empty []int32
 	for id := int32(0); int(id) < ix.Len(); id++ {
 		sig := ix.sig(id)
@@ -95,7 +255,7 @@ func checkIndexInvariants(t testing.TB, ix *Index) {
 			t.Fatalf("record %d of %d tokens: mid prefix %d outside [1, %d]", id, l, mid, pre)
 		}
 		for k, r := range sig[:pre] {
-			e := posting{id: id, idx: int32(k), size: int32(l)}
+			e := sizedPosting{id: id, idx: int32(k), size: int32(l)}
 			if k < mid {
 				wantMid[r] = append(wantMid[r], e)
 			} else {
@@ -103,11 +263,11 @@ func checkIndexInvariants(t testing.TB, ix *Index) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(ix.mid, wantMid) {
-		t.Fatalf("mid postings differ from a from-scratch index over the stored signatures:\n got %v\nwant %v", ix.mid, wantMid)
+	if mid := arrivalLists(ix.mid); !reflect.DeepEqual(mid, wantMid) {
+		t.Fatalf("mid postings differ from a from-scratch index over the stored signatures:\n got %v\nwant %v", mid, wantMid)
 	}
-	if !reflect.DeepEqual(ix.tail, wantTail) {
-		t.Fatalf("tail postings differ from a from-scratch index over the stored signatures:\n got %v\nwant %v", ix.tail, wantTail)
+	if tail := arrivalLists(ix.tail); !reflect.DeepEqual(tail, wantTail) {
+		t.Fatalf("tail postings differ from a from-scratch index over the stored signatures:\n got %v\nwant %v", tail, wantTail)
 	}
 	if !slices.Equal(ix.empty, empty) {
 		t.Fatalf("empty list %v, want %v", ix.empty, empty)
@@ -217,6 +377,7 @@ func TestIndexDifferential(t *testing.T) {
 				if !reflect.DeepEqual(seq, want) {
 					t.Fatalf("%s from %d: sequential kernel diverges from the naive oracle", name, from)
 				}
+				checkAgainstReference(t, ix, from)
 				if st.Scanned != seqSt.Scanned || st.Verified != seqSt.Verified || st.BitmapPruned != seqSt.BitmapPruned {
 					t.Errorf("%s from %d: staged counters (%d scanned, %d verified, %d bitmap-pruned) differ from sequential (%d, %d, %d)",
 						name, from, st.Scanned, st.Verified, st.BitmapPruned, seqSt.Scanned, seqSt.Verified, seqSt.BitmapPruned)
@@ -589,9 +750,95 @@ func TestProbeFindsPartnersAcrossLengths(t *testing.T) {
 	}
 }
 
+// TestProbeWindowBoundaries pins the per-position window at its edges, on
+// hand-built signatures at θ 0.5 between records of 10 tokens (need 7,
+// probing prefix 6, mid prefix 4) and a prober of 8 (need 6 against the
+// 10-token partner, mid prefix 3). The window at prober position i admits a
+// partner of size la only if need(la, lr) <= lr - i.
+//   - A pair whose first common token sits at i = lr - need, the last
+//     position the window admits, is found there, and the scan reads what
+//     the reference reads.
+//   - A partner whose first common prefix token sits at i = lr - need + 1
+//     is not read at all; the reference reads it and prunes it there.
+//   - A partner longer than the prober whose first common token sits in
+//     the partner's tail is reached through the tail list.
+func TestProbeWindowBoundaries(t *testing.T) {
+	cases := []struct {
+		name          string
+		old, prober   []uint32
+		room          int // lr - i - need at the first common prefix token
+		pair          bool
+		scanned, refd int64
+	}{
+		{"first common token at the window's last position",
+			append(consecutive(3, 3), consecutive(10, 7)...), append(consecutive(0, 3), consecutive(10, 7)...), 0, true, 1, 1},
+		{"first common token one past the window",
+			append(consecutive(5, 3), consecutive(10, 7)...), append(consecutive(0, 4), consecutive(10, 6)...), -1, false, 0, 1},
+		{"longer partner through its tail",
+			append(consecutive(0, 4), consecutive(10, 6)...), append(consecutive(10, 6), 20, 21), 2, true, 2, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := idRanked(t, 0.5, 512)
+			ix.Append([][]uint32{{400}})
+			ix.Append([][]uint32{tc.old})
+			ix.Append([][]uint32{tc.prober})
+			checkIndexInvariants(t, ix)
+			la, lr := len(tc.old), len(tc.prober)
+			i := slices.IndexFunc(tc.prober, func(tok uint32) bool { return slices.Contains(tc.old, tok) })
+			if room := lr - i - pairNeed(0.5, la, lr); room != tc.room {
+				t.Fatalf("first common token at prober position %d leaves room %d, the case is built for %d", i, room, tc.room)
+			}
+			if la > lr {
+				k := slices.Index(tc.old, tc.prober[i])
+				if c := ix.cuts[la]; int32(k) < c.mid || int32(k) >= c.pre {
+					t.Fatalf("the common token sits at the partner's position %d, outside its tail [%d, %d)", k, c.mid, c.pre)
+				}
+			}
+			want := canonPairs(naivePairs([][]uint32{{400}, tc.old, tc.prober}, 0.5, 2))
+			if (len(want) == 1) != tc.pair {
+				t.Fatalf("oracle pairs %v, case expects a pair: %v", want, tc.pair)
+			}
+			got, ref := checkAgainstReference(t, ix, 2)
+			if got.Emitted != int64(len(want)) {
+				t.Fatalf("emitted %d pairs, oracle %v", got.Emitted, want)
+			}
+			if got.Scanned != tc.scanned || ref.Scanned != tc.refd {
+				t.Fatalf("scanned %d entries, the reference %d; want %d and %d", got.Scanned, ref.Scanned, tc.scanned, tc.refd)
+			}
+		})
+	}
+}
+
+// TestProbeWindowMatchesReference holds the probe to the reference probe on
+// BenchmarkIndexProbe's corpora: a 10,000-report database at θ 0.5 and a
+// 2,000-report one at θ 0.8, each probed by 250 arriving reports. The
+// window must leave pairs and counters as they are and read fewer entries.
+func TestProbeWindowMatchesReference(t *testing.T) {
+	const arriving = 250
+	for _, shape := range []struct {
+		theta  float64
+		seeded int
+	}{{0.5, 10000}, {0.8, 2000}} {
+		sigs := benchSignatures(t, shape.seeded, arriving)
+		ix, err := NewIndex(shape.theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Append(sigs[:shape.seeded])
+		ix.Append(sigs[shape.seeded:])
+		got, ref := checkAgainstReference(t, ix, shape.seeded)
+		if got.Emitted == 0 || got.Scanned >= ref.Scanned {
+			t.Fatalf("θ %v: %d emitted, %d scanned against the reference's %d; the window skipped nothing", shape.theta, got.Emitted, got.Scanned, ref.Scanned)
+		}
+		t.Logf("θ %v: scanned %d, reference %d; %d verified, %d bitmap-pruned, %d emitted",
+			shape.theta, got.Scanned, ref.Scanned, got.Verified, got.BitmapPruned, got.Emitted)
+	}
+}
+
 // benchSignatures extracts the signatures of a generated database of seeded
 // reports followed by an arriving batch, the way the Detector extracts them.
-func benchSignatures(b *testing.B, seeded, arriving int) [][]uint32 {
+func benchSignatures(b testing.TB, seeded, arriving int) [][]uint32 {
 	b.Helper()
 	reports := adrgen.Generate(adrgen.Config{NumReports: seeded, DuplicatePairs: seeded / 25, Seed: 1}).Reports
 	if arriving > 0 {

@@ -30,3 +30,10 @@ func (b *BlockStore) Used() int64 {
 
 // Capacity returns the store's byte capacity.
 func (b *BlockStore) Capacity() int64 { return b.capacity }
+
+// PooledScratches returns the scratches the pool holds between stages.
+func (c *Cluster) PooledScratches() []*WorkerScratch {
+	c.scratch.mu.Lock()
+	defer c.scratch.mu.Unlock()
+	return append([]*WorkerScratch(nil), c.scratch.free...)
+}

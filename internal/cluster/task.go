@@ -116,7 +116,8 @@ func (tc *TaskContext) Executor() int { return tc.executor }
 // high-water mark once and are reused by every later task on that worker.
 // The scratch is exclusive to this attempt while it runs — concurrent tasks
 // on other workers hold different instances — but its buffer contents are
-// unspecified at attempt start (stale data from a previous task).
+// unspecified at attempt start (stale data from a previous task), except
+// the zeroed tables, which every attempt finds and leaves all zero.
 func (tc *TaskContext) Scratch() *WorkerScratch {
 	if tc.scratch == nil {
 		// Bare TaskContexts (tests, direct construction) still work; they

@@ -16,11 +16,13 @@ var benchSink float64
 
 // BenchmarkPairKernel measures the all-pairs distance kernel over 240
 // generated reports (28,680 pairs per op) — the inner loop of the paper's
-// pairwise distance computing module (Fig. 10(b)).
+// pairwise distance computing module (Fig. 10(b)). Pairs come grouped by
+// their newer record, as a probe task hands them to the scorer.
 //
-//   - interned: the sorted-ID merge-scan kernel into one reused buffer —
-//     zero allocations per comparison;
-//   - interned-arena: the ComputeVectors shape, one arena per sweep.
+//   - scorer: the product kernel, Scorer, into one reused buffer — zero
+//     allocations per comparison;
+//   - scorer-arena: the ComputeVectors shape, one arena per sweep;
+//   - merge: the merge-scan reference, Distance's kernel, into one buffer.
 func BenchmarkPairKernel(b *testing.B) {
 	const numReports = 240
 	c := adrgen.Generate(adrgen.Config{
@@ -32,38 +34,47 @@ func BenchmarkPairKernel(b *testing.B) {
 		interned[i] = ExtractWith(it, r)
 	}
 
-	b.Run("interned", func(b *testing.B) {
+	sweep := func(b *testing.B, into func(dst []float64, a, b *Features)) {
 		b.ReportAllocs()
 		var buf [Dims]float64
 		for i := 0; i < b.N; i++ {
 			var sum float64
-			for x := 0; x < numReports; x++ {
-				for y := x + 1; y < numReports; y++ {
-					DistanceInto(buf[:], &interned[x], &interned[y])
+			for y := 1; y < numReports; y++ {
+				for x := 0; x < y; x++ {
+					into(buf[:], &interned[x], &interned[y])
 					sum += buf[FieldDescription]
 				}
 			}
 			benchSink = sum
 		}
+	}
+	b.Run("scorer", func(b *testing.B) {
+		s := NewScorer(&cluster.WorkerScratch{})
+		sweep(b, s.DistanceInto)
+		s.Release()
 	})
 
-	b.Run("interned-arena", func(b *testing.B) {
+	b.Run("scorer-arena", func(b *testing.B) {
 		// The ComputeVectors shape: vectors retained, backed by one arena
 		// allocation per sweep.
 		b.ReportAllocs()
 		const pairs = numReports * (numReports - 1) / 2
+		s := NewScorer(&cluster.WorkerScratch{})
 		for i := 0; i < b.N; i++ {
 			arena := make([]float64, Dims*pairs)
 			p := 0
-			for x := 0; x < numReports; x++ {
-				for y := x + 1; y < numReports; y++ {
-					DistanceInto(arena[p*Dims:(p+1)*Dims:(p+1)*Dims], &interned[x], &interned[y])
+			for y := 1; y < numReports; y++ {
+				for x := 0; x < y; x++ {
+					s.DistanceInto(arena[p*Dims:(p+1)*Dims:(p+1)*Dims], &interned[x], &interned[y])
 					p++
 				}
 			}
 			benchSink = arena[0]
 		}
+		s.Release()
 	})
+
+	b.Run("merge", func(b *testing.B) { sweep(b, mergeDistanceInto) })
 }
 
 func benchAllPairs(n int) []IDPair {
@@ -102,9 +113,11 @@ func scalingChunks(pairs []IDPair, tasks int) ([][]IDPair, [][]float64) {
 
 // sweepChunk is one scaling task's work: the ComputeVectors loop over a
 // chunk, into the task's preallocated arena.
-func sweepChunk(arena []float64, feats []Features, chunk []IDPair) {
+func sweepChunk(tc *cluster.TaskContext, arena []float64, feats []Features, chunk []IDPair) {
+	s := NewScorer(tc.Scratch())
+	defer s.Release()
 	for i, p := range chunk {
-		DistanceInto(arena[i*Dims:(i+1)*Dims:(i+1)*Dims], &feats[p.A], &feats[p.B])
+		s.DistanceInto(arena[i*Dims:(i+1)*Dims:(i+1)*Dims], &feats[p.A], &feats[p.B])
 	}
 }
 
@@ -138,7 +151,7 @@ func BenchmarkPoolScaling(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_, err := cl.RunStage("pairsweep", tasks, func(tc *cluster.TaskContext) error {
-					sweepChunk(arenas[tc.Task()], interned, chunks[tc.Task()])
+					sweepChunk(tc, arenas[tc.Task()], interned, chunks[tc.Task()])
 					return nil
 				})
 				if err != nil {
@@ -183,7 +196,7 @@ func TestPoolScalingSpeedup(t *testing.T) {
 		run := func() time.Duration {
 			start := time.Now()
 			if _, err := cl.RunStage("pairsweep", tasks, func(tc *cluster.TaskContext) error {
-				sweepChunk(arenas[tc.Task()], interned, chunks[tc.Task()])
+				sweepChunk(tc, arenas[tc.Task()], interned, chunks[tc.Task()])
 				return nil
 			}); err != nil {
 				t.Fatal(err)

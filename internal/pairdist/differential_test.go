@@ -56,9 +56,11 @@ func assertVecsBitIdentical(t testing.TB, tag string, got, want []float64) {
 	}
 }
 
-// TestDistanceMatchesReferenceOnGeneratedCorpora pins the interned
-// merge-scan kernel to the string reference over randomized generated report
-// corpora: every pair's distance vector must be bit-identical.
+// TestDistanceMatchesReferenceOnGeneratedCorpora pins the interned kernels,
+// the Scorer and Distance's merge scan, to the string reference over
+// randomized generated report corpora: every pair's distance vector must be
+// bit-identical. Random pairs reach the Scorer one at a time, so it
+// merge-scans nearly all of them.
 func TestDistanceMatchesReferenceOnGeneratedCorpora(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -71,13 +73,18 @@ func TestDistanceMatchesReferenceOnGeneratedCorpora(t *testing.T) {
 				feats[i] = ExtractWith(it, r)
 			}
 			rng := rand.New(rand.NewSource(seed * 31))
+			ws := &cluster.WorkerScratch{}
+			s := NewScorer(ws)
 			var got [Dims]float64
 			for trial := 0; trial < 2000; trial++ {
 				a, b := rng.Intn(len(feats)), rng.Intn(len(feats))
-				DistanceInto(got[:], &feats[a], &feats[b])
-				assertVecsBitIdentical(t, fmt.Sprintf("pair (%d,%d)", a, b),
-					got[:], referenceDistance(c.Reports[a], c.Reports[b]))
+				want := referenceDistance(c.Reports[a], c.Reports[b])
+				s.DistanceInto(got[:], &feats[a], &feats[b])
+				assertVecsBitIdentical(t, fmt.Sprintf("Scorer pair (%d,%d)", a, b), got[:], want)
+				assertVecsBitIdentical(t, fmt.Sprintf("Distance pair (%d,%d)", a, b), Distance(feats[a], feats[b]), want)
 			}
+			s.Release()
+			assertMarksZero(t, ws)
 		})
 	}
 }
@@ -103,19 +110,84 @@ var edgeCaseReports = []struct {
 }
 
 // TestDistanceMatchesReferenceOnEdgeCaseReports compares each boundary shape
-// against every other, through one interner.
+// against every other, through one interner, by Distance and by a Scorer
+// that sees the pairs grouped by their second shape, as it would see a
+// prober's.
 func TestDistanceMatchesReferenceOnEdgeCaseReports(t *testing.T) {
 	it := intern.New()
 	feats := make([]Features, len(edgeCaseReports))
 	for i, e := range edgeCaseReports {
 		feats[i] = ExtractWith(it, e.r)
 	}
-	for a, ea := range edgeCaseReports {
-		t.Run(ea.name, func(t *testing.T) {
-			for b, eb := range edgeCaseReports {
-				assertVecsBitIdentical(t, "against "+eb.name,
-					Distance(feats[a], feats[b]), referenceDistance(ea.r, eb.r))
+	ws := &cluster.WorkerScratch{}
+	s := NewScorer(ws)
+	var got [Dims]float64
+	for b, eb := range edgeCaseReports {
+		t.Run(eb.name, func(t *testing.T) {
+			for a, ea := range edgeCaseReports {
+				want := referenceDistance(ea.r, eb.r)
+				assertVecsBitIdentical(t, "Distance from "+ea.name, Distance(feats[a], feats[b]), want)
+				s.DistanceInto(got[:], &feats[a], &feats[b])
+				assertVecsBitIdentical(t, "Scorer from "+ea.name, got[:], want)
 			}
+		})
+	}
+	s.Release()
+	assertMarksZero(t, ws)
+}
+
+// assertMarksZero fails unless ws's zeroed byte table is all zero to its
+// capacity, as a Scorer must leave it.
+func assertMarksZero(t testing.TB, ws *cluster.WorkerScratch) {
+	t.Helper()
+	marks := ws.ZeroedBytes(0)
+	for id, m := range marks[:cap(marks)] {
+		if m != 0 {
+			t.Fatalf("mark table left %#x at ID %d", m, id)
+		}
+	}
+}
+
+// TestDistanceMatchesReferenceScorerShapes pins the Scorer to Distance bit
+// for bit on hand-built features, in the sequences that exercise its marks:
+// a record marked on its second pair in a row, by either end, and kept
+// while it repeats; pairs sharing no end merge-scanned between marks; empty
+// sets on either side, marked or not; one token in two or three fields of
+// the same report; a record re-marked after another and back; and IDs
+// above the table the previous marks grew, on either side of the pair.
+func TestDistanceMatchesReferenceScorerShapes(t *testing.T) {
+	f := func(drugs, adrs, desc []uint32) Features {
+		return Features{Age: len(desc), Sex: "F", DrugIDs: drugs, ADRIDs: adrs, DescIDs: desc}
+	}
+	feats := []Features{
+		f(nil, nil, nil),                                  // every set empty
+		f([]uint32{1}, nil, []uint32{1, 2}),               // one token in two fields
+		f([]uint32{1, 3}, []uint32{1}, []uint32{1, 3, 4}), // in three
+		f([]uint32{3}, []uint32{2}, nil),
+		f([]uint32{5000}, []uint32{2, 70000}, []uint32{4, 9000}), // past the small tables
+		f(nil, []uint32{1, 2}, []uint32{2, 3, 4}),
+		f([]uint32{1 << 20}, nil, []uint32{1, 1 << 20}),
+	}
+	seqs := map[string][][2]int{
+		"grouped by prober": {{0, 1}, {2, 1}, {3, 1}, {0, 2}, {1, 2}, {3, 2}, {5, 2}},
+		"re-marked":         {{0, 1}, {2, 1}, {2, 3}, {4, 3}, {0, 1}, {5, 1}, {5, 4}},
+		"marked end first":  {{1, 2}, {2, 3}, {2, 4}, {5, 2}},
+		"growing table":     {{4, 0}, {1, 0}, {1, 3}, {4, 3}, {0, 4}, {6, 4}, {3, 6}, {5, 6}, {5, 1}},
+		"empty either side": {{0, 3}, {3, 0}, {0, 0}, {5, 0}, {3, 2}, {0, 2}},
+		"no end shared":     {{0, 1}, {2, 3}, {4, 5}, {6, 1}},
+	}
+	for name, seq := range seqs {
+		t.Run(name, func(t *testing.T) {
+			ws := &cluster.WorkerScratch{}
+			s := NewScorer(ws)
+			var got [Dims]float64
+			for _, p := range seq {
+				a, b := &feats[p[0]], &feats[p[1]]
+				s.DistanceInto(got[:], a, b)
+				assertVecsBitIdentical(t, fmt.Sprintf("pair %v", p), got[:], Distance(*a, *b))
+			}
+			s.Release()
+			assertMarksZero(t, ws)
 		})
 	}
 }

@@ -14,6 +14,7 @@ package pairdist
 
 import (
 	"adrdedup/internal/adr"
+	"adrdedup/internal/cluster"
 	"adrdedup/internal/intern"
 	"adrdedup/internal/rdd"
 	"adrdedup/internal/strsim"
@@ -39,10 +40,10 @@ const (
 // once per report keeps the pairwise stage O(1) string work per comparison.
 //
 // The three token sets are interned into sorted, deduplicated uint32 ID sets,
-// which is what lets the Jaccard kernel run as an allocation-free merge scan.
-// ID sets from different interners are not comparable: all features compared
-// against each other must come from one shared interner (the Detector keeps
-// one for its lifetime).
+// which is what lets the Jaccard kernel (Scorer) count common tokens by table
+// lookup, with no allocation. ID sets from different interners are not
+// comparable: all features compared against each other must come from one
+// shared interner (the Detector keeps one for its lifetime).
 type Features struct {
 	Age       int
 	Sex       string
@@ -100,19 +101,26 @@ func (f Features) SignatureIDs() []uint32 {
 }
 
 // Distance computes the §4.2 distance vector between two preprocessed
-// reports. Every component lies in [0, 1].
+// reports, every component in [0, 1], by a merge scan of each token-set
+// pair. It is the reference the product kernel, Scorer, must equal bit for
+// bit.
 func Distance(a, b Features) []float64 {
 	v := make([]float64, Dims)
-	DistanceInto(v, &a, &b)
+	mergeDistanceInto(v, &a, &b)
 	return v
 }
 
-// DistanceInto computes the distance vector into dst (which must have at
-// least Dims elements) and performs no allocation. The three token-set
-// distances are merge scans over the sorted ID sets. The features are read
-// through pointers: copying two Features values per pair was a tenth of the
-// vectorize loop.
-func DistanceInto(dst []float64, a, b *Features) {
+// mergeDistanceInto is Distance into dst, which must have at least Dims
+// elements, without allocating.
+func mergeDistanceInto(dst []float64, a, b *Features) {
+	exactFields(dst, a, b)
+	dst[FieldDrugName] = strsim.JaccardDistanceSortedIDs(a.DrugIDs, b.DrugIDs)
+	dst[FieldADRName] = strsim.JaccardDistanceSortedIDs(a.ADRIDs, b.ADRIDs)
+	dst[FieldDescription] = strsim.JaccardDistanceSortedIDs(a.DescIDs, b.DescIDs)
+}
+
+// exactFields sets the four exact-match components of dst.
+func exactFields(dst []float64, a, b *Features) {
 	_ = dst[Dims-1]
 	dst[FieldAge] = 0
 	if a.Age != b.Age {
@@ -130,9 +138,125 @@ func DistanceInto(dst []float64, a, b *Features) {
 	if a.OnsetDate != b.OnsetDate {
 		dst[FieldOnsetDate] = 1
 	}
-	dst[FieldDrugName] = strsim.JaccardDistanceSortedIDs(a.DrugIDs, b.DrugIDs)
-	dst[FieldADRName] = strsim.JaccardDistanceSortedIDs(a.ADRIDs, b.ADRIDs)
-	dst[FieldDescription] = strsim.JaccardDistanceSortedIDs(a.DescIDs, b.DescIDs)
+}
+
+// Scorer is the distance kernel: a one-vs-many form of Distance for a task
+// that scores many pairs sharing one end. It marks one record's drug, ADR
+// and description IDs as bits 1, 2 and 4 of a byte per ID, and counts each
+// partner's common tokens by looking its IDs up, where Distance merges three
+// set pairs per pair. The marks stay while the marked record does, so a task
+// whose pairs come grouped by one end (a probe task hands its pairs grouped
+// by prober) marks each record once.
+//
+// A record is marked when a second pair in a row shares it. A pair that
+// shares no end with the one before is merge-scanned instead: marking and
+// unmarking cost a write per ID, which a single pair does not pay back, so
+// pairs in random order (a training sample) cost what Distance costs.
+//
+// The mark table is the worker's zeroed byte table
+// (cluster.WorkerScratch.ZeroedBytes), so a Scorer allocates nothing once
+// the table has grown to the vocabulary, and Release must run before the
+// task returns, to hand the table back all zero.
+type Scorer struct {
+	ws    *cluster.WorkerScratch
+	marks []byte
+	// marked is the record whose IDs are marked, nil when none is. Its
+	// token sets must not change while it is marked.
+	marked *Features
+	// lastA and lastB are the ends of the previous pair.
+	lastA, lastB *Features
+}
+
+// NewScorer returns a Scorer marking in ws's zeroed byte table.
+func NewScorer(ws *cluster.WorkerScratch) Scorer { return Scorer{ws: ws} }
+
+// DistanceInto computes the distance vector of a and b into dst, which must
+// have at least Dims elements; it equals Distance(*a, *b) bit for bit. The
+// distance is symmetric, so the marked end may be either one.
+func (s *Scorer) DistanceInto(dst []float64, a, b *Features) {
+	lastA, lastB := s.lastA, s.lastB
+	s.lastA, s.lastB = a, b
+	switch {
+	case a == s.marked:
+		a, b = b, a
+	case b == s.marked:
+	case b == lastA || b == lastB:
+		s.mark(b)
+	case a == lastA || a == lastB:
+		s.mark(a)
+		a, b = b, a
+	default:
+		mergeDistanceInto(dst, a, b)
+		return
+	}
+	exactFields(dst, a, b)
+	dst[FieldDrugName] = jaccardDistance(s.hits(a.DrugIDs, 0), len(a.DrugIDs), len(b.DrugIDs))
+	dst[FieldADRName] = jaccardDistance(s.hits(a.ADRIDs, 1), len(a.ADRIDs), len(b.ADRIDs))
+	dst[FieldDescription] = jaccardDistance(s.hits(a.DescIDs, 2), len(a.DescIDs), len(b.DescIDs))
+}
+
+// mark unmarks the marked record, if any, and marks b, growing the table to
+// b's largest ID.
+func (s *Scorer) mark(b *Features) {
+	s.Release()
+	top := 0
+	for _, ids := range [...][]uint32{b.DrugIDs, b.ADRIDs, b.DescIDs} {
+		if len(ids) > 0 {
+			top = max(top, int(ids[len(ids)-1]))
+		}
+	}
+	if top >= len(s.marks) {
+		s.marks = s.ws.ZeroedBytes(top + 1)
+	}
+	for _, id := range b.DrugIDs {
+		s.marks[id] |= 1
+	}
+	for _, id := range b.ADRIDs {
+		s.marks[id] |= 2
+	}
+	for _, id := range b.DescIDs {
+		s.marks[id] |= 4
+	}
+	s.marked = b
+}
+
+// Release unmarks the marked record, leaving the table all zero.
+func (s *Scorer) Release() {
+	if s.marked == nil {
+		return
+	}
+	for _, ids := range [...][]uint32{s.marked.DrugIDs, s.marked.ADRIDs, s.marked.DescIDs} {
+		for _, id := range ids {
+			s.marks[id] = 0
+		}
+	}
+	s.marked = nil
+}
+
+// hits counts the IDs of the sorted set ids whose mark has bit 1<<field:
+// the tokens they share with the marked record's set of that field. An ID
+// past the table is past every marked ID, and so are the rest.
+func (s *Scorer) hits(ids []uint32, field uint) int {
+	marks, n := s.marks, 0
+	for _, id := range ids {
+		if int(id) >= len(marks) {
+			break
+		}
+		n += int(marks[id] >> field & 1)
+	}
+	return n
+}
+
+// jaccardDistance is strsim.JaccardDistanceSortedIDs of two sets of la and
+// lb IDs with inter in common, by the same float expression.
+func jaccardDistance(inter, la, lb int) float64 {
+	if la == 0 && lb == 0 {
+		return 0 // two empty sets are alike
+	}
+	if la == 0 || lb == 0 {
+		return 1
+	}
+	return 1 - float64(inter)/float64(la+lb-inter)
 }
 
 // ExtractAllWith preprocesses reports in parallel on the cluster (the text
@@ -180,7 +304,7 @@ func ComputeVectors(ctx *rdd.Context, feats []Features, pairs []IDPair, partitio
 	// Broadcasting features to every executor: charge ~300 bytes each.
 	ctx.Cluster().Broadcast(int64(len(feats)) * 300)
 	src := rdd.Parallelize(ctx, pairs, partitions).SetName("pairIDs").WithBytesPerRecord(24)
-	vectors := rdd.MapPartitions(src, func(in []IDPair) ([]PairRecord, error) {
+	vectors := rdd.MapPartitionsTC(src, func(tc *cluster.TaskContext, _ int, in []IDPair) ([]PairRecord, error) {
 		// One flat arena backs every distance vector of the partition:
 		// Dims*len(in) floats in a single allocation, re-sliced per pair
 		// (full-capacity slices, so an append on one Vec can never bleed
@@ -189,9 +313,11 @@ func ComputeVectors(ctx *rdd.Context, feats []Features, pairs []IDPair, partitio
 		// partition's arena alive while any one Vec is referenced.
 		out := make([]PairRecord, len(in))
 		arena := make([]float64, Dims*len(in))
+		s := NewScorer(tc.Scratch())
+		defer s.Release()
 		for i, p := range in {
 			vec := arena[i*Dims : (i+1)*Dims : (i+1)*Dims]
-			DistanceInto(vec, &feats[p.A], &feats[p.B])
+			s.DistanceInto(vec, &feats[p.A], &feats[p.B])
 			out[i] = PairRecord{A: p.A, B: p.B, Label: p.Label, Vec: vec}
 		}
 		return out, nil

@@ -46,7 +46,7 @@ func TestSweepArenaIsolation(t *testing.T) {
 	pairs := allPairs(numReports)
 	want := make([]float64, Dims*len(pairs))
 	for i, p := range pairs {
-		DistanceInto(want[i*Dims:(i+1)*Dims], &feats[p.A], &feats[p.B])
+		copy(want[i*Dims:(i+1)*Dims], Distance(feats[p.A], feats[p.B]))
 	}
 
 	c := cluster.New(cluster.Config{Executors: 1, RealWorkers: 2})

@@ -62,8 +62,9 @@ func MapPartitions[T, U any](r *RDD[T], f func(in []T) ([]U, error)) *RDD[U] {
 //
 // f may run concurrently for different partitions and may run more than once
 // for the same partition (task retries, speculative attempts); it must treat
-// the scratch contents as unspecified at entry and must not retain scratch
-// buffers in its output.
+// the scratch contents as unspecified at entry, except the zeroed tables
+// (which it must hand back all zero), and must not retain scratch buffers in
+// its output.
 func MapPartitionsTC[T, U any](r *RDD[T], f func(tc *cluster.TaskContext, partition int, in []T) ([]U, error)) *RDD[U] {
 	return newRDD(r.ctx, r.name+".mapPartitions", r.numPartitions,
 		func(tc *cluster.TaskContext, p int) ([]U, error) {
