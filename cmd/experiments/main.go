@@ -261,7 +261,7 @@ func (r *runner) speculation() error {
 	if err != nil {
 		return err
 	}
-	rows, err := experiments.Speculation(env, experiments.SpeculationParams{Seed: r.seed})
+	rows, err := experiments.Speculation(env, r.seed)
 	if err != nil {
 		return err
 	}
@@ -287,7 +287,7 @@ func (r *runner) recovery() error {
 	if err != nil {
 		return err
 	}
-	rows, err := experiments.Recovery(env, experiments.RecoveryParams{Seed: r.seed})
+	rows, err := experiments.Recovery(env, r.seed)
 	if err != nil {
 		return err
 	}

@@ -1,14 +1,18 @@
 // The dead-identifier gate: every exported identifier a library package
-// declares is reached from non-test code somewhere in the repository, the
-// benchmark module under bench/ included, or it is on unreferencedAllowed
-// with one reason from a closed set.
+// declares, the root package's included, is reached from non-test code
+// somewhere in the repository, the benchmark module under bench/ included,
+// and every exported field of an option type is set by non-test code outside
+// its package; or it is on unreferencedAllowed with one reason from a closed
+// set.
 package adrdedup_test
 
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -41,8 +45,9 @@ func pendingItem(n int) keepReason {
 var pendingItemRE = regexp.MustCompile(`^pending ROADMAP item [1-9][0-9]*$`)
 
 // unreferencedAllowed lists the exported identifiers that stay although no
-// non-test file refers to them. Keys are "dir.Name" for package-level names
-// and "dir.Type.Method" for methods, dir relative to the module root.
+// non-test file refers to them, and the option fields that stay although no
+// non-test file outside their package sets them. Keys are as scanModule
+// makes them.
 var unreferencedAllowed = map[string]keepReason{
 	"internal/candgen.BruteForcePairs": oracle,
 	"internal/core.ExactClassify":      oracle,
@@ -59,13 +64,28 @@ var unreferencedAllowed = map[string]keepReason{
 	"internal/cluster.ShuffleService.Registered":  testHook, // root tests check Detect releases its shuffles
 	"internal/cluster.TaskContext.AddComparisons": testHook, // rdd tests count comparisons under faults
 	"internal/intern.Interner.Resolve":            testHook, // pairdist tests resolve IDs to tokens
+	"Detector.DetectAll":                          testHook, // serve tests replay a batch with pruned pairs
+
+	// Fault-injection knobs the rdd, core, candgen, knn and root fault
+	// suites set; no product path injects task faults.
+	"internal/cluster.Config.BlacklistAfterFailures":  testHook,
+	"internal/cluster.Config.ExecutorRecoveryStages":  testHook,
+	"internal/cluster.Config.FailureRate":             testHook,
+	"internal/cluster.Config.MaxTaskRetries":          testHook,
+	"internal/cluster.Config.SpeculationMinRuntimeMS": testHook,
+	"internal/cluster.Config.SpeculationMultiplier":   testHook,
+	"internal/serve.TrafficConfig.Reports":            testHook, // root benchmarks size the stream
 
 	"internal/cluster.FetchFailedError.Unwrap":  ifaceMethod, // errors.Is, errors.As
 	"internal/cluster.StageAbortedError.Unwrap": ifaceMethod,
 	"internal/rdd.maxHeap.Less":                 ifaceMethod, // container/heap
 	"internal/rdd.maxHeap.Swap":                 ifaceMethod,
 
-	"internal/core.LearnPruningThreshold": pendingItem(2), // whether pruning reaches a binary
+	"internal/core.LearnPruningThreshold":         pendingItem(2),  // whether pruning reaches a binary
+	"internal/serve.BootstrapConfig.HardFraction": pendingItem(11), // the frozen bench/trace.go reads it
+	"internal/svm.Options.Epochs":                 pendingItem(17), // the SVM baseline is replaced
+	"internal/svm.Options.Lambda":                 pendingItem(17),
+	"internal/svm.Options.PositiveWeight":         pendingItem(17),
 }
 
 // TestNoUnreferencedExports is the gate over this repository.
@@ -79,15 +99,19 @@ func TestNoUnreferencedExports(t *testing.T) {
 			}
 		}
 	}
-	dead, stale, err := unreferencedExports(".", unreferencedAllowed)
+	res, err := scanModule(".", unreferencedAllowed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range dead {
+	t.Logf("%d exported option fields", res.optionFields)
+	for _, key := range res.dead {
 		t.Errorf("%s is exported but no non-test file refers to it: delete it, move it into a _test.go of its package, or allowlist it with a reason", key)
 	}
-	for _, key := range stale {
-		t.Errorf("allowlist entry %s is stale: the identifier is gone or non-test code now refers to it", key)
+	for _, key := range res.unset {
+		t.Errorf("option field %s is set by no non-test file outside its package: make it a constant, unexport it, or allowlist it with a reason", key)
+	}
+	for _, key := range res.stale {
+		t.Errorf("allowlist entry %s is stale: it names nothing, or non-test code now refers to or sets it", key)
 	}
 }
 
@@ -116,11 +140,59 @@ func helper()    {}
 		"internal/other/u.go": "package other\n\nimport \"m/internal/lib\"\n\ntype U struct{}\n\nfunc (U) Unused() {}\n\nfunc Run(u U, t *lib.T) { u.Unused(); t.Called() }\n",
 		"cmd/other/main.go":   "package main\n\nimport \"m/internal/other\"\n\nfunc main() { other.Run(other.U{}, nil) }\n",
 	}
+	// The root package's exports are scanned like any library's.
+	root := map[string]string{
+		"m.go":             "package m\n\nfunc RootUsed()   {}\nfunc RootUnused() {}\n",
+		"cmd/root/main.go": "package main\n\nimport \"m\"\n\nfunc main() { m.RootUsed() }\n",
+	}
+	// Option fields: what sets each is in its name. Plain is no option
+	// type, so its unset field is not reported.
+	fields := map[string]string{
+		"internal/lib/config.go": `package lib
+
+type Config struct {
+	Unset, Defaulted, InTest int
+	Literal, Assigned, Bench int
+	Allowlisted, Nested      int
+	unexported               int
+}
+
+type Plain struct{ Field int }
+
+func (c Config) withDefaults() Config {
+	if c.Defaulted == 0 {
+		c.Defaulted = 1
+	}
+	c.unexported = 2
+	return c
+}
+
+func Apply(c Config) int { return c.withDefaults().Defaulted }
+`,
+		"internal/lib/config_test.go": "package lib\n\nvar _ = Config{InTest: 1}\n",
+		"cmd/fields/main.go": `package main
+
+import "m/internal/lib"
+
+type wrap struct{ cfg lib.Config }
+
+func main() {
+	c := lib.Config{Literal: 1}
+	c.Assigned = 2
+	w := wrap{cfg: lib.Config{}}
+	(w.cfg).Nested++
+	_ = lib.Plain{}
+	lib.Apply(c)
+}
+`,
+		"bench/fields.go": "package main\n\nimport \"m/internal/lib\"\n\nfunc init() { lib.Apply(lib.Config{Bench: 1}) }\n",
+	}
 	for _, tc := range []struct {
 		name      string
 		extra     map[string]string
 		allow     []string
 		wantDead  []string
+		wantUnset []string
 		wantStale []string
 	}{
 		{
@@ -140,6 +212,28 @@ func helper()    {}
 			wantDead:  []string{"internal/lib.TestOnly", "internal/lib.Unused"},
 			wantStale: []string{"internal/lib.Gone", "internal/lib.Used"},
 		},
+		{
+			name:     "root package",
+			extra:    root,
+			allow:    []string{"internal/lib.Allowed"},
+			wantDead: []string{"RootUnused", "internal/lib.TestOnly", "internal/lib.Unused"},
+		},
+		{
+			name:      "option fields",
+			extra:     fields,
+			allow:     []string{"internal/lib.Allowed", "internal/lib.Config.Allowlisted"},
+			wantDead:  []string{"internal/lib.TestOnly", "internal/lib.Unused"},
+			wantUnset: []string{"internal/lib.Config.Defaulted", "internal/lib.Config.InTest", "internal/lib.Config.Unset"},
+		},
+		{
+			name:  "stale field entries",
+			extra: fields,
+			allow: []string{"internal/lib.Allowed", "internal/lib.Config.Allowlisted",
+				"internal/lib.Config.Gone", "internal/lib.Config.Literal", "internal/lib.Plain.Field"},
+			wantDead:  []string{"internal/lib.TestOnly", "internal/lib.Unused"},
+			wantUnset: []string{"internal/lib.Config.Defaulted", "internal/lib.Config.InTest", "internal/lib.Config.Unset"},
+			wantStale: []string{"internal/lib.Config.Gone", "internal/lib.Config.Literal", "internal/lib.Plain.Field"},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
@@ -158,53 +252,77 @@ func helper()    {}
 			for _, key := range tc.allow {
 				allow[key] = oracle
 			}
-			dead, stale, err := unreferencedExports(root, allow)
+			res, err := scanModule(root, allow)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fmt.Sprint(dead) != fmt.Sprint(tc.wantDead) {
-				t.Errorf("dead = %v, want %v", dead, tc.wantDead)
+			if fmt.Sprint(res.dead) != fmt.Sprint(tc.wantDead) {
+				t.Errorf("dead = %v, want %v", res.dead, tc.wantDead)
 			}
-			if fmt.Sprint(stale) != fmt.Sprint(tc.wantStale) {
-				t.Errorf("stale = %v, want %v", stale, tc.wantStale)
+			if fmt.Sprint(res.unset) != fmt.Sprint(tc.wantUnset) {
+				t.Errorf("unset = %v, want %v", res.unset, tc.wantUnset)
+			}
+			if fmt.Sprint(res.stale) != fmt.Sprint(tc.wantStale) {
+				t.Errorf("stale = %v, want %v", res.stale, tc.wantStale)
 			}
 		})
 	}
 }
 
-// unreferencedExports scans the module rooted at root, nested modules such
-// as bench/ included. It returns, sorted, the exported identifiers declared
-// in non-test files of library packages (every package but the root's and
-// package main) that no non-test file refers to and allow does not list, and
-// the entries of allow that name no such declaration or one that is referred
-// to.
-//
-// The match is by name, without type information: a package-level name is
-// referred to by a bare identifier in its own package or a selector on an
-// import of it; a method by a selector of its name on anything that is not
-// an import. Struct fields and interface methods are not declarations here.
-func unreferencedExports(root string, allow map[string]keepReason) (dead, stale []string, err error) {
-	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, nil, err
-	}
-	modPath := ""
-	for _, line := range strings.Split(string(mod), "\n") {
-		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
-			modPath = f[1]
-		}
-	}
-	if modPath == "" {
-		return nil, nil, fmt.Errorf("%s/go.mod: no module line", root)
-	}
+// scanResult is what one scan of a module finds.
+type scanResult struct {
+	dead  []string // exported identifiers no non-test file refers to
+	unset []string // option fields no non-test file outside their package sets
+	stale []string // allowlist entries that name nothing, or something used
+	// optionFields counts the exported fields of option types.
+	optionFields int
+}
 
+// declKind is what a scanned declaration is, which decides what counts as
+// a use of it.
+type declKind int
+
+const (
+	identDecl  declKind = iota // package-level name: referred to by name
+	methodDecl                 // method: a selector of its name anywhere
+	fieldDecl                  // option field: set outside its package
+)
+
+// optionTypeRE matches the names of option types: their exported fields are
+// the knobs callers set.
+var optionTypeRE = regexp.MustCompile(`(Config|Options|Params)$`)
+
+// scanModule scans the module rooted at root, nested modules such as bench/
+// included, with two rules. It returns the findings sorted.
+//
+// The identifier rule reports the exported identifiers declared in non-test
+// files of library packages (every package but package main) that no
+// non-test file refers to. The match is by name, without type information:
+// a package-level name is referred to by a bare identifier in its own
+// package or a selector on an import of it; a method by a selector of its
+// name on anything that is not an import. Struct fields and interface
+// methods are not identifiers here.
+//
+// The field rule type-checks every non-test package and reports each
+// exported field of an exported struct type of a library package whose name
+// ends in Config, Options or Params that no non-test file outside the
+// declaring package names as a composite-literal key or an assignment
+// target: defaults written inside the package set nothing.
+//
+// Keys are "dir.Name" for package-level names, "dir.Type.Method" for methods
+// and "dir.Type.Field" for option fields, dir relative to root; the root
+// package's keys drop the "dir." prefix. A finding allow lists is not
+// reported; an entry of allow that names no declaration, or one that is
+// used, is stale.
+func scanModule(root string, allow map[string]keepReason) (*scanResult, error) {
 	type file struct {
 		dir string // relative to root, slash-separated
 		ast *ast.File
 	}
 	var files []file
+	modules := map[string]string{} // dir holding a go.mod → module path
 	fset := token.NewFileSet()
-	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -215,6 +333,26 @@ func unreferencedExports(root string, allow map[string]keepReason) (dead, stale 
 			}
 			return nil
 		}
+		rel, err := filepath.Rel(root, filepath.Dir(p))
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		if name == "go.mod" {
+			src, err := os.ReadFile(p)
+			if err != nil {
+				return err
+			}
+			for _, line := range strings.Split(string(src), "\n") {
+				if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+					modules[rel] = f[1]
+				}
+			}
+			if modules[rel] == "" {
+				return fmt.Errorf("%s: no module line", p)
+			}
+			return nil
+		}
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
@@ -222,45 +360,69 @@ func unreferencedExports(root string, allow map[string]keepReason) (dead, stale 
 		if err != nil {
 			return err
 		}
-		rel, err := filepath.Rel(root, filepath.Dir(p))
-		if err != nil {
-			return err
-		}
-		files = append(files, file{filepath.ToSlash(rel), f})
+		files = append(files, file{rel, f})
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	if modules["."] == "" {
+		return nil, fmt.Errorf("%s: no go.mod", root)
 	}
 
-	decls := map[string]bool{} // key → is a method
+	// Each directory's import path is its nearest enclosing module's path
+	// joined with the directory below that module's root.
+	pkgFiles := map[string][]*ast.File{} // dir → files
+	dirOf := map[string]string{}         // import path → dir
+	for _, f := range files {
+		if _, ok := pkgFiles[f.dir]; !ok {
+			mod := f.dir
+			for modules[mod] == "" {
+				mod = path.Dir(mod)
+			}
+			ip := modules[mod]
+			if mod != f.dir {
+				ip += "/" + strings.TrimPrefix(f.dir, mod+"/")
+			}
+			dirOf[ip] = f.dir
+		}
+		pkgFiles[f.dir] = append(pkgFiles[f.dir], f.ast)
+	}
+	key := func(dir, name string) string {
+		if dir == "." {
+			return name
+		}
+		return dir + "." + name
+	}
+
+	decls := map[string]declKind{}
 	declIdents := map[*ast.Ident]bool{}
 	for _, f := range files {
-		if f.dir == "." || f.ast.Name.Name == "main" {
+		if f.ast.Name.Name == "main" {
 			continue
 		}
-		add := func(id *ast.Ident, key string, method bool) {
+		add := func(id *ast.Ident, k string, kind declKind) {
 			declIdents[id] = true
 			if id.IsExported() {
-				decls[key] = method
+				decls[k] = kind
 			}
 		}
 		for _, d := range f.ast.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				if d.Recv == nil {
-					add(d.Name, f.dir+"."+d.Name.Name, false)
+					add(d.Name, key(f.dir, d.Name.Name), identDecl)
 				} else {
-					add(d.Name, f.dir+"."+recvTypeName(d.Recv.List[0].Type)+"."+d.Name.Name, true)
+					add(d.Name, key(f.dir, recvTypeName(d.Recv.List[0].Type)+"."+d.Name.Name), methodDecl)
 				}
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
-						add(s.Name, f.dir+"."+s.Name.Name, false)
+						add(s.Name, key(f.dir, s.Name.Name), identDecl)
 					case *ast.ValueSpec:
 						for _, id := range s.Names {
-							add(id, f.dir+"."+id.Name, false)
+							add(id, key(f.dir, id.Name), identDecl)
 						}
 					}
 				}
@@ -268,22 +430,19 @@ func unreferencedExports(root string, allow map[string]keepReason) (dead, stale 
 		}
 	}
 
-	refs := map[string]bool{}       // "dir.Name" referred to
+	refs := map[string]bool{}       // keys of package-level names referred to
 	methodRefs := map[string]bool{} // method names selected on a value or type
 	for _, f := range files {
-		imports := map[string]string{} // local name → dir relative to root
+		imports := map[string]string{} // local name → dir
 		for _, im := range f.ast.Imports {
 			ip, _ := strconv.Unquote(im.Path.Value)
-			if ip != modPath && !strings.HasPrefix(ip, modPath+"/") {
+			dir, ok := dirOf[ip]
+			if !ok {
 				continue
 			}
 			local := path.Base(ip)
 			if im.Name != nil {
 				local = im.Name.Name
-			}
-			dir := "."
-			if ip != modPath {
-				dir = strings.TrimPrefix(ip, modPath+"/")
 			}
 			imports[local] = dir
 		}
@@ -293,7 +452,7 @@ func unreferencedExports(root string, allow map[string]keepReason) (dead, stale 
 			case *ast.SelectorExpr:
 				if x, ok := n.X.(*ast.Ident); ok {
 					if dir, ok := imports[x.Name]; ok {
-						refs[dir+"."+n.Sel.Name] = true
+						refs[key(dir, n.Sel.Name)] = true
 						return false
 					}
 				}
@@ -302,7 +461,7 @@ func unreferencedExports(root string, allow map[string]keepReason) (dead, stale 
 				return false
 			case *ast.Ident:
 				if !declIdents[n] {
-					refs[f.dir+"."+n.Name] = true
+					refs[key(f.dir, n.Name)] = true
 				}
 			}
 			return true
@@ -310,27 +469,145 @@ func unreferencedExports(root string, allow map[string]keepReason) (dead, stale 
 		ast.Inspect(f.ast, visit)
 	}
 
-	for key, method := range decls {
-		referred := refs[key]
-		if method {
-			referred = methodRefs[key[strings.LastIndexByte(key, '.')+1:]]
+	// The field rule needs types: which struct a literal key or an
+	// assigned selector names is not in the syntax.
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	imp := &treeImporter{
+		fset:    fset,
+		std:     importer.ForCompiler(fset, "source", nil),
+		files:   pkgFiles,
+		dirOf:   dirOf,
+		info:    info,
+		checked: map[string]*types.Package{},
+	}
+	pkgs := map[string]*types.Package{} // dir → package
+	for ip, dir := range dirOf {
+		pkg, err := imp.Import(ip)
+		if err != nil {
+			return nil, err
 		}
-		_, allowed := allow[key]
+		pkgs[dir] = pkg
+	}
+	setOutside := map[*types.Var]bool{}
+	for _, f := range files {
+		pkg := pkgs[f.dir]
+		set := func(obj types.Object) {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && v.Pkg() != pkg {
+				setOutside[v.Origin()] = true
+			}
+		}
+		setTarget := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					set(s.Obj())
+				}
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					set(info.Uses[id])
+				}
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, lhs := range n.Lhs {
+						setTarget(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				setTarget(n.X)
+			}
+			return true
+		})
+	}
+	res := &scanResult{}
+	fieldSet := map[string]bool{}
+	for dir, pkg := range pkgs {
+		if pkg.Name() == "main" {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !optionTypeRE.MatchString(name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if fld := st.Field(i); fld.Exported() {
+					k := key(dir, name+"."+fld.Name())
+					decls[k] = fieldDecl
+					fieldSet[k] = setOutside[fld]
+					res.optionFields++
+				}
+			}
+		}
+	}
+
+	for k, kind := range decls {
+		var used bool
+		switch kind {
+		case identDecl:
+			used = refs[k]
+		case methodDecl:
+			used = methodRefs[k[strings.LastIndexByte(k, '.')+1:]]
+		case fieldDecl:
+			used = fieldSet[k]
+		}
+		_, allowed := allow[k]
 		switch {
-		case referred && allowed:
-			stale = append(stale, key)
-		case !referred && !allowed:
-			dead = append(dead, key)
+		case used && allowed:
+			res.stale = append(res.stale, k)
+		case !used && !allowed && kind == fieldDecl:
+			res.unset = append(res.unset, k)
+		case !used && !allowed:
+			res.dead = append(res.dead, k)
 		}
 	}
-	for key := range allow {
-		if _, ok := decls[key]; !ok {
-			stale = append(stale, key)
+	for k := range allow {
+		if _, ok := decls[k]; !ok {
+			res.stale = append(res.stale, k)
 		}
 	}
-	sort.Strings(dead)
-	sort.Strings(stale)
-	return dead, stale, nil
+	sort.Strings(res.dead)
+	sort.Strings(res.unset)
+	sort.Strings(res.stale)
+	return res, nil
+}
+
+// treeImporter type-checks the module's packages from their parsed non-test
+// files, each once, and imports everything else, the standard library, from
+// source.
+type treeImporter struct {
+	fset    *token.FileSet
+	std     types.Importer
+	files   map[string][]*ast.File // dir → files
+	dirOf   map[string]string      // import path → dir
+	info    *types.Info
+	checked map[string]*types.Package // import path → package
+}
+
+func (ti *treeImporter) Import(ip string) (*types.Package, error) {
+	if pkg, ok := ti.checked[ip]; ok {
+		return pkg, nil
+	}
+	dir, ok := ti.dirOf[ip]
+	if !ok {
+		return ti.std.Import(ip)
+	}
+	conf := types.Config{Importer: ti}
+	pkg, err := conf.Check(ip, ti.fset, ti.files[dir], ti.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", ip, err)
+	}
+	ti.checked[ip] = pkg
+	return pkg, nil
 }
 
 // recvTypeName is the type name of a method receiver: T for T, *T, T[P] and

@@ -30,7 +30,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"strings"
@@ -118,8 +117,8 @@ type Detector struct {
 	index *candgen.Index
 
 	// model is the trained classifier and its score table (nil until
-	// trained). Training or loading replaces the whole value, so a table
-	// never outlives the classifier that filled it.
+	// trained). Training replaces the whole value, so a table never
+	// outlives the classifier that filled it.
 	model *model
 
 	// shape is the last Detect's classification size (zero when it
@@ -206,15 +205,23 @@ func (d *Detector) ValidateBatch(batch []adr.Report) map[string][]adr.Validation
 }
 
 // AddKnownReports appends reports to the database without duplicate
-// checking — the initial load of an existing regulator database.
+// checking — the initial load of an existing regulator database. Like
+// Detect it is atomic: when it fails the detector is left as it was.
 func (d *Detector) AddKnownReports(reports []adr.Report) error {
 	if len(reports) == 0 {
 		return nil
 	}
+	existing := d.db.Len()
 	if err := d.db.Add(reports...); err != nil {
 		return err
 	}
-	return d.extendFeatures()
+	// extendFeatures appends to feats and the index only once extraction
+	// succeeded, so the database is all a failure leaves to roll back.
+	if err := d.extendFeatures(); err != nil {
+		d.db.Truncate(existing)
+		return err
+	}
+	return nil
 }
 
 // extendFeatures preprocesses the reports not yet featurized — the tail of
@@ -279,41 +286,12 @@ func (d *Detector) TrainFromIDPairs(ids []pairdist.IDPair) error {
 	if err != nil {
 		return fmt.Errorf("adrdedup: training classifier: %w", err)
 	}
-	d.model = newModel(clf, training)
-	return nil
-}
-
-// SaveModel serializes the trained classifier so a later process can skip
-// retraining. The report database itself is saved separately (adr.WriteJSON).
-func (d *Detector) SaveModel(w io.Writer) error {
-	if d.model == nil {
-		return errors.New("adrdedup: no trained model to save")
-	}
-	return d.model.clf.Save(w)
-}
-
-// LoadModel restores a classifier previously written by SaveModel, binding
-// it to this detector's engine. The database contents do not need to match
-// the training-time database; the model is self-contained.
-func (d *Detector) LoadModel(r io.Reader) error {
-	clf, err := core.Load(d.ctx, r)
-	if err != nil {
-		return err
-	}
-	d.model = newModel(clf, nil)
+	d.model = newModel(clf)
 	return nil
 }
 
 // Trained reports whether a classifier is available.
 func (d *Detector) Trained() bool { return d.model != nil }
-
-// TrainingSize returns the number of training pairs of the current model.
-func (d *Detector) TrainingSize() int {
-	if d.model == nil {
-		return 0
-	}
-	return len(d.model.training)
-}
 
 func (d *Detector) classifierPartitions() int {
 	if d.opts.Classifier.C > 0 {
@@ -519,8 +497,7 @@ type verdict struct {
 // a pure function of the vector, so the table is exact for as long as the
 // classifier lives, and dies with it.
 type model struct {
-	clf      *core.Classifier
-	training []core.TrainingPair
+	clf *core.Classifier
 
 	rows []scoreRow
 	// row maps a vector's key to its index in rows.
@@ -538,8 +515,8 @@ type scoreRow struct {
 	slot int32
 }
 
-func newModel(clf *core.Classifier, training []core.TrainingPair) *model {
-	return &model{clf: clf, training: training, row: make(map[vecKey]int32)}
+func newModel(clf *core.Classifier) *model {
+	return &model{clf: clf, row: make(map[vecKey]int32)}
 }
 
 // scoredPair is a candidate pair and the slot of its vector's verdict: in a

@@ -1,7 +1,6 @@
 package adrdedup
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -341,63 +340,34 @@ func TestIncrementalBatchesAccumulate(t *testing.T) {
 }
 
 func TestTrainFromIDPairsMatchesLabeledCases(t *testing.T) {
-	c, det, _ := testCorpus(t, 10)
-	_ = c
+	c, byID, batch := testCorpus(t, 10)
 	ids := []pairdist.IDPair{{A: 0, B: 1, Label: -1}, {A: 2, B: 3, Label: +1}, {A: 4, B: 5, Label: -1}}
-	if err := det.TrainFromIDPairs(ids); err != nil {
+	if err := byID.TrainFromIDPairs(ids); err != nil {
 		t.Fatal(err)
 	}
-	if det.TrainingSize() != 3 {
-		t.Errorf("training size = %d", det.TrainingSize())
+	byCase, _ := loadCorpus(t, c, testOptions(), 10)
+	labelled := make([]LabeledCasePair, len(ids))
+	for i, p := range ids {
+		a, _ := byCase.db.CaseNumber(p.A)
+		b, _ := byCase.db.CaseNumber(p.B)
+		labelled[i] = LabeledCasePair{CaseA: a, CaseB: b, Duplicate: p.Label > 0}
 	}
-}
-
-func TestSaveLoadModelOnDetector(t *testing.T) {
-	c, det, batch := testCorpus(t, 10)
-	trainOnGroundTruth(t, c, det, 800)
-	var buf bytes.Buffer
-	if err := det.SaveModel(&buf); err != nil {
+	if err := byCase.TrainFromLabeledCases(labelled); err != nil {
 		t.Fatal(err)
 	}
-
-	// Fresh detector, same database contents, model loaded instead of
-	// retrained: Detect must work and produce scored matches.
-	det2, err := New(Options{
-		Cluster:    cluster.Config{Executors: 2},
-		Classifier: core.Config{K: 7, B: 8, C: 4, Seed: 1},
-	})
+	got, err := byID.Detect(slices.Clone(batch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	existing := make([]adr.Report, 490)
-	copy(existing, c.Reports[:490])
-	for i := range existing {
-		existing[i].ArrivalSeq = 0
-	}
-	if err := det2.AddKnownReports(existing); err != nil {
-		t.Fatal(err)
-	}
-	if err := det2.LoadModel(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !det2.Trained() {
-		t.Fatal("loaded detector not trained")
-	}
-	matches, err := det2.Detect(batch)
+	want, err := byCase.Detect(slices.Clone(batch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(matches) == 0 {
-		t.Error("loaded model produced no matches")
+	if len(want) == 0 {
+		t.Fatal("no matches; the comparison is vacuous")
 	}
-
-	// Saving before training must fail.
-	det3, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := det3.SaveModel(&bytes.Buffer{}); err == nil {
-		t.Error("SaveModel before training must fail")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("trained from ID pairs: %d matches differ from the same pairs by case number (%d matches)", len(got), len(want))
 	}
 }
 
@@ -1094,10 +1064,12 @@ func TestDetectScoresEachVectorOncePerModel(t *testing.T) {
 }
 
 // TestScoreTableFollowsModel: a detector that scored a batch under model A
-// and then retrains, or loads a saved model, must return for the next batch
-// exactly what a fresh detector holding only the new model returns. The new
-// model is trained on A's labelled pairs with every label flipped, so a
-// verdict of A's read back from a stale table would show.
+// and then retrains must return for the next batch exactly what a fresh
+// detector holding only the new model returns. The new model is trained on
+// A's labelled pairs with every label flipped, so a verdict of A's read back
+// from a stale table would show. A retrain that fails keeps model A and its
+// table: the next batch is what a detector that never tried returns, for
+// the same Classify work.
 func TestScoreTableFollowsModel(t *testing.T) {
 	c := newTestCorpus()
 	det, batch := loadCorpus(t, c, testOptions(), 20)
@@ -1120,16 +1092,6 @@ func TestScoreTableFollowsModel(t *testing.T) {
 		}
 		return det
 	}
-	// holdingOnly returns a detector whose database already holds the first
-	// batch and that has never held any model but the one install puts in.
-	holdingOnly := func(install func(*Detector)) *Detector {
-		det, _ := loadCorpus(t, c, testOptions(), 20)
-		if err := det.AddKnownReports(first); err != nil {
-			t.Fatal(err)
-		}
-		install(det)
-		return det
-	}
 	detectSecond := func(det *Detector) []Match {
 		m, err := det.DetectAll(second)
 		if err != nil {
@@ -1137,45 +1099,49 @@ func TestScoreTableFollowsModel(t *testing.T) {
 		}
 		return m
 	}
-	trainB := func(det *Detector) {
+
+	keptA := scoredUnderA()
+	stayedA := detectSecond(keptA)
+	t.Run("retrain", func(t *testing.T) {
+		det := scoredUnderA()
 		if err := det.TrainFromLabeledCases(labelsB); err != nil {
 			t.Fatal(err)
 		}
-	}
-	var saved bytes.Buffer
-	if err := holdingOnly(trainB).SaveModel(&saved); err != nil {
-		t.Fatal(err)
-	}
-	loadB := func(det *Detector) {
-		if err := det.LoadModel(bytes.NewReader(saved.Bytes())); err != nil {
+		got := detectSecond(det)
+		if det.shape.classified != det.shape.distinct {
+			t.Fatalf("after retraining Classify was sent %d of %d distinct vectors, want all", det.shape.classified, det.shape.distinct)
+		}
+		// A detector whose database already holds the first batch and that
+		// has never held any model but B.
+		onlyB, _ := loadCorpus(t, c, testOptions(), 20)
+		if err := onlyB.AddKnownReports(first); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	stayedA := detectSecond(scoredUnderA())
-	for _, tc := range []struct {
-		name    string
-		install func(*Detector)
-	}{
-		{"retrain", trainB},
-		{"LoadModel", loadB},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			det := scoredUnderA()
-			tc.install(det)
-			got := detectSecond(det)
-			if det.shape.classified != det.shape.distinct {
-				t.Fatalf("after the switch Classify was sent %d of %d distinct vectors, want all", det.shape.classified, det.shape.distinct)
-			}
-			want := detectSecond(holdingOnly(tc.install))
-			if reflect.DeepEqual(want, stayedA) {
-				t.Fatal("models A and B agree on the second batch; the test is vacuous")
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("after %s: %d matches differ from a detector holding only the new model (%d matches)", tc.name, len(got), len(want))
-			}
-		})
-	}
+		if err := onlyB.TrainFromLabeledCases(labelsB); err != nil {
+			t.Fatal(err)
+		}
+		want := detectSecond(onlyB)
+		if reflect.DeepEqual(want, stayedA) {
+			t.Fatal("models A and B agree on the second batch; the test is vacuous")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("after retraining: %d matches differ from a detector holding only the new model (%d matches)", len(got), len(want))
+		}
+	})
+	t.Run("failed retrain", func(t *testing.T) {
+		det := scoredUnderA()
+		failCall(t, det, "extract", func() error { return det.TrainFromLabeledCases(labelsB) })
+		got := detectSecond(det)
+		if !reflect.DeepEqual(got, stayedA) {
+			t.Fatalf("after a failed retrain: %d matches differ from a detector that kept model A (%d matches)", len(got), len(stayedA))
+		}
+		if det.shape != keptA.shape {
+			t.Fatalf("after a failed retrain Detect had shape %+v, a detector that kept model A %+v", det.shape, keptA.shape)
+		}
+		if det.shape.classified == det.shape.distinct {
+			t.Fatalf("Classify was sent all %d distinct vectors: model A's table served none, so the test cannot tell a kept table from a dropped one", det.shape.distinct)
+		}
+	})
 }
 
 // TestDistinctVectorsKeepsOneUlpApart pins the score table's key and slots:
@@ -1207,7 +1173,7 @@ func TestDistinctVectorsKeepsOneUlpApart(t *testing.T) {
 		}
 		return out
 	}
-	m := newModel(clf, train)
+	m := newModel(clf)
 	score := func(wantSlots []int32, wantClassified int, want []verdict, vecs ...[]float64) {
 		t.Helper()
 		recs := make([]pairdist.PairRecord, len(vecs))
@@ -1423,10 +1389,10 @@ func TestPrefixIndexIncrementalEqualsOneShot(t *testing.T) {
 // nor the index; "classify" swaps in a model trained on 5-dimensional
 // vectors, which rejects the 7-dimensional pair vectors after features and
 // postings were appended and the index probed; "classify-engine" keeps the
-// detector's model, score table included, but rebinds its classifier to an
-// engine that is closed once the model is loaded (loading runs stages, which
-// an always-failing engine would fail), so Classify fails on the vectors the
-// table misses.
+// detector's model, score table included, but rebinds its classifier to one
+// trained on an engine that is closed once training is done (training runs
+// stages, which an always-failing engine would fail), so Classify fails on
+// the vectors the table misses.
 func failDetect(t *testing.T, det *Detector, position string, batch []adr.Report) {
 	t.Helper()
 	failCall(t, det, position, func() error {
@@ -1441,32 +1407,32 @@ func failCall(t *testing.T, det *Detector, position string, call func() error) {
 	t.Helper()
 	badCl := cluster.New(cluster.Config{Executors: 2, FailureRate: 1, MaxTaskRetries: 1, Seed: 5})
 	defer badCl.Close()
+	// bogus is a training set of dim-dimensional vectors, both labels.
+	bogus := func(dim int) []core.TrainingPair {
+		pairs := make([]core.TrainingPair, 8)
+		for i := range pairs {
+			v := make([]float64, dim)
+			v[i%dim] = float64(i + 1)
+			pairs[i] = core.TrainingPair{Vec: v, Label: 1 - 2*(i%2)}
+		}
+		return pairs
+	}
 	switch position {
 	case "extract":
 		goodCl, goodCtx := det.cl, det.ctx
 		det.cl, det.ctx = badCl, rdd.NewContext(badCl)
 		defer func() { det.cl, det.ctx = goodCl, goodCtx }()
 	case "classify":
-		bogus := make([]core.TrainingPair, 8)
-		for i := range bogus {
-			v := make([]float64, 5)
-			v[i%5] = float64(i + 1)
-			bogus[i] = core.TrainingPair{Vec: v, Label: 1 - 2*(i%2)}
-		}
-		badClf, err := core.Train(det.ctx, bogus, core.Config{K: 1, B: 2, C: 2, Seed: 3})
+		badClf, err := core.Train(det.ctx, bogus(5), core.Config{K: 1, B: 2, C: 2, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		good := det.model
-		det.model = newModel(badClf, bogus)
+		det.model = newModel(badClf)
 		defer func() { det.model = good }()
 	case "classify-engine":
-		var saved bytes.Buffer
-		if err := det.SaveModel(&saved); err != nil {
-			t.Fatal(err)
-		}
 		closedCl := cluster.New(cluster.Config{Executors: 2, MaxTaskRetries: 1})
-		sick, err := core.Load(rdd.NewContext(closedCl), &saved)
+		sick, err := core.Train(rdd.NewContext(closedCl), bogus(pairdist.Dims), core.Config{K: 1, B: 2, C: 2, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1484,7 +1450,46 @@ func failCall(t *testing.T, det *Detector, position string, call func() error) {
 		t.Fatalf("unknown failure position %q", position)
 	}
 	if err := call(); err == nil {
-		t.Fatalf("expected Detect to fail at %s", position)
+		t.Fatalf("expected the call to fail at %s", position)
+	}
+}
+
+// TestAddKnownReportsRollsBackOnFailure: an AddKnownReports whose feature
+// extraction fails must leave the database, the features and the index as
+// they were — reports left in the database without features made the same
+// call fail on its own case numbers — so that the call succeeds once the
+// engine is healthy and the next Detect returns what a detector that never
+// failed returns.
+func TestAddKnownReportsRollsBackOnFailure(t *testing.T) {
+	_, det, batch := prefixTestDetector(t, 20)
+	known, fresh := batch[:10], batch[10:]
+	dbLen, nFeats, indexed := det.db.Len(), len(det.feats), det.index.Len()
+	failCall(t, det, "extract", func() error { return det.AddKnownReports(known) })
+	if det.db.Len() != dbLen || len(det.feats) != nFeats || det.index.Len() != indexed {
+		t.Fatalf("failed AddKnownReports left %d reports, %d features, %d indexed; want %d, %d, %d",
+			det.db.Len(), len(det.feats), det.index.Len(), dbLen, nFeats, indexed)
+	}
+	if err := det.AddKnownReports(known); err != nil {
+		t.Fatalf("retrying AddKnownReports after a failed one: %v", err)
+	}
+	got, err := det.Detect(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, clean, batch := prefixTestDetector(t, 20)
+	if err := clean.AddKnownReports(batch[:10]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := clean.Detect(batch[10:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("never-failed Detect returned no matches; comparison would be vacuous")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Detect after the retried AddKnownReports returned %d matches, a never-failed detector %d", len(got), len(want))
 	}
 }
 
@@ -1755,7 +1760,10 @@ func TestClassifyRecomputesTrainingBlocksAfterRelease(t *testing.T) {
 	}
 	tracer.Reset()
 	clean, _ := loadCorpus(t, c, testOptions(), 20)
-	trainOnGroundTruth(t, c, clean, 2000)
+	labelled := groundTruthPairs(c, clean, 2000)
+	if err := clean.TrainFromLabeledCases(labelled); err != nil {
+		t.Fatal(err)
+	}
 
 	found := 0
 	for i := 0; i < 4; i++ {
@@ -1778,9 +1786,19 @@ func TestClassifyRecomputesTrainingBlocksAfterRelease(t *testing.T) {
 	}
 
 	tracer.Reset() // count what the releases leave behind
-	vecs := make([][]float64, len(clean.model.training))
-	for i, p := range clean.model.training {
-		vecs[i] = p.Vec
+	ids := make([]pairdist.IDPair, len(labelled))
+	for i, p := range labelled {
+		a, _ := clean.db.Get(p.CaseA)
+		b, _ := clean.db.Get(p.CaseB)
+		ids[i] = pairdist.IDPair{A: a.ArrivalSeq, B: b.ArrivalSeq}
+	}
+	recs, err := pairdist.ComputeVectors(clean.ctx, clean.feats, ids, clean.classifierPartitions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := make([][]float64, len(recs))
+	for i, r := range recs {
+		vecs[i] = r.Vec
 	}
 	for round := 0; round < 4; round++ {
 		got, _, err := det.model.clf.Classify(vecs)

@@ -38,10 +38,11 @@ func Example_quickstart() {
 	if err := det.AddKnownReports(withoutArrivalSeq(corpus.Reports[:cut])); err != nil {
 		log.Fatal(err)
 	}
-	if err := det.TrainFromLabeledCases(expertLabels(corpus, det, 3000)); err != nil {
+	labelled := expertLabels(corpus, det, 3000)
+	if err := det.TrainFromLabeledCases(labelled); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("trained on %d labelled pairs\n", det.TrainingSize())
+	fmt.Printf("trained on %d labelled pairs\n", len(labelled))
 
 	// The batch is checked against the database and itself (Eq. 3), then
 	// absorbed.
@@ -94,7 +95,7 @@ func Example_regulatorIntake() {
 	if err := det.TrainFromLabeledCases(training); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("bootstrap: %d reports, %d labelled pairs\n", det.Database().Len(), det.TrainingSize())
+	fmt.Printf("bootstrap: %d reports, %d labelled pairs\n", det.Database().Len(), len(training))
 
 	// Intake: the remaining reports arrive in batches of 200 (roughly a
 	// fortnight of TGA volume).

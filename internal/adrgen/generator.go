@@ -23,9 +23,6 @@ type Config struct {
 	NumADRs  int
 	// Seed makes generation deterministic.
 	Seed int64
-	// Start and End bound report dates (paper: 1 Jul - 31 Dec 2013).
-	Start time.Time
-	End   time.Time
 	// CampaignFraction is the share of reports that belong to reporting
 	// campaigns — clusters of *distinct* patients sharing a drug, onset
 	// date, state, and overlapping reactions (e.g. a mass vaccination
@@ -35,6 +32,13 @@ type Config struct {
 	// Campaigns is the number of campaign templates (default 60).
 	Campaigns int
 }
+
+// periodStart and periodEnd bound report dates (paper: 1 Jul - 31 Dec
+// 2013).
+var (
+	periodStart = time.Date(2013, 7, 1, 0, 0, 0, 0, time.UTC)
+	periodEnd   = time.Date(2013, 12, 31, 0, 0, 0, 0, time.UTC)
+)
 
 func (c Config) withDefaults() Config {
 	if c.NumReports <= 0 {
@@ -53,12 +57,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NumADRs <= 0 {
 		c.NumADRs = 2351
-	}
-	if c.Start.IsZero() {
-		c.Start = time.Date(2013, 7, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if c.End.IsZero() {
-		c.End = time.Date(2013, 12, 31, 0, 0, 0, 0, time.UTC)
 	}
 	switch {
 	case c.CampaignFraction < 0 || c.CampaignFraction >= 1:
@@ -109,16 +107,7 @@ type Corpus struct {
 	// the report is not part of a campaign. Distinct reports in the same
 	// campaign are the confusable non-duplicates.
 	CampaignOf []int
-
-	drugs []string
-	adrs  []string
 }
-
-// Drugs returns the drug lexicon used during generation.
-func (c *Corpus) Drugs() []string { return c.drugs }
-
-// ADRs returns the reaction lexicon used during generation.
-func (c *Corpus) ADRs() []string { return c.adrs }
 
 // IsDuplicatePair reports whether reports i and j form a ground-truth
 // duplicate pair.
@@ -203,7 +192,7 @@ func Generate(cfg Config) *Corpus {
 		shuffled[i].ArrivalSeq = i
 	}
 
-	corpus := &Corpus{Config: cfg, Reports: shuffled, CampaignOf: shuffledCamp, drugs: g.drugs, adrs: g.adrs}
+	corpus := &Corpus{Config: cfg, Reports: shuffled, CampaignOf: shuffledCamp}
 	for i := range dupOf {
 		a, b := newPos[dupBase[i]], newPos[dupOf[i]]
 		corpus.Duplicates = append(corpus.Duplicates, DuplicatePair{
@@ -278,7 +267,7 @@ func (g *generator) makeCampaigns() {
 		}
 		g.campaigns[i] = campaign{
 			drugs:     g.pickDrugs(),
-			onset:     adr.FormatOnsetDate(g.randomDate(g.cfg.Start)),
+			onset:     adr.FormatOnsetDate(g.randomDate(periodStart)),
 			state:     States[g.rng.Intn(8)], // real states only
 			adrPool:   pool,
 			ageBase:   1 + g.rng.Intn(88),
@@ -330,7 +319,7 @@ func (g *generator) pickADRs() []string {
 }
 
 func (g *generator) randomDate(after time.Time) time.Time {
-	span := g.cfg.End.Sub(after)
+	span := periodEnd.Sub(after)
 	if span <= 0 {
 		return after
 	}
@@ -343,10 +332,10 @@ func (g *generator) baseReport(i int) (adr.Report, int) {
 	if g.rng.Float64() < 0.55 {
 		sex = "F"
 	}
-	onset := g.randomDate(g.cfg.Start)
+	onset := g.randomDate(periodStart)
 	reportDate := onset.Add(time.Duration(g.rng.Intn(30)) * 24 * time.Hour)
-	if reportDate.After(g.cfg.End) {
-		reportDate = g.cfg.End
+	if reportDate.After(periodEnd) {
+		reportDate = periodEnd
 	}
 	drugs := g.pickDrugs()
 	adrs := g.pickADRs()
@@ -449,8 +438,8 @@ func (g *generator) duplicateOf(base adr.Report, i int, mode DuplicateMode) adr.
 	r.ReporterType = ReporterTypes[g.rng.Intn(len(ReporterTypes))]
 	if d, err := time.Parse("2006-01-02", base.ReportDate); err == nil {
 		followUp := d.AddDate(0, 0, 1+g.rng.Intn(21))
-		if followUp.After(g.cfg.End) {
-			followUp = g.cfg.End
+		if followUp.After(periodEnd) {
+			followUp = periodEnd
 		}
 		r.ReportDate = followUp.Format("2006-01-02")
 	}
@@ -495,7 +484,7 @@ func (g *generator) duplicateOf(base adr.Report, i int, mode DuplicateMode) adr.
 			if t, err := time.Parse(adr.DateLayout, base.OnsetDate); err == nil {
 				r.OnsetDate = adr.FormatOnsetDate(t.AddDate(0, 0, 1+g.rng.Intn(3)))
 			} else {
-				r.OnsetDate = adr.FormatOnsetDate(g.randomDate(g.cfg.Start))
+				r.OnsetDate = adr.FormatOnsetDate(g.randomDate(periodStart))
 			}
 		}
 	}

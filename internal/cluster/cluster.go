@@ -84,7 +84,7 @@ type Config struct {
 	// MemoryPerExecutorBytes, when positive, overrides MemoryPerExecutorMB
 	// at byte granularity for the block cache and shuffle budgets, which is
 	// how chaos and property tests force spills on workloads far smaller
-	// than a megabyte. The task working-set pressure check (SpillPenalty,
+	// than a megabyte. The task working-set pressure check (spillPenalty,
 	// PressureTimeouts) reads MemoryPerExecutorMB only, so a byte budget
 	// never adds pressure.
 	MemoryPerExecutorBytes int64
@@ -128,18 +128,18 @@ type Config struct {
 	// serves an exponentially growing backoff before re-admission.
 	// 0 selects the default 3.
 	BlacklistAfterFailures int
-	// BlacklistBackoffStages is the base backoff, in stage submissions,
+	// blacklistBackoffStages is the base backoff, in stage submissions,
 	// of a freshly blacklisted executor; it doubles per additional
 	// failure. 0 selects the default 4.
-	BlacklistBackoffStages int
+	blacklistBackoffStages int
 	// MaxTaskRetries bounds the retries after a task's first attempt: a
 	// task runs at most 1+MaxTaskRetries attempts before the stage fails
 	// with ErrTaskFailed. Injected failures, pressure timeouts, and
 	// genuine task errors all consume the same retry budget, as in Spark.
 	MaxTaskRetries int
-	// SpillPenalty multiplies a task's virtual duration when its working
+	// spillPenalty multiplies a task's virtual duration when its working
 	// set exceeds executor memory (simulated spill/GC thrash).
-	SpillPenalty float64
+	spillPenalty float64
 	// PressureTimeouts injects a timeout failure on the first attempt of
 	// any task under memory pressure, as the paper reports for small
 	// cluster numbers.
@@ -175,9 +175,9 @@ type Config struct {
 	// duration (Spark: spark.speculation.multiplier). 0 selects the
 	// default 1.5.
 	SpeculationMultiplier float64
-	// SpeculationInterval is the real-time period of the straggler
+	// speculationInterval is the real-time period of the straggler
 	// monitor's checks. 0 selects the default 250µs.
-	SpeculationInterval time.Duration
+	speculationInterval time.Duration
 	// SpeculationMinRuntimeMS is a real-time floor under the straggler
 	// threshold, keeping speculation from duplicating sub-millisecond
 	// tasks on noisy medians. 0 selects the default 1ms; negative
@@ -201,10 +201,10 @@ type Config struct {
 	// Trace enables the structured stage/task event log (see Tracer).
 	// Disabled tracing costs one atomic load per would-be event.
 	Trace bool
-	// TraceCapacity bounds the trace event ring; 0 selects the default
+	// traceCapacity bounds the trace event ring; 0 selects the default
 	// (65536 events). When the ring wraps, the oldest events are dropped
 	// and counted.
-	TraceCapacity int
+	traceCapacity int
 }
 
 // SchedulePolicy is the task placement policy of the virtual scheduler.
@@ -258,11 +258,11 @@ func (c Config) withDefaults() Config {
 	if c.BlacklistAfterFailures <= 0 {
 		c.BlacklistAfterFailures = 3
 	}
-	if c.BlacklistBackoffStages <= 0 {
-		c.BlacklistBackoffStages = 4
+	if c.blacklistBackoffStages <= 0 {
+		c.blacklistBackoffStages = 4
 	}
-	if c.SpillPenalty < 1 {
-		c.SpillPenalty = 3
+	if c.spillPenalty < 1 {
+		c.spillPenalty = 3
 	}
 	if c.RealWorkers <= 0 {
 		c.RealWorkers = runtime.NumCPU()
@@ -276,8 +276,8 @@ func (c Config) withDefaults() Config {
 	if c.SpeculationMultiplier <= 0 {
 		c.SpeculationMultiplier = 1.5
 	}
-	if c.SpeculationInterval <= 0 {
-		c.SpeculationInterval = 250 * time.Microsecond
+	if c.speculationInterval <= 0 {
+		c.speculationInterval = 250 * time.Microsecond
 	}
 	if c.SpeculationMinRuntimeMS == 0 {
 		c.SpeculationMinRuntimeMS = 1
@@ -341,7 +341,7 @@ func New(cfg Config) *Cluster {
 	c.blocks = newBlockStore(int64(cfg.Executors)*cfg.executorMemoryBytes(), c)
 	c.shuffles = newShuffleService(c)
 	c.metrics = &Metrics{}
-	c.tracer = NewTracer(cfg.TraceCapacity)
+	c.tracer = NewTracer(cfg.traceCapacity)
 	if cfg.Trace {
 		c.tracer.Enable()
 	}

@@ -182,7 +182,7 @@ func TestVirtualTimeScalesWithExecutors(t *testing.T) {
 }
 
 func TestMemoryPressurePenalty(t *testing.T) {
-	cfg := Config{MemoryPerExecutorMB: 1, SpillPenalty: 5}
+	cfg := Config{MemoryPerExecutorMB: 1, spillPenalty: 5}
 	c := New(cfg)
 	_, err := c.RunStage("pressured", 1, func(tc *TaskContext) error {
 		tc.SetWorkingSetBytes(10 * mb)

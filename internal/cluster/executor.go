@@ -113,7 +113,7 @@ func (c *Cluster) injectExecutorFailures(stageID, resubmit int) []int {
 // failExecutor records executor e's loss at stage counter stageID, drops its
 // hosted state, and applies the blacklist policy. An executor that has now
 // failed BlacklistAfterFailures or more times is blacklisted: its downtime
-// grows as BlacklistBackoffStages << (failures - threshold), capped, before
+// grows as blacklistBackoffStages << (failures - threshold), capped, before
 // it is re-admitted to the pool.
 func (c *Cluster) failExecutor(e, stageID int) {
 	c.mu.Lock()
@@ -127,7 +127,7 @@ func (c *Cluster) failExecutor(e, stageID int) {
 		if over > 8 {
 			over = 8 // cap the shift; beyond this the executor is effectively gone
 		}
-		down += c.cfg.BlacklistBackoffStages << over
+		down += c.cfg.blacklistBackoffStages << over
 		blacklisted = true
 	}
 	m.downUntil = stageID + down

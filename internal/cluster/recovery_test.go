@@ -243,7 +243,7 @@ func TestRecoveryDoesNotRecountWork(t *testing.T) {
 
 func TestBlacklistBackoffAndReadmission(t *testing.T) {
 	c := New(Config{Executors: 3, ExecutorRecoveryStages: 1,
-		BlacklistAfterFailures: 2, BlacklistBackoffStages: 2, Trace: true})
+		BlacklistAfterFailures: 2, blacklistBackoffStages: 2, Trace: true})
 	noop := func(tc *TaskContext) error { return nil }
 	runStages := func(n int) {
 		for i := 0; i < n; i++ {
@@ -404,7 +404,7 @@ func TestSpeculationMonitorStoppedOnErrorPaths(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
 		c := New(Config{Executors: 4, Speculation: true, MaxTaskRetries: 1,
-			SpeculationQuantile: 0.1, SpeculationInterval: 50 * time.Microsecond,
+			SpeculationQuantile: 0.1, speculationInterval: 50 * time.Microsecond,
 			RealWorkers:   3,
 			StragglerRate: 0.3, StragglerRealDelayMS: 1})
 		_, err := c.RunStage("failing", 8, func(tc *TaskContext) error {

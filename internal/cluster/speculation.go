@@ -225,7 +225,7 @@ func (sr *stageRun) monitor(stop, done chan struct{}) {
 		quantile = 1
 	}
 	minRuntimeNS := cfg.SpeculationMinRuntimeMS * 1e6
-	ticker := time.NewTicker(cfg.SpeculationInterval)
+	ticker := time.NewTicker(cfg.speculationInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -427,7 +427,7 @@ func (sr *stageRun) runAttempts(ctx context.Context, task int, speculative bool,
 
 		pressured := false
 		if tc.workingSetBytes > int64(cfg.MemoryPerExecutorMB)*mb {
-			virtual *= cfg.SpillPenalty
+			virtual *= cfg.spillPenalty
 			pressured = true
 			c.metrics.PressureEvents.Add(1)
 		}

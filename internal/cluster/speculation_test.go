@@ -19,7 +19,7 @@ func aggressiveSpecConfig(executors int, seed int64) Config {
 		Speculation:             true,
 		SpeculationQuantile:     0.1,
 		SpeculationMultiplier:   1.01,
-		SpeculationInterval:     50 * time.Microsecond,
+		speculationInterval:     50 * time.Microsecond,
 		SpeculationMinRuntimeMS: -1,
 	}
 }
@@ -245,7 +245,7 @@ func TestSpeculationRaceStress(t *testing.T) {
 			cfg.StragglerVirtualMS = 10
 			cfg.StragglerRealDelayMS = 1
 			cfg.Trace = true
-			cfg.TraceCapacity = 1 << 12
+			cfg.traceCapacity = 1 << 12
 			c := New(cfg)
 			for s := 0; s < stages; s++ {
 				shID := c.Shuffles().Register()

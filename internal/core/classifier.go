@@ -90,7 +90,7 @@ func Train(ctx *rdd.Context, pairs []TrainingPair, cfg Config) (*Classifier, err
 		c.centers = centers
 	} else {
 		res, err := kmeans.Run(vecs, cfg.B, kmeans.Options{
-			MaxIter: cfg.KMeansMaxIter, Seed: cfg.Seed,
+			MaxIter: kmeansMaxIter, Seed: cfg.Seed,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: partitioning training pairs: %w", err)
@@ -111,7 +111,7 @@ func Train(ctx *rdd.Context, pairs []TrainingPair, cfg Config) (*Classifier, err
 		}
 		negByCluster[assign[i]] = append(negByCluster[assign[i]], ip)
 	}
-	if err := c.install(negByCluster, positives, "T-neg.blocks"); err != nil {
+	if err := c.install(negByCluster, positives); err != nil {
 		return nil, err
 	}
 
@@ -122,7 +122,7 @@ func Train(ctx *rdd.Context, pairs []TrainingPair, cfg Config) (*Classifier, err
 			posVecs[i] = p.Vec
 		}
 		res, err := kmeans.Run(posVecs, cfg.Pruning.Clusters, kmeans.Options{
-			MaxIter: cfg.KMeansMaxIter, Seed: cfg.Seed + 1,
+			MaxIter: kmeansMaxIter, Seed: cfg.Seed + 1,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: clustering positives for pruning: %w", err)
@@ -134,10 +134,10 @@ func Train(ctx *rdd.Context, pairs []TrainingPair, cfg Config) (*Classifier, err
 }
 
 // install puts the training pairs, one negative block per cluster plus the
-// positive set, into the layout Classify searches — the one constructor
-// behind Train and Load. It groups every block, hash-partitions and caches
-// the negative blocks on the cluster, and broadcasts centers and positives.
-func (c *Classifier) install(negByCluster [][]ipair, positives []ipair, name string) error {
+// positive set, into the layout Classify searches. It groups every block,
+// hash-partitions and caches the negative blocks on the cluster, and
+// broadcasts centers and positives.
+func (c *Classifier) install(negByCluster [][]ipair, positives []ipair) error {
 	var err error
 	if c.positives, err = c.group(positives, +1); err != nil {
 		return err
@@ -160,13 +160,13 @@ func (c *Classifier) install(negByCluster [][]ipair, positives []ipair, name str
 	}
 	// Hash-partitioned into the b partitions both joins of Classify use, so
 	// neither re-shuffles the training set, and materialized here, so Train
-	// and Load pay for that one shuffle and every Classify reads the cached
-	// blocks. A lost block is recomputed from the training-era shuffle,
+	// pays for that one shuffle and every Classify reads the cached blocks.
+	// A lost block is recomputed from the training-era shuffle,
 	// which Detect's ReleaseSince never drops (it is below every mark).
 	c.negBlocks = rdd.PartitionBy(rdd.Parallelize(c.ctx, blocks, b).
-		SetName(name).
+		SetName("T-neg.blocks").
 		WithBytesPerRecord(avg), b).
-		SetName(name).
+		SetName("T-neg.blocks").
 		Cache()
 	if _, err := c.negBlocks.Collect(); err != nil {
 		return fmt.Errorf("core: caching negative blocks: %w", err)
@@ -181,9 +181,8 @@ func (c *Classifier) install(negByCluster [][]ipair, positives []ipair, name str
 // group k-means-groups the members of one block — the positive set or one
 // negative Voronoi cell — into member-centred knn.Groups: knn.GroupCount
 // groups, each led by the member nearest its centroid. The grouping is a
-// function of the members in the order given, cfg.Seed and cfg.KMeansMaxIter;
-// Train passes them in training order and Save stores them in that order, so
-// a loaded model groups exactly as the trained one.
+// function of the members in the order given and cfg.Seed; Train passes them
+// in training order.
 func (c *Classifier) group(members []ipair, label int) (knn.Groups, error) {
 	if len(members) == 0 {
 		return knn.Groups{}, nil
@@ -193,7 +192,7 @@ func (c *Classifier) group(members []ipair, label int) (knn.Groups, error) {
 		vecs[i] = m.Vec
 	}
 	res, err := kmeans.Run(vecs, knn.GroupCount(len(members)), kmeans.Options{
-		MaxIter: c.cfg.KMeansMaxIter, Seed: c.cfg.Seed + 2,
+		MaxIter: kmeansMaxIter, Seed: c.cfg.Seed + 2,
 	})
 	if err != nil {
 		return knn.Groups{}, fmt.Errorf("core: grouping training pairs: %w", err)
@@ -248,9 +247,6 @@ func flatBlock(members []ipair, dim, label int) (knn.Block, error) {
 // Centers returns the Voronoi cell centers of the training partition.
 func (c *Classifier) Centers() [][]float64 { return c.centers }
 
-// Positives returns the count of positive training pairs.
-func (c *Classifier) Positives() int { return c.positives.Len() }
-
 // Result is one classified testing pair.
 type Result struct {
 	// ID is the caller-assigned pair identity (index into the Classify
@@ -286,7 +282,7 @@ type Stats struct {
 }
 
 // ipair is a training pair with its global index: what Train groups into
-// blocks and what a saved model stores per block.
+// blocks.
 type ipair struct {
 	Idx   int
 	Vec   []float64

@@ -216,7 +216,7 @@ func (c *Classifier) classifyItems(test [][]float64, ids []int, results []Result
 // score is line 17 of Algorithm 2: the Eq. 5 score of a testing pair's final
 // neighbors and its Eq. 6 label.
 func (c *Classifier) score(id int, neighbors []knn.Neighbor, spent work) scoredRow {
-	score := ScoreNeighbors(neighbors, c.cfg.Epsilon)
+	score := ScoreNeighbors(neighbors, DefaultEpsilon)
 	label := -1
 	if score >= c.cfg.Theta {
 		label = 1

@@ -44,15 +44,6 @@ type Config struct {
 	// Theta is the Eq. 6 score threshold; pairs scoring >= Theta are
 	// labelled duplicates. Default 0.
 	Theta float64
-	// Epsilon smooths the 1/distance weights of Eq. 5: a neighbor's
-	// weight is 1/(dist+Epsilon), bounding coincident-vector weights at
-	// 1/Epsilon. The default (DefaultEpsilon) keeps an exact-match
-	// neighbor dominant without letting a single coincident pair swamp
-	// the score ranking — with a near-zero epsilon one confusable
-	// zero-distance negative sends a score to -1e9 and ruins AUPR.
-	Epsilon float64
-	// KMeansMaxIter bounds the partitioning step. Default 20.
-	KMeansMaxIter int
 	// Seed drives k-means seeding.
 	Seed int64
 
@@ -83,12 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.C <= 0 {
 		c.C = 8
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = DefaultEpsilon
-	}
-	if c.KMeansMaxIter <= 0 {
-		c.KMeansMaxIter = 20
 	}
 	return c
 }
@@ -130,11 +115,17 @@ type PruningConfig struct {
 	FTheta float64
 }
 
-// DefaultEpsilon is the default Eq. 5 weight smoothing (weight bound
-// 1/0.01 = 100): large enough that a single zero-distance neighbor cannot
-// send a score to ±1e9 and wreck the ranking, small enough that near
-// matches still weigh far above distant ones.
+// DefaultEpsilon smooths the 1/distance weights of Eq. 5: a neighbor's
+// weight is 1/(dist+DefaultEpsilon), bounding coincident-vector weights at
+// 1/0.01 = 100. It is large enough that a single zero-distance neighbor
+// cannot send a score to ±1e9 and wreck the ranking (with a near-zero
+// epsilon one confusable zero-distance negative ruins AUPR), small enough
+// that near matches still weigh far above distant ones.
 const DefaultEpsilon = 0.01
+
+// kmeansMaxIter bounds every k-means run of training: the Voronoi
+// partitioning, the pruning clusters and the grouping of each block.
+const kmeansMaxIter = 20
 
 // TrainingPair is one labelled report pair: its §4.2 distance vector and its
 // duplicate label (+1) or non-duplicate label (-1).

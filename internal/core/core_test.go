@@ -450,6 +450,38 @@ func TestRepeatedClassifyReusesCachedBlocks(t *testing.T) {
 	}
 }
 
+// TestTrainTwiceClassifiesIdentically: a classifier is a function of its
+// training pairs and Config alone. Two Trains of the same pairs on separate
+// engines, pruning on, return the same neighbors to the bit for the same
+// work, so a detector that retrains at every boot serves what it served
+// before the restart.
+func TestTrainTwiceClassifiesIdentically(t *testing.T) {
+	const dim = 7
+	train := synthData(20, 2000, dim, 51)
+	queries, _ := synthQueries(150, dim, 52)
+	cfg := Config{K: 9, B: 10, C: 4, Seed: 53, Pruning: &PruningConfig{Clusters: 5, FTheta: 0.5}}
+	classify := func() ([]Result, Stats) {
+		clf, err := Train(testCtx(), train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, st, err := clf.Classify(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.VirtualTime = 0
+		return res, st
+	}
+	want, wantStats := classify()
+	got, gotStats := classify()
+	if err := sameResults(got, want); err != nil {
+		t.Errorf("second Train vs first: %v", err)
+	}
+	if gotStats != wantStats {
+		t.Errorf("second Train's stats %+v, first's %+v", gotStats, wantStats)
+	}
+}
+
 func TestVirtualTimeAdvancesWithWork(t *testing.T) {
 	ctx := testCtx()
 	train := synthData(10, 2000, 5, 32)

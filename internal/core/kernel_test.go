@@ -32,6 +32,19 @@ func refTopKAgainst(q []float64, block []ipair, k int) []knn.Neighbor {
 	return rdd.BoundedMin(cands, k, knn.Less)
 }
 
+// groupPairs is a grouped block's members back in training order, the
+// vectors aliasing the arenas.
+func groupPairs(g knn.Groups, dim int) []ipair {
+	out := make([]ipair, 0, g.Len())
+	for _, b := range g.Blocks {
+		for i, id := range b.IDs {
+			out = append(out, ipair{Idx: id, Vec: b.Row(i, dim), Label: b.Label})
+		}
+	}
+	slices.SortFunc(out, func(a, b ipair) int { return cmp.Compare(a.Idx, b.Idx) })
+	return out
+}
+
 func refMerge(k int, lists ...[]knn.Neighbor) []knn.Neighbor {
 	var all []knn.Neighbor
 	seen := make(map[int]bool)
@@ -112,7 +125,7 @@ func referenceClassify(t *testing.T, c *Classifier, train []TrainingPair, test [
 				stats.AdditionalClustersChecked++
 			}
 		}
-		score := ScoreNeighbors(neighbors, c.cfg.Epsilon)
+		score := ScoreNeighbors(neighbors, DefaultEpsilon)
 		label := -1
 		if score >= c.cfg.Theta {
 			label = 1

@@ -11,8 +11,6 @@ import (
 // AblationParams configures the design-choice ablations DESIGN.md calls out.
 type AblationParams struct {
 	TrainSize, TestSize int
-	K, B, C             int
-	HardFraction        float64
 	Seed                int64
 }
 
@@ -22,18 +20,6 @@ func (p AblationParams) withDefaults() AblationParams {
 	}
 	if p.TestSize <= 0 {
 		p.TestSize = 10_000
-	}
-	if p.K <= 0 {
-		p.K = 9
-	}
-	if p.B <= 0 {
-		p.B = 32
-	}
-	if p.C <= 0 {
-		p.C = 8
-	}
-	if p.HardFraction <= 0 {
-		p.HardFraction = 0.3
 	}
 	return p
 }
@@ -63,11 +49,11 @@ type AblationRow struct {
 //     partition must be searched).
 func Ablation(env *Env, p AblationParams) ([]AblationRow, error) {
 	p = p.withDefaults()
-	data, err := env.BuildPairData(p.TrainSize, p.TestSize, p.HardFraction, p.Seed)
+	data, err := env.BuildPairData(p.TrainSize, p.TestSize, exhibitHardFraction, p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	base := core.Config{K: p.K, B: p.B, C: p.C, Seed: p.Seed}
+	base := core.Config{K: exhibitK, B: exhibitB, C: exhibitC, Seed: p.Seed}
 
 	variants := []struct {
 		name string

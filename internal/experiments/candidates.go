@@ -30,33 +30,30 @@ type CandidatesParams struct {
 	// Records is the corpus size (default 100,000 — an order past the
 	// paper's 10,382-report TGA corpus).
 	Records int
-	// Theta is the signature-similarity threshold (default 0.5, the
-	// detector's DefaultCandidateTheta).
-	Theta float64
-	// Partitions is the generation parallelism (default 25, the paper's
-	// executor count).
-	Partitions int
-	// SamplePairs is the number of random pairs vectorized to price the
+	// samplePairs is the number of random pairs vectorized to price the
 	// brute-force path's per-pair cost (default 200,000).
-	SamplePairs int
+	samplePairs int
 	Seed        int64
 }
+
+const (
+	// candidatesTheta is the signature-similarity threshold, the
+	// detector's DefaultCandidateTheta.
+	candidatesTheta = 0.5
+	// candidatesPartitions is the generation parallelism, the paper's
+	// executor count.
+	candidatesPartitions = 25
+)
 
 func (p CandidatesParams) withDefaults() CandidatesParams {
 	if p.Records <= 0 {
 		p.Records = 100000
 	}
-	if p.Theta <= 0 {
-		p.Theta = 0.5
+	if p.samplePairs <= 0 {
+		p.samplePairs = 200000
 	}
-	if p.Partitions <= 0 {
-		p.Partitions = 25
-	}
-	if p.SamplePairs <= 0 {
-		p.SamplePairs = 200000
-	}
-	if max := candgen.TotalPairs(p.Records, 0); int64(p.SamplePairs) > max {
-		p.SamplePairs = int(max)
+	if max := candgen.TotalPairs(p.Records, 0); int64(p.samplePairs) > max {
+		p.samplePairs = int(max)
 	}
 	return p
 }
@@ -125,9 +122,9 @@ func Candidates(p CandidatesParams) (CandidatesResult, error) {
 	p = p.withDefaults()
 	var res CandidatesResult
 	res.Records = p.Records
-	res.Theta = p.Theta
-	res.Partitions = p.Partitions
-	res.SamplePairs = p.SamplePairs
+	res.Theta = candidatesTheta
+	res.Partitions = candidatesPartitions
+	res.SamplePairs = p.samplePairs
 
 	// Corpus scaled from the paper's Table 3 shape: duplicates grow
 	// linearly with the report count, lexicons by Heaps' law (~√n — a
@@ -152,7 +149,7 @@ func Candidates(p CandidatesParams) (CandidatesResult, error) {
 	cfg.Seed = p.Seed
 	ctx := rdd.NewContext(cluster.New(cfg))
 	it := intern.New()
-	feats, err := pairdist.ExtractAllWith(ctx, it, corpus.Reports, p.Partitions)
+	feats, err := pairdist.ExtractAllWith(ctx, it, corpus.Reports, candidatesPartitions)
 	if err != nil {
 		return res, fmt.Errorf("experiments: extracting features: %w", err)
 	}
@@ -162,7 +159,7 @@ func Candidates(p CandidatesParams) (CandidatesResult, error) {
 
 	start := time.Now()
 	pairs, st, err := candgen.Pairs(ctx, sigs, candgen.Params{
-		Theta: p.Theta, Partitions: p.Partitions,
+		Theta: candidatesTheta, Partitions: candidatesPartitions,
 	})
 	if err != nil {
 		return res, fmt.Errorf("experiments: prefix generation: %w", err)
@@ -180,9 +177,9 @@ func Candidates(p CandidatesParams) (CandidatesResult, error) {
 	// path would use, then extrapolate linearly by pair count: the brute
 	// candidate path owes this for every pair in the quadratic space, the
 	// prefix path only for its emitted candidates.
-	sample := samplePairs(len(sigs), p.SamplePairs, p.Seed+1)
+	sample := samplePairs(len(sigs), p.samplePairs, p.Seed+1)
 	start = time.Now()
-	if _, err := pairdist.ComputeVectors(ctx, feats, sample, p.Partitions); err != nil {
+	if _, err := pairdist.ComputeVectors(ctx, feats, sample, candidatesPartitions); err != nil {
 		return res, fmt.Errorf("experiments: vectorizing pair sample: %w", err)
 	}
 	res.SampleWall = time.Since(start)

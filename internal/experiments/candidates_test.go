@@ -13,7 +13,7 @@ import (
 // prices the full quadratic space at the sampled per-pair rate.
 func TestCandidatesExhibitShape(t *testing.T) {
 	res, err := Candidates(CandidatesParams{
-		Records: 3000, SamplePairs: 20000, Seed: 5,
+		Records: 3000, samplePairs: 20000, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestCandidatesExhibitShape(t *testing.T) {
 // so this fails whenever IDs depend on how extract tasks were scheduled.
 func TestCandidatesCountersReproducible(t *testing.T) {
 	run := func() [4]int64 {
-		res, err := Candidates(CandidatesParams{Records: 1500, SamplePairs: 5000, Seed: 9})
+		res, err := Candidates(CandidatesParams{Records: 1500, samplePairs: 5000, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,18 +42,26 @@ type Env struct {
 type EnvConfig struct {
 	Cluster cluster.Config
 	Corpus  adrgen.Config
-	// DupSplit is the fraction of ground-truth duplicates that go to the
-	// training side (default 0.5).
-	DupSplit float64
-	Seed     int64
+	Seed    int64
 }
+
+// dupSplit is the fraction of ground-truth duplicates that go to the
+// training side.
+const dupSplit = 0.5
+
+// The Fast kNN setting of every exhibit that does not fix its own: k = 9
+// neighbours, b = 32 training clusters, c = 8 testing partitions, and 30% of
+// the sampled negatives confusable.
+const (
+	exhibitK            = 9
+	exhibitB            = 32
+	exhibitC            = 8
+	exhibitHardFraction = 0.3
+)
 
 // NewEnv generates the corpus, extracts report features in parallel, and
 // splits the ground truth.
 func NewEnv(cfg EnvConfig) (*Env, error) {
-	if cfg.DupSplit <= 0 || cfg.DupSplit >= 1 {
-		cfg.DupSplit = 0.5
-	}
 	corpus := adrgen.Generate(cfg.Corpus)
 	cl := cluster.New(cfg.Cluster)
 	ctx := rdd.NewContext(cl)
@@ -62,7 +70,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: extracting features: %w", err)
 	}
-	trainDups, testDups := corpus.SplitDuplicates(cfg.DupSplit, cfg.Seed)
+	trainDups, testDups := corpus.SplitDuplicates(dupSplit, cfg.Seed)
 	return &Env{
 		Corpus:    corpus,
 		Ctx:       ctx,

@@ -78,7 +78,7 @@ func TestFig5ShapeKNNBeatsSVM(t *testing.T) {
 func TestFig6ShapeFlatAUPRGrowingTime(t *testing.T) {
 	env := testEnv(t)
 	points, err := Fig6(env, Fig6Params{
-		Ks: []int{5, 13, 21}, TrainSize: 40_000, TestSize: 4_000, Seed: 4,
+		ks: []int{5, 13, 21}, TrainSize: 40_000, TestSize: 4_000, Seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestFig9ShapeSublinearGrowth(t *testing.T) {
 	env := testEnv(t)
 	points, err := Fig9(env, Fig9Params{
 		TrainSizes:   []int{20_000, 60_000},
-		BlockNumbers: []int{4, 8},
+		blockNumbers: []int{4, 8},
 		TestSize:     3_000, Seed: 7,
 	})
 	if err != nil {
@@ -183,7 +183,7 @@ func TestFig10ShapeExecutorScaling(t *testing.T) {
 	// scheduler overhead swamped the speedup 16 executors buy, and reading
 	// features through pointers cut it again.
 	points, err := Fig10(env, Fig10Params{
-		Executors:     []int{2, 16},
+		executors:     []int{2, 16},
 		TrainSizes:    []int{60_000},
 		TestSize:      4_000,
 		DistancePairs: 120_000,
@@ -213,9 +213,9 @@ func TestFig10ShapeExecutorScaling(t *testing.T) {
 func TestFig11ShapePruningNeverLosesDuplicates(t *testing.T) {
 	env := testEnv(t)
 	points, err := Fig11(env, Fig11Params{
-		Thresholds: []float64{0.3, 0.9},
+		thresholds: []float64{0.3, 0.9},
 		TrainSize:  20_000, TestSize: 5_000,
-		PositiveClusters: 8, Seed: 9,
+		positiveClusters: 8, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestAblationShapes(t *testing.T) {
 func TestLoadBalanceLPTNotWorse(t *testing.T) {
 	env := testEnv(t)
 	rows, err := LoadBalance(env, LoadBalanceParams{
-		TrainSize: 40_000, TestSize: 3_000, B: 24, Executors: 8, Seed: 12,
+		TrainSize: 40_000, TestSize: 3_000, b: 24, executors: 8, Seed: 12,
 	})
 	if err != nil {
 		t.Fatal(err)

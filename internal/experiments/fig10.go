@@ -12,42 +12,33 @@ import (
 // shuffle overheads grow; the pairwise-distance stage is a small share of
 // the total and speeds up near-linearly).
 type Fig10Params struct {
-	// Executors are the executor counts to sweep (paper: 5-25).
-	Executors []int
+	// executors are the executor counts to sweep (paper: 5-25).
+	executors []int
 	// TrainSizes per curve (paper: 2M, 3M, 4M; default 200k-400k).
 	TrainSizes []int
 	TestSize   int
-	// K, B, C follow the paper's Fig. 10 setting (b=48, block number 5).
-	K, B, C      int
-	HardFraction float64
-	Seed         int64
+	Seed       int64
 	// DistancePairs is the pair count of the pairwise-distance timing of
 	// Fig. 10(b) (the paper computes distances over the 10,382-report
 	// corpus; default 100k pairs).
 	DistancePairs int
 }
 
+// fig10B and fig10C are the paper's Fig. 10 setting: b = 48, block number 5.
+const (
+	fig10B = 48
+	fig10C = 5
+)
+
 func (p Fig10Params) withDefaults() Fig10Params {
-	if len(p.Executors) == 0 {
-		p.Executors = []int{5, 10, 15, 20, 25}
+	if len(p.executors) == 0 {
+		p.executors = []int{5, 10, 15, 20, 25}
 	}
 	if len(p.TrainSizes) == 0 {
 		p.TrainSizes = []int{200_000, 300_000, 400_000}
 	}
 	if p.TestSize <= 0 {
 		p.TestSize = 10_000
-	}
-	if p.K <= 0 {
-		p.K = 9
-	}
-	if p.B <= 0 {
-		p.B = 48
-	}
-	if p.C <= 0 {
-		p.C = 5
-	}
-	if p.HardFraction <= 0 {
-		p.HardFraction = 0.3
 	}
 	if p.DistancePairs <= 0 {
 		p.DistancePairs = 100_000
@@ -69,7 +60,7 @@ func Fig10(env *Env, p Fig10Params) ([]Fig10Point, error) {
 	p = p.withDefaults()
 	baseCfg := env.Ctx.Cluster().Config()
 	var out []Fig10Point
-	for _, execs := range p.Executors {
+	for _, execs := range p.executors {
 		cfg := baseCfg
 		cfg.Executors = execs
 		env.ResetEngine(cfg)
@@ -78,7 +69,7 @@ func Fig10(env *Env, p Fig10Params) ([]Fig10Point, error) {
 		// executor count.
 		distIDs, err := env.Corpus.SamplePairs(adrgen.PairSampleOptions{
 			Total: p.DistancePairs, Positives: env.TrainDups,
-			HardFraction: p.HardFraction, Seed: p.Seed + 99,
+			HardFraction: exhibitHardFraction, Seed: p.Seed + 99,
 		})
 		if err != nil {
 			return nil, err
@@ -90,11 +81,11 @@ func Fig10(env *Env, p Fig10Params) ([]Fig10Point, error) {
 		distTime := env.Ctx.Cluster().VirtualElapsed() - before
 
 		for _, size := range p.TrainSizes {
-			data, err := env.BuildPairData(size, p.TestSize, p.HardFraction, p.Seed)
+			data, err := env.BuildPairData(size, p.TestSize, exhibitHardFraction, p.Seed)
 			if err != nil {
 				return nil, err
 			}
-			clf, err := core.Train(env.Ctx, data.Train, core.Config{K: p.K, B: p.B, C: p.C, Seed: p.Seed})
+			clf, err := core.Train(env.Ctx, data.Train, core.Config{K: exhibitK, B: fig10B, C: fig10C, Seed: p.Seed})
 			if err != nil {
 				return nil, err
 			}

@@ -11,22 +11,29 @@ import (
 // detection time to 35-65% of the unpruned run, without ever pruning a true
 // duplicate).
 type Fig11Params struct {
-	// Thresholds are the f(θ) values to sweep.
-	Thresholds []float64
+	// thresholds are the f(θ) values to sweep.
+	thresholds []float64
 	// TrainSize (paper: 1,000,000 with 266 positives; default 100k) and
 	// TestSize (paper: 204,736; default 20k).
 	TrainSize, TestSize int
-	// PositiveClusters is l (paper: 200; scaled default 20 — the scaled
+	// positiveClusters is l (paper: 200; scaled default 20 — the scaled
 	// positive set is ~140 pairs).
-	PositiveClusters int
-	K, B, C          int
-	HardFraction     float64
+	positiveClusters int
 	Seed             int64
 }
 
+const (
+	// fig11B is the exhibit's training cluster number.
+	fig11B = 40
+	// fig11HardFraction: Fig. 11's testing set is dominated by near-miss
+	// pairs (the paper prunes 0-35% across thresholds, so most pairs sit
+	// near the positive region); sample accordingly.
+	fig11HardFraction = 0.8
+)
+
 func (p Fig11Params) withDefaults() Fig11Params {
-	if len(p.Thresholds) == 0 {
-		p.Thresholds = []float64{0.3, 0.5, 0.7, 0.9}
+	if len(p.thresholds) == 0 {
+		p.thresholds = []float64{0.3, 0.5, 0.7, 0.9}
 	}
 	if p.TrainSize <= 0 {
 		p.TrainSize = 100_000
@@ -34,23 +41,8 @@ func (p Fig11Params) withDefaults() Fig11Params {
 	if p.TestSize <= 0 {
 		p.TestSize = 20_000
 	}
-	if p.PositiveClusters <= 0 {
-		p.PositiveClusters = 20
-	}
-	if p.K <= 0 {
-		p.K = 9
-	}
-	if p.B <= 0 {
-		p.B = 40
-	}
-	if p.C <= 0 {
-		p.C = 8
-	}
-	if p.HardFraction <= 0 {
-		// Fig. 11's testing set is dominated by near-miss pairs (the
-		// paper prunes 0-35% across thresholds, so most pairs sit near
-		// the positive region); sample accordingly.
-		p.HardFraction = 0.8
+	if p.positiveClusters <= 0 {
+		p.positiveClusters = 20
 	}
 	return p
 }
@@ -73,13 +65,13 @@ type Fig11Point struct {
 // (Threshold = -1).
 func Fig11(env *Env, p Fig11Params) ([]Fig11Point, error) {
 	p = p.withDefaults()
-	data, err := env.BuildPairData(p.TrainSize, p.TestSize, p.HardFraction, p.Seed)
+	data, err := env.BuildPairData(p.TrainSize, p.TestSize, fig11HardFraction, p.Seed)
 	if err != nil {
 		return nil, err
 	}
 	run := func(pruning *core.PruningConfig) (Fig11Point, error) {
 		clf, err := core.Train(env.Ctx, data.Train, core.Config{
-			K: p.K, B: p.B, C: p.C, Seed: p.Seed, Pruning: pruning,
+			K: exhibitK, B: fig11B, C: exhibitC, Seed: p.Seed, Pruning: pruning,
 		})
 		if err != nil {
 			return Fig11Point{}, err
@@ -106,8 +98,8 @@ func Fig11(env *Env, p Fig11Params) ([]Fig11Point, error) {
 		return nil, err
 	}
 	out := []Fig11Point{baseline}
-	for _, th := range p.Thresholds {
-		point, err := run(&core.PruningConfig{Clusters: p.PositiveClusters, FTheta: th})
+	for _, th := range p.thresholds {
+		point, err := run(&core.PruningConfig{Clusters: p.positiveClusters, FTheta: th})
 		if err != nil {
 			return nil, err
 		}

@@ -16,15 +16,12 @@ type Fig5Params struct {
 	TrainSizes []int
 	// TestSize is the test pair count (paper: 20,000).
 	TestSize int
-	// K, B, C configure Fast kNN.
-	K, B, C int
-	// SVMClusters is the cluster count of the SVM-clustering variant
-	// (paper: 8).
-	SVMClusters int
-	// HardFraction controls negative sampling difficulty.
-	HardFraction float64
-	Seed         int64
+	Seed     int64
 }
+
+// fig5SVMClusters is the cluster count of the SVM-clustering variant (paper:
+// 8).
+const fig5SVMClusters = 8
 
 func (p Fig5Params) withDefaults() Fig5Params {
 	if len(p.TrainSizes) == 0 {
@@ -32,21 +29,6 @@ func (p Fig5Params) withDefaults() Fig5Params {
 	}
 	if p.TestSize <= 0 {
 		p.TestSize = 20_000
-	}
-	if p.K <= 0 {
-		p.K = 9
-	}
-	if p.B <= 0 {
-		p.B = 32
-	}
-	if p.C <= 0 {
-		p.C = 8
-	}
-	if p.SVMClusters <= 0 {
-		p.SVMClusters = 8
-	}
-	if p.HardFraction <= 0 {
-		p.HardFraction = 0.3
 	}
 	return p
 }
@@ -76,11 +58,11 @@ func Fig5(env *Env, p Fig5Params) (*Fig5Result, error) {
 	res := &Fig5Result{}
 	var gain, gainN float64
 	for i, size := range p.TrainSizes {
-		data, err := env.BuildPairData(size, p.TestSize, p.HardFraction, p.Seed+int64(i))
+		data, err := env.BuildPairData(size, p.TestSize, exhibitHardFraction, p.Seed+int64(i))
 		if err != nil {
 			return nil, err
 		}
-		knnScores, err := knnScores(env, data, core.Config{K: p.K, B: p.B, C: p.C, Seed: p.Seed})
+		knnScores, err := knnScores(env, data, core.Config{K: exhibitK, B: exhibitB, C: exhibitC, Seed: p.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +72,7 @@ func Fig5(env *Env, p Fig5Params) (*Fig5Result, error) {
 			return nil, fmt.Errorf("fig5: training SVM on %d pairs: %w", size, err)
 		}
 		svmScores := svmModel.DecisionBatch(data.TestVecs)
-		clModel, err := svm.TrainClustered(vecs, labels, p.SVMClusters, svm.Options{Seed: p.Seed})
+		clModel, err := svm.TrainClustered(vecs, labels, fig5SVMClusters, svm.Options{Seed: p.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("fig5: training SVM clustering: %w", err)
 		}

@@ -10,33 +10,22 @@ import (
 // Fig6Params configures the k sweep (paper Fig. 6: AUPR nearly flat in k;
 // execution time grows ~31% from k=5 to k=21).
 type Fig6Params struct {
-	// Ks are the neighbor counts to sweep (paper: 5, 9, 13, 17, 21).
-	Ks []int
+	// ks are the neighbor counts to sweep (paper: 5, 9, 13, 17, 21).
+	ks []int
 	// TrainSize and TestSize (paper: 3M and 10,000; default 300k / 10k).
 	TrainSize, TestSize int
-	B, C                int
-	HardFraction        float64
 	Seed                int64
 }
 
 func (p Fig6Params) withDefaults() Fig6Params {
-	if len(p.Ks) == 0 {
-		p.Ks = []int{5, 9, 13, 17, 21}
+	if len(p.ks) == 0 {
+		p.ks = []int{5, 9, 13, 17, 21}
 	}
 	if p.TrainSize <= 0 {
 		p.TrainSize = 300_000
 	}
 	if p.TestSize <= 0 {
 		p.TestSize = 10_000
-	}
-	if p.B <= 0 {
-		p.B = 32
-	}
-	if p.C <= 0 {
-		p.C = 8
-	}
-	if p.HardFraction <= 0 {
-		p.HardFraction = 0.3
 	}
 	return p
 }
@@ -53,13 +42,13 @@ type Fig6Point struct {
 // time (Fig. 6(b)).
 func Fig6(env *Env, p Fig6Params) ([]Fig6Point, error) {
 	p = p.withDefaults()
-	data, err := env.BuildPairData(p.TrainSize, p.TestSize, p.HardFraction, p.Seed)
+	data, err := env.BuildPairData(p.TrainSize, p.TestSize, exhibitHardFraction, p.Seed)
 	if err != nil {
 		return nil, err
 	}
 	var out []Fig6Point
-	for _, k := range p.Ks {
-		clf, err := core.Train(env.Ctx, data.Train, core.Config{K: k, B: p.B, C: p.C, Seed: p.Seed})
+	for _, k := range p.ks {
+		clf, err := core.Train(env.Ctx, data.Train, core.Config{K: k, B: exhibitB, C: exhibitC, Seed: p.Seed})
 		if err != nil {
 			return nil, err
 		}

@@ -12,8 +12,6 @@ type Fig7Params struct {
 	Bs []int
 	// TrainSize and TestSize (paper: 4M and 10,000; default 400k / 10k).
 	TrainSize, TestSize int
-	K, C                int
-	HardFraction        float64
 	Seed                int64
 	// PressureMemoryMB enables the Fig. 8(b) memory model: executor
 	// memory small enough that low cluster numbers overrun it (joined
@@ -30,15 +28,6 @@ func (p Fig7Params) withDefaults() Fig7Params {
 	}
 	if p.TestSize <= 0 {
 		p.TestSize = 10_000
-	}
-	if p.K <= 0 {
-		p.K = 9
-	}
-	if p.C <= 0 {
-		p.C = 8
-	}
-	if p.HardFraction <= 0 {
-		p.HardFraction = 0.3
 	}
 	return p
 }
@@ -61,7 +50,7 @@ type Fig7Point struct {
 // execution time (Fig. 8(b)).
 func Fig7(env *Env, p Fig7Params) ([]Fig7Point, error) {
 	p = p.withDefaults()
-	data, err := env.BuildPairData(p.TrainSize, p.TestSize, p.HardFraction, p.Seed)
+	data, err := env.BuildPairData(p.TrainSize, p.TestSize, exhibitHardFraction, p.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +62,7 @@ func Fig7(env *Env, p Fig7Params) ([]Fig7Point, error) {
 			cfg.PressureTimeouts = true
 			env.ResetEngine(cfg)
 		}
-		clf, err := core.Train(env.Ctx, data.Train, core.Config{K: p.K, B: b, C: p.C, Seed: p.Seed})
+		clf, err := core.Train(env.Ctx, data.Train, core.Config{K: exhibitK, B: b, C: exhibitC, Seed: p.Seed})
 		if err != nil {
 			return nil, err
 		}

@@ -12,11 +12,9 @@ import (
 type Fig9Params struct {
 	// TrainSizes to sweep (paper: 1M-5M; default 100k-500k).
 	TrainSizes []int
-	// BlockNumbers are the testing-set partition counts c (paper: 4, 8, 12).
-	BlockNumbers []int
+	// blockNumbers are the testing-set partition counts c (paper: 4, 8, 12).
+	blockNumbers []int
 	TestSize     int
-	K, B         int
-	HardFraction float64
 	Seed         int64
 }
 
@@ -24,20 +22,11 @@ func (p Fig9Params) withDefaults() Fig9Params {
 	if len(p.TrainSizes) == 0 {
 		p.TrainSizes = []int{100_000, 200_000, 300_000, 400_000, 500_000}
 	}
-	if len(p.BlockNumbers) == 0 {
-		p.BlockNumbers = []int{4, 8, 12}
+	if len(p.blockNumbers) == 0 {
+		p.blockNumbers = []int{4, 8, 12}
 	}
 	if p.TestSize <= 0 {
 		p.TestSize = 10_000
-	}
-	if p.K <= 0 {
-		p.K = 9
-	}
-	if p.B <= 0 {
-		p.B = 32
-	}
-	if p.HardFraction <= 0 {
-		p.HardFraction = 0.3
 	}
 	return p
 }
@@ -55,12 +44,12 @@ func Fig9(env *Env, p Fig9Params) ([]Fig9Point, error) {
 	p = p.withDefaults()
 	var out []Fig9Point
 	for _, size := range p.TrainSizes {
-		data, err := env.BuildPairData(size, p.TestSize, p.HardFraction, p.Seed)
+		data, err := env.BuildPairData(size, p.TestSize, exhibitHardFraction, p.Seed)
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range p.BlockNumbers {
-			clf, err := core.Train(env.Ctx, data.Train, core.Config{K: p.K, B: p.B, C: c, Seed: p.Seed})
+		for _, c := range p.blockNumbers {
+			clf, err := core.Train(env.Ctx, data.Train, core.Config{K: exhibitK, B: exhibitB, C: c, Seed: p.Seed})
 			if err != nil {
 				return nil, err
 			}

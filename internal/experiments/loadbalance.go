@@ -13,12 +13,12 @@ import (
 // sizes produce (the paper blames them for the Fig. 7/8 upticks at b = 70).
 type LoadBalanceParams struct {
 	TrainSize, TestSize int
-	K, B, C             int
-	// Executors is deliberately close to the cluster count so one
-	// oversized cluster straggles.
-	Executors    int
-	HardFraction float64
-	Seed         int64
+	// b is the training cluster number (default 48).
+	b int
+	// executors is deliberately close to the cluster count so one
+	// oversized cluster straggles (default 16).
+	executors int
+	Seed      int64
 }
 
 func (p LoadBalanceParams) withDefaults() LoadBalanceParams {
@@ -28,20 +28,11 @@ func (p LoadBalanceParams) withDefaults() LoadBalanceParams {
 	if p.TestSize <= 0 {
 		p.TestSize = 10_000
 	}
-	if p.K <= 0 {
-		p.K = 9
+	if p.b <= 0 {
+		p.b = 48
 	}
-	if p.B <= 0 {
-		p.B = 48
-	}
-	if p.C <= 0 {
-		p.C = 8
-	}
-	if p.Executors <= 0 {
-		p.Executors = 16
-	}
-	if p.HardFraction <= 0 {
-		p.HardFraction = 0.3
+	if p.executors <= 0 {
+		p.executors = 16
 	}
 	return p
 }
@@ -56,18 +47,18 @@ type LoadBalanceRow struct {
 // scheduling and reports the virtual execution times.
 func LoadBalance(env *Env, p LoadBalanceParams) ([]LoadBalanceRow, error) {
 	p = p.withDefaults()
-	data, err := env.BuildPairData(p.TrainSize, p.TestSize, p.HardFraction, p.Seed)
+	data, err := env.BuildPairData(p.TrainSize, p.TestSize, exhibitHardFraction, p.Seed)
 	if err != nil {
 		return nil, err
 	}
 	baseCfg := env.Ctx.Cluster().Config()
-	baseCfg.Executors = p.Executors
+	baseCfg.Executors = p.executors
 	var out []LoadBalanceRow
 	for _, policy := range []cluster.SchedulePolicy{cluster.ScheduleFIFO, cluster.ScheduleLPT} {
 		cfg := baseCfg
 		cfg.Scheduling = policy
 		env.ResetEngine(cfg)
-		clf, err := core.Train(env.Ctx, data.Train, core.Config{K: p.K, B: p.B, C: p.C, Seed: p.Seed})
+		clf, err := core.Train(env.Ctx, data.Train, core.Config{K: exhibitK, B: p.b, C: exhibitC, Seed: p.Seed})
 		if err != nil {
 			return nil, err
 		}

@@ -7,47 +7,25 @@ import (
 	"adrdedup/internal/cluster"
 )
 
-// RecoveryParams configures the executor-loss recovery exhibit: a fixed
-// shuffle-heavy workload (map → shuffle → reduce rounds with deterministic
-// virtual task costs) run clean and then under deterministic executor kills.
-// The overhead ratio — faulty over clean virtual makespan — measures what
-// lineage recovery costs: lost map outputs recomputed, stages resubmitted,
-// and surviving executors carrying the drained slots.
-type RecoveryParams struct {
-	// Rounds is the number of map→reduce shuffle rounds.
-	Rounds int
-	// MapTasks and ReduceTasks size each round's stages.
-	MapTasks, ReduceTasks int
-	Executors             int
-	// TaskMS is the fixed virtual duration of every task.
-	TaskMS float64
-	// ExecutorFailureRate is the per-(stage, executor) kill probability of
+// The executor-loss recovery exhibit's workload: a fixed shuffle-heavy job
+// (map → shuffle → reduce rounds with deterministic virtual task costs) run
+// clean and then under deterministic executor kills. The overhead ratio —
+// faulty over clean virtual makespan — measures what lineage recovery
+// costs: lost map outputs recomputed, stages resubmitted, and surviving
+// executors carrying the drained slots.
+const (
+	// recoveryRounds is the number of map→reduce shuffle rounds.
+	recoveryRounds = 6
+	// recoveryMapTasks and recoveryReduceTasks size each round's stages.
+	recoveryMapTasks    = 32
+	recoveryReduceTasks = 8
+	recoveryExecutors   = 8
+	// recoveryTaskMS is the fixed virtual duration of every task.
+	recoveryTaskMS = 5
+	// recoveryFailureRate is the per-(stage, executor) kill probability of
 	// the faulty run (the clean run uses 0).
-	ExecutorFailureRate float64
-	Seed                int64
-}
-
-func (p RecoveryParams) withDefaults() RecoveryParams {
-	if p.Rounds <= 0 {
-		p.Rounds = 6
-	}
-	if p.MapTasks <= 0 {
-		p.MapTasks = 32
-	}
-	if p.ReduceTasks <= 0 {
-		p.ReduceTasks = 8
-	}
-	if p.Executors <= 0 {
-		p.Executors = 8
-	}
-	if p.TaskMS <= 0 {
-		p.TaskMS = 5
-	}
-	if p.ExecutorFailureRate <= 0 {
-		p.ExecutorFailureRate = 0.1
-	}
-	return p
-}
+	recoveryFailureRate = 0.1
+)
 
 // RecoveryRow is one configuration's measurement.
 type RecoveryRow struct {
@@ -81,12 +59,11 @@ func RecoveryOverhead(rows []RecoveryRow) float64 {
 // kills and reports virtual execution times plus the recovery accounting.
 // Both runs must produce identical committed shuffle reads (recovery is
 // correct, not just bounded); Recovery returns an error if they diverge.
-func Recovery(env *Env, p RecoveryParams) ([]RecoveryRow, error) {
-	p = p.withDefaults()
+func Recovery(env *Env, seed int64) ([]RecoveryRow, error) {
 	baseCfg := env.Ctx.Cluster().Config()
-	baseCfg.Executors = p.Executors
+	baseCfg.Executors = recoveryExecutors
 	baseCfg.CoresPerExecutor = 1
-	baseCfg.Seed = p.Seed
+	baseCfg.Seed = seed
 	// Every resubmission draws fresh kill decisions, so at 20% per executor
 	// a stage can lose hosts several resubmits in a row before the pool
 	// thins out; the default retry budget (4) is for production-shaped kill
@@ -98,19 +75,19 @@ func Recovery(env *Env, p RecoveryParams) ([]RecoveryRow, error) {
 	for _, faulty := range []bool{false, true} {
 		cfg := baseCfg
 		if faulty {
-			cfg.ExecutorFailureRate = p.ExecutorFailureRate
+			cfg.ExecutorFailureRate = recoveryFailureRate
 		} else {
 			cfg.ExecutorFailureRate = 0
 		}
 		env.ResetEngine(cfg)
 		cl := env.Ctx.Cluster()
 		cl.ResetClock()
-		taskNS := p.TaskMS * 1e6
-		for round := 0; round < p.Rounds; round++ {
+		taskNS := recoveryTaskMS * 1e6
+		for round := 0; round < recoveryRounds; round++ {
 			sh := cl.Shuffles().Register()
 			mapOutput := func(tc *cluster.TaskContext, part int) error {
 				tc.AddVirtualNS(taskNS)
-				tc.WriteShuffleAs(sh, part%p.ReduceTasks, part, []int{part}, 4, 256)
+				tc.WriteShuffleAs(sh, part%recoveryReduceTasks, part, []int{part}, 4, 256)
 				return nil
 			}
 			cl.Shuffles().SetRecompute(sh, func(lost []int) error {
@@ -120,14 +97,14 @@ func Recovery(env *Env, p RecoveryParams) ([]RecoveryRow, error) {
 					})
 				return err
 			})
-			if _, err := cl.RunStage(fmt.Sprintf("recovery.map#%d", round), p.MapTasks,
+			if _, err := cl.RunStage(fmt.Sprintf("recovery.map#%d", round), recoveryMapTasks,
 				func(tc *cluster.TaskContext) error {
 					return mapOutput(tc, tc.Task())
 				}); err != nil {
 				return nil, err
 			}
 			cl.Shuffles().MarkDone(sh)
-			if _, err := cl.RunStage(fmt.Sprintf("recovery.reduce#%d", round), p.ReduceTasks,
+			if _, err := cl.RunStage(fmt.Sprintf("recovery.reduce#%d", round), recoveryReduceTasks,
 				func(tc *cluster.TaskContext) error {
 					blocks, err := tc.FetchShuffle(sh, tc.Task())
 					if err != nil {

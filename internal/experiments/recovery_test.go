@@ -14,7 +14,7 @@ import (
 func TestRecoveryOverheadCeiling(t *testing.T) {
 	env := testEnv(t)
 	for _, seed := range []int64{1, 2, 7} {
-		rows, err := Recovery(env, RecoveryParams{Seed: seed})
+		rows, err := Recovery(env, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func BenchmarkRecoveryOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		overhead, kills, lost, recomputed, resub = 0, 0, 0, 0, 0
 		for _, seed := range seeds {
-			rows, err := Recovery(env, RecoveryParams{Seed: seed})
+			rows, err := Recovery(env, seed)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,57 +7,29 @@ import (
 	"adrdedup/internal/cluster"
 )
 
-// SpeculationParams configures the straggler-mitigation experiment: a
-// skewed stage workload — the all-pairs partition skew the paper's §4.3.2
-// names as its scaling limiter — run with speculative execution off and on.
-// Stragglers come from the engine's deterministic injector (a virtual charge
-// standing for the slowdown's cost, plus a real cancellable stall the
-// monitor can race), on top of Zipf-like task-duration skew.
-type SpeculationParams struct {
-	// Tasks per stage and stages per configuration.
-	Tasks, Rounds int
-	Executors     int
-	// BaseTaskMS is the virtual duration of an unskewed task;
-	// SkewFactor multiplies the duration of the heaviest task.
-	BaseTaskMS float64
-	SkewFactor float64
-	// StragglerRate/StragglerVirtualMS/StragglerRealDelayMS feed the
-	// engine's injector (see cluster.Config).
-	StragglerRate        float64
-	StragglerVirtualMS   float64
-	StragglerRealDelayMS float64
-	Seed                 int64
-}
-
-func (p SpeculationParams) withDefaults() SpeculationParams {
-	if p.Tasks <= 0 {
-		p.Tasks = 48
-	}
-	if p.Rounds <= 0 {
-		p.Rounds = 4
-	}
-	if p.Executors <= 0 {
-		p.Executors = 8
-	}
-	if p.BaseTaskMS <= 0 {
-		p.BaseTaskMS = 4
-	}
-	if p.SkewFactor <= 0 {
-		p.SkewFactor = 3
-	}
-	if p.StragglerRate <= 0 {
-		p.StragglerRate = 0.1
-	}
-	if p.StragglerVirtualMS <= 0 {
-		p.StragglerVirtualMS = 400
-	}
-	if p.StragglerRealDelayMS <= 0 {
-		// Long enough that the monitor reliably races a duplicate before
-		// the straggler's primary wakes and wins its own commit.
-		p.StragglerRealDelayMS = 25
-	}
-	return p
-}
+// The straggler-mitigation experiment's workload: a skewed stage workload —
+// the all-pairs partition skew the paper's §4.3.2 names as its scaling
+// limiter — run with speculative execution off and on. Stragglers come from
+// the engine's deterministic injector (a virtual charge standing for the
+// slowdown's cost, plus a real cancellable stall the monitor can race), on
+// top of Zipf-like task-duration skew.
+const (
+	// speculationTasks per stage and speculationRounds stages per
+	// configuration.
+	speculationTasks     = 48
+	speculationRounds    = 4
+	speculationExecutors = 8
+	// speculationBaseTaskMS is the virtual duration of an unskewed task;
+	// speculationSkew multiplies the duration of the heaviest task.
+	speculationBaseTaskMS = 4
+	speculationSkew       = 3
+	// The engine's straggler injector (see cluster.Config). The real delay
+	// is long enough that the monitor reliably races a duplicate before the
+	// straggler's primary wakes and wins its own commit.
+	stragglerRate        = 0.1
+	stragglerVirtualMS   = 400
+	stragglerRealDelayMS = 25
+)
 
 // SpeculationRow is one configuration's measurement.
 type SpeculationRow struct {
@@ -88,15 +60,14 @@ func SpeculationSpeedup(rows []SpeculationRow) float64 {
 // Speculation runs the identical skewed straggler-injected workload with
 // speculation disabled and enabled and reports virtual execution times plus
 // the mitigation accounting (launches, wins, wasted time).
-func Speculation(env *Env, p SpeculationParams) ([]SpeculationRow, error) {
-	p = p.withDefaults()
+func Speculation(env *Env, seed int64) ([]SpeculationRow, error) {
 	baseCfg := env.Ctx.Cluster().Config()
-	baseCfg.Executors = p.Executors
+	baseCfg.Executors = speculationExecutors
 	baseCfg.CoresPerExecutor = 1
-	baseCfg.Seed = p.Seed
-	baseCfg.StragglerRate = p.StragglerRate
-	baseCfg.StragglerVirtualMS = p.StragglerVirtualMS
-	baseCfg.StragglerRealDelayMS = p.StragglerRealDelayMS
+	baseCfg.Seed = seed
+	baseCfg.StragglerRate = stragglerRate
+	baseCfg.StragglerVirtualMS = stragglerVirtualMS
+	baseCfg.StragglerRealDelayMS = stragglerRealDelayMS
 	// Speculate once half the stage has committed: the workload's median is
 	// representative early, and a late quantile leaves tail stragglers
 	// unmitigated.
@@ -109,14 +80,14 @@ func Speculation(env *Env, p SpeculationParams) ([]SpeculationRow, error) {
 		env.ResetEngine(cfg)
 		cl := env.Ctx.Cluster()
 		cl.ResetClock()
-		for round := 0; round < p.Rounds; round++ {
+		for round := 0; round < speculationRounds; round++ {
 			// Zipf-like duration skew: task i costs base * (1 + (skew-1)/(1+i)),
-			// so task 0 is SkewFactor x base and the tail is near-uniform —
+			// so task 0 is speculationSkew x base and the tail is near-uniform —
 			// the shape of uneven Voronoi cell sizes.
-			_, err := cl.RunStage(fmt.Sprintf("speculation.skew#%d", round), p.Tasks,
+			_, err := cl.RunStage(fmt.Sprintf("speculation.skew#%d", round), speculationTasks,
 				func(tc *cluster.TaskContext) error {
 					i := float64(tc.Task())
-					tc.AddVirtualNS(p.BaseTaskMS * 1e6 * (1 + (p.SkewFactor-1)/(1+i)))
+					tc.AddVirtualNS(speculationBaseTaskMS * 1e6 * (1 + (speculationSkew-1)/(1+i)))
 					return nil
 				})
 			if err != nil {

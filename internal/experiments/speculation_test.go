@@ -12,7 +12,7 @@ import (
 func TestSpeculationSpeedupFloor(t *testing.T) {
 	env := testEnv(t)
 	for _, seed := range []int64{1, 2, 7} {
-		rows, err := Speculation(env, SpeculationParams{Seed: seed})
+		rows, err := Speculation(env, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func BenchmarkSpeculationSkew(b *testing.B) {
 	}
 	var rows []SpeculationRow
 	for i := 0; i < b.N; i++ {
-		rows, err = Speculation(env, SpeculationParams{Seed: 1})
+		rows, err = Speculation(env, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

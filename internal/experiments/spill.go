@@ -35,34 +35,27 @@ type SpillParams struct {
 	// Records is the corpus size (default 4,000 — big enough that the
 	// candidate working set dwarfs the budget below).
 	Records int
-	// Theta is the signature-similarity threshold (default 0.5).
-	Theta float64
 	// Partitions is the pipeline parallelism (default 16).
 	Partitions int
-	// Executors sizes the virtual cluster (default 8).
-	Executors int
-	// MemoryPerExecutorBytes is the budgeted run's per-executor budget
-	// (default 16 KiB — pathological on purpose; the unbounded run uses the
-	// engine default).
-	MemoryPerExecutorBytes int64
-	Seed                   int64
+	Seed       int64
 }
+
+const (
+	// spillTheta is the signature-similarity threshold.
+	spillTheta = 0.5
+	// spillExecutors sizes the virtual cluster.
+	spillExecutors = 8
+	// spillBudgetBytes is the budgeted run's per-executor budget: 16 KiB,
+	// pathological on purpose (the unbounded run uses the engine default).
+	spillBudgetBytes = 16 << 10
+)
 
 func (p SpillParams) withDefaults() SpillParams {
 	if p.Records <= 0 {
 		p.Records = 4000
 	}
-	if p.Theta <= 0 {
-		p.Theta = 0.5
-	}
 	if p.Partitions <= 0 {
 		p.Partitions = 16
-	}
-	if p.Executors <= 0 {
-		p.Executors = 8
-	}
-	if p.MemoryPerExecutorBytes <= 0 {
-		p.MemoryPerExecutorBytes = 16 << 10
 	}
 	return p
 }
@@ -137,7 +130,7 @@ func Spill(p SpillParams) ([]SpillRow, error) {
 	run := func(budgeted bool) (SpillRow, []core.Result, error) {
 		row := SpillRow{Budgeted: budgeted}
 		cfg := cluster.Config{
-			Executors:           p.Executors,
+			Executors:           spillExecutors,
 			CoresPerExecutor:    1,
 			NetworkMBps:         1000,
 			ShuffleLatencyMS:    2,
@@ -147,8 +140,8 @@ func Spill(p SpillParams) ([]SpillRow, error) {
 		}
 		if budgeted {
 			cfg.SpillToDisk = true
-			cfg.MemoryPerExecutorBytes = p.MemoryPerExecutorBytes
-			row.MemoryPerExecutorBytes = p.MemoryPerExecutorBytes
+			cfg.MemoryPerExecutorBytes = spillBudgetBytes
+			row.MemoryPerExecutorBytes = spillBudgetBytes
 		}
 		cl := cluster.New(cfg)
 		defer cl.Close()
@@ -161,7 +154,7 @@ func Spill(p SpillParams) ([]SpillRow, error) {
 		}
 		sigs, _ := candgen.Signatures(feats) // cannot fail
 		pairs, _, err := candgen.Pairs(ctx, sigs, candgen.Params{
-			Theta: p.Theta, Partitions: p.Partitions,
+			Theta: spillTheta, Partitions: p.Partitions,
 		})
 		if err != nil {
 			return row, nil, fmt.Errorf("experiments: prefix generation: %w", err)

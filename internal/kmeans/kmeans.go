@@ -21,23 +21,16 @@ import (
 type Options struct {
 	// MaxIter bounds Lloyd iterations (default 50).
 	MaxIter int
-	// Tol stops iteration when no center moves more than Tol (default 1e-6).
-	Tol float64
 	// Seed drives k-means++ seeding and empty-cluster repair.
 	Seed int64
-	// Parallelism caps assignment-step goroutines; 0 means GOMAXPROCS.
-	Parallelism int
 }
+
+// tol stops iteration when no center moves more than it.
+const tol = 1e-6
 
 func (o Options) withDefaults() Options {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 50
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-6
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -79,13 +72,15 @@ func Run(data [][]float64, k int, opts Options) (*Result, error) {
 	}
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
+	// The assignment step's goroutines: one per core the run may use.
+	parallelism := runtime.GOMAXPROCS(0)
 
 	centers := seedPlusPlus(data, k, rng)
 	assign := make([]int, len(data))
 	res := &Result{}
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		res.Iterations = iter + 1
-		inertia := assignAll(data, centers, assign, opts.Parallelism)
+		inertia := assignAll(data, centers, assign, parallelism)
 		res.Inertia = inertia
 
 		newCenters, sizes := recompute(data, assign, k, dim)
@@ -99,12 +94,12 @@ func Run(data [][]float64, k int, opts Options) (*Result, error) {
 		}
 		centers = newCenters
 		res.Sizes = sizes
-		if moved <= opts.Tol {
+		if moved <= tol {
 			break
 		}
 	}
 	// Final assignment against the final centers.
-	res.Inertia = assignAll(data, centers, assign, opts.Parallelism)
+	res.Inertia = assignAll(data, centers, assign, parallelism)
 	res.Centers = centers
 	res.Assign = assign
 	res.Sizes = make([]int, k)

@@ -227,8 +227,8 @@ func TestComputeVectorsArenaMatchesReferenceAndIsIsolated(t *testing.T) {
 }
 
 // TestFeaturesGobRoundTrip pins that features survive serialization: a
-// persisted feature cache must decode equal and compare identically (gob is
-// the repo's model/persist codec).
+// spilled partition of features must decode equal and compare identically
+// (gob is the engine's spill codec).
 func TestFeaturesGobRoundTrip(t *testing.T) {
 	it := intern.New()
 	f := ExtractWith(it, adr.Report{

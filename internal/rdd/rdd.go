@@ -132,9 +132,6 @@ func Parallelize[T any](ctx *Context, data []T, numPartitions int) *RDD[T] {
 	}, nil)
 }
 
-// Name returns the RDD's debug name.
-func (r *RDD[T]) Name() string { return r.name }
-
 // ID returns the RDD's unique id within its context.
 func (r *RDD[T]) ID() int { return r.id }
 

@@ -94,7 +94,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, single bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -140,7 +140,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, single boo
 // Retry-After hint, and a Detect failure (batch rolled back, safe to
 // resubmit) maps to 422.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
-	retryAfter := strconv.Itoa(int((s.cfg.RetryAfter + 999_999_999) / 1_000_000_000))
+	retryAfter := strconv.Itoa(int((s.cfg.retryAfter + 999_999_999) / 1_000_000_000))
 	var re *RequestError
 	switch {
 	case errors.As(err, &re):

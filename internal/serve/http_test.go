@@ -30,7 +30,7 @@ func newIdleServer(t *testing.T) *Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { det.Engine().Cluster().Close() })
-	return New(det, Config{MaxBatch: 5, MaxBodyBytes: 4096})
+	return New(det, Config{MaxBatch: 5, maxBodyBytes: 4096})
 }
 
 // gatedServer builds a started server whose consumer blocks in the
@@ -109,7 +109,7 @@ func getStats(t *testing.T, baseURL string) Stats {
 // both accepted batches successfully.
 func TestQueueFullReturns429(t *testing.T) {
 	srv, gate, entered := gatedServer(t, 41, Config{
-		QueueDepth: 1, RetryAfter: 2 * time.Second,
+		QueueDepth: 1, retryAfter: 2 * time.Second,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -319,7 +319,7 @@ func TestHealthzDuringShutdown(t *testing.T) {
 // TestIngestDecodeErrors pins the decoder's HTTP status mapping: every
 // malformed request is a typed 4xx, never a 500 and never a hang.
 func TestIngestDecodeErrors(t *testing.T) {
-	srv := newIdleServer(t) // MaxBatch 5, MaxBodyBytes 4096
+	srv := newIdleServer(t) // MaxBatch 5, maxBodyBytes 4096
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

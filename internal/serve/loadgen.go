@@ -98,10 +98,6 @@ type LoadConfig struct {
 	// Traffic configures the synthetic stream. Traffic.Reports is
 	// overridden by Count when Count is set.
 	Traffic TrafficConfig
-	// MaxRetries bounds per-batch retries on 429/503 backpressure
-	// (default 64; the driver honors Retry-After between attempts).
-	// Exhausting the budget counts the batch as an error.
-	MaxRetries int
 	// ReportEvery triggers the OnReport callback periodically (0 = off).
 	ReportEvery time.Duration
 	OnReport    func(LoadSnapshot)
@@ -140,6 +136,11 @@ type LoadResult struct {
 	FirstError string         `json:"firstError,omitempty"`
 }
 
+// maxRetries bounds per-batch retries on 429/503 backpressure (the driver
+// honors Retry-After between attempts). Exhausting the budget counts the
+// batch as an error.
+const maxRetries = 64
+
 // loadState is the shared mutable state of one run.
 type loadState struct {
 	cfg     LoadConfig
@@ -172,9 +173,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadResult, error) {
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 100
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 64
 	}
 	if cfg.Count > 0 {
 		cfg.Traffic.Reports = cfg.Count
@@ -336,7 +334,7 @@ func (st *loadState) workerLoop(ctx context.Context) {
 }
 
 // send posts one batch, honoring backpressure: 429/503 responses are
-// retried after the server's Retry-After hint, up to MaxRetries, and do not
+// retried after the server's Retry-After hint, up to maxRetries, and do not
 // count as errors unless the budget is exhausted.
 func (st *loadState) send(ctx context.Context, batch []adr.Report) {
 	var url string
@@ -372,7 +370,7 @@ func (st *loadState) send(ctx context.Context, batch []adr.Report) {
 			return
 		case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
 			st.throttled.Add(1)
-			if attempt >= st.cfg.MaxRetries {
+			if attempt >= maxRetries {
 				st.fail(fmt.Sprintf("giving up after %d backpressure retries (HTTP %d)", attempt, status))
 				return
 			}

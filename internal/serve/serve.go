@@ -58,11 +58,11 @@ type Config struct {
 	// MaxBatch bounds the reports per submitted batch (default 5000);
 	// larger batches are refused with a 413-coded RequestError.
 	MaxBatch int
-	// MaxBodyBytes bounds an HTTP request body (default 8 MiB).
-	MaxBodyBytes int64
-	// RetryAfter is the Retry-After hint sent with 429/503 responses
+	// maxBodyBytes bounds an HTTP request body (default 8 MiB).
+	maxBodyBytes int64
+	// retryAfter is the Retry-After hint sent with 429/503 responses
 	// (default 1s).
-	RetryAfter time.Duration
+	retryAfter time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -72,11 +72,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 5000
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
+	if c.maxBodyBytes <= 0 {
+		c.maxBodyBytes = 8 << 20
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
+	if c.retryAfter <= 0 {
+		c.retryAfter = time.Second
 	}
 	return c
 }
