@@ -477,7 +477,7 @@ func BenchmarkKMeansPartitioning(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := kmeans.Run(vecs, 32, kmeans.Options{Seed: 16, MaxIter: 10}); err != nil {
+		if _, err := kmeans.Run(vecs, 32, kmeans.Options{Seed: 16}); err != nil {
 			b.Fatal(err)
 		}
 	}

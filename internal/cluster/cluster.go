@@ -11,13 +11,13 @@
 // Every task measures its real single-threaded compute time and may add
 // virtual time for simulated I/O (shuffle reads, broadcasts). After a stage's
 // tasks have all really executed (in parallel, up to the host's cores), the
-// scheduler *list-schedules* the per-task virtual durations onto
-// Executors x CoresPerExecutor virtual slots in task order. The stage's
-// virtual makespan is the maximum slot finish time. Summed across stages this
-// yields the execution times reported by the experiment harness: a 5-executor
-// configuration and a 25-executor configuration run the same real
-// computation, but their virtual makespans differ exactly as the paper's
-// cluster wall-clock would.
+// scheduler *list-schedules* the per-task virtual durations onto the live
+// executors' CoresPerExecutor slots each, in one discrete-event loop
+// (virtualSchedule). The stage's virtual makespan is the last finish time.
+// Summed across stages this yields the execution times reported by the
+// experiment harness: a 5-executor configuration and a 25-executor
+// configuration run the same real computation, but their virtual makespans
+// differ exactly as the paper's cluster wall-clock would.
 //
 // # Fault tolerance
 //
@@ -37,8 +37,8 @@
 // than SpeculationMultiplier x the median committed duration gets one
 // speculative duplicate attempt chain. The rival chains race; the first
 // successful attempt wins the task's single commit and cancels the other via
-// its attempt context. Virtual-clock accounting replays the race in a
-// discrete-event simulation (see speculativeSchedule) where duplicate copies
+// its attempt context. Virtual-clock accounting replays the race in the
+// same discrete-event loop (see virtualSchedule), where duplicate copies
 // only ever occupy otherwise-idle slots, so the speculative makespan never
 // exceeds the no-speculation list-schedule bound. The StragglerRate injector
 // creates deterministic slow tasks (virtual cost plus a real, cancellable
@@ -386,19 +386,21 @@ func (c *Cluster) ResetClock() {
 }
 
 // StageStats reports one stage's execution, including the virtual-time
-// breakdown and a per-task view. Stages that fail (a task exhausted its
-// retries) are still fully accounted: their stats are recorded in the
-// metrics registry and stage history before RunStage returns the error.
+// breakdown. The per-task view is the trace: each attempt's task event
+// carries its executor, virtual time, speculative flag and outcome. Stages
+// that fail (a task exhausted its retries) are still fully accounted: their
+// stats are recorded in the metrics registry and stage history before
+// RunStage returns the error.
 type StageStats struct {
 	Name     string
 	Tasks    int
 	Attempts int
 	Failures int
-	// VirtualDuration is the stage's virtual makespan (list-scheduled
-	// onto the executor slots) plus scheduler overhead.
+	// VirtualDuration is the stage's virtual makespan (scheduled onto the
+	// live executors' slots) plus scheduler overhead.
 	VirtualDuration time.Duration
 	// ComputeDuration sums the tasks' measured single-threaded compute
-	// time across all attempts (before list scheduling).
+	// time across all attempts (before virtual scheduling).
 	ComputeDuration time.Duration
 	// ShuffleWaitDuration sums the tasks' simulated shuffle-fetch waits
 	// across all attempts.
@@ -421,47 +423,6 @@ type StageStats struct {
 	// Resubmits counts lineage-recovery resubmissions of the stage after
 	// shuffle fetch failures (0 for a clean run).
 	Resubmits int
-	// TaskStats breaks the stage down per task, including the virtual
-	// slot each task was list-scheduled onto.
-	TaskStats []TaskStat
-}
-
-// TaskStat is one task's share of a stage, summed over all its attempts
-// (primary and speculative chains combined).
-type TaskStat struct {
-	Task     int
-	Attempts int
-	Failures int
-	// Slot is the virtual executor slot (0..Executors*CoresPerExecutor-1)
-	// the task's primary chain was list-scheduled onto.
-	Slot int
-	// Executor is the live executor the primary chain was placed on; its
-	// hosted output dies with that executor.
-	Executor int
-	// SpecSlot is the slot the speculative copy was charged to, -1 when
-	// the task was not speculated (or its copy never started in the
-	// virtual schedule).
-	SpecSlot int
-	// ComputeDuration is the measured single-threaded compute time.
-	ComputeDuration time.Duration
-	// ShuffleWaitDuration is the simulated shuffle-fetch wait.
-	ShuffleWaitDuration time.Duration
-	// VirtualDuration is the total virtual time charged to the task's
-	// slots (compute + simulated I/O, across all attempts of both chains,
-	// after any spill penalty; losing copies charged up to cancellation).
-	VirtualDuration time.Duration
-	// WastedDuration is the share of VirtualDuration charged to the
-	// losing copy of a speculated task.
-	WastedDuration time.Duration
-	// Speculative reports that the straggler monitor launched a duplicate
-	// chain for this task.
-	Speculative bool
-	// SpecWinner reports that the speculative chain won the real commit
-	// race (the trace's outcome=winner row carries the same fact
-	// per-attempt).
-	SpecWinner bool
-	// Stragglers counts injected straggler attempts of this task.
-	Stragglers int
 }
 
 // ErrTaskFailed is returned when a task exhausts its retry budget.
@@ -564,26 +525,17 @@ func (c *Cluster) runStage(name string, numTasks int, run func(tc *TaskContext) 
 		Name:         name,
 		Tasks:        numTasks,
 		RealDuration: time.Since(start),
-		TaskStats:    make([]TaskStat, numTasks),
+		Resubmits:    resubmits,
 	}
-	stats.Resubmits = resubmits
+	tasks := make([]virtualTask, numTasks)
 	var firstErr error
-	anySpec := false
 	for i := range sr.states {
 		st := &sr.states[i]
-		ts := &stats.TaskStats[i]
-		ts.Task = i
-		ts.Executor = st.executor
-		ts.Attempts = st.primary.attempts + st.spec.attempts
-		ts.Failures = st.primary.failures + st.spec.failures
-		ts.ComputeDuration = time.Duration(st.primary.computeNS + st.spec.computeNS)
-		ts.ShuffleWaitDuration = time.Duration(st.primary.shuffleWaitNS + st.spec.shuffleWaitNS)
-		ts.Speculative = st.specLaunched
-		ts.SpecWinner = st.specWinner
-		ts.Stragglers = st.primary.stragglers + st.spec.stragglers
-		ts.SpecSlot = -1
-		if st.spec.ran && st.spec.attempts > 0 {
-			anySpec = true
+		tasks[i] = virtualTask{
+			primaryNS:  st.primary.virtualNS,
+			specNS:     st.spec.virtualNS,
+			hasSpec:    st.spec.ran && st.spec.attempts > 0,
+			specCanWin: st.spec.succeeded,
 		}
 		if st.specLaunched {
 			stats.SpeculativeTasks++
@@ -591,11 +543,11 @@ func (c *Cluster) runStage(name string, numTasks int, run func(tc *TaskContext) 
 		if st.specWinner {
 			stats.SpeculativeWins++
 		}
-		stats.Attempts += ts.Attempts
-		stats.Failures += ts.Failures
-		stats.ComputeDuration += ts.ComputeDuration
-		stats.ShuffleWaitDuration += ts.ShuffleWaitDuration
-		stats.Stragglers += ts.Stragglers
+		stats.Attempts += st.primary.attempts + st.spec.attempts
+		stats.Failures += st.primary.failures + st.spec.failures
+		stats.ComputeDuration += time.Duration(st.primary.computeNS + st.spec.computeNS)
+		stats.ShuffleWaitDuration += time.Duration(st.primary.shuffleWaitNS + st.spec.shuffleWaitNS)
+		stats.Stragglers += st.primary.stragglers + st.spec.stragglers
 		if !st.committed && firstErr == nil {
 			err := st.primary.err
 			if err == nil {
@@ -617,47 +569,9 @@ func (c *Cluster) runStage(name string, numTasks int, run func(tc *TaskContext) 
 	if liveSlots < 1 {
 		liveSlots = c.SlotCount()
 	}
-	var makespanNS float64
-	if !anySpec {
-		// No speculative copies actually ran: the plain list schedule,
-		// bit-identical to a cluster without speculation.
-		durations := make([]float64, numTasks)
-		for i := range sr.states {
-			durations[i] = sr.states[i].primary.virtualNS
-		}
-		var slots []int
-		makespanNS, slots = c.listScheduleSlotsN(durations, liveSlots)
-		for i := range stats.TaskStats {
-			stats.TaskStats[i].Slot = slots[i]
-			stats.TaskStats[i].VirtualDuration = time.Duration(durations[i])
-		}
-	} else {
-		inputs := make([]specTaskInput, numTasks)
-		for i := range sr.states {
-			st := &sr.states[i]
-			inputs[i] = specTaskInput{
-				primaryNS:  st.primary.virtualNS,
-				specNS:     st.spec.virtualNS,
-				hasSpec:    st.spec.ran && st.spec.attempts > 0,
-				specCanWin: st.spec.succeeded,
-			}
-		}
-		var places []specPlacement
-		makespanNS, places = c.speculativeScheduleN(inputs, liveSlots)
-		for i, p := range places {
-			ts := &stats.TaskStats[i]
-			ts.Slot = p.slot
-			ts.SpecSlot = p.specSlot
-			ts.VirtualDuration = time.Duration(p.primaryChargedNS + p.specChargedNS)
-			if p.specSlot >= 0 {
-				if p.specVirtualWinner {
-					ts.WastedDuration = time.Duration(p.primaryChargedNS)
-				} else {
-					ts.WastedDuration = time.Duration(p.specChargedNS)
-				}
-				stats.WastedDuration += ts.WastedDuration
-			}
-		}
+	makespanNS := c.virtualSchedule(tasks, liveSlots)
+	for i := range tasks {
+		stats.WastedDuration += time.Duration(tasks[i].wastedNS())
 	}
 
 	overheadNS := c.cfg.SchedulerOverheadMS * 1e6 * (1 + 0.05*float64(c.cfg.Executors))

@@ -149,13 +149,13 @@ func TestListScheduleMakespan(t *testing.T) {
 	c := New(Config{Executors: 2, CoresPerExecutor: 1})
 	// 4 equal tasks on 2 slots: makespan = 2 x task duration.
 	d := []float64{100, 100, 100, 100}
-	if got := c.listSchedule(d); got != 200 {
+	if got := schedule(c, d); got != 200 {
 		t.Errorf("makespan = %v, want 200", got)
 	}
 	// Unequal tasks: greedy earliest-slot assignment.
 	d = []float64{300, 100, 100, 100}
 	// slot0: 300; slot1: 100+100+100 = 300.
-	if got := c.listSchedule(d); got != 300 {
+	if got := schedule(c, d); got != 300 {
 		t.Errorf("makespan = %v, want 300", got)
 	}
 }

@@ -37,3 +37,38 @@ func (c *Cluster) PooledScratches() []*WorkerScratch {
 	defer c.scratch.mu.Unlock()
 	return append([]*WorkerScratch(nil), c.scratch.free...)
 }
+
+// Speculative reports whether this attempt belongs to a speculative
+// duplicate chain launched by the straggler monitor.
+func (tc *TaskContext) Speculative() bool { return tc.speculative }
+
+// Reset zeroes every counter.
+func (m *Metrics) Reset() {
+	m.StagesRun.Store(0)
+	m.TasksLaunched.Store(0)
+	m.TaskFailures.Store(0)
+	m.RecordsProcessed.Store(0)
+	m.Comparisons.Store(0)
+	m.ShuffleBytesWritten.Store(0)
+	m.ShuffleRecordsWritten.Store(0)
+	m.ShuffleBytesRead.Store(0)
+	m.BroadcastBytes.Store(0)
+	m.BlocksCached.Store(0)
+	m.BlockHits.Store(0)
+	m.BlockMisses.Store(0)
+	m.BlockEvictions.Store(0)
+	m.BlockRecomputes.Store(0)
+	m.PressureEvents.Store(0)
+	m.SpeculativeTasksLaunched.Store(0)
+	m.SpeculativeWins.Store(0)
+	m.SpeculativeWastedNS.Store(0)
+	m.StragglersInjected.Store(0)
+	m.ExecutorFailures.Store(0)
+	m.MapOutputsLost.Store(0)
+	m.ExecutorsBlacklisted.Store(0)
+	m.FetchFailures.Store(0)
+	m.RecomputedStages.Store(0)
+	m.RecomputedTasks.Store(0)
+	m.SpillEvents.Store(0)
+	m.SpilledBytes.Store(0)
+}

@@ -6,7 +6,7 @@ import (
 )
 
 // TestMakespanBoundsProperty: for any task durations and slot count, the
-// list-scheduled makespan is at least the longest task and the average load,
+// scheduled makespan is at least the longest task and the average load,
 // and at most the total work.
 func TestMakespanBoundsProperty(t *testing.T) {
 	f := func(raw []uint16, execs uint8) bool {
@@ -22,7 +22,7 @@ func TestMakespanBoundsProperty(t *testing.T) {
 		slots := int(execs)%8 + 1
 		for _, policy := range []SchedulePolicy{ScheduleFIFO, ScheduleLPT} {
 			c := New(Config{Executors: slots, CoresPerExecutor: 1, Scheduling: policy})
-			m := c.listSchedule(durations)
+			m := schedule(c, durations)
 			if m < longest-1e-9 {
 				return false
 			}
@@ -60,7 +60,7 @@ func TestGrahamBoundProperty(t *testing.T) {
 		m := float64(int(execs)%8 + 1)
 		for _, policy := range []SchedulePolicy{ScheduleFIFO, ScheduleLPT} {
 			c := New(Config{Executors: int(m), CoresPerExecutor: 1, Scheduling: policy})
-			if c.listSchedule(durations) > total/m+longest+1e-6 {
+			if schedule(c, durations) > total/m+longest+1e-6 {
 				return false
 			}
 		}

@@ -17,6 +17,19 @@ import (
 // (chaos_test.go) exercises the same machinery end to end against the
 // sequential oracle; these tests pin the individual mechanisms.
 
+// committedExecutors maps each task of the named stage to the executor its
+// committing attempt ran on, read from the trace's task_success events (the
+// latest run of the stage wins).
+func committedExecutors(c *Cluster, stage string) map[int]int {
+	hosts := map[int]int{}
+	for _, e := range c.Tracer().Snapshot() {
+		if e.Kind == EventTaskSuccess && e.Stage == stage {
+			hosts[e.Task] = e.Executor
+		}
+	}
+	return hosts
+}
+
 func TestShuffleInvalidateExecutor(t *testing.T) {
 	s := newShuffleService(New(Config{}))
 	id := s.Register()
@@ -127,20 +140,20 @@ func TestFetchFailedResubmitsOnlyLostPartitions(t *testing.T) {
 		})
 		return err
 	})
-	mapStats, err := c.RunStage("map", mapTasks, func(tc *TaskContext) error {
+	if _, err := c.RunStage("map", mapTasks, func(tc *TaskContext) error {
 		return mapOutput(tc, tc.Task())
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	c.Shuffles().MarkDone(sh)
 
 	// Kill the executor hosting map task 0; every map task it hosted is lost.
-	victim := mapStats.TaskStats[0].Executor
+	hosts := committedExecutors(c, "map")
+	victim := hosts[0]
 	var lostWant []int
-	for _, ts := range mapStats.TaskStats {
-		if ts.Executor == victim {
-			lostWant = append(lostWant, ts.Task)
+	for task := 0; task < mapTasks; task++ {
+		if hosts[task] == victim {
+			lostWant = append(lostWant, task)
 		}
 	}
 	if !c.FailExecutor(victim) {
@@ -195,7 +208,7 @@ func TestFetchFailedResubmitsOnlyLostPartitions(t *testing.T) {
 // run that never lost an executor.
 func TestRecoveryDoesNotRecountWork(t *testing.T) {
 	run := func(kill bool) MetricsSnapshot {
-		c := New(Config{Executors: 4, CoresPerExecutor: 1})
+		c := New(Config{Executors: 4, CoresPerExecutor: 1, Trace: true})
 		sh := c.Shuffles().Register()
 		mapOutput := func(tc *TaskContext, part int) error {
 			tc.AddRecords(3)
@@ -208,15 +221,14 @@ func TestRecoveryDoesNotRecountWork(t *testing.T) {
 			})
 			return err
 		})
-		stats, err := c.RunStage("map", 6, func(tc *TaskContext) error {
+		if _, err := c.RunStage("map", 6, func(tc *TaskContext) error {
 			return mapOutput(tc, tc.Task())
-		})
-		if err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 		c.Shuffles().MarkDone(sh)
 		if kill {
-			if !c.FailExecutor(stats.TaskStats[0].Executor) {
+			if !c.FailExecutor(committedExecutors(c, "map")[0]) {
 				t.Fatal("FailExecutor refused")
 			}
 		}
@@ -323,20 +335,19 @@ func TestFailExecutorNeverKillsLastHost(t *testing.T) {
 }
 
 func TestStageAbortMissingRecompute(t *testing.T) {
-	c := New(Config{Executors: 4, CoresPerExecutor: 1})
+	c := New(Config{Executors: 4, CoresPerExecutor: 1, Trace: true})
 	sh := c.Shuffles().Register()
-	stats, err := c.RunStage("map", 4, func(tc *TaskContext) error {
+	if _, err := c.RunStage("map", 4, func(tc *TaskContext) error {
 		tc.WriteShuffle(sh, 0, []int{tc.Task()}, 1, 8)
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	c.Shuffles().MarkDone(sh)
-	if !c.FailExecutor(stats.TaskStats[0].Executor) {
+	if !c.FailExecutor(committedExecutors(c, "map")[0]) {
 		t.Fatal("FailExecutor refused")
 	}
-	_, err = c.RunStage("reduce", 1, func(tc *TaskContext) error {
+	_, err := c.RunStage("reduce", 1, func(tc *TaskContext) error {
 		_, ferr := tc.FetchShuffle(sh, 0)
 		return ferr
 	})
@@ -360,21 +371,20 @@ func TestStageAbortMissingRecompute(t *testing.T) {
 // MaxStageRetries and abort with the typed error, deterministically.
 func TestStageAbortAfterMaxRetries(t *testing.T) {
 	run := func() error {
-		c := New(Config{Executors: 4, CoresPerExecutor: 1, MaxStageRetries: 2})
+		c := New(Config{Executors: 4, CoresPerExecutor: 1, MaxStageRetries: 2, Trace: true})
 		sh := c.Shuffles().Register()
 		c.Shuffles().SetRecompute(sh, func(lost []int) error { return nil }) // lies: repairs nothing
-		stats, err := c.RunStage("map", 4, func(tc *TaskContext) error {
+		if _, err := c.RunStage("map", 4, func(tc *TaskContext) error {
 			tc.WriteShuffle(sh, 0, []int{tc.Task()}, 1, 8)
 			return nil
-		})
-		if err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 		c.Shuffles().MarkDone(sh)
-		if !c.FailExecutor(stats.TaskStats[0].Executor) {
+		if !c.FailExecutor(committedExecutors(c, "map")[0]) {
 			t.Fatal("FailExecutor refused")
 		}
-		_, err = c.RunStage("reduce", 1, func(tc *TaskContext) error {
+		_, err := c.RunStage("reduce", 1, func(tc *TaskContext) error {
 			_, ferr := tc.FetchShuffle(sh, 0)
 			return ferr
 		})
@@ -449,12 +459,11 @@ func TestTraceExecutorFieldSchema(t *testing.T) {
 		})
 		return err
 	})
-	stats, err := c.RunStage("map", 6, func(tc *TaskContext) error { return mapOutput(tc, tc.Task()) })
-	if err != nil {
+	if _, err := c.RunStage("map", 6, func(tc *TaskContext) error { return mapOutput(tc, tc.Task()) }); err != nil {
 		t.Fatal(err)
 	}
 	c.Shuffles().MarkDone(sh)
-	if !c.FailExecutor(stats.TaskStats[0].Executor) {
+	if !c.FailExecutor(committedExecutors(c, "map")[0]) {
 		t.Fatal("FailExecutor refused")
 	}
 	if _, err := c.RunStage("reduce", 1, func(tc *TaskContext) error {

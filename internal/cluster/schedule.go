@@ -5,136 +5,43 @@ import (
 	"sort"
 )
 
-// This file holds the virtual-clock schedulers. After a stage's tasks have
-// really executed, their measured virtual durations are placed onto
-// Executors x CoresPerExecutor virtual slots:
+// This file holds the virtual-clock scheduler. After a stage's tasks have
+// really executed, virtualSchedule places their measured attempt chains onto
+// the live executors' slots in a discrete-event simulation of the greedy
+// list schedule (FIFO or LPT order, each queued task starts the moment a
+// slot frees), with Spark-style straggler speculation layered on: once
+// SpeculationQuantile of the stage's tasks have (virtually) finished, any
+// running task that ran a speculative chain and is slower than
+// SpeculationMultiplier x the median effective duration launches a duplicate
+// copy on an idle slot, the first copy to finish completes the task, and the
+// losing copy is cancelled and charged to its slot up to the completion
+// time. Because speculative copies launch only on otherwise-idle slots after
+// the task queue has drained, the makespan can never exceed that of the same
+// stage without speculation; the property test pins this.
 //
-//   - listScheduleSlots is the plain greedy list scheduler (FIFO or LPT
-//     order, earliest-available slot) used for stages without speculative
-//     copies. It runs on a min-heap of slot availability times, so placement
-//     is O(tasks x log slots) instead of the old O(tasks x slots) linear
-//     scan; the heap's (avail, slot) ordering reproduces the linear scan's
-//     lowest-index tie-breaking exactly.
-//
-//   - speculativeSchedule is a discrete-event simulation of the same greedy
-//     schedule with Spark-style straggler speculation layered on: once
-//     SpeculationQuantile of the stage's tasks have (virtually) finished,
-//     any running task slower than SpeculationMultiplier x the median
-//     effective duration launches a duplicate copy on an idle slot, the
-//     first copy to finish completes the task, and the losing copy is
-//     cancelled and charged to its slot up to the completion time. Because
-//     speculative copies launch only on otherwise-idle slots after the task
-//     queue has drained, the speculative makespan can never exceed the plain
-//     list-scheduled makespan of the same durations (the no-speculation
-//     model); the property test pins this.
+// A slot's identity never decides a time, so free slots are a count. A
+// stage without a speculative chain arms no trigger and sorts no median:
+// each event is one finish, and the loop is the plain list schedule.
 
-// policyOrder returns task indices in placement order: submission order for
-// FIFO, longest-duration-first (stable) for LPT.
-func policyOrder(durations []float64, policy SchedulePolicy) []int {
-	order := make([]int, len(durations))
+// policyOrder returns task indices in placement order: nil for FIFO, whose
+// order is submission order, and longest-duration-first (stable) for LPT.
+func policyOrder(tasks []virtualTask, policy SchedulePolicy) []int {
+	if policy != ScheduleLPT {
+		return nil
+	}
+	order := make([]int, len(tasks))
 	for i := range order {
 		order[i] = i
 	}
-	if policy == ScheduleLPT {
-		sort.SliceStable(order, func(a, b int) bool {
-			return durations[order[a]] > durations[order[b]]
-		})
-	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return tasks[order[a]].primaryNS > tasks[order[b]].primaryNS
+	})
 	return order
 }
 
-// slotHeap is a binary min-heap of virtual executor slots keyed by
-// (availability time, slot index). The secondary index ordering makes the
-// root the lowest-indexed slot among ties, matching the linear-scan
-// reference scheduler's tie-breaking bit for bit.
-type slotHeap struct {
-	avail []float64 // heap-ordered availability times
-	slot  []int     // slot index carried alongside avail
-}
-
-func newSlotHeap(slots int) *slotHeap {
-	h := &slotHeap{avail: make([]float64, slots), slot: make([]int, slots)}
-	for i := range h.slot {
-		h.slot[i] = i // all-zero avail times are already a valid heap
-	}
-	return h
-}
-
-func (h *slotHeap) less(i, j int) bool {
-	if h.avail[i] != h.avail[j] {
-		return h.avail[i] < h.avail[j]
-	}
-	return h.slot[i] < h.slot[j]
-}
-
-func (h *slotHeap) swap(i, j int) {
-	h.avail[i], h.avail[j] = h.avail[j], h.avail[i]
-	h.slot[i], h.slot[j] = h.slot[j], h.slot[i]
-}
-
-// assign places a task of duration d on the earliest-available slot and
-// returns that slot's index and new availability time.
-func (h *slotHeap) assign(d float64) (int, float64) {
-	slot := h.slot[0]
-	h.avail[0] += d
-	after := h.avail[0]
-	// Sift the updated root down to restore the heap property.
-	i := 0
-	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < len(h.avail) && h.less(left, smallest) {
-			smallest = left
-		}
-		if right < len(h.avail) && h.less(right, smallest) {
-			smallest = right
-		}
-		if smallest == i {
-			return slot, after
-		}
-		h.swap(i, smallest)
-		i = smallest
-	}
-}
-
-// listSchedule assigns task virtual durations to executor slots, always
-// picking the earliest-available slot, and returns the makespan in
-// nanoseconds. Placement order follows the configured policy: submission
-// order (FIFO) or longest-first (LPT load balancing).
-func (c *Cluster) listSchedule(durations []float64) float64 {
-	makespan, _ := c.listScheduleSlots(durations)
-	return makespan
-}
-
-// listScheduleSlots is listSchedule returning also the slot each task was
-// placed on, indexed by the task's original (submission-order) position.
-func (c *Cluster) listScheduleSlots(durations []float64) (float64, []int) {
-	return c.listScheduleSlotsN(durations, c.SlotCount())
-}
-
-// listScheduleSlotsN is listScheduleSlots over an explicit slot count — the
-// stage scheduler passes the surviving executors' slots, so a stage that
-// lost hosts schedules onto the shrunken pool.
-func (c *Cluster) listScheduleSlotsN(durations []float64, slots int) (float64, []int) {
-	if slots < 1 {
-		slots = 1
-	}
-	h := newSlotHeap(slots)
-	assigned := make([]int, len(durations))
-	makespan := 0.0
-	for _, task := range policyOrder(durations, c.cfg.Scheduling) {
-		slot, after := h.assign(durations[task])
-		assigned[task] = slot
-		if after > makespan {
-			makespan = after
-		}
-	}
-	return makespan, assigned
-}
-
-// specTaskInput is one task's measured attempt-chain durations, fed to the
-// speculative virtual scheduler by RunStage.
-type specTaskInput struct {
+// virtualTask is one task as the virtual scheduler sees it: its measured
+// attempt chains, set by the caller, and the scheduler's charges for them.
+type virtualTask struct {
 	// primaryNS is the primary chain's total virtual duration (all its
 	// attempts, after any spill penalty).
 	primaryNS float64
@@ -148,27 +55,41 @@ type specTaskInput struct {
 	// attempt and could therefore have completed the task. Chains that
 	// were cancelled or exhausted mid-run only waste slot time.
 	specCanWin bool
+
+	taskCharge // set by virtualSchedule
 }
 
-// specPlacement is the speculative scheduler's verdict for one task.
-type specPlacement struct {
-	slot     int // slot the primary copy ran on
-	specSlot int // slot the speculative copy was charged to, -1 if none
-
+// taskCharge is the virtual scheduler's verdict on one task, and the
+// simulation's state for it while the loop runs.
+type taskCharge struct {
 	startNS      float64 // primary start
 	specLaunchNS float64 // speculative copy launch, 0 if none
-	completionNS float64 // first copy to finish (or primary finish)
 
-	// primaryChargedNS / specChargedNS are the virtual time actually
-	// charged to each copy's slot: the full duration for the copy that
-	// completed the task, and the truncated time-until-cancellation for
-	// the losing copy.
+	// primaryChargedNS / specChargedNS are the virtual time charged to
+	// each copy's slot: the full duration for the copy that completed the
+	// task, and the truncated time-until-cancellation for the losing copy.
 	primaryChargedNS float64
 	specChargedNS    float64
 
-	// specVirtualWinner reports that the speculative copy completed the
-	// task in the virtual schedule (its finish preceded the primary's).
-	specVirtualWinner bool
+	// specStarted reports that the speculative copy got a slot in the
+	// virtual schedule; specWinner that it completed the task there.
+	specStarted bool
+	specWinner  bool
+
+	primaryRunning, specRunning, triggered bool
+}
+
+// wastedNS is the virtual time charged to the losing copy of a task whose
+// speculative copy ran in the virtual schedule, 0 for any other task.
+func (p *taskCharge) wastedNS() float64 {
+	switch {
+	case !p.specStarted:
+		return 0
+	case p.specWinner:
+		return p.primaryChargedNS
+	default:
+		return p.specChargedNS
+	}
 }
 
 // simEvent kinds, ordered by processing priority at equal times.
@@ -177,234 +98,274 @@ const (
 	evSpecTrigger        // a task crossed the straggler threshold
 )
 
+// simEvent is one pending event. Its key packs (kind, task, copy) so that
+// eventBefore compares two words: finishes before triggers, then lower task
+// index, primary before speculative copy.
 type simEvent struct {
 	atNS float64
-	kind int
-	task int
-	spec bool // for evFinish: which copy finished
+	key  uint64
 }
+
+func newEvent(atNS float64, kind, task int, spec bool) simEvent {
+	key := uint64(kind)<<62 | uint64(task)<<1
+	if spec {
+		key |= 1
+	}
+	return simEvent{atNS: atNS, key: key}
+}
+
+func (e simEvent) kind() int  { return int(e.key >> 62) }
+func (e simEvent) task() int  { return int(e.key << 2 >> 3) }
+func (e simEvent) spec() bool { return e.key&1 == 1 }
 
 // eventBefore fixes a deterministic total order on simultaneous events:
 // finishes before triggers, then lower task index, primary before spec.
 func eventBefore(a, b simEvent) bool {
-	if a.atNS != b.atNS {
-		return a.atNS < b.atNS
-	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	if a.task != b.task {
-		return a.task < b.task
-	}
-	return !a.spec && b.spec
+	return a.atNS < b.atNS || a.atNS == b.atNS && a.key < b.key
 }
 
-// speculativeSchedule runs the discrete-event speculative scheduler over the
-// measured chain durations and returns the stage makespan plus per-task
-// placements. It is only invoked for stages whose real execution launched at
-// least one speculative copy; stages without speculation keep the plain
-// (bit-identical to pre-speculation) list schedule.
-func (c *Cluster) speculativeSchedule(tasks []specTaskInput) (float64, []specPlacement) {
-	return c.speculativeScheduleN(tasks, c.SlotCount())
+// eventQueue is a binary min-heap of pending events under eventBefore. No
+// two pending events compare equal, so it pops them in the one order
+// eventBefore fixes. pop leaves the root as a hole that the next push fills
+// with one sift-down, so a finish that starts the next task (the common
+// step) costs one sift instead of two.
+type eventQueue struct {
+	h    []simEvent
+	hole bool // h[0] was popped and awaits a replacement
 }
 
-// speculativeScheduleN is speculativeSchedule over an explicit slot count
-// (the surviving executors' slots after any kills).
-func (c *Cluster) speculativeScheduleN(tasks []specTaskInput, slots int) (float64, []specPlacement) {
-	n := len(tasks)
-	if slots < 1 {
-		slots = 1
+func (q *eventQueue) len() int {
+	if q.hole {
+		return len(q.h) - 1
 	}
-	quantileCount := int(math.Ceil(c.cfg.SpeculationQuantile * float64(n)))
-	if quantileCount < 1 {
-		quantileCount = 1
+	return len(q.h)
+}
+
+func (q *eventQueue) push(e simEvent) {
+	if q.hole {
+		q.hole = false
+		q.down(e)
+	} else {
+		q.up(e)
 	}
+}
 
-	primary := make([]float64, n)
-	for i, t := range tasks {
-		primary[i] = t.primaryNS
+func (q *eventQueue) pop() simEvent {
+	if q.hole {
+		q.dropRoot()
 	}
-	queue := policyOrder(primary, c.cfg.Scheduling)
-	queueIdx := 0
+	q.hole = true
+	return q.h[0]
+}
 
-	place := make([]specPlacement, n)
-	for i := range place {
-		place[i].specSlot = -1
-	}
-
-	slotIdle := make([]bool, slots)
-	for i := range slotIdle {
-		slotIdle[i] = true
-	}
-	idleSlot := func() int {
-		for s, idle := range slotIdle {
-			if idle {
-				return s
-			}
-		}
-		return -1
-	}
-
-	primaryRunning := make([]bool, n)
-	specRunning := make([]bool, n)
-	taskDone := make([]bool, n)
-	specLaunched := make([]bool, n)
-	triggered := make([]bool, n)
-	done := 0
-
-	var events []simEvent
-	push := func(e simEvent) { events = append(events, e) }
-	pop := func() (simEvent, bool) {
-		best := -1
-		for i, e := range events {
-			if best < 0 || eventBefore(e, events[best]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return simEvent{}, false
-		}
-		e := events[best]
-		events = append(events[:best], events[best+1:]...)
-		return e, true
-	}
-
-	var completedDur []float64
-	medianKnown := false
-	var threshold float64 // straggler threshold: multiplier x median
-
-	startPrimary := func(task, slot int, t float64) {
-		slotIdle[slot] = false
-		primaryRunning[task] = true
-		place[task].slot = slot
-		place[task].startNS = t
-		push(simEvent{atNS: t + tasks[task].primaryNS, kind: evFinish, task: task})
-		if medianKnown && tasks[task].hasSpec && !triggered[task] {
-			triggered[task] = true
-			push(simEvent{atNS: math.Max(t, place[task].startNS+threshold), kind: evSpecTrigger, task: task})
-		}
-	}
-	startSpec := func(task, slot int, t float64) {
-		slotIdle[slot] = false
-		specRunning[task] = true
-		specLaunched[task] = true
-		place[task].specSlot = slot
-		place[task].specLaunchNS = t
-		push(simEvent{atNS: t + tasks[task].specNS, kind: evFinish, task: task, spec: true})
-	}
-
-	// waitingSpecs holds triggered tasks that found no idle slot yet, in
-	// trigger order.
-	var waitingSpecs []int
-
-	// fill launches queued primaries onto idle slots, then (only once the
-	// queue is drained, so speculation can never delay a primary) waiting
-	// speculative copies.
-	fill := func(t float64) {
-		for queueIdx < n {
-			s := idleSlot()
-			if s < 0 {
-				return
-			}
-			startPrimary(queue[queueIdx], s, t)
-			queueIdx++
-		}
-		for len(waitingSpecs) > 0 {
-			task := waitingSpecs[0]
-			if taskDone[task] || specLaunched[task] {
-				waitingSpecs = waitingSpecs[1:]
-				continue
-			}
-			s := idleSlot()
-			if s < 0 {
-				return
-			}
-			waitingSpecs = waitingSpecs[1:]
-			startSpec(task, s, t)
-		}
-	}
-
-	completeTask := func(task int, t float64, bySpec bool) {
-		taskDone[task] = true
-		place[task].completionNS = t
-		place[task].specVirtualWinner = bySpec
-		if bySpec {
-			place[task].specChargedNS = tasks[task].specNS
-			// Cancel the primary copy: charged up to the completion.
-			place[task].primaryChargedNS = t - place[task].startNS
-			primaryRunning[task] = false
-			slotIdle[place[task].slot] = true
-		} else {
-			place[task].primaryChargedNS = tasks[task].primaryNS
-			if specRunning[task] {
-				// Cancel the speculative copy at the completion.
-				place[task].specChargedNS = t - place[task].specLaunchNS
-				specRunning[task] = false
-				slotIdle[place[task].specSlot] = true
-			}
-		}
-		done++
-		completedDur = append(completedDur, t-place[task].startNS)
-		if !medianKnown && done >= quantileCount {
-			medianKnown = true
-			sorted := append([]float64(nil), completedDur...)
-			sort.Float64s(sorted)
-			threshold = c.cfg.SpeculationMultiplier * sorted[len(sorted)/2]
-			// Arm triggers for every already-running speculatable task.
-			for i := 0; i < n; i++ {
-				if primaryRunning[i] && tasks[i].hasSpec && !triggered[i] {
-					triggered[i] = true
-					push(simEvent{atNS: math.Max(t, place[i].startNS+threshold), kind: evSpecTrigger, task: i})
-				}
-			}
-		}
-	}
-
-	fill(0)
-	makespan := 0.0
-	for {
-		e, ok := pop()
-		if !ok {
+// up appends e and sifts it up to restore the heap property.
+func (q *eventQueue) up(e simEvent) {
+	q.h = append(q.h, e)
+	h := q.h
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !eventBefore(e, h[parent]) {
 			break
 		}
-		switch e.kind {
-		case evFinish:
-			if e.spec {
-				if !specRunning[e.task] {
-					break // cancelled earlier
-				}
-				specRunning[e.task] = false
-				slotIdle[place[e.task].specSlot] = true
-				if tasks[e.task].specCanWin && !taskDone[e.task] {
-					completeTask(e.task, e.atNS, true)
-				} else if !taskDone[e.task] {
-					// A doomed speculative chain only wasted its slot.
-					place[e.task].specChargedNS = tasks[e.task].specNS
-				}
-			} else {
-				if !primaryRunning[e.task] {
-					break // cancelled earlier
-				}
-				primaryRunning[e.task] = false
-				slotIdle[place[e.task].slot] = true
-				if !taskDone[e.task] {
-					completeTask(e.task, e.atNS, false)
-				}
-			}
-			if e.atNS > makespan {
-				makespan = e.atNS
-			}
-			fill(e.atNS)
-		case evSpecTrigger:
-			if taskDone[e.task] || specLaunched[e.task] || !primaryRunning[e.task] {
-				break
-			}
-			if s := idleSlot(); s >= 0 && queueIdx >= n {
-				startSpec(e.task, s, e.atNS)
-			} else {
-				waitingSpecs = append(waitingSpecs, e.task)
-			}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+}
+
+// dropRoot removes the popped root, moving the last event into its place.
+func (q *eventQueue) dropRoot() {
+	last := len(q.h) - 1
+	e := q.h[last]
+	q.h = q.h[:last]
+	q.down(e)
+}
+
+// down places e at the root and sifts it down to restore the heap property.
+func (q *eventQueue) down(e simEvent) {
+	h := q.h
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if right := child + 1; right < len(h) && eventBefore(h[right], h[child]) {
+			child = right
+		}
+		if !eventBefore(h[child], e) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = e
+}
+
+// virtualRun is one virtualSchedule call's simulation state, beyond the
+// free-slot count and queue position its loop keeps in locals.
+type virtualRun struct {
+	tasks  []virtualTask
+	events eventQueue
+	// waiting holds triggered tasks whose copy has not launched yet, in
+	// trigger order.
+	waiting []int
+
+	// The straggler threshold (multiplier x median effective duration)
+	// is fixed once quantileCount tasks have finished; only stages with a
+	// speculative chain (specTasks > 0) track it.
+	specTasks     int
+	quantileCount int
+	multiplier    float64
+	completed     []float64 // effective durations, in completion order
+	medianKnown   bool
+	threshold     float64
+}
+
+// virtualSchedule places the tasks' chains onto slots virtual slots, sets
+// each task's charges and returns the stage makespan.
+func (c *Cluster) virtualSchedule(tasks []virtualTask, slots int) float64 {
+	n := len(tasks)
+	r := virtualRun{
+		tasks:      tasks,
+		events:     eventQueue{h: make([]simEvent, 0, min(n, max(slots, 1)))},
+		multiplier: c.cfg.SpeculationMultiplier,
+	}
+	for i := range tasks {
+		tasks[i].taskCharge = taskCharge{}
+		if tasks[i].hasSpec {
+			r.specTasks++
 		}
 	}
-	return makespan, place
+	if r.specTasks > 0 {
+		r.quantileCount = max(1, int(math.Ceil(c.cfg.SpeculationQuantile*float64(n))))
+	}
+
+	queue := policyOrder(tasks, c.cfg.Scheduling) // nil: submission order
+	free, next := max(slots, 1), 0
+	makespan, now := 0.0, 0.0
+	for {
+		// Fill idle slots: queued primaries first, then, once the queue
+		// has drained (so speculation never delays a primary), triggered
+		// tasks' speculative copies in trigger order.
+		for ; free > 0 && next < n; next++ {
+			task := next
+			if queue != nil {
+				task = queue[next]
+			}
+			free--
+			p := &tasks[task]
+			p.primaryRunning = true
+			p.startNS = now
+			r.events.push(newEvent(now+p.primaryNS, evFinish, task, false))
+			if r.medianKnown && p.hasSpec && !p.triggered {
+				r.arm(task, now)
+			}
+		}
+		if next == n && len(r.waiting) > 0 {
+			free -= r.startCopies(free, now)
+		}
+
+		if r.events.len() == 0 {
+			return makespan
+		}
+		e := r.events.pop()
+		now = e.atNS
+		task := e.task()
+		p := &tasks[task]
+		// A running copy's task is not complete: completing a task stops
+		// both copies, and the loser is charged up to the completion.
+		switch {
+		case e.kind() == evSpecTrigger:
+			if p.primaryRunning && !p.specStarted {
+				r.waiting = append(r.waiting, task)
+			}
+			continue
+		case e.spec():
+			if !p.specRunning {
+				continue // cancelled earlier
+			}
+			p.specRunning = false
+			free++
+			if !p.specCanWin {
+				// A doomed speculative chain only wasted its slot.
+				p.specChargedNS = p.specNS
+				break
+			}
+			p.specWinner = true
+			p.specChargedNS = p.specNS
+			p.primaryChargedNS = now - p.startNS
+			p.primaryRunning = false
+			free++
+			r.record(now, now-p.startNS)
+		default:
+			if !p.primaryRunning {
+				continue // cancelled earlier
+			}
+			p.primaryRunning = false
+			free++
+			p.primaryChargedNS = p.primaryNS
+			if p.specRunning {
+				p.specChargedNS = now - p.specLaunchNS
+				p.specRunning = false
+				free++
+			}
+			if r.specTasks > 0 {
+				r.record(now, now-p.startNS)
+			}
+		}
+		makespan = now
+	}
+}
+
+// startCopies starts waiting tasks' speculative copies at t on up to free
+// slots and returns how many it started.
+func (r *virtualRun) startCopies(free int, t float64) int {
+	started := 0
+	for len(r.waiting) > 0 {
+		task := r.waiting[0]
+		p := &r.tasks[task]
+		// A task whose primary stopped is complete.
+		if !p.primaryRunning || p.specStarted {
+			r.waiting = r.waiting[1:]
+			continue
+		}
+		if started == free {
+			break
+		}
+		r.waiting = r.waiting[1:]
+		started++
+		p.specRunning = true
+		p.specStarted = true
+		p.specLaunchNS = t
+		r.events.push(newEvent(t+p.specNS, evFinish, task, true))
+	}
+	return started
+}
+
+// arm schedules task's straggler trigger, no earlier than now.
+func (r *virtualRun) arm(task int, now float64) {
+	p := &r.tasks[task]
+	p.triggered = true
+	r.events.push(newEvent(math.Max(now, p.startNS+r.threshold), evSpecTrigger, task, false))
+}
+
+// record notes a task finishing at t after running for d. Once
+// quantileCount tasks have finished it fixes the straggler threshold and arms
+// the trigger of every running task that ran a speculative chain.
+func (r *virtualRun) record(t, d float64) {
+	r.completed = append(r.completed, d)
+	if r.medianKnown || len(r.completed) < r.quantileCount {
+		return
+	}
+	r.medianKnown = true
+	sorted := append([]float64(nil), r.completed...)
+	sort.Float64s(sorted)
+	r.threshold = r.multiplier * sorted[len(sorted)/2]
+	for i := range r.tasks {
+		if p := &r.tasks[i]; p.primaryRunning && p.hasSpec && !p.triggered {
+			r.arm(i, t)
+		}
+	}
 }

@@ -65,7 +65,6 @@ type taskState struct {
 	specLaunched  bool
 	primaryDone   bool
 	specDone      bool
-	executor      int // live executor the primary chain was placed on
 	primaryCancel context.CancelFunc
 	specCancel    context.CancelFunc
 	primary       chainResult
@@ -113,9 +112,6 @@ func (c *Cluster) newStageRun(stageID int, name string, numTasks int, run func(t
 		recovery: recovery,
 		sem:      make(chan struct{}, c.cfg.RealWorkers),
 		states:   make([]taskState, numTasks),
-	}
-	for i := range sr.states {
-		sr.states[i].executor = -1
 	}
 	if collect {
 		sr.results = make([]any, numTasks)
@@ -307,7 +303,6 @@ func (sr *stageRun) runChain(task int, speculative bool, sc *WorkerScratch) {
 	} else {
 		st.start = time.Now()
 		st.primaryCancel = cancel
-		st.executor = exec
 	}
 	alreadyCommitted := st.committed
 	sr.mu.Unlock()

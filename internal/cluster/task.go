@@ -102,10 +102,6 @@ func (tc *TaskContext) Task() int { return tc.task }
 // chain (the primary and speculative chains number attempts independently).
 func (tc *TaskContext) Attempt() int { return tc.attempt }
 
-// Speculative reports whether this attempt belongs to a speculative
-// duplicate chain launched by the straggler monitor.
-func (tc *TaskContext) Speculative() bool { return tc.speculative }
-
 // Executor returns the live executor this attempt runs on. Side effects the
 // task hosts locally (shuffle map output, cached partitions) are lost if
 // that executor later fails.

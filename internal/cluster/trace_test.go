@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestTracerDisabledRecordsNothing(t *testing.T) {
@@ -273,7 +274,7 @@ func TestGenuineErrorsRetriedLikeInjectedOnes(t *testing.T) {
 }
 
 func TestStageStatsTaskBreakdown(t *testing.T) {
-	c := New(Config{Executors: 2, CoresPerExecutor: 1, NetworkMBps: 1, ShuffleLatencyMS: 5})
+	c := New(Config{Executors: 2, CoresPerExecutor: 1, NetworkMBps: 1, ShuffleLatencyMS: 5, Trace: true})
 	sh := c.Shuffles().Register()
 	if _, err := c.RunStage("map", 4, func(tc *TaskContext) error {
 		tc.WriteShuffle(sh, 0, []byte{1}, 1, 1e6)
@@ -291,35 +292,32 @@ func TestStageStatsTaskBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.TaskStats) != 4 {
-		t.Fatalf("TaskStats len = %d", len(stats.TaskStats))
-	}
-	for i, ts := range stats.TaskStats {
-		if ts.Task != i || ts.Attempts != 1 {
-			t.Errorf("TaskStats[%d] = %+v", i, ts)
-		}
-		if ts.Slot < 0 || ts.Slot >= c.SlotCount() {
-			t.Errorf("task %d scheduled on bad slot %d", i, ts.Slot)
-		}
+	if stats.Tasks != 4 || stats.Attempts != 4 {
+		t.Fatalf("stats = %+v, want 4 tasks in 4 attempts", stats)
 	}
 	// Only task 0 fetched: 4MB at 1MB/s = 4s of shuffle wait.
-	if stats.TaskStats[0].ShuffleWaitDuration == 0 {
-		t.Error("fetching task has zero shuffle wait")
-	}
-	if stats.TaskStats[1].ShuffleWaitDuration != 0 {
-		t.Error("non-fetching task charged shuffle wait")
-	}
-	if stats.ShuffleWaitDuration != stats.TaskStats[0].ShuffleWaitDuration {
-		t.Errorf("stage shuffle wait %v != task sum %v",
-			stats.ShuffleWaitDuration, stats.TaskStats[0].ShuffleWaitDuration)
+	if stats.ShuffleWaitDuration < 4*time.Second {
+		t.Errorf("stage shuffle wait %v, want >= 4s", stats.ShuffleWaitDuration)
 	}
 	if stats.SchedulerOverhead <= 0 && c.cfg.SchedulerOverheadMS > 0 {
 		t.Error("scheduler overhead missing")
 	}
-	// Virtual duration of the fetching task includes its shuffle wait.
-	if stats.TaskStats[0].VirtualDuration < stats.TaskStats[0].ShuffleWaitDuration {
-		t.Errorf("task virtual %v < shuffle wait %v",
-			stats.TaskStats[0].VirtualDuration, stats.TaskStats[0].ShuffleWaitDuration)
+	// The per-task view is the trace: the fetching task's virtual time
+	// includes the whole stage's shuffle wait, and no other task's does.
+	committed := 0
+	for _, e := range c.Tracer().Snapshot() {
+		if e.Kind != EventTaskSuccess || e.Stage != "reduce" {
+			continue
+		}
+		committed++
+		charged := time.Duration(e.VirtualNS) >= stats.ShuffleWaitDuration
+		if charged != (e.Task == 0) {
+			t.Errorf("task %d virtual %v against stage shuffle wait %v",
+				e.Task, time.Duration(e.VirtualNS), stats.ShuffleWaitDuration)
+		}
+	}
+	if committed != 4 {
+		t.Errorf("trace holds %d reduce commits, want 4", committed)
 	}
 }
 
@@ -341,22 +339,20 @@ func TestWriteStageSummary(t *testing.T) {
 
 func TestListScheduleSlotsLPTMapping(t *testing.T) {
 	c := New(Config{Executors: 2, CoresPerExecutor: 1, Scheduling: ScheduleLPT})
-	durations := []float64{10, 100, 10, 10}
-	makespan, slots := c.listScheduleSlots(durations)
-	if makespan != 100 {
+	tasks := []virtualTask{{primaryNS: 10}, {primaryNS: 100}, {primaryNS: 10}, {primaryNS: 10}}
+	if makespan := c.virtualSchedule(tasks, c.SlotCount()); makespan != 100 {
 		t.Errorf("makespan = %v, want 100 (LPT isolates the straggler)", makespan)
 	}
-	if len(slots) != 4 {
-		t.Fatalf("slots = %v", slots)
-	}
-	// The long task gets its own slot; the three short ones share the other.
-	long := slots[1]
-	for i, s := range slots {
-		if i == 1 {
-			continue
+	// The long task starts at once and runs alone on its slot; the three
+	// short ones run back to back on the other, in submission order.
+	for i, want := range []float64{0, 0, 10, 20} {
+		if got := tasks[i].startNS; got != want {
+			t.Errorf("task %d starts at %v, want %v", i, got, want)
 		}
-		if s == long {
-			t.Errorf("short task %d shares slot %d with the straggler", i, long)
+	}
+	for i, p := range tasks {
+		if p.primaryChargedNS != p.primaryNS {
+			t.Errorf("task %d charged %v, want its duration %v", i, p.primaryChargedNS, p.primaryNS)
 		}
 	}
 }

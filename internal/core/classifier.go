@@ -89,9 +89,7 @@ func Train(ctx *rdd.Context, pairs []TrainingPair, cfg Config) (*Classifier, err
 		}
 		c.centers = centers
 	} else {
-		res, err := kmeans.Run(vecs, cfg.B, kmeans.Options{
-			MaxIter: kmeansMaxIter, Seed: cfg.Seed,
-		})
+		res, err := kmeans.Run(vecs, cfg.B, kmeans.Options{Seed: cfg.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("core: partitioning training pairs: %w", err)
 		}
@@ -121,9 +119,7 @@ func Train(ctx *rdd.Context, pairs []TrainingPair, cfg Config) (*Classifier, err
 		for i, p := range positives {
 			posVecs[i] = p.Vec
 		}
-		res, err := kmeans.Run(posVecs, cfg.Pruning.Clusters, kmeans.Options{
-			MaxIter: kmeansMaxIter, Seed: cfg.Seed + 1,
-		})
+		res, err := kmeans.Run(posVecs, cfg.Pruning.Clusters, kmeans.Options{Seed: cfg.Seed + 1})
 		if err != nil {
 			return nil, fmt.Errorf("core: clustering positives for pruning: %w", err)
 		}
@@ -191,9 +187,7 @@ func (c *Classifier) group(members []ipair, label int) (knn.Groups, error) {
 	for i, m := range members {
 		vecs[i] = m.Vec
 	}
-	res, err := kmeans.Run(vecs, knn.GroupCount(len(members)), kmeans.Options{
-		MaxIter: kmeansMaxIter, Seed: c.cfg.Seed + 2,
-	})
+	res, err := kmeans.Run(vecs, knn.GroupCount(len(members)), kmeans.Options{Seed: c.cfg.Seed + 2})
 	if err != nil {
 		return knn.Groups{}, fmt.Errorf("core: grouping training pairs: %w", err)
 	}
@@ -213,39 +207,27 @@ func (c *Classifier) group(members []ipair, label int) (knn.Groups, error) {
 			}
 		}
 		m[0], m[nearest] = m[nearest], m[0]
-		block, err := flatBlock(m, c.dim, label)
-		if err != nil {
-			return knn.Groups{}, err
-		}
-		blocks = append(blocks, block)
+		blocks = append(blocks, flatBlock(m, c.dim, label))
 	}
 	return knn.NewGroups(blocks), nil
 }
 
 // flatBlock copies the members' vectors row-major into one arena — one
 // allocation per group and contiguous memory for the distance scans. The
-// label is stored once: a block holds one class.
-func flatBlock(members []ipair, dim, label int) (knn.Block, error) {
+// label is stored once: a block holds one class. Train has checked every
+// member's width and files it by its label, so the members fit the block.
+func flatBlock(members []ipair, dim, label int) knn.Block {
 	b := knn.Block{
 		Vecs:  make([]float64, 0, dim*len(members)),
 		IDs:   make([]int, len(members)),
 		Label: label,
 	}
 	for i, m := range members {
-		if len(m.Vec) != dim {
-			return knn.Block{}, fmt.Errorf("core: training pair %d has dim %d, want %d", m.Idx, len(m.Vec), dim)
-		}
-		if m.Label != label {
-			return knn.Block{}, fmt.Errorf("core: training pair %d has label %d in a block of label %d", m.Idx, m.Label, label)
-		}
 		b.IDs[i] = m.Idx
 		b.Vecs = append(b.Vecs, m.Vec...)
 	}
-	return b, nil
+	return b
 }
-
-// Centers returns the Voronoi cell centers of the training partition.
-func (c *Classifier) Centers() [][]float64 { return c.centers }
 
 // Result is one classified testing pair.
 type Result struct {

@@ -123,10 +123,6 @@ type PruningConfig struct {
 // that near matches still weigh far above distant ones.
 const DefaultEpsilon = 0.01
 
-// kmeansMaxIter bounds every k-means run of training: the Voronoi
-// partitioning, the pruning clusters and the grouping of each block.
-const kmeansMaxIter = 20
-
 // TrainingPair is one labelled report pair: its §4.2 distance vector and its
 // duplicate label (+1) or non-duplicate label (-1).
 type TrainingPair struct {

@@ -722,10 +722,7 @@ func BenchmarkClassifyPair(b *testing.B) {
 	poss := groupPairs(clf.positives, dim)
 	for _, cell := range cells[:2] {
 		negs := groupPairs(cell.block, dim)
-		flat, err := flatBlock(negs, dim, -1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		flat := flatBlock(negs, dim, -1)
 		queries := cell.queries
 		b.Run(fmt.Sprintf("neg=%d/grouped", len(negs)), func(b *testing.B) {
 			var negDist, posDist int64

@@ -51,7 +51,7 @@ func LearnPruningThreshold(train, validation []TrainingPair, l int, safety float
 	}
 	dim := len(posVecs[0])
 
-	res, err := kmeans.Run(posVecs, l, kmeans.Options{MaxIter: 20, Seed: 1})
+	res, err := kmeans.Run(posVecs, l, kmeans.Options{Seed: 1})
 	if err != nil {
 		return nil, fmt.Errorf("core: clustering positives: %w", err)
 	}

@@ -72,13 +72,6 @@ func (it *Interner) Resolve(id uint32) (string, bool) {
 	return it.toks[id], true
 }
 
-// Len returns the number of distinct tokens interned so far.
-func (it *Interner) Len() int {
-	it.mu.RLock()
-	defer it.mu.RUnlock()
-	return len(it.toks)
-}
-
 // SortedSet interns every token and returns the sorted, deduplicated ID
 // set — the representation strsim.JaccardSortedIDs consumes. A nil or empty
 // input returns nil. The result is freshly allocated and never aliases

@@ -17,23 +17,18 @@ import (
 	"adrdedup/internal/vecmath"
 )
 
-// Options configures a run. The zero value uses sensible defaults.
+// Options configures a run.
 type Options struct {
-	// MaxIter bounds Lloyd iterations (default 50).
-	MaxIter int
 	// Seed drives k-means++ seeding and empty-cluster repair.
 	Seed int64
 }
 
-// tol stops iteration when no center moves more than it.
-const tol = 1e-6
-
-func (o Options) withDefaults() Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 50
-	}
-	return o
-}
+// maxIter bounds Lloyd iterations; tol stops them earlier when no center
+// moves more than it.
+const (
+	maxIter = 20
+	tol     = 1e-6
+)
 
 // Result is a completed clustering.
 type Result struct {
@@ -70,7 +65,6 @@ func Run(data [][]float64, k int, opts Options) (*Result, error) {
 	if k > len(data) {
 		k = len(data)
 	}
-	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	// The assignment step's goroutines: one per core the run may use.
 	parallelism := runtime.GOMAXPROCS(0)
@@ -78,7 +72,7 @@ func Run(data [][]float64, k int, opts Options) (*Result, error) {
 	centers := seedPlusPlus(data, k, rng)
 	assign := make([]int, len(data))
 	res := &Result{}
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		res.Iterations = iter + 1
 		inertia := assignAll(data, centers, assign, parallelism)
 		res.Inertia = inertia

@@ -248,7 +248,7 @@ func TestLostBucketLaunchesAndRecomputes(t *testing.T) {
 	const loneTask = 2
 	data[loneTask*10+3] = KV(lone, -1)
 
-	cl := cluster.New(cluster.Config{Executors: 4, ExecutorRecoveryStages: 1000})
+	cl := cluster.New(cluster.Config{Executors: 4, ExecutorRecoveryStages: 1000, Trace: true})
 	defer cl.Close()
 	r := PartitionBy(Parallelize(NewContext(cl), data, 4), n)
 	want, err := partsOf(r, false)
@@ -259,9 +259,9 @@ func TestLostBucketLaunchesAndRecomputes(t *testing.T) {
 		t.Fatalf("clean partitions = %v, reference %v", want, got)
 	}
 	host := -1
-	for _, s := range cl.StageHistory() {
-		if strings.Contains(s.Name, ".shuffleMap") {
-			host = s.TaskStats[loneTask].Executor
+	for _, e := range cl.Tracer().Snapshot() {
+		if e.Kind == cluster.EventTaskSuccess && strings.Contains(e.Stage, ".shuffleMap") && e.Task == loneTask {
+			host = e.Executor
 		}
 	}
 	if !cl.FailExecutor(host) {

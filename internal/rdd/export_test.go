@@ -10,3 +10,6 @@ func SetFusionEnabled(on bool) bool {
 
 // NumPartitions returns the partition count, fixed when the RDD is built.
 func (r *RDD[T]) NumPartitions() int { return r.numPartitions }
+
+// ID returns the RDD's unique id within its context.
+func (r *RDD[T]) ID() int { return r.id }

@@ -132,9 +132,6 @@ func Parallelize[T any](ctx *Context, data []T, numPartitions int) *RDD[T] {
 	}, nil)
 }
 
-// ID returns the RDD's unique id within its context.
-func (r *RDD[T]) ID() int { return r.id }
-
 // SetName sets the debug name and returns the RDD for chaining. The name
 // also replaces the derived fused-chain label in stage names.
 func (r *RDD[T]) SetName(name string) *RDD[T] {

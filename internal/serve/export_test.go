@@ -23,3 +23,10 @@ func SortMatches(matches []adrdedup.Match) {
 		return matches[i].CaseB < matches[j].CaseB
 	})
 }
+
+// Count returns the number of recorded samples.
+func (h *Histogram) Count() uint64 { return h.count.Load() }
+
+// Detector exposes the wrapped detector. The caller must not call detection
+// methods on it while the server runs.
+func (s *Server) Detector() *adrdedup.Detector { return s.det }

@@ -69,9 +69,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Quantile returns an upper bound on the q-quantile (q in [0, 1]) of the
 // recorded samples: the bound of the bucket holding the ceil(q*n)-th sample,
 // capped at the maximum observation. Within one growth factor of exact.

@@ -311,10 +311,6 @@ func (s *Server) Close(ctx context.Context) error {
 	return err
 }
 
-// Detector exposes the wrapped detector, for stats and model export. The
-// caller must not call detection methods on it while the server runs.
-func (s *Server) Detector() *adrdedup.Detector { return s.det }
-
 // Stats is the live counter snapshot behind /v1/stats and /debug/vars.
 type Stats struct {
 	// State is new, running, draining, or stopped.

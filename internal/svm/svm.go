@@ -188,7 +188,7 @@ func TrainClustered(data [][]float64, labels []int, clusters int, opts Options) 
 	if len(data) == 0 {
 		return nil, errors.New("svm: no training data")
 	}
-	res, err := kmeans.Run(data, clusters, kmeans.Options{Seed: opts.Seed, MaxIter: 20})
+	res, err := kmeans.Run(data, clusters, kmeans.Options{Seed: opts.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("svm: clustering training data: %w", err)
 	}
