@@ -214,7 +214,7 @@ func BenchmarkFig8CrossIntraRatio(b *testing.B) {
 	})
 	b.Run("tight-memory-small-b", func(b *testing.B) {
 		cfg := experiments.DefaultCluster()
-		cfg.MemoryPerExecutorMB = 1
+		cfg.MemoryPerExecutorBytes = 1 << 20
 		cfg.PressureTimeouts = true
 		for i := 0; i < b.N; i++ {
 			env, err := experiments.NewEnv(experiments.EnvConfig{

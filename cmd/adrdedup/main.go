@@ -202,16 +202,16 @@ func runDetect(args []string) (retErr error) {
 	}
 	det, err := adrdedup.New(adrdedup.Options{
 		Cluster: cluster.Config{
-			Executors:           *executors,
-			Trace:               *tracePath != "",
-			Speculation:         *speculation,
-			StragglerRate:       *stragglerRate,
-			StragglerVirtualMS:  *stragglerMS,
-			ExecutorFailureRate: *failExecutors,
-			MaxStageRetries:     *maxStageRetries,
-			MemoryPerExecutorMB: *memoryMB,
-			SpillToDisk:         *memoryMB > 0,
-			RealWorkers:         *workers,
+			Executors:              *executors,
+			Trace:                  *tracePath != "",
+			Speculation:            *speculation,
+			StragglerRate:          *stragglerRate,
+			StragglerVirtualMS:     *stragglerMS,
+			ExecutorFailureRate:    *failExecutors,
+			MaxStageRetries:        *maxStageRetries,
+			MemoryPerExecutorBytes: int64(*memoryMB) << 20,
+			SpillToDisk:            *memoryMB > 0,
+			RealWorkers:            *workers,
 		},
 		Classifier:     core.Config{K: *k, B: *b, Theta: *theta},
 		Candidates:     strategy,

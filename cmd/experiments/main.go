@@ -235,7 +235,7 @@ func (r *runner) candidates() error {
 	}
 	res, err := experiments.Candidates(experiments.CandidatesParams{
 		Records: records, Seed: r.seed,
-	})
+	}, r.workers)
 	if err != nil {
 		return err
 	}
@@ -313,21 +313,22 @@ func (r *runner) spill() error {
 		params.Records = 1500
 		params.Partitions = 8
 	}
-	rows, err := experiments.Spill(params)
+	rows, err := experiments.Spill(params, r.workers)
 	if err != nil {
 		return err
 	}
 	fmt.Println("Memory-pressure spilling on the classification pipeline (unbounded vs per-executor budget)")
-	fmt.Printf("%-10s %12s %16s %8s %8s %8s %8s %14s\n",
-		"budget", "candidates", "exec time", "spills", "block", "shuffle", "join", "spilled bytes")
+	fmt.Printf("%-10s %12s %16s %8s %8s %8s %8s %14s %9s\n",
+		"budget", "candidates", "exec time", "spills", "block", "shuffle", "join", "spilled bytes", "pressure")
 	for _, row := range rows {
 		budget := "unbounded"
 		if row.Budgeted {
 			budget = fmt.Sprintf("%d B", row.MemoryPerExecutorBytes)
 		}
-		fmt.Printf("%-10s %12d %16v %8d %8d %8d %8d %14d\n",
+		fmt.Printf("%-10s %12d %16v %8d %8d %8d %8d %14d %9d\n",
 			budget, row.Candidates, row.ExecutionTime.Round(time.Millisecond),
-			row.SpillEvents, row.BlockSpills, row.ShuffleSpills, row.JoinSpills, row.SpilledBytes)
+			row.SpillEvents, row.BlockSpills, row.ShuffleSpills, row.JoinSpills, row.SpilledBytes,
+			row.PressureEvents)
 	}
 	fmt.Printf("spill overhead: %.2fx (results bit-identical)\n", experiments.SpillOverhead(rows))
 	return nil
@@ -424,7 +425,7 @@ func (r *runner) fig7(asFig8 bool) error {
 		TrainSize: r.n(400_000), TestSize: r.n(10_000), Seed: r.seed,
 	}
 	if asFig8 {
-		params.PressureMemoryMB = 1
+		params.PressureMemoryBytes = 1 << 20
 	}
 	points, err := experiments.Fig7(env, params)
 	if err != nil {

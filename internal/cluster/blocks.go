@@ -16,8 +16,8 @@ type BlockID struct {
 // Spark's block manager. Capacity is the sum of the executors' memory
 // budgets; when an insert would exceed it, least-recently used blocks are
 // displaced. What displacement means depends on the block: with
-// Config.SpillToDisk set and a SpillCodec attached (PutSpillable), the block
-// is spilled to executor-local disk — MEMORY_AND_DISK storage — and read back
+// Config.SpillToDisk set and a SpillCodec given to Put, the block is
+// spilled to executor-local disk — MEMORY_AND_DISK storage — and read back
 // transparently on the next Get, charging virtual disk time. Blocks without
 // a codec (or with spilling off) are evicted as before and recomputed from
 // lineage by the RDD layer on the next read.
@@ -62,22 +62,10 @@ func newBlockStore(capacity int64, c *Cluster) *BlockStore {
 }
 
 // Get returns the cached partition and whether it was present, updating
-// recency on a hit. Spilled blocks are read back transparently; the virtual
-// disk time that costs is charged to the cluster clock. Tasks should prefer
-// GetWithCost so the charge lands on their own attempt.
-func (b *BlockStore) Get(id BlockID) (any, bool) {
-	data, ns, ok := b.GetWithCost(id)
-	if ns > 0 {
-		b.cluster.mu.Lock()
-		b.cluster.virtualNS += ns
-		b.cluster.mu.Unlock()
-	}
-	return data, ok
-}
-
-// GetWithCost is Get returning the virtual disk time of any spill read-back
-// the hit required, so task-side callers can charge it to their attempt.
-func (b *BlockStore) GetWithCost(id BlockID) (any, float64, bool) {
+// recency on a hit. A spilled block is read back transparently; the virtual
+// disk time that read costs is returned for the caller to charge to its own
+// task attempt (0 for a resident hit or a miss).
+func (b *BlockStore) Get(id BlockID) (any, float64, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if el, ok := b.index[id]; ok {
@@ -140,18 +128,12 @@ func (b *BlockStore) traceBlock(kind EventKind, id BlockID, bytes int64) {
 }
 
 // Put caches a partition hosted on the given executor (ReliableStorage for
-// blocks that survive executor loss). Blocks larger than the whole store are
-// rejected (the partition stays recompute-only). Existing entries are
-// replaced, adopting the new host. Blocks stored through Put carry no codec
-// and are evicted (not spilled) under memory pressure.
-func (b *BlockStore) Put(id BlockID, data any, bytes int64, executor int) bool {
-	return b.PutSpillable(id, data, bytes, executor, nil)
-}
-
-// PutSpillable is Put with a SpillCodec attached: under memory pressure the
-// block is spilled to the executor's local disk instead of evicted, provided
-// Config.SpillToDisk is set.
-func (b *BlockStore) PutSpillable(id BlockID, data any, bytes int64, executor int, codec SpillCodec) bool {
+// blocks that survive executor loss). A non-nil codec makes the block
+// spillable: under memory pressure, with Config.SpillToDisk set, it moves to
+// the executor's local disk instead of being evicted. Blocks larger than the
+// whole store are rejected unless they can spill (the partition stays
+// recompute-only). Existing entries are replaced, adopting the new host.
+func (b *BlockStore) Put(id BlockID, data any, bytes int64, executor int, codec SpillCodec) bool {
 	if bytes > b.capacity && !(b.cluster.cfg.SpillToDisk && codec != nil) {
 		return false
 	}
@@ -218,9 +200,9 @@ func (b *BlockStore) InvalidateExecutor(e int) int {
 }
 
 // displaceLocked removes the least-recently-used block from the memory tier:
-// spillable blocks (PutSpillable + Config.SpillToDisk) move to the disk tier,
-// everything else is evicted and must be recomputed from lineage. Callers
-// hold b.mu.
+// spillable blocks (a codec given to Put, Config.SpillToDisk set) move to
+// the disk tier, everything else is evicted and must be recomputed from
+// lineage. Callers hold b.mu.
 func (b *BlockStore) displaceLocked() {
 	el := b.lru.Back()
 	if el == nil {

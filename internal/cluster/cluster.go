@@ -30,6 +30,14 @@
 // PressureTimeouts is set, a simulated timeout failure on their first attempt
 // (reproducing the paper's observation for cluster numbers below 25).
 //
+// # Memory
+//
+// One figure, Config.MemoryPerExecutorBytes, is an executor's memory. The
+// pressure check above compares a task's declared working set with it; the
+// block cache holds Executors times it; and with SpillToDisk set, shuffle
+// buffers past it and the RDD layer's over-budget join build sides go
+// through the spill tier (spill.go), charging virtual disk time.
+//
 // # Speculative execution
 //
 // With Config.Speculation set, each stage runs a straggler monitor: once
@@ -78,15 +86,13 @@ type Config struct {
 	Executors int
 	// CoresPerExecutor is the number of concurrent task slots per executor.
 	CoresPerExecutor int
-	// MemoryPerExecutorMB bounds both the block cache share and the task
-	// working-set pressure threshold of each executor.
-	MemoryPerExecutorMB int
-	// MemoryPerExecutorBytes, when positive, overrides MemoryPerExecutorMB
-	// at byte granularity for the block cache and shuffle budgets, which is
-	// how chaos and property tests force spills on workloads far smaller
-	// than a megabyte. The task working-set pressure check (spillPenalty,
-	// PressureTimeouts) reads MemoryPerExecutorMB only, so a byte budget
-	// never adds pressure.
+	// MemoryPerExecutorBytes is one executor's memory budget, the single
+	// figure every memory decision reads: the block cache holds
+	// Executors x MemoryPerExecutorBytes, an executor's resident shuffle
+	// buffers spill past it (SpillToDisk), Join chunks a build side larger
+	// than it through the spill tier, and a task whose declared working set
+	// exceeds it is under pressure (spillPenalty, PressureTimeouts).
+	// 0 selects the default 1 GiB.
 	MemoryPerExecutorBytes int64
 	// SpillToDisk enables the disk overflow tier: blocks that exceed an
 	// executor's memory budget (cached partitions in the block store,
@@ -96,9 +102,10 @@ type Config struct {
 	// default: without it the engine keeps its historical
 	// evict-and-recompute behaviour.
 	SpillToDisk bool
-	// NetworkMBps is the simulated per-executor network bandwidth used to
-	// charge virtual time for shuffle reads and broadcasts.
-	NetworkMBps float64
+	// networkMBps is the simulated per-executor network bandwidth used to
+	// charge virtual time for shuffle reads and broadcasts. 0 selects the
+	// default 1000.
+	networkMBps float64
 	// ShuffleLatencyMS is the fixed virtual latency charged per fetched
 	// shuffle block.
 	ShuffleLatencyMS float64
@@ -237,11 +244,11 @@ func (c Config) withDefaults() Config {
 	if c.CoresPerExecutor <= 0 {
 		c.CoresPerExecutor = 1
 	}
-	if c.MemoryPerExecutorMB <= 0 {
-		c.MemoryPerExecutorMB = 1024
+	if c.MemoryPerExecutorBytes <= 0 {
+		c.MemoryPerExecutorBytes = 1 << 30
 	}
-	if c.NetworkMBps <= 0 {
-		c.NetworkMBps = 1000
+	if c.networkMBps <= 0 {
+		c.networkMBps = 1000
 	}
 	if c.ShuffleLatencyMS < 0 {
 		c.ShuffleLatencyMS = 0
@@ -297,15 +304,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// executorMemoryBytes returns one executor's memory budget in bytes,
-// honouring the fine-grained byte override.
-func (c Config) executorMemoryBytes() int64 {
-	if c.MemoryPerExecutorBytes > 0 {
-		return c.MemoryPerExecutorBytes
-	}
-	return int64(c.MemoryPerExecutorMB) * mb
-}
-
 // Cluster is a simulated Spark cluster. All methods are safe for concurrent
 // use by tasks of a running job; jobs themselves are submitted sequentially.
 type Cluster struct {
@@ -338,7 +336,7 @@ func New(cfg Config) *Cluster {
 	c := &Cluster{cfg: cfg}
 	c.execs = make([]executorMeta, cfg.Executors)
 	c.spill = newSpillStore(c)
-	c.blocks = newBlockStore(int64(cfg.Executors)*cfg.executorMemoryBytes(), c)
+	c.blocks = newBlockStore(int64(cfg.Executors)*cfg.MemoryPerExecutorBytes, c)
 	c.shuffles = newShuffleService(c)
 	c.metrics = &Metrics{}
 	c.tracer = NewTracer(cfg.traceCapacity)
@@ -358,8 +356,6 @@ func (c *Cluster) Close() {
 	c.poolCancel()
 	c.spill.Close()
 }
-
-const mb = int64(1 << 20)
 
 // Config returns the (defaulted) configuration the cluster runs with.
 func (c *Cluster) Config() Config { return c.cfg }
@@ -699,7 +695,7 @@ func drawHash(prefix, suffix string, vals ...int64) uint64 {
 // executors that already hold the data re-serve it, so the critical path is
 // logarithmic in the executor count rather than linear.
 func (c *Cluster) Broadcast(bytes int64) {
-	perHop := float64(bytes)/(c.cfg.NetworkMBps*1e6)*1e9 + c.cfg.ShuffleLatencyMS*1e6
+	perHop := float64(bytes)/(c.cfg.networkMBps*1e6)*1e9 + c.cfg.ShuffleLatencyMS*1e6
 	depth := math.Ceil(math.Log2(float64(c.cfg.Executors) + 1))
 	c.mu.Lock()
 	c.virtualNS += perHop * depth

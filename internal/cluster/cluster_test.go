@@ -121,7 +121,7 @@ func TestShuffleCommitOnSuccessOnly(t *testing.T) {
 }
 
 func TestShuffleFetchChargesVirtualTime(t *testing.T) {
-	c := New(Config{NetworkMBps: 1, ShuffleLatencyMS: 10}) // slow network
+	c := New(Config{networkMBps: 1, ShuffleLatencyMS: 10}) // slow network
 	sh := c.Shuffles().Register()
 	_, err := c.RunStage("map", 1, func(tc *TaskContext) error {
 		tc.WriteShuffle(sh, 0, []byte{1}, 1, 10*1e6) // 10MB
@@ -182,7 +182,7 @@ func TestVirtualTimeScalesWithExecutors(t *testing.T) {
 }
 
 func TestMemoryPressurePenalty(t *testing.T) {
-	cfg := Config{MemoryPerExecutorMB: 1, spillPenalty: 5}
+	cfg := Config{MemoryPerExecutorBytes: mb, spillPenalty: 5}
 	c := New(cfg)
 	_, err := c.RunStage("pressured", 1, func(tc *TaskContext) error {
 		tc.SetWorkingSetBytes(10 * mb)
@@ -211,8 +211,41 @@ func TestMemoryPressurePenalty(t *testing.T) {
 	}
 }
 
+// TestByteBudgetCountsPressure: MemoryPerExecutorBytes is the pressure
+// threshold at any granularity. Under a 16 KiB budget a task declaring one
+// byte more than the budget commits one pressure event and is charged
+// spillPenalty times its duration; a task declaring exactly the budget is
+// charged nothing extra.
+func TestByteBudgetCountsPressure(t *testing.T) {
+	const budget = 16 << 10
+	run := func(workingSet int64) (*Cluster, time.Duration) {
+		c := New(Config{Executors: 1, MemoryPerExecutorBytes: budget})
+		if _, err := c.RunStage("budgeted", 1, func(tc *TaskContext) error {
+			tc.SetWorkingSetBytes(workingSet)
+			tc.AddVirtualNS(100e9)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return c, c.VirtualElapsed()
+	}
+	over, pressured := run(budget + 1)
+	fits, plain := run(budget)
+	if n := over.Metrics().PressureEvents.Load(); n != 1 {
+		t.Errorf("over-budget task committed %d pressure events, want 1", n)
+	}
+	if n := fits.Metrics().PressureEvents.Load(); n != 0 {
+		t.Errorf("in-budget task committed %d pressure events, want 0", n)
+	}
+	// Real compute adds microseconds to the 100 s virtual charge.
+	penalty := over.Config().spillPenalty
+	if ratio := float64(pressured) / float64(plain); math.Abs(ratio-penalty) > 0.01 {
+		t.Errorf("pressured/plain duration = %.4f, want spillPenalty %.1f", ratio, penalty)
+	}
+}
+
 func TestPressureTimeoutsCauseRetry(t *testing.T) {
-	c := New(Config{MemoryPerExecutorMB: 1, PressureTimeouts: true, MaxTaskRetries: 3})
+	c := New(Config{MemoryPerExecutorBytes: mb, PressureTimeouts: true, MaxTaskRetries: 3})
 	stats, err := c.RunStage("pressured", 2, func(tc *TaskContext) error {
 		tc.SetWorkingSetBytes(10 * mb)
 		return nil
@@ -229,7 +262,7 @@ func TestPressureTimeoutsCauseRetry(t *testing.T) {
 }
 
 func TestBroadcastAdvancesClock(t *testing.T) {
-	c := New(Config{Executors: 10, NetworkMBps: 1, ShuffleLatencyMS: 1})
+	c := New(Config{Executors: 10, networkMBps: 1, ShuffleLatencyMS: 1})
 	before := c.VirtualElapsed()
 	// Torrent-style tree broadcast: 1MB at 1MB/s per hop, ceil(log2(11))
 	// = 4 hops on the critical path = 4s (+latency).
@@ -240,7 +273,7 @@ func TestBroadcastAdvancesClock(t *testing.T) {
 	}
 	// The critical path grows logarithmically, not linearly, with the
 	// executor count.
-	big := New(Config{Executors: 160, NetworkMBps: 1, ShuffleLatencyMS: 1})
+	big := New(Config{Executors: 160, networkMBps: 1, ShuffleLatencyMS: 1})
 	big.Broadcast(1e6)
 	if d := big.VirtualElapsed(); d > 3*delta {
 		t.Errorf("16x executors took %v vs %v; broadcast should scale ~log(E)", d, delta)

@@ -5,6 +5,8 @@ import "time"
 // Test-only API: declared in a _test.go file so that only this package's
 // tests can reach it.
 
+const mb = int64(1 << 20)
+
 // Delay simulates a straggling attempt: it charges virtualNS of virtual time
 // immediately (so the would-be cost stays accounted even if the attempt is
 // later cancelled by a winning rival) and then blocks for up to d of real

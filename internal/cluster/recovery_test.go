@@ -573,21 +573,21 @@ func TestRecoveryProperty(t *testing.T) {
 }
 
 func TestBlockStoreInvalidateExecutor(t *testing.T) {
-	c := New(Config{Executors: 2, MemoryPerExecutorMB: 64})
+	c := New(Config{Executors: 2, MemoryPerExecutorBytes: 64 * mb})
 	bs := c.Blocks()
-	bs.Put(BlockID{RDD: 1, Partition: 0}, "a", 100, 0)
-	bs.Put(BlockID{RDD: 1, Partition: 1}, "b", 100, 1)
-	bs.Put(BlockID{RDD: 2, Partition: 0}, "c", 100, ReliableStorage)
+	bs.Put(BlockID{RDD: 1, Partition: 0}, "a", 100, 0, nil)
+	bs.Put(BlockID{RDD: 1, Partition: 1}, "b", 100, 1, nil)
+	bs.Put(BlockID{RDD: 2, Partition: 0}, "c", 100, ReliableStorage, nil)
 	if n := bs.InvalidateExecutor(0); n != 1 {
 		t.Fatalf("InvalidateExecutor dropped %d blocks, want 1", n)
 	}
-	if _, ok := bs.Get(BlockID{RDD: 1, Partition: 0}); ok {
+	if _, _, ok := bs.Get(BlockID{RDD: 1, Partition: 0}); ok {
 		t.Error("block hosted on dead executor still readable")
 	}
-	if _, ok := bs.Get(BlockID{RDD: 1, Partition: 1}); !ok {
+	if _, _, ok := bs.Get(BlockID{RDD: 1, Partition: 1}); !ok {
 		t.Error("surviving executor's block dropped")
 	}
-	if _, ok := bs.Get(BlockID{RDD: 2, Partition: 0}); !ok {
+	if _, _, ok := bs.Get(BlockID{RDD: 2, Partition: 0}); !ok {
 		t.Error("reliable-storage block dropped on executor loss")
 	}
 }

@@ -306,7 +306,7 @@ func (s *ShuffleService) write(shuffleID, reduceID, mapTask, seq, executor int, 
 	// granularity). Only shuffles with a registered codec can spill.
 	var spilledRef *SpillRef
 	if s.cluster.cfg.SpillToDisk && st.codec != nil &&
-		s.residentBytes[executor]+bytes > s.cluster.cfg.executorMemoryBytes() {
+		s.residentBytes[executor]+bytes > s.cluster.cfg.MemoryPerExecutorBytes {
 		if raw, err := st.codec.Encode(data); err == nil {
 			if ref, err := s.cluster.spill.Put(raw, executor); err == nil {
 				blk.data = nil

@@ -421,7 +421,7 @@ func (sr *stageRun) runAttempts(ctx context.Context, task int, speculative bool,
 		virtual := computeNS + tc.virtualNS + tc.shuffleWaitNS
 
 		pressured := false
-		if tc.workingSetBytes > int64(cfg.MemoryPerExecutorMB)*mb {
+		if tc.workingSetBytes > cfg.MemoryPerExecutorBytes {
 			virtual *= cfg.spillPenalty
 			pressured = true
 			c.metrics.PressureEvents.Add(1)

@@ -169,7 +169,7 @@ type SpillRef struct {
 // longer fit an executor's memory budget are framed (encodeSpillFrame),
 // compressed, and written to per-cluster temporary files. Reads verify the
 // frame and charge virtual disk time at spillMBps — the disk analogue of
-// Config.NetworkMBps. Files model executor-local disk: InvalidateExecutor on the
+// Config.networkMBps. Files model executor-local disk: InvalidateExecutor on the
 // owning service must free the dead host's spills.
 type SpillStore struct {
 	cluster *Cluster
@@ -263,17 +263,10 @@ func (s *SpillStore) Close() {
 	}
 }
 
-// Spill exposes the cluster's spill store to the RDD layer (external join
-// chunks spill through the same framed, compressed, virtually-charged tier the
-// block and shuffle services use).
+// Spill exposes the cluster's spill store to the RDD layer (an over-budget
+// join's build-side chunks go through the same framed, compressed,
+// virtually-charged tier the block and shuffle services use).
 func (c *Cluster) Spill() *SpillStore { return c.spill }
-
-// SpillingEnabled reports whether the disk overflow tier is on.
-func (c *Cluster) SpillingEnabled() bool { return c.cfg.SpillToDisk }
-
-// ExecutorMemoryBytes returns one executor's memory budget in bytes,
-// honouring the fine-grained MemoryPerExecutorBytes override.
-func (c *Cluster) ExecutorMemoryBytes() int64 { return c.cfg.executorMemoryBytes() }
 
 // spillMBps is the simulated executor-local disk bandwidth the spill tier
 // charges for writes and read-backs, a local-SSD-class figure.
@@ -300,7 +293,7 @@ func (c *Cluster) recordSpill(ref SpillRef, detail string) {
 
 // AccountSpillWrite records one spill write in the counters and the trace and
 // returns its virtual disk time for the caller to charge — task-side spillers
-// (the RDD layer's external join) add it to their own attempt; commit-path
+// (the RDD layer's over-budget join) add it to their own attempt; commit-path
 // spillers put it on the cluster clock. detail names the spilled subject.
 func (c *Cluster) AccountSpillWrite(ref SpillRef, detail string) float64 {
 	c.metrics.SpillEvents.Add(1)

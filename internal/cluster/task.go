@@ -238,7 +238,7 @@ func (tc *TaskContext) FetchShuffle(shuffleID, reduceID int) ([]any, error) {
 		return nil, err
 	}
 	cfg := tc.cluster.cfg
-	transferNS := float64(bytes)/(cfg.NetworkMBps*1e6)*1e9 +
+	transferNS := float64(bytes)/(cfg.networkMBps*1e6)*1e9 +
 		cfg.ShuffleLatencyMS*1e6*float64(len(blocks))
 	// Spilled blocks cost their disk read-back on top of the network
 	// transfer; both are I/O wait from the reduce attempt's perspective.

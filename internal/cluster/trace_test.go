@@ -274,7 +274,7 @@ func TestGenuineErrorsRetriedLikeInjectedOnes(t *testing.T) {
 }
 
 func TestStageStatsTaskBreakdown(t *testing.T) {
-	c := New(Config{Executors: 2, CoresPerExecutor: 1, NetworkMBps: 1, ShuffleLatencyMS: 5, Trace: true})
+	c := New(Config{Executors: 2, CoresPerExecutor: 1, networkMBps: 1, ShuffleLatencyMS: 5, Trace: true})
 	sh := c.Shuffles().Register()
 	if _, err := c.RunStage("map", 4, func(tc *TaskContext) error {
 		tc.WriteShuffle(sh, 0, []byte{1}, 1, 1e6)

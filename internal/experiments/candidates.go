@@ -118,7 +118,8 @@ func samplePairs(n, m int, seed int64) []pairdist.IDPair {
 // Candidates generates a Records-sized corpus, extracts signature sets, runs
 // the prefix-filtered generator whole, and prices the brute-force path by
 // vectorizing a random pair sample and extrapolating to the quadratic space.
-func Candidates(p CandidatesParams) (CandidatesResult, error) {
+// workers sizes the task pool (cluster.Config.RealWorkers; 0 = NumCPU).
+func Candidates(p CandidatesParams, workers int) (CandidatesResult, error) {
 	p = p.withDefaults()
 	var res CandidatesResult
 	res.Records = p.Records
@@ -147,6 +148,7 @@ func Candidates(p CandidatesParams) (CandidatesResult, error) {
 	})
 	cfg := DefaultCluster()
 	cfg.Seed = p.Seed
+	cfg.RealWorkers = workers
 	ctx := rdd.NewContext(cluster.New(cfg))
 	it := intern.New()
 	feats, err := pairdist.ExtractAllWith(ctx, it, corpus.Reports, candidatesPartitions)

@@ -14,7 +14,7 @@ import (
 func TestCandidatesExhibitShape(t *testing.T) {
 	res, err := Candidates(CandidatesParams{
 		Records: 3000, samplePairs: 20000, Seed: 5,
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestCandidatesExhibitShape(t *testing.T) {
 // so this fails whenever IDs depend on how extract tasks were scheduled.
 func TestCandidatesCountersReproducible(t *testing.T) {
 	run := func() [4]int64 {
-		res, err := Candidates(CandidatesParams{Records: 1500, samplePairs: 5000, Seed: 9})
+		res, err := Candidates(CandidatesParams{Records: 1500, samplePairs: 5000, Seed: 9}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func BenchmarkCandidateGen(b *testing.B) {
 	var res CandidatesResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = Candidates(CandidatesParams{Seed: 3})
+		res, err = Candidates(CandidatesParams{Seed: 3}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -180,11 +180,10 @@ func SmallCorpus(seed int64) adrgen.Config {
 // gigabit-class network, and a scheduler overhead per stage.
 func DefaultCluster() cluster.Config {
 	return cluster.Config{
-		Executors:           25,
-		CoresPerExecutor:    1,
-		MemoryPerExecutorMB: 64,
-		NetworkMBps:         1000,
-		ShuffleLatencyMS:    2,
-		SchedulerOverheadMS: 5,
+		Executors:              25,
+		CoresPerExecutor:       1,
+		MemoryPerExecutorBytes: 64 << 20,
+		ShuffleLatencyMS:       2,
+		SchedulerOverheadMS:    5,
 	}
 }

@@ -136,7 +136,7 @@ func TestFig7MemoryPressureAtSmallB(t *testing.T) {
 	env := testEnv(t)
 	points, err := Fig7(env, Fig7Params{
 		Bs: []int{4, 40}, TrainSize: 60_000, TestSize: 2_000, Seed: 6,
-		PressureMemoryMB: 1,
+		PressureMemoryBytes: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)

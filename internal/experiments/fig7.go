@@ -13,10 +13,10 @@ type Fig7Params struct {
 	// TrainSize and TestSize (paper: 4M and 10,000; default 400k / 10k).
 	TrainSize, TestSize int
 	Seed                int64
-	// PressureMemoryMB enables the Fig. 8(b) memory model: executor
+	// PressureMemoryBytes enables the Fig. 8(b) memory model: executor
 	// memory small enough that low cluster numbers overrun it (joined
 	// partitions spill, time out, and retry). 0 disables pressure.
-	PressureMemoryMB int
+	PressureMemoryBytes int64
 }
 
 func (p Fig7Params) withDefaults() Fig7Params {
@@ -56,9 +56,9 @@ func Fig7(env *Env, p Fig7Params) ([]Fig7Point, error) {
 	}
 	var out []Fig7Point
 	for _, b := range p.Bs {
-		if p.PressureMemoryMB > 0 {
+		if p.PressureMemoryBytes > 0 {
 			cfg := env.Ctx.Cluster().Config()
-			cfg.MemoryPerExecutorMB = p.PressureMemoryMB
+			cfg.MemoryPerExecutorBytes = p.PressureMemoryBytes
 			cfg.PressureTimeouts = true
 			env.ResetEngine(cfg)
 		}

@@ -25,10 +25,10 @@ import (
 // unbounded and once under a per-executor budget far below the working set.
 // The budgeted run must spill in every tier the classifier presses — the
 // block cache (the cached negative training blocks and stage-1 rows), the
-// join and merge shuffles, and the external join — and still produce
-// bit-identical results; the makespan delta prices what the virtual spill
-// disk (500 MB/s, Cluster.SpillIONS) costs relative to keeping everything
-// resident.
+// join and merge shuffles, and the over-budget joins' build sides — and
+// still produce bit-identical results; the makespan delta prices what the
+// virtual spill disk (500 MB/s, Cluster.SpillIONS) and the pressure penalty
+// cost relative to keeping everything resident.
 
 // SpillParams configures the exhibit.
 type SpillParams struct {
@@ -69,9 +69,12 @@ type SpillRow struct {
 	SpillEvents            int64
 	SpilledBytes           int64
 	// BlockSpills, ShuffleSpills and JoinSpills split SpillEvents by the
-	// tier that wrote them: cached partitions, shuffle blocks and the
-	// external join's build-side chunks.
+	// tier that wrote them: cached partitions, shuffle blocks and
+	// over-budget joins' build-side chunks.
 	BlockSpills, ShuffleSpills, JoinSpills int64
+	// PressureEvents counts task attempts whose declared working set
+	// exceeded the budget (each charged the engine's spill penalty).
+	PressureEvents int64
 }
 
 // SpillOverhead returns the budgeted/unbounded virtual makespan ratio — the
@@ -96,8 +99,9 @@ func SpillOverhead(rows []SpillRow) float64 {
 // the budget and reports both rows. The two runs must return bit-identical
 // results — every candidate's score and label — since spilling is a
 // placement decision, never a semantic one; Spill returns an error if they
-// diverge.
-func Spill(p SpillParams) ([]SpillRow, error) {
+// diverge. workers sizes both runs' task pool (cluster.Config.RealWorkers;
+// 0 = NumCPU).
+func Spill(p SpillParams, workers int) ([]SpillRow, error) {
 	p = p.withDefaults()
 
 	// Corpus scaled the same way as the candidate-wall exhibit: duplicates
@@ -132,10 +136,10 @@ func Spill(p SpillParams) ([]SpillRow, error) {
 		cfg := cluster.Config{
 			Executors:           spillExecutors,
 			CoresPerExecutor:    1,
-			NetworkMBps:         1000,
 			ShuffleLatencyMS:    2,
 			SchedulerOverheadMS: 5,
 			Seed:                p.Seed,
+			RealWorkers:         workers,
 			Trace:               true, // spill events tell the tiers apart
 		}
 		if budgeted {
@@ -191,6 +195,7 @@ func Spill(p SpillParams) ([]SpillRow, error) {
 		row.Candidates = int64(len(cands))
 		row.SpillEvents = m.SpillEvents
 		row.SpilledBytes = m.SpilledBytes
+		row.PressureEvents = m.PressureEvents
 		if err := countSpillTiers(&row, cl.Tracer().Snapshot()); err != nil {
 			return row, nil, err
 		}
@@ -224,8 +229,8 @@ func Spill(p SpillParams) ([]SpillRow, error) {
 
 // countSpillTiers splits the trace's spill events by tier, told apart by
 // each event's Detail: a cached partition ("rdd3/p7"), a shuffle block
-// ("shuffle 4 reduce 1 map 2/0") or an external-join chunk ("join p2 left
-// chunk 0"). Every spill must be in the trace and in a known tier.
+// ("shuffle 4 reduce 1 map 2/0") or a join's build-side chunk ("join p2
+// left chunk 0"). Every spill must be in the trace and in a known tier.
 func countSpillTiers(row *SpillRow, events []cluster.Event) error {
 	for _, e := range events {
 		if e.Kind != cluster.EventSpill {

@@ -40,7 +40,7 @@ func TestCacheServesFromBlockStore(t *testing.T) {
 // checks that evicted partitions recompute transparently with identical
 // results — Spark's core fault-tolerance property.
 func TestEvictionRecomputesFromLineage(t *testing.T) {
-	cl := cluster.New(cluster.Config{Executors: 1, MemoryPerExecutorMB: 1})
+	cl := cluster.New(cluster.Config{Executors: 1, MemoryPerExecutorBytes: 1 << 20})
 	ctx := NewContext(cl)
 	data := ints(10000)
 	// ~64 bytes/record estimate x 10k = 640KB per cached copy; three

@@ -2,6 +2,7 @@ package rdd
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,17 +10,20 @@ import (
 	"adrdedup/internal/cluster"
 )
 
-// TestExternalJoinMatchesInMemoryOrder is the quick.Check property the
-// external join's correctness rests on: for random key sets on both sides
-// and random per-record byte sizes (which vary the chunk length against the
-// fixed 256-byte budget, all the way down to one-record chunks), the
-// spilled-chunk join must be element-identical to the in-memory join's
-// emission order — each right record in turn, its matching left records in
-// input order. Values pin every record to its input position, so a reordered
-// match shows.
-func TestExternalJoinMatchesInMemoryOrder(t *testing.T) {
-	cl := cluster.New(cluster.Config{Executors: 1, SpillToDisk: true, MemoryPerExecutorBytes: 256})
+// TestSpilledJoinMatchesReferenceOrder is the quick.Check property the
+// budgeted Join rests on: for random key sets on both sides and random
+// per-record byte sizes on the build side (which vary the chunk length
+// against the fixed 256-byte budget, all the way down to one-record chunks),
+// Join with SpillToDisk on must return exactly a nested-loop reference join in
+// its emission order — each right record in turn, its matching left records
+// in input order — and the trace must hold one join spill per budget-sized
+// chunk of the build side. Values pin every record to its input position, so
+// a reordered match shows.
+func TestSpilledJoinMatchesReferenceOrder(t *testing.T) {
+	const budget = 256
+	cl := cluster.New(cluster.Config{Executors: 1, SpillToDisk: true, MemoryPerExecutorBytes: budget, Trace: true})
 	defer cl.Close()
+	ctx := NewContext(cl)
 
 	prop := func(leftKeys, rightKeys []int8, bprSeed uint16) bool {
 		// Few distinct keys -> many matches per key.
@@ -42,21 +46,26 @@ func TestExternalJoinMatchesInMemoryOrder(t *testing.T) {
 				}
 			}
 		}
+		// An empty side proves the join partition empty, so no task runs.
+		wantChunks := 0
+		if n := int64(len(left)); len(right) > 0 && n*bytesPerRecord > budget {
+			perChunk := max(budget/bytesPerRecord, 1)
+			wantChunks = int((n + perChunk - 1) / perChunk)
+		}
 
-		var got []Pair[int64, Tuple2[int64, int64]]
-		_, err := cl.RunStage("extjoin.prop", 1, func(tc *cluster.TaskContext) error {
-			got = externalJoin(tc, cl, "prop", left, right, bytesPerRecord)
-			return nil
-		})
-		if err != nil || len(got) != len(want) {
+		cl.Tracer().Reset()
+		got, err := Join(Parallelize(ctx, left, 1).WithBytesPerRecord(bytesPerRecord),
+			Parallelize(ctx, right, 1), 1).Collect()
+		if err != nil || !slices.Equal(got, want) {
 			return false
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
+		chunks := 0
+		for _, e := range cl.Tracer().Snapshot() {
+			if e.Kind == cluster.EventSpill && strings.HasPrefix(e.Detail, "join p") {
+				chunks++
 			}
 		}
-		return true
+		return chunks == wantChunks
 	}
 	if err := quick.Check(prop, &quick.Config{
 		MaxCount: 300,
@@ -67,8 +76,8 @@ func TestExternalJoinMatchesInMemoryOrder(t *testing.T) {
 }
 
 // spillEnv builds two contexts over the same logical data: one unbounded, one
-// with a pathological per-executor budget that forces shuffle and
-// external-join spilling. Outputs must be bit-identical between them.
+// with a pathological per-executor budget that forces shuffle and join
+// spilling. Outputs must be bit-identical between them.
 func spillEnv(t *testing.T) (unbounded, tight *Context) {
 	t.Helper()
 	cu := cluster.New(cluster.Config{Executors: 4, CoresPerExecutor: 1, Seed: 11})
@@ -115,7 +124,7 @@ func TestSpillTraceEvents(t *testing.T) {
 		t.Error("no spill_load events in trace")
 	}
 	if joinChunks == 0 {
-		t.Error("no external-join chunk spilled; the join stayed in memory")
+		t.Error("no join chunk spilled; the build side never reached the spill tier")
 	}
 	m := cl.Metrics().Snapshot()
 	if int64(kinds[cluster.EventSpill]) != m.SpillEvents {
@@ -158,7 +167,7 @@ func TestJoinSpillMatchesUnbounded(t *testing.T) {
 		}
 	}
 	if m := ti.Cluster().Metrics().Snapshot(); m.SpillEvents == 0 {
-		t.Fatal("budgeted join recorded no spills; external path not exercised")
+		t.Fatal("budgeted join recorded no spills; over-budget path not exercised")
 	}
 	if m := un.Cluster().Metrics().Snapshot(); m.SpillEvents != 0 {
 		t.Fatalf("unbounded run recorded %d spills", m.SpillEvents)
@@ -167,7 +176,7 @@ func TestJoinSpillMatchesUnbounded(t *testing.T) {
 
 // TestSpilledJoinRecoversFromExecutorLoss: killing the hosts of a budgeted
 // join's map outputs makes the next collect recompute them from lineage and
-// re-run the external join, with output identical to the first run and the
+// re-run the budgeted join, with output identical to the first run and the
 // join's build side spilled both times.
 func TestSpilledJoinRecoversFromExecutorLoss(t *testing.T) {
 	cl := cluster.New(cluster.Config{
@@ -191,7 +200,7 @@ func TestSpilledJoinRecoversFromExecutorLoss(t *testing.T) {
 	}
 	first := joinChunks()
 	if first == 0 {
-		t.Fatal("no external-join chunk spilled; the join stayed in memory")
+		t.Fatal("no join chunk spilled; the build side never reached the spill tier")
 	}
 	killAllButOne(t, cl)
 	got, err := joined.Collect()

@@ -240,6 +240,7 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], numPar
 	prepare := append(append([]func() error{}, sa.prepare...), sb.prepare...)
 	bytesPerRecord := sa.bytesPerRecord + sb.bytesPerRecord
 	cl := a.ctx.cl
+	cfg := cl.Config()
 	out := newRDD(a.ctx, fmt.Sprintf("join(%s,%s)", a.name, b.name), numPartitions,
 		func(tc *cluster.TaskContext, p int) ([]Pair[K, Tuple2[V, W]], error) {
 			left, err := sa.materialize(tc, p)
@@ -252,10 +253,11 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], numPar
 			}
 			tc.SetWorkingSetBytes(int64(len(left))*sa.bytesPerRecord +
 				int64(len(right))*sb.bytesPerRecord)
-			// Over-budget build side: probe in spilled chunks instead of one
-			// all-resident hash table (output-identical; see extjoin.go).
-			if cl.SpillingEnabled() && int64(len(left))*sa.bytesPerRecord > cl.ExecutorMemoryBytes() {
-				return externalJoin(tc, cl, fmt.Sprintf("join p%d", p), left, right, sa.bytesPerRecord), nil
+			// An over-budget build side reaches the hash table through the
+			// spill tier, one budget-sized chunk at a time.
+			if cfg.SpillToDisk && int64(len(left))*sa.bytesPerRecord > cfg.MemoryPerExecutorBytes {
+				left = spillChunks(tc, cl, fmt.Sprintf("join p%d", p), left,
+					sa.bytesPerRecord, cfg.MemoryPerExecutorBytes)
 			}
 			// Count per-key cardinalities first so every value slice and
 			// the output are allocated exactly once at final size, instead
@@ -292,4 +294,55 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], numPar
 	// An inner join of an empty side is empty.
 	out.empty = func(p int) bool { return sa.knownEmpty(p) || sb.knownEmpty(p) }
 	return out
+}
+
+// spillChunks sends a join's over-budget build side through the spill tier in
+// budget-sized chunks (at least one record each), charging the attempt the virtual disk time
+// of writing and reading back each one, and returns the read-back records in
+// input order. The build and probe that follow are the in-memory ones, so the
+// budget changes the join's cost, never its output. The process still holds
+// every record in real RAM: the budget is a virtual resource, like the
+// network bandwidth.
+func spillChunks[K comparable, V any](tc *cluster.TaskContext, cl *cluster.Cluster, detail string,
+	left []Pair[K, V], bytesPerRecord, budget int64) []Pair[K, V] {
+	chunk := max(int(budget/bytesPerRecord), 1)
+	codec := cluster.GobCodec[[]Pair[K, V]]()
+	out := make([]Pair[K, V], 0, len(left))
+	for lo := 0; lo < len(left); lo += chunk {
+		part := left[lo:min(lo+chunk, len(left))]
+		if back, ok := spillRoundTrip(tc, cl, codec, part,
+			fmt.Sprintf("%s left chunk %d", detail, lo/chunk)); ok {
+			part = back.([]Pair[K, V])
+		}
+		out = append(out, part...)
+	}
+	return out
+}
+
+// spillRoundTrip pushes one encoded payload through the spill store and reads
+// it back, charging the attempt for both directions. It returns the decoded
+// value, or (nil, false) when any step fails — callers then keep their
+// resident copy, since spilling must never cost correctness.
+func spillRoundTrip(tc *cluster.TaskContext, cl *cluster.Cluster, codec cluster.SpillCodec,
+	v any, detail string) (any, bool) {
+	raw, err := codec.Encode(v)
+	if err != nil {
+		return nil, false
+	}
+	ref, err := cl.Spill().Put(raw, tc.Executor())
+	if err != nil {
+		return nil, false
+	}
+	defer cl.Spill().Free(ref)
+	tc.AddVirtualNS(cl.AccountSpillWrite(ref, detail))
+	back, err := cl.Spill().Get(ref)
+	if err != nil {
+		return nil, false
+	}
+	decoded, err := codec.Decode(back)
+	if err != nil {
+		return nil, false
+	}
+	tc.AddVirtualNS(cl.AccountSpillRead(ref, detail))
+	return decoded, true
 }

@@ -220,7 +220,7 @@ func (r *RDD[T]) materialize(tc *cluster.TaskContext, partition int) ([]T, error
 	}
 
 	id := cluster.BlockID{RDD: r.id, Partition: partition}
-	if v, ns, ok := r.ctx.cl.Blocks().GetWithCost(id); ok {
+	if v, ns, ok := r.ctx.cl.Blocks().Get(id); ok {
 		// A hit served from the disk tier (the partition had been spilled
 		// under memory pressure) costs virtual disk time; charge it to this
 		// attempt like a shuffle wait.
@@ -250,7 +250,7 @@ func (r *RDD[T]) materialize(tc *cluster.TaskContext, partition int) ([]T, error
 	// The gob codec makes the block spillable: under Config.SpillToDisk,
 	// memory pressure moves it to the executor's disk tier instead of
 	// dropping it to a lineage recompute.
-	if r.ctx.cl.Blocks().PutSpillable(id, data, int64(len(data))*r.bytesPerRecord,
+	if r.ctx.cl.Blocks().Put(id, data, int64(len(data))*r.bytesPerRecord,
 		tc.Executor(), cluster.GobCodec[[]T]()) {
 		r.mu.Lock()
 		r.everCached[partition] = true
