@@ -5,14 +5,26 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"adrdedup/internal/adr"
 	"adrdedup/internal/adrgen"
+	"adrdedup/internal/cluster"
 )
 
 func TestGenSummaryDetectRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+	if err := runDetect(append(roundTripCorpus(t, t.TempDir()), "-k", "7", "-b", "8", "-top", "5")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// roundTripCorpus generates a 600-report corpus into dir, checks gen and
+// summary on it, and returns the detect arguments that check its last 20
+// reports against the first 580, trained on the truth pairs inside the
+// database plus strided negatives.
+func roundTripCorpus(t *testing.T, dir string) []string {
+	t.Helper()
 	reportsPath := filepath.Join(dir, "reports.json")
 	truthPath := filepath.Join(dir, "truth.json")
 
@@ -85,12 +97,46 @@ func TestGenSummaryDetectRoundTrip(t *testing.T) {
 	if err := writeJSON(labelsPath, labels); err != nil {
 		t.Fatal(err)
 	}
+	return []string{"-db", dbPath, "-batch", batchPath, "-labels", labelsPath}
+}
 
-	if err := runDetect([]string{
-		"-db", dbPath, "-batch", batchPath, "-labels", labelsPath,
-		"-k", "7", "-b", "8", "-top", "5",
-	}); err != nil {
-		t.Fatal(err)
+// TestDetectSurvivesExecutorLoss runs detect on the round-trip corpus twice,
+// clean and with executors killed at a quarter of the stage submissions:
+// lineage recovery must print the same report byte for byte, and the faulty
+// run's -metrics-out must count the kills, so the comparison is not vacuous.
+func TestDetectSurvivesExecutorLoss(t *testing.T) {
+	dir := t.TempDir()
+	args := roundTripCorpus(t, dir)
+	detect := func(name string, extra ...string) (stdout []byte, m cluster.MetricsSnapshot) {
+		t.Helper()
+		metricsPath := filepath.Join(dir, name+"-metrics.json")
+		out, err := os.Create(filepath.Join(dir, name+"-stdout.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer out.Close()
+		saved := os.Stdout
+		os.Stdout = out
+		err = runDetect(append(slices.Concat(args, []string{"-metrics-out", metricsPath}), extra...))
+		os.Stdout = saved
+		if err != nil {
+			t.Fatalf("%s detect: %v", name, err)
+		}
+		if stdout, err = os.ReadFile(out.Name()); err != nil {
+			t.Fatal(err)
+		}
+		if err := readJSON(metricsPath, &m); err != nil {
+			t.Fatal(err)
+		}
+		return stdout, m
+	}
+	clean, _ := detect("clean")
+	faulty, m := detect("faulty", "-fail-executors", "0.25", "-executors", "6", "-max-stage-retries", "12")
+	if m.ExecutorFailures == 0 {
+		t.Fatal("no executor was killed; the comparison is vacuous")
+	}
+	if !bytes.Equal(faulty, clean) {
+		t.Fatalf("with %d executors killed detect printed\n%s\nclean it printed\n%s", m.ExecutorFailures, faulty, clean)
 	}
 }
 

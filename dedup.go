@@ -112,8 +112,7 @@ type Detector struct {
 	shipped int
 	// index is the persistent prefix-filtered candidate index behind
 	// CandidatePrefixIndex (nil under brute force). It covers exactly
-	// feats: extendFeatures appends to both, a failed Detect truncates
-	// both.
+	// feats: absorb appends to both, an aborted batch truncates both.
 	index *candgen.Index
 
 	// model is the trained classifier and its score table (nil until
@@ -205,28 +204,19 @@ func (d *Detector) ValidateBatch(batch []adr.Report) map[string][]adr.Validation
 }
 
 // AddKnownReports appends reports to the database without duplicate
-// checking — the initial load of an existing regulator database. Like
-// Detect it is atomic: when it fails the detector is left as it was.
-func (d *Detector) AddKnownReports(reports []adr.Report) error {
-	if len(reports) == 0 {
-		return nil
-	}
-	existing := d.db.Len()
+// checking — the initial load of an existing regulator database: Detect's
+// absorbing half, and like Detect one batch, which leaves no trace if it fails.
+func (d *Detector) AddKnownReports(reports []adr.Report) (err error) {
+	defer d.end(d.mark(), nil, &err)
+	return d.absorb(reports)
+}
+
+// absorb appends reports to the database, preprocesses them, and enters
+// them into the candidate index.
+func (d *Detector) absorb(reports []adr.Report) error {
 	if err := d.db.Add(reports...); err != nil {
 		return err
 	}
-	// extendFeatures appends to feats and the index only once extraction
-	// succeeded, so the database is all a failure leaves to roll back.
-	if err := d.extendFeatures(); err != nil {
-		d.db.Truncate(existing)
-		return err
-	}
-	return nil
-}
-
-// extendFeatures preprocesses the reports not yet featurized — the tail of
-// the database — and enters them into the candidate index.
-func (d *Detector) extendFeatures() error {
 	fresh := d.db.Tail(len(d.feats))
 	if len(fresh) == 0 {
 		return nil
@@ -242,6 +232,47 @@ func (d *Detector) extendFeatures() error {
 	}
 	d.feats = append(d.feats, feats...)
 	return nil
+}
+
+// batchMark is the state a batch found: a batch is a call that changes the
+// detector (AddKnownReports, or Detect and its variants). end closes it once:
+// it aborts a failed batch back to its mark, commits one that succeeded, and
+// releases its shuffles either way, so a failed batch leaves nothing the next
+// call sees and may be sent again. Two things outlive an abort by design: the
+// interner keeps the IDs it gave the batch's tokens (no result depends on
+// which ID a token got), and the score table keeps the rows of a Classify
+// that returned (they depend on the model, never on the database).
+type batchMark struct {
+	reports     int // the database, the features and the index each hold this many
+	shuffles    *cluster.ShuffleService
+	shuffleMark int // shuffles' watermark
+}
+
+// mark opens a batch at the detector's current state.
+func (d *Detector) mark() batchMark {
+	shuffles := d.ctx.Cluster().Shuffles()
+	return batchMark{reports: d.db.Len(), shuffles: shuffles, shuffleMark: shuffles.Mark()}
+}
+
+// end closes the batch m opened, whose outcome is *err. An abort cuts the
+// database, the features and the index back to the mark, and shipped to at
+// most the mark's features, which the executors hold if the failed call
+// broadcast them. A commit is the only write of d.shape (nil for
+// AddKnownReports). The batch's shuffles are dead once it returns, and a
+// long-lived detector (the online service) runs many batches on one cluster,
+// so they are released; training-era shuffles, below the mark, stay.
+func (d *Detector) end(m batchMark, shape *detectShape, err *error) {
+	if *err != nil {
+		d.db.Truncate(m.reports)
+		d.feats = d.feats[:m.reports]
+		d.shipped = min(d.shipped, m.reports)
+		if d.index != nil {
+			d.index.Truncate(m.reports)
+		}
+	} else if shape != nil {
+		d.shape = *shape
+	}
+	m.shuffles.ReleaseSince(m.shuffleMark)
 }
 
 // TrainFromLabeledCases computes distance vectors for the labelled pairs and
@@ -347,66 +378,35 @@ func (d *Detector) DetectDuplicates(batch []adr.Report) (dups []Match, scored in
 
 // detect absorbs the batch and returns its candidate pairs, in the tasks that
 // found them, and the verdicts their slots index; both are empty when the
-// batch has no pair.
-func (d *Detector) detect(batch []adr.Report) (_ []scoredTask, _ []verdict, retErr error) {
+// batch has no pair. It is one batch (batchMark).
+func (d *Detector) detect(batch []adr.Report) (_ []scoredTask, _ []verdict, err error) {
 	if d.model == nil {
 		return nil, nil, errors.New("adrdedup: classifier not trained")
 	}
-	d.shape = detectShape{}
+	m, shape := d.mark(), detectShape{}
+	defer d.end(m, &shape, &err)
 	if len(batch) == 0 {
 		return nil, nil, nil
 	}
-	// A long-lived detector (the online service) runs many Detects against
-	// one cluster. Each run's shuffle map outputs are dead once its matches
-	// are collected, so release them on exit rather than letting the
-	// shuffle service retain every batch's outputs for the cluster's
-	// lifetime. Training-era shuffles (ids at or below the mark) stay.
-	shuffles := d.ctx.Cluster().Shuffles()
-	mark := shuffles.Mark()
-	defer shuffles.ReleaseSince(mark)
-	existing := d.db.Len()
-	nFeats := len(d.feats)
-	if err := d.db.Add(batch...); err != nil {
-		return nil, nil, err
-	}
-	// Detect must be atomic: either the batch is absorbed and its matches
-	// returned, or the detector is left exactly as it was. Without this
-	// rollback, a transient failure after Add left the batch in the
-	// database but unreported, and retrying the same batch failed on its
-	// own case numbers.
-	defer func() {
-		if retErr != nil {
-			d.db.Truncate(existing)
-			d.feats = d.feats[:nFeats]
-			d.shipped = min(d.shipped, nFeats)
-			if d.index != nil {
-				d.index.Truncate(nFeats)
-			}
-		}
-	}()
-	if err := d.extendFeatures(); err != nil {
+	if err := d.absorb(batch); err != nil {
 		return nil, nil, err
 	}
 
 	// Candidate pairs of Eq. 3: new x earlier, including earlier batch
 	// members (r is checked against A ∪ R - r, deduplicated by ordering).
-	tasks, pairs, err := d.scorePairs(existing)
+	tasks, pairs, err := d.scorePairs(m.reports)
 	if err != nil || pairs == 0 {
 		return nil, nil, err
 	}
 	// Eqs. 5/6 make a pair's result a function of its vector and the model
-	// alone, and the vectors fall on a small lattice (four 0/1 fields, three
-	// Jaccard distances over small sets) that every call revisits. So the
-	// model's score table answers the vectors it has seen, and Classify is
-	// sent each vector the model has never scored, once. Rows enter the
-	// table only from a Classify that returned without error, and stay when
-	// this Detect fails or is rolled back: they depend on the model, never
-	// on the database.
+	// alone, and every call revisits the vectors' small lattice (four 0/1
+	// fields, three Jaccard distances over small sets). So the score table
+	// answers the vectors the model has seen; Classify gets each new one once.
 	verdicts, classified, err := d.model.resolve(tasks)
 	if err != nil {
 		return nil, nil, fmt.Errorf("adrdedup: classifying candidate pairs: %w", err)
 	}
-	d.shape = detectShape{pairs: pairs, distinct: len(verdicts), classified: classified}
+	shape = detectShape{pairs: pairs, distinct: len(verdicts), classified: classified}
 	return tasks, verdicts, nil
 }
 

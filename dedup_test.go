@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"adrdedup/internal/adr"
 	"adrdedup/internal/adrgen"
@@ -550,10 +551,7 @@ func TestDetectMatchesStringReference(t *testing.T) {
 func TestPrefixCandidatesMatchStringSetReference(t *testing.T) {
 	_, det, batch := prefixTestDetector(t, 20)
 	existing := det.db.Len()
-	if err := det.db.Add(batch...); err != nil {
-		t.Fatal(err)
-	}
-	if err := det.extendFeatures(); err != nil {
+	if err := det.absorb(batch); err != nil {
 		t.Fatal(err)
 	}
 	got, err := det.candidates(existing)
@@ -772,10 +770,7 @@ func referenceDetect(t *testing.T, det *Detector, batch []adr.Report, table refT
 	t.Helper()
 	before := det.Metrics().RecordsProcessed
 	existing := det.db.Len()
-	if err := det.db.Add(batch...); err != nil {
-		t.Fatal(err)
-	}
-	if err := det.extendFeatures(); err != nil {
+	if err := det.absorb(batch); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := det.candidates(existing)
@@ -1405,8 +1400,17 @@ func failDetect(t *testing.T, det *Detector, position string, batch []adr.Report
 // the position.
 func failCall(t *testing.T, det *Detector, position string, call func() error) {
 	t.Helper()
-	badCl := cluster.New(cluster.Config{Executors: 2, FailureRate: 1, MaxTaskRetries: 1, Seed: 5})
-	defer badCl.Close()
+	restore := injectFailure(t, det, position)
+	defer restore()
+	if err := call(); err == nil {
+		t.Fatalf("expected the call to fail at %s", position)
+	}
+}
+
+// injectFailure swaps in the part that makes det's next call fail at position
+// (see failDetect) and returns what puts det's own parts back.
+func injectFailure(t *testing.T, det *Detector, position string) (restore func()) {
+	t.Helper()
 	// bogus is a training set of dim-dimensional vectors, both labels.
 	bogus := func(dim int) []core.TrainingPair {
 		pairs := make([]core.TrainingPair, 8)
@@ -1419,9 +1423,13 @@ func failCall(t *testing.T, det *Detector, position string, call func() error) {
 	}
 	switch position {
 	case "extract":
+		badCl := cluster.New(cluster.Config{Executors: 2, FailureRate: 1, MaxTaskRetries: 1, Seed: 5})
 		goodCl, goodCtx := det.cl, det.ctx
 		det.cl, det.ctx = badCl, rdd.NewContext(badCl)
-		defer func() { det.cl, det.ctx = goodCl, goodCtx }()
+		return func() {
+			det.cl, det.ctx = goodCl, goodCtx
+			badCl.Close()
+		}
 	case "classify":
 		badClf, err := core.Train(det.ctx, bogus(5), core.Config{K: 1, B: 2, C: 2, Seed: 3})
 		if err != nil {
@@ -1429,7 +1437,7 @@ func failCall(t *testing.T, det *Detector, position string, call func() error) {
 		}
 		good := det.model
 		det.model = newModel(badClf)
-		defer func() { det.model = good }()
+		return func() { det.model = good }
 	case "classify-engine":
 		closedCl := cluster.New(cluster.Config{Executors: 2, MaxTaskRetries: 1})
 		sick, err := core.Train(rdd.NewContext(closedCl), bogus(pairdist.Dims), core.Config{K: 1, B: 2, C: 2, Seed: 3})
@@ -1440,18 +1448,15 @@ func failCall(t *testing.T, det *Detector, position string, call func() error) {
 		rows := len(det.model.rows)
 		goodClf := det.model.clf
 		det.model.clf = sick
-		defer func() {
+		return func() {
 			det.model.clf = goodClf
 			if got := len(det.model.rows); got != rows {
 				t.Fatalf("a failed Classify grew the score table from %d to %d rows", rows, got)
 			}
-		}()
-	default:
-		t.Fatalf("unknown failure position %q", position)
+		}
 	}
-	if err := call(); err == nil {
-		t.Fatalf("expected the call to fail at %s", position)
-	}
+	t.Fatalf("unknown failure position %q", position)
+	return nil
 }
 
 // TestAddKnownReportsRollsBackOnFailure: an AddKnownReports whose feature
@@ -1546,6 +1551,158 @@ func TestPrefixIndexRollsBackOnFailedDetect(t *testing.T) {
 			}
 		}
 		checkIndexCoversFeats(t, det, 480)
+	}
+}
+
+// batchStep is one call of a batchScript: call ("add" for AddKnownReports,
+// "detect" or "dups" for DetectDuplicates) on the next size reports,
+// failed at failCall's position unless that is empty, and then, if it did
+// fail, either sent again at once (retry) or dropped.
+type batchStep struct {
+	call, position string
+	size           int
+	retry          bool
+}
+
+// batchScript is TestBatchAbortsLeaveNoTrace's input: 3–6 steps of at most 5
+// reports, half of them failed, so a script never outruns 30 held-out reports.
+type batchScript []batchStep
+
+func (batchScript) Generate(r *rand.Rand, _ int) reflect.Value {
+	s := make(batchScript, 3+r.Intn(4))
+	for i := range s {
+		st := batchStep{call: []string{"add", "detect", "dups"}[r.Intn(3)], size: 1 + r.Intn(5), retry: r.Intn(2) == 0}
+		switch {
+		case r.Intn(2) == 0:
+		case st.call == "add": // extraction is the only engine work it does
+			st.position = "extract"
+		default:
+			st.position = []string{"extract", "classify", "classify-engine"}[r.Intn(3)]
+		}
+		s[i] = st
+	}
+	return reflect.ValueOf(s)
+}
+
+// batchState is what a batch may change in a detector, the engine's
+// registered shuffles included.
+type batchState struct {
+	reports, feats, shipped, indexed, rows, shuffles int
+	shape                                            detectShape
+}
+
+func stateOf(d *Detector) batchState {
+	return batchState{
+		reports: d.db.Len(), feats: len(d.feats), shipped: d.shipped, indexed: d.index.Len(),
+		rows: len(d.model.rows), shuffles: d.ctx.Cluster().Shuffles().Registered(), shape: d.shape,
+	}
+}
+
+// TestBatchAbortsLeaveNoTrace is the property test of the batch transaction
+// (batchMark). Random scripts of AddKnownReports, Detect and DetectDuplicates
+// calls run on a prefix-index detector, some failed at one of failCall's
+// positions and then retried at once or dropped. Every abort must leave the
+// database, the features, the index, the score table, the last shape and the
+// registered shuffles as the call found them, the index must still cover
+// exactly the features, and shipped must follow the abort's rule: unchanged
+// when the call failed before scoring, else cut back to the call's first
+// feature, which the failed scoring broadcast. Every call that succeeds must
+// return the results, the shape and the committed records and comparisons of
+// a detector that never failed and received only the successful batches, so
+// nothing an abort leaves behind by design (the interner's IDs for the
+// aborted batch's tokens) changes a result.
+func TestBatchAbortsLeaveNoTrace(t *testing.T) {
+	aborts := make(map[string]int)
+	retried, dropped, compared := 0, 0, 0
+	prop := func(script batchScript) bool {
+		_, det, held := prefixTestDetector(t, 30)
+		_, clean, _ := prefixTestDetector(t, 30)
+		defer det.Engine().Cluster().Close()
+		defer clean.Engine().Cluster().Close()
+		call := func(d *Detector, kind string, batch []adr.Report) (any, error) {
+			switch kind {
+			case "add":
+				return nil, d.AddKnownReports(batch)
+			case "detect":
+				return d.Detect(batch)
+			}
+			dups, scored, err := d.DetectDuplicates(batch)
+			return []any{dups, scored}, err
+		}
+		// succeeded replays a call det completed on clean and compares them.
+		succeeded := func(i int, kind string, batch []adr.Report, got any, before cluster.MetricsSnapshot) {
+			t.Helper()
+			after, cleanBefore := det.Metrics(), clean.Metrics()
+			want, err := call(clean, kind, batch)
+			if err != nil {
+				t.Fatalf("%v step %d: the never-failed detector: %v", script, i, err)
+			}
+			cleanAfter := clean.Metrics()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v step %d: %s returned %v, the never-failed detector %v", script, i, kind, got, want)
+			}
+			if det.shape != clean.shape {
+				t.Fatalf("%v step %d: shape %+v, the never-failed detector %+v", script, i, det.shape, clean.shape)
+			}
+			if g, w := after.RecordsProcessed-before.RecordsProcessed, cleanAfter.RecordsProcessed-cleanBefore.RecordsProcessed; g != w {
+				t.Fatalf("%v step %d: committed %d records, the never-failed detector %d", script, i, g, w)
+			}
+			if g, w := after.Comparisons-before.Comparisons, cleanAfter.Comparisons-cleanBefore.Comparisons; g != w {
+				t.Fatalf("%v step %d: committed %d comparisons, the never-failed detector %d", script, i, g, w)
+			}
+			if kind != "add" {
+				compared++
+			}
+		}
+		next := 0
+		for i, st := range script {
+			batch := held[next : next+st.size]
+			next += st.size
+			if st.position != "" {
+				restore := injectFailure(t, det, st.position)
+				pre, before := stateOf(det), det.Metrics()
+				got, err := call(det, st.call, batch)
+				if err == nil { // it had nothing for the failing part to do
+					restore()
+					succeeded(i, st.call, batch, got, before)
+					continue
+				}
+				aborts[st.position]++
+				want := pre
+				if st.position != "extract" {
+					want.shipped = pre.feats
+				}
+				if post := stateOf(det); post != want {
+					t.Fatalf("%v step %d: the abort left %+v, want %+v", script, i, post, want)
+				}
+				restore()
+				checkIndexCoversFeats(t, det, 0)
+				if !st.retry {
+					dropped++
+					continue
+				}
+				retried++
+			}
+			before := det.Metrics()
+			got, err := call(det, st.call, batch)
+			if err != nil {
+				t.Fatalf("%v step %d: %v", script, i, err)
+			}
+			succeeded(i, st.call, batch, got, before)
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(11))}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("aborts %v, %d retried, %d dropped, %d detecting calls compared", aborts, retried, dropped, compared)
+	for _, position := range []string{"extract", "classify", "classify-engine"} {
+		if aborts[position] == 0 {
+			t.Errorf("no call aborted at %s; the scripts do not cover it", position)
+		}
+	}
+	if retried == 0 || dropped == 0 || compared == 0 {
+		t.Error("the scripts never retried, dropped or compared a detecting call")
 	}
 }
 

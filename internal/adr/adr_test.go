@@ -2,6 +2,7 @@ package adr
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -89,11 +90,17 @@ func TestDatabaseRejectsDuplicatesAndEmptyCase(t *testing.T) {
 	if err := db.Add(sample("A")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Add(sample("A")); err == nil {
-		t.Error("expected error on duplicate case number")
+	if err := db.Add(sample("A")); !errors.Is(err, ErrDuplicateCase) {
+		t.Errorf("re-adding a stored case returned %v, want ErrDuplicateCase", err)
 	}
-	if err := db.Add(Report{}); err == nil {
-		t.Error("expected error on empty case number")
+	if err := db.Add(sample("B"), sample("B")); !errors.Is(err, ErrDuplicateCase) {
+		t.Errorf("a batch repeating a case returned %v, want ErrDuplicateCase", err)
+	}
+	if err := db.Add(Report{}); err == nil || errors.Is(err, ErrDuplicateCase) {
+		t.Errorf("empty case number returned %v, want an error other than ErrDuplicateCase", err)
+	}
+	if db.Len() != 1 {
+		t.Errorf("rejected batches left %d reports, want 1", db.Len())
 	}
 }
 

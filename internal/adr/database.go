@@ -1,10 +1,15 @@
 package adr
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 )
+
+// ErrDuplicateCase is what Add's error wraps when a case number is already
+// in the database or appears twice in the batch.
+var ErrDuplicateCase = errors.New("adr: duplicate case number")
 
 // Database is the report database of §3: an arrival-ordered store of ADR
 // reports. New reports are appended with increasing arrival sequence numbers;
@@ -24,10 +29,10 @@ func NewDatabase() *Database {
 }
 
 // Add appends reports in arrival order, assigning arrival sequence numbers.
-// It returns an error if a case number collides with an existing report —
-// case numbers identify records, and a collision means the feed is broken
-// (duplicate *reports* have different case numbers; that is the problem this
-// system exists to solve).
+// It returns an error wrapping ErrDuplicateCase if a case number collides
+// with an existing report or another of the batch — case numbers identify
+// records, and a collision means the feed is broken (duplicate *reports* have
+// different case numbers; that is the problem this system exists to solve).
 //
 // Add is atomic: the whole batch is validated before anything is stored, so
 // a rejected batch leaves the database exactly as it was — no prefix of the
@@ -40,11 +45,9 @@ func (d *Database) Add(reports ...Report) error {
 		if r.CaseNumber == "" {
 			return fmt.Errorf("adr: report without case number")
 		}
-		if _, exists := d.byCase[r.CaseNumber]; exists {
-			return fmt.Errorf("adr: duplicate case number %q", r.CaseNumber)
-		}
-		if _, exists := inBatch[r.CaseNumber]; exists {
-			return fmt.Errorf("adr: duplicate case number %q", r.CaseNumber)
+		_, stored := d.byCase[r.CaseNumber]
+		if _, again := inBatch[r.CaseNumber]; stored || again {
+			return fmt.Errorf("%w %q", ErrDuplicateCase, r.CaseNumber)
 		}
 		inBatch[r.CaseNumber] = struct{}{}
 	}

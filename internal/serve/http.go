@@ -135,25 +135,27 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, single boo
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// writeError maps pipeline errors to HTTP statuses: typed request errors
-// keep their status, backpressure and drain map to 429/503 with a
-// Retry-After hint, and a Detect failure (batch rolled back, safe to
-// resubmit) maps to 422.
+// writeError maps pipeline errors to HTTP statuses by whose fault they are.
+// A typed request error keeps its status, and a batch naming a case number
+// the database already holds is the client's conflict, 409. Backpressure is
+// 429; drain, a server not yet started and every other Detect failure are
+// 503. Both carry a Retry-After hint: the server refused or rolled back the
+// whole batch, so resending it is safe.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
-	retryAfter := strconv.Itoa(int((s.cfg.retryAfter + 999_999_999) / 1_000_000_000))
 	var re *RequestError
+	status := http.StatusServiceUnavailable
 	switch {
 	case errors.As(err, &re):
 		writeJSON(w, re.Status, errorResponse{Error: re.Msg})
+		return
+	case errors.Is(err, adr.ErrDuplicateCase):
+		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+		return
 	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", retryAfter)
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
-	case errors.Is(err, ErrShuttingDown), errors.Is(err, ErrNotStarted):
-		w.Header().Set("Retry-After", retryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
+		status = http.StatusTooManyRequests
 	}
+	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.retryAfter+999_999_999)/1_000_000_000)))
+	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -537,3 +537,115 @@ func TestHTTPIngestMatchesSequentialReplay(t *testing.T) {
 		t.Fatalf("server committed engine counters %+v, sequential replay %+v", g, w)
 	}
 }
+
+// TestFailedDetectStatuses pins the status of an accepted batch whose Detect
+// fails, by whose fault it is. Re-posting an ingested case is the client's
+// conflict: 409, and resending will not help. A batch scored on a closed
+// engine is the server's failure, rolled back whole: 503 with Retry-After, as
+// for any refusal that is safe to resend. Each failure counts one failed
+// batch and moves neither the ingested count nor the database.
+func TestFailedDetectStatuses(t *testing.T) {
+	boot := mustBootstrap(t, testBootCfg(41, 120, 6, 150))
+	srv := New(boot.Detector, Config{QueueDepth: 2, retryAfter: 3 * time.Second})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer closeServer(t, srv)
+
+	traffic := GenerateTraffic(TrafficConfig{Reports: 10, Seed: 71})
+	if resp, body := postJSON(t, ts.URL+"/v1/reports:batch", marshalBatch(t, traffic[:5])); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first ingest = %d (body %s)", resp.StatusCode, body)
+	}
+	fail := func(what string, batch []adr.Report, status int, retryAfter string) {
+		t.Helper()
+		before := getStats(t, ts.URL)
+		resp, body := postJSON(t, ts.URL+"/v1/reports:batch", marshalBatch(t, batch))
+		if resp.StatusCode != status {
+			t.Fatalf("%s answered %d, want %d (body %s)", what, resp.StatusCode, status, body)
+		}
+		if got := resp.Header.Get("Retry-After"); got != retryAfter {
+			t.Errorf("%s: Retry-After = %q, want %q", what, got, retryAfter)
+		}
+		after := getStats(t, ts.URL)
+		if after.FailedBatches != before.FailedBatches+1 {
+			t.Errorf("%s: failedBatches went from %d to %d, want one more", what, before.FailedBatches, after.FailedBatches)
+		}
+		if after.Ingested != before.Ingested || after.DatabaseReports != before.DatabaseReports {
+			t.Errorf("%s: ingested %d -> %d, databaseReports %d -> %d; want both unmoved", what,
+				before.Ingested, after.Ingested, before.DatabaseReports, after.DatabaseReports)
+		}
+	}
+	// The ingested case rides behind a fresh one, which is refused with it.
+	fail("re-posting an ingested case", []adr.Report{traffic[5], traffic[2]}, http.StatusConflict, "")
+	srv.Detector().Engine().Cluster().Close()
+	fail("a batch on a closed engine", traffic[5:], http.StatusServiceUnavailable, "3")
+}
+
+// TestQueuedSubmitOutlivesItsContext pins what Submit promises a caller whose
+// context expires while its batch waits in the queue: Submit returns the
+// context's error, but the accepted batch is still absorbed in queue order,
+// so the next batch's matches are those of a sequential Detect replay that
+// includes it.
+func TestQueuedSubmitOutlivesItsContext(t *testing.T) {
+	const seed = 73
+	srv, gate, entered := gatedServer(t, seed, Config{QueueDepth: 2})
+	oracle := mustBootstrap(t, testBootCfg(seed, 120, 6, 150))
+	defer oracle.Detector.Engine().Cluster().Close()
+
+	traffic := GenerateTraffic(TrafficConfig{Reports: 24, DupFraction: 0.3, Seed: 79})
+	first, queued, next := traffic[:8], traffic[8:16], traffic[16:]
+	held := make(chan error, 1)
+	go func() {
+		_, err := srv.Submit(context.Background(), first)
+		held <- err
+	}()
+	<-entered // the consumer holds the first batch
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := srv.Submit(ctx, queued); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Submit whose context expired in the queue returned %v, want DeadlineExceeded", err)
+	}
+	if depth := srv.Stats().QueueDepth; depth != 1 {
+		t.Fatalf("queue depth %d once the Submit gave up, want its batch still queued", depth)
+	}
+	close(gate)
+	defer closeServer(t, srv)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	got, err := srv.Submit(context.Background(), next)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var want []adrdedup.Match
+	for _, batch := range [][]adr.Report{first, queued, next} {
+		if want, err = oracle.Detector.Detect(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the batch after the expired Submit returned %d matches, a replay that includes it %d", len(got), len(want))
+	}
+	inQueued := make(map[string]bool)
+	for _, r := range queued {
+		inQueued[r.CaseNumber] = true
+	}
+	paired := 0
+	for _, m := range got {
+		if inQueued[m.CaseA] || inQueued[m.CaseB] {
+			paired++
+		}
+	}
+	if paired == 0 {
+		t.Fatal("no match pairs the next batch with the expired one; the replay cannot tell whether it was absorbed")
+	}
+	st := srv.Stats()
+	if st.Ingested != uint64(len(traffic)) || st.Batches != 3 || st.FailedBatches != 0 ||
+		st.DatabaseReports != oracle.Detector.Database().Len() {
+		t.Fatalf("stats ingested/batches/failed/databaseReports %d/%d/%d/%d, want %d/3/0/%d",
+			st.Ingested, st.Batches, st.FailedBatches, st.DatabaseReports, len(traffic), oracle.Detector.Database().Len())
+	}
+}

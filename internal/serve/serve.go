@@ -185,11 +185,13 @@ func (s *Server) Start() error {
 
 // Submit enqueues a batch and waits for its matches. It returns
 // ErrQueueFull when the queue is at capacity, ErrShuttingDown once Shutdown
-// began, a *RequestError for an invalid batch, or the Detect error (the
-// detector rolls the batch back, so the same batch may be resubmitted). If
-// ctx expires while the batch is queued or scoring, Submit returns the
-// context error but the batch is still processed — accepted work is never
-// dropped.
+// began, a *RequestError for an invalid batch, or the Detect error. A failed
+// Detect leaves no trace in the detector (its batch is rolled back whole):
+// an error wrapping adr.ErrDuplicateCase means a case number of the batch is
+// already in the database, so resending it fails again; any other Detect
+// error (a failing engine) leaves the same batch safe to resubmit. If ctx
+// expires while the batch is queued or scoring, Submit returns the context
+// error but the batch is still processed — accepted work is never dropped.
 func (s *Server) Submit(ctx context.Context, batch []adr.Report) ([]adrdedup.Match, error) {
 	matches, _, err := s.submit(ctx, batch, false)
 	return matches, err
