@@ -68,13 +68,12 @@ var unreferencedAllowed = map[string]keepReason{
 
 	// Fault-injection knobs the rdd, core, candgen, knn and root fault
 	// suites set; no product path injects task faults.
-	"internal/cluster.Config.BlacklistAfterFailures":  testHook,
-	"internal/cluster.Config.ExecutorRecoveryStages":  testHook,
-	"internal/cluster.Config.FailureRate":             testHook,
-	"internal/cluster.Config.MaxTaskRetries":          testHook,
-	"internal/cluster.Config.SpeculationMinRuntimeMS": testHook,
-	"internal/cluster.Config.SpeculationMultiplier":   testHook,
-	"internal/serve.TrafficConfig.Reports":            testHook, // root benchmarks size the stream
+	"internal/cluster.Config.BlacklistAfterFailures": testHook,
+	"internal/cluster.Config.ExecutorRecoveryStages": testHook,
+	"internal/cluster.Config.FailureRate":            testHook,
+	"internal/cluster.Config.MaxTaskRetries":         testHook,
+	"internal/cluster.Config.SpeculationMultiplier":  testHook,
+	"internal/serve.TrafficConfig.Reports":           testHook, // root benchmarks size the stream
 
 	"internal/cluster.FetchFailedError.Unwrap":  ifaceMethod, // errors.Is, errors.As
 	"internal/cluster.StageAbortedError.Unwrap": ifaceMethod,

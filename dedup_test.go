@@ -896,8 +896,8 @@ func scoringSetups() []scoringSetup {
 	faulty := testOptions()
 	faulty.Cluster = cluster.Config{
 		Executors: 4, CoresPerExecutor: 2, FailureRate: 0.3, MaxTaskRetries: 40, Seed: 9,
-		Speculation: true, SpeculationQuantile: 0.5, SpeculationMinRuntimeMS: -1,
-		StragglerRate: 0.1, StragglerRealDelayMS: 1,
+		Speculation: true, SpeculationQuantile: 0.5,
+		StragglerRate: 0.1,
 	}
 	spill := testOptions()
 	spill.Cluster.MemoryPerExecutorBytes = 16 << 10

@@ -272,6 +272,33 @@ func TestSamplePairsDeterministic(t *testing.T) {
 	}
 }
 
+// TestSamplePairsUnchangedBelowCap pins the samples of option sets whose
+// sampling never reached the attempt cap to the digests they had when the
+// hard loop and the random fill shared one budget: giving the fill its own
+// budget moves no rng draw before the point where the shared one ran out.
+func TestSamplePairsUnchangedBelowCap(t *testing.T) {
+	c := Generate(smallConfig())
+	for _, tc := range []struct {
+		opts   PairSampleOptions
+		digest uint64
+	}{
+		{PairSampleOptions{Total: 2000, HardFraction: 0.3, Seed: 5}, 0x11476ad3c54ad04a},
+		{PairSampleOptions{Total: 500, HardFraction: 0.5, Seed: 9}, 0xd6f67c5804c9b3e3},
+	} {
+		pairs, err := c.SamplePairs(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, p := range pairs {
+			fmt.Fprintf(h, "%d/%d/%d;", p.A, p.B, p.Label)
+		}
+		if got := h.Sum64(); got != tc.digest {
+			t.Errorf("%+v: sample digest %#x, want %#x", tc.opts, got, tc.digest)
+		}
+	}
+}
+
 func TestSamplePairsValidation(t *testing.T) {
 	c := Generate(smallConfig())
 	if _, err := c.SamplePairs(PairSampleOptions{Total: 5}); err == nil {

@@ -92,10 +92,11 @@ func (c *Corpus) SamplePairs(opts PairSampleOptions) ([]LabeledPair, error) {
 
 	needed := opts.Total - len(out)
 	hardTarget := int(float64(needed) * opts.HardFraction)
-	// Cap the attempts so a pathological corpus (e.g. every report
-	// identical) cannot loop forever.
+	// Cap each loop's attempts so a pathological corpus (e.g. every report
+	// identical) cannot loop forever. The hard loop and the random fill each
+	// get the whole budget: a small corpus with few distinct hard pairs can
+	// spend all of the hard loop's without starving the fill.
 	maxAttempts := 50*needed + 1000
-	attempts := 0
 	addPair := func(a, b int) bool {
 		if a == b {
 			return false
@@ -108,7 +109,7 @@ func (c *Corpus) SamplePairs(opts PairSampleOptions) ([]LabeledPair, error) {
 		out = append(out, LabeledPair{A: k[0], B: k[1], Label: -1})
 		return true
 	}
-	for hard := 0; hard < hardTarget && attempts < maxAttempts; attempts++ {
+	for hard, attempts := 0, 0; hard < hardTarget && attempts < maxAttempts; attempts++ {
 		// Prefer confusable same-campaign pairs; fall back to pairs
 		// sharing a drug or an ADR term.
 		if len(campaignMembers) > 0 && rng.Float64() < 0.6 {
@@ -138,8 +139,7 @@ func (c *Corpus) SamplePairs(opts PairSampleOptions) ([]LabeledPair, error) {
 			hard++
 		}
 	}
-	for len(out) < opts.Total && attempts < maxAttempts {
-		attempts++
+	for attempts := 0; len(out) < opts.Total && attempts < maxAttempts; attempts++ {
 		addPair(rng.Intn(n), rng.Intn(n))
 	}
 	if len(out) < opts.Total {

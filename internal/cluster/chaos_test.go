@@ -13,14 +13,15 @@ import (
 // contents, published results, and committed counters bit-identical to a
 // sequential oracle that never retries, never speculates, and never races.
 // This is the same differential discipline the RDD layer's differential
-// suite applies to operator fusion, aimed here at attempt races: any path by
-// which a losing or failed attempt leaks a shuffle write, a result, or a
-// counter delta shows up as a diff against the oracle.
+// suite applies to operator fusion, aimed here at retries and copies: any
+// path by which a losing copy or a failed attempt leaks a shuffle write, a
+// result, or a counter delta shows up as a diff against the oracle.
 //
 // Determinism rests on three engine properties the harness exercises
 // together: commit-on-success side effects (task.go), idempotent
 // (mapTask, seq)-keyed shuffle buckets fetched in sorted order (shuffle.go),
-// and first-completion-wins commits under speculation (speculation.go).
+// and one commit per task at each submission attempt's commit point, after
+// the virtual-time replay has decided speculation (speculation.go).
 
 // chaosOp is one stage (or map+reduce stage pair) of a chaos program.
 type chaosOp struct {
@@ -256,8 +257,7 @@ var chaosMemTiers = []struct {
 
 // chaosConfig builds the cluster configuration for one combo. MaxTaskRetries
 // is set high enough that retry exhaustion is effectively impossible, so
-// pass/fail stays deterministic per seed (a speculative chain rescuing an
-// exhausted primary would otherwise depend on real-time racing).
+// only executor kills can fail a program.
 func chaosConfig(seed int64, executors int, failureRate, execFail float64, stragglers, speculation bool, memBudget int64) Config {
 	cfg := Config{
 		Executors:             executors,
@@ -270,7 +270,6 @@ func chaosConfig(seed int64, executors int, failureRate, execFail float64, strag
 		SpeculationQuantile:   0.5,
 		SpeculationMultiplier: 1.2,
 		StragglerVirtualMS:    40,
-		StragglerRealDelayMS:  2,
 	}
 	if stragglers {
 		cfg.StragglerRate = 0.3
@@ -299,13 +298,12 @@ func int64sEqual(a, b []int64) bool {
 // {stragglers off/on} x {speculation off/on} x {unbounded/tight/oneblock
 // memory budget} = 1440 configurations, each run on a 1-worker and a
 // 3-worker pool, every one bit-identical to the sequential oracle.
-// The pool's shared cursor hands tasks to whichever worker or spare is free,
-// so a task runs on an arbitrary goroutine, with an arbitrary WorkerScratch,
+// The pool's shared cursor hands tasks to whichever worker is free, so a
+// task runs on an arbitrary goroutine, with an arbitrary WorkerScratch,
 // interleaved with arbitrary neighbors — and one worker serializes a stage
-// outright, yet
-// nothing the oracle checks may move, because every observable side effect
-// is commit-gated and every injection decision is hashed from stable
-// identities rather than arrival order. Executor kills exercise the full
+// outright, yet nothing the oracle checks may move, because every observable
+// side effect is commit-gated and every injection decision is hashed from
+// stable identities rather than arrival order. Executor kills exercise the full
 // recovery path — host-local shuffle loss, FetchFailed, lineage
 // resubmission — and the committed counters must still match the oracle exactly: patch-up
 // recomputation runs in recovery mode and contributes no work-counter
@@ -351,7 +349,9 @@ func TestChaos(t *testing.T) {
 											// (The FetchFailed cause may name a
 											// different lost subset: which outputs
 											// are still missing at the final fetch
-											// depends on real-time attempt races.)
+											// depends on which copies won, and the
+											// replay decides that from measured
+											// compute time.)
 											var abort *StageAbortedError
 											if !errors.As(err, &abort) {
 												t.Fatalf("program failed without typed stage abort: %v", err)

@@ -40,36 +40,36 @@
 //
 // # Speculative execution
 //
-// With Config.Speculation set, each stage runs a straggler monitor: once
-// SpeculationQuantile of its tasks have committed, any task running longer
-// than SpeculationMultiplier x the median committed duration gets one
-// speculative duplicate attempt chain. The rival chains race; the first
-// successful attempt wins the task's single commit and cancels the other via
-// its attempt context. Virtual-clock accounting replays the race in the
-// same discrete-event loop (see virtualSchedule), where duplicate copies
-// only ever occupy otherwise-idle slots, so the speculative makespan never
-// exceeds the no-speculation list-schedule bound. The StragglerRate injector
-// creates deterministic slow tasks (virtual cost plus a real, cancellable
-// delay) to exercise the machinery, mirroring how FailureRate exercises
-// retries.
+// With Config.Speculation set, speculation is decided in virtual time, in
+// the same discrete-event loop that places the tasks (virtualSchedule): once
+// SpeculationQuantile of a submission's tasks have finished, a task still
+// running past SpeculationMultiplier x the median finished duration (and
+// longer than a 1 ms floor) gets one copy on another executor, on a slot the
+// task queue has left idle, so the speculative makespan never exceeds the
+// no-speculation list-schedule bound. A copy never runs the task body: its
+// attempts draw their faults from their own hashed stream and each costs
+// what the primary's successful attempt cost without its straggler charge.
+// The copy that finishes first completes the task, which commits once, on
+// that copy's executor. The StragglerRate injector creates deterministic
+// slow attempts (a virtual charge; nothing sleeps) to exercise the
+// machinery, mirroring how FailureRate exercises retries.
 //
 // # Real execution
 //
 // Every stage's real computation runs on one launcher, a goroutine-per-core
 // pool (pool.go): RealWorkers workers claim the stage's tasks in ascending
 // order from one shared atomic cursor, each with its own scratch buffers
-// (WorkerScratch) handed to tasks through TaskContext.Scratch. A task that
-// blocks in a simulated delay yields its token and a spare worker runs the
-// same loop in its place, so RealWorkers tokens bound the chains computing
-// at once. The pool decides only how fast the real computation saturates
-// the host; the virtual clock above is a post-hoc cost model over the
-// committed task durations. Because all side effects are commit-gated and
-// injection is hashed from stable identities, results and committed
-// counters do not depend on the pool size or on which worker runs a task.
+// (WorkerScratch) handed to tasks through TaskContext.Scratch. Each task's
+// chain runs exactly once, and two attempts of one task never run at once.
+// The pool decides only how fast the real computation saturates the host;
+// the virtual clock above is a post-hoc cost model over the measured task
+// durations. Because all side effects are committed after the pool drains,
+// in task order, and injection is hashed from stable identities, results
+// and committed counters do not depend on the pool size or on which worker
+// runs a task.
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -77,6 +77,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -160,50 +161,36 @@ type Config struct {
 	// deletes that assignment and this field together.
 	RealParallel bool
 	// RealWorkers is the number of stage tasks that compute at once: the
-	// pool (pool.go) starts this many workers per stage and, while a task
-	// sleeps in a simulated delay, lends its token to a spare worker. 0
-	// selects runtime.NumCPU() — one per core.
+	// pool (pool.go) starts this many workers per stage. 0 selects
+	// runtime.NumCPU() — one per core.
 	RealWorkers int
 	// Scheduling selects the task-to-slot placement policy. The paper
 	// names executor load balancing as future work (§7); LPT implements
 	// it.
 	Scheduling SchedulePolicy
 
-	// Speculation enables straggler mitigation: stages monitor running
-	// tasks and launch speculative duplicate attempts for stragglers;
-	// the first completion wins the task's commit.
+	// Speculation enables straggler mitigation: the virtual schedule gives
+	// a straggling task one speculative copy on another executor, and the
+	// copy that finishes first completes the task.
 	Speculation bool
 	// SpeculationQuantile is the fraction of a stage's tasks that must
-	// commit before stragglers are considered (Spark:
+	// finish before stragglers are considered (Spark:
 	// spark.speculation.quantile). 0 selects the default 0.75.
 	SpeculationQuantile float64
 	// SpeculationMultiplier: a running task is a straggler when its
-	// elapsed time exceeds this multiple of the median committed task
-	// duration (Spark: spark.speculation.multiplier). 0 selects the
+	// virtual elapsed time exceeds this multiple of the median finished
+	// task duration (Spark: spark.speculation.multiplier). 0 selects the
 	// default 1.5.
 	SpeculationMultiplier float64
-	// speculationInterval is the real-time period of the straggler
-	// monitor's checks. 0 selects the default 250µs.
-	speculationInterval time.Duration
-	// SpeculationMinRuntimeMS is a real-time floor under the straggler
-	// threshold, keeping speculation from duplicating sub-millisecond
-	// tasks on noisy medians. 0 selects the default 1ms; negative
-	// disables the floor.
-	SpeculationMinRuntimeMS float64
 
 	// StragglerRate is the probability that any given task attempt is an
 	// injected straggler (deterministic per seed/stage/task/attempt, like
 	// FailureRate).
 	StragglerRate float64
-	// StragglerVirtualMS is the virtual time an injected straggler charges
-	// up front, representing the slowdown's would-be cost. 0 selects the
-	// default 250ms.
+	// StragglerVirtualMS is the virtual time an injected straggler
+	// charges, representing the slowdown's cost. 0 selects the default
+	// 250ms.
 	StragglerVirtualMS float64
-	// StragglerRealDelayMS is the real, cancellable wall-clock delay an
-	// injected straggler blocks for, giving the monitor a window to race
-	// a speculative copy. 0 selects the default 5ms; negative disables
-	// the real delay (the virtual charge still applies).
-	StragglerRealDelayMS float64
 
 	// Trace enables the structured stage/task event log (see Tracer).
 	// Disabled tracing costs one atomic load per would-be event.
@@ -283,23 +270,10 @@ func (c Config) withDefaults() Config {
 	if c.SpeculationMultiplier <= 0 {
 		c.SpeculationMultiplier = 1.5
 	}
-	if c.speculationInterval <= 0 {
-		c.speculationInterval = 250 * time.Microsecond
-	}
-	if c.SpeculationMinRuntimeMS == 0 {
-		c.SpeculationMinRuntimeMS = 1
-	} else if c.SpeculationMinRuntimeMS < 0 {
-		c.SpeculationMinRuntimeMS = 0
-	}
 	if c.StragglerVirtualMS == 0 {
 		c.StragglerVirtualMS = 250
 	} else if c.StragglerVirtualMS < 0 {
 		c.StragglerVirtualMS = 0
-	}
-	if c.StragglerRealDelayMS == 0 {
-		c.StragglerRealDelayMS = 5
-	} else if c.StragglerRealDelayMS < 0 {
-		c.StragglerRealDelayMS = 0
 	}
 	return c
 }
@@ -321,11 +295,8 @@ type Cluster struct {
 	history  stageHistory
 	tracer   *Tracer
 
-	// poolCtx parents every attempt context; Close cancels it, waking any
-	// chain blocked in a simulated real delay (straggler sleeps) so no
-	// goroutine outlives the cluster.
-	poolCtx    context.Context
-	poolCancel context.CancelFunc
+	// closed is set by Close; every later stage fails with ErrClosed.
+	closed atomic.Bool
 	// scratch recycles per-worker buffer bundles across stages.
 	scratch scratchPool
 }
@@ -343,19 +314,21 @@ func New(cfg Config) *Cluster {
 	if cfg.Trace {
 		c.tracer.Enable()
 	}
-	c.poolCtx, c.poolCancel = context.WithCancel(context.Background())
 	return c
 }
 
-// Close releases the cluster's disk-backed resources (spilled block files)
-// and cancels the shared pool context, waking any task chain still blocked
-// in a simulated real delay. Stages still running when Close is called fail
-// fast; the normal pattern is to Close only after the last job returns.
-// A cluster that never spilled holds no disk state, so Close is cheap.
+// Close marks the cluster closed and releases its disk-backed resources
+// (spilled block files). Every stage submitted after Close fails at once
+// with ErrClosed; the normal pattern is to Close only after the last job
+// returns. A cluster that never spilled holds no disk state, so Close is
+// cheap.
 func (c *Cluster) Close() {
-	c.poolCancel()
+	c.closed.Store(true)
 	c.spill.Close()
 }
+
+// Closed reports whether Close has been called.
+func (c *Cluster) Closed() bool { return c.closed.Load() }
 
 // Config returns the (defaulted) configuration the cluster runs with.
 func (c *Cluster) Config() Config { return c.cfg }
@@ -392,24 +365,25 @@ type StageStats struct {
 	Tasks    int
 	Attempts int
 	Failures int
-	// VirtualDuration is the stage's virtual makespan (scheduled onto the
-	// live executors' slots) plus scheduler overhead.
+	// VirtualDuration is the stage's virtual makespan — the sum of its
+	// submission attempts' makespans, each scheduled onto that attempt's
+	// live executors' slots — plus scheduler overhead.
 	VirtualDuration time.Duration
 	// ComputeDuration sums the tasks' measured single-threaded compute
-	// time across all attempts (before virtual scheduling).
+	// time across the attempts that ran (before virtual scheduling); a
+	// speculative copy runs no task body and adds none.
 	ComputeDuration time.Duration
 	// ShuffleWaitDuration sums the tasks' simulated shuffle-fetch waits
-	// across all attempts.
+	// across the attempts that ran.
 	ShuffleWaitDuration time.Duration
 	// SchedulerOverhead is the fixed per-stage coordination cost included
 	// in VirtualDuration.
 	SchedulerOverhead time.Duration
 	RealDuration      time.Duration
-	// SpeculativeTasks counts tasks for which the straggler monitor
-	// launched a speculative duplicate chain.
+	// SpeculativeTasks counts tasks whose speculative copy the virtual
+	// schedule started.
 	SpeculativeTasks int
-	// SpeculativeWins counts tasks whose speculative chain won the real
-	// commit race.
+	// SpeculativeWins counts tasks whose speculative copy finished first.
 	SpeculativeWins int
 	// WastedDuration is the virtual time charged to losing copies of
 	// speculated tasks (the cost of mitigation), summed over the stage.
@@ -423,6 +397,9 @@ type StageStats struct {
 
 // ErrTaskFailed is returned when a task exhausts its retry budget.
 var ErrTaskFailed = errors.New("cluster: task failed after max retries")
+
+// ErrClosed is returned by every stage submitted after Cluster.Close.
+var ErrClosed = errors.New("cluster: closed")
 
 // ErrStageAborted is the sentinel under every *StageAbortedError, so callers
 // can errors.Is a stage failure to detect exhausted (or impossible) lineage
@@ -450,7 +427,8 @@ func (e *StageAbortedError) Unwrap() []error { return []error{ErrStageAborted, e
 // RunStage executes numTasks tasks, each invoking run with a fresh
 // TaskContext. Tasks run really in parallel on the task pool
 // (RealWorkers at once) and their virtual durations are list-scheduled onto
-// the configured executor slots to advance the cluster's virtual clock.
+// the live executors' slots to advance the cluster's virtual clock. After
+// Close it fails at once with ErrClosed.
 func (c *Cluster) RunStage(name string, numTasks int, run func(tc *TaskContext) error) (StageStats, error) {
 	_, stats, err := c.runStage(name, numTasks, run, false, false)
 	return stats, err
@@ -470,14 +448,15 @@ func (c *Cluster) RunRecoveryStage(name string, numTasks int, run func(tc *TaskC
 
 // RunStageResults is RunStage for stages whose tasks produce a value: each
 // task publishes via TaskContext.PublishResult, and the returned slice holds
-// the committed (winning-attempt) value per task. With speculation enabled,
-// rival attempts of a task may run concurrently; collecting results through
-// the commit gate keeps exactly one writer per task.
+// the committed (successful-attempt) value per task.
 func (c *Cluster) RunStageResults(name string, numTasks int, run func(tc *TaskContext) error) ([]any, StageStats, error) {
 	return c.runStage(name, numTasks, run, true, false)
 }
 
 func (c *Cluster) runStage(name string, numTasks int, run func(tc *TaskContext) error, collect, recovery bool) ([]any, StageStats, error) {
+	if c.closed.Load() {
+		return nil, StageStats{Name: name, Tasks: numTasks}, fmt.Errorf("stage %q: %w", name, ErrClosed)
+	}
 	c.mu.Lock()
 	c.stageCounter++
 	stageID := c.stageCounter
@@ -489,12 +468,14 @@ func (c *Cluster) runStage(name string, numTasks int, run func(tc *TaskContext) 
 
 	// The stage loop: each submission point first draws the deterministic
 	// executor-kill decisions, then runs every not-yet-committed task on
-	// the surviving executors. Attempts that die on a FetchFailedError
-	// (their shuffle read touched map outputs lost with an executor) do
-	// not fail the stage; instead the lost map partitions are recomputed
-	// from lineage via the shuffle's recompute callback and the stage is
-	// resubmitted, up to MaxStageRetries times before aborting with a
-	// typed *StageAbortedError.
+	// the surviving executors and commits the tasks that succeeded; the
+	// stage's virtual makespan is the sum of its submissions' makespans.
+	// Attempts that die on a FetchFailedError (their shuffle read touched
+	// map outputs lost with an executor) do not fail the stage; instead the
+	// lost map partitions are recomputed from lineage via the shuffle's
+	// recompute callback and the stage is resubmitted, up to
+	// MaxStageRetries times before aborting with a typed
+	// *StageAbortedError.
 	var abortErr error
 	resubmits := 0
 	for {
@@ -514,42 +495,18 @@ func (c *Cluster) runStage(name string, numTasks int, run func(tc *TaskContext) 
 			abortErr = err
 			break
 		}
-		sr.resetForResubmit()
 	}
 
-	stats := StageStats{
-		Name:         name,
-		Tasks:        numTasks,
-		RealDuration: time.Since(start),
-		Resubmits:    resubmits,
-	}
-	tasks := make([]virtualTask, numTasks)
+	stats := sr.stats
+	stats.Name = name
+	stats.Tasks = numTasks
+	stats.RealDuration = time.Since(start)
+	stats.Resubmits = resubmits
 	var firstErr error
-	for i := range sr.states {
-		st := &sr.states[i]
-		tasks[i] = virtualTask{
-			primaryNS:  st.primary.virtualNS,
-			specNS:     st.spec.virtualNS,
-			hasSpec:    st.spec.ran && st.spec.attempts > 0,
-			specCanWin: st.spec.succeeded,
-		}
-		if st.specLaunched {
-			stats.SpeculativeTasks++
-		}
-		if st.specWinner {
-			stats.SpeculativeWins++
-		}
-		stats.Attempts += st.primary.attempts + st.spec.attempts
-		stats.Failures += st.primary.failures + st.spec.failures
-		stats.ComputeDuration += time.Duration(st.primary.computeNS + st.spec.computeNS)
-		stats.ShuffleWaitDuration += time.Duration(st.primary.shuffleWaitNS + st.spec.shuffleWaitNS)
-		stats.Stragglers += st.primary.stragglers + st.spec.stragglers
-		if !st.committed && firstErr == nil {
-			err := st.primary.err
-			if err == nil {
-				err = ErrTaskFailed
-			}
-			firstErr = fmt.Errorf("stage %q task %d: %w", name, i, err)
+	for i, done := range sr.committed {
+		if !done {
+			firstErr = fmt.Errorf("stage %q task %d: %w", name, i, sr.chains[i].err)
+			break
 		}
 	}
 	if abortErr != nil {
@@ -558,18 +515,7 @@ func (c *Cluster) runStage(name string, numTasks int, run func(tc *TaskContext) 
 		firstErr = abortErr
 	}
 
-	// The virtual schedule places tasks onto the slots of the executors
-	// that survived to the stage's final attempt: losing hosts shrinks the
-	// stage's effective parallelism.
-	liveSlots := len(sr.live) * c.cfg.CoresPerExecutor
-	if liveSlots < 1 {
-		liveSlots = c.SlotCount()
-	}
-	makespanNS := c.virtualSchedule(tasks, liveSlots)
-	for i := range tasks {
-		stats.WastedDuration += time.Duration(tasks[i].wastedNS())
-	}
-
+	makespanNS := sr.makespanNS
 	overheadNS := c.cfg.SchedulerOverheadMS * 1e6 * (1 + 0.05*float64(c.cfg.Executors))
 	stats.VirtualDuration = time.Duration(makespanNS + overheadNS)
 	stats.SchedulerOverhead = time.Duration(overheadNS)
@@ -584,6 +530,7 @@ func (c *Cluster) runStage(name string, numTasks int, run func(tc *TaskContext) 
 	c.metrics.StagesRun.Add(1)
 	c.metrics.TasksLaunched.Add(int64(stats.Attempts))
 	c.metrics.TaskFailures.Add(int64(stats.Failures))
+	c.metrics.SpeculativeTasksLaunched.Add(int64(stats.SpeculativeTasks))
 	c.metrics.SpeculativeWins.Add(int64(stats.SpeculativeWins))
 	c.metrics.SpeculativeWastedNS.Add(int64(stats.WastedDuration))
 	c.history.add(stats)
@@ -653,13 +600,13 @@ func (c *Cluster) injectFailure(stageID, task, attempt int, speculative bool) bo
 }
 
 // injectStraggler decides deterministically whether the given attempt is an
-// injected straggler. The stream is independent of injectFailure's.
-// Speculative attempts are never stragglers: the injected pathology models a
-// slow or contended executor, and a speculative copy is by construction
-// relaunched on a different, healthy one — that asymmetry is the reason
-// speculation works at all.
-func (c *Cluster) injectStraggler(stageID, task, attempt int, speculative bool) bool {
-	if c.cfg.StragglerRate <= 0 || speculative {
+// injected straggler. The stream is independent of injectFailure's. Only
+// primary attempts draw: the injected pathology models a slow or contended
+// executor, and a speculative copy is by construction relaunched on a
+// different, healthy one — that asymmetry is the reason speculation works at
+// all.
+func (c *Cluster) injectStraggler(stageID, task, attempt int) bool {
+	if c.cfg.StragglerRate <= 0 {
 		return false
 	}
 	h := drawHash("straggler/", "", c.cfg.Seed, int64(stageID), int64(task), int64(attempt))

@@ -14,9 +14,9 @@ import (
 // Executor placement is deterministic and independent of real execution
 // timing: each task chain is hashed onto the stage's live-executor list, so
 // a given (seed, stage, task) always lands on the same host and killing that
-// host always invalidates the same outputs. Speculative duplicate chains are
-// offset to a different live executor when one exists — relaunching on the
-// same sick host would defeat the mitigation.
+// host always invalidates the same outputs. Speculative copies are offset to
+// a different live executor when one exists — relaunching on the same sick
+// host would defeat the mitigation.
 
 // executorMeta tracks one executor's failure history and availability. The
 // zero value is a healthy executor.
@@ -74,13 +74,18 @@ func (c *Cluster) FailExecutor(e int) bool {
 }
 
 // injectExecutorFailures is called at every stage submission (and
-// resubmission): it draws one deterministic kill decision per live executor
-// from a stream keyed by (seed, stage, resubmission, executor), applies the
-// losses, and returns the surviving live-executor list the stage attempt
-// will schedule onto. The last live executor is never killed.
+// resubmission): it draws one deterministic kill decision per executor live
+// at the current stage counter from a stream keyed by (seed, stage,
+// resubmission, executor), applies the losses at that counter, and returns
+// the surviving live-executor list the stage attempt will schedule onto. The
+// last live executor is never killed, so the list is never empty. The
+// counter, not the stage's own ID, decides liveness: a resubmission follows
+// the recovery stages that repaired its inputs, and the executors those
+// stages lost or re-admitted are the ones it runs beside.
 func (c *Cluster) injectExecutorFailures(stageID, resubmit int) []int {
 	c.mu.Lock()
-	live := c.liveExecutorsLocked(stageID)
+	now := c.stageCounter
+	live := c.liveExecutorsLocked(now)
 	c.mu.Unlock()
 	if c.cfg.ExecutorFailureRate <= 0 {
 		return live
@@ -99,13 +104,13 @@ func (c *Cluster) injectExecutorFailures(stageID, resubmit int) []int {
 		}
 	}
 	for _, e := range kills {
-		c.failExecutor(e, stageID)
+		c.failExecutor(e, now)
 	}
 	if len(kills) == 0 {
 		return live
 	}
 	c.mu.Lock()
-	live = c.liveExecutorsLocked(stageID)
+	live = c.liveExecutorsLocked(now)
 	c.mu.Unlock()
 	return live
 }
@@ -155,12 +160,9 @@ func (c *Cluster) failExecutor(e, stageID int) {
 
 // hostFor deterministically places a task chain onto one of the stage's live
 // executors. The primary chain hashes (seed, stage, task) onto the list; a
-// speculative duplicate takes the next live executor so the copy runs on a
+// speculative copy takes the next live executor so the copy runs on a
 // different host whenever more than one is alive.
 func (c *Cluster) hostFor(live []int, stageID, task int, speculative bool) int {
-	if len(live) == 0 {
-		return -1
-	}
 	h := drawHash("host/", "", c.cfg.Seed, int64(stageID), int64(task))
 	i := int(h % uint64(len(live)))
 	if speculative && len(live) > 1 {

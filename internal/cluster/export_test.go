@@ -1,21 +1,9 @@
 package cluster
 
-import "time"
-
 // Test-only API: declared in a _test.go file so that only this package's
 // tests can reach it.
 
 const mb = int64(1 << 20)
-
-// Delay simulates a straggling attempt: it charges virtualNS of virtual time
-// immediately (so the would-be cost stays accounted even if the attempt is
-// later cancelled by a winning rival) and then blocks for up to d of real
-// wall-clock time, returning early if the attempt is cancelled. The real
-// block is excluded from the attempt's measured compute time.
-func (tc *TaskContext) Delay(d time.Duration, virtualNS float64) {
-	tc.AddVirtualNS(virtualNS)
-	tc.sleep(d)
-}
 
 // WriteShuffle is WriteShuffleAs under the attempt's own task number.
 func (tc *TaskContext) WriteShuffle(shuffleID, reduceID int, data any, records, bytes int64) {
@@ -39,10 +27,6 @@ func (c *Cluster) PooledScratches() []*WorkerScratch {
 	defer c.scratch.mu.Unlock()
 	return append([]*WorkerScratch(nil), c.scratch.free...)
 }
-
-// Speculative reports whether this attempt belongs to a speculative
-// duplicate chain launched by the straggler monitor.
-func (tc *TaskContext) Speculative() bool { return tc.speculative }
 
 // Reset zeroes every counter.
 func (m *Metrics) Reset() {

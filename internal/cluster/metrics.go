@@ -24,11 +24,11 @@ type Metrics struct {
 	BlockEvictions        atomic.Int64
 	BlockRecomputes       atomic.Int64
 	PressureEvents        atomic.Int64
-	// SpeculativeTasksLaunched counts speculative duplicate chains started
-	// by the straggler monitor; SpeculativeWins counts those that won
-	// their task's commit race. SpeculativeWastedNS is the virtual time
-	// charged to losing copies (mitigation cost). StragglersInjected
-	// counts attempts slowed by the StragglerRate injector.
+	// SpeculativeTasksLaunched counts speculative copies the virtual
+	// schedule started; SpeculativeWins counts those that finished before
+	// their primary. SpeculativeWastedNS is the virtual time charged to
+	// losing copies (mitigation cost). StragglersInjected counts attempts
+	// slowed by the StragglerRate injector.
 	SpeculativeTasksLaunched atomic.Int64
 	SpeculativeWins          atomic.Int64
 	SpeculativeWastedNS      atomic.Int64

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +13,10 @@ import (
 // TestPoolSizeInvariant runs the same chaos program on a 1-worker pool (every
 // stage serialized) and a 3-worker pool and compares them
 // directly, counter for counter: final state, published results, and every
-// committed work counter must match, not just both match the oracle.
+// committed work counter must match, not just both match the oracle. The
+// speculative counters and the attempts launched must also repeat across two
+// 1-worker runs and match the 3-worker run: speculation is decided in
+// virtual time, not by a real race.
 func TestPoolSizeInvariant(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		prog := genChaosProgram(seed * 104729)
@@ -22,6 +26,12 @@ func TestPoolSizeInvariant(t *testing.T) {
 		ref := New(base)
 		refState, refSums, refErr := runChaosProgram(ref, prog)
 		ref.Close()
+		again := New(base)
+		_, _, againErr := runChaosProgram(again, prog)
+		again.Close()
+		if (refErr == nil) != (againErr == nil) {
+			t.Fatalf("seed %d: error divergence across two runs: %v vs %v", seed, refErr, againErr)
+		}
 
 		cfg := base
 		cfg.RealWorkers = 3
@@ -54,14 +64,23 @@ func TestPoolSizeInvariant(t *testing.T) {
 			pm.ShuffleBytesRead != rm.ShuffleBytesRead {
 			t.Errorf("seed %d: committed counters diverged:\n  1 worker:  %+v\n  3 workers: %+v", seed, rm, pm)
 		}
+		am := again.Metrics().Snapshot()
+		for _, m := range []MetricsSnapshot{am, pm} {
+			if m.SpeculativeTasksLaunched != rm.SpeculativeTasksLaunched ||
+				m.SpeculativeWins != rm.SpeculativeWins ||
+				m.TasksLaunched != rm.TasksLaunched {
+				t.Errorf("seed %d: speculation counters diverged: launched %d/%d, wins %d/%d, tasks %d/%d",
+					seed, m.SpeculativeTasksLaunched, rm.SpeculativeTasksLaunched,
+					m.SpeculativeWins, rm.SpeculativeWins, m.TasksLaunched, rm.TasksLaunched)
+			}
+		}
 	}
 }
 
 // TestPoolRunsEachTaskOnce pins the shared cursor's claim contract at the
 // pool's edge cases — fewer tasks than workers, exactly as many, one more
 // than a multiple, and many: every task function runs exactly once and every
-// task commits. Every third task sleeps in tc.Delay, so spares start and claim
-// from the same cursor as the workers they stand in for.
+// task commits. Every third task sleeps, so workers claim out of step.
 func TestPoolRunsEachTaskOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		seen := map[int]bool{}
@@ -77,7 +96,7 @@ func TestPoolRunsEachTaskOnce(t *testing.T) {
 				_, err := c.RunStage("once", tasks, func(tc *TaskContext) error {
 					runs[tc.Task()].Add(1)
 					if tc.Task()%3 == 0 {
-						tc.Delay(time.Millisecond, 0)
+						time.Sleep(100 * time.Microsecond)
 					}
 					tc.AddRecords(1)
 					return nil
@@ -98,42 +117,26 @@ func TestPoolRunsEachTaskOnce(t *testing.T) {
 	}
 }
 
-// TestPoolNeverExceedsRealWorkers pins the semaphore bound with spares live:
-// half the tasks sleep in tc.Delay between two stretches of work, so paused
-// chains hand their tokens to spares and more chains are in flight than
-// RealWorkers, yet at no instant may more than RealWorkers of them be
-// working outside a Delay. The work is a plain sleep, which holds the token
-// without burning a core.
+// TestPoolNeverExceedsRealWorkers pins the pool's bound: at no instant may
+// more than RealWorkers task bodies be working, even with stragglers
+// injected and speculation on. The work is a plain sleep, which occupies a
+// worker without burning a core.
 func TestPoolNeverExceedsRealWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			c := New(Config{Executors: 2, RealWorkers: workers})
+			c := New(Config{Executors: 2, RealWorkers: workers, StragglerRate: 0.5, Speculation: true})
 			defer c.Close()
-			var computing, inFlight, peakComputing, peakInFlight atomic.Int64
-			raise := func(peak *atomic.Int64, v int64) {
-				for p := peak.Load(); v > p && !peak.CompareAndSwap(p, v); p = peak.Load() {
+			var computing, peakComputing atomic.Int64
+			_, err := c.RunStage("bounded", 48, func(tc *TaskContext) error {
+				v := computing.Add(1)
+				for p := peakComputing.Load(); v > p && !peakComputing.CompareAndSwap(p, v); p = peakComputing.Load() {
 				}
-			}
-			work := func() {
-				raise(&peakComputing, computing.Add(1))
 				time.Sleep(200 * time.Microsecond)
 				computing.Add(-1)
-			}
-			_, err := c.RunStage("bounded", 48, func(tc *TaskContext) error {
-				raise(&peakInFlight, inFlight.Add(1))
-				defer inFlight.Add(-1)
-				work()
-				if tc.Task()%2 == 0 {
-					tc.Delay(2*time.Millisecond, 0)
-				}
-				work()
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if p := peakInFlight.Load(); p <= int64(workers) {
-				t.Fatalf("at most %d chains in flight: no spare ran, the bound went untested", p)
 			}
 			if p := peakComputing.Load(); p > int64(workers) {
 				t.Fatalf("%d chains computed at once, want at most RealWorkers = %d", p, workers)
@@ -193,63 +196,69 @@ func TestPoolScratchIsolation(t *testing.T) {
 	}
 }
 
-// TestPoolSpareWorkers pins the pause handoff: when a pool worker's
-// task blocks in a simulated delay it releases its token and a spare worker
-// must pick up the remaining tasks, so a stage of blocking tasks overlaps
-// its sleeps instead of serializing them.
-func TestPoolSpareWorkers(t *testing.T) {
-	const (
-		tasks = 8
-		delay = 20 * time.Millisecond
-	)
-	c := New(Config{Executors: 1, RealWorkers: 2})
-	defer c.Close()
-	start := time.Now()
-	_, err := c.RunStage("sleepy", tasks, func(tc *TaskContext) error {
-		tc.Delay(delay, 0)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestPoolWorkersStopOnErrorPaths: RunStage's error exits (task exhaustion,
+// here with stragglers injected and speculation on) must leave no pool
+// worker running. Run under -race, repeated failing stages would otherwise
+// accumulate leaked goroutines.
+func TestPoolWorkersStopOnErrorPaths(t *testing.T) {
+	boom := errors.New("boom")
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		c := New(Config{Executors: 4, Speculation: true, MaxTaskRetries: 1,
+			SpeculationQuantile: 0.1,
+			RealWorkers:         3,
+			StragglerRate:       0.3})
+		_, err := c.RunStage("failing", 8, func(tc *TaskContext) error {
+			if tc.Task()%2 == 1 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("err = %v", err)
+		}
+		c.Close()
 	}
-	elapsed := time.Since(start)
-	// Every sleeping task lends its token to a spare, so all 8 sleeps can
-	// overlap: the serial bound is 8x20ms = 160ms, the expected time about
-	// one 20ms wave. Assert well under serial with slack for scheduler noise.
-	if elapsed >= tasks*delay {
-		t.Fatalf("stage took %v, want overlap below the %v serial bound", elapsed, tasks*delay)
+	leaked := true
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if runtime.NumGoroutine() <= before+2 {
+			leaked = false
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if leaked {
+		t.Errorf("goroutine count %d stayed above baseline %d: worker leak",
+			runtime.NumGoroutine(), before)
 	}
 }
 
-// TestCloseWakesInflightDelays pins the shared pool context: Close must
-// cancel attempt contexts so chains blocked in long straggler delays wake
-// immediately instead of holding goroutines (and the caller) for the full
-// simulated delay.
-func TestCloseWakesInflightDelays(t *testing.T) {
-	c := New(Config{
-		Executors:            1,
-		RealWorkers:          2,
-		StragglerRate:        1, // every attempt blocks...
-		StragglerRealDelayMS: 5000,
-		MaxTaskRetries:       1,
-	})
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.RunStage("stuck", 2, func(tc *TaskContext) error { return nil })
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the chains enter their delay
-	start := time.Now()
+// TestClosedClusterFailsStages pins Close: every stage submitted after it
+// fails at once with ErrClosed, without running a task, and Closed reports
+// it.
+func TestClosedClusterFailsStages(t *testing.T) {
+	c := New(Config{Executors: 2})
+	if c.Closed() {
+		t.Fatal("new cluster reports closed")
+	}
 	c.Close()
-	select {
-	case <-done:
-		// The stage returned promptly (success or fail-fast both fine);
-		// the point is that Close unblocked the 5s sleeps.
-		if waited := time.Since(start); waited > 2*time.Second {
-			t.Errorf("stage took %v after Close", waited)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("stage still blocked 3s after Close")
+	if !c.Closed() {
+		t.Fatal("closed cluster reports open")
+	}
+	ran := false
+	_, err := c.RunStage("after-close", 4, func(tc *TaskContext) error {
+		ran = true
+		return nil
+	})
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if ran {
+		t.Error("a task ran on a closed cluster")
+	}
+	if n := c.Metrics().Snapshot().StagesRun; n != 0 {
+		t.Errorf("StagesRun = %d after a refused stage, want 0", n)
 	}
 }
 

@@ -5,22 +5,23 @@ import (
 	"sort"
 )
 
-// This file holds the virtual-clock scheduler. After a stage's tasks have
-// really executed, virtualSchedule places their measured attempt chains onto
-// the live executors' slots in a discrete-event simulation of the greedy
-// list schedule (FIFO or LPT order, each queued task starts the moment a
-// slot frees), with Spark-style straggler speculation layered on: once
-// SpeculationQuantile of the stage's tasks have (virtually) finished, any
-// running task that ran a speculative chain and is slower than
-// SpeculationMultiplier x the median effective duration launches a duplicate
-// copy on an idle slot, the first copy to finish completes the task, and the
-// losing copy is cancelled and charged to its slot up to the completion
-// time. Because speculative copies launch only on otherwise-idle slots after
-// the task queue has drained, the makespan can never exceed that of the same
-// stage without speculation; the property test pins this.
+// This file holds the virtual-clock scheduler, the one place speculation is
+// decided. After a submission attempt's tasks have really executed,
+// virtualSchedule places their measured attempt chains onto the live
+// executors' slots in a discrete-event simulation of the greedy list
+// schedule (FIFO or LPT order, each queued task starts the moment a slot
+// frees), with Spark-style straggler speculation layered on: once
+// SpeculationQuantile of the tasks have (virtually) finished, any running
+// task that may be copied and is slower than SpeculationMultiplier x the
+// median effective duration launches its copy on an idle slot, the first
+// copy to finish completes the task, and the losing copy is cancelled and
+// charged to its slot up to the completion time. Because speculative copies
+// launch only on otherwise-idle slots after the task queue has drained, the
+// makespan can never exceed that of the same stage without speculation; the
+// property test pins this.
 //
 // A slot's identity never decides a time, so free slots are a count. A
-// stage without a speculative chain arms no trigger and sorts no median:
+// stage with no task that may be copied arms no trigger and sorts no median:
 // each event is one finish, and the loop is the plain list schedule.
 
 // policyOrder returns task indices in placement order: nil for FIFO, whose
@@ -40,20 +41,21 @@ func policyOrder(tasks []virtualTask, policy SchedulePolicy) []int {
 }
 
 // virtualTask is one task as the virtual scheduler sees it: its measured
-// attempt chains, set by the caller, and the scheduler's charges for them.
+// attempt chain and its would-be copy, set by the caller, and the
+// scheduler's charges for them.
 type virtualTask struct {
 	// primaryNS is the primary chain's total virtual duration (all its
 	// attempts, after any spill penalty).
 	primaryNS float64
-	// specNS is the speculative chain's total virtual duration; only
-	// meaningful when hasSpec.
+	// specNS is the speculative copy's total virtual duration, all its
+	// drawn attempts; only meaningful when hasSpec.
 	specNS float64
-	// hasSpec marks tasks whose real execution launched a speculative
-	// copy (with at least one attempt).
+	// hasSpec marks tasks that may be copied: speculation is on, the
+	// primary succeeded and ran past the speculation floor.
 	hasSpec bool
-	// specCanWin marks speculative chains that reached a successful
-	// attempt and could therefore have completed the task. Chains that
-	// were cancelled or exhausted mid-run only waste slot time.
+	// specCanWin marks copies whose drawn attempts end in a success and
+	// could therefore complete the task. A copy whose attempts all fail
+	// only wastes slot time.
 	specCanWin bool
 
 	taskCharge // set by virtualSchedule
@@ -214,7 +216,7 @@ type virtualRun struct {
 
 	// The straggler threshold (multiplier x median effective duration)
 	// is fixed once quantileCount tasks have finished; only stages with a
-	// speculative chain (specTasks > 0) track it.
+	// task that may be copied (specTasks > 0) track it.
 	specTasks     int
 	quantileCount int
 	multiplier    float64
@@ -289,7 +291,7 @@ func (c *Cluster) virtualSchedule(tasks []virtualTask, slots int) float64 {
 			p.specRunning = false
 			free++
 			if !p.specCanWin {
-				// A doomed speculative chain only wasted its slot.
+				// A doomed copy only wasted its slot.
 				p.specChargedNS = p.specNS
 				break
 			}
@@ -353,7 +355,7 @@ func (r *virtualRun) arm(task int, now float64) {
 
 // record notes a task finishing at t after running for d. Once
 // quantileCount tasks have finished it fixes the straggler threshold and arms
-// the trigger of every running task that ran a speculative chain.
+// the trigger of every running task that may be copied.
 func (r *virtualRun) record(t, d float64) {
 	r.completed = append(r.completed, d)
 	if r.medianKnown || len(r.completed) < r.quantileCount {

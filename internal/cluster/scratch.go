@@ -75,9 +75,8 @@ func roundCap(n int) int {
 	return c
 }
 
-// scratchPool recycles WorkerScratch instances across stages (and lends one
-// to each speculative chain, which no pool worker runs), so warmed buffers
-// survive stage boundaries instead of being reallocated per stage.
+// scratchPool recycles WorkerScratch instances across stages, so warmed
+// buffers survive stage boundaries instead of being reallocated per stage.
 type scratchPool struct {
 	mu   sync.Mutex
 	free []*WorkerScratch

@@ -13,12 +13,11 @@ import (
 // a cache eviction) can re-read it without re-running the map stage.
 //
 // Bucket commits are idempotent: blocks are keyed by (map task, write
-// sequence), so if two attempts of the same map task ever both commit —
-// retried attempts, or speculative duplicates racing through the commit
-// window — the bucket contents equal those of a single write. Fetches return
-// blocks sorted by that key, which makes reduce-side input order (and hence
-// downstream partition contents) deterministic regardless of the real-time
-// order in which map tasks committed.
+// sequence), so if the same map task ever commits twice — a recovery stage
+// regenerating lost output under the original keys — the bucket contents
+// equal those of a single write. Fetches return blocks sorted by that key,
+// which makes reduce-side input order (and hence downstream partition
+// contents) independent of the order in which map tasks committed.
 //
 // Blocks are host-local: every committed block records the executor that
 // produced it, and losing an executor invalidates exactly its blocks. A

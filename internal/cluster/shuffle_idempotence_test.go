@@ -8,10 +8,10 @@ import (
 )
 
 // Bucket-commit idempotence: shuffle blocks are keyed by (map task, write
-// seq), so duplicate commits of the same deterministic map output — retried
-// attempts, or speculative duplicates racing through the commit window —
-// must leave every reduce partition equal to a single write, and fetch
-// order must be deterministic regardless of commit interleaving.
+// seq), so duplicate commits of the same deterministic map output — a
+// recovery stage regenerating lost output under the original keys — must
+// leave every reduce partition equal to a single write, and fetch order must
+// be deterministic regardless of commit order.
 
 func TestShuffleDuplicateCommitIsIdempotent(t *testing.T) {
 	cases := []struct {

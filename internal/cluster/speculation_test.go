@@ -9,34 +9,52 @@ import (
 )
 
 // aggressiveSpecConfig speculates as eagerly as the knobs allow, maximizing
-// commit/cancel window coverage in the tests below.
+// the copies the tests below see.
 func aggressiveSpecConfig(executors int, seed int64) Config {
 	return Config{
-		Executors:               executors,
-		CoresPerExecutor:        1,
-		Seed:                    seed,
-		Speculation:             true,
-		SpeculationQuantile:     0.1,
-		SpeculationMultiplier:   1.01,
-		speculationInterval:     50 * time.Microsecond,
-		SpeculationMinRuntimeMS: -1,
+		Executors:             executors,
+		CoresPerExecutor:      1,
+		Seed:                  seed,
+		Speculation:           true,
+		SpeculationQuantile:   0.1,
+		SpeculationMultiplier: 1.01,
 	}
 }
 
-// TestSpeculationRescuesStraggler: a stage where one task's primary attempt
-// stalls must get a speculative duplicate that wins the commit race, and the
+// oneStraggler sets cfg's injector to slow one first attempt in a stage of
+// tasks tasks by virtualMS, and returns the config with the first seed at
+// which exactly one task of a fresh cluster's first stage straggles, and
+// that task.
+func oneStraggler(t *testing.T, cfg Config, tasks int, virtualMS float64) (Config, int) {
+	t.Helper()
+	cfg.StragglerRate = 1 / float64(tasks)
+	cfg.StragglerVirtualMS = virtualMS
+	for seed := int64(1); seed < 1000; seed++ {
+		cfg.Seed = seed
+		c := &Cluster{cfg: cfg.withDefaults()}
+		slow := []int{}
+		for task := 0; task < tasks; task++ {
+			if c.injectStraggler(1, task, 0) {
+				slow = append(slow, task)
+			}
+		}
+		if len(slow) == 1 {
+			return cfg, slow[0]
+		}
+	}
+	t.Fatal("no seed slows exactly one task")
+	return cfg, -1
+}
+
+// TestSpeculationRescuesStraggler: a stage where the injector slows one
+// task's primary attempt must get a speculative copy that wins, and the
 // trace must record the launch, the winner, and the cancelled loser.
 func TestSpeculationRescuesStraggler(t *testing.T) {
-	cfg := aggressiveSpecConfig(4, 1)
+	const tasks = 8
+	cfg, slow := oneStraggler(t, aggressiveSpecConfig(4, 1), tasks, 200)
 	cfg.Trace = true
 	c := New(cfg)
-	const tasks = 8
 	stats, err := c.RunStage("straggle", tasks, func(tc *TaskContext) error {
-		if tc.Task() == 3 && !tc.Speculative() {
-			// Primary copy of task 3 stalls: 200ms of virtual cost and a
-			// long cancellable real block.
-			tc.Delay(2*time.Second, 200e6)
-		}
 		tc.AddRecords(1)
 		tc.PublishResult(tc.Task())
 		return nil
@@ -57,13 +75,13 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 	for _, e := range c.Tracer().Snapshot() {
 		switch e.Kind {
 		case EventTaskSpecLaunch:
-			sawLaunch = sawLaunch || e.Task == 3
+			sawLaunch = sawLaunch || e.Task == slow
 		case EventTaskSuccess:
-			if e.Outcome == "winner" && e.Task == 3 && e.Speculative {
+			if e.Outcome == "winner" && e.Task == slow && e.Speculative {
 				sawWinner = true
 			}
 		case EventTaskCancelled:
-			if e.Outcome == "loser" && e.Task == 3 {
+			if e.Outcome == "loser" && e.Task == slow {
 				sawLoser = true
 			}
 		}
@@ -76,16 +94,15 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 
 // TestSpeculationMakespanReduction: the virtual makespan with a winning
 // speculative copy must undercut the same stage without speculation, since
-// the duplicate finishes long before the straggler's virtual charge.
+// the copy finishes long before the straggler's virtual charge.
 func TestSpeculationMakespanReduction(t *testing.T) {
+	const tasks = 8
+	straggling, _ := oneStraggler(t, aggressiveSpecConfig(4, 1), tasks, 500)
 	run := func(speculate bool) time.Duration {
-		cfg := aggressiveSpecConfig(4, 1)
+		cfg := straggling
 		cfg.Speculation = speculate
 		c := New(cfg)
-		stats, err := c.RunStage("skew", 8, func(tc *TaskContext) error {
-			if tc.Task() == 0 && !tc.Speculative() {
-				tc.Delay(time.Second, 500e6)
-			}
+		stats, err := c.RunStage("skew", tasks, func(tc *TaskContext) error {
 			tc.AddVirtualNS(1e6)
 			return nil
 		})
@@ -110,7 +127,6 @@ func TestSpeculationExactlyOneCommit(t *testing.T) {
 		cfg.MaxTaskRetries = 12
 		cfg.StragglerRate = 0.4
 		cfg.StragglerVirtualMS = 20
-		cfg.StragglerRealDelayMS = 2
 		c := New(cfg)
 		const tasks = 24
 		results, stats, err := c.RunStageResults("one-commit", tasks, func(tc *TaskContext) error {
@@ -245,8 +261,9 @@ func TestSpeculationOffIsBitIdentical(t *testing.T) {
 
 // TestSpeculationRaceStress drives many clusters concurrently, each running
 // stages under the most aggressive speculation settings plus fault and
-// straggler injection, to expose commit/cancel races to the race detector.
-// Wired into `make race`; short mode caps the load.
+// straggler injection, to expose races between pool workers, the commit
+// point and the shared shuffle service to the race detector. Wired into
+// `make race`; short mode caps the load.
 func TestSpeculationRaceStress(t *testing.T) {
 	clusters, stages := 6, 8
 	if testing.Short() {
@@ -263,7 +280,6 @@ func TestSpeculationRaceStress(t *testing.T) {
 			cfg.MaxTaskRetries = 12
 			cfg.StragglerRate = 0.5
 			cfg.StragglerVirtualMS = 10
-			cfg.StragglerRealDelayMS = 1
 			cfg.Trace = true
 			cfg.traceCapacity = 1 << 12
 			c := New(cfg)

@@ -1,10 +1,5 @@
 package cluster
 
-import (
-	"context"
-	"time"
-)
-
 // TaskContext is handed to every task attempt. It accumulates the attempt's
 // simulated I/O time, bookkeeping counters, and buffered shuffle writes.
 //
@@ -12,30 +7,27 @@ import (
 // Spark: shuffle writes become visible to downstream stages, the published
 // task result is surfaced, and metric deltas (records, comparisons, shuffle
 // bytes read/written) are folded into the cluster-wide Metrics registry,
-// only when the attempt succeeds AND wins the task's commit race. A failed,
-// fail-injected, or speculation-losing attempt's buffered writes and counter
-// deltas are discarded, which is what makes task retry and speculative
-// duplicate attempts safe — and what keeps the experiment harness's
+// only when the attempt succeeds, at the stage's commit point after every
+// chain of the submission attempt has run. A failed or fail-injected
+// attempt's buffered writes and counter deltas are dropped with it, which is
+// what makes task retry safe — and what keeps the experiment harness's
 // comparison/shuffle counters identical between fault-free, fault-injected,
 // and speculative runs of the same job.
 //
 // A TaskContext is used by a single goroutine (its attempt); it must not be
-// shared across attempts. With speculation enabled, two attempts of the same
-// task may run concurrently — each gets its own TaskContext, and closures
-// that publish output must do so through the commit-gated channels
-// (WriteShuffleAs, PublishResult, the metric counters) or their own
-// synchronization.
+// shared across attempts. Attempts of one task run one after another, never
+// at once: a task's chain runs once on one pool worker, and a speculative
+// copy is decided in virtual time without running the task body.
 type TaskContext struct {
-	cluster     *Cluster
-	ctx         context.Context
-	stageID     int
-	stageName   string
-	task        int
-	attempt     int
-	speculative bool
+	cluster   *Cluster
+	stageID   int
+	stageName string
+	task      int
+	attempt   int
 	// executor is the live executor this attempt's chain was placed on;
-	// committed shuffle blocks and cached partitions are hosted there and
-	// die with it.
+	// cached partitions are hosted there, and committed shuffle blocks on
+	// the executor of the copy that completed the task. Both die with their
+	// host.
 	executor int
 	// recovery marks attempts of a patch-up stage regenerating lost
 	// output. Their shuffle writes commit normally (the data must come
@@ -47,30 +39,18 @@ type TaskContext struct {
 	recovery bool
 
 	// Attempt-scoped virtual time. virtualNS is general simulated I/O
-	// (broadcast reads, user-charged waits); shuffleWaitNS is the share
-	// spent fetching shuffle blocks, tracked separately so StageStats can
-	// report a compute vs. shuffle-wait breakdown. sleptNS is real
-	// wall-clock time spent blocked in sleep, subtracted from the
-	// attempt's measured compute time.
+	// (broadcast reads, user-charged waits, an injected straggler's
+	// charge); shuffleWaitNS is the share spent fetching shuffle blocks,
+	// tracked separately so StageStats can report a compute vs.
+	// shuffle-wait breakdown.
 	virtualNS       float64
 	shuffleWaitNS   float64
-	sleptNS         float64
 	workingSetBytes int64
 
-	// scratch is the worker-owned reusable buffer bundle for this attempt.
-	// The pool worker running a primary chain owns it for the whole stage;
-	// a speculative chain checks one out per task. Either way it is never
-	// shared between concurrently running attempts.
+	// scratch is the buffer bundle of the pool worker running this
+	// attempt, which owns it for the whole stage; it is never shared
+	// between concurrently running attempts.
 	scratch *WorkerScratch
-
-	// pause/resume yield and re-acquire the attempt's real worker slot
-	// around blocking sleeps: a task stalled in simulated delay burns no
-	// CPU, so holding a worker token would starve other tasks —
-	// and, on small hosts, the very completions the straggler monitor's
-	// quantile gate waits for. Nil for attempts that hold no token
-	// (speculative chains).
-	pause  func()
-	resume func()
 
 	// Buffered metric deltas, folded into cluster.Metrics in commit().
 	records          int64
@@ -99,7 +79,7 @@ type pendingWrite struct {
 func (tc *TaskContext) Task() int { return tc.task }
 
 // Attempt returns the zero-based attempt number of this execution within its
-// chain (the primary and speculative chains number attempts independently).
+// task's chain.
 func (tc *TaskContext) Attempt() int { return tc.attempt }
 
 // Executor returns the live executor this attempt runs on. Side effects the
@@ -123,45 +103,9 @@ func (tc *TaskContext) Scratch() *WorkerScratch {
 	return tc.scratch
 }
 
-// Context returns the attempt's context. It is cancelled when a rival
-// attempt of the same task commits first (speculation's
-// first-completion-wins), so long-running task closures can poll it to stop
-// early. The attempt's buffered side effects are discarded either way.
-func (tc *TaskContext) Context() context.Context {
-	if tc.ctx == nil {
-		return context.Background()
-	}
-	return tc.ctx
-}
-
-// sleep blocks for up to d, waking early on attempt cancellation, and
-// records the slept time so it can be excluded from measured compute. The
-// attempt's real worker slot is yielded for the duration of the block.
-func (tc *TaskContext) sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	start := time.Now()
-	if tc.pause != nil {
-		tc.pause()
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-tc.Context().Done():
-	}
-	if tc.pause != nil {
-		tc.resume()
-	}
-	// The re-acquire wait counts as slept, not compute: the task did no
-	// work while queueing for a slot.
-	tc.sleptNS += float64(time.Since(start).Nanoseconds())
-}
-
-// PublishResult buffers v as the attempt's task result. The winning
+// PublishResult buffers v as the attempt's task result. The successful
 // attempt's value becomes the task's entry in the results returned by
-// RunStageResults; losing and failed attempts' values are discarded.
+// RunStageResults; failed attempts' values are discarded.
 func (tc *TaskContext) PublishResult(v any) {
 	tc.result = v
 	tc.published = true
@@ -200,13 +144,12 @@ func (tc *TaskContext) SetWorkingSetBytes(n int64) {
 // WriteShuffleAs buffers one output bucket for the given shuffle and reduce
 // partition, as map task mapTask's output. The write is committed when the
 // attempt succeeds. Committed buckets are keyed by (map task, write
-// sequence), so a duplicate commit of the same deterministic output — e.g.
-// by a retried or speculative attempt — is idempotent: the bucket contents
-// equal a single write. A recovery task regenerating executor-lost output
-// runs under its own patch-up stage's task numbering but must commit blocks
-// under the original map partition's (map task, seq) keys, or the
-// recomputed blocks would not splice back into the reduce-side sort order
-// the first run established.
+// sequence), so a duplicate commit of the same deterministic output is
+// idempotent: the bucket contents equal a single write. A recovery task
+// regenerating executor-lost output runs under its own patch-up stage's task
+// numbering but must commit blocks under the original map partition's
+// (map task, seq) keys, or the recomputed blocks would not splice back into
+// the reduce-side sort order the first run established.
 func (tc *TaskContext) WriteShuffleAs(shuffleID, reduceID, mapTask int, data any, records, bytes int64) {
 	tc.pendingShuffle = append(tc.pendingShuffle, pendingWrite{
 		shuffleID: shuffleID,
@@ -251,9 +194,9 @@ func (tc *TaskContext) FetchShuffle(shuffleID, reduceID int) ([]any, error) {
 }
 
 // commit publishes the attempt's buffered side effects: shuffle output
-// becomes fetchable and metric deltas are folded into the cluster registry.
-// It is only ever called for the single attempt that won the task's commit
-// arbitration, so exactly one attempt per task publishes.
+// becomes fetchable on tc.executor and metric deltas are folded into the
+// cluster registry. The stage's commit point calls it once per task, for
+// the task's successful attempt, so exactly one attempt per task publishes.
 func (tc *TaskContext) commit() {
 	m := tc.cluster.metrics
 	for _, w := range tc.pendingShuffle {
@@ -280,11 +223,5 @@ func (tc *TaskContext) commit() {
 	if tc.shuffleBytesRead != 0 {
 		m.ShuffleBytesRead.Add(tc.shuffleBytesRead)
 	}
-	tc.records, tc.comparisons, tc.shuffleBytesRead = 0, 0, 0
-}
-
-// discard drops the attempt's buffered side effects (failed attempt).
-func (tc *TaskContext) discard() {
-	tc.pendingShuffle = nil
 	tc.records, tc.comparisons, tc.shuffleBytesRead = 0, 0, 0
 }

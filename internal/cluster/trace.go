@@ -23,13 +23,14 @@ const (
 	EventTaskFailInjected    EventKind = "task_fail_injected"
 	EventTaskPressureTimeout EventKind = "task_pressure_timeout"
 	EventTaskError           EventKind = "task_error"
-	// EventTaskSpecLaunch marks the straggler monitor launching a
-	// speculative duplicate chain (Attempt is -1: it announces the chain,
-	// not one attempt). EventTaskStraggler marks an attempt slowed by the
-	// straggler injector. EventTaskCancelled marks an attempt abandoned
-	// because a rival attempt of the same task won the commit race; its
-	// Outcome is "loser", and the winning attempt's task_success carries
-	// Outcome "winner".
+	// EventTaskSpecLaunch marks the virtual schedule launching a task's
+	// speculative copy (Attempt is -1: it announces the copy, not one
+	// attempt). EventTaskStraggler marks an attempt slowed by the
+	// straggler injector. EventTaskCancelled marks the copy of a
+	// speculated task that did not finish first, stopped when the other
+	// completed the task; its Outcome is "loser", and the other copy's
+	// task_success carries Outcome "winner". The replay emits all three
+	// after the submission attempt's chains have run, with virtual times.
 	EventTaskSpecLaunch EventKind = "task_spec_launch"
 	EventTaskStraggler  EventKind = "task_straggler"
 	EventTaskCancelled  EventKind = "task_cancelled"
@@ -86,11 +87,11 @@ type Event struct {
 	// VirtualNS is the virtual duration charged by the event's subject
 	// (e.g. a finished task attempt or stage), in nanoseconds.
 	VirtualNS float64 `json:"virtualNS,omitempty"`
-	// Speculative marks events of a speculative duplicate attempt chain.
+	// Speculative marks events of a speculative copy.
 	Speculative bool `json:"speculative,omitempty"`
-	// Outcome is set on commit-race resolutions: "winner" on the
-	// task_success of a raced task, "loser" on the task_cancelled of the
-	// rival attempt.
+	// Outcome is set on speculated tasks: "winner" on the task_success of
+	// the copy that finished first, "loser" on the task_cancelled of the
+	// other.
 	Outcome string `json:"outcome,omitempty"`
 	// Detail is a free-form annotation: block ids ("rdd3/p7"), error
 	// strings, failure causes.

@@ -509,8 +509,8 @@ func TestClassifyStatsIdenticalUnderFaults(t *testing.T) {
 		{"failures and speculation",
 			cluster.Config{
 				FailureRate: 0.3, MaxTaskRetries: 20, Seed: 85,
-				Speculation: true, SpeculationQuantile: 0.5, SpeculationMinRuntimeMS: -1,
-				StragglerRate: 0.3, StragglerRealDelayMS: 2,
+				Speculation: true, SpeculationQuantile: 0.5,
+				StragglerRate: 0.3,
 			},
 			func(m cluster.MetricsSnapshot) int64 { return m.SpeculativeTasksLaunched }},
 		{"spill",

@@ -37,8 +37,8 @@ func TestClassifyOrderIndependent(t *testing.T) {
 		{"pruning", cluster.Config{}, Config{K: 7, B: 8, C: 4, Seed: 1, Pruning: &PruningConfig{Clusters: 4, FTheta: 0.4}}},
 		{"failures+speculation", cluster.Config{
 			FailureRate: 0.3, MaxTaskRetries: 40, Seed: 9,
-			Speculation: true, SpeculationQuantile: 0.5, SpeculationMinRuntimeMS: -1,
-			StragglerRate: 0.1, StragglerRealDelayMS: 1,
+			Speculation: true, SpeculationQuantile: 0.5,
+			StragglerRate: 0.1,
 		}, Config{K: 7, B: 8, C: 4, Seed: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,8 +11,11 @@ import (
 // the all-pairs partition skew the paper's §4.3.2 names as its scaling
 // limiter — run with speculative execution off and on. Stragglers come from
 // the engine's deterministic injector (a virtual charge standing for the
-// slowdown's cost, plus a real cancellable stall the monitor can race), on
-// top of Zipf-like task-duration skew.
+// slowdown's cost; nothing sleeps), on top of Zipf-like task-duration skew.
+// The engine decides speculation in virtual time from those durations, so
+// the rows repeat run to run: a straggler's copy wins, and a skewed task
+// slow enough to be copied keeps its primary, whose copy costs as much and
+// starts later.
 const (
 	// speculationTasks per stage and speculationRounds stages per
 	// configuration.
@@ -23,12 +26,9 @@ const (
 	// speculationSkew multiplies the duration of the heaviest task.
 	speculationBaseTaskMS = 4
 	speculationSkew       = 3
-	// The engine's straggler injector (see cluster.Config). The real delay
-	// is long enough that the monitor reliably races a duplicate before the
-	// straggler's primary wakes and wins its own commit.
-	stragglerRate        = 0.1
-	stragglerVirtualMS   = 400
-	stragglerRealDelayMS = 25
+	// The engine's straggler injector (see cluster.Config).
+	stragglerRate      = 0.1
+	stragglerVirtualMS = 400
 )
 
 // SpeculationRow is one configuration's measurement.
@@ -67,7 +67,6 @@ func Speculation(env *Env, seed int64) ([]SpeculationRow, error) {
 	baseCfg.Seed = seed
 	baseCfg.StragglerRate = stragglerRate
 	baseCfg.StragglerVirtualMS = stragglerVirtualMS
-	baseCfg.StragglerRealDelayMS = stragglerRealDelayMS
 	// Speculate once half the stage has committed: the workload's median is
 	// representative early, and a late quantile leaves tail stragglers
 	// unmitigated.

@@ -219,10 +219,8 @@ func runOnCluster(t *testing.T, prog []diffOp, data []drec, parts int, failureRa
 		cfg.Speculation = true
 		cfg.SpeculationQuantile = 0.25
 		cfg.SpeculationMultiplier = 1.1
-		cfg.SpeculationMinRuntimeMS = -1
 		cfg.StragglerRate = 0.3
 		cfg.StragglerVirtualMS = 40
-		cfg.StragglerRealDelayMS = 2
 	}
 	cl := cluster.New(cfg)
 	ctx := NewContext(cl)

@@ -66,7 +66,7 @@ type errorResponse struct {
 //	POST /v1/reports        one report object
 //	POST /v1/reports:batch  {"reports": [...]} or a bare array
 //	GET  /v1/stats          live Stats
-//	GET  /healthz           200 while running, 503 otherwise
+//	GET  /healthz           200 while running on an open engine, 503 otherwise
 //	GET  /debug/vars        expvar (includes the adrdedupd stats var)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -83,11 +83,16 @@ func (s *Server) Handler() http.Handler {
 		s.mu.RLock()
 		state := s.state
 		s.mu.RUnlock()
-		if state == stateRunning {
+		switch {
+		case state != stateRunning:
+			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": stateName(state)})
+		case s.det.Engine().Cluster().Closed():
+			// Every ingest would fail with cluster.ErrClosed: tell the
+			// load balancer before a client finds out.
+			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "engine closed"})
+		default:
 			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-			return
 		}
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": stateName(state)})
 	})
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	return mux

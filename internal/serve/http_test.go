@@ -18,6 +18,7 @@ import (
 
 	"adrdedup"
 	"adrdedup/internal/adr"
+	"adrdedup/internal/cluster"
 	"adrdedup/internal/core"
 )
 
@@ -581,6 +582,49 @@ func TestFailedDetectStatuses(t *testing.T) {
 	fail("re-posting an ingested case", []adr.Report{traffic[5], traffic[2]}, http.StatusConflict, "")
 	srv.Detector().Engine().Cluster().Close()
 	fail("a batch on a closed engine", traffic[5:], http.StatusServiceUnavailable, "3")
+}
+
+// TestClosedEngineFailsIngestAndHealthz: once the detector's cluster is
+// closed on a running server, a single ingest answers 503 with Retry-After
+// (every stage fails with cluster.ErrClosed) and /healthz answers 503 too, so
+// a load balancer stops routing to a daemon that cannot ingest.
+func TestClosedEngineFailsIngestAndHealthz(t *testing.T) {
+	boot := mustBootstrap(t, testBootCfg(89, 120, 6, 150))
+	srv := New(boot.Detector, Config{QueueDepth: 2})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer closeServer(t, srv)
+
+	healthz := func() int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := healthz(); code != http.StatusOK {
+		t.Fatalf("healthz on an open engine = %d, want 200", code)
+	}
+	srv.Detector().Engine().Cluster().Close()
+	report, err := json.Marshal(GenerateTraffic(TrafficConfig{Reports: 1, Seed: 83})[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/reports", report)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("single ingest on a closed engine = %d, want 503 (body %s)", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), cluster.ErrClosed.Error()) {
+		t.Errorf("ingest error %s does not name the closed engine", body)
+	}
+	if code := healthz(); code != http.StatusServiceUnavailable {
+		t.Errorf("healthz on a closed engine = %d, want 503", code)
+	}
 }
 
 // TestQueuedSubmitOutlivesItsContext pins what Submit promises a caller whose

@@ -55,6 +55,15 @@ func closeServer(t testing.TB, srv *Server) {
 	}
 }
 
+// TestBootstrapSamplesSmallCorpus: seed 67's 120-report corpus has few
+// distinct hard-negative pairs, so sampling its 150 training pairs needs the
+// random fill after the hard loop has spent its attempts; it must still
+// bootstrap.
+func TestBootstrapSamplesSmallCorpus(t *testing.T) {
+	boot := mustBootstrap(t, testBootCfg(67, 120, 6, 150))
+	boot.Detector.Engine().Cluster().Close()
+}
+
 // TestConcurrentIngestMatchesSequentialOracle is the -race stress test:
 // many goroutines push singles and batches through the live server, then the
 // arrival order is read back from the detector's database and replayed
