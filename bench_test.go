@@ -8,6 +8,8 @@ package adrdedup_test
 
 import (
 	"fmt"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,11 +46,7 @@ var (
 func benchSetup(b *testing.B) *benchState {
 	b.Helper()
 	benchOnce.Do(func() {
-		env, err := experiments.NewEnv(experiments.EnvConfig{
-			Cluster: experiments.DefaultCluster(),
-			Corpus:  experiments.SmallCorpus(1),
-			Seed:    2,
-		})
+		env, err := experiments.NewEnv(experiments.DefaultCluster(), experiments.SmallCorpus(1), 2)
 		if err != nil {
 			benchErr = err
 			return
@@ -91,14 +89,20 @@ func knnAUPR(b *testing.B, s *benchState, data *experiments.PairData, cfg core.C
 func BenchmarkTable3DatasetSummary(b *testing.B) {
 	corpus := adrgen.Generate(experiments.DefaultCorpus(1))
 	b.ResetTimer()
+	var summary experiments.Table
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table3(corpus)
-		if err != nil {
+		var err error
+		if summary, err = experiments.Table3(corpus); err != nil {
 			b.Fatal(err)
 		}
-		if res.Summary.NumCases != 10382 {
-			b.Fatalf("cases = %d", res.Summary.NumCases)
-		}
+	}
+	b.StopTimer()
+	var out strings.Builder
+	if err := experiments.Write(&out, "table3", false, []experiments.Table{summary}); err != nil {
+		b.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^Number of cases +10382$`).MatchString(out.String()) {
+		b.Fatalf("summary does not count 10382 cases:\n%s", out.String())
 	}
 }
 
@@ -217,9 +221,7 @@ func BenchmarkFig8CrossIntraRatio(b *testing.B) {
 		cfg.MemoryPerExecutorBytes = 1 << 20
 		cfg.PressureTimeouts = true
 		for i := 0; i < b.N; i++ {
-			env, err := experiments.NewEnv(experiments.EnvConfig{
-				Cluster: cfg, Corpus: experiments.SmallCorpus(1), Seed: 2,
-			})
+			env, err := experiments.NewEnv(cfg, experiments.SmallCorpus(1), 2)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -315,9 +317,7 @@ func BenchmarkFig11TestSetPruning(b *testing.B) {
 func BenchmarkAblationVoteVsWeighted(b *testing.B) {
 	s := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Ablation(s.env, experiments.AblationParams{
-			TrainSize: 20_000, TestSize: 3_000, Seed: 13,
-		})
+		rows, err := experiments.Ablation(s.env, 20_000, 3_000, 13)
 		if err != nil {
 			b.Fatal(err)
 		}

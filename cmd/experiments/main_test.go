@@ -1,30 +1,44 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"strings"
+	"testing"
+)
 
 func TestRunnerDispatchTables(t *testing.T) {
-	r := &runner{scale: 1, seed: 1, quick: true}
 	for _, exhibit := range []string{"table2", "table1", "table3"} {
-		if err := r.run(exhibit); err != nil {
-			t.Errorf("%s: %v", exhibit, err)
+		if status := run([]string{"-quick", exhibit}, io.Discard, io.Discard); status != 0 {
+			t.Errorf("%s: exit status %d", exhibit, status)
 		}
 	}
 }
 
 func TestRunnerRejectsUnknownExhibit(t *testing.T) {
-	r := &runner{scale: 1, seed: 1, quick: true}
-	if err := r.run("fig99"); err == nil {
-		t.Error("unknown exhibit must error")
+	if status := run([]string{"-quick", "fig99"}, io.Discard, io.Discard); status != 2 {
+		t.Errorf("unknown exhibit: exit status %d, want 2", status)
 	}
 }
 
-func TestRunnerScaling(t *testing.T) {
-	r := &runner{scale: 2, quick: false}
-	if got := r.n(1000); got != 2000 {
-		t.Errorf("n(1000) at scale 2 = %d", got)
-	}
-	r = &runner{scale: 1, quick: true}
-	if got := r.n(1000); got != 100 {
-		t.Errorf("quick n(1000) = %d", got)
+// TestRunnerRejectsBadScale: a -scale that is not positive, or that shrinks a
+// size below one, is a usage error, reported before any exhibit runs.
+func TestRunnerRejectsBadScale(t *testing.T) {
+	for _, args := range [][]string{
+		{"-quick", "-scale", "0", "loadbalance"},
+		{"-quick", "-scale", "-1", "fig11"},
+		{"-quick", "-scale", "NaN", "fig7"},
+		{"-quick", "-scale", "0.0005", "fig6"}, // a 1,000-pair quick test set scales to 0
+		{"-quick", "-scale", "0.0005", "all"},
+	} {
+		var stdout, stderr strings.Builder
+		if status := run(args, &stdout, &stderr); status != 2 {
+			t.Errorf("%v: exit status %d, want 2", args, status)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: an exhibit ran before the usage error:\n%s", args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "-scale") || !strings.Contains(stderr.String(), "usage:") {
+			t.Errorf("%v: stderr does not name the bad -scale with the usage:\n%s", args, stderr.String())
+		}
 	}
 }

@@ -8,22 +8,6 @@ import (
 	"adrdedup/internal/knn"
 )
 
-// AblationParams configures the design-choice ablations DESIGN.md calls out.
-type AblationParams struct {
-	TrainSize, TestSize int
-	Seed                int64
-}
-
-func (p AblationParams) withDefaults() AblationParams {
-	if p.TrainSize <= 0 {
-		p.TrainSize = 200_000
-	}
-	if p.TestSize <= 0 {
-		p.TestSize = 10_000
-	}
-	return p
-}
-
 // AblationRow is one variant measurement.
 type AblationRow struct {
 	Variant                 string
@@ -34,7 +18,7 @@ type AblationRow struct {
 	ExecutionTime           time.Duration
 }
 
-// Ablation runs the Fast kNN design ablations:
+// Ablation runs the Fast kNN design ablations DESIGN.md calls out:
 //
 //   - "fast-knn": the full method;
 //   - "majority-vote": Eq. 1 voting instead of Eq. 5 inverse-distance
@@ -47,13 +31,12 @@ type AblationRow struct {
 //   - "random-partition": uniform random partitioning instead of k-means
 //     Voronoi cells (observation 4 loses its geometric basis, so every
 //     partition must be searched).
-func Ablation(env *Env, p AblationParams) ([]AblationRow, error) {
-	p = p.withDefaults()
-	data, err := env.BuildPairData(p.TrainSize, p.TestSize, exhibitHardFraction, p.Seed)
+func Ablation(env *Env, trainSize, testSize int, seed int64) ([]AblationRow, error) {
+	data, err := env.BuildPairData(trainSize, testSize, exhibitHardFraction, seed)
 	if err != nil {
 		return nil, err
 	}
-	base := core.Config{K: exhibitK, B: exhibitB, C: exhibitC, Seed: p.Seed}
+	base := core.Config{K: exhibitK, B: exhibitB, C: exhibitC, Seed: seed}
 
 	variants := []struct {
 		name string
@@ -69,23 +52,17 @@ func Ablation(env *Env, p AblationParams) ([]AblationRow, error) {
 
 	var out []AblationRow
 	for _, v := range variants {
-		clf, err := core.Train(env.Ctx, data.Train, v.cfg)
+		results, stats, err := classify(env, data, v.cfg)
 		if err != nil {
 			return nil, err
 		}
-		results, stats, err := clf.Classify(data.TestVecs)
-		if err != nil {
-			return nil, err
-		}
-		scores := make([]float64, len(results))
-		for _, r := range results {
-			if v.vote {
-				scores[r.ID] = voteScore(r.Neighbors)
-			} else {
-				scores[r.ID] = r.Score
+		s := scores(results)
+		if v.vote {
+			for _, r := range results {
+				s[r.ID] = voteScore(r.Neighbors)
 			}
 		}
-		aupr, err := eval.AUPR(scores, data.TestLabels)
+		aupr, err := eval.AUPR(s, data.TestLabels)
 		if err != nil {
 			return nil, err
 		}
@@ -115,4 +92,14 @@ func voteScore(neighbors []knn.Neighbor) float64 {
 		s += float64(n.Label)
 	}
 	return s
+}
+
+func ablationTables(rows []AblationRow) []Table {
+	t := newTable("Ablations of Fast kNN design choices",
+		"variant", "AUPR", "intra comparisons", "cross comparisons", "add. clusters", "exec time")
+	for _, r := range rows {
+		t.add(text(r.Variant), aupr(r.AUPR), count(r.IntraClusterComparisons), count(r.CrossClusterComparisons),
+			count(r.AdditionalClusters), virtual(r.ExecutionTime))
+	}
+	return []Table{t}
 }

@@ -27,13 +27,12 @@ import (
 
 // CandidatesParams configures the exhibit.
 type CandidatesParams struct {
-	// Records is the corpus size (default 100,000 — an order past the
-	// paper's 10,382-report TGA corpus).
-	Records int
+	// records is the corpus size.
+	records int
 	// samplePairs is the number of random pairs vectorized to price the
-	// brute-force path's per-pair cost (default 200,000).
+	// brute-force path's per-pair cost, at most the quadratic space.
 	samplePairs int
-	Seed        int64
+	seed        int64
 }
 
 const (
@@ -45,24 +44,9 @@ const (
 	candidatesPartitions = 25
 )
 
-func (p CandidatesParams) withDefaults() CandidatesParams {
-	if p.Records <= 0 {
-		p.Records = 100000
-	}
-	if p.samplePairs <= 0 {
-		p.samplePairs = 200000
-	}
-	if max := candgen.TotalPairs(p.Records, 0); int64(p.samplePairs) > max {
-		p.samplePairs = int(max)
-	}
-	return p
-}
-
 // CandidatesResult is the exhibit's measurement.
 type CandidatesResult struct {
-	Records    int
-	Theta      float64
-	Partitions int
+	Records int
 
 	// TotalPairs is the quadratic search space; Scanned/Verified/Candidates
 	// are the generator's shrinking funnel (length-bound survivors, exact
@@ -115,39 +99,37 @@ func samplePairs(n, m int, seed int64) []pairdist.IDPair {
 	return pairs
 }
 
-// Candidates generates a Records-sized corpus, extracts signature sets, runs
+// scaledCorpus generates a records-sized corpus of the paper's Table 3
+// shape: duplicates grow linearly with the report count, lexicons by Heaps'
+// law (~√n — a bigger spontaneous-reporting database sees more distinct
+// drugs and reactions, sublinearly), and campaigns linearly (about 17
+// reports per campaign at the default fraction — a real database
+// accumulates more campaigns, not ever-larger ones; either fixed-size choice
+// would grow quadratic near-duplicate mass that no generator could shrink).
+func scaledCorpus(records int, seed int64) *adrgen.Corpus {
+	heaps := max(math.Sqrt(float64(records)/10382), 1)
+	return adrgen.Generate(adrgen.Config{
+		NumReports:     records,
+		DuplicatePairs: records / 36,
+		NumDrugs:       int(1366 * heaps),
+		NumADRs:        int(2351 * heaps),
+		Campaigns:      records/50 + 1,
+		Seed:           seed,
+	})
+}
+
+// Candidates generates a records-sized corpus, extracts signature sets, runs
 // the prefix-filtered generator whole, and prices the brute-force path by
 // vectorizing a random pair sample and extrapolating to the quadratic space.
 // workers sizes the task pool (cluster.Config.RealWorkers; 0 = NumCPU).
 func Candidates(p CandidatesParams, workers int) (CandidatesResult, error) {
-	p = p.withDefaults()
 	var res CandidatesResult
-	res.Records = p.Records
-	res.Theta = candidatesTheta
-	res.Partitions = candidatesPartitions
-	res.SamplePairs = p.samplePairs
+	res.Records = p.records
+	res.SamplePairs = int(min(int64(p.samplePairs), candgen.TotalPairs(p.records, 0)))
 
-	// Corpus scaled from the paper's Table 3 shape: duplicates grow
-	// linearly with the report count, lexicons by Heaps' law (~√n — a
-	// bigger spontaneous-reporting database sees more distinct drugs and
-	// reactions, sublinearly), and campaigns linearly (about 17 reports
-	// per campaign at the default fraction — a real database accumulates
-	// more campaigns, not ever-larger ones; either fixed-size choice would
-	// grow quadratic near-duplicate mass that no generator could shrink).
-	heaps := math.Sqrt(float64(p.Records) / 10382)
-	if heaps < 1 {
-		heaps = 1
-	}
-	corpus := adrgen.Generate(adrgen.Config{
-		NumReports:     p.Records,
-		DuplicatePairs: p.Records / 36,
-		NumDrugs:       int(1366 * heaps),
-		NumADRs:        int(2351 * heaps),
-		Campaigns:      p.Records/50 + 1,
-		Seed:           p.Seed,
-	})
+	corpus := scaledCorpus(p.records, p.seed)
 	cfg := DefaultCluster()
-	cfg.Seed = p.Seed
+	cfg.Seed = p.seed
 	cfg.RealWorkers = workers
 	ctx := rdd.NewContext(cluster.New(cfg))
 	it := intern.New()
@@ -179,7 +161,7 @@ func Candidates(p CandidatesParams, workers int) (CandidatesResult, error) {
 	// path would use, then extrapolate linearly by pair count: the brute
 	// candidate path owes this for every pair in the quadratic space, the
 	// prefix path only for its emitted candidates.
-	sample := samplePairs(len(sigs), p.samplePairs, p.Seed+1)
+	sample := samplePairs(len(sigs), res.SamplePairs, p.seed+1)
 	start = time.Now()
 	if _, err := pairdist.ComputeVectors(ctx, feats, sample, candidatesPartitions); err != nil {
 		return res, fmt.Errorf("experiments: vectorizing pair sample: %w", err)
@@ -189,8 +171,25 @@ func Candidates(p CandidatesParams, workers int) (CandidatesResult, error) {
 	res.BruteExtrapolated = time.Duration(perPair * float64(res.TotalPairs))
 	res.PrefixDownstream = time.Duration(perPair * float64(res.Candidates))
 	res.PrefixTotal = res.PrefixWall + res.PrefixDownstream
-	if res.PrefixTotal > 0 {
-		res.SpeedupX = float64(res.BruteExtrapolated) / float64(res.PrefixTotal)
-	}
+	res.SpeedupX = timeRatio(res.BruteExtrapolated, res.PrefixTotal)
 	return res, nil
+}
+
+func candidatesTables(res CandidatesResult) []Table {
+	t := newTable(fmt.Sprintf("Candidate generation wall: %d reports, theta %.2f, %d partitions",
+		res.Records, candidatesTheta, candidatesPartitions), "funnel stage", "pairs")
+	t.add(text("quadratic space"), count(res.TotalPairs))
+	t.add(text("prefix-index scanned"), count(res.Scanned))
+	t.add(text("exactly verified"), count(res.Verified))
+	t.add(text("candidates emitted"), count(res.Candidates))
+	t.note("candidate reduction (quadratic pairs per candidate)", ratio(res.ReductionX, 0))
+	t.note("prefix index entries", count(res.IndexEntries))
+	t.note("prefix path generation", wall(res.PrefixWall))
+	t.note("prefix path downstream vectorization", wall(res.PrefixDownstream))
+	t.note("prefix path total", wall(res.PrefixTotal))
+	t.note("brute path sample pairs", count(res.SamplePairs))
+	t.note("brute path sample vectorization", wall(res.SampleWall))
+	t.note("brute path extrapolated over the quadratic space", wall(res.BruteExtrapolated))
+	t.note("brute path / prefix path", speedup(res.SpeedupX))
+	return []Table{t}
 }

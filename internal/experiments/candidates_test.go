@@ -13,7 +13,7 @@ import (
 // prices the full quadratic space at the sampled per-pair rate.
 func TestCandidatesExhibitShape(t *testing.T) {
 	res, err := Candidates(CandidatesParams{
-		Records: 3000, samplePairs: 20000, Seed: 5,
+		records: 3000, samplePairs: 20000, seed: 5,
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestCandidatesExhibitShape(t *testing.T) {
 // so this fails whenever IDs depend on how extract tasks were scheduled.
 func TestCandidatesCountersReproducible(t *testing.T) {
 	run := func() [4]int64 {
-		res, err := Candidates(CandidatesParams{Records: 1500, samplePairs: 5000, Seed: 9}, 0)
+		res, err := Candidates(CandidatesParams{records: 1500, samplePairs: 5000, seed: 9}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func BenchmarkCandidateGen(b *testing.B) {
 	var res CandidatesResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = Candidates(CandidatesParams{Seed: 3}, 0)
+		res, err = Candidates(CandidatesParams{records: 100_000, samplePairs: 200_000, seed: 3}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,14 +1,16 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§5) on the synthetic TGA-profile corpus. Each experiment is a
-// function returning a typed result that both cmd/experiments (pretty
-// printing) and the root bench suite (testing.B) consume.
+// evaluation (§5) on the synthetic TGA-profile corpus. Each exhibit is a
+// function returning typed rows, which the shape tests and the root bench
+// suite read, and a builder that turns the rows into a Table. One registry
+// (registry.go) names every exhibit, sizes it from the command line's
+// -scale, -quick and -seed, and is all cmd/experiments runs.
 //
 // Scale: the paper runs 1-5 million training pairs on a 14-node cluster;
-// the defaults here are one tenth of that (100k-500k pairs) so every
-// experiment completes on one machine in seconds-to-minutes. The Scale
-// field multiplies pair counts back up for full-scale runs. Reported
-// execution times are the virtual cluster times (see internal/cluster),
-// which is what makes executor-count sweeps meaningful on a laptop.
+// the registry's sizes are one tenth of that (100k-500k pairs) so every
+// exhibit completes on one machine in seconds-to-minutes, and -scale
+// multiplies pair counts back up. Reported execution times are the virtual
+// cluster times (see internal/cluster), which is what makes executor-count
+// sweeps meaningful on a laptop.
 package experiments
 
 import (
@@ -36,13 +38,8 @@ type Env struct {
 	// build labelled training sets and evaluated test sets.
 	TrainDups []adrgen.DuplicatePair
 	TestDups  []adrgen.DuplicatePair
-}
 
-// EnvConfig controls environment construction.
-type EnvConfig struct {
-	Cluster cluster.Config
-	Corpus  adrgen.Config
-	Seed    int64
+	base cluster.Config // the engine NewEnv built, which each exhibit starts on
 }
 
 // dupSplit is the fraction of ground-truth duplicates that go to the
@@ -59,18 +56,18 @@ const (
 	exhibitHardFraction = 0.3
 )
 
-// NewEnv generates the corpus, extracts report features in parallel, and
-// splits the ground truth.
-func NewEnv(cfg EnvConfig) (*Env, error) {
-	corpus := adrgen.Generate(cfg.Corpus)
-	cl := cluster.New(cfg.Cluster)
+// NewEnv generates the corpus, starts the engine, extracts report features
+// in parallel, and splits the ground truth at seed.
+func NewEnv(engine cluster.Config, corpusCfg adrgen.Config, seed int64) (*Env, error) {
+	corpus := adrgen.Generate(corpusCfg)
+	cl := cluster.New(engine)
 	ctx := rdd.NewContext(cl)
 	it := intern.New()
 	feats, err := pairdist.ExtractAllWith(ctx, it, corpus.Reports, ctx.DefaultParallelism())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: extracting features: %w", err)
 	}
-	trainDups, testDups := corpus.SplitDuplicates(dupSplit, cfg.Seed)
+	trainDups, testDups := corpus.SplitDuplicates(dupSplit, seed)
 	return &Env{
 		Corpus:    corpus,
 		Ctx:       ctx,
@@ -78,6 +75,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		Feats:     feats,
 		TrainDups: trainDups,
 		TestDups:  testDups,
+		base:      cl.Config(),
 	}, nil
 }
 
@@ -89,6 +87,15 @@ func (e *Env) ResetEngine(cfg cluster.Config) {
 	cl := cluster.New(cfg)
 	cl.SetTracer(tracer)
 	e.Ctx = rdd.NewContext(cl)
+}
+
+// restoreEngine puts NewEnv's engine configuration back if an earlier
+// exhibit replaced it, so that an exhibit's rows do not depend on which
+// exhibits ran before it on the same Env.
+func (e *Env) restoreEngine() {
+	if e.Ctx.Cluster().Config() != e.base {
+		e.ResetEngine(e.base)
+	}
 }
 
 // PairData is a labelled train set plus an evaluated test set of pair

@@ -10,11 +10,7 @@ import (
 // testEnv builds a small, fast environment shared across tests.
 func testEnv(t *testing.T) *Env {
 	t.Helper()
-	env, err := NewEnv(EnvConfig{
-		Cluster: cluster.Config{Executors: 8, CoresPerExecutor: 1, SchedulerOverheadMS: 2, ShuffleLatencyMS: 1},
-		Corpus:  SmallCorpus(1),
-		Seed:    2,
-	})
+	env, err := NewEnv(cluster.Config{Executors: 8, CoresPerExecutor: 1, SchedulerOverheadMS: 2, ShuffleLatencyMS: 1}, SmallCorpus(1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +47,7 @@ func TestBuildPairDataShape(t *testing.T) {
 
 func TestFig5ShapeKNNBeatsSVM(t *testing.T) {
 	env := testEnv(t)
-	res, err := Fig5(env, Fig5Params{TrainSizes: []int{20_000, 40_000}, TestSize: 5_000, Seed: 3})
+	res, err := Fig5(env, Fig5Params{trainSizes: []int{20_000, 40_000}, testSize: 5_000, seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +74,7 @@ func TestFig5ShapeKNNBeatsSVM(t *testing.T) {
 func TestFig6ShapeFlatAUPRGrowingTime(t *testing.T) {
 	env := testEnv(t)
 	points, err := Fig6(env, Fig6Params{
-		ks: []int{5, 13, 21}, TrainSize: 40_000, TestSize: 4_000, Seed: 4,
+		ks: []int{5, 13, 21}, trainSize: 40_000, testSize: 4_000, seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +105,7 @@ func TestFig6ShapeFlatAUPRGrowingTime(t *testing.T) {
 func TestFig7ShapeComparisonTradeoff(t *testing.T) {
 	env := testEnv(t)
 	points, err := Fig7(env, Fig7Params{
-		Bs: []int{5, 20, 40}, TrainSize: 40_000, TestSize: 4_000, Seed: 5,
+		bs: []int{5, 20, 40}, trainSize: 40_000, testSize: 4_000, seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,8 +131,8 @@ func TestFig7ShapeComparisonTradeoff(t *testing.T) {
 func TestFig7MemoryPressureAtSmallB(t *testing.T) {
 	env := testEnv(t)
 	points, err := Fig7(env, Fig7Params{
-		Bs: []int{4, 40}, TrainSize: 60_000, TestSize: 2_000, Seed: 6,
-		PressureMemoryBytes: 1 << 20,
+		bs: []int{4, 40}, trainSize: 60_000, testSize: 2_000, seed: 6,
+		pressureMemoryBytes: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,9 +148,9 @@ func TestFig7MemoryPressureAtSmallB(t *testing.T) {
 func TestFig9ShapeSublinearGrowth(t *testing.T) {
 	env := testEnv(t)
 	points, err := Fig9(env, Fig9Params{
-		TrainSizes:   []int{20_000, 60_000},
+		trainSizes:   []int{20_000, 60_000},
 		blockNumbers: []int{4, 8},
-		TestSize:     3_000, Seed: 7,
+		testSize:     3_000, seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,10 +180,10 @@ func TestFig10ShapeExecutorScaling(t *testing.T) {
 	// features through pointers cut it again.
 	points, err := Fig10(env, Fig10Params{
 		executors:     []int{2, 16},
-		TrainSizes:    []int{60_000},
-		TestSize:      4_000,
-		DistancePairs: 120_000,
-		Seed:          8,
+		trainSizes:    []int{60_000},
+		testSize:      4_000,
+		distancePairs: 120_000,
+		seed:          8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,8 +210,8 @@ func TestFig11ShapePruningNeverLosesDuplicates(t *testing.T) {
 	env := testEnv(t)
 	points, err := Fig11(env, Fig11Params{
 		thresholds: []float64{0.3, 0.9},
-		TrainSize:  20_000, TestSize: 5_000,
-		positiveClusters: 8, Seed: 9,
+		trainSize:  20_000, testSize: 5_000,
+		positiveClusters: 8, seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +250,7 @@ func TestFig11ShapePruningNeverLosesDuplicates(t *testing.T) {
 
 func TestAblationShapes(t *testing.T) {
 	env := testEnv(t)
-	rows, err := Ablation(env, AblationParams{TrainSize: 30_000, TestSize: 4_000, Seed: 10})
+	rows, err := Ablation(env, 30_000, 4_000, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +277,7 @@ func TestAblationShapes(t *testing.T) {
 func TestLoadBalanceLPTNotWorse(t *testing.T) {
 	env := testEnv(t)
 	rows, err := LoadBalance(env, LoadBalanceParams{
-		TrainSize: 40_000, TestSize: 3_000, b: 24, executors: 8, Seed: 12,
+		trainSize: 40_000, testSize: 3_000, b: 24, executors: 8, seed: 12,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,30 +305,29 @@ func TestLoadBalanceLPTNotWorse(t *testing.T) {
 
 func TestTables(t *testing.T) {
 	env := testEnv(t)
-	var sb strings.Builder
-	if err := Table1(&sb, env.Corpus); err != nil {
-		t.Fatal(err)
+	render := func(tables ...Table) string {
+		var sb strings.Builder
+		if err := Write(&sb, "", false, tables); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
 	}
-	if !strings.Contains(sb.String(), "channel-overlap") || !strings.Contains(sb.String(), "follow-up") {
+	if out := render(Table1(env.Corpus)...); !strings.Contains(out, "channel-overlap") || !strings.Contains(out, "follow-up") {
 		t.Error("Table 1 missing a duplicate mode exhibit")
 	}
 
-	sb.Reset()
-	Table2(&sb)
-	if !strings.Contains(sb.String(), "MedDRA PT code") || !strings.Contains(sb.String(), "report description") {
+	if out := render(Table2()); !strings.Contains(out, "MedDRA PT code") || !strings.Contains(out, "report description") {
 		t.Error("Table 2 missing fields")
 	}
 
-	res, err := Table3(env.Corpus)
+	tab, err := Table3(env.Corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Summary.NumCases != 2000 || res.DuplicatePairs != 80 {
-		t.Errorf("table 3 = %+v", res)
+	if cases, dups := tab.rows[1][1], tab.rows[5][1]; cases.i != 2000 || dups.i != 80 {
+		t.Errorf("table 3 = %+v", tab.rows)
 	}
-	sb.Reset()
-	WriteTable3(&sb, res)
-	out := sb.String()
+	out := render(tab)
 	if !strings.Contains(out, "Known duplicate pairs") || !strings.Contains(out, "80") {
 		t.Errorf("table 3 output:\n%s", out)
 	}

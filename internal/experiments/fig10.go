@@ -14,14 +14,14 @@ import (
 type Fig10Params struct {
 	// executors are the executor counts to sweep (paper: 5-25).
 	executors []int
-	// TrainSizes per curve (paper: 2M, 3M, 4M; default 200k-400k).
-	TrainSizes []int
-	TestSize   int
-	Seed       int64
-	// DistancePairs is the pair count of the pairwise-distance timing of
+	// trainSizes per curve (paper: 2M, 3M, 4M).
+	trainSizes []int
+	testSize   int
+	seed       int64
+	// distancePairs is the pair count of the pairwise-distance timing of
 	// Fig. 10(b) (the paper computes distances over the 10,382-report
-	// corpus; default 100k pairs).
-	DistancePairs int
+	// corpus).
+	distancePairs int
 }
 
 // fig10B and fig10C are the paper's Fig. 10 setting: b = 48, block number 5.
@@ -29,22 +29,6 @@ const (
 	fig10B = 48
 	fig10C = 5
 )
-
-func (p Fig10Params) withDefaults() Fig10Params {
-	if len(p.executors) == 0 {
-		p.executors = []int{5, 10, 15, 20, 25}
-	}
-	if len(p.TrainSizes) == 0 {
-		p.TrainSizes = []int{200_000, 300_000, 400_000}
-	}
-	if p.TestSize <= 0 {
-		p.TestSize = 10_000
-	}
-	if p.DistancePairs <= 0 {
-		p.DistancePairs = 100_000
-	}
-	return p
-}
 
 // Fig10Point is one (executors, training size) measurement.
 type Fig10Point struct {
@@ -57,7 +41,6 @@ type Fig10Point struct {
 // Fig10 sweeps executor counts. For each executor count the engine is
 // rebuilt, so virtual makespans reflect the slot count.
 func Fig10(env *Env, p Fig10Params) ([]Fig10Point, error) {
-	p = p.withDefaults()
 	baseCfg := env.Ctx.Cluster().Config()
 	var out []Fig10Point
 	for _, execs := range p.executors {
@@ -68,8 +51,8 @@ func Fig10(env *Env, p Fig10Params) ([]Fig10Point, error) {
 		// Fig. 10(b): time the pairwise distance stage once per
 		// executor count.
 		distIDs, err := env.Corpus.SamplePairs(adrgen.PairSampleOptions{
-			Total: p.DistancePairs, Positives: env.TrainDups,
-			HardFraction: exhibitHardFraction, Seed: p.Seed + 99,
+			Total: p.distancePairs, Positives: env.TrainDups,
+			HardFraction: exhibitHardFraction, Seed: p.seed + 99,
 		})
 		if err != nil {
 			return nil, err
@@ -80,16 +63,12 @@ func Fig10(env *Env, p Fig10Params) ([]Fig10Point, error) {
 		}
 		distTime := env.Ctx.Cluster().VirtualElapsed() - before
 
-		for _, size := range p.TrainSizes {
-			data, err := env.BuildPairData(size, p.TestSize, exhibitHardFraction, p.Seed)
+		for _, size := range p.trainSizes {
+			data, err := env.BuildPairData(size, p.testSize, exhibitHardFraction, p.seed)
 			if err != nil {
 				return nil, err
 			}
-			clf, err := core.Train(env.Ctx, data.Train, core.Config{K: exhibitK, B: fig10B, C: fig10C, Seed: p.Seed})
-			if err != nil {
-				return nil, err
-			}
-			_, stats, err := clf.Classify(data.TestVecs)
+			_, stats, err := classify(env, data, core.Config{K: exhibitK, B: fig10B, C: fig10C, Seed: p.seed})
 			if err != nil {
 				return nil, err
 			}
@@ -102,4 +81,13 @@ func Fig10(env *Env, p Fig10Params) ([]Fig10Point, error) {
 		}
 	}
 	return out, nil
+}
+
+func fig10Tables(points []Fig10Point) []Table {
+	t := newTable("Fig 10: execution time by executor count (b=48, block number 5)",
+		"executors", "train pairs", "exec time", "distance time")
+	for _, pt := range points {
+		t.add(count(pt.Executors), count(pt.TrainPairs), virtual(pt.ExecutionTime), virtual(pt.DistanceTime))
+	}
+	return []Table{t}
 }

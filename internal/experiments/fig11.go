@@ -13,13 +13,12 @@ import (
 type Fig11Params struct {
 	// thresholds are the f(θ) values to sweep.
 	thresholds []float64
-	// TrainSize (paper: 1,000,000 with 266 positives; default 100k) and
-	// TestSize (paper: 204,736; default 20k).
-	TrainSize, TestSize int
-	// positiveClusters is l (paper: 200; scaled default 20 — the scaled
-	// positive set is ~140 pairs).
+	// trainSize (paper: 1,000,000 with 266 positives) and testSize (paper:
+	// 204,736).
+	trainSize, testSize int
+	// positiveClusters is l (paper: 200).
 	positiveClusters int
-	Seed             int64
+	seed             int64
 }
 
 const (
@@ -30,22 +29,6 @@ const (
 	// near the positive region); sample accordingly.
 	fig11HardFraction = 0.8
 )
-
-func (p Fig11Params) withDefaults() Fig11Params {
-	if len(p.thresholds) == 0 {
-		p.thresholds = []float64{0.3, 0.5, 0.7, 0.9}
-	}
-	if p.TrainSize <= 0 {
-		p.TrainSize = 100_000
-	}
-	if p.TestSize <= 0 {
-		p.TestSize = 20_000
-	}
-	if p.positiveClusters <= 0 {
-		p.positiveClusters = 20
-	}
-	return p
-}
 
 // Fig11Point is one pruning-threshold measurement.
 type Fig11Point struct {
@@ -64,24 +47,19 @@ type Fig11Point struct {
 // Fig11 sweeps the pruning threshold, leading with an unpruned baseline row
 // (Threshold = -1).
 func Fig11(env *Env, p Fig11Params) ([]Fig11Point, error) {
-	p = p.withDefaults()
-	data, err := env.BuildPairData(p.TrainSize, p.TestSize, fig11HardFraction, p.Seed)
+	data, err := env.BuildPairData(p.trainSize, p.testSize, fig11HardFraction, p.seed)
 	if err != nil {
 		return nil, err
 	}
-	run := func(pruning *core.PruningConfig) (Fig11Point, error) {
-		clf, err := core.Train(env.Ctx, data.Train, core.Config{
-			K: exhibitK, B: fig11B, C: exhibitC, Seed: p.Seed, Pruning: pruning,
+	run := func(threshold float64, pruning *core.PruningConfig) (Fig11Point, error) {
+		results, stats, err := classify(env, data, core.Config{
+			K: exhibitK, B: fig11B, C: exhibitC, Seed: p.seed, Pruning: pruning,
 		})
 		if err != nil {
 			return Fig11Point{}, err
 		}
-		results, stats, err := clf.Classify(data.TestVecs)
-		if err != nil {
-			return Fig11Point{}, err
-		}
 		point := Fig11Point{
-			Threshold:        -1,
+			Threshold:        threshold,
 			IncludedFraction: 1 - float64(stats.PrunedPairs)/float64(stats.TestPairs),
 			DetectionTime:    stats.VirtualTime,
 		}
@@ -93,18 +71,26 @@ func Fig11(env *Env, p Fig11Params) ([]Fig11Point, error) {
 		return point, nil
 	}
 
-	baseline, err := run(nil)
+	baseline, err := run(-1, nil)
 	if err != nil {
 		return nil, err
 	}
 	out := []Fig11Point{baseline}
 	for _, th := range p.thresholds {
-		point, err := run(&core.PruningConfig{Clusters: p.positiveClusters, FTheta: th})
+		point, err := run(th, &core.PruningConfig{Clusters: p.positiveClusters, FTheta: th})
 		if err != nil {
 			return nil, err
 		}
-		point.Threshold = th
 		out = append(out, point)
 	}
 	return out, nil
+}
+
+func fig11Tables(points []Fig11Point) []Table {
+	t := newTable("Fig 11: testing-set pruning (threshold -1 = no pruning)",
+		"f(theta)", "included", "detection time", "true duplicates lost")
+	for _, pt := range points {
+		t.add(ratio(pt.Threshold, 1), percent(pt.IncludedFraction), virtual(pt.DetectionTime), count(pt.TrueDuplicatesPruned))
+	}
+	return []Table{t}
 }

@@ -11,27 +11,16 @@ import (
 // Fig5Params configures the classifier comparison (paper Fig. 5: kNN vs SVM
 // vs SVM clustering across training set sizes).
 type Fig5Params struct {
-	// TrainSizes are the training pair counts to sweep (paper: 1M-5M;
-	// default 100k-500k).
-	TrainSizes []int
-	// TestSize is the test pair count (paper: 20,000).
-	TestSize int
-	Seed     int64
+	// trainSizes are the training pair counts to sweep (paper: 1M-5M).
+	trainSizes []int
+	// testSize is the test pair count (paper: 20,000).
+	testSize int
+	seed     int64
 }
 
 // fig5SVMClusters is the cluster count of the SVM-clustering variant (paper:
 // 8).
 const fig5SVMClusters = 8
-
-func (p Fig5Params) withDefaults() Fig5Params {
-	if len(p.TrainSizes) == 0 {
-		p.TrainSizes = []int{100_000, 200_000, 300_000, 400_000, 500_000}
-	}
-	if p.TestSize <= 0 {
-		p.TestSize = 20_000
-	}
-	return p
-}
 
 // Fig5Point is one training-size measurement (Fig. 5(c) bar group).
 type Fig5Point struct {
@@ -54,25 +43,25 @@ type Fig5Result struct {
 
 // Fig5 runs the classifier comparison.
 func Fig5(env *Env, p Fig5Params) (*Fig5Result, error) {
-	p = p.withDefaults()
 	res := &Fig5Result{}
 	var gain, gainN float64
-	for i, size := range p.TrainSizes {
-		data, err := env.BuildPairData(size, p.TestSize, exhibitHardFraction, p.Seed+int64(i))
+	for i, size := range p.trainSizes {
+		data, err := env.BuildPairData(size, p.testSize, exhibitHardFraction, p.seed+int64(i))
 		if err != nil {
 			return nil, err
 		}
-		knnScores, err := knnScores(env, data, core.Config{K: exhibitK, B: exhibitB, C: exhibitC, Seed: p.Seed})
+		results, _, err := classify(env, data, core.Config{K: exhibitK, B: exhibitB, C: exhibitC, Seed: p.seed})
 		if err != nil {
 			return nil, err
 		}
+		knnScores := scores(results)
 		vecs, labels := SVMLabels(data.Train)
-		svmModel, err := svm.Train(vecs, labels, svm.Options{Seed: p.Seed})
+		svmModel, err := svm.Train(vecs, labels, svm.Options{Seed: p.seed})
 		if err != nil {
 			return nil, fmt.Errorf("fig5: training SVM on %d pairs: %w", size, err)
 		}
 		svmScores := svmModel.DecisionBatch(data.TestVecs)
-		clModel, err := svm.TrainClustered(vecs, labels, fig5SVMClusters, svm.Options{Seed: p.Seed})
+		clModel, err := svm.TrainClustered(vecs, labels, fig5SVMClusters, svm.Options{Seed: p.seed})
 		if err != nil {
 			return nil, fmt.Errorf("fig5: training SVM clustering: %w", err)
 		}
@@ -95,7 +84,7 @@ func Fig5(env *Env, p Fig5Params) (*Fig5Result, error) {
 		}
 
 		first := i == 0
-		last := i == len(p.TrainSizes)-1
+		last := i == len(p.trainSizes)-1
 		if first || last {
 			curves := make(map[string][]eval.Point, 2)
 			if curves["kNN"], err = eval.PRCurve(knnScores, data.TestLabels); err != nil {
@@ -118,20 +107,44 @@ func Fig5(env *Env, p Fig5Params) (*Fig5Result, error) {
 	return res, nil
 }
 
-// knnScores trains Fast kNN and returns the Eq. 5 scores over the test set,
-// ordered by test index.
-func knnScores(env *Env, data *PairData, cfg core.Config) ([]float64, error) {
+// fig5Tables is Fig. 5(c), then the PR curves of Figs. 5(a) and 5(b).
+func fig5Tables(res *Fig5Result) []Table {
+	bars := newTable("Fig 5(c): AUPR by training size", "train pairs", "kNN", "SVM", "SVM clustering")
+	for _, pt := range res.Points {
+		bars.add(count(pt.TrainPairs), aupr(pt.AUPRKNN), aupr(pt.AUPRSVM), aupr(pt.AUPRSVMClustering))
+	}
+	bars.note("mean kNN improvement over SVM (paper: 19.1%)", percent(res.ImprovementOverSVM))
+	largest, smallest := res.Points[len(res.Points)-1].TrainPairs, res.Points[0].TrainPairs
+	return []Table{bars, prCurveTable("5(a)", largest, res.CurveLargest), prCurveTable("5(b)", smallest, res.CurveSmall)}
+}
+
+// prCurveTable samples each classifier's PR curve at about ten points.
+func prCurveTable(fig string, trainPairs int, curves map[string][]eval.Point) Table {
+	t := newTable(fmt.Sprintf("Fig %s: PR curve at %d training pairs", fig, trainPairs), "classifier", "recall", "precision")
+	for _, name := range []string{"kNN", "SVM"} {
+		points := curves[name]
+		for i := 0; i < len(points); i += len(points)/10 + 1 {
+			t.add(text(name), ratio(points[i].Recall, 2), ratio(points[i].Precision, 2))
+		}
+	}
+	return t
+}
+
+// classify trains Fast kNN on data's training pairs and classifies its test
+// vectors.
+func classify(env *Env, data *PairData, cfg core.Config) ([]core.Result, core.Stats, error) {
 	clf, err := core.Train(env.Ctx, data.Train, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("training Fast kNN: %w", err)
+		return nil, core.Stats{}, fmt.Errorf("training Fast kNN: %w", err)
 	}
-	results, _, err := clf.Classify(data.TestVecs)
-	if err != nil {
-		return nil, fmt.Errorf("classifying with Fast kNN: %w", err)
-	}
-	scores := make([]float64, len(results))
+	return clf.Classify(data.TestVecs)
+}
+
+// scores returns the results' Eq. 5 scores, ordered by test index.
+func scores(results []core.Result) []float64 {
+	out := make([]float64, len(results))
 	for _, r := range results {
-		scores[r.ID] = r.Score
+		out[r.ID] = r.Score
 	}
-	return scores, nil
+	return out
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"adrdedup/internal/core"
@@ -12,22 +13,9 @@ import (
 type Fig6Params struct {
 	// ks are the neighbor counts to sweep (paper: 5, 9, 13, 17, 21).
 	ks []int
-	// TrainSize and TestSize (paper: 3M and 10,000; default 300k / 10k).
-	TrainSize, TestSize int
-	Seed                int64
-}
-
-func (p Fig6Params) withDefaults() Fig6Params {
-	if len(p.ks) == 0 {
-		p.ks = []int{5, 9, 13, 17, 21}
-	}
-	if p.TrainSize <= 0 {
-		p.TrainSize = 300_000
-	}
-	if p.TestSize <= 0 {
-		p.TestSize = 10_000
-	}
-	return p
+	// trainSize and testSize (paper: 3M and 10,000).
+	trainSize, testSize int
+	seed                int64
 }
 
 // Fig6Point is one k measurement.
@@ -41,26 +29,17 @@ type Fig6Point struct {
 // Fig6 sweeps k, reporting AUPR (Fig. 6(a)) and classification execution
 // time (Fig. 6(b)).
 func Fig6(env *Env, p Fig6Params) ([]Fig6Point, error) {
-	p = p.withDefaults()
-	data, err := env.BuildPairData(p.TrainSize, p.TestSize, exhibitHardFraction, p.Seed)
+	data, err := env.BuildPairData(p.trainSize, p.testSize, exhibitHardFraction, p.seed)
 	if err != nil {
 		return nil, err
 	}
 	var out []Fig6Point
 	for _, k := range p.ks {
-		clf, err := core.Train(env.Ctx, data.Train, core.Config{K: k, B: exhibitB, C: exhibitC, Seed: p.Seed})
+		results, stats, err := classify(env, data, core.Config{K: k, B: exhibitB, C: exhibitC, Seed: p.seed})
 		if err != nil {
 			return nil, err
 		}
-		results, stats, err := clf.Classify(data.TestVecs)
-		if err != nil {
-			return nil, err
-		}
-		scores := make([]float64, len(results))
-		for _, r := range results {
-			scores[r.ID] = r.Score
-		}
-		aupr, err := eval.AUPR(scores, data.TestLabels)
+		aupr, err := eval.AUPR(scores(results), data.TestLabels)
 		if err != nil {
 			return nil, err
 		}
@@ -72,4 +51,16 @@ func Fig6(env *Env, p Fig6Params) ([]Fig6Point, error) {
 		})
 	}
 	return out, nil
+}
+
+// tables is Fig. 6 with the time growth from the smallest k to the largest.
+func fig6Tables(points []Fig6Point) []Table {
+	t := newTable("Fig 6: effect of k (train=3M-scaled, test=10k-scaled)",
+		"k", "AUPR", "exec time", "clusters checked")
+	for _, pt := range points {
+		t.add(count(pt.K), aupr(pt.AUPR), virtual(pt.ExecutionTime), count(pt.CrossChecked))
+	}
+	first, last := points[0], points[len(points)-1]
+	t.note(fmt.Sprintf("time growth k=%d -> k=%d (paper: 1.31x)", first.K, last.K), speedup(timeRatio(last.ExecutionTime, first.ExecutionTime)))
+	return []Table{t}
 }

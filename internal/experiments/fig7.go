@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"adrdedup/internal/core"
@@ -8,28 +9,15 @@ import (
 
 // Fig7Params configures the cluster-number sweep (paper Figs. 7 and 8).
 type Fig7Params struct {
-	// Bs are the training cluster counts to sweep (paper: 10-70).
-	Bs []int
-	// TrainSize and TestSize (paper: 4M and 10,000; default 400k / 10k).
-	TrainSize, TestSize int
-	Seed                int64
-	// PressureMemoryBytes enables the Fig. 8(b) memory model: executor
+	// bs are the training cluster counts to sweep (paper: 10-70).
+	bs []int
+	// trainSize and testSize (paper: 4M and 10,000).
+	trainSize, testSize int
+	seed                int64
+	// pressureMemoryBytes enables the Fig. 8(b) memory model: executor
 	// memory small enough that low cluster numbers overrun it (joined
 	// partitions spill, time out, and retry). 0 disables pressure.
-	PressureMemoryBytes int64
-}
-
-func (p Fig7Params) withDefaults() Fig7Params {
-	if len(p.Bs) == 0 {
-		p.Bs = []int{10, 25, 40, 55, 70}
-	}
-	if p.TrainSize <= 0 {
-		p.TrainSize = 400_000
-	}
-	if p.TestSize <= 0 {
-		p.TestSize = 10_000
-	}
-	return p
+	pressureMemoryBytes int64
 }
 
 // Fig7Point is one cluster-number measurement, covering Figs. 7(a)-(c) and
@@ -49,20 +37,19 @@ type Fig7Point struct {
 // counts (Fig. 7), the cross/intra ratio (Fig. 8(a)), and the virtual
 // execution time (Fig. 8(b)).
 func Fig7(env *Env, p Fig7Params) ([]Fig7Point, error) {
-	p = p.withDefaults()
-	data, err := env.BuildPairData(p.TrainSize, p.TestSize, exhibitHardFraction, p.Seed)
+	data, err := env.BuildPairData(p.trainSize, p.testSize, exhibitHardFraction, p.seed)
 	if err != nil {
 		return nil, err
 	}
 	var out []Fig7Point
-	for _, b := range p.Bs {
-		if p.PressureMemoryBytes > 0 {
+	for _, b := range p.bs {
+		if p.pressureMemoryBytes > 0 {
 			cfg := env.Ctx.Cluster().Config()
-			cfg.MemoryPerExecutorBytes = p.PressureMemoryBytes
+			cfg.MemoryPerExecutorBytes = p.pressureMemoryBytes
 			cfg.PressureTimeouts = true
 			env.ResetEngine(cfg)
 		}
-		clf, err := core.Train(env.Ctx, data.Train, core.Config{K: exhibitK, B: b, C: exhibitC, Seed: p.Seed})
+		clf, err := core.Train(env.Ctx, data.Train, core.Config{K: exhibitK, B: b, C: exhibitC, Seed: p.seed})
 		if err != nil {
 			return nil, err
 		}
@@ -88,4 +75,25 @@ func Fig7(env *Env, p Fig7Params) ([]Fig7Point, error) {
 		out = append(out, point)
 	}
 	return out, nil
+}
+
+// fig7Tables is Fig. 7: the comparison counts by cluster number.
+func fig7Tables(points []Fig7Point) []Table {
+	t := newTable("Fig 7: comparison counts by training cluster number",
+		"b", "intra comparisons", "additional clusters", "cross comparisons")
+	for _, pt := range points {
+		t.add(count(pt.B), count(pt.IntraClusterComparisons), count(pt.AdditionalClustersChecked), count(pt.CrossClusterComparisons))
+	}
+	return []Table{t}
+}
+
+// fig8Tables is Fig. 8: the cross/intra ratio and the time by cluster number,
+// on executors with pressureMemoryBytes each.
+func (p Fig7Params) fig8Tables(points []Fig7Point) []Table {
+	t := newTable(fmt.Sprintf("Fig 8: cross/intra ratio and execution time by cluster number (%d MiB executors)",
+		p.pressureMemoryBytes>>20), "b", "cross/intra", "exec time", "pressure", "retries")
+	for _, pt := range points {
+		t.add(count(pt.B), ratio(pt.CrossIntraRatio, 4), virtual(pt.ExecutionTime), count(pt.PressureEvents), count(pt.TaskRetries))
+	}
+	return []Table{t}
 }

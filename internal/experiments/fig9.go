@@ -10,25 +10,12 @@ import (
 // execution time grows 1.4-2.1x when the training set grows 5x, for block
 // numbers 4, 8, 12).
 type Fig9Params struct {
-	// TrainSizes to sweep (paper: 1M-5M; default 100k-500k).
-	TrainSizes []int
+	// trainSizes to sweep (paper: 1M-5M).
+	trainSizes []int
 	// blockNumbers are the testing-set partition counts c (paper: 4, 8, 12).
 	blockNumbers []int
-	TestSize     int
-	Seed         int64
-}
-
-func (p Fig9Params) withDefaults() Fig9Params {
-	if len(p.TrainSizes) == 0 {
-		p.TrainSizes = []int{100_000, 200_000, 300_000, 400_000, 500_000}
-	}
-	if len(p.blockNumbers) == 0 {
-		p.blockNumbers = []int{4, 8, 12}
-	}
-	if p.TestSize <= 0 {
-		p.TestSize = 10_000
-	}
-	return p
+	testSize     int
+	seed         int64
 }
 
 // Fig9Point is one (training size, block number) measurement.
@@ -41,19 +28,14 @@ type Fig9Point struct {
 // Fig9 sweeps training size per block number, reporting classification
 // virtual time.
 func Fig9(env *Env, p Fig9Params) ([]Fig9Point, error) {
-	p = p.withDefaults()
 	var out []Fig9Point
-	for _, size := range p.TrainSizes {
-		data, err := env.BuildPairData(size, p.TestSize, exhibitHardFraction, p.Seed)
+	for _, size := range p.trainSizes {
+		data, err := env.BuildPairData(size, p.testSize, exhibitHardFraction, p.seed)
 		if err != nil {
 			return nil, err
 		}
 		for _, c := range p.blockNumbers {
-			clf, err := core.Train(env.Ctx, data.Train, core.Config{K: exhibitK, B: exhibitB, C: c, Seed: p.Seed})
-			if err != nil {
-				return nil, err
-			}
-			_, stats, err := clf.Classify(data.TestVecs)
+			_, stats, err := classify(env, data, core.Config{K: exhibitK, B: exhibitB, C: c, Seed: p.seed})
 			if err != nil {
 				return nil, err
 			}
@@ -61,4 +43,13 @@ func Fig9(env *Env, p Fig9Params) ([]Fig9Point, error) {
 		}
 	}
 	return out, nil
+}
+
+func fig9Tables(points []Fig9Point) []Table {
+	t := newTable("Fig 9: scalability with training set size (b=32, 25 executors)",
+		"train pairs", "blocks", "exec time")
+	for _, pt := range points {
+		t.add(count(pt.TrainPairs), count(pt.BlockNumber), virtual(pt.ExecutionTime))
+	}
+	return []Table{t}
 }

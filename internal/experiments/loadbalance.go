@@ -12,29 +12,13 @@ import (
 // task durations are skewed, which is exactly what uneven Voronoi cluster
 // sizes produce (the paper blames them for the Fig. 7/8 upticks at b = 70).
 type LoadBalanceParams struct {
-	TrainSize, TestSize int
-	// b is the training cluster number (default 48).
+	trainSize, testSize int
+	// b is the training cluster number.
 	b int
 	// executors is deliberately close to the cluster count so one
-	// oversized cluster straggles (default 16).
+	// oversized cluster straggles.
 	executors int
-	Seed      int64
-}
-
-func (p LoadBalanceParams) withDefaults() LoadBalanceParams {
-	if p.TrainSize <= 0 {
-		p.TrainSize = 200_000
-	}
-	if p.TestSize <= 0 {
-		p.TestSize = 10_000
-	}
-	if p.b <= 0 {
-		p.b = 48
-	}
-	if p.executors <= 0 {
-		p.executors = 16
-	}
-	return p
+	seed      int64
 }
 
 // LoadBalanceRow is one scheduling-policy measurement.
@@ -46,8 +30,7 @@ type LoadBalanceRow struct {
 // LoadBalance runs the identical classification workload under FIFO and LPT
 // scheduling and reports the virtual execution times.
 func LoadBalance(env *Env, p LoadBalanceParams) ([]LoadBalanceRow, error) {
-	p = p.withDefaults()
-	data, err := env.BuildPairData(p.TrainSize, p.TestSize, exhibitHardFraction, p.Seed)
+	data, err := env.BuildPairData(p.trainSize, p.testSize, exhibitHardFraction, p.seed)
 	if err != nil {
 		return nil, err
 	}
@@ -58,15 +41,19 @@ func LoadBalance(env *Env, p LoadBalanceParams) ([]LoadBalanceRow, error) {
 		cfg := baseCfg
 		cfg.Scheduling = policy
 		env.ResetEngine(cfg)
-		clf, err := core.Train(env.Ctx, data.Train, core.Config{K: exhibitK, B: p.b, C: exhibitC, Seed: p.Seed})
-		if err != nil {
-			return nil, err
-		}
-		_, stats, err := clf.Classify(data.TestVecs)
+		_, stats, err := classify(env, data, core.Config{K: exhibitK, B: p.b, C: exhibitC, Seed: p.seed})
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, LoadBalanceRow{Policy: policy.String(), ExecutionTime: stats.VirtualTime})
 	}
 	return out, nil
+}
+
+func loadBalanceTables(rows []LoadBalanceRow) []Table {
+	t := newTable("Load balancing (paper §7 future work): FIFO vs LPT scheduling", "policy", "exec time")
+	for _, r := range rows {
+		t.add(text(r.Policy), virtual(r.ExecutionTime))
+	}
+	return []Table{t}
 }

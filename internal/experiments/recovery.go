@@ -38,21 +38,10 @@ type RecoveryRow struct {
 	RecomputedStages int64
 }
 
-// RecoveryOverhead returns the faulty/clean virtual makespan ratio of a
-// two-row result — the headline recovery-cost metric.
+// RecoveryOverhead returns the faulty/clean virtual makespan ratio of
+// Recovery's two rows — the headline recovery-cost metric.
 func RecoveryOverhead(rows []RecoveryRow) float64 {
-	var clean, faulty time.Duration
-	for _, r := range rows {
-		if r.Faulty {
-			faulty = r.ExecutionTime
-		} else {
-			clean = r.ExecutionTime
-		}
-	}
-	if clean <= 0 {
-		return 0
-	}
-	return float64(faulty) / float64(clean)
+	return timeRatio(rows[1].ExecutionTime, rows[0].ExecutionTime)
 }
 
 // Recovery runs the identical shuffle workload without and with executor
@@ -74,10 +63,9 @@ func Recovery(env *Env, seed int64) ([]RecoveryRow, error) {
 	var reads []int64
 	for _, faulty := range []bool{false, true} {
 		cfg := baseCfg
+		cfg.ExecutorFailureRate = 0
 		if faulty {
 			cfg.ExecutorFailureRate = recoveryFailureRate
-		} else {
-			cfg.ExecutorFailureRate = 0
 		}
 		env.ResetEngine(cfg)
 		cl := env.Ctx.Cluster()
@@ -135,4 +123,15 @@ func Recovery(env *Env, seed int64) ([]RecoveryRow, error) {
 			reads[0], reads[1])
 	}
 	return out, nil
+}
+
+func recoveryTables(rows []RecoveryRow) []Table {
+	t := newTable("Executor-loss recovery on the shuffle workload (clean vs deterministic kills)",
+		"kills", "exec time", "lost", "fetch fails", "recomp tasks", "recomp stages")
+	for _, r := range rows {
+		t.add(text(onOff(r.Faulty)), virtual(r.ExecutionTime), count(r.MapOutputsLost), count(r.FetchFailures),
+			count(r.RecomputedTasks), count(r.RecomputedStages))
+	}
+	t.note("recovery overhead", speedup(RecoveryOverhead(rows)))
+	return []Table{t}
 }

@@ -41,20 +41,10 @@ type SpeculationRow struct {
 	Stragglers          int64
 }
 
-// SpeculationSpeedup returns the off/on makespan ratio of a two-row result.
+// SpeculationSpeedup returns the off/on makespan ratio of Speculation's two
+// rows.
 func SpeculationSpeedup(rows []SpeculationRow) float64 {
-	var off, on time.Duration
-	for _, r := range rows {
-		if r.Speculation {
-			on = r.ExecutionTime
-		} else {
-			off = r.ExecutionTime
-		}
-	}
-	if on <= 0 {
-		return 0
-	}
-	return float64(off) / float64(on)
+	return timeRatio(rows[0].ExecutionTime, rows[1].ExecutionTime)
 }
 
 // Speculation runs the identical skewed straggler-injected workload with
@@ -104,4 +94,22 @@ func Speculation(env *Env, seed int64) ([]SpeculationRow, error) {
 		})
 	}
 	return out, nil
+}
+
+func speculationTables(rows []SpeculationRow) []Table {
+	t := newTable("Speculative execution on the skewed straggler-injected workload",
+		"speculation", "exec time", "launched", "wins", "wasted", "stragglers")
+	for _, r := range rows {
+		t.add(text(onOff(r.Speculation)), virtual(r.ExecutionTime), count(r.SpeculativeLaunches), count(r.SpeculativeWins),
+			virtual(r.WastedTime), count(r.Stragglers))
+	}
+	t.note("makespan reduction", speedup(SpeculationSpeedup(rows)))
+	return []Table{t}
+}
+
+func onOff(on bool) string {
+	if on {
+		return "on"
+	}
+	return "off"
 }

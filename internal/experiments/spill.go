@@ -32,12 +32,12 @@ import (
 
 // SpillParams configures the exhibit.
 type SpillParams struct {
-	// Records is the corpus size (default 4,000 — big enough that the
-	// candidate working set dwarfs the budget below).
-	Records int
-	// Partitions is the pipeline parallelism (default 16).
-	Partitions int
-	Seed       int64
+	// records is the corpus size: big enough that the candidate working set
+	// dwarfs the budget below.
+	records int
+	// partitions is the pipeline parallelism.
+	partitions int
+	seed       int64
 }
 
 const (
@@ -49,16 +49,6 @@ const (
 	// pathological on purpose (the unbounded run uses the engine default).
 	spillBudgetBytes = 16 << 10
 )
-
-func (p SpillParams) withDefaults() SpillParams {
-	if p.Records <= 0 {
-		p.Records = 4000
-	}
-	if p.Partitions <= 0 {
-		p.Partitions = 16
-	}
-	return p
-}
 
 // SpillRow is one configuration's measurement.
 type SpillRow struct {
@@ -77,22 +67,11 @@ type SpillRow struct {
 	PressureEvents int64
 }
 
-// SpillOverhead returns the budgeted/unbounded virtual makespan ratio — the
-// headline cost of running the working set through the spill tier instead of
-// RAM.
+// SpillOverhead returns the budgeted/unbounded virtual makespan ratio of
+// Spill's two rows — the headline cost of running the working set through
+// the spill tier instead of RAM.
 func SpillOverhead(rows []SpillRow) float64 {
-	var unbounded, budgeted time.Duration
-	for _, r := range rows {
-		if r.Budgeted {
-			budgeted = r.ExecutionTime
-		} else {
-			unbounded = r.ExecutionTime
-		}
-	}
-	if unbounded <= 0 {
-		return 0
-	}
-	return float64(budgeted) / float64(unbounded)
+	return timeRatio(rows[1].ExecutionTime, rows[0].ExecutionTime)
 }
 
 // Spill runs the candidate and classification pipeline unbounded and under
@@ -102,26 +81,11 @@ func SpillOverhead(rows []SpillRow) float64 {
 // diverge. workers sizes both runs' task pool (cluster.Config.RealWorkers;
 // 0 = NumCPU).
 func Spill(p SpillParams, workers int) ([]SpillRow, error) {
-	p = p.withDefaults()
-
-	// Corpus scaled the same way as the candidate-wall exhibit: duplicates
-	// linear in the report count, lexicons by Heaps' law.
-	heaps := math.Sqrt(float64(p.Records) / 10382)
-	if heaps < 1 {
-		heaps = 1
-	}
-	corpus := adrgen.Generate(adrgen.Config{
-		NumReports:     p.Records,
-		DuplicatePairs: p.Records / 36,
-		NumDrugs:       int(1366 * heaps),
-		NumADRs:        int(2351 * heaps),
-		Campaigns:      p.Records/50 + 1,
-		Seed:           p.Seed,
-	})
+	corpus := scaledCorpus(p.records, p.seed)
 	// The labelled sample the model trains on: every ground-truth duplicate
 	// and two sampled pairs per report in all.
 	labelled, err := corpus.SamplePairs(adrgen.PairSampleOptions{
-		Total: 2 * p.Records, HardFraction: 0.3, Seed: p.Seed,
+		Total: 2 * p.records, HardFraction: 0.3, Seed: p.seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: sampling training pairs: %w", err)
@@ -138,7 +102,7 @@ func Spill(p SpillParams, workers int) ([]SpillRow, error) {
 			CoresPerExecutor:    1,
 			ShuffleLatencyMS:    2,
 			SchedulerOverheadMS: 5,
-			Seed:                p.Seed,
+			Seed:                p.seed,
 			RealWorkers:         workers,
 			Trace:               true, // spill events tell the tiers apart
 		}
@@ -152,22 +116,22 @@ func Spill(p SpillParams, workers int) ([]SpillRow, error) {
 		ctx := rdd.NewContext(cl)
 
 		it := intern.New()
-		feats, err := pairdist.ExtractAllWith(ctx, it, corpus.Reports, p.Partitions)
+		feats, err := pairdist.ExtractAllWith(ctx, it, corpus.Reports, p.partitions)
 		if err != nil {
 			return row, nil, fmt.Errorf("experiments: extracting features: %w", err)
 		}
 		sigs, _ := candgen.Signatures(feats) // cannot fail
 		pairs, _, err := candgen.Pairs(ctx, sigs, candgen.Params{
-			Theta: spillTheta, Partitions: p.Partitions,
+			Theta: spillTheta, Partitions: p.partitions,
 		})
 		if err != nil {
 			return row, nil, fmt.Errorf("experiments: prefix generation: %w", err)
 		}
-		cands, err := pairdist.ComputeVectors(ctx, feats, pairs, p.Partitions)
+		cands, err := pairdist.ComputeVectors(ctx, feats, pairs, p.partitions)
 		if err != nil {
 			return row, nil, fmt.Errorf("experiments: vectorizing candidates: %w", err)
 		}
-		trainRecs, err := pairdist.ComputeVectors(ctx, feats, trainIDs, p.Partitions)
+		trainRecs, err := pairdist.ComputeVectors(ctx, feats, trainIDs, p.partitions)
 		if err != nil {
 			return row, nil, fmt.Errorf("experiments: vectorizing training pairs: %w", err)
 		}
@@ -177,7 +141,7 @@ func Spill(p SpillParams, workers int) ([]SpillRow, error) {
 		}
 		// The classifier defaults Detect runs with: k = 9, b = 32 Voronoi
 		// cells, C = 8 testing partitions.
-		clf, err := core.Train(ctx, training, core.Config{Seed: p.Seed})
+		clf, err := core.Train(ctx, training, core.Config{Seed: p.seed})
 		if err != nil {
 			return row, nil, fmt.Errorf("experiments: training: %w", err)
 		}
@@ -251,4 +215,19 @@ func countSpillTiers(row *SpillRow, events []cluster.Event) error {
 		return fmt.Errorf("experiments: trace holds %d spill events, metrics count %d", n, row.SpillEvents)
 	}
 	return nil
+}
+
+func spillTables(rows []SpillRow) []Table {
+	t := newTable("Memory-pressure spilling on the classification pipeline (unbounded vs per-executor budget)",
+		"budget", "candidates", "exec time", "spills", "block", "shuffle", "join", "spilled bytes", "pressure")
+	for _, r := range rows {
+		budget := "unbounded"
+		if r.Budgeted {
+			budget = fmt.Sprintf("%d B", r.MemoryPerExecutorBytes)
+		}
+		t.add(text(budget), count(r.Candidates), virtual(r.ExecutionTime), count(r.SpillEvents), count(r.BlockSpills),
+			count(r.ShuffleSpills), count(r.JoinSpills), count(r.SpilledBytes), count(r.PressureEvents))
+	}
+	t.note("spill overhead (results bit-identical)", speedup(SpillOverhead(rows)))
+	return []Table{t}
 }

@@ -10,7 +10,7 @@ import "testing"
 // spill counters is the whole property. It doubles as the CI memory-pressure
 // smoke.
 func TestSpillOutputIdentical(t *testing.T) {
-	rows, err := Spill(SpillParams{Records: 1500, Partitions: 8, Seed: 3}, 0)
+	rows, err := Spill(SpillParams{records: 1500, partitions: 8, seed: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSpillOutputIdentical(t *testing.T) {
 func TestSpillCountsRepeatAtOneWorker(t *testing.T) {
 	var runs [2]SpillRow
 	for i := range runs {
-		rows, err := Spill(SpillParams{Records: 1500, Partitions: 8, Seed: 3}, 1)
+		rows, err := Spill(SpillParams{records: 1500, partitions: 8, seed: 3}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func BenchmarkSpillOverhead(b *testing.B) {
 	var rows []SpillRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = Spill(SpillParams{Seed: 3}, 0)
+		rows, err = Spill(SpillParams{records: 4000, partitions: 16, seed: 3}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

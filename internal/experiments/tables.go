@@ -2,16 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"strings"
 
 	"adrdedup/internal/adr"
 	"adrdedup/internal/adrgen"
 )
 
-// Table1 prints one generated duplicate pair per perturbation mode, mirroring
-// the paper's Table 1 exhibits of field-level discrepancies.
-func Table1(w io.Writer, corpus *adrgen.Corpus) error {
+// Table1 shows one generated duplicate pair per perturbation mode, mirroring
+// the paper's Table 1 exhibits of field-level discrepancies; "*" marks a
+// field on which the two reports differ.
+func Table1(corpus *adrgen.Corpus) []Table {
 	byMode := map[adrgen.DuplicateMode]*adrgen.DuplicatePair{}
 	for i := range corpus.Duplicates {
 		d := &corpus.Duplicates[i]
@@ -19,18 +18,15 @@ func Table1(w io.Writer, corpus *adrgen.Corpus) error {
 			byMode[d.Mode] = d
 		}
 	}
+	var out []Table
 	for _, mode := range []adrgen.DuplicateMode{adrgen.ChannelOverlap, adrgen.FollowUp} {
 		d := byMode[mode]
 		if d == nil {
 			continue
 		}
 		a, b := corpus.Reports[d.IdxA], corpus.Reports[d.IdxB]
-		fmt.Fprintf(w, "--- duplicate pair (%s) ---\n", mode)
-		rows := []struct {
-			name string
-			av   string
-			bv   string
-		}{
+		t := newTable(fmt.Sprintf("Table 1: duplicate pair (%s)", mode), "", "field", "report A", "report B")
+		for _, f := range [][3]string{
 			{"patient age", fmt.Sprint(a.CalculatedAge), fmt.Sprint(b.CalculatedAge)},
 			{"patient sex", a.Sex, b.Sex},
 			{"patient state", a.ResidentialState, b.ResidentialState},
@@ -39,17 +35,16 @@ func Table1(w io.Writer, corpus *adrgen.Corpus) error {
 			{"drug name", a.GenericNameDesc, b.GenericNameDesc},
 			{"ADR name", a.MedDRAPTName, b.MedDRAPTName},
 			{"report description", truncate(a.ReportDescription, 90), truncate(b.ReportDescription, 90)},
-		}
-		for _, r := range rows {
-			marker := " "
-			if r.av != r.bv {
+		} {
+			marker := ""
+			if f[1] != f[2] {
 				marker = "*"
 			}
-			fmt.Fprintf(w, "%s %-30s | %-50s | %s\n", marker, r.name, r.av, r.bv)
+			t.add(text(marker), text(f[0]), text(f[1]), text(f[2]))
 		}
-		fmt.Fprintln(w)
+		out = append(out, t)
 	}
-	return nil
+	return out
 }
 
 func truncate(s string, n int) string {
@@ -59,57 +54,36 @@ func truncate(s string, n int) string {
 	return s[:n-3] + "..."
 }
 
-// Table2 prints the 37-field TGA schema with the selected (bold-in-paper)
-// fields marked.
-func Table2(w io.Writer) {
-	fmt.Fprintf(w, "%-4s %-22s %-38s %-12s %s\n", "#", "group", "field", "type", "selected")
+// Table2 is the 37-field TGA schema with the selected (bold-in-paper) fields
+// marked.
+func Table2() Table {
+	t := newTable("Table 2: TGA report schema", "#", "group", "field", "type", "selected")
 	for i, f := range adr.Schema() {
 		sel := ""
 		if f.Selected {
 			sel = "yes"
 		}
-		fmt.Fprintf(w, "%-4d %-22s %-38s %-12s %s\n", i+1, f.Group, f.Name, f.Type, sel)
+		t.add(count(i+1), text(f.Group), text(f.Name), text(f.Type.String()), text(sel))
 	}
+	return t
 }
 
-// Table3Result mirrors the paper's dataset summary.
-type Table3Result struct {
-	Summary        adr.Summary
-	DuplicatePairs int
-}
-
-// Table3 computes the dataset summary over a corpus.
-func Table3(corpus *adrgen.Corpus) (Table3Result, error) {
+// Table3 is the dataset summary of a corpus, in the paper's layout.
+func Table3(corpus *adrgen.Corpus) (Table, error) {
 	db := adr.NewDatabase()
 	for _, r := range corpus.Reports {
 		r.ArrivalSeq = 0
 		if err := db.Add(r); err != nil {
-			return Table3Result{}, err
+			return Table{}, err
 		}
 	}
-	return Table3Result{
-		Summary:        db.Summarize(),
-		DuplicatePairs: len(corpus.Duplicates),
-	}, nil
-}
-
-// WriteTable3 renders the summary in the paper's layout.
-func WriteTable3(w io.Writer, r Table3Result) {
-	rows := [][2]string{
-		{"Report Period", r.Summary.ReportPeriod},
-		{"Number of cases", fmt.Sprint(r.Summary.NumCases)},
-		{"Number of fields per report", fmt.Sprint(r.Summary.NumFields)},
-		{"Number of unique drugs", fmt.Sprint(r.Summary.UniqueDrugs)},
-		{"Number of unique ADRs", fmt.Sprint(r.Summary.UniqueADRs)},
-		{"Known duplicate pairs", fmt.Sprint(r.DuplicatePairs)},
-	}
-	width := 0
-	for _, row := range rows {
-		if len(row[0]) > width {
-			width = len(row[0])
-		}
-	}
-	for _, row := range rows {
-		fmt.Fprintf(w, "%s%s  %s\n", row[0], strings.Repeat(" ", width-len(row[0])), row[1])
-	}
+	s := db.Summarize()
+	t := newTable("Table 3: dataset summary", "", "")
+	t.add(text("Report Period"), text(s.ReportPeriod))
+	t.add(text("Number of cases"), count(s.NumCases))
+	t.add(text("Number of fields per report"), count(s.NumFields))
+	t.add(text("Number of unique drugs"), count(s.UniqueDrugs))
+	t.add(text("Number of unique ADRs"), count(s.UniqueADRs))
+	t.add(text("Known duplicate pairs"), count(len(corpus.Duplicates)))
+	return t, nil
 }
