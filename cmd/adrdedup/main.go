@@ -20,8 +20,8 @@
 // buffers over the budget spill to a virtual local disk (visible as spill
 // events in the trace) without changing any output.
 // -workers sizes the engine's task pool, the number of stage tasks computing
-// at once (default NumCPU) — results and committed counters do not depend on
-// it, only wall-clock does.
+// at once (default NumCPU) — results, committed counters and virtual times do
+// not depend on it, only wall-clock does.
 // -cpuprofile / -memprofile write runtime/pprof profiles of the whole detect
 // run.
 //

@@ -10,10 +10,10 @@
 // error (exit 2).
 //
 // -workers sizes the engine's task pool (default NumCPU). Counts, ratios,
-// percentages, AUPRs and text do not depend on it. Time cells do: until the
-// virtual clock is deterministic (ROADMAP item 5) a virtual time sums measured
-// task compute, so every time cell, and every ratio of times, is wall-derived
-// and moves between runs at any -workers. Each time column's header names its
+// percentages, AUPRs, text and virtual times do not depend on it: a virtual
+// time is the work the tasks counted, priced by the engine's cost constants,
+// plus simulated I/O, so it repeats at a seed on any host. Wall times, and
+// ratios of them, move between runs. Each time column's header names its
 // clock, virtual or wall.
 package main
 

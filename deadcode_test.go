@@ -57,14 +57,13 @@ var unreferencedAllowed = map[string]keepReason{
 	"internal/rdd.BoundedMin":          oracle,
 	"internal/strsim.JaccardDistance":  oracle,
 
-	"internal/adrgen.Corpus.IsDuplicatePair":      testHook, // ground truth for root and pairdist tests
-	"internal/cluster.BlockStore.SpilledLen":      testHook, // rdd tests check cached partitions spilled
-	"internal/cluster.Cluster.FailExecutor":       testHook, // rdd tests kill executors
-	"internal/cluster.Cluster.LiveExecutors":      testHook, // rdd tests pick the executors to kill
-	"internal/cluster.ShuffleService.Registered":  testHook, // root tests check Detect releases its shuffles
-	"internal/cluster.TaskContext.AddComparisons": testHook, // rdd tests count comparisons under faults
-	"internal/intern.Interner.Resolve":            testHook, // pairdist tests resolve IDs to tokens
-	"Detector.DetectAll":                          testHook, // serve tests replay a batch with pruned pairs
+	"internal/adrgen.Corpus.IsDuplicatePair":     testHook, // ground truth for root and pairdist tests
+	"internal/cluster.BlockStore.SpilledLen":     testHook, // rdd tests check cached partitions spilled
+	"internal/cluster.Cluster.FailExecutor":      testHook, // rdd tests kill executors
+	"internal/cluster.Cluster.LiveExecutors":     testHook, // rdd tests pick the executors to kill
+	"internal/cluster.ShuffleService.Registered": testHook, // root tests check Detect releases its shuffles
+	"internal/intern.Interner.Resolve":           testHook, // pairdist tests resolve IDs to tokens
+	"Detector.DetectAll":                         testHook, // serve tests replay a batch with pruned pairs
 
 	// Fault-injection knobs the rdd, core, candgen, knn and root fault
 	// suites set; no product path injects task faults.

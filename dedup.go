@@ -429,6 +429,7 @@ func (d *Detector) scorePairs(existing int) ([]scoredTask, int, error) {
 			s.DistanceInto(vec, &feats[p.A], &feats[p.B])
 			t.pairs[i] = scoredPair{A: int32(p.A), B: int32(p.B), slot: t.slot(m, vec)}
 		}
+		tc.AddComparisons(int64(len(ids)))
 		return t, nil
 	}
 	var tasks []scoredTask
@@ -455,7 +456,6 @@ func (d *Detector) scorePairs(existing int) ([]scoredTask, int, error) {
 		// The features the executors do not hold yet, ~300 bytes each.
 		d.ctx.Cluster().Broadcast(int64(len(feats)-d.shipped) * 300)
 		d.shipped = len(feats)
-		d.ctx.Cluster().Metrics().Comparisons.Add(int64(pairs))
 	}
 	return tasks, pairs, nil
 }

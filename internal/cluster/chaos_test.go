@@ -346,12 +346,8 @@ func TestChaos(t *testing.T) {
 											// Retry exhaustion is the only legitimate
 											// failure, it must carry the typed abort,
 											// and a re-run must abort the same stage.
-											// (The FetchFailed cause may name a
-											// different lost subset: which outputs
-											// are still missing at the final fetch
-											// depends on which copies won, and the
-											// replay decides that from measured
-											// compute time.)
+											// (Only the aborting stage is compared,
+											// not the FetchFailed cause it carries.)
 											var abort *StageAbortedError
 											if !errors.As(err, &abort) {
 												t.Fatalf("program failed without typed stage abort: %v", err)

@@ -8,11 +8,14 @@
 //
 // # Virtual time
 //
-// Every task measures its real single-threaded compute time and may add
-// virtual time for simulated I/O (shuffle reads, broadcasts). After a stage's
-// tasks have all really executed (in parallel, up to the host's cores), the
-// scheduler *list-schedules* the per-task virtual durations onto the live
-// executors' CoresPerExecutor slots each, in one discrete-event loop
+// Every task attempt is charged the work it counted on its TaskContext —
+// records, feature-pair comparisons and vector-distance evaluations, each
+// priced by a constant in cost.go — plus virtual time for simulated I/O
+// (shuffle reads, broadcasts, spill). No task body is timed, so a task's
+// virtual duration is the same on any host and under any load. After a
+// stage's tasks have all really executed (in parallel, up to the host's
+// cores), the scheduler *list-schedules* the per-task virtual durations onto
+// the live executors' CoresPerExecutor slots each, in one discrete-event loop
 // (virtualSchedule). The stage's virtual makespan is the last finish time.
 // Summed across stages this yields the execution times reported by the
 // experiment harness: a 5-executor configuration and a 25-executor
@@ -62,8 +65,8 @@
 // (WorkerScratch) handed to tasks through TaskContext.Scratch. Each task's
 // chain runs exactly once, and two attempts of one task never run at once.
 // The pool decides only how fast the real computation saturates the host;
-// the virtual clock above is a post-hoc cost model over the measured task
-// durations. Because all side effects are committed after the pool drains,
+// the virtual clock above is a post-hoc cost model over the tasks' counted
+// work. Because all side effects are committed after the pool drains,
 // in task order, and injection is hashed from stable identities, results
 // and committed counters do not depend on the pool size or on which worker
 // runs a task.
@@ -369,9 +372,10 @@ type StageStats struct {
 	// submission attempts' makespans, each scheduled onto that attempt's
 	// live executors' slots — plus scheduler overhead.
 	VirtualDuration time.Duration
-	// ComputeDuration sums the tasks' measured single-threaded compute
-	// time across the attempts that ran (before virtual scheduling); a
-	// speculative copy runs no task body and adds none.
+	// ComputeDuration sums the virtual compute of the attempts that ran
+	// (before virtual scheduling): the work each counted, priced by the
+	// constants in cost.go. A speculative copy runs no task body and adds
+	// none.
 	ComputeDuration time.Duration
 	// ShuffleWaitDuration sums the tasks' simulated shuffle-fetch waits
 	// across the attempts that ran.
@@ -379,7 +383,9 @@ type StageStats struct {
 	// SchedulerOverhead is the fixed per-stage coordination cost included
 	// in VirtualDuration.
 	SchedulerOverhead time.Duration
-	RealDuration      time.Duration
+	// RealDuration is the stage's host wall time, from submission to its
+	// last commit; no virtual figure reads it.
+	RealDuration time.Duration
 	// SpeculativeTasks counts tasks whose speculative copy the virtual
 	// schedule started.
 	SpeculativeTasks int

@@ -14,9 +14,10 @@ import (
 // stage serialized) and a 3-worker pool and compares them
 // directly, counter for counter: final state, published results, and every
 // committed work counter must match, not just both match the oracle. The
-// speculative counters and the attempts launched must also repeat across two
-// 1-worker runs and match the 3-worker run: speculation is decided in
-// virtual time, not by a real race.
+// speculative counters, the attempts launched and the virtual clock — the
+// total and every stage's makespan and compute — must also repeat across two
+// 1-worker runs and match the 3-worker run: a task's virtual time is the
+// work it counted, and speculation is decided from it, not by a real race.
 func TestPoolSizeInvariant(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		prog := genChaosProgram(seed * 104729)
@@ -72,6 +73,22 @@ func TestPoolSizeInvariant(t *testing.T) {
 				t.Errorf("seed %d: speculation counters diverged: launched %d/%d, wins %d/%d, tasks %d/%d",
 					seed, m.SpeculativeTasksLaunched, rm.SpeculativeTasksLaunched,
 					m.SpeculativeWins, rm.SpeculativeWins, m.TasksLaunched, rm.TasksLaunched)
+			}
+		}
+		for _, c := range []*Cluster{again, pool} {
+			if got, want := c.VirtualElapsed(), ref.VirtualElapsed(); got != want {
+				t.Errorf("seed %d: virtual elapsed %v, want %v", seed, got, want)
+			}
+			got, want := c.StageHistory(), ref.StageHistory()
+			if len(got) != len(want) {
+				t.Fatalf("seed %d: %d stages, want %d", seed, len(got), len(want))
+			}
+			for i, g := range got {
+				w := want[i]
+				if g.Name != w.Name || g.VirtualDuration != w.VirtualDuration || g.ComputeDuration != w.ComputeDuration {
+					t.Errorf("seed %d: stage %d %s: virtual %v compute %v, want %s: virtual %v compute %v",
+						seed, i, g.Name, g.VirtualDuration, g.ComputeDuration, w.Name, w.VirtualDuration, w.ComputeDuration)
+				}
 			}
 		}
 	}

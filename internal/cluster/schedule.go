@@ -7,7 +7,7 @@ import (
 
 // This file holds the virtual-clock scheduler, the one place speculation is
 // decided. After a submission attempt's tasks have really executed,
-// virtualSchedule places their measured attempt chains onto the live
+// virtualSchedule places their counted attempt chains onto the live
 // executors' slots in a discrete-event simulation of the greedy list
 // schedule (FIFO or LPT order, each queued task starts the moment a slot
 // frees), with Spark-style straggler speculation layered on: once
@@ -40,7 +40,7 @@ func policyOrder(tasks []virtualTask, policy SchedulePolicy) []int {
 	return order
 }
 
-// virtualTask is one task as the virtual scheduler sees it: its measured
+// virtualTask is one task as the virtual scheduler sees it: its counted
 // attempt chain and its would-be copy, set by the caller, and the
 // scheduler's charges for them.
 type virtualTask struct {

@@ -28,8 +28,8 @@ import (
 // counters bit-for-bit against a sequential oracle.
 
 // speculationFloorNS is the virtual time a task's chain must exceed before
-// the replay will copy it, so sub-millisecond tasks are never duplicated on
-// a noisy median.
+// the replay will copy it: a copy of a sub-millisecond task could save less
+// than the per-task scheduling it costs.
 const speculationFloorNS = 1e6
 
 // stageRun is one stage's execution state across its submission attempts
@@ -256,7 +256,9 @@ func (sr *stageRun) fetchFailures() []*FetchFailedError {
 }
 
 // runChain executes task's attempt chain on the executor hostFor places it
-// on: up to 1+MaxTaskRetries attempts, each with a fresh TaskContext.
+// on: up to 1+MaxTaskRetries attempts, each with a fresh TaskContext. Every
+// attempt, failed or not, is charged the work it counted (cost.go) plus its
+// simulated I/O; no attempt is timed.
 // Injected failures, pressure timeouts and genuine errors consume the retry
 // budget, as in Spark; the chain ends at its first successful attempt, whose
 // side effects stay buffered for the commit point. sc is the pool worker's
@@ -284,9 +286,8 @@ func (sr *stageRun) runChain(task int, sc *WorkerScratch) chainResult {
 				Task: task, Attempt: attempt, Executor: exec, VirtualNS: stragglerNS})
 		}
 
-		realStart := time.Now()
 		err := sr.run(tc)
-		computeNS := float64(time.Since(realStart).Nanoseconds())
+		computeNS := tc.computeNS()
 		virtual := computeNS + tc.virtualNS + tc.shuffleWaitNS
 		copyNS := virtual - stragglerNS
 

@@ -1,7 +1,7 @@
 package cluster
 
 // TaskContext is handed to every task attempt. It accumulates the attempt's
-// simulated I/O time, bookkeeping counters, and buffered shuffle writes.
+// counted work, simulated I/O time, and buffered shuffle writes.
 //
 // All observable side effects of an attempt are commit-on-success, as in
 // Spark: shuffle writes become visible to downstream stages, the published
@@ -53,9 +53,14 @@ type TaskContext struct {
 	scratch *WorkerScratch
 
 	// Buffered metric deltas, folded into cluster.Metrics in commit().
+	// records and comparisons, with distances, are also the work the
+	// attempt's virtual compute is priced from (cost.go).
 	records          int64
 	comparisons      int64
 	shuffleBytesRead int64
+	// distances counts the attempt's vector-distance evaluations. It only
+	// prices compute: the classifier layer reports its own distance counts.
+	distances int64
 
 	pendingShuffle []pendingWrite
 
@@ -112,16 +117,24 @@ func (tc *TaskContext) PublishResult(v any) {
 }
 
 // AddRecords counts records processed by the task (throughput metric). The
-// count is buffered and committed only if the attempt succeeds.
+// count is buffered and committed only if the attempt succeeds; every attempt
+// is charged its virtual compute.
 func (tc *TaskContext) AddRecords(n int64) {
 	tc.records += n
 }
 
-// AddComparisons counts pairwise comparisons performed by the task; the
-// experiment harness reads this for the paper's Figs. 7-8. The count is
-// buffered and committed only if the attempt succeeds.
+// AddComparisons counts feature-pair comparisons performed by the task (the
+// Comparisons metric). The count is buffered and committed only if the
+// attempt succeeds; every attempt is charged its virtual compute.
 func (tc *TaskContext) AddComparisons(n int64) {
 	tc.comparisons += n
+}
+
+// AddDistances counts vector-distance evaluations performed by the task, e.g.
+// a kNN search's distances to training pairs. The count only prices the
+// attempt's virtual compute; no metric holds it.
+func (tc *TaskContext) AddDistances(n int64) {
+	tc.distances += n
 }
 
 // AddVirtualNS adds simulated (non-CPU) time to the attempt, e.g. network

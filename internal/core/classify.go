@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"adrdedup/internal/cluster"
 	"adrdedup/internal/knn"
 	"adrdedup/internal/rdd"
 	"adrdedup/internal/vecmath"
@@ -112,7 +113,7 @@ func (c *Classifier) classifyItems(test [][]float64, ids []int, results []Result
 	// credits Spark for (§2.2); without it the intra-cluster searches would
 	// run again for each.
 	joined := rdd.Join(sKeyed, c.negBlocks, len(c.centers)).SetName("S⋈T-neg")
-	stage1 := rdd.Map(joined, func(row rdd.Pair[int, rdd.Tuple2[sItem, knn.Groups]]) stage1Out {
+	stage1 := rdd.MapTC(joined, func(tc *cluster.TaskContext, row rdd.Pair[int, rdd.Tuple2[sItem, knn.Groups]]) stage1Out {
 		s := row.Value.A
 		// One buffer over the own block and straight on over the
 		// positive pairs (lines 9-10): the negatives' k-th distance
@@ -122,6 +123,7 @@ func (c *Classifier) classifyItems(test [][]float64, ids []int, results []Result
 		var spent work
 		spent.Intra, _ = row.Value.B.Search(&top, s.Vec)
 		spent.PosScan, spent.PosSkipped = c.positives.Search(&top, s.Vec)
+		tc.AddDistances(int64(spent.Intra) + int64(spent.PosScan))
 		neighbors := top.Neighbors()
 
 		out := stage1Out{Item: s, Neighbors: neighbors, Work: spent}
@@ -181,10 +183,11 @@ func (c *Classifier) classifyItems(test [][]float64, ids []int, results []Result
 	}).SetName("S.crossFanout")
 
 	crossJoined := rdd.Join(fanout, c.negBlocks, len(c.centers)).SetName("Scross⋈T-neg")
-	crossResults := rdd.Map(crossJoined, func(row rdd.Pair[int, rdd.Tuple2[crossQuery, knn.Groups]]) rdd.Pair[int, partial] {
+	crossResults := rdd.MapTC(crossJoined, func(tc *cluster.TaskContext, row rdd.Pair[int, rdd.Tuple2[crossQuery, knn.Groups]]) rdd.Pair[int, partial] {
 		q := row.Value.A
 		top := knn.NewTopK(k, make([]knn.Neighbor, 0, k))
 		cross, _ := row.Value.B.Search(&top, q.Vec)
+		tc.AddDistances(int64(cross))
 		return rdd.KV(q.ID, partial{Neighbors: top.Neighbors(), Work: work{Cross: cross}})
 	}).SetName("S.crossNeighbors")
 

@@ -190,6 +190,6 @@ func candidatesTables(res CandidatesResult) []Table {
 	t.note("brute path sample pairs", count(res.SamplePairs))
 	t.note("brute path sample vectorization", wall(res.SampleWall))
 	t.note("brute path extrapolated over the quadratic space", wall(res.BruteExtrapolated))
-	t.note("brute path / prefix path", speedup(res.SpeedupX))
+	t.note("brute path / prefix path", wallSpeedup(res.SpeedupX))
 	return []Table{t}
 }

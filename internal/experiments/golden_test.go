@@ -8,7 +8,7 @@ import (
 
 // goldenExhibits are the exhibits whose every count, ratio, percentage, AUPR
 // and text cell repeats at a seed, at any pool size.
-var goldenExhibits = []string{"table1", "table2", "table3", "fig7", "speculation", "recovery"}
+var goldenExhibits = []string{"table1", "table2", "table3", "fig6", "fig7", "fig8", "loadbalance", "speculation", "recovery"}
 
 // TestExhibitGolden runs the golden exhibits as `experiments -quick` does at
 // seed 1, at pool sizes 1 and 3, and compares the tables with

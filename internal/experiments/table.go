@@ -32,7 +32,8 @@ func (t *Table) note(label string, value cell) { t.notes = append(t.notes, note{
 
 // kind is what a cell measures. It decides how the cell prints, which clock
 // labels its column, and whether a golden file may hold it exactly: every
-// kind but the three clock-derived ones repeats bit for bit at a seed.
+// kind but the two read off the host's wall clock repeats bit for bit at a
+// seed.
 type kind uint8
 
 const (
@@ -41,16 +42,17 @@ const (
 	percentKind             // a share, printed as a percentage
 	auprKind                // area under the precision-recall curve
 	textKind                // a label or an identifier
-	// virtualKind is a virtual cluster time. Task durations in it are
-	// measured compute, so until the virtual clock is deterministic
-	// (ROADMAP item 5) it moves run to run like a wall time does.
+	// virtualKind is a virtual cluster time: counted work priced by the
+	// engine's cost constants plus simulated I/O, the same at any load and
+	// pool size.
 	virtualKind
-	wallKind    // a host wall-clock time
-	speedupKind // a ratio of two times, printed as "N.NNx"
+	wallKind        // a host wall-clock time
+	speedupKind     // a ratio of two virtual times, printed as "N.NNx"
+	wallSpeedupKind // a ratio of two wall times, printed as "N.NNx"
 )
 
-// placeholder is what the golden writer prints for a clock-derived cell.
-var placeholder = map[kind]string{virtualKind: "<virtual>", wallKind: "<wall>", speedupKind: "<time ratio>"}
+// placeholder is what the golden writer prints for a wall-clock cell.
+var placeholder = map[kind]string{wallKind: "<wall>", wallSpeedupKind: "<wall ratio>"}
 
 // clock is the header suffix that names a time column's clock.
 var clock = map[kind]string{virtualKind: " (virtual)", wallKind: " (wall)"}
@@ -71,6 +73,7 @@ func text(s string) cell                 { return cell{kind: textKind, s: s} }
 func virtual(d time.Duration) cell       { return cell{kind: virtualKind, i: int64(d)} }
 func wall(d time.Duration) cell          { return cell{kind: wallKind, i: int64(d)} }
 func speedup(r float64) cell             { return cell{kind: speedupKind, f: r} }
+func wallSpeedup(r float64) cell         { return cell{kind: wallSpeedupKind, f: r} }
 func timeRatio(num, den time.Duration) float64 {
 	if den <= 0 {
 		return 0
@@ -93,7 +96,7 @@ func (c cell) format(golden bool) string {
 		return strconv.FormatFloat(c.f, 'f', 3, 64)
 	case virtualKind, wallKind:
 		return time.Duration(c.i).Round(time.Millisecond).String()
-	case speedupKind:
+	case speedupKind, wallSpeedupKind:
 		return strconv.FormatFloat(c.f, 'f', 2, 64) + "x"
 	}
 	return c.s
@@ -105,7 +108,7 @@ func Write(w io.Writer, name string, banner bool, tables []Table) error {
 	return write(w, name, banner, tables, false)
 }
 
-// write is Write; golden prints clock-derived cells as their kind's
+// write is Write; golden prints wall-clock cells as their kind's
 // placeholder, so what is left repeats at a seed at any pool size.
 func write(w io.Writer, name string, banner bool, tables []Table, golden bool) error {
 	var b strings.Builder

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 
+	"adrdedup/internal/cluster"
 	"adrdedup/internal/rdd"
 	"adrdedup/internal/vecmath"
 )
@@ -112,16 +113,19 @@ func NaiveJoin(ctx *rdd.Context, queries, train []Item, k, sBlocks, tBlocks int)
 
 	// Each Cartesian partition holds exactly one (Si, Tj) block pair.
 	blockPairs := rdd.Cartesian(sb, tb)
-	partial := rdd.FlatMap(blockPairs, func(p rdd.Tuple2[[]Item, []Item]) []rdd.Pair[int, []Neighbor] {
-		out := make([]rdd.Pair[int, []Neighbor], 0, len(p.A))
-		for _, q := range p.A {
-			top := NewTopK(k, nil)
-			for _, t := range p.B {
-				top.OfferSq(t.ID, vecmath.SqDist(q.Vec, t.Vec), t.Label)
+	partial := rdd.MapPartitionsTC(blockPairs, func(tc *cluster.TaskContext, _ int, in []rdd.Tuple2[[]Item, []Item]) ([]rdd.Pair[int, []Neighbor], error) {
+		var out []rdd.Pair[int, []Neighbor]
+		for _, p := range in {
+			for _, q := range p.A {
+				top := NewTopK(k, nil)
+				for _, t := range p.B {
+					top.OfferSq(t.ID, vecmath.SqDist(q.Vec, t.Vec), t.Label)
+				}
+				out = append(out, rdd.KV(q.ID, top.Neighbors()))
 			}
-			out = append(out, rdd.KV(q.ID, top.Neighbors()))
+			tc.AddDistances(int64(len(p.A)) * int64(len(p.B)))
 		}
-		return out
+		return out, nil
 	}).SetName("knn.partial")
 
 	merged := rdd.ReduceByKey(partial, func(a, b []Neighbor) []Neighbor {

@@ -320,13 +320,8 @@ func ComputeVectors(ctx *rdd.Context, feats []Features, pairs []IDPair, partitio
 			s.DistanceInto(vec, &feats[p.A], &feats[p.B])
 			out[i] = PairRecord{A: p.A, B: p.B, Label: p.Label, Vec: vec}
 		}
+		tc.AddComparisons(int64(len(in)))
 		return out, nil
 	}).SetName("pairVectors").WithBytesPerRecord(16 + 8*Dims)
-	recs, err := vectors.Collect()
-	if err != nil {
-		return nil, err
-	}
-	// Charge the comparison count once, driver-side.
-	ctx.Cluster().Metrics().Comparisons.Add(int64(len(pairs)))
-	return recs, nil
+	return vectors.Collect()
 }

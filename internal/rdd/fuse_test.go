@@ -41,6 +41,39 @@ func TestFusedStageNames(t *testing.T) {
 	}
 }
 
+// TestMapTCFusesAndCharges: MapTC fuses like Map, and the work its function
+// counts on the TaskContext is charged to the stage's virtual compute.
+func TestMapTCFusesAndCharges(t *testing.T) {
+	withFusion(t, true)
+	run := func(distances int64) ([]int, cluster.StageStats) {
+		cl := cluster.New(cluster.Config{Executors: 2})
+		ctx := NewContext(cl)
+		reports := Parallelize(ctx, []int{1, 2, 3, 4, 5, 6}, 2).SetName("reports")
+		chain := Map(MapTC(reports, func(tc *cluster.TaskContext, v int) int {
+			tc.AddDistances(distances)
+			return v * 2
+		}), func(v int) int { return v + 1 })
+		got, err := chain.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := cl.StageHistory()
+		return got, h[len(h)-1]
+	}
+	got, counted := run(1000)
+	want, plain := run(0)
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, []int{3, 5, 7, 9, 11, 13}) {
+		t.Errorf("MapTC chain = %v, Map chain = %v", got, want)
+	}
+	if !strings.Contains(counted.Name, "reports.map+map") {
+		t.Errorf("stage name %q does not carry the fused chain label", counted.Name)
+	}
+	if counted.ComputeDuration <= plain.ComputeDuration {
+		t.Errorf("6,000 counted distances charged %v of compute, none counted %v",
+			counted.ComputeDuration, plain.ComputeDuration)
+	}
+}
+
 // TestCacheIsFusionBoundary: caching mid-chain must split fusion there — the
 // cached RDD's partitions land in the block store and downstream reads come
 // from cache, while results stay identical.

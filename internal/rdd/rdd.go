@@ -285,9 +285,9 @@ func RunJob[T, R any](r *RDD[T], name string, fn func(tc *cluster.TaskContext, p
 	if err := r.ensureDeps(); err != nil {
 		return nil, fmt.Errorf("rdd %q: preparing dependencies: %w", r.name, err)
 	}
-	// Results flow through the commit gate (PublishResult): with
-	// speculation enabled, rival attempts of a partition run concurrently
-	// and only the winning attempt's value lands in the slice.
+	// Results flow through the commit gate (PublishResult): of a
+	// partition's attempts only the one that completes the task lands its
+	// value in the slice, once, at the stage's commit point.
 	parts := r.launchable()
 	raw, _, err := r.ctx.cl.RunStageResults(fmt.Sprintf("%s@rdd%d", name, r.id), len(parts), func(tc *cluster.TaskContext) error {
 		p := parts[tc.Task()]

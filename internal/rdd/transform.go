@@ -16,6 +16,17 @@ func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
 	})
 }
 
+// MapTC is Map for functions that count their work on the attempt's
+// TaskContext (TaskContext.AddDistances, AddComparisons), which prices the
+// attempt's virtual compute. It fuses as Map does.
+func MapTC[T, U any](r *RDD[T], f func(tc *cluster.TaskContext, v T) U) *RDD[U] {
+	return newNarrow(r, "map", func(tc *cluster.TaskContext, p int, sizeHint func(int), emit func(U) error) error {
+		return r.streamInto(tc, p, sizeHint, func(v T) error {
+			return emit(f(tc, v))
+		})
+	})
+}
+
 // Filter keeps the elements for which pred is true. Filter is a narrow
 // operator and fuses; the parent's size hint is forwarded as an upper bound.
 func Filter[T any](r *RDD[T], pred func(T) bool) *RDD[T] {
@@ -61,7 +72,7 @@ func MapPartitions[T, U any](r *RDD[T], f func(in []T) ([]U, error)) *RDD[U] {
 // proven empty: it may emit rows from no input.
 //
 // f may run concurrently for different partitions and may run more than once
-// for the same partition (task retries, speculative attempts); it must treat
+// for the same partition (task retries, lineage recomputation); it must treat
 // the scratch contents as unspecified at entry, except the zeroed tables
 // (which it must hand back all zero), and must not retain scratch buffers in
 // its output.
