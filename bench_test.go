@@ -559,23 +559,32 @@ func BenchmarkEndToEndDetectBatch(b *testing.B) {
 // harness's batch_detect workload: 250-report batches against a 10k-report
 // database bootstrapped once, prefix-index candidates at θ 0.5.
 func BenchmarkDetectBatchShape(b *testing.B) {
-	benchmarkDetectShape(b, 10_000, 250)
+	benchmarkDetectShape(b, 10_000, 250, 0.5)
 }
 
 // BenchmarkDetectMixedShape times Detect at the in-process shape of the
 // benchmark harness's serve_mixed workload: 10-report batches against a
 // 3k-report database bootstrapped once, prefix-index candidates at θ 0.5.
 func BenchmarkDetectMixedShape(b *testing.B) {
-	benchmarkDetectShape(b, 3_000, 10)
+	benchmarkDetectShape(b, 3_000, 10, 0.5)
+}
+
+// BenchmarkDetectSinglesShape times Detect at the in-process shape of the
+// benchmark harness's serve_singles workload: one report per call against
+// a 2k-report database bootstrapped once, prefix-index candidates at θ 0.8.
+// Its B/op is what each report costs the daemon's heap.
+func BenchmarkDetectSinglesShape(b *testing.B) {
+	benchmarkDetectShape(b, 2_000, 1, 0.8)
 }
 
 // benchmarkDetectShape times perCall-report Detect calls against a database of
-// seed reports bootstrapped as the benchmark harness does. pairs/op,
+// seed reports bootstrapped as the benchmark harness does, with candidates
+// from the prefix index at theta, and reports allocations. pairs/op,
 // distinct/op and classified/op are the candidate pairs per call, the
 // distinct distance vectors among them, and the vectors the model had not
 // scored before, which are all Classify is sent; stages/op and tasks/op are
 // the engine stages run and task attempts launched per call.
-func benchmarkDetectShape(b *testing.B, seed, perCall int) {
+func benchmarkDetectShape(b *testing.B, seed, perCall int, theta float64) {
 	boot, err := serve.NewBootstrap(serve.BootstrapConfig{
 		SeedReports:    seed,
 		SeedDuplicates: seed / 25,
@@ -584,13 +593,14 @@ func benchmarkDetectShape(b *testing.B, seed, perCall int) {
 			Cluster:        cluster.Config{Executors: 8},
 			Classifier:     core.Config{Seed: 1},
 			Candidates:     adrdedup.CandidatePrefixIndex,
-			CandidateTheta: 0.5,
+			CandidateTheta: theta,
 		},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer boot.Detector.Engine().Cluster().Close()
+	b.ReportAllocs()
 	traffic := serve.GenerateTraffic(serve.TrafficConfig{Reports: perCall * b.N, Seed: 3})
 	var pairs, distinct, classified int
 	// Engine stages and tasks per call, as deltas of the detector's metrics:

@@ -212,17 +212,18 @@ func (d *Detector) AddKnownReports(reports []adr.Report) (err error) {
 }
 
 // absorb appends reports to the database, preprocesses them, and enters
-// them into the candidate index.
+// them into the candidate index. Once Add succeeds the batch is the
+// database's tail, so features are extracted from the batch itself (they do
+// not read the arrival sequence Add assigns).
 func (d *Detector) absorb(reports []adr.Report) error {
 	if err := d.db.Add(reports...); err != nil {
 		return err
 	}
-	fresh := d.db.Tail(len(d.feats))
-	if len(fresh) == 0 {
+	if len(reports) == 0 {
 		return nil
 	}
-	parts := min(d.ctx.DefaultParallelism(), len(fresh)) // a single report is one task, not eight
-	feats, err := pairdist.ExtractAllWith(d.ctx, d.interner, fresh, parts)
+	parts := min(d.ctx.DefaultParallelism(), len(reports)) // a single report is one task, not eight
+	feats, err := pairdist.ExtractAllWith(d.ctx, d.interner, reports, parts)
 	if err != nil {
 		return fmt.Errorf("adrdedup: extracting features: %w", err)
 	}

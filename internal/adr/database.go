@@ -16,16 +16,30 @@ var ErrDuplicateCase = errors.New("adr: duplicate case number")
 // duplicate detection checks each arriving batch against all earlier reports
 // plus the batch itself (Eq. 3).
 //
+// Reports are stored in fixed-size chunks, so adding a report never copies
+// the ones already held: the store grows by one chunk at a time and its
+// memory follows the reports it holds.
+//
 // Database is safe for concurrent use.
 type Database struct {
-	mu      sync.RWMutex
-	reports []Report
-	byCase  map[string]int
+	mu     sync.RWMutex
+	chunks [][]Report // every chunk has capacity chunkSize; all but the last are full
+	n      int
+	byCase map[string]int
 }
+
+// chunkSize is how many reports one chunk holds (about 600 KB).
+const chunkSize = 1024
 
 // NewDatabase creates an empty report database.
 func NewDatabase() *Database {
 	return &Database{byCase: make(map[string]int)}
+}
+
+// at returns the stored report with arrival sequence i, which must be in
+// range.
+func (d *Database) at(i int) *Report {
+	return &d.chunks[i/chunkSize][i%chunkSize]
 }
 
 // Add appends reports in arrival order, assigning arrival sequence numbers.
@@ -52,9 +66,14 @@ func (d *Database) Add(reports ...Report) error {
 		inBatch[r.CaseNumber] = struct{}{}
 	}
 	for _, r := range reports {
-		r.ArrivalSeq = len(d.reports)
-		d.byCase[r.CaseNumber] = len(d.reports)
-		d.reports = append(d.reports, r)
+		if d.n%chunkSize == 0 {
+			d.chunks = append(d.chunks, make([]Report, 0, chunkSize))
+		}
+		r.ArrivalSeq = d.n
+		d.byCase[r.CaseNumber] = d.n
+		last := len(d.chunks) - 1
+		d.chunks[last] = append(d.chunks[last], r)
+		d.n++
 	}
 	return nil
 }
@@ -62,35 +81,44 @@ func (d *Database) Add(reports ...Report) error {
 // Truncate discards every report with arrival sequence >= n, restoring the
 // database to its state before those reports were added. Callers use it to
 // roll back an absorbed batch when a later step of an atomic operation
-// fails. Truncating beyond the current length is a no-op.
+// fails. The discarded reports are cleared from the store, so nothing of
+// them stays reachable. Truncating beyond the current length is a no-op.
 func (d *Database) Truncate(n int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	if n >= len(d.reports) {
+	n = max(n, 0)
+	if n >= d.n {
 		return
 	}
-	for _, r := range d.reports[n:] {
+	for i := n; i < d.n; i++ {
+		r := d.at(i)
 		delete(d.byCase, r.CaseNumber)
+		*r = Report{}
 	}
-	d.reports = d.reports[:n]
+	keep := (n + chunkSize - 1) / chunkSize
+	clear(d.chunks[keep:]) // release the chunks left empty
+	d.chunks = d.chunks[:keep]
+	if keep > 0 {
+		d.chunks[keep-1] = d.chunks[keep-1][:n-(keep-1)*chunkSize]
+	}
+	d.n = n
 }
 
 // Len returns the number of stored reports.
 func (d *Database) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.reports)
+	return d.n
 }
 
 // Reports returns a snapshot of all reports in arrival order.
 func (d *Database) Reports() []Report {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]Report, len(d.reports))
-	copy(out, d.reports)
+	out := make([]Report, 0, d.n)
+	for _, c := range d.chunks {
+		out = append(out, c...)
+	}
 	return out
 }
 
@@ -99,26 +127,10 @@ func (d *Database) Reports() []Report {
 func (d *Database) CaseNumber(i int) (string, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if i < 0 || i >= len(d.reports) {
+	if i < 0 || i >= d.n {
 		return "", false
 	}
-	return d.reports[i].CaseNumber, true
-}
-
-// Tail returns a snapshot of the reports with arrival sequence >= from — the
-// batch just added, without copying the database it was added to.
-func (d *Database) Tail(from int) []Report {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(d.reports) {
-		return nil
-	}
-	out := make([]Report, len(d.reports)-from)
-	copy(out, d.reports[from:])
-	return out
+	return d.at(i).CaseNumber, true
 }
 
 // Get returns the report with the given case number.
@@ -129,7 +141,7 @@ func (d *Database) Get(caseNumber string) (Report, bool) {
 	if !ok {
 		return Report{}, false
 	}
-	return d.reports[i], true
+	return *d.at(i), true
 }
 
 // Summary holds the corpus statistics the paper reports in Table 3.
@@ -150,19 +162,22 @@ func (d *Database) Summarize() Summary {
 	drugs := make(map[string]struct{})
 	adrs := make(map[string]struct{})
 	minDate, maxDate := "", ""
-	for _, r := range d.reports {
-		for _, v := range SplitMulti(r.GenericNameDesc) {
-			drugs[v] = struct{}{}
-		}
-		for _, v := range SplitMulti(r.MedDRAPTName) {
-			adrs[v] = struct{}{}
-		}
-		if r.ReportDate != "" {
-			if minDate == "" || r.ReportDate < minDate {
-				minDate = r.ReportDate
+	for _, c := range d.chunks {
+		for i := range c {
+			r := &c[i]
+			for _, v := range SplitMulti(r.GenericNameDesc) {
+				drugs[v] = struct{}{}
 			}
-			if r.ReportDate > maxDate {
-				maxDate = r.ReportDate
+			for _, v := range SplitMulti(r.MedDRAPTName) {
+				adrs[v] = struct{}{}
+			}
+			if r.ReportDate != "" {
+				if minDate == "" || r.ReportDate < minDate {
+					minDate = r.ReportDate
+				}
+				if r.ReportDate > maxDate {
+					maxDate = r.ReportDate
+				}
 			}
 		}
 	}
@@ -171,7 +186,7 @@ func (d *Database) Summarize() Summary {
 		period = minDate + " - " + maxDate
 	}
 	return Summary{
-		NumCases:     len(d.reports),
+		NumCases:     d.n,
 		NumFields:    NumFields,
 		UniqueDrugs:  len(drugs),
 		UniqueADRs:   len(adrs),

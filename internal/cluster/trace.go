@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,17 +102,19 @@ type Event struct {
 // Tracer is a bounded, concurrency-safe ring buffer of Events. A disabled
 // tracer (the default) drops events with a single atomic load on the hot
 // path, so leaving tracing compiled into the scheduler is free in production
-// runs. When the ring wraps, the oldest events are overwritten and counted
+// runs. The ring holds only the events it has recorded: it starts empty and
+// grows until it reaches its capacity, so a tracer that never records holds
+// no event storage. After that the oldest events are overwritten and counted
 // in Dropped.
 type Tracer struct {
 	enabled atomic.Bool
 
-	mu      sync.Mutex
-	events  []Event
-	next    int
-	full    bool
-	seq     int64
-	dropped int64
+	mu       sync.Mutex
+	capacity int
+	events   []Event // grows to capacity; then a ring whose oldest event is at next
+	next     int
+	seq      int64
+	dropped  int64
 }
 
 // defaultTraceCapacity bounds the event ring when no capacity is configured.
@@ -123,7 +126,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = defaultTraceCapacity
 	}
-	return &Tracer{events: make([]Event, capacity)}
+	return &Tracer{capacity: capacity}
 }
 
 // Enable turns event recording on.
@@ -143,13 +146,18 @@ func (t *Tracer) Emit(e Event) {
 	t.mu.Lock()
 	t.seq++
 	e.Seq = t.seq
-	if t.full {
+	if len(t.events) < t.capacity {
+		if len(t.events) == cap(t.events) {
+			// Double, but never past capacity: append's growth would.
+			grown := make([]Event, len(t.events), min(max(2*len(t.events), 64), t.capacity))
+			copy(grown, t.events)
+			t.events = grown
+		}
+		t.events = append(t.events, e)
+	} else {
+		t.events[t.next] = e
+		t.next = (t.next + 1) % len(t.events)
 		t.dropped++
-	}
-	t.events[t.next] = e
-	t.next = (t.next + 1) % len(t.events)
-	if t.next == 0 {
-		t.full = true
 	}
 	t.mu.Unlock()
 }
@@ -158,10 +166,7 @@ func (t *Tracer) Emit(e Event) {
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.full {
-		return len(t.events)
-	}
-	return t.next
+	return len(t.events)
 }
 
 // Dropped returns how many events were overwritten after the ring filled.
@@ -171,24 +176,21 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped
 }
 
-// Snapshot copies the retained events, oldest first.
+// Snapshot copies the retained events, oldest first; it is nil when none
+// are retained.
 func (t *Tracer) Snapshot() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Event
-	if t.full {
-		out = append(out, t.events[t.next:]...)
-	}
-	out = append(out, t.events[:t.next]...)
-	return out
+	return slices.Concat(t.events[t.next:], t.events[:t.next])
 }
 
-// Reset discards all retained events and the dropped counter; the sequence
-// counter keeps advancing so Seq stays globally monotone.
+// Reset discards all retained events, their storage and the dropped
+// counter; the sequence counter keeps advancing so Seq stays globally
+// monotone.
 func (t *Tracer) Reset() {
 	t.mu.Lock()
+	t.events = nil
 	t.next = 0
-	t.full = false
 	t.dropped = 0
 	t.mu.Unlock()
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -71,6 +73,67 @@ func TestTracerRingBounded(t *testing.T) {
 	snap := tr.Snapshot()
 	if snap[0].Task != 12 || snap[len(snap)-1].Task != 19 {
 		t.Errorf("ring kept wrong window: first task %d, last %d", snap[0].Task, snap[len(snap)-1].Task)
+	}
+}
+
+// TestClusterWithoutTracingHoldsNoEvents pins that a cluster with tracing
+// off holds no event storage: the ring is allocated as events arrive, so
+// New no longer pays for 65,536 events it will never record.
+func TestClusterWithoutTracingHoldsNoEvents(t *testing.T) {
+	least := uint64(math.MaxUint64)
+	for range 3 { // the least of three, in case another goroutine allocates meanwhile
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := New(Config{})
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		if c.Tracer().events != nil {
+			t.Fatal("a cluster without tracing holds event storage")
+		}
+	}
+	if least >= 64<<10 {
+		t.Errorf("New(Config{}) allocates %d B, want under 64 KiB", least)
+	}
+}
+
+// TestTracerRingGrowsWithEvents pins the ring's life: it holds only the
+// events recorded so far, never more room than twice those (and never more
+// than its capacity), and once full it drops the oldest, counts them, and
+// still snapshots oldest first.
+func TestTracerRingGrowsWithEvents(t *testing.T) {
+	const capacity = 200
+	tr := NewTracer(capacity)
+	tr.Emit(Event{Kind: EventTaskStart}) // disabled: nothing is stored
+	if tr.events != nil || tr.Len() != 0 {
+		t.Fatal("a disabled tracer stored an event")
+	}
+	tr.Enable()
+	for i := range 3*capacity + 7 {
+		tr.Emit(Event{Kind: EventTaskStart, Task: i})
+		n := i + 1
+		held := min(n, capacity)
+		if tr.Len() != held || tr.Dropped() != int64(n-held) {
+			t.Fatalf("after %d events: Len %d, Dropped %d; want %d, %d", n, tr.Len(), tr.Dropped(), held, n-held)
+		}
+		if c := cap(tr.events); c > capacity || c > max(2*held, 64) {
+			t.Fatalf("after %d events the ring has room for %d", n, c)
+		}
+		if n%37 != 0 && n != capacity && n != capacity+1 {
+			continue
+		}
+		snap := tr.Snapshot()
+		if len(snap) != held {
+			t.Fatalf("after %d events Snapshot holds %d", n, len(snap))
+		}
+		for j, e := range snap {
+			if e.Task != n-held+j {
+				t.Fatalf("after %d events Snapshot[%d] is task %d, want %d", n, j, e.Task, n-held+j)
+			}
+		}
+	}
+	tr.Reset()
+	if tr.events != nil || tr.Len() != 0 || tr.Dropped() != 0 || tr.Snapshot() != nil {
+		t.Error("Reset kept events, their storage or the dropped count")
 	}
 }
 

@@ -137,7 +137,7 @@ func TestConcurrentIngestMatchesSequentialOracle(t *testing.T) {
 			batchOf[r.CaseNumber] = bi
 		}
 	}
-	tail := boot.Detector.Database().Tail(seedLen)
+	tail := boot.Detector.Database().Reports()[seedLen:]
 	if len(tail) != len(traffic) {
 		t.Fatalf("database absorbed %d reports, want %d", len(tail), len(traffic))
 	}
