@@ -11,12 +11,15 @@
 // Every task attempt is charged the work it counted on its TaskContext —
 // records, feature-pair comparisons and vector-distance evaluations, each
 // priced by a constant in cost.go — plus virtual time for simulated I/O
-// (shuffle reads, broadcasts, spill). No task body is timed, so a task's
-// virtual duration is the same on any host and under any load. After a
+// (shuffle reads, broadcasts, spill), priced by the same file's per-block
+// term and bandwidths. No task body is timed, so a task's virtual duration
+// is the same on any host and under any load. After a
 // stage's tasks have all really executed (in parallel, up to the host's
 // cores), the scheduler *list-schedules* the per-task virtual durations onto
 // the live executors' CoresPerExecutor slots each, in one discrete-event loop
-// (virtualSchedule). The stage's virtual makespan is the last finish time.
+// (virtualSchedule). The stage's virtual duration is the last finish time
+// plus its serial scheduler term, a cost.go constant per submission and per
+// task attempt.
 // Summed across stages this yields the execution times reported by the
 // experiment harness: a 5-executor configuration and a 25-executor
 // configuration run the same real computation, but their virtual makespans
@@ -106,16 +109,6 @@ type Config struct {
 	// default: without it the engine keeps its historical
 	// evict-and-recompute behaviour.
 	SpillToDisk bool
-	// networkMBps is the simulated per-executor network bandwidth used to
-	// charge virtual time for shuffle reads and broadcasts. 0 selects the
-	// default 1000.
-	networkMBps float64
-	// ShuffleLatencyMS is the fixed virtual latency charged per fetched
-	// shuffle block.
-	ShuffleLatencyMS float64
-	// SchedulerOverheadMS is the fixed virtual cost charged per stage, plus
-	// a per-executor coordination share (task dispatch, result pickup).
-	SchedulerOverheadMS float64
 	// FailureRate is the probability that any given task attempt fails.
 	FailureRate float64
 	// ExecutorFailureRate is the probability, drawn deterministically per
@@ -236,12 +229,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MemoryPerExecutorBytes <= 0 {
 		c.MemoryPerExecutorBytes = 1 << 30
-	}
-	if c.networkMBps <= 0 {
-		c.networkMBps = 1000
-	}
-	if c.ShuffleLatencyMS < 0 {
-		c.ShuffleLatencyMS = 0
 	}
 	if c.MaxTaskRetries <= 0 {
 		c.MaxTaskRetries = 4
@@ -380,8 +367,9 @@ type StageStats struct {
 	// ShuffleWaitDuration sums the tasks' simulated shuffle-fetch waits
 	// across the attempts that ran.
 	ShuffleWaitDuration time.Duration
-	// SchedulerOverhead is the fixed per-stage coordination cost included
-	// in VirtualDuration.
+	// SchedulerOverhead is the serial scheduler term included in
+	// VirtualDuration: stageNS per submission plus taskNS per attempt
+	// launched (cost.go).
 	SchedulerOverhead time.Duration
 	// RealDuration is the stage's host wall time, from submission to its
 	// last commit; no virtual figure reads it.
@@ -522,7 +510,7 @@ func (c *Cluster) runStage(name string, numTasks int, run func(tc *TaskContext) 
 	}
 
 	makespanNS := sr.makespanNS
-	overheadNS := c.cfg.SchedulerOverheadMS * 1e6 * (1 + 0.05*float64(c.cfg.Executors))
+	overheadNS := schedulerNS(1+resubmits, stats.Attempts)
 	stats.VirtualDuration = time.Duration(makespanNS + overheadNS)
 	stats.SchedulerOverhead = time.Duration(overheadNS)
 
@@ -648,7 +636,7 @@ func drawHash(prefix, suffix string, vals ...int64) uint64 {
 // executors that already hold the data re-serve it, so the critical path is
 // logarithmic in the executor count rather than linear.
 func (c *Cluster) Broadcast(bytes int64) {
-	perHop := float64(bytes)/(c.cfg.networkMBps*1e6)*1e9 + c.cfg.ShuffleLatencyMS*1e6
+	perHop := networkNS(bytes, 1)
 	depth := math.Ceil(math.Log2(float64(c.cfg.Executors) + 1))
 	c.mu.Lock()
 	c.virtualNS += perHop * depth

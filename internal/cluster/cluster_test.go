@@ -121,10 +121,10 @@ func TestShuffleCommitOnSuccessOnly(t *testing.T) {
 }
 
 func TestShuffleFetchChargesVirtualTime(t *testing.T) {
-	c := New(Config{networkMBps: 1, ShuffleLatencyMS: 10}) // slow network
+	c := New(Config{})
 	sh := c.Shuffles().Register()
 	_, err := c.RunStage("map", 1, func(tc *TaskContext) error {
-		tc.WriteShuffle(sh, 0, []byte{1}, 1, 10*1e6) // 10MB
+		tc.WriteShuffle(sh, 0, []byte{1}, 1, 10*1e9) // 10GB
 		return nil
 	})
 	if err != nil {
@@ -139,7 +139,7 @@ func TestShuffleFetchChargesVirtualTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := c.VirtualElapsed() - before
-	// 10MB at 1MB/s = 10s plus 10ms latency.
+	// 10GB at 1000MB/s = 10s plus one block's latency.
 	if delta < 10*time.Second {
 		t.Errorf("virtual delta %v, want >= 10s for simulated transfer", delta)
 	}
@@ -262,19 +262,19 @@ func TestPressureTimeoutsCauseRetry(t *testing.T) {
 }
 
 func TestBroadcastAdvancesClock(t *testing.T) {
-	c := New(Config{Executors: 10, networkMBps: 1, ShuffleLatencyMS: 1})
+	c := New(Config{Executors: 10})
 	before := c.VirtualElapsed()
-	// Torrent-style tree broadcast: 1MB at 1MB/s per hop, ceil(log2(11))
+	// Torrent-style tree broadcast: 1GB at 1000MB/s per hop, ceil(log2(11))
 	// = 4 hops on the critical path = 4s (+latency).
-	c.Broadcast(1e6)
+	c.Broadcast(1e9)
 	delta := c.VirtualElapsed() - before
 	if delta < 4*time.Second || delta > 5*time.Second {
 		t.Errorf("broadcast virtual time %v, want ~4s (tree depth 4)", delta)
 	}
 	// The critical path grows logarithmically, not linearly, with the
 	// executor count.
-	big := New(Config{Executors: 160, networkMBps: 1, ShuffleLatencyMS: 1})
-	big.Broadcast(1e6)
+	big := New(Config{Executors: 160})
+	big.Broadcast(1e9)
 	if d := big.VirtualElapsed(); d > 3*delta {
 		t.Errorf("16x executors took %v vs %v; broadcast should scale ~log(E)", d, delta)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // Tests for executor-loss recovery: host-local shuffle invalidation,
@@ -176,6 +177,10 @@ func TestFetchFailedResubmitsOnlyLostPartitions(t *testing.T) {
 	}
 	if reduceStats.Resubmits != 1 {
 		t.Errorf("Resubmits = %d, want 1", reduceStats.Resubmits)
+	}
+	// Both submissions pay the stage term, and every attempt the task term.
+	if want := time.Duration(2*stageNS + reduceStats.Attempts*taskNS); reduceStats.SchedulerOverhead != want {
+		t.Errorf("scheduler overhead %v over %d attempts, want %v", reduceStats.SchedulerOverhead, reduceStats.Attempts, want)
 	}
 	if fmt.Sprint(recomputed) != fmt.Sprint(lostWant) {
 		t.Errorf("recomputed map tasks %v, want exactly the lost ones %v", recomputed, lostWant)

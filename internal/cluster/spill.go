@@ -169,7 +169,7 @@ type SpillRef struct {
 // longer fit an executor's memory budget are framed (encodeSpillFrame),
 // compressed, and written to per-cluster temporary files. Reads verify the
 // frame and charge virtual disk time at spillMBps — the disk analogue of
-// Config.networkMBps. Files model executor-local disk: InvalidateExecutor on the
+// networkMBps. Files model executor-local disk: InvalidateExecutor on the
 // owning service must free the dead host's spills.
 type SpillStore struct {
 	cluster *Cluster
@@ -267,10 +267,6 @@ func (s *SpillStore) Close() {
 // join's build-side chunks go through the same framed, compressed,
 // virtually-charged tier the block and shuffle services use).
 func (c *Cluster) Spill() *SpillStore { return c.spill }
-
-// spillMBps is the simulated executor-local disk bandwidth the spill tier
-// charges for writes and read-backs, a local-SSD-class figure.
-const spillMBps = 500
 
 // SpillIONS returns the virtual disk time for moving n on-disk bytes through
 // the spill tier at spillMBps, the disk analogue of the network charge in

@@ -193,15 +193,9 @@ func (tc *TaskContext) FetchShuffle(shuffleID, reduceID int) ([]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := tc.cluster.cfg
-	transferNS := float64(bytes)/(cfg.networkMBps*1e6)*1e9 +
-		cfg.ShuffleLatencyMS*1e6*float64(len(blocks))
 	// Spilled blocks cost their disk read-back on top of the network
 	// transfer; both are I/O wait from the reduce attempt's perspective.
-	transferNS += spillNS
-	if transferNS > 0 {
-		tc.shuffleWaitNS += transferNS
-	}
+	tc.shuffleWaitNS += networkNS(bytes, len(blocks)) + spillNS
 	tc.shuffleBytesRead += bytes
 	return blocks, nil
 }

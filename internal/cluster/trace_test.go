@@ -337,10 +337,10 @@ func TestGenuineErrorsRetriedLikeInjectedOnes(t *testing.T) {
 }
 
 func TestStageStatsTaskBreakdown(t *testing.T) {
-	c := New(Config{Executors: 2, CoresPerExecutor: 1, networkMBps: 1, ShuffleLatencyMS: 5, Trace: true})
+	c := New(Config{Executors: 2, CoresPerExecutor: 1, Trace: true})
 	sh := c.Shuffles().Register()
 	if _, err := c.RunStage("map", 4, func(tc *TaskContext) error {
-		tc.WriteShuffle(sh, 0, []byte{1}, 1, 1e6)
+		tc.WriteShuffle(sh, 0, []byte{1}, 1, 1e9)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -358,11 +358,11 @@ func TestStageStatsTaskBreakdown(t *testing.T) {
 	if stats.Tasks != 4 || stats.Attempts != 4 {
 		t.Fatalf("stats = %+v, want 4 tasks in 4 attempts", stats)
 	}
-	// Only task 0 fetched: 4MB at 1MB/s = 4s of shuffle wait.
+	// Only task 0 fetched: 4GB at 1000MB/s = 4s of shuffle wait.
 	if stats.ShuffleWaitDuration < 4*time.Second {
 		t.Errorf("stage shuffle wait %v, want >= 4s", stats.ShuffleWaitDuration)
 	}
-	if stats.SchedulerOverhead <= 0 && c.cfg.SchedulerOverheadMS > 0 {
+	if stats.SchedulerOverhead <= 0 {
 		t.Error("scheduler overhead missing")
 	}
 	// The per-task view is the trace: the fetching task's virtual time
@@ -385,7 +385,7 @@ func TestStageStatsTaskBreakdown(t *testing.T) {
 }
 
 func TestWriteStageSummary(t *testing.T) {
-	c := New(Config{Executors: 2, SchedulerOverheadMS: 1})
+	c := New(Config{Executors: 2})
 	if _, err := c.RunStage("alpha", 2, func(tc *TaskContext) error {
 		tc.AddVirtualNS(1e6)
 		return nil

@@ -10,7 +10,7 @@ import (
 // testEnv builds a small, fast environment shared across tests.
 func testEnv(t *testing.T) *Env {
 	t.Helper()
-	env, err := NewEnv(cluster.Config{Executors: 8, CoresPerExecutor: 1, SchedulerOverheadMS: 2, ShuffleLatencyMS: 1}, SmallCorpus(1), 2)
+	env, err := NewEnv(cluster.Config{Executors: 8, CoresPerExecutor: 1}, SmallCorpus(1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestRecoveryOverheadCeiling(t *testing.T) {
 // `go test -bench`: the overhead metric is the faulty/clean virtual makespan ratio
 // of the shuffle workload under deterministic kills, averaged over 3 seeds.
 func BenchmarkRecoveryOverhead(b *testing.B) {
-	env, err := NewEnv(cluster.Config{Executors: 8, CoresPerExecutor: 1, SchedulerOverheadMS: 2, ShuffleLatencyMS: 1}, SmallCorpus(1), 2)
+	env, err := NewEnv(cluster.Config{Executors: 8, CoresPerExecutor: 1}, SmallCorpus(1), 2)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestSpeculationSpeedupFloor(t *testing.T) {
 // `go test -bench`: the reported speedup metric is the off/on virtual makespan
 // ratio of the injected-straggler workload.
 func BenchmarkSpeculationSkew(b *testing.B) {
-	env, err := NewEnv(cluster.Config{Executors: 8, CoresPerExecutor: 1, SchedulerOverheadMS: 2, ShuffleLatencyMS: 1}, SmallCorpus(1), 2)
+	env, err := NewEnv(cluster.Config{Executors: 8, CoresPerExecutor: 1}, SmallCorpus(1), 2)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -98,13 +98,11 @@ func Spill(p SpillParams, workers int) ([]SpillRow, error) {
 	run := func(budgeted bool) (SpillRow, []core.Result, error) {
 		row := SpillRow{Budgeted: budgeted}
 		cfg := cluster.Config{
-			Executors:           spillExecutors,
-			CoresPerExecutor:    1,
-			ShuffleLatencyMS:    2,
-			SchedulerOverheadMS: 5,
-			Seed:                p.seed,
-			RealWorkers:         workers,
-			Trace:               true, // spill events tell the tiers apart
+			Executors:        spillExecutors,
+			CoresPerExecutor: 1,
+			Seed:             p.seed,
+			RealWorkers:      workers,
+			Trace:            true, // spill events tell the tiers apart
 		}
 		if budgeted {
 			cfg.SpillToDisk = true

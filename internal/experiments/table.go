@@ -95,6 +95,11 @@ func (c cell) format(golden bool) string {
 	case auprKind:
 		return strconv.FormatFloat(c.f, 'f', 3, 64)
 	case virtualKind, wallKind:
+		// µs resolution below a second, so a quick-scale figure of a few
+		// milliseconds keeps its shape.
+		if d := time.Duration(c.i); d < time.Second {
+			return d.Round(time.Microsecond).String()
+		}
 		return time.Duration(c.i).Round(time.Millisecond).String()
 	case speedupKind, wallSpeedupKind:
 		return strconv.FormatFloat(c.f, 'f', 2, 64) + "x"
