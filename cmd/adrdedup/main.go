@@ -156,8 +156,7 @@ func runDetect(args []string) (retErr error) {
 	speculation := fs.Bool("speculation", false, "speculatively re-launch straggler tasks (first completion wins)")
 	stragglerRate := fs.Float64("straggler-rate", 0, "deterministic straggler injection rate per task attempt")
 	stragglerMS := fs.Float64("straggler-ms", 0, "virtual slowdown charged to each injected straggler (ms; 0 = default)")
-	failExecutors := fs.Float64("fail-executors", 0, "deterministic executor-kill rate per stage submission (lost shuffle outputs are recomputed from lineage; each recovery resubmits a stage, so a high rate can exhaust -max-stage-retries and abort the run: 0.1 does on a 400-report corpus at the default of 4)")
-	maxStageRetries := fs.Int("max-stage-retries", 0, "stage resubmissions after shuffle fetch failures before aborting (0 = default)")
+	failExecutors := fs.Float64("fail-executors", 0, "deterministic executor-kill rate per executor at each stage's first submission (lost shuffle outputs and cached partitions are recomputed from lineage, and the output equals the kill-free run's)")
 	memoryMB := fs.Int("memory-mb", 0, "per-executor memory budget in MB; blocks and shuffle buffers over budget spill to virtual disk (0 = unbounded default)")
 	workers := fs.Int("workers", 0, "engine pool size: stage tasks computing at once (0 = NumCPU)")
 	tracePath := fs.String("trace", "", "write a JSON stage/task trace event log to this file and print a per-stage summary to stderr")
@@ -208,7 +207,6 @@ func runDetect(args []string) (retErr error) {
 			StragglerRate:          *stragglerRate,
 			StragglerVirtualMS:     *stragglerMS,
 			ExecutorFailureRate:    *failExecutors,
-			MaxStageRetries:        *maxStageRetries,
 			MemoryPerExecutorBytes: int64(*memoryMB) << 20,
 			SpillToDisk:            *memoryMB > 0,
 			RealWorkers:            *workers,

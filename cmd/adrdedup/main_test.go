@@ -3,14 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
+	"adrdedup"
 	"adrdedup/internal/adr"
 	"adrdedup/internal/adrgen"
 	"adrdedup/internal/cluster"
+	"adrdedup/internal/core"
 )
 
 func TestGenSummaryDetectRoundTrip(t *testing.T) {
@@ -101,7 +105,8 @@ func roundTripCorpus(t *testing.T, dir string) []string {
 }
 
 // TestDetectSurvivesExecutorLoss runs detect on the round-trip corpus twice,
-// clean and with executors killed at a quarter of the stage submissions:
+// clean and at its defaults with -fail-executors 0.25 (each of the 8
+// executors killed with that chance at a job stage's first submission):
 // lineage recovery must print the same report byte for byte, and the faulty
 // run's -metrics-out must count the kills, so the comparison is not vacuous.
 func TestDetectSurvivesExecutorLoss(t *testing.T) {
@@ -131,12 +136,92 @@ func TestDetectSurvivesExecutorLoss(t *testing.T) {
 		return stdout, m
 	}
 	clean, _ := detect("clean")
-	faulty, m := detect("faulty", "-fail-executors", "0.25", "-executors", "6", "-max-stage-retries", "12")
+	faulty, m := detect("faulty", "-fail-executors", "0.25")
 	if m.ExecutorFailures == 0 {
 		t.Fatal("no executor was killed; the comparison is vacuous")
 	}
 	if !bytes.Equal(faulty, clean) {
 		t.Fatalf("with %d executors killed detect printed\n%s\nclean it printed\n%s", m.ExecutorFailures, faulty, clean)
+	}
+}
+
+// TestExecutorLossSweep pins lineage recovery's progress property on the
+// round-trip corpus at detect's defaults: over kill rate x executor count x
+// seed, Detect completes, returns the kill-free run's matches at that
+// executor count, commits its records, comparisons and shuffle writes, and
+// resubmits no stage more than once, since kills are drawn only at a job
+// stage's first submission.
+func TestExecutorLossSweep(t *testing.T) {
+	args := roundTripCorpus(t, t.TempDir())
+	db, err := readReports(args[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := readReports(args[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, reports := range [][]adr.Report{db, batch} {
+		for i := range reports {
+			reports[i].ArrivalSeq = 0 // as detect stamps them
+		}
+	}
+	var labels []adrdedup.LabeledCasePair
+	if err := readJSON(args[5], &labels); err != nil {
+		t.Fatal(err)
+	}
+	detect := func(cfg cluster.Config) ([]adrdedup.Match, *cluster.Cluster) {
+		t.Helper()
+		det, err := adrdedup.New(adrdedup.Options{Cluster: cfg, Classifier: core.Config{K: 9, B: 32}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := det.AddKnownReports(db); err != nil {
+			t.Fatal(err)
+		}
+		if err := det.TrainFromLabeledCases(labels); err != nil {
+			t.Fatal(err)
+		}
+		matches, err := det.Detect(batch)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		return matches, det.Engine().Cluster()
+	}
+	// ShuffleBytesRead is traffic, not committed work: a task that finds a
+	// cached partition lost with its executor re-reads the partition's
+	// shuffle to rebuild it.
+	work := func(m cluster.MetricsSnapshot) [4]int64 {
+		return [4]int64{m.RecordsProcessed, m.Comparisons, m.ShuffleRecordsWritten, m.ShuffleBytesWritten}
+	}
+	for _, executors := range []int{4, 6, 8, 12} {
+		clean, cl := detect(cluster.Config{Executors: executors})
+		cleanWork := work(cl.Metrics().Snapshot())
+		cl.Close()
+		for _, rate := range []float64{0.05, 0.1, 0.25, 0.5} {
+			var kills int64
+			for seed := int64(1); seed <= 3; seed++ {
+				matches, cl := detect(cluster.Config{Executors: executors, ExecutorFailureRate: rate, Seed: seed})
+				m := cl.Metrics().Snapshot()
+				kills += m.ExecutorFailures
+				name := fmt.Sprintf("executors=%d rate=%v seed=%d", executors, rate, seed)
+				if !reflect.DeepEqual(matches, clean) {
+					t.Errorf("%s: %d executors killed, matches differ from the clean run's", name, m.ExecutorFailures)
+				}
+				if got := work(m); got != cleanWork {
+					t.Errorf("%s: work counters %v, clean %v", name, got, cleanWork)
+				}
+				for _, st := range cl.StageHistory() {
+					if st.Resubmits > 1 {
+						t.Errorf("%s: stage %q resubmitted %d times, want at most 1", name, st.Name, st.Resubmits)
+					}
+				}
+				cl.Close()
+			}
+			if kills == 0 {
+				t.Errorf("executors=%d rate=%v: no executor killed over three seeds; the cell is vacuous", executors, rate)
+			}
+		}
 	}
 }
 

@@ -930,7 +930,6 @@ func TestPrefixIndexCommittedCountersUnderExecutorLoss(t *testing.T) {
 		o.Classifier.C = 0 // as adrdedup detect: the probe runs one task per slot
 		o.Cluster.Executors = 6
 		o.Cluster.ExecutorFailureRate = killRate
-		o.Cluster.MaxStageRetries = 12
 		o.Cluster.Seed = 7
 		return o
 	}
@@ -1900,7 +1899,6 @@ func TestClassifyRecomputesTrainingBlocksAfterRelease(t *testing.T) {
 	c := newTestCorpus()
 	faulty := testOptions()
 	faulty.Cluster.ExecutorFailureRate = 0.1
-	faulty.Cluster.MaxStageRetries = 12
 	faulty.Cluster.BlacklistAfterFailures = 1000 // killed executors rejoin, so kills go on
 	faulty.Cluster.Seed = 11
 	det, batch := loadCorpus(t, c, faulty, 20)

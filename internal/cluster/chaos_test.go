@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -257,7 +256,7 @@ var chaosMemTiers = []struct {
 
 // chaosConfig builds the cluster configuration for one combo. MaxTaskRetries
 // is set high enough that retry exhaustion is effectively impossible, so
-// only executor kills can fail a program.
+// no combo may fail.
 func chaosConfig(seed int64, executors int, failureRate, execFail float64, stragglers, speculation bool, memBudget int64) Config {
 	cfg := Config{
 		Executors:             executors,
@@ -310,10 +309,10 @@ func int64sEqual(a, b []int64) bool {
 // deltas. The memory tiers force shuffle blocks through the disk overflow
 // tier; spilling must be visible only in the SpillEvents/SpilledBytes
 // counters (accounted separately, like the recovery counters), never in
-// partition contents, published results, or work counters. A combo that
-// exhausts MaxStageRetries must fail with the typed StageAbortedError, and
-// must fail identically when re-run. Short mode trims the seed set, keeping
-// the full grid shape.
+// partition contents, published results, or work counters. Every combo must
+// complete: kills are drawn only at a stage's first submission, so lineage
+// repair loses nothing and no stage is resubmitted more than once. Short
+// mode trims the seed set, keeping the full grid shape.
 func TestChaos(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
@@ -340,26 +339,12 @@ func TestChaos(t *testing.T) {
 										defer c.Close()
 										state, sums, err := runChaosProgram(c, prog)
 										if err != nil {
-											if execFail == 0 {
-												t.Fatalf("program failed without executor kills: %v", err)
+											t.Fatalf("program failed: %v", err)
+										}
+										for _, st := range c.StageHistory() {
+											if st.Resubmits > 1 {
+												t.Errorf("stage %q resubmitted %d times, want at most 1", st.Name, st.Resubmits)
 											}
-											// Retry exhaustion is the only legitimate
-											// failure, it must carry the typed abort,
-											// and a re-run must abort the same stage.
-											// (Only the aborting stage is compared,
-											// not the FetchFailed cause it carries.)
-											var abort *StageAbortedError
-											if !errors.As(err, &abort) {
-												t.Fatalf("program failed without typed stage abort: %v", err)
-											}
-											c2 := New(cfg)
-											defer c2.Close()
-											_, _, err2 := runChaosProgram(c2, prog)
-											var abort2 *StageAbortedError
-											if err2 == nil || !errors.As(err2, &abort2) || abort.Stage != abort2.Stage {
-												t.Fatalf("abort not deterministic:\n  first: %v\n second: %v", err, err2)
-											}
-											return
 										}
 										if len(state) != len(want.finalState) {
 											t.Fatalf("final partitions = %d, want %d", len(state), len(want.finalState))

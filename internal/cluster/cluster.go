@@ -36,6 +36,12 @@
 // PressureTimeouts is set, a simulated timeout failure on their first attempt
 // (reproducing the paper's observation for cluster numbers below 25).
 //
+// With Config.ExecutorFailureRate set, a job stage's first submission may
+// kill executors, dropping their shuffle outputs and cached partitions; a
+// fetch of a lost output fails, the lost map outputs are recomputed from
+// lineage, and the stage is resubmitted. Resubmissions and recovery stages
+// draw no kills, so one resubmission completes the stage.
+//
 // # Memory
 //
 // One figure, Config.MemoryPerExecutorBytes, is an executor's memory. The
@@ -112,17 +118,13 @@ type Config struct {
 	// FailureRate is the probability that any given task attempt fails.
 	FailureRate float64
 	// ExecutorFailureRate is the probability, drawn deterministically per
-	// (seed, stage submission, executor), that a live executor is killed
-	// when a stage is submitted. A killed executor's slots drain and its
-	// committed shuffle map outputs and cached partitions are dropped;
-	// downstream fetches of the lost outputs fail with FetchFailedError
-	// and trigger lineage resubmission. The last live executor is never
-	// killed.
+	// (seed, stage, executor), that a live executor is killed when a job
+	// stage is first submitted; resubmissions and recovery stages draw
+	// none. A killed executor's slots drain and its committed shuffle map
+	// outputs and cached partitions are dropped; downstream fetches of the
+	// lost outputs fail with FetchFailedError and trigger lineage
+	// resubmission. The last live executor is never killed.
 	ExecutorFailureRate float64
-	// MaxStageRetries bounds how many times one stage may be resubmitted
-	// after fetch failures before it aborts with a *StageAbortedError.
-	// 0 selects the default 4.
-	MaxStageRetries int
 	// ExecutorRecoveryStages is how many stage submissions a killed
 	// executor stays out of the pool before a replacement rejoins
 	// (pre-blacklist). 0 selects the default 1.
@@ -232,9 +234,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTaskRetries <= 0 {
 		c.MaxTaskRetries = 4
-	}
-	if c.MaxStageRetries <= 0 {
-		c.MaxStageRetries = 4
 	}
 	if c.ExecutorRecoveryStages <= 0 {
 		c.ExecutorRecoveryStages = 1
@@ -400,8 +399,13 @@ var ErrClosed = errors.New("cluster: closed")
 // recovery.
 var ErrStageAborted = errors.New("cluster: stage aborted: lineage recovery exhausted")
 
+// maxStageRetries caps a stage's resubmissions after fetch failures (Spark's
+// default of 4 stage attempts). One resubmission repairs injected kills; the
+// cap guards against a recompute callback that restores nothing.
+const maxStageRetries = 4
+
 // StageAbortedError reports that a stage could not be completed by lineage
-// resubmission: either MaxStageRetries resubmissions were already spent, or
+// resubmission: either maxStageRetries resubmissions were already spent, or
 // a lost shuffle had no registered recompute callback. Cause carries the
 // terminal fetch failure (or patch-up error).
 type StageAbortedError struct {
@@ -430,7 +434,8 @@ func (c *Cluster) RunStage(name string, numTasks int, run func(tc *TaskContext) 
 
 // RunRecoveryStage runs a patch-up stage that regenerates output lost with a
 // failed executor (the recompute callbacks registered via
-// ShuffleService.SetRecompute use it). Its tasks' commit-gated side effects
+// ShuffleService.SetRecompute use it). It draws no executor kills, so a
+// repair never loses what it rebuilds. Its tasks' commit-gated side effects
 // land normally — the lost blocks must come back — but their work-counter
 // deltas are not re-added to the metrics registry: the output was already
 // counted when it first committed, and recovery cost is accounted
@@ -460,32 +465,33 @@ func (c *Cluster) runStage(name string, numTasks int, run func(tc *TaskContext) 
 	start := time.Now()
 	sr := c.newStageRun(stageID, name, numTasks, run, collect, recovery)
 
-	// The stage loop: each submission point first draws the deterministic
-	// executor-kill decisions, then runs every not-yet-committed task on
-	// the surviving executors and commits the tasks that succeeded; the
-	// stage's virtual makespan is the sum of its submissions' makespans.
-	// Attempts that die on a FetchFailedError (their shuffle read touched
-	// map outputs lost with an executor) do not fail the stage; instead the
+	// The stage loop: each submission point takes the executors live at
+	// the current stage counter (a job stage's first submission draws the
+	// deterministic executor kills first), then runs every not-yet-committed
+	// task on them and commits the tasks that succeeded; the stage's
+	// virtual makespan is the sum of its submissions' makespans. Attempts
+	// that die on a FetchFailedError (their shuffle read touched map
+	// outputs lost with an executor) do not fail the stage; instead the
 	// lost map partitions are recomputed from lineage via the shuffle's
 	// recompute callback and the stage is resubmitted, up to
-	// MaxStageRetries times before aborting with a typed
+	// maxStageRetries times before aborting with a typed
 	// *StageAbortedError.
 	var abortErr error
 	resubmits := 0
 	for {
-		sr.live = c.injectExecutorFailures(stageID, resubmits)
+		sr.live = c.injectExecutorFailures(stageID, resubmits == 0 && !recovery)
 		sr.executeAttempt()
 		failed := sr.fetchFailures()
 		if len(failed) == 0 {
 			break
 		}
-		if resubmits >= c.cfg.MaxStageRetries {
+		if resubmits >= maxStageRetries {
 			abortErr = &StageAbortedError{Stage: name, StageID: stageID,
 				Resubmits: resubmits, Cause: failed[0]}
 			break
 		}
 		resubmits++
-		if err := c.repairShuffles(name, stageID, resubmits, failed); err != nil {
+		if err := c.repairShuffles(name, stageID, resubmits, failed, recovery); err != nil {
 			abortErr = err
 			break
 		}
@@ -539,38 +545,51 @@ func (c *Cluster) runStage(name string, numTasks int, run func(tc *TaskContext) 
 	return sr.results, stats, firstErr
 }
 
-// repairShuffles handles one round of fetch failures: for every shuffle the
-// failed stage attempt could not read, it recomputes exactly the lost map
-// partitions through the recompute callback the producing layer registered,
-// then the caller resubmits the stage. A shuffle without a callback is
-// unrecoverable and aborts the stage with a typed error.
-func (c *Cluster) repairShuffles(name string, stageID, resubmit int, failures []*FetchFailedError) error {
-	// One repair per shuffle even if many reduce tasks tripped on it.
-	seen := make(map[int]bool)
+// repairShuffles handles one round of fetch failures: it recomputes exactly
+// the lost map partitions through each shuffle's registered recompute
+// callback, then the caller resubmits the stage. A job stage repairs every
+// registered shuffle with lost outputs, in registration order (parents
+// first): a task stops at its first failed fetch, so a second damaged
+// shuffle it reads (a join's other side, or one a lost cached partition is
+// rebuilt from) would otherwise cost a second resubmission. A recovery stage
+// repairs only the shuffles it named, so a repair never re-enters the
+// shuffle it rebuilds. A named shuffle without a callback aborts the stage
+// with a typed error.
+func (c *Cluster) repairShuffles(name string, stageID, resubmit int, failures []*FetchFailedError, recovery bool) error {
+	named := make(map[int]*FetchFailedError)
+	var ids []int
 	for _, ff := range failures {
-		if seen[ff.ShuffleID] {
-			continue
+		if named[ff.ShuffleID] == nil {
+			named[ff.ShuffleID] = ff
+			ids = append(ids, ff.ShuffleID)
 		}
-		seen[ff.ShuffleID] = true
-		lost := c.shuffles.LostMapTasks(ff.ShuffleID)
+	}
+	if !recovery {
+		ids = c.shuffles.damaged()
+	}
+	for _, id := range ids {
+		lost := c.shuffles.LostMapTasks(id)
 		if len(lost) == 0 {
 			continue // repaired already (shared parent fixed in an inner stage)
 		}
-		rec := c.shuffles.recomputeFor(ff.ShuffleID)
+		rec := c.shuffles.recomputeFor(id)
 		if rec == nil {
+			if named[id] == nil {
+				continue // no failed fetch named it, and nothing can rebuild it
+			}
 			return &StageAbortedError{Stage: name, StageID: stageID, Resubmits: resubmit - 1,
-				Cause: fmt.Errorf("shuffle %d has no recompute callback: %w", ff.ShuffleID, ff)}
+				Cause: fmt.Errorf("shuffle %d has no recompute callback: %w", id, named[id])}
 		}
 		if c.tracer.Enabled() {
 			c.tracer.Emit(Event{Kind: EventStageResubmit, Stage: name, StageID: stageID,
 				Task: -1, Attempt: -1, Executor: -1,
 				Detail: fmt.Sprintf("resubmit %d: recomputing %d lost map outputs of shuffle %d",
-					resubmit, len(lost), ff.ShuffleID)})
+					resubmit, len(lost), id)})
 		}
 		c.metrics.RecomputedStages.Add(1)
 		if err := rec(lost); err != nil {
 			return &StageAbortedError{Stage: name, StageID: stageID, Resubmits: resubmit - 1,
-				Cause: fmt.Errorf("recomputing shuffle %d map outputs %v: %w", ff.ShuffleID, lost, err)}
+				Cause: fmt.Errorf("recomputing shuffle %d map outputs %v: %w", id, lost, err)}
 		}
 		c.metrics.RecomputedTasks.Add(int64(len(lost)))
 	}

@@ -6,10 +6,10 @@ import (
 )
 
 // This file models the executor lifecycle: deterministic executor-kill
-// injection at stage submission points, loss handling (dropping the dead
-// executor's committed shuffle outputs and cached partitions), and the
-// blacklist policy that keeps repeatedly-failing executors out of the slot
-// pool with exponential backoff before re-admission.
+// injection at each job stage's first submission, loss handling (dropping
+// the dead executor's committed shuffle outputs and cached partitions), and
+// the blacklist policy that keeps repeatedly-failing executors out of the
+// slot pool with exponential backoff before re-admission.
 //
 // Executor placement is deterministic and independent of real execution
 // timing: each task chain is hashed onto the stage's live-executor list, so
@@ -73,21 +73,21 @@ func (c *Cluster) FailExecutor(e int) bool {
 	return true
 }
 
-// injectExecutorFailures is called at every stage submission (and
-// resubmission): it draws one deterministic kill decision per executor live
-// at the current stage counter from a stream keyed by (seed, stage,
-// resubmission, executor), applies the losses at that counter, and returns
-// the surviving live-executor list the stage attempt will schedule onto. The
-// last live executor is never killed, so the list is never empty. The
-// counter, not the stage's own ID, decides liveness: a resubmission follows
-// the recovery stages that repaired its inputs, and the executors those
-// stages lost or re-admitted are the ones it runs beside.
-func (c *Cluster) injectExecutorFailures(stageID, resubmit int) []int {
+// injectExecutorFailures is called at every stage submission and returns
+// the live-executor list the stage attempt will schedule onto. With draw set
+// (a job stage's first submission) it first draws one deterministic kill
+// decision per executor live at the current stage counter, keyed by (seed,
+// stage, executor), and applies the losses at that counter. The last live
+// executor is never killed, so the list is never empty. The counter, not
+// the stage's own ID, decides liveness: a resubmission follows the recovery
+// stages that repaired its inputs, and the executors re-admitted meanwhile
+// are the ones it runs beside.
+func (c *Cluster) injectExecutorFailures(stageID int, draw bool) []int {
 	c.mu.Lock()
 	now := c.stageCounter
 	live := c.liveExecutorsLocked(now)
 	c.mu.Unlock()
-	if c.cfg.ExecutorFailureRate <= 0 {
+	if !draw || c.cfg.ExecutorFailureRate <= 0 {
 		return live
 	}
 	var kills []int
@@ -96,7 +96,9 @@ func (c *Cluster) injectExecutorFailures(stageID, resubmit int) []int {
 		if remaining <= 1 {
 			break
 		}
-		h := drawHash("exec/", "", c.cfg.Seed, int64(stageID), int64(resubmit), int64(e))
+		// The 0 is the key's old resubmission slot, from when every
+		// resubmission drew; keeping it keeps each remaining draw's value.
+		h := drawHash("exec/", "", c.cfg.Seed, int64(stageID), 0, int64(e))
 		rng := rand.New(rand.NewSource(int64(h)))
 		if rng.Float64() < c.cfg.ExecutorFailureRate {
 			kills = append(kills, e)

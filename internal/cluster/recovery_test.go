@@ -371,10 +371,10 @@ func TestStageAbortMissingRecompute(t *testing.T) {
 
 // TestStageAbortAfterMaxRetries: a recompute callback that never actually
 // restores the lost blocks forces the resubmission loop to exhaust
-// MaxStageRetries and abort with the typed error, deterministically.
+// maxStageRetries and abort with the typed error, deterministically.
 func TestStageAbortAfterMaxRetries(t *testing.T) {
 	run := func() error {
-		c := New(Config{Executors: 4, CoresPerExecutor: 1, MaxStageRetries: 2, Trace: true})
+		c := New(Config{Executors: 4, CoresPerExecutor: 1, Trace: true})
 		sh := c.Shuffles().Register()
 		c.Shuffles().SetRecompute(sh, func(lost []int) error { return nil }) // lies: repairs nothing
 		if _, err := c.RunStage("map", 4, func(tc *TaskContext) error {
@@ -398,8 +398,8 @@ func TestStageAbortAfterMaxRetries(t *testing.T) {
 		t.Fatalf("err = %v, want ErrStageAborted", err)
 	}
 	var abort *StageAbortedError
-	if !errors.As(err, &abort) || abort.Resubmits != 2 {
-		t.Fatalf("abort = %+v, want Resubmits=2 (MaxStageRetries)", abort)
+	if !errors.As(err, &abort) || abort.Resubmits != maxStageRetries {
+		t.Fatalf("abort = %+v, want Resubmits=%d (maxStageRetries)", abort, maxStageRetries)
 	}
 	if again := run(); again == nil || again.Error() != err.Error() {
 		t.Errorf("abort not deterministic:\n first: %v\nsecond: %v", err, again)

@@ -279,6 +279,21 @@ func (s *ShuffleService) LostMapTasks(id int) []int {
 	return out
 }
 
+// damaged returns the registered shuffles with lost map outputs, in
+// registration order.
+func (s *ShuffleService) damaged() []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []int
+	for id, st := range s.shuffles {
+		if len(st.lost) > 0 {
+			out = append(out, id)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
 func (s *ShuffleService) write(shuffleID, reduceID, mapTask, seq, executor int, data any, bytes int64) {
 	s.mu.Lock()
 	st, ok := s.shuffles[shuffleID]

@@ -63,7 +63,6 @@ func TestZeroedTablesComeBackZero(t *testing.T) {
 	faulty.SpeculationQuantile = 0.5
 	kills := base
 	kills.ExecutorFailureRate = 0.4
-	kills.MaxStageRetries = 12
 	kills.BlacklistAfterFailures = 1000
 	for _, tc := range []struct {
 		name   string

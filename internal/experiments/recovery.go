@@ -53,11 +53,6 @@ func Recovery(env *Env, seed int64) ([]RecoveryRow, error) {
 	baseCfg.Executors = recoveryExecutors
 	baseCfg.CoresPerExecutor = 1
 	baseCfg.Seed = seed
-	// Every resubmission draws fresh kill decisions, so at 20% per executor
-	// a stage can lose hosts several resubmits in a row before the pool
-	// thins out; the default retry budget (4) is for production-shaped kill
-	// rates, not a torture exhibit.
-	baseCfg.MaxStageRetries = 16
 
 	var out []RecoveryRow
 	var reads []int64

@@ -461,10 +461,28 @@ func TestHTTPIngestEndToEnd(t *testing.T) {
 // its matches Duplicates(Detect), in order, and /v1/stats must add up the
 // same. Testing-set pruning is on, so scored is not the candidate pair count:
 // a second replay through DetectAll shows that some pairs were pruned.
+// Along the executor-kill axis the served engine loses executors at 4 and 8
+// executors while the replay runs clean at the same count: lineage recovery
+// must leave every response, the stats and the committed work counters as
+// they are without kills.
 func TestHTTPIngestMatchesSequentialReplay(t *testing.T) {
+	for _, tc := range []struct {
+		executors int
+		killRate  float64
+	}{{4, 0}, {4, 0.05}, {4, 0.1}, {4, 0.25}, {8, 0.05}, {8, 0.1}, {8, 0.25}} {
+		t.Run(fmt.Sprintf("executors=%d/kills=%v", tc.executors, tc.killRate), func(t *testing.T) {
+			replayHTTPIngest(t, tc.executors, tc.killRate)
+		})
+	}
+}
+
+func replayHTTPIngest(t *testing.T, executors int, killRate float64) {
 	cfg := testBootCfg(61, 250, 12, 300)
 	cfg.Detector.Classifier.Pruning = &core.PruningConfig{Clusters: 4, FTheta: 0.7}
-	boot := mustBootstrap(t, cfg)
+	cfg.Detector.Cluster.Executors = executors
+	faulty := cfg
+	faulty.Detector.Cluster.ExecutorFailureRate = killRate
+	boot := mustBootstrap(t, faulty)
 	srv := New(boot.Detector, Config{QueueDepth: 4})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -534,8 +552,24 @@ func TestHTTPIngestMatchesSequentialReplay(t *testing.T) {
 		t.Fatalf("stats ingested/batches/scored/matched %d/%d/%d/%d, replay %d/%d/%d/%d",
 			st.Ingested, st.Batches, st.Scored, st.Matched, len(traffic), batches, scored, matched)
 	}
-	if g, w := boot.Detector.Metrics(), oracle.Detector.Metrics(); g != w {
-		t.Fatalf("server committed engine counters %+v, sequential replay %+v", g, w)
+	g, w := boot.Detector.Metrics(), oracle.Detector.Metrics()
+	if killRate == 0 {
+		if g != w {
+			t.Fatalf("server committed engine counters %+v, sequential replay %+v", g, w)
+		}
+		return
+	}
+	if g.ExecutorFailures == 0 {
+		t.Fatal("no executor was killed; the replay is vacuous")
+	}
+	// ShuffleBytesRead is traffic, not committed work: a task that finds a
+	// cached partition lost with its executor re-reads its shuffle.
+	work := func(m cluster.MetricsSnapshot) [4]int64 {
+		return [4]int64{m.RecordsProcessed, m.Comparisons, m.ShuffleRecordsWritten, m.ShuffleBytesWritten}
+	}
+	if work(g) != work(w) {
+		t.Fatalf("with %d executors killed the server committed records/comparisons/shuffle records/bytes %v, sequential replay %v",
+			g.ExecutorFailures, work(g), work(w))
 	}
 }
 
